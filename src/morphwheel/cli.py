@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import enum
 import logging
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import bending, quasistatics, telescopic, wheelgeom
 from .errors import ConfigError, InfeasibleError, InvalidDesignError
-from .params import DesignParams, LoadedDesign, load_path
+from .params import DesignParams, LoadedDesign, load
 from .report import (
     DEFAULT_TOTAL_BEND,
     RunReport,
@@ -82,7 +83,13 @@ def set_field(p: DesignParams, path: str, value: float) -> DesignParams:
         if len(parts) == 1:
             if not isinstance(current, (int, float)) or isinstance(current, bool):
                 raise ConfigError("parameter path is not a numeric field", field=path)
-            new = int(value) if isinstance(current, int) else float(value)
+            if isinstance(current, int):
+                if not float(value).is_integer():
+                    raise ConfigError(f"count field needs an integer value, got {value!r}",
+                                      field=path)
+                new = int(value)
+            else:
+                new = float(value)
             return dataclasses.replace(obj, **{name: new})
         return dataclasses.replace(obj, **{name: descend(current, parts[1:])})
 
@@ -129,7 +136,7 @@ def _load_or_exit(config: str) -> tuple[LoadedDesign, str]:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
     try:
-        loaded = load_path(config)
+        loaded = load(text)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
@@ -196,14 +203,18 @@ def cmd_profile(args) -> int:
     table = _force_table_or_exit(args)
     try:
         states = wheelgeom.transform_profile(loaded.params, args.steps)
-        torques = quasistatics.torque_profile(loaded.params, table, steps=args.steps)
+        torques = quasistatics.states_torque_profile(loaded.params, states, table)
     except (InvalidDesignError, InfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     out = Path(args.out)
     keyframe_path = out.with_name(out.stem + "_keyframes.json")
+    # Both files go to temporaries next to their targets and replace them
+    # only once both are written, so a failed write leaves neither behind.
+    tmp_out, tmp_keyframes = (
+        path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in (out, keyframe_path))
     try:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
+        with open(tmp_out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(PROFILE_COLUMNS)
             for i, (state, entry) in enumerate(zip(states, torques.entries)):
@@ -216,10 +227,15 @@ def cmd_profile(args) -> int:
                     repr(entry.axial_force),
                     repr(entry.per_motor_torque),
                 ])
-        wheelgeom.write_keyframes(states, loaded.params, keyframe_path)
+        wheelgeom.write_keyframes(states, loaded.params, tmp_keyframes)
+        os.replace(tmp_keyframes, keyframe_path)
+        os.replace(tmp_out, out)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        for tmp in (tmp_out, tmp_keyframes):
+            tmp.unlink(missing_ok=True)
     log.info("wrote %s and %s", out, keyframe_path)
     print(f"wrote {out} ({len(states)} rows) and {keyframe_path}")
     return EXIT_OK
@@ -237,7 +253,7 @@ def _sweep_point(p: DesignParams, steps: int) -> dict[str, float]:
     theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
     chassis = bending.chassis_diameter(p, theta)
     states = wheelgeom.transform_profile(p, steps)
-    torques = quasistatics.torque_profile(p, steps=steps)
+    torques = quasistatics.states_torque_profile(p, states)
     return {
         "elongated_length_mm": lengths.elongated,
         "reduced_length_mm": lengths.reduced,
@@ -269,16 +285,18 @@ def cmd_sweep(args) -> int:
             steps=steps,
             objective=Objective(args.objective),
         )
-        # Resolve the path once up front so a typo fails before any work.
-        set_field(loaded.params, spec.parameter_path, spec.start)
+        # Build every grid point up front so a typo in the path or a
+        # non-integral count value fails before any work.
+        points = [set_field(loaded.params, spec.parameter_path, v) for v in spec.grid()]
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
     metric, best_fn = _OBJECTIVE_METRIC[spec.objective]
     rows = []
-    for i, value in enumerate(spec.grid()):
-        point = set_field(loaded.params, spec.parameter_path, value)
+    evaluated = operator.attrgetter(spec.parameter_path)  # labels rows with what ran
+    for i, point in enumerate(points):
+        value = evaluated(point)
         row: dict[str, object] = {"index": i, spec.parameter_path: value}
         try:
             row.update(_sweep_point(point, args.steps))

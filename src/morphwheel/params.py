@@ -15,6 +15,7 @@ block of published target values used for cross-checking). See
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -328,6 +329,8 @@ def _coerce(path: str, value, kind: str):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("expected a number", field=path)
+    if not math.isfinite(value):
+        raise ConfigError("expected a finite number", field=path)
     return float(value)
 
 

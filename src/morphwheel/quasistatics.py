@@ -20,7 +20,7 @@ import yaml
 
 from .errors import ConfigError
 from .params import DesignParams
-from .wheelgeom import transform_profile
+from .wheelgeom import TransformState, transform_profile
 
 __all__ = [
     "SiliconeForceTable",
@@ -34,6 +34,7 @@ __all__ = [
     "silicone_force",
     "screw_torque",
     "torque_profile",
+    "states_torque_profile",
     "motor_check",
 ]
 
@@ -174,15 +175,21 @@ class TorqueProfile:
 
 def torque_profile(p: DesignParams, table: SiliconeForceTable | None = None,
                    steps: int = 50) -> TorqueProfile:
-    """Per-motor torque over the whole transformation.
+    """Per-motor torque over the whole transformation of ``steps`` states."""
+    return states_torque_profile(p, transform_profile(p, steps), table)
 
-    One entry per transformation state. The axial load is the skin
-    restoring force at that compression (the single mm-to-cm conversion in
-    the package happens here) and is shared equally by the three screws.
+
+def states_torque_profile(p: DesignParams, states: list[TransformState],
+                          table: SiliconeForceTable | None = None) -> TorqueProfile:
+    """Per-motor torque over already-computed transformation states.
+
+    One entry per state; the first state is the elongated crawler. The
+    axial load is the skin restoring force at that compression (the single
+    mm-to-cm conversion in the package happens here) and is shared equally
+    by the three screws.
     """
     if table is None:
         table = default_force_table()
-    states = transform_profile(p, steps)
     elongated = states[0].module_length
     entries = []
     for state in states:

@@ -32,10 +32,11 @@ __all__ = [
     "curved_rod_plan",
     "keyframe_record",
     "keyframes_document",
+    "expand_frame",
     "write_keyframes",
 ]
 
-KEYFRAME_SCHEMA_VERSION = 1
+KEYFRAME_SCHEMA_VERSION = 2
 
 # Residual stopper height per telescoping level; keeps the collapsed rod
 # pair from closing completely unless the design overrides it.
@@ -167,43 +168,19 @@ def curved_rod_plan(radius: float, p: DesignParams) -> CurvedRodPlan:
 
 # ---------------------------------------------------------------------------
 # keyframe export
+#
+# Schema 2 stores the wheel topology once in the header (spoke pairs, hub
+# offset, rim sampling) and only scalars per frame; ``expand_frame``
+# rebuilds the plottable spoke, rim and plate geometry of one frame.
 
-def keyframe_record(state: TransformState, p: DesignParams, step: int = 0,
-                    arc_points_per_sector: int = 8) -> dict:
-    """Plottable geometry snapshot of one transformation state.
-
-    Coordinates are mm, z along the module axis centred between the end
-    plates. Each spoke entry gives the rod pair as a three-point polyline
-    (top plate attachment, bulged hinge, bottom plate attachment); the rim
-    is one closed polyline at the hinge radius.
-    """
-    w = p.wheel
-    h = state.axial_half_separation
-    r = state.wheel_radius
-    spokes = []
-    for k in range(w.spoke_pairs):
-        psi = 2.0 * math.pi * k / w.spoke_pairs
-        c, s = math.cos(psi), math.sin(psi)
-        spokes.append({
-            "azimuth": psi,
-            "attachment_top": [w.hub_offset * c, w.hub_offset * s, h],
-            "hinge": [r * c, r * s, 0.0],
-            "attachment_bottom": [w.hub_offset * c, w.hub_offset * s, -h],
-        })
-    n_rim = w.spoke_pairs * arc_points_per_sector
-    rim = []
-    for k in range(n_rim + 1):  # closing point repeats the first
-        psi = 2.0 * math.pi * (k % n_rim) / n_rim
-        rim.append([r * math.cos(psi), r * math.sin(psi), 0.0])
+def keyframe_record(state: TransformState, step: int = 0) -> dict:
+    """Per-frame scalars of one transformation state."""
     return {
         "step": step,
         "module_length": state.module_length,
-        "axial_half_separation": h,
-        "wheel_radius": r,
+        "axial_half_separation": state.axial_half_separation,
+        "wheel_radius": state.wheel_radius,
         "trigger_mode": state.trigger_mode.value,
-        "plate_positions": [-h, 0.0, h],
-        "spokes": spokes,
-        "rim": rim,
     }
 
 
@@ -212,17 +189,51 @@ def keyframes_document(states: list[TransformState], p: DesignParams,
     return {
         "schema_version": KEYFRAME_SCHEMA_VERSION,
         "spoke_pairs": p.wheel.spoke_pairs,
-        "frames": [
-            keyframe_record(s, p, step=i, arc_points_per_sector=arc_points_per_sector)
-            for i, s in enumerate(states)
-        ],
+        "hub_offset": p.wheel.hub_offset,
+        "arc_points_per_sector": arc_points_per_sector,
+        "frames": [keyframe_record(s, step=i) for i, s in enumerate(states)],
     }
+
+
+def expand_frame(doc: dict, i: int) -> dict:
+    """Plottable geometry of frame ``i`` of a keyframe document.
+
+    Coordinates are mm, z along the module axis centred between the end
+    plates. Each spoke entry gives the rod pair as a three-point polyline
+    (top plate attachment, bulged hinge, bottom plate attachment); the rim
+    is one closed polyline at the hinge radius.
+    """
+    frame = doc["frames"][i]
+    n_spokes = doc["spoke_pairs"]
+    hub = doc["hub_offset"]
+    h = frame["axial_half_separation"]
+    r = frame["wheel_radius"]
+    spokes = []
+    for k in range(n_spokes):
+        psi = 2.0 * math.pi * k / n_spokes
+        c, s = math.cos(psi), math.sin(psi)
+        spokes.append({
+            "azimuth": psi,
+            "attachment_top": [hub * c, hub * s, h],
+            "hinge": [r * c, r * s, 0.0],
+            "attachment_bottom": [hub * c, hub * s, -h],
+        })
+    n_rim = n_spokes * doc["arc_points_per_sector"]
+    rim = []
+    for k in range(n_rim + 1):  # closing point repeats the first
+        psi = 2.0 * math.pi * (k % n_rim) / n_rim
+        rim.append([r * math.cos(psi), r * math.sin(psi), 0.0])
+    return {**frame, "plate_positions": [-h, 0.0, h], "spokes": spokes, "rim": rim}
 
 
 def write_keyframes(states: list[TransformState], p: DesignParams,
                     path: str | Path) -> None:
-    """Write the keyframe document as deterministic JSON (sorted keys)."""
+    """Write the keyframe document as compact, sorted-key JSON.
+
+    Without ``indent`` the C encoder does the work, and identical states
+    give identical bytes.
+    """
     doc = keyframes_document(states, p)
     Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8"
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
     )

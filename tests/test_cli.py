@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from morphwheel import ConfigError, serialize
+from morphwheel import ConfigError, serialize, wheelgeom
 from morphwheel.cli import Objective, SweepSpec, main, set_field
 from morphwheel.params import reference_design
 from morphwheel.report import consistency_warnings, design_card
@@ -86,6 +86,11 @@ class TestSetField:
         p = set_field(reference, "screw.n_levels", 6.0)
         assert p.screw.n_levels == 6
         assert isinstance(p.screw.n_levels, int)
+
+    @pytest.mark.parametrize("value", [2.5, 6.000001, float("inf"), float("nan")])
+    def test_non_integral_count_rejected(self, reference, value):
+        with pytest.raises(ConfigError, match="screw.n_levels"):
+            set_field(reference, "screw.n_levels", value)
 
     def test_unresolvable_path_named(self, reference):
         with pytest.raises(ConfigError, match="wheel.bogus"):
@@ -170,6 +175,16 @@ class TestCmdReport:
         path.write_text(text)
         assert main(["report", "--config", str(path)]) == 1
 
+    def test_infinite_hub_offset_exits_2(self, tmp_path, capsys):
+        text = serialize(reference_design()).replace(
+            "hub_offset: 60.0", "hub_offset: .inf")
+        path = tmp_path / "inf.yaml"
+        path.write_text(text)
+        assert main(["report", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "wheel.hub_offset" in err and "finite" in err
+        assert "Traceback" not in err
+
 
 class TestCmdProfile:
     def test_two_steps_two_rows(self, config_file, tmp_path):
@@ -209,6 +224,28 @@ class TestCmdProfile:
     def test_unwritable_path_exits_2(self, config_file, tmp_path):
         assert main(["profile", "--config", config_file, "--steps", "5",
                      "--out", str(tmp_path / "nodir" / "p.csv")]) == 2
+
+    def test_failed_keyframe_write_leaves_no_csv(self, config_file, tmp_path,
+                                                 monkeypatch, capsys):
+        def fail(states, p, path):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(wheelgeom, "write_keyframes", fail)
+        out = tmp_path / "p.csv"
+        assert main(["profile", "--config", config_file, "--steps", "5",
+                     "--out", str(out)]) == 2
+        assert "no space left" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [Path(config_file)]
+
+    def test_failed_keyframe_replace_keeps_earlier_outputs(self, config_file, tmp_path):
+        out = tmp_path / "p.csv"
+        out.write_text("earlier run\n")
+        (tmp_path / "p_keyframes.json").mkdir()  # a directory cannot be replaced
+        assert main(["profile", "--config", config_file, "--steps", "5",
+                     "--out", str(out)]) == 2
+        assert out.read_text() == "earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["design.yaml", "p.csv", "p_keyframes.json"]
 
     def test_force_table_override_changes_forces(self, config_file, tmp_path):
         table = tmp_path / "table.yaml"
@@ -289,6 +326,26 @@ class TestCmdSweep:
                      "--objective", "min-peak-torque",
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert "screw.nope" in capsys.readouterr().err
+
+    def test_non_integral_count_grid_exits_2(self, config_file, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", config_file,
+                     "--sweep-param", "screw.n_levels",
+                     "--sweep-range", "1:10:7",
+                     "--objective", "min-reduced-length",
+                     "--out", str(out)]) == 2
+        assert "screw.n_levels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_count_grid_labels_rows_with_integers(self, config_file, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", config_file,
+                     "--sweep-param", "screw.n_levels",
+                     "--sweep-range", "1:10:10",
+                     "--objective", "min-reduced-length",
+                     "--out", str(out)]) == 0
+        assert [r["screw.n_levels"] for r in read_csv(out)] \
+            == [str(n) for n in range(1, 11)]
 
     def test_bad_range_exits_2(self, config_file, tmp_path):
         assert main(["sweep", "--config", config_file,

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,6 +193,23 @@ class TestLoad:
     def test_non_integer_count_rejected(self):
         text = MINIMAL_CONFIG.replace("n_levels: 4", "n_levels: 4.5")
         with pytest.raises(ConfigError, match="screw.n_levels"):
+            load(text)
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("field", [
+        "wheel.hub_offset",
+        "wheel.min_half_separation",
+        "screw.thread_clearance",
+        "wheel.rod_half_length",
+        "screw.screw_level_length",
+    ])
+    def test_non_finite_number_rejected(self, reference, field, value):
+        section, key = field.split(".")
+        doc = yaml.safe_load(serialize(reference))
+        doc[section][key] = value
+        text = yaml.safe_dump(doc).replace(f"'{value}'", value)
+        assert f"{key}: {value}\n" in text
+        with pytest.raises(ConfigError, match=f"finite.*{field}"):
             load(text)
 
 

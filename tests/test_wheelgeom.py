@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from morphwheel.wheelgeom import (
     bulge_radius,
     curved_rod_plan,
     default_min_half_separation,
+    expand_frame,
     keyframe_record,
     keyframes_document,
     transform_profile,
@@ -160,12 +162,18 @@ class TestTriggerState:
             trigger_state(341.0, 340.0, tolerance=0.5)
 
 
+V1_EXAMPLE = Path(__file__).resolve().parent / "data" / "profile_keyframes_v1.json"
+V2_EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "examples" \
+    / "profile_keyframes.json"
+
+
 class TestKeyframes:
     def test_record_geometry(self, reference):
         states = transform_profile(reference, 3)
-        rec = keyframe_record(states[1], reference, step=1)
+        rec = expand_frame(keyframes_document(states, reference), 1)
         h = states[1].axial_half_separation
         r = states[1].wheel_radius
+        assert rec["step"] == 1
         assert rec["plate_positions"] == [-h, 0.0, h]
         assert len(rec["spokes"]) == reference.wheel.spoke_pairs
         for spoke in rec["spokes"]:
@@ -182,10 +190,20 @@ class TestKeyframes:
             assert math.hypot(x, y) == pytest.approx(r, abs=1e-9)
         assert rec["rim"][0] == rec["rim"][-1]  # closed polyline
 
+    def test_frames_hold_only_scalars(self, reference):
+        states = transform_profile(reference, 4)
+        doc = keyframes_document(states, reference)
+        assert doc["spoke_pairs"] == reference.wheel.spoke_pairs
+        assert doc["hub_offset"] == reference.wheel.hub_offset
+        assert doc["frames"][2] == keyframe_record(states[2], step=2)
+        for frame in doc["frames"]:
+            assert set(frame) == {"step", "module_length", "axial_half_separation",
+                                  "wheel_radius", "trigger_mode"}
+
     def test_document_and_file_round_trip(self, reference, tmp_path):
         states = transform_profile(reference, 4)
         doc = keyframes_document(states, reference)
-        assert doc["schema_version"] == KEYFRAME_SCHEMA_VERSION
+        assert doc["schema_version"] == KEYFRAME_SCHEMA_VERSION == 2
         assert len(doc["frames"]) == 4
         path = tmp_path / "frames.json"
         write_keyframes(states, reference, path)
@@ -198,3 +216,20 @@ class TestKeyframes:
         write_keyframes(states, reference, a)
         write_keyframes(states, reference, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_file_is_compact_json(self, reference, tmp_path):
+        path = tmp_path / "frames.json"
+        write_keyframes(transform_profile(reference, 4), reference, path)
+        text = path.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert ", " not in text and ": " not in text
+
+    def test_expand_frame_reproduces_schema_1(self):
+        """The committed 5-step schema-1 example is the oracle for schema 2."""
+        v1 = json.loads(V1_EXAMPLE.read_text())
+        v2 = json.loads(V2_EXAMPLE.read_text())
+        assert v1["schema_version"] == 1 and v2["schema_version"] == 2
+        assert v2["spoke_pairs"] == v1["spoke_pairs"]
+        assert len(v2["frames"]) == len(v1["frames"]) == 5
+        for i, frame in enumerate(v1["frames"]):
+            assert expand_frame(v2, i) == frame
