@@ -28,6 +28,7 @@ __all__ = [
     "bend_from_extensions",
     "bend_state",
     "chassis_diameter",
+    "rod_half_expansion",
     "rod_sizing",
     "rod_sizing_from_half_expansion",
 ]
@@ -190,15 +191,20 @@ def rod_sizing_from_half_expansion(half_expansion: float, chassis_d: float,
     )
 
 
+def rod_half_expansion(p: DesignParams, theta_plate: float) -> float:
+    """Lateral excursion at a plate tilt of joint mount, half joint and full screw."""
+    pf = p.platform
+    reach = pf.joint_mount_width + pf.universal_joint_diameter / 2.0 \
+        + pf.max_screw_extension
+    return reach * math.sin(theta_plate)
+
+
 def rod_sizing(p: DesignParams, theta_plate: float, chassis_d: float) -> RodSizing:
     """Telescopic chassis rod sizing for the design's joint and screw geometry."""
     if chassis_d <= 0:
         raise ValueError("chassis diameter must be positive")
     if not 0 < theta_plate <= math.pi / 4.0:
         raise ValueError("theta_plate must be in (0, pi/4]")
-    pf = p.platform
-    reach = pf.joint_mount_width + pf.universal_joint_diameter / 2.0 \
-        + pf.max_screw_extension
     return rod_sizing_from_half_expansion(
-        reach * math.sin(theta_plate), chassis_d, theta_plate
+        rod_half_expansion(p, theta_plate), chassis_d, theta_plate
     )

@@ -19,15 +19,17 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import bending, quasistatics, telescopic, wheelgeom
+from . import quasistatics, wheelgeom
 from .errors import ConfigError, InfeasibleError, InvalidDesignError
 from .params import DesignParams, LoadedDesign, load
 from .report import (
     DEFAULT_TOTAL_BEND,
+    SWEEP_METRICS,
     RunReport,
     config_digest,
     consistency_warnings,
     design_card,
+    sweep_point,
 )
 
 __all__ = ["Objective", "SweepSpec", "set_field", "main"]
@@ -160,7 +162,7 @@ def cmd_validate(args) -> int:
     loaded, text = _load_or_exit(args.config)
     warnings = ()
     if loaded.report.valid:
-        warnings = consistency_warnings(loaded.params)
+        warnings = consistency_warnings(loaded.params, validation=loaded.report)
     rr = RunReport(
         digest=config_digest(text),
         validation=loaded.report,
@@ -184,9 +186,9 @@ def cmd_report(args) -> int:
             loaded.params,
             target_ratio=args.target_ratio,
             total_bend=args.total_bend,
-            steps=args.steps,
             table=table,
             digest=config_digest(text),
+            validation=loaded.report,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -241,29 +243,6 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_METRICS = (
-    "elongated_length_mm", "reduced_length_mm", "reduction_ratio",
-    "chassis_diameter_mm", "wheel_radius_mm", "peak_torque_Nmm",
-)
-
-
-def _sweep_point(p: DesignParams, steps: int) -> dict[str, float]:
-    """Standalone evaluation of the sweep metrics; no state leaks between points."""
-    lengths = telescopic.module_lengths(p)
-    theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
-    chassis = bending.chassis_diameter(p, theta)
-    states = wheelgeom.transform_profile(p, steps)
-    torques = quasistatics.states_torque_profile(p, states)
-    return {
-        "elongated_length_mm": lengths.elongated,
-        "reduced_length_mm": lengths.reduced,
-        "reduction_ratio": lengths.reduction_ratio,
-        "chassis_diameter_mm": chassis.chassis_diameter,
-        "wheel_radius_mm": states[-1].wheel_radius,
-        "peak_torque_Nmm": torques.peak_torque,
-    }
-
-
 _OBJECTIVE_METRIC = {
     Objective.MIN_REDUCED_LENGTH: ("reduced_length_mm", min),
     Objective.MAX_WHEEL_RADIUS: ("wheel_radius_mm", max),
@@ -293,20 +272,21 @@ def cmd_sweep(args) -> int:
         return EXIT_IO
 
     metric, best_fn = _OBJECTIVE_METRIC[spec.objective]
+    table = quasistatics.default_force_table()
     rows = []
     evaluated = operator.attrgetter(spec.parameter_path)  # labels rows with what ran
     for i, point in enumerate(points):
         value = evaluated(point)
         row: dict[str, object] = {"index": i, spec.parameter_path: value}
         try:
-            row.update(_sweep_point(point, args.steps))
+            row.update(sweep_point(point, table))
             row["objective"] = row[metric]
         except (InvalidDesignError, InfeasibleError, ValueError) as exc:
             log.debug("grid point %s=%s infeasible: %s", spec.parameter_path, value, exc)
             row["objective"] = ""
         rows.append(row)
 
-    columns = ["index", spec.parameter_path, *_SWEEP_METRICS, "objective"]
+    columns = ["index", spec.parameter_path, *SWEEP_METRICS, "objective"]
     try:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -362,8 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="reduction ratio target (default 0.5)")
     p_report.add_argument("--total-bend", type=float, default=DEFAULT_TOTAL_BEND,
                           help="total platform bend in radians (default pi/4)")
-    p_report.add_argument("--steps", type=int, default=50,
-                          help="transformation steps for the torque peak (default 50)")
     p_report.add_argument("--force-table", default=None,
                           help="YAML file of (cm, N) pairs overriding the builtin table")
     p_report.set_defaults(func=cmd_report)
@@ -383,8 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sweep-range", required=True, help="START:STOP:STEPS")
     p_sweep.add_argument("--objective", required=True,
                          choices=[o.value for o in Objective])
-    p_sweep.add_argument("--steps", type=int, default=50,
-                         help="transformation steps per grid point (default 50)")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

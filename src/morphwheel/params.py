@@ -34,6 +34,9 @@ __all__ = [
     "Inconsistency",
     "ValidationReport",
     "LoadedDesign",
+    "residual_length",
+    "elongated_length",
+    "min_half_separation",
     "validate",
     "require_valid",
     "load",
@@ -96,7 +99,7 @@ class WheelSpec:
     hinge_allowance: float           # mm, rim rod length consumed by hinges
     spoke_pairs: int = 6             # rod pairs around the circumference
     min_half_separation: float | None = None  # mm, residual h at full compression
-    # None falls back to the stopper stack height, 2 mm per screw level.
+    # None falls back to the stopper stack height (``min_half_separation``).
 
 
 @dataclass(frozen=True)
@@ -176,6 +179,33 @@ class LoadedDesign:
 
 
 # ---------------------------------------------------------------------------
+# derived quantities the validator needs (unvalidated)
+
+# Residual stopper height per telescoping level; keeps the collapsed rod
+# pair from closing completely unless the design overrides it.
+_STOPPER_HEIGHT = 2.0  # mm
+
+
+def residual_length(p: DesignParams) -> float:
+    """Axial length that does not telescope: joints, clearance, drive, tensioner."""
+    lay = p.layout
+    return 2.0 * lay.joint_height + lay.plate_clearance \
+        + lay.drive_assembly_length + lay.tensioner_length
+
+
+def elongated_length(p: DesignParams) -> float:
+    """Module length with all ``n_levels`` screw levels extended on both platforms."""
+    return 2.0 * p.screw.n_levels * p.screw.screw_level_length + residual_length(p)
+
+
+def min_half_separation(p: DesignParams) -> float:
+    """Rod-pair half-separation at full compression: the design's value, or
+    the stopper stack height when it leaves the field unset."""
+    h_min = p.wheel.min_half_separation
+    return _STOPPER_HEIGHT * p.screw.n_levels if h_min is None else h_min
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 def _positive(out: list[Violation], path: str, value: float) -> None:
@@ -227,6 +257,11 @@ def validate(p: DesignParams) -> ValidationReport:
         v.append(Violation("wheel.spoke_pairs", "spoke_pairs >= 3"))
     if w.min_half_separation is not None and w.min_half_separation < 0:
         v.append(Violation("wheel.min_half_separation", "min_half_separation >= 0"))
+    # Each unit of half-separation lost shortens the module by two, so a
+    # longer wheel stroke would compress the module to nothing.
+    if 2.0 * (w.rod_half_length - min_half_separation(p)) >= elongated_length(p):
+        v.append(Violation("wheel.rod_half_length",
+                           "2 * (rod_half_length - min_half_separation) < elongated length"))
 
     _positive(v, "drive.motor_stall_torque", p.motor_stall_torque)
     _positive(v, "drive.screw_lead", p.screw_lead)
@@ -261,11 +296,14 @@ def _length_identity_warnings(p: DesignParams) -> tuple[Inconsistency, ...]:
     )
 
 
-def require_valid(p: DesignParams) -> None:
-    """Raise ``InvalidDesignError`` (with the report) for invalid designs."""
-    report = validate(p)
+def require_valid(p: DesignParams, report: ValidationReport | None = None) -> ValidationReport:
+    """``validate(p)``, or ``report`` when the caller holds it already;
+    raises ``InvalidDesignError`` (with the report) for invalid designs."""
+    if report is None:
+        report = validate(p)
     if not report.valid:
         raise InvalidDesignError(report)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ __all__ = [
     "screw_torque",
     "torque_profile",
     "states_torque_profile",
+    "peak_load",
     "motor_check",
 ]
 
@@ -58,6 +59,8 @@ class SiliconeForceTable:
             raise ValueError("length changes must be strictly increasing")
         if any(b > a for a, b in zip(fs, fs[1:])):
             raise ValueError("forces must be nonincreasing")
+        if fs[-1] < 0:
+            raise ValueError("forces must be nonnegative")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -195,14 +198,27 @@ def states_torque_profile(p: DesignParams, states: list[TransformState],
     for state in states:
         compression_cm = (elongated - state.module_length) / 10.0
         force = silicone_force(table, compression_cm)
-        torque = screw_torque(force / 3.0, p.screw_lead,
-                              p.screw_mean_diameter, p.screw_friction)
         entries.append(TorqueEntry(
             module_length=state.module_length,
             axial_force=force,
-            per_motor_torque=torque,
+            per_motor_torque=_motor_torque(p, force),
         ))
     return TorqueProfile(entries=tuple(entries))
+
+
+def peak_load(p: DesignParams, table: SiliconeForceTable | None = None) -> tuple[float, float]:
+    """(axial force N, per-motor torque N*mm) at the peak of every
+    ``torque_profile``: its uncompressed first entry, since table forces
+    never increase with compression."""
+    if table is None:
+        table = default_force_table()
+    force = silicone_force(table, 0.0)
+    return force, _motor_torque(p, force)
+
+
+def _motor_torque(p: DesignParams, force: float) -> float:
+    # The three screws share the axial load equally.
+    return screw_torque(force / 3.0, p.screw_lead, p.screw_mean_diameter, p.screw_friction)
 
 
 @dataclass(frozen=True)
@@ -216,9 +232,8 @@ class MotorCheck:
     note: str
 
 
-def motor_check(profile: TorqueProfile, stall_torque: float,
-                margin: float = 1.0) -> MotorCheck:
-    """Compare the peak required torque against the motor's stall torque.
+def motor_check(peak: float, stall_torque: float, margin: float = 1.0) -> MotorCheck:
+    """Compare the peak required torque (N*mm) against the motor's stall torque.
 
     Passes when peak <= margin * stall. The reference selection threshold is
     reported side by side for context, never as an equality target.
@@ -227,7 +242,6 @@ def motor_check(profile: TorqueProfile, stall_torque: float,
         raise ValueError("margin must be in (0, 1]")
     if stall_torque <= 0:
         raise ValueError("stall torque must be positive")
-    peak = profile.peak_torque
     ratio = peak / stall_torque
     note = (
         f"peak {peak:.3f} N*mm vs selection threshold "

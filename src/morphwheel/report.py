@@ -1,7 +1,8 @@
-"""Design card assembly and cross-checks against reported target values.
+"""Design cards, sweep points and cross-checks against reported targets.
 
 Everything here is read-only aggregation over the computation modules; the
-CLI renders these structures but owns no logic of its own.
+CLI renders these structures but owns no logic of its own. Entry points
+validate once (or take the caller's report) and refuse invalid designs.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ from dataclasses import dataclass
 
 from . import bending, quasistatics, telescopic, wheelgeom
 from .errors import InfeasibleError
-from .params import DesignParams, Inconsistency, ValidationReport, serialize, validate
+from .params import DesignParams, Inconsistency, ValidationReport, require_valid, serialize
 
 __all__ = [
     "RunReport",
     "DEFAULT_TOTAL_BEND",
+    "SWEEP_METRICS",
     "consistency_warnings",
     "design_card",
+    "sweep_point",
     "config_digest",
 ]
 
@@ -51,17 +54,24 @@ def _mismatch(code: str, computed: float, reported: float | None,
     return Inconsistency(code=code, detail=detail, computed=computed, reported=reported)
 
 
+def _meets(computed: float, reported: float) -> bool:
+    return _mismatch("", computed, reported, "") is None
+
+
 def consistency_warnings(p: DesignParams,
-                         total_bend: float = DEFAULT_TOTAL_BEND
+                         total_bend: float = DEFAULT_TOTAL_BEND,
+                         validation: ValidationReport | None = None
                          ) -> tuple[Inconsistency, ...]:
     """Compare computed quantities against any supplied reported values.
 
     Disagreements are reported as machine-readable records and left
-    standing; nothing is patched to make the numbers meet.
+    standing; nothing is patched to make the numbers meet. ``validation``
+    is ``validate(p)`` when the caller already holds it.
     """
     rep = p.reported
-    out = list(validate(p).warnings)
-    lengths = telescopic.module_lengths(p)
+    validation = require_valid(p, validation)
+    out = list(validation.warnings)
+    lengths = telescopic.module_lengths(p, validation)
     theta = total_bend / p.platform.plate_count
     chassis = bending.chassis_diameter(p, theta)
 
@@ -77,58 +87,70 @@ def consistency_warnings(p: DesignParams,
     ]
 
     if rep.rod_half_expansion is not None:
-        pf = p.platform
-        reach = pf.joint_mount_width + pf.universal_joint_diameter / 2.0 \
-            + pf.max_screw_extension
         checks.append(_mismatch(
-            "rod_half_expansion_mismatch", reach * math.sin(theta),
+            "rod_half_expansion_mismatch", bending.rod_half_expansion(p, theta),
             rep.rod_half_expansion,
             "computed rod half expansion differs from the reported value"))
 
     if rep.wheel_diameter is not None:
         try:
-            final = transform_endpoint_radius(p)
-        except InfeasibleError:
-            final = None
-        if final is not None:
             checks.append(_mismatch(
-                "wheel_diameter_mismatch", 2.0 * final, rep.wheel_diameter,
+                "wheel_diameter_mismatch", 2.0 * transform_endpoint_radius(p),
+                rep.wheel_diameter,
                 "computed full-compression wheel diameter differs from the reported value"))
+        except InfeasibleError:
+            pass  # the card flags the geometry instead
 
     out.extend(c for c in checks if c is not None)
     return tuple(out)
 
 
 def transform_endpoint_radius(p: DesignParams) -> float:
-    """Wheel radius at full compression without sweeping the whole profile."""
+    """Wheel radius at full compression: the last state of every
+    ``transform_profile``, without sweeping the whole profile."""
     w = p.wheel
-    h_min = w.min_half_separation
-    if h_min is None:
-        h_min = wheelgeom.default_min_half_separation(p)
-    if h_min >= w.rod_half_length:
-        raise InfeasibleError(
-            "infeasible wheel geometry: compressed half-separation must stay "
-            "below the rod half-length"
-        )
+    h_min = wheelgeom.compressed_half_separation(p)
     return wheelgeom.bulge_radius(w.rod_half_length, h_min, w.hub_offset)
+
+
+SWEEP_METRICS = (
+    "elongated_length_mm", "reduced_length_mm", "reduction_ratio",
+    "chassis_diameter_mm", "wheel_radius_mm", "peak_torque_Nmm",
+)
+
+
+def sweep_point(p: DesignParams, table: quasistatics.SiliconeForceTable) -> dict[str, float]:
+    """The ``SWEEP_METRICS`` of one design; raises ``InvalidDesignError``,
+    ``InfeasibleError`` or ``ValueError`` for a design without a value."""
+    lengths = telescopic.module_lengths(p)  # the one validation of the point
+    theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
+    return {
+        "elongated_length_mm": lengths.elongated,
+        "reduced_length_mm": lengths.reduced,
+        "reduction_ratio": lengths.reduction_ratio,
+        "chassis_diameter_mm": bending.chassis_diameter(p, theta).chassis_diameter,
+        "wheel_radius_mm": transform_endpoint_radius(p),
+        "peak_torque_Nmm": quasistatics.peak_load(p, table)[1],
+    }
 
 
 def design_card(p: DesignParams, *, target_ratio: float = 0.5,
                 total_bend: float = DEFAULT_TOTAL_BEND,
-                steps: int = 50,
                 table: quasistatics.SiliconeForceTable | None = None,
                 margin: float = 1.0,
-                digest: str | None = None) -> RunReport:
+                digest: str | None = None,
+                validation: ValidationReport | None = None) -> RunReport:
     """One complete design card: every top-level quantity plus pass/fail flags.
 
     Geometric infeasibilities (for example a rod pair that cannot close) are
     surfaced as string flags in the affected outputs instead of aborting the
-    card; structural invariant violations abort earlier via the modules.
+    card; invalid designs raise ``InvalidDesignError``. ``validation`` is
+    ``validate(p)`` when the caller already holds it.
     """
-    validation = validate(p)
+    validation = require_valid(p, validation)
     outputs: dict[str, object] = {}
 
-    lengths = telescopic.module_lengths(p)
+    lengths = telescopic.module_lengths(p, validation)
     outputs["elongated_length_mm"] = lengths.elongated
     outputs["reduced_length_mm"] = lengths.reduced
     outputs["reduction_ratio"] = lengths.reduction_ratio
@@ -164,10 +186,10 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
         outputs["curved_rod_levels"] = plan.levels
         outputs["curved_rod_curvature_mm"] = plan.matched_curvature
 
-        profile = quasistatics.torque_profile(p, table, steps)
-        outputs["peak_axial_force_N"] = max(e.axial_force for e in profile.entries)
-        outputs["peak_torque_Nmm"] = profile.peak_torque
-        check = quasistatics.motor_check(profile, p.motor_stall_torque, margin)
+        force, torque = quasistatics.peak_load(p, table)
+        outputs["peak_axial_force_N"] = force
+        outputs["peak_torque_Nmm"] = torque
+        check = quasistatics.motor_check(torque, p.motor_stall_torque, margin)
         outputs["motor_check_ok"] = check.passed
         outputs["motor_check_note"] = check.note
     except InfeasibleError as exc:
@@ -186,9 +208,5 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
         digest=digest if digest is not None else config_digest(serialize(p)),
         validation=validation,
         outputs=outputs,
-        warnings=consistency_warnings(p, total_bend),
+        warnings=consistency_warnings(p, total_bend, validation),
     )
-
-
-def _meets(computed: float, reported: float) -> bool:
-    return abs(computed - reported) <= _REL_TOL * max(1.0, abs(reported))

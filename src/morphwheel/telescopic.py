@@ -1,8 +1,8 @@
 """Telescopic screw stack model: module lengths, reduction ratio, inverse
 sizing of screw length and level count, and the nested diameter ladder.
 
-All functions are pure; inverse solvers cross-check their closed forms
-against brute-force scans so an algebra slip cannot go unnoticed.
+All functions are pure. The inverse solvers are closed forms; the
+brute-force scans that check them live with the tests.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
-from .params import DesignParams, require_valid
+from .params import (DesignParams, ValidationReport, elongated_length, require_valid,
+                     residual_length)
 
 __all__ = [
     "ModuleLengths",
@@ -22,10 +23,8 @@ __all__ = [
     "reduction_ok",
     "check_reduction",
     "min_screw_length",
-    "scan_min_screw_length",
     "solve_min_screw_length",
     "min_levels",
-    "scan_min_levels",
     "solve_min_levels",
     "diameter_ladder",
     "shaft_levels",
@@ -58,27 +57,19 @@ class ScrewLengthSolution:
     degenerate: bool = False  # target ratio of 1 needs no telescoping at all
 
 
-def residual_length(p: DesignParams) -> float:
-    """Axial length that does not telescope: joints, clearance, drive, tensioner."""
-    lay = p.layout
-    return 2.0 * lay.joint_height + lay.plate_clearance \
-        + lay.drive_assembly_length + lay.tensioner_length
-
-
-def module_lengths(p: DesignParams) -> ModuleLengths:
+def module_lengths(p: DesignParams,
+                   validation: ValidationReport | None = None) -> ModuleLengths:
     """Elongated and fully reduced module lengths.
 
     Elongated stacks all ``n_levels`` screw levels twice (one per cascaded
     platform) on top of the residual; reduced keeps a single collapsed level
-    per platform. Refuses invalid designs with their validation report.
+    per platform. Refuses invalid designs with their validation report; a
+    caller holding ``validate(p)`` passes it as ``validation``.
     """
-    require_valid(p)
-    k = residual_length(p)
-    s_l = p.screw.screw_level_length
-    n = p.screw.n_levels
+    require_valid(p, validation)
     return ModuleLengths(
-        elongated=2.0 * n * s_l + k,
-        reduced=2.0 * s_l + k,
+        elongated=elongated_length(p),
+        reduced=2.0 * p.screw.screw_level_length + residual_length(p),
     )
 
 
@@ -109,8 +100,6 @@ def min_screw_length(n_levels: int, residual: float,
 
     valid when ``n_levels * target > 1``; fewer levels can never reach the
     target because the ratio tends to ``1/n_levels`` as the screws grow.
-    The result is cross-checked against ``scan_min_screw_length`` at 0.1 mm
-    granularity before it is returned.
     """
     if not 0 < target_ratio <= 1:
         raise ValueError("target_ratio must be in (0, 1]")
@@ -124,27 +113,8 @@ def min_screw_length(n_levels: int, residual: float,
     if n_levels * target_ratio <= 1.0:
         raise InfeasibleError("infeasible: not enough levels for this ratio")
 
-    closed = residual * (1.0 - target_ratio) / (2.0 * (n_levels * target_ratio - 1.0))
-    step = 0.1
-    scanned = scan_min_screw_length(n_levels, residual, target_ratio,
-                                    step=step, limit=closed + 3.0 * step)
-    if not (-1e-6 <= scanned - closed <= step + 1e-6):
-        raise RuntimeError(
-            f"internal: closed form {closed} disagrees with scan oracle {scanned}"
-        )
-    return ScrewLengthSolution(length=closed)
-
-
-def scan_min_screw_length(n_levels: int, residual: float, target_ratio: float,
-                          step: float = 0.1, limit: float = 1e4) -> float:
-    """Brute-force oracle: first multiple of ``step`` meeting the target."""
-    k = 1
-    while k * step <= limit:
-        s = k * step
-        if _ratio(s, n_levels, residual) <= target_ratio:
-            return s
-        k += 1
-    raise InfeasibleError("infeasible: not enough levels for this ratio")
+    return ScrewLengthSolution(
+        length=residual * (1.0 - target_ratio) / (2.0 * (n_levels * target_ratio - 1.0)))
 
 
 def solve_min_screw_length(p: DesignParams, target_ratio: float) -> ScrewLengthSolution:
@@ -172,14 +142,6 @@ def min_levels(screw_length: float, residual: float, target_ratio: float) -> int
         n += 1
     while n > 1 and _ratio(screw_length, n - 1, residual) <= target_ratio:
         n -= 1
-    return n
-
-
-def scan_min_levels(screw_length: float, residual: float, target_ratio: float) -> int:
-    """Brute-force oracle: increment the level count until the check passes."""
-    n = 1
-    while _ratio(screw_length, n, residual) > target_ratio:
-        n += 1
     return n
 
 

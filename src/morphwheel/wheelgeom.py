@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InfeasibleError
-from .params import DesignParams
+from .params import DesignParams, min_half_separation
 from .telescopic import module_lengths
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
     "CurvedRodPlan",
     "KEYFRAME_SCHEMA_VERSION",
     "bulge_radius",
-    "default_min_half_separation",
+    "compressed_half_separation",
     "trigger_state",
     "transform_profile",
     "curved_rod_plan",
@@ -37,10 +37,6 @@ __all__ = [
 ]
 
 KEYFRAME_SCHEMA_VERSION = 2
-
-# Residual stopper height per telescoping level; keeps the collapsed rod
-# pair from closing completely unless the design overrides it.
-_STOPPER_HEIGHT = 2.0  # mm
 
 
 class TriggerMode(enum.Enum):
@@ -78,9 +74,16 @@ def bulge_radius(l: float, h: float, br: float) -> float:
     return math.sqrt(l * l - h * h) + br
 
 
-def default_min_half_separation(p: DesignParams) -> float:
-    """Residual half-separation at full compression: the stopper stack height."""
-    return _STOPPER_HEIGHT * p.screw.n_levels
+def compressed_half_separation(p: DesignParams) -> float:
+    """Rod-pair half-separation at full compression, refused unless it stays
+    below the rod half-length (a pair that cannot fold forms no wheel)."""
+    h_min = min_half_separation(p)
+    if h_min >= p.wheel.rod_half_length:
+        raise InfeasibleError(
+            "infeasible wheel geometry: compressed half-separation must stay "
+            "below the rod half-length"
+        )
+    return h_min
 
 
 def trigger_state(module_length: float, elongated: float,
@@ -116,14 +119,7 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
     lengths = module_lengths(p)
     w = p.wheel
     l = w.rod_half_length
-    h_min = w.min_half_separation
-    if h_min is None:
-        h_min = default_min_half_separation(p)
-    if h_min >= l:
-        raise InfeasibleError(
-            "infeasible wheel geometry: compressed half-separation must stay "
-            "below the rod half-length"
-        )
+    h_min = compressed_half_separation(p)
 
     states = []
     for i in range(steps):

@@ -27,13 +27,12 @@ from morphwheel.telescopic import (
     min_screw_length,
     module_lengths,
     reduction_ok,
-    scan_min_levels,
-    scan_min_screw_length,
     shaft_levels,
 )
 from morphwheel.wheelgeom import TriggerMode, bulge_radius, curved_rod_plan, transform_profile
 
 from conftest import random_valid_params
+from oracles import scan_min_levels, scan_min_screw_length
 
 
 def report(n: int, text: str) -> None:
@@ -191,7 +190,7 @@ def test_criterion_9_torque_model():
     assert profile.peak_index == min(
         i for i, f in enumerate(forces) if f == max(forces))
 
-    check = motor_check(profile, 1470.0)
+    check = motor_check(profile.peak_torque, 1470.0)
     assert check.passed
     assert f"{check.peak_torque:.3f}" in check.note and "500" in check.note
     print(f"\n  computed peak {check.peak_torque:.3f} N*mm | "

@@ -175,6 +175,22 @@ class TestCmdReport:
         path.write_text(text)
         assert main(["report", "--config", str(path)]) == 1
 
+    def test_overrunning_design_exits_1(self, tmp_path, capsys):
+        # 2 * (170 - 0) reaches the 340 mm elongated length.
+        text = serialize(reference_design()).replace(
+            "rod_half_length: 140.0", "rod_half_length: 170.0")
+        path = tmp_path / "overrun.yaml"
+        path.write_text(text)
+        assert main(["report", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "VIOLATION wheel.rod_half_length" in err
+        assert "Traceback" not in err
+
+    def test_steps_flag_is_gone(self, config_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--config", config_file, "--steps", "5"])
+        assert exc.value.code == 2
+
     def test_infinite_hub_offset_exits_2(self, tmp_path, capsys):
         text = serialize(reference_design()).replace(
             "hub_offset: 60.0", "hub_offset: .inf")
@@ -318,6 +334,16 @@ class TestCmdSweep:
                           float(row["screw.screw_level_length"]))
             assert float(row["elongated_length_mm"]) \
                 == pytest.approx(module_lengths(p).elongated, abs=1e-9)
+
+    def test_steps_flag_is_gone(self, config_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", config_file,
+                  "--sweep-param", "wheel.hub_offset",
+                  "--sweep-range", "50:80:3",
+                  "--objective", "max-wheel-radius",
+                  "--steps", "1", "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "s.csv").exists()
 
     def test_bad_parameter_path_exits_2(self, config_file, tmp_path, capsys):
         assert main(["sweep", "--config", config_file,

@@ -56,6 +56,8 @@ class TestForceTableOverride:
     def test_table_invariants_enforced(self):
         with pytest.raises(ConfigError, match="increasing"):
             load_force_table("- [2.0, 3.0]\n- [1.0, 1.0]\n")
+        with pytest.raises(ConfigError, match="nonnegative"):
+            load_force_table("- [1.0, 3.0]\n- [2.0, -0.5]\n")
 
 
 class TestSiliconeForce:
@@ -184,7 +186,7 @@ class TestTorqueProfile:
 class TestMotorCheck:
     def test_reference_design_passes(self, reference):
         profile = torque_profile(reference, steps=50)
-        check = motor_check(profile, reference.motor_stall_torque)
+        check = motor_check(profile.peak_torque, reference.motor_stall_torque)
         assert check.passed
         assert check.stall_torque == 1470.0
         assert check.ratio == pytest.approx(check.peak_torque / 1470.0)
@@ -195,18 +197,18 @@ class TestMotorCheck:
 
     def test_boundary_peak_equals_stall(self, reference):
         profile = torque_profile(reference, steps=10)
-        check = motor_check(profile, profile.peak_torque, margin=1.0)
+        check = motor_check(profile.peak_torque, profile.peak_torque, margin=1.0)
         assert check.passed
 
     def test_overloaded_motor_fails_with_ratio_above_one(self, reference):
         profile = torque_profile(reference, steps=10)
-        check = motor_check(profile, profile.peak_torque / 2)
+        check = motor_check(profile.peak_torque, profile.peak_torque / 2)
         assert not check.passed
         assert check.ratio > 1.0
 
     def test_margin_domain(self, reference):
         profile = torque_profile(reference, steps=10)
         with pytest.raises(ValueError):
-            motor_check(profile, 1000.0, margin=0.0)
+            motor_check(profile.peak_torque, 1000.0, margin=0.0)
         with pytest.raises(ValueError):
-            motor_check(profile, 1000.0, margin=1.5)
+            motor_check(profile.peak_torque, 1000.0, margin=1.5)

@@ -14,14 +14,13 @@ from morphwheel.telescopic import (
     module_lengths,
     reduction_ok,
     residual_length,
-    scan_min_levels,
-    scan_min_screw_length,
     shaft_levels,
     solve_min_levels,
     solve_min_screw_length,
 )
 
 from conftest import random_valid_params
+from oracles import scan_min_levels, scan_min_screw_length
 
 
 def with_levels(p, n, s_l=None):
@@ -29,6 +28,12 @@ def with_levels(p, n, s_l=None):
     if s_l is not None:
         screw = dataclasses.replace(screw, screw_level_length=s_l)
     return dataclasses.replace(p, screw=screw)
+
+
+def with_short_rods(p):
+    # 100 mm rods: the 200 mm wheel stroke fits a one-level reference
+    # module (220 mm), which the 140 mm reference rods would overrun.
+    return dataclasses.replace(p, wheel=dataclasses.replace(p.wheel, rod_half_length=100.0))
 
 
 class TestModuleLengths:
@@ -40,7 +45,7 @@ class TestModuleLengths:
         assert lengths.reduction_ratio == pytest.approx(220.0 / 340.0, abs=1e-12)
 
     def test_single_level_cannot_telescope(self, reference):
-        lengths = module_lengths(with_levels(reference, 1))
+        lengths = module_lengths(with_levels(with_short_rods(reference), 1))
         assert lengths.elongated == lengths.reduced
         assert lengths.reduction_ratio == 1.0
 
@@ -94,7 +99,7 @@ class TestMinScrewLength:
 
     def test_two_levels_at_half_is_infeasible(self, reference):
         with pytest.raises(InfeasibleError, match="not enough levels"):
-            solve_min_screw_length(with_levels(reference, 2), 0.5)
+            solve_min_screw_length(with_levels(with_short_rods(reference), 2), 0.5)
 
     def test_target_one_degenerates_to_zero(self):
         sol = min_screw_length(4, 180.0, 1.0)

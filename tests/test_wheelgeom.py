@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphwheel import InfeasibleError
+from morphwheel.params import min_half_separation
 from morphwheel.telescopic import module_lengths
 from morphwheel.wheelgeom import (
     KEYFRAME_SCHEMA_VERSION,
     TriggerMode,
     bulge_radius,
     curved_rod_plan,
-    default_min_half_separation,
     expand_frame,
     keyframe_record,
     keyframes_document,
@@ -88,7 +88,7 @@ class TestTransformProfile:
         p = dataclasses.replace(
             reference,
             wheel=dataclasses.replace(reference.wheel, min_half_separation=None))
-        assert default_min_half_separation(p) == 8.0  # 2 mm * 4 levels
+        assert min_half_separation(p) == 8.0  # 2 mm * 4 levels
         states = transform_profile(p, 5)
         assert states[-1].axial_half_separation == 8.0
 
