@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import enum
+import functools
 import logging
 import operator
 import os
@@ -204,7 +205,7 @@ def cmd_profile(args) -> int:
         return EXIT_VALIDATION
     table = _force_table_or_exit(args)
     try:
-        states = wheelgeom.transform_profile(loaded.params, args.steps)
+        states = wheelgeom.transform_profile(loaded.params, args.steps, loaded.report)
         torques = quasistatics.states_torque_profile(loaded.params, states, table)
     except (InvalidDesignError, InfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -325,6 +326,7 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache  # one parser per process; parse_args returns a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="morphwheel",

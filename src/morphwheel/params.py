@@ -23,6 +23,10 @@ import yaml
 
 from .errors import ConfigError, InvalidDesignError
 
+# libyaml's C parser when PyYAML was built with it, else the pure-Python one;
+# PyYAML's Python constructor resolves the values either way.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 __all__ = [
     "TelescopicScrewSpec",
     "ModuleLayout",
@@ -34,6 +38,7 @@ __all__ = [
     "Inconsistency",
     "ValidationReport",
     "LoadedDesign",
+    "YAML_LOADER",
     "residual_length",
     "elongated_length",
     "min_half_separation",
@@ -403,7 +408,7 @@ def load(config_text: str) -> LoadedDesign:
     reported in the attached ``ValidationReport`` so callers can decide.
     """
     try:
-        doc = yaml.safe_load(io.StringIO(config_text))
+        doc = yaml.load(io.StringIO(config_text), Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         line = None
         mark = getattr(exc, "problem_mark", None)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import yaml
 
+from . import params
 from .errors import ConfigError
 from .params import DesignParams
 from .wheelgeom import TransformState, transform_profile
@@ -86,7 +87,7 @@ def load_force_table(text: str) -> SiliconeForceTable:
     Accepts either a bare list or a mapping with a single ``force_table`` key.
     """
     try:
-        doc = yaml.safe_load(io.StringIO(text))
+        doc = yaml.load(io.StringIO(text), Loader=params.YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"force table is not valid YAML: {exc}") from exc
     if isinstance(doc, dict):

@@ -45,9 +45,9 @@ class RunReport:
     warnings: tuple[Inconsistency, ...]
 
 
-def _mismatch(code: str, computed: float, reported: float | None,
+def _mismatch(code: str, computed: float | None, reported: float | None,
               detail: str) -> Inconsistency | None:
-    if reported is None:
+    if computed is None or reported is None:
         return None
     if abs(computed - reported) <= _REL_TOL * max(1.0, abs(reported)):
         return None
@@ -68,41 +68,37 @@ def consistency_warnings(p: DesignParams,
     standing; nothing is patched to make the numbers meet. ``validation``
     is ``validate(p)`` when the caller already holds it.
     """
-    rep = p.reported
     validation = require_valid(p, validation)
-    out = list(validation.warnings)
-    lengths = telescopic.module_lengths(p, validation)
     theta = total_bend / p.platform.plate_count
-    chassis = bending.chassis_diameter(p, theta)
+    try:
+        wheel_d = 2.0 * transform_endpoint_radius(p)
+    except InfeasibleError:
+        wheel_d = None  # the card flags the geometry instead
+    return _warnings(p, validation, telescopic.module_lengths(p, validation),
+                     bending.chassis_diameter(p, theta).chassis_diameter, theta, wheel_d)
 
-    checks = [
+
+def _warnings(p: DesignParams, validation: ValidationReport,
+              lengths: telescopic.ModuleLengths, chassis_d: float, theta: float,
+              wheel_d: float | None) -> tuple[Inconsistency, ...]:
+    # ``consistency_warnings`` over quantities already computed; ``wheel_d``
+    # is None when the wheel geometry is infeasible.
+    rep = p.reported
+    checks = (
         _mismatch("elongated_length_mismatch", lengths.elongated,
                   rep.elongated_length,
                   "computed elongated module length differs from the reported value"),
         _mismatch("reduced_length_mismatch", lengths.reduced, rep.reduced_length,
                   "computed reduced module length differs from the reported value"),
-        _mismatch("chassis_diameter_mismatch", chassis.chassis_diameter,
-                  rep.chassis_diameter,
+        _mismatch("chassis_diameter_mismatch", chassis_d, rep.chassis_diameter,
                   "computed chassis diameter differs from the reported value"),
-    ]
-
-    if rep.rod_half_expansion is not None:
-        checks.append(_mismatch(
-            "rod_half_expansion_mismatch", bending.rod_half_expansion(p, theta),
-            rep.rod_half_expansion,
-            "computed rod half expansion differs from the reported value"))
-
-    if rep.wheel_diameter is not None:
-        try:
-            checks.append(_mismatch(
-                "wheel_diameter_mismatch", 2.0 * transform_endpoint_radius(p),
-                rep.wheel_diameter,
-                "computed full-compression wheel diameter differs from the reported value"))
-        except InfeasibleError:
-            pass  # the card flags the geometry instead
-
-    out.extend(c for c in checks if c is not None)
-    return tuple(out)
+        _mismatch("rod_half_expansion_mismatch", bending.rod_half_expansion(p, theta),
+                  rep.rod_half_expansion,
+                  "computed rod half expansion differs from the reported value"),
+        _mismatch("wheel_diameter_mismatch", wheel_d, rep.wheel_diameter,
+                  "computed full-compression wheel diameter differs from the reported value"),
+    )
+    return (*validation.warnings, *(c for c in checks if c is not None))
 
 
 def transform_endpoint_radius(p: DesignParams) -> float:
@@ -208,5 +204,6 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
         digest=digest if digest is not None else config_digest(serialize(p)),
         validation=validation,
         outputs=outputs,
-        warnings=consistency_warnings(p, total_bend, validation),
+        warnings=_warnings(p, validation, lengths, chassis.chassis_diameter, theta,
+                           outputs.get("wheel_diameter_mm")),  # type: ignore[arg-type]
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InfeasibleError
-from .params import DesignParams, min_half_separation
+from .params import DesignParams, ValidationReport, min_half_separation
 from .telescopic import module_lengths
 
 __all__ = [
@@ -104,7 +104,8 @@ def trigger_state(module_length: float, elongated: float,
     return TriggerMode.RIGID
 
 
-def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
+def transform_profile(p: DesignParams, steps: int,
+                      validation: ValidationReport | None = None) -> list[TransformState]:
     """Sweep the transformation from flat crawler to fully formed wheel.
 
     The rod-pair half-separation is the driver: it runs from the rod
@@ -112,11 +113,12 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
     down to the compressed residual. Each unit of half-separation lost
     shortens the module by two (both end plates advance symmetrically), so
     the length column starts exactly at the elongated crawler length and
-    decreases strictly while the radius increases strictly.
+    decreases strictly while the radius increases strictly. Refuses invalid
+    designs; a caller holding ``validate(p)`` passes it as ``validation``.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    lengths = module_lengths(p)
+    lengths = module_lengths(p, validation)
     w = p.wheel
     l = w.rod_half_length
     h_min = compressed_half_separation(p)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from morphwheel import ConfigError, serialize, wheelgeom
+from morphwheel import ConfigError, cli, serialize, wheelgeom
 from morphwheel.cli import Objective, SweepSpec, main, set_field
 from morphwheel.params import reference_design
 from morphwheel.report import consistency_warnings, design_card
@@ -379,3 +379,21 @@ class TestCmdSweep:
                      "--sweep-range", "1:2",
                      "--objective", "min-peak-torque",
                      "--out", str(tmp_path / "s.csv")]) == 2
+
+
+class TestParserReuse:
+    def test_main_runs_repeatedly_in_one_process(self, config_file, capsys):
+        assert main(["report", "--config", config_file]) == 0
+        first = capsys.readouterr()
+        assert main(["report", "--config", config_file, "--target-ratio", "0.9"]) == 0
+        assert "reduction_target = 0.9\n" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--config", config_file, "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["validate", "--config", config_file]) == 0
+        capsys.readouterr()
+        # Nothing of the earlier runs, flags or defaults, carries over.
+        assert main(["report", "--config", config_file]) == 0
+        assert capsys.readouterr() == first
+        assert cli._build_parser() is cli._build_parser()

@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -15,7 +19,10 @@ from morphwheel import (
     serialize,
     validate,
 )
+from morphwheel import params
+from morphwheel.cli import main
 from morphwheel.params import reference_design
+from morphwheel.quasistatics import load_force_table
 
 from conftest import random_valid_params
 
@@ -153,7 +160,6 @@ class TestLoad:
                    for v in loaded.report.violations)
 
     def test_reference_config_file_reproduces_targets(self):
-        from pathlib import Path
         loaded = load_path(Path(__file__).resolve().parent.parent
                            / "configs" / "reference.yaml")
         assert loaded.report.valid
@@ -239,3 +245,84 @@ class TestRoundTrip:
         again = load(serialize(p)).params
         assert again.wheel.rod_half_length == a
         assert again.wheel.hub_offset == b
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+INSTALLED_LOADER = params.YAML_LOADER
+MALFORMED_YAML = {
+    "unclosed flow sequence": "screw:\n  n_levels: [4, 5\n",
+    "nested plain mapping": "a: b: c\n",
+    "tab indent": "screw:\n\tn_levels: 4\n",
+}
+
+
+class TestYamlLoader:
+    """The pure-Python ``yaml.SafeLoader`` is the reference for the loader
+    ``params`` picks; both must give the same results."""
+
+    @staticmethod
+    def under_both(monkeypatch, fn, text):
+        """``fn(text)`` (or the exception it raised) under the installed
+        loader, then under the pure-Python one."""
+        results = []
+        for loader in (INSTALLED_LOADER, yaml.SafeLoader):
+            monkeypatch.setattr(params, "YAML_LOADER", loader)
+            try:
+                results.append(fn(text))
+            except ConfigError as exc:
+                results.append(exc)
+        return results
+
+    def assert_same(self, monkeypatch, fn, text):
+        fast, reference = self.under_both(monkeypatch, fn, text)
+        assert fast == reference
+        assert repr(fast) == repr(reference)  # same types too: int counts, float lengths
+
+    def test_libyaml_is_used_when_installed(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert INSTALLED_LOADER is expected
+
+    def test_reference_config(self, monkeypatch):
+        text = (CONFIGS / "reference.yaml").read_text(encoding="utf-8")
+        self.assert_same(monkeypatch, load, text)
+
+    def test_pyyaml_without_libyaml(self, capsys):
+        # A fresh interpreter whose PyYAML lacks the C loader picks the
+        # pure-Python one and prints the same card.
+        script = ("import sys, yaml; del yaml.CSafeLoader; "
+                  "import morphwheel.params as params; from morphwheel.cli import main; "
+                  "assert params.YAML_LOADER is yaml.SafeLoader; "
+                  "sys.exit(main(sys.argv[1:]))")
+        argv = ["report", "--config", str(CONFIGS / "reference.yaml")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_minimal_config(self, monkeypatch):
+        self.assert_same(monkeypatch, load, MINIMAL_CONFIG)
+
+    def test_force_table_file(self, monkeypatch):
+        text = (CONFIGS / "force_table.yaml").read_text(encoding="utf-8")
+        self.assert_same(monkeypatch, load_force_table, text)
+
+    def test_random_designs(self, monkeypatch):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            self.assert_same(monkeypatch, load, serialize(random_valid_params(rng)))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_YAML))
+    def test_malformed_config_same_line(self, monkeypatch, case):
+        fast, reference = self.under_both(monkeypatch, load, MALFORMED_YAML[case])
+        assert isinstance(fast, ConfigError) and isinstance(reference, ConfigError)
+        assert fast.line is not None
+        assert fast.line == reference.line
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_YAML))
+    def test_malformed_force_table(self, monkeypatch, case):
+        fast, reference = self.under_both(monkeypatch, load_force_table, MALFORMED_YAML[case])
+        assert isinstance(fast, ConfigError) and isinstance(reference, ConfigError)
+        assert str(fast).startswith("force table is not valid YAML")
+        assert str(reference).startswith("force table is not valid YAML")

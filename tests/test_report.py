@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import morphwheel.params as params
-from morphwheel import InvalidDesignError, validate
+from morphwheel import InvalidDesignError, bending, telescopic, validate
 from morphwheel.cli import main
 from morphwheel.quasistatics import (
     SiliconeForceTable,
@@ -13,7 +13,7 @@ from morphwheel.quasistatics import (
     load_force_table_path,
     states_torque_profile,
 )
-from morphwheel.report import design_card, sweep_point
+from morphwheel.report import consistency_warnings, design_card, sweep_point
 from morphwheel.wheelgeom import transform_profile
 
 from conftest import random_params, random_valid_params
@@ -29,17 +29,42 @@ def overrunning(reference):
         reference, wheel=dataclasses.replace(reference.wheel, rod_half_length=170.0))
 
 
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every later call of ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def count_validate(monkeypatch):
+    return count_calls(monkeypatch, params, "validate")
+
+
+@pytest.fixture
+def count_yaml_loads(monkeypatch):
     calls = []
-    original = params.validate
 
-    def counted(p):
-        calls.append(p)
-        return original(p)
+    class Counted(params.YAML_LOADER):
+        def __init__(self, stream):
+            calls.append(stream)
+            super().__init__(stream)
 
-    monkeypatch.setattr(params, "validate", counted)
+    monkeypatch.setattr(params, "YAML_LOADER", Counted)
     return calls
+
+
+@pytest.fixture
+def design_file(tmp_path):
+    path = tmp_path / "design.yaml"
+    path.write_text(params.serialize(params.reference_design()), encoding="utf-8")
+    return str(path)
 
 
 class TestClosedForms:
@@ -110,6 +135,8 @@ class TestOverrun:
             sweep_point(p, default_force_table())
         with pytest.raises(InvalidDesignError):
             transform_profile(p, 50)
+        with pytest.raises(InvalidDesignError):
+            transform_profile(p, 50, validate(p))
 
     def test_accepted_designs_compute(self):
         # Over the unfiltered generator, overrunning designs included:
@@ -152,16 +179,36 @@ class TestValidateOnce:
         sweep_point(reference, default_force_table())
         assert len(count_validate) == 1
 
-    def test_cli_report_validates_once(self, count_validate, tmp_path):
-        path = tmp_path / "design.yaml"
-        path.write_text(params.serialize(params.reference_design()), encoding="utf-8")
-        assert main(["report", "--config", str(path)]) == 0
+    def test_cli_report_validates_once(self, count_validate, design_file):
+        assert main(["report", "--config", design_file]) == 0
         assert len(count_validate) == 1
 
-    def test_cli_sweep_validates_once_per_point(self, count_validate, tmp_path):
-        path = tmp_path / "design.yaml"
-        path.write_text(params.serialize(params.reference_design()), encoding="utf-8")
-        assert main(["sweep", "--config", str(path), "--sweep-param", "wheel.hub_offset",
+    def test_cli_profile_validates_once(self, count_validate, design_file, tmp_path):
+        assert main(["profile", "--config", design_file, "--steps", "20",
+                     "--out", str(tmp_path / "p.csv")]) == 0
+        assert len(count_validate) == 1
+
+    def test_card_computes_each_quantity_once(self, reference, monkeypatch):
+        lengths = count_calls(monkeypatch, telescopic, "module_lengths")
+        chassis = count_calls(monkeypatch, bending, "chassis_diameter")
+        card = design_card(reference)
+        assert len(lengths) == 1
+        assert len(chassis) == 1
+        assert card.warnings == consistency_warnings(reference)
+
+    @pytest.mark.parametrize("verb", ["validate", "report"])
+    def test_cli_parses_the_config_once(self, count_yaml_loads, design_file, verb):
+        assert main([verb, "--config", design_file]) == 0
+        assert len(count_yaml_loads) == 1
+
+    def test_cli_report_parses_config_and_force_table_once_each(
+            self, count_yaml_loads, design_file):
+        assert main(["report", "--config", design_file,
+                     "--force-table", str(FORCE_TABLE)]) == 0
+        assert len(count_yaml_loads) == 2
+
+    def test_cli_sweep_validates_once_per_point(self, count_validate, design_file, tmp_path):
+        assert main(["sweep", "--config", design_file, "--sweep-param", "wheel.hub_offset",
                      "--sweep-range", "10:200:40", "--objective", "max-wheel-radius",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert len(count_validate) == 1 + 40  # the loaded design, then each point
