@@ -163,7 +163,7 @@ def cmd_validate(args) -> int:
     loaded, text = _load_or_exit(args.config)
     warnings = ()
     if loaded.report.valid:
-        warnings = consistency_warnings(loaded.params, validation=loaded.report)
+        warnings = consistency_warnings(loaded.params)
     rr = RunReport(
         digest=config_digest(text),
         validation=loaded.report,
@@ -189,7 +189,6 @@ def cmd_report(args) -> int:
             total_bend=args.total_bend,
             table=table,
             digest=config_digest(text),
-            validation=loaded.report,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -205,7 +204,7 @@ def cmd_profile(args) -> int:
         return EXIT_VALIDATION
     table = _force_table_or_exit(args)
     try:
-        states = wheelgeom.transform_profile(loaded.params, args.steps, loaded.report)
+        states = wheelgeom.transform_profile(loaded.params, args.steps)
         torques = quasistatics.states_torque_profile(loaded.params, states, table)
     except (InvalidDesignError, InfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

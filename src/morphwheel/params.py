@@ -14,6 +14,7 @@ block of published target values used for cross-checking). See
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field, fields
@@ -137,6 +138,12 @@ class DesignParams:
     screw_mean_diameter: float = 8.0     # mm, effective thread contact diameter
     reported: ReportedTargets = field(default_factory=ReportedTargets)
 
+    @functools.cached_property
+    def validation(self) -> ValidationReport:
+        """``validate(self)``, run on the first read and kept: the design is
+        frozen, so its report cannot go stale."""
+        return validate(self)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -167,12 +174,6 @@ class ValidationReport:
     @property
     def valid(self) -> bool:
         return not self.violations
-
-    def __iter__(self):
-        return iter(self.violations)
-
-    def __len__(self) -> int:
-        return len(self.violations)
 
 
 @dataclass(frozen=True)
@@ -301,11 +302,10 @@ def _length_identity_warnings(p: DesignParams) -> tuple[Inconsistency, ...]:
     )
 
 
-def require_valid(p: DesignParams, report: ValidationReport | None = None) -> ValidationReport:
-    """``validate(p)``, or ``report`` when the caller holds it already;
-    raises ``InvalidDesignError`` (with the report) for invalid designs."""
-    if report is None:
-        report = validate(p)
+def require_valid(p: DesignParams) -> ValidationReport:
+    """``p.validation``; raises ``InvalidDesignError`` (with the report) for
+    invalid designs."""
+    report = p.validation
     if not report.valid:
         raise InvalidDesignError(report)
     return report
@@ -399,6 +399,17 @@ def _read_section(doc: dict, name: str) -> dict:
     return out
 
 
+def _parse_yaml(text: str, what: str):
+    """The YAML document in ``text``; a syntax error raises ``ConfigError``
+    saying ``what`` is not valid YAML, with the line of its mark."""
+    try:
+        return yaml.load(io.StringIO(text), Loader=YAML_LOADER)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        raise ConfigError(f"{what} is not valid YAML: {exc}",
+                          line=None if mark is None else mark.line + 1) from exc
+
+
 def load(config_text: str) -> LoadedDesign:
     """Parse config text into ``DesignParams`` and attach its validation.
 
@@ -407,14 +418,7 @@ def load(config_text: str) -> LoadedDesign:
     errors, the source line. Invariant violations do NOT raise; they are
     reported in the attached ``ValidationReport`` so callers can decide.
     """
-    try:
-        doc = yaml.load(io.StringIO(config_text), Loader=YAML_LOADER)
-    except yaml.YAMLError as exc:
-        line = None
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            line = mark.line + 1
-        raise ConfigError(f"config is not valid YAML: {exc}", line=line) from exc
+    doc = _parse_yaml(config_text, "config")
     if doc is None:
         raise ConfigError("config is empty")
     if not isinstance(doc, dict):
@@ -431,7 +435,7 @@ def load(config_text: str) -> LoadedDesign:
         **_read_section(doc, "drive"),
         reported=ReportedTargets(**_read_section(doc, "reported")),
     )
-    return LoadedDesign(params=params, report=validate(params))
+    return LoadedDesign(params=params, report=params.validation)
 
 
 def load_path(path: str | Path) -> LoadedDesign:

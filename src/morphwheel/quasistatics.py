@@ -10,13 +10,10 @@ transformations would load the screws unevenly and are not modelled).
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import pi
 from pathlib import Path
-
-import yaml
 
 from . import params
 from .errors import ConfigError
@@ -86,10 +83,7 @@ def load_force_table(text: str) -> SiliconeForceTable:
 
     Accepts either a bare list or a mapping with a single ``force_table`` key.
     """
-    try:
-        doc = yaml.load(io.StringIO(text), Loader=params.YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"force table is not valid YAML: {exc}") from exc
+    doc = params._parse_yaml(text, "force table")
     if isinstance(doc, dict):
         doc = doc.get("force_table")
     if not isinstance(doc, list) or not doc:

@@ -2,7 +2,8 @@
 
 Everything here is read-only aggregation over the computation modules; the
 CLI renders these structures but owns no logic of its own. Entry points
-validate once (or take the caller's report) and refuse invalid designs.
+refuse invalid designs through ``p.validation``, which a design computes
+once, on first use.
 """
 
 from __future__ import annotations
@@ -59,30 +60,27 @@ def _meets(computed: float, reported: float) -> bool:
 
 
 def consistency_warnings(p: DesignParams,
-                         total_bend: float = DEFAULT_TOTAL_BEND,
-                         validation: ValidationReport | None = None
-                         ) -> tuple[Inconsistency, ...]:
+                         total_bend: float = DEFAULT_TOTAL_BEND) -> tuple[Inconsistency, ...]:
     """Compare computed quantities against any supplied reported values.
 
     Disagreements are reported as machine-readable records and left
-    standing; nothing is patched to make the numbers meet. ``validation``
-    is ``validate(p)`` when the caller already holds it.
+    standing; nothing is patched to make the numbers meet. Invalid designs
+    raise ``InvalidDesignError``.
     """
-    validation = require_valid(p, validation)
+    require_valid(p)
     theta = total_bend / p.platform.plate_count
     try:
         wheel_d = 2.0 * transform_endpoint_radius(p)
     except InfeasibleError:
         wheel_d = None  # the card flags the geometry instead
-    return _warnings(p, validation, telescopic.module_lengths(p, validation),
+    return _warnings(p, telescopic.module_lengths(p),
                      bending.chassis_diameter(p, theta).chassis_diameter, theta, wheel_d)
 
 
-def _warnings(p: DesignParams, validation: ValidationReport,
-              lengths: telescopic.ModuleLengths, chassis_d: float, theta: float,
-              wheel_d: float | None) -> tuple[Inconsistency, ...]:
-    # ``consistency_warnings`` over quantities already computed; ``wheel_d``
-    # is None when the wheel geometry is infeasible.
+def _warnings(p: DesignParams, lengths: telescopic.ModuleLengths, chassis_d: float,
+              theta: float, wheel_d: float | None) -> tuple[Inconsistency, ...]:
+    # ``consistency_warnings`` over quantities already computed for a valid
+    # design; ``wheel_d`` is None when the wheel geometry is infeasible.
     rep = p.reported
     checks = (
         _mismatch("elongated_length_mismatch", lengths.elongated,
@@ -98,7 +96,7 @@ def _warnings(p: DesignParams, validation: ValidationReport,
         _mismatch("wheel_diameter_mismatch", wheel_d, rep.wheel_diameter,
                   "computed full-compression wheel diameter differs from the reported value"),
     )
-    return (*validation.warnings, *(c for c in checks if c is not None))
+    return (*p.validation.warnings, *(c for c in checks if c is not None))
 
 
 def transform_endpoint_radius(p: DesignParams) -> float:
@@ -133,20 +131,18 @@ def sweep_point(p: DesignParams, table: quasistatics.SiliconeForceTable) -> dict
 def design_card(p: DesignParams, *, target_ratio: float = 0.5,
                 total_bend: float = DEFAULT_TOTAL_BEND,
                 table: quasistatics.SiliconeForceTable | None = None,
-                margin: float = 1.0,
-                digest: str | None = None,
-                validation: ValidationReport | None = None) -> RunReport:
+                digest: str | None = None) -> RunReport:
     """One complete design card: every top-level quantity plus pass/fail flags.
 
     Geometric infeasibilities (for example a rod pair that cannot close) are
     surfaced as string flags in the affected outputs instead of aborting the
-    card; invalid designs raise ``InvalidDesignError``. ``validation`` is
-    ``validate(p)`` when the caller already holds it.
+    card; invalid designs raise ``InvalidDesignError``. The card's
+    ``validation`` is ``p.validation``.
     """
-    validation = require_valid(p, validation)
+    validation = require_valid(p)
     outputs: dict[str, object] = {}
 
-    lengths = telescopic.module_lengths(p, validation)
+    lengths = telescopic.module_lengths(p)
     outputs["elongated_length_mm"] = lengths.elongated
     outputs["reduced_length_mm"] = lengths.reduced
     outputs["reduction_ratio"] = lengths.reduction_ratio
@@ -185,7 +181,7 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
         force, torque = quasistatics.peak_load(p, table)
         outputs["peak_axial_force_N"] = force
         outputs["peak_torque_Nmm"] = torque
-        check = quasistatics.motor_check(torque, p.motor_stall_torque, margin)
+        check = quasistatics.motor_check(torque, p.motor_stall_torque)
         outputs["motor_check_ok"] = check.passed
         outputs["motor_check_note"] = check.note
     except InfeasibleError as exc:
@@ -204,6 +200,6 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
         digest=digest if digest is not None else config_digest(serialize(p)),
         validation=validation,
         outputs=outputs,
-        warnings=_warnings(p, validation, lengths, chassis.chassis_diameter, theta,
+        warnings=_warnings(p, lengths, chassis.chassis_diameter, theta,
                            outputs.get("wheel_diameter_mm")),  # type: ignore[arg-type]
     )

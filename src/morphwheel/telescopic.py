@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
-from .params import (DesignParams, ValidationReport, elongated_length, require_valid,
-                     residual_length)
+from .params import DesignParams, elongated_length, require_valid, residual_length
 
 __all__ = [
     "ModuleLengths",
@@ -21,11 +20,8 @@ __all__ = [
     "residual_length",
     "module_lengths",
     "reduction_ok",
-    "check_reduction",
     "min_screw_length",
-    "solve_min_screw_length",
     "min_levels",
-    "solve_min_levels",
     "diameter_ladder",
     "shaft_levels",
 ]
@@ -57,16 +53,15 @@ class ScrewLengthSolution:
     degenerate: bool = False  # target ratio of 1 needs no telescoping at all
 
 
-def module_lengths(p: DesignParams,
-                   validation: ValidationReport | None = None) -> ModuleLengths:
+def module_lengths(p: DesignParams) -> ModuleLengths:
     """Elongated and fully reduced module lengths.
 
     Elongated stacks all ``n_levels`` screw levels twice (one per cascaded
     platform) on top of the residual; reduced keeps a single collapsed level
-    per platform. Refuses invalid designs with their validation report; a
-    caller holding ``validate(p)`` passes it as ``validation``.
+    per platform. Refuses invalid designs with their validation report
+    (``p.validation``, computed once per design).
     """
-    require_valid(p, validation)
+    require_valid(p)
     return ModuleLengths(
         elongated=elongated_length(p),
         reduced=2.0 * p.screw.screw_level_length + residual_length(p),
@@ -78,12 +73,6 @@ def reduction_ok(reduced: float, elongated: float, target_ratio: float = 0.5) ->
     if elongated <= 0:
         raise ValueError("elongated length must be positive")
     return reduced / elongated <= target_ratio
-
-
-def check_reduction(p: DesignParams, target_ratio: float = 0.5) -> bool:
-    """Reduction check on the computed module lengths."""
-    lengths = module_lengths(p)
-    return reduction_ok(lengths.reduced, lengths.elongated, target_ratio)
 
 
 def _ratio(screw_length: float, n_levels: int, residual: float) -> float:
@@ -117,11 +106,6 @@ def min_screw_length(n_levels: int, residual: float,
         length=residual * (1.0 - target_ratio) / (2.0 * (n_levels * target_ratio - 1.0)))
 
 
-def solve_min_screw_length(p: DesignParams, target_ratio: float) -> ScrewLengthSolution:
-    require_valid(p)
-    return min_screw_length(p.screw.n_levels, residual_length(p), target_ratio)
-
-
 def min_levels(screw_length: float, residual: float, target_ratio: float) -> int:
     """Smallest level count whose reduction ratio meets the target.
 
@@ -143,11 +127,6 @@ def min_levels(screw_length: float, residual: float, target_ratio: float) -> int
     while n > 1 and _ratio(screw_length, n - 1, residual) <= target_ratio:
         n -= 1
     return n
-
-
-def solve_min_levels(p: DesignParams, target_ratio: float) -> int:
-    require_valid(p)
-    return min_levels(p.screw.screw_level_length, residual_length(p), target_ratio)
 
 
 def diameter_ladder(p: DesignParams) -> ScrewDiameterLadder:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InfeasibleError
-from .params import DesignParams, ValidationReport, min_half_separation
+from .params import DesignParams, min_half_separation
 from .telescopic import module_lengths
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 KEYFRAME_SCHEMA_VERSION = 2
+# Rim polyline points per spoke sector, written to the keyframe header.
+ARC_POINTS_PER_SECTOR = 8
 
 
 class TriggerMode(enum.Enum):
@@ -86,26 +88,22 @@ def compressed_half_separation(p: DesignParams) -> float:
     return h_min
 
 
-def trigger_state(module_length: float, elongated: float,
-                  tolerance: float = 0.0) -> TriggerMode:
+def trigger_state(module_length: float, elongated: float) -> TriggerMode:
     """Trigger mode from the current module length.
 
-    Telescopic exactly at the fully elongated length (within ``tolerance``),
-    rigid for any compression. Lengths beyond elongated are impossible.
+    Telescopic exactly at the fully elongated length, rigid for any
+    compression. Lengths beyond elongated are impossible.
     """
     if module_length <= 0 or elongated <= 0:
         raise ValueError("lengths must be positive")
-    if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
-    if module_length > elongated + tolerance:
+    if module_length > elongated:
         raise ValueError("module length exceeds the elongated length: over-extension is impossible")
-    if abs(module_length - elongated) <= tolerance:
+    if module_length == elongated:
         return TriggerMode.TELESCOPIC
     return TriggerMode.RIGID
 
 
-def transform_profile(p: DesignParams, steps: int,
-                      validation: ValidationReport | None = None) -> list[TransformState]:
+def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
     """Sweep the transformation from flat crawler to fully formed wheel.
 
     The rod-pair half-separation is the driver: it runs from the rod
@@ -114,11 +112,12 @@ def transform_profile(p: DesignParams, steps: int,
     shortens the module by two (both end plates advance symmetrically), so
     the length column starts exactly at the elongated crawler length and
     decreases strictly while the radius increases strictly. Refuses invalid
-    designs; a caller holding ``validate(p)`` passes it as ``validation``.
+    designs with ``InvalidDesignError`` (``p.validation``, computed once per
+    design).
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    lengths = module_lengths(p, validation)
+    lengths = module_lengths(p)
     w = p.wheel
     l = w.rod_half_length
     h_min = compressed_half_separation(p)
@@ -182,13 +181,12 @@ def keyframe_record(state: TransformState, step: int = 0) -> dict:
     }
 
 
-def keyframes_document(states: list[TransformState], p: DesignParams,
-                       arc_points_per_sector: int = 8) -> dict:
+def keyframes_document(states: list[TransformState], p: DesignParams) -> dict:
     return {
         "schema_version": KEYFRAME_SCHEMA_VERSION,
         "spoke_pairs": p.wheel.spoke_pairs,
         "hub_offset": p.wheel.hub_offset,
-        "arc_points_per_sector": arc_points_per_sector,
+        "arc_points_per_sector": ARC_POINTS_PER_SECTOR,
         "frames": [keyframe_record(s, step=i) for i, s in enumerate(states)],
     }
 

@@ -326,3 +326,5 @@ class TestYamlLoader:
         assert isinstance(fast, ConfigError) and isinstance(reference, ConfigError)
         assert str(fast).startswith("force table is not valid YAML")
         assert str(reference).startswith("force table is not valid YAML")
+        assert fast.line is not None
+        assert fast.line == reference.line

@@ -130,13 +130,9 @@ class TestOverrun:
         with pytest.raises(InvalidDesignError):
             design_card(p)
         with pytest.raises(InvalidDesignError):
-            design_card(p, validation=validate(p))
-        with pytest.raises(InvalidDesignError):
             sweep_point(p, default_force_table())
         with pytest.raises(InvalidDesignError):
             transform_profile(p, 50)
-        with pytest.raises(InvalidDesignError):
-            transform_profile(p, 50, validate(p))
 
     def test_accepted_designs_compute(self):
         # Over the unfiltered generator, overrunning designs included:
@@ -165,11 +161,45 @@ class TestOverrun:
 
 
 class TestValidateOnce:
-    def test_card_with_a_held_report_does_not_validate(self, reference, count_validate):
-        report = validate(reference)
+    def test_two_reads_validate_once(self, reference, count_validate):
+        assert reference.validation is reference.validation
+        assert len(count_validate) == 1
+
+    def test_the_report_leaves_the_design_unchanged(self, reference):
+        fresh = params.reference_design()
+        assert reference.validation.valid
+        assert reference == fresh
+        assert hash(reference) == hash(fresh)
+        assert repr(reference) == repr(fresh)
+        assert "validation" not in {f.name for f in dataclasses.fields(reference)}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            reference.validation = validate(fresh)
+
+    def test_entry_points_after_the_report_is_read_do_not_validate(
+            self, reference, count_validate):
+        assert reference.validation.valid
         count_validate.clear()
-        design_card(reference, validation=report)
+        design_card(reference)
+        consistency_warnings(reference)
+        telescopic.module_lengths(reference)
+        transform_profile(reference, 50)
         assert count_validate == []
+
+    def test_a_replaced_design_gets_its_own_report(self, reference):
+        assert reference.validation.valid
+        p = overrunning(reference)
+        with pytest.raises(InvalidDesignError):
+            design_card(p)
+        with pytest.raises(InvalidDesignError):
+            sweep_point(p, default_force_table())
+        with pytest.raises(InvalidDesignError):
+            transform_profile(p, 50)
+
+    def test_card_carries_the_design_report(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            p = random_valid_params(rng)
+            assert design_card(p).validation == validate(p)
 
     def test_card_without_a_report_validates_once(self, reference, count_validate):
         design_card(reference)

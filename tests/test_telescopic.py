@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphwheel import InfeasibleError, InvalidDesignError
+from morphwheel import InfeasibleError, InvalidDesignError, validate
 from morphwheel.telescopic import (
-    check_reduction,
     diameter_ladder,
     min_levels,
     min_screw_length,
@@ -15,8 +14,6 @@ from morphwheel.telescopic import (
     reduction_ok,
     residual_length,
     shaft_levels,
-    solve_min_levels,
-    solve_min_screw_length,
 )
 
 from conftest import random_valid_params
@@ -71,11 +68,16 @@ class TestReductionCheck:
     def test_published_lengths_pass(self):
         assert reduction_ok(165.0, 340.0)
 
+    @staticmethod
+    def meets_half(p):
+        lengths = module_lengths(p)
+        return reduction_ok(lengths.reduced, lengths.elongated)
+
     def test_reference_design_fails(self, reference):
-        assert not check_reduction(reference)
+        assert not self.meets_half(reference)
 
     def test_many_levels_pass(self, reference):
-        assert check_reduction(with_levels(reference, 100))
+        assert self.meets_half(with_levels(reference, 100))
 
     def test_boundary_inclusive(self):
         assert reduction_ok(170.0, 340.0)
@@ -91,15 +93,17 @@ class TestMinScrewLength:
         assert scan_min_screw_length(4, 180.0, 0.5) == pytest.approx(45.0)
 
     def test_solution_hits_target_exactly(self, reference):
-        sol = solve_min_screw_length(reference, 0.5)
+        sol = min_screw_length(reference.screw.n_levels, residual_length(reference), 0.5)
         p2 = dataclasses.replace(
             reference, screw=dataclasses.replace(reference.screw,
                                                  screw_level_length=sol.length))
         assert module_lengths(p2).reduction_ratio == pytest.approx(0.5, abs=1e-9)
 
     def test_two_levels_at_half_is_infeasible(self, reference):
+        p = with_levels(with_short_rods(reference), 2)
+        assert validate(p).valid
         with pytest.raises(InfeasibleError, match="not enough levels"):
-            solve_min_screw_length(with_levels(with_short_rods(reference), 2), 0.5)
+            min_screw_length(p.screw.n_levels, residual_length(p), 0.5)
 
     def test_target_one_degenerates_to_zero(self):
         sol = min_screw_length(4, 180.0, 1.0)
@@ -159,7 +163,8 @@ class TestMinLevels:
 
     def test_solver_wrapper_uses_design_fields(self, reference):
         assert residual_length(reference) == pytest.approx(180.0)
-        assert solve_min_levels(reference, 0.5) == 7
+        assert min_levels(reference.screw.screw_level_length,
+                          residual_length(reference), 0.5) == 7
 
 
 class TestDiameterLadder:
@@ -172,7 +177,6 @@ class TestDiameterLadder:
         assert diameter_ladder(with_levels(reference, 1)).diameters == (2.3,)
 
     def test_zero_increment_degenerates_and_is_flagged(self, reference):
-        from morphwheel import validate
         flat = dataclasses.replace(
             reference,
             screw=dataclasses.replace(reference.screw, thread_width=0.0,

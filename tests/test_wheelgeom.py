@@ -152,14 +152,11 @@ class TestTriggerState:
         assert trigger_state(340.0, 340.0) is TriggerMode.TELESCOPIC
 
     def test_compressed(self):
-        assert trigger_state(330.0, 340.0, tolerance=0.5) is TriggerMode.RIGID
-
-    def test_within_tolerance(self):
-        assert trigger_state(339.8, 340.0, tolerance=0.5) is TriggerMode.TELESCOPIC
+        assert trigger_state(330.0, 340.0) is TriggerMode.RIGID
 
     def test_over_extension_impossible(self):
         with pytest.raises(ValueError, match="over-extension"):
-            trigger_state(341.0, 340.0, tolerance=0.5)
+            trigger_state(341.0, 340.0)
 
 
 V1_EXAMPLE = Path(__file__).resolve().parent / "data" / "profile_keyframes_v1.json"
