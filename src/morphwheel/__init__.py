@@ -8,8 +8,8 @@ quasi-static torque estimate, plus config handling and a CLI.
 from .errors import ConfigError, InfeasibleError, InvalidDesignError, MorphwheelError
 from .params import (
     DesignParams,
+    DriveSpec,
     Inconsistency,
-    LoadedDesign,
     ModuleLayout,
     PlatformSpec,
     ReportedTargets,
@@ -29,10 +29,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DesignParams",
+    "DriveSpec",
     "InfeasibleError",
     "Inconsistency",
     "InvalidDesignError",
-    "LoadedDesign",
     "ModuleLayout",
     "MorphwheelError",
     "PlatformSpec",

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import quasistatics, wheelgeom
 from .errors import ConfigError, InfeasibleError, InvalidDesignError
-from .params import DesignParams, LoadedDesign, load
+from .params import DesignParams, load
 from .report import (
     DEFAULT_TOTAL_BEND,
     SWEEP_METRICS,
@@ -132,18 +132,18 @@ def _print_report(rr: RunReport, out=None) -> None:
         )
 
 
-def _load_or_exit(config: str) -> tuple[LoadedDesign, str]:
+def _load_or_exit(config: str) -> tuple[DesignParams, str]:
     try:
         text = Path(config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
     try:
-        loaded = load(text)
+        p = load(text)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    return loaded, text
+    return p, text
 
 
 def _force_table_or_exit(args) -> quasistatics.SiliconeForceTable | None:
@@ -151,40 +151,46 @@ def _force_table_or_exit(args) -> quasistatics.SiliconeForceTable | None:
         return None
     try:
         return quasistatics.load_force_table_path(args.force_table)
-    except (OSError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"error: cannot load force table: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
+
+
+def _refused(p: DesignParams, action: str) -> bool:
+    """Whether ``p`` is invalid; if so, say why on stderr."""
+    if p.validation.valid:
+        return False
+    print(f"refusing to {action} an invalid design:", file=sys.stderr)
+    for v in p.validation.violations:
+        print(f"VIOLATION {v.field}: {v.constraint}", file=sys.stderr)
+    return True
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_validate(args) -> int:
-    loaded, text = _load_or_exit(args.config)
-    warnings = ()
-    if loaded.report.valid:
-        warnings = consistency_warnings(loaded.params)
+    p, text = _load_or_exit(args.config)
+    report = p.validation
+    warnings = consistency_warnings(p) if report.valid else ()
     rr = RunReport(
         digest=config_digest(text),
-        validation=loaded.report,
+        validation=report,
         outputs={},
         warnings=warnings,
     )
     _print_report(rr)
-    return EXIT_OK if loaded.report.valid else EXIT_VALIDATION
+    return EXIT_OK if report.valid else EXIT_VALIDATION
 
 
 def cmd_report(args) -> int:
-    loaded, text = _load_or_exit(args.config)
-    if not loaded.report.valid:
-        print("refusing to report on an invalid design:", file=sys.stderr)
-        for v in loaded.report.violations:
-            print(f"VIOLATION {v.field}: {v.constraint}", file=sys.stderr)
+    p, text = _load_or_exit(args.config)
+    if _refused(p, "report on"):
         return EXIT_VALIDATION
     table = _force_table_or_exit(args)
     try:
         rr = design_card(
-            loaded.params,
+            p,
             target_ratio=args.target_ratio,
             total_bend=args.total_bend,
             table=table,
@@ -198,14 +204,13 @@ def cmd_report(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    loaded, _ = _load_or_exit(args.config)
-    if not loaded.report.valid:
-        print("refusing to profile an invalid design", file=sys.stderr)
+    p, _ = _load_or_exit(args.config)
+    if _refused(p, "profile"):
         return EXIT_VALIDATION
     table = _force_table_or_exit(args)
     try:
-        states = wheelgeom.transform_profile(loaded.params, args.steps)
-        torques = quasistatics.states_torque_profile(loaded.params, states, table)
+        states = wheelgeom.transform_profile(p, args.steps)
+        torques = quasistatics.states_torque_profile(p, states, table)
     except (InvalidDesignError, InfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -229,7 +234,7 @@ def cmd_profile(args) -> int:
                     repr(entry.axial_force),
                     repr(entry.per_motor_torque),
                 ])
-        wheelgeom.write_keyframes(states, loaded.params, tmp_keyframes)
+        wheelgeom.write_keyframes(states, p, tmp_keyframes)
         os.replace(tmp_keyframes, keyframe_path)
         os.replace(tmp_out, out)
     except OSError as exc:
@@ -251,9 +256,8 @@ _OBJECTIVE_METRIC = {
 
 
 def cmd_sweep(args) -> int:
-    loaded, _ = _load_or_exit(args.config)
-    if not loaded.report.valid:
-        print("refusing to sweep an invalid design", file=sys.stderr)
+    p, _ = _load_or_exit(args.config)
+    if _refused(p, "sweep"):
         return EXIT_VALIDATION
     try:
         start, stop, steps = _parse_range(args.sweep_range)
@@ -266,7 +270,7 @@ def cmd_sweep(args) -> int:
         )
         # Build every grid point up front so a typo in the path or a
         # non-integral count value fails before any work.
-        points = [set_field(loaded.params, spec.parameter_path, v) for v in spec.grid()]
+        points = [set_field(p, spec.parameter_path, v) for v in spec.grid()]
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -315,6 +319,18 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _profile_steps(text: str) -> int:
+    # A profile runs from the elongated to the compressed state, so it has
+    # at least those two; fewer is a usage error, not a design failure.
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if steps < 2:
+        raise argparse.ArgumentTypeError("steps must be >= 2")
+    return steps
+
+
 def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -349,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser("profile", help="emit the transformation profile CSV and keyframes")
     p_profile.add_argument("--config", required=True)
-    p_profile.add_argument("--steps", type=int, default=50)
+    p_profile.add_argument("--steps", type=_profile_steps, default=50)
     p_profile.add_argument("--out", required=True, help="CSV output path; keyframes go next to it")
     p_profile.add_argument("--force-table", default=None,
                            help="YAML file of (cm, N) pairs overriding the builtin table")

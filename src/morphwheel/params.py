@@ -6,9 +6,9 @@ lengths in mm, angles in radians, forces in N, torques in N*mm.
 The force lookup table is the single exception (centimetre abscissa, see
 ``quasistatics``).
 
-Config files are YAML with one section per parameter group (``screw``,
-``layout``, ``platform``, ``wheel``, ``drive`` and the optional ``reported``
-block of published target values used for cross-checking). See
+Config files are YAML with one section per field of ``DesignParams``, whose
+keys are the fields of that section's dataclass (the ``reported`` block of
+published target values, used for cross-checking, is optional). See
 ``configs/reference.yaml`` for an annotated example of every key.
 """
 
@@ -17,7 +17,8 @@ from __future__ import annotations
 import functools
 import io
 import math
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -33,12 +34,12 @@ __all__ = [
     "ModuleLayout",
     "PlatformSpec",
     "WheelSpec",
+    "DriveSpec",
     "ReportedTargets",
     "DesignParams",
     "Violation",
     "Inconsistency",
     "ValidationReport",
-    "LoadedDesign",
     "YAML_LOADER",
     "residual_length",
     "elongated_length",
@@ -109,6 +110,16 @@ class WheelSpec:
 
 
 @dataclass(frozen=True)
+class DriveSpec:
+    """Gearmotor and power screw of one platform actuator."""
+
+    motor_stall_torque: float = 1470.0   # N*mm (15 kg*cm class gearmotor)
+    screw_lead: float = 2.0              # mm per revolution
+    screw_friction: float = 0.2          # thread friction coefficient
+    screw_mean_diameter: float = 8.0     # mm, effective thread contact diameter
+
+
+@dataclass(frozen=True)
 class ReportedTargets:
     """Published target values, kept for cross-checking computed results.
 
@@ -132,10 +143,7 @@ class DesignParams:
     layout: ModuleLayout
     platform: PlatformSpec
     wheel: WheelSpec
-    motor_stall_torque: float = 1470.0   # N*mm (15 kg*cm class gearmotor)
-    screw_lead: float = 2.0              # mm per revolution
-    screw_friction: float = 0.2          # thread friction coefficient
-    screw_mean_diameter: float = 8.0     # mm, effective thread contact diameter
+    drive: DriveSpec = field(default_factory=DriveSpec)
     reported: ReportedTargets = field(default_factory=ReportedTargets)
 
     @functools.cached_property
@@ -174,14 +182,6 @@ class ValidationReport:
     @property
     def valid(self) -> bool:
         return not self.violations
-
-
-@dataclass(frozen=True)
-class LoadedDesign:
-    """Result of ``load``: parsed parameters with their validation attached."""
-
-    params: DesignParams
-    report: ValidationReport
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +269,17 @@ def validate(p: DesignParams) -> ValidationReport:
         v.append(Violation("wheel.rod_half_length",
                            "2 * (rod_half_length - min_half_separation) < elongated length"))
 
-    _positive(v, "drive.motor_stall_torque", p.motor_stall_torque)
-    _positive(v, "drive.screw_lead", p.screw_lead)
-    _positive(v, "drive.screw_mean_diameter", p.screw_mean_diameter)
-    if not 0 <= p.screw_friction < 1:
+    dr = p.drive
+    _positive(v, "drive.motor_stall_torque", dr.motor_stall_torque)
+    _positive(v, "drive.screw_lead", dr.screw_lead)
+    _positive(v, "drive.screw_mean_diameter", dr.screw_mean_diameter)
+    if not 0 <= dr.screw_friction < 1:
         v.append(Violation("drive.screw_friction", "0 <= screw_friction < 1"))
+    # With pi * d <= mu * lead no motor torque can raise the load: the screw jams.
+    if dr.screw_mean_diameter > 0 \
+            and not math.pi * dr.screw_mean_diameter > dr.screw_friction * dr.screw_lead:
+        v.append(Violation("drive.screw_mean_diameter",
+                           "pi * screw_mean_diameter > screw_friction * screw_lead"))
 
     return ValidationReport(violations=tuple(v), warnings=_length_identity_warnings(p))
 
@@ -314,59 +320,16 @@ def require_valid(p: DesignParams) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # config parsing
 
-_SECTIONS = ("screw", "layout", "platform", "wheel", "drive", "reported")
-
-# (key, required, kind) per section; kind is "float", "count" or "opt_float"
-_SCHEMA: dict[str, tuple[tuple[str, bool, str], ...]] = {
-    "screw": (
-        ("n_levels", True, "count"),
-        ("screw_level_length", True, "float"),
-        ("stopper_width", True, "float"),
-        ("thread_width", True, "float"),
-        ("thread_clearance", True, "float"),
-        ("base_screw_diameter", False, "float"),
-        ("shaft_levels", False, "count"),
-    ),
-    "layout": (
-        ("joint_arm_height", True, "float"),
-        ("drive_assembly_length", True, "float"),
-        ("tensioner_length", True, "float"),
-        ("plate_clearance", True, "float"),
-        ("joint_height", False, "float"),
-    ),
-    "platform": (
-        ("screw_circle_spacing", True, "float"),
-        ("max_screw_extension", True, "float"),
-        ("joint_mount_width", True, "float"),
-        ("universal_joint_diameter", True, "float"),
-        ("plate_count", False, "count"),
-    ),
-    "wheel": (
-        ("rod_half_length", True, "float"),
-        ("hub_offset", True, "float"),
-        ("curved_rod_length", True, "float"),
-        ("hinge_allowance", True, "float"),
-        ("spoke_pairs", False, "count"),
-        ("min_half_separation", False, "float"),
-    ),
-    "drive": (
-        ("motor_stall_torque", False, "float"),
-        ("screw_lead", False, "float"),
-        ("screw_friction", False, "float"),
-        ("screw_mean_diameter", False, "float"),
-    ),
-    "reported": (
-        ("elongated_length", False, "float"),
-        ("reduced_length", False, "float"),
-        ("chassis_diameter", False, "float"),
-        ("wheel_diameter", False, "float"),
-        ("rod_half_expansion", False, "float"),
-    ),
-}
+# Section name -> dataclass, read from the annotations of ``DesignParams``.
+_SECTION_TYPES: dict[str, type] = typing.get_type_hints(DesignParams)
 
 
-def _coerce(path: str, value, kind: str):
-    if kind == "count":
+def _required(f) -> bool:
+    return f.default is MISSING and f.default_factory is MISSING
+
+
+def _coerce(path: str, value, is_count: bool):
+    if is_count:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError("expected an integer count", field=path)
         return value
@@ -377,26 +340,28 @@ def _coerce(path: str, value, kind: str):
     return float(value)
 
 
-def _read_section(doc: dict, name: str) -> dict:
+def _read_section(doc: dict, name: str, cls: type):
+    """The ``cls`` instance that section ``name`` of ``doc`` describes. A key
+    is required when its field has no default, and a count when its
+    annotation is ``int`` or ``int | None``."""
     section = doc.get(name)
     if section is None:
-        required = any(req for _, req, _ in _SCHEMA[name])
-        if required:
+        if any(_required(f) for f in fields(cls)):
             raise ConfigError(f"missing required section '{name}'", field=name)
-        return {}
+        return cls()
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be a mapping", field=name)
-    out = {}
-    known = {key for key, _, _ in _SCHEMA[name]}
+    known = {f.name: f for f in fields(cls)}
     for key in section:
         if key not in known:
             raise ConfigError("unknown key", field=f"{name}.{key}")
-    for key, required, kind in _SCHEMA[name]:
+    out = {}
+    for key, f in known.items():
         if key in section:
-            out[key] = _coerce(f"{name}.{key}", section[key], kind)
-        elif required:
+            out[key] = _coerce(f"{name}.{key}", section[key], f.type in ("int", "int | None"))
+        elif _required(f):
             raise ConfigError("missing required field", field=f"{name}.{key}")
-    return out
+    return cls(**out)
 
 
 def _parse_yaml(text: str, what: str):
@@ -410,13 +375,13 @@ def _parse_yaml(text: str, what: str):
                           line=None if mark is None else mark.line + 1) from exc
 
 
-def load(config_text: str) -> LoadedDesign:
-    """Parse config text into ``DesignParams`` and attach its validation.
+def load(config_text: str) -> DesignParams:
+    """Parse config text into ``DesignParams``.
 
     Structural problems (bad YAML, missing sections or fields, wrong types,
     unknown keys) raise ``ConfigError`` naming the field and, for YAML syntax
     errors, the source line. Invariant violations do NOT raise; they are
-    reported in the attached ``ValidationReport`` so callers can decide.
+    reported in the design's ``validation`` so callers can decide.
     """
     doc = _parse_yaml(config_text, "config")
     if doc is None:
@@ -424,21 +389,13 @@ def load(config_text: str) -> LoadedDesign:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping of sections")
     for key in doc:
-        if key not in _SECTIONS:
+        if key not in _SECTION_TYPES:
             raise ConfigError("unknown section", field=str(key))
-
-    params = DesignParams(
-        screw=TelescopicScrewSpec(**_read_section(doc, "screw")),
-        layout=ModuleLayout(**_read_section(doc, "layout")),
-        platform=PlatformSpec(**_read_section(doc, "platform")),
-        wheel=WheelSpec(**_read_section(doc, "wheel")),
-        **_read_section(doc, "drive"),
-        reported=ReportedTargets(**_read_section(doc, "reported")),
-    )
-    return LoadedDesign(params=params, report=params.validation)
+    return DesignParams(**{name: _read_section(doc, name, cls)
+                           for name, cls in _SECTION_TYPES.items()})
 
 
-def load_path(path: str | Path) -> LoadedDesign:
+def load_path(path: str | Path) -> DesignParams:
     return load(Path(path).read_text(encoding="utf-8"))
 
 
@@ -452,22 +409,10 @@ def _section_dict(obj) -> dict:
 
 
 def serialize(p: DesignParams) -> str:
-    """Emit config text that ``load`` parses back to an equal ``DesignParams``."""
-    doc = {
-        "screw": _section_dict(p.screw),
-        "layout": _section_dict(p.layout),
-        "platform": _section_dict(p.platform),
-        "wheel": _section_dict(p.wheel),
-        "drive": {
-            "motor_stall_torque": p.motor_stall_torque,
-            "screw_lead": p.screw_lead,
-            "screw_friction": p.screw_friction,
-            "screw_mean_diameter": p.screw_mean_diameter,
-        },
-    }
-    reported = _section_dict(p.reported)
-    if reported:
-        doc["reported"] = reported
+    """Emit config text that ``load`` parses back to an equal ``DesignParams``.
+    A section whose every field is None is left out."""
+    doc = {name: section for name in _SECTION_TYPES
+           if (section := _section_dict(getattr(p, name)))}
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
 
 
@@ -511,10 +456,12 @@ def reference_design() -> DesignParams:
             spoke_pairs=6,
             min_half_separation=0.0,
         ),
-        motor_stall_torque=1470.0,
-        screw_lead=2.0,
-        screw_friction=0.2,
-        screw_mean_diameter=8.0,
+        drive=DriveSpec(
+            motor_stall_torque=1470.0,
+            screw_lead=2.0,
+            screw_friction=0.2,
+            screw_mean_diameter=8.0,
+        ),
         reported=ReportedTargets(
             elongated_length=340.0,
             reduced_length=165.0,

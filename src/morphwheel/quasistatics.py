@@ -60,9 +60,6 @@ class SiliconeForceTable:
         if fs[-1] < 0:
             raise ValueError("forces must be nonnegative")
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
 
 def default_force_table() -> SiliconeForceTable:
     """Default skin restoring-force samples, one per centimetre of compression."""
@@ -213,7 +210,8 @@ def peak_load(p: DesignParams, table: SiliconeForceTable | None = None) -> tuple
 
 def _motor_torque(p: DesignParams, force: float) -> float:
     # The three screws share the axial load equally.
-    return screw_torque(force / 3.0, p.screw_lead, p.screw_mean_diameter, p.screw_friction)
+    dr = p.drive
+    return screw_torque(force / 3.0, dr.screw_lead, dr.screw_mean_diameter, dr.screw_friction)
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,6 @@ def _mismatch(code: str, computed: float | None, reported: float | None,
     return Inconsistency(code=code, detail=detail, computed=computed, reported=reported)
 
 
-def _meets(computed: float, reported: float) -> bool:
-    return _mismatch("", computed, reported, "") is None
-
-
 def consistency_warnings(p: DesignParams,
                          total_bend: float = DEFAULT_TOTAL_BEND) -> tuple[Inconsistency, ...]:
     """Compare computed quantities against any supplied reported values.
@@ -181,7 +177,7 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
         force, torque = quasistatics.peak_load(p, table)
         outputs["peak_axial_force_N"] = force
         outputs["peak_torque_Nmm"] = torque
-        check = quasistatics.motor_check(torque, p.motor_stall_torque)
+        check = quasistatics.motor_check(torque, p.drive.motor_stall_torque)
         outputs["motor_check_ok"] = check.passed
         outputs["motor_check_note"] = check.note
     except InfeasibleError as exc:
@@ -189,12 +185,15 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
 
     rep = p.reported
     if rep.elongated_length is not None:
-        outputs["target_elongated_ok"] = _meets(lengths.elongated, rep.elongated_length)
+        outputs["target_elongated_ok"] = _mismatch(
+            "", lengths.elongated, rep.elongated_length, "") is None
     if rep.reduced_length is not None:
-        outputs["target_reduced_ok"] = _meets(lengths.reduced, rep.reduced_length)
+        outputs["target_reduced_ok"] = _mismatch(
+            "", lengths.reduced, rep.reduced_length, "") is None
     if rep.wheel_diameter is not None and "wheel_diameter_mm" in outputs:
-        outputs["target_wheel_diameter_ok"] = _meets(
-            outputs["wheel_diameter_mm"], rep.wheel_diameter)  # type: ignore[arg-type]
+        outputs["target_wheel_diameter_ok"] = _mismatch(
+            "", outputs["wheel_diameter_mm"],  # type: ignore[arg-type]
+            rep.wheel_diameter, "") is None
 
     return RunReport(
         digest=digest if digest is not None else config_digest(serialize(p)),

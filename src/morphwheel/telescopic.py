@@ -43,9 +43,6 @@ class ScrewDiameterLadder:
 
     diameters: tuple[float, ...]  # mm
 
-    def __len__(self) -> int:
-        return len(self.diameters)
-
 
 @dataclass(frozen=True)
 class ScrewLengthSolution:

@@ -4,6 +4,7 @@ import pytest
 
 from morphwheel import (
     DesignParams,
+    DriveSpec,
     ModuleLayout,
     PlatformSpec,
     TelescopicScrewSpec,
@@ -58,10 +59,12 @@ def random_params(rng: random.Random) -> DesignParams:
             spoke_pairs=rng.randint(3, 12),
             min_half_separation=rng.uniform(0.0, rod_half * 0.5),
         ),
-        motor_stall_torque=rng.uniform(100.0, 5000.0),
-        screw_lead=rng.uniform(0.5, 10.0),
-        screw_friction=rng.uniform(0.0, 0.5),
-        screw_mean_diameter=rng.uniform(2.0, 20.0),
+        drive=DriveSpec(
+            motor_stall_torque=rng.uniform(100.0, 5000.0),
+            screw_lead=rng.uniform(0.5, 10.0),
+            screw_friction=rng.uniform(0.0, 0.5),
+            screw_mean_diameter=rng.uniform(2.0, 20.0),
+        ),
     )
 
 

@@ -19,6 +19,23 @@ def config_file(tmp_path):
     return str(path)
 
 
+def non_physical_screw_file(tmp_path):
+    # pi * 1 mm is below 0.5 * 10 mm: the screw cannot be driven.
+    text = serialize(reference_design()).replace(
+        "screw_mean_diameter: 8.0", "screw_mean_diameter: 1.0").replace(
+        "screw_lead: 2.0", "screw_lead: 10.0").replace(
+        "screw_friction: 0.2", "screw_friction: 0.5")
+    path = tmp_path / "screw.yaml"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def non_utf8_file(tmp_path):
+    path = tmp_path / "latin.yaml"
+    path.write_bytes(b"\xff\xfe")
+    return str(path)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -79,8 +96,8 @@ class TestSetField:
         assert p.wheel.hub_offset == 70.0
         assert reference.wheel.hub_offset == 60.0  # original untouched
 
-    def test_replaces_top_level_field(self, reference):
-        assert set_field(reference, "screw_lead", 4.0).screw_lead == 4.0
+    def test_replaces_drive_field(self, reference):
+        assert set_field(reference, "drive.screw_lead", 4.0).drive.screw_lead == 4.0
 
     def test_integer_fields_stay_integers(self, reference):
         p = set_field(reference, "screw.n_levels", 6.0)
@@ -114,6 +131,24 @@ class TestSweepSpec:
         assert grid[0] == 20.0 and grid[-1] == 50.0 and len(grid) == 4
 
 
+class TestNonPhysicalScrew:
+    @pytest.mark.parametrize("verb,extra", [
+        ("validate", []),
+        ("report", []),
+        ("profile", ["--out", "p.csv"]),
+        ("sweep", ["--sweep-param", "wheel.hub_offset", "--sweep-range", "50:80:3",
+                   "--objective", "max-wheel-radius", "--out", "s.csv"]),
+    ])
+    def test_every_verb_refuses_it(self, tmp_path, capsys, verb, extra):
+        extra = [str(tmp_path / a) if a.endswith(".csv") else a for a in extra]
+        assert main([verb, "--config", non_physical_screw_file(tmp_path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert "VIOLATION drive.screw_mean_diameter: pi * screw_mean_diameter > " \
+            "screw_friction * screw_lead\n" in captured.out + captured.err
+        assert "Traceback" not in captured.err
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestCmdValidate:
     def test_reference_config_is_valid_with_warnings(self, capsys):
         assert main(["validate", "--config", REFERENCE_CONFIG]) == 0
@@ -135,6 +170,13 @@ class TestCmdValidate:
 
     def test_unreadable_file_exits_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "missing.yaml")]) == 2
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        assert main(["validate", "--config", non_utf8_file(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_invalid_design_exits_1(self, tmp_path, capsys):
         text = serialize(reference_design()).replace(
@@ -272,6 +314,26 @@ class TestCmdProfile:
         rows = read_csv(out)
         assert float(rows[0]["axial_force_N"]) == 6.8
 
+    def test_non_utf8_force_table_exits_2(self, config_file, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert main(["profile", "--config", config_file, "--steps", "3", "--out", str(out),
+                     "--force-table", non_utf8_file(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load force table: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    def test_fewer_than_two_steps_is_a_usage_error(self, config_file, tmp_path,
+                                                   capsys, steps):
+        out = tmp_path / "p.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--config", config_file, "--steps", steps, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --steps: steps must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_force_table_exits_2(self, config_file, tmp_path):
         table = tmp_path / "table.yaml"
         table.write_text("- [2.0, 1.0]\n- [1.0, 3.0]\n")
@@ -372,6 +434,27 @@ class TestCmdSweep:
                      "--out", str(out)]) == 0
         assert [r["screw.n_levels"] for r in read_csv(out)] \
             == [str(n) for n in range(1, 11)]
+
+    def test_drive_field_sweep(self, config_file, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", config_file,
+                     "--sweep-param", "drive.screw_lead",
+                     "--sweep-range", "1:4:4",
+                     "--objective", "min-peak-torque",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [float(r["drive.screw_lead"]) for r in rows] == [1.0, 2.0, 3.0, 4.0]
+        torques = [float(r["peak_torque_Nmm"]) for r in rows]
+        assert torques == sorted(torques) and torques[0] < torques[-1]
+        assert "argmin min-peak-torque: drive.screw_lead=1" in capsys.readouterr().out
+
+    def test_bare_drive_field_exits_2(self, config_file, tmp_path, capsys):
+        assert main(["sweep", "--config", config_file,
+                     "--sweep-param", "screw_lead",
+                     "--sweep-range", "1:4:4",
+                     "--objective", "min-peak-torque",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert "unresolvable parameter path" in capsys.readouterr().err
 
     def test_bad_range_exits_2(self, config_file, tmp_path):
         assert main(["sweep", "--config", config_file,

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import operator
 import os
 import random
 import subprocess
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from morphwheel import (
     ConfigError,
+    DriveSpec,
     ModuleLayout,
     TelescopicScrewSpec,
     load,
@@ -20,11 +23,11 @@ from morphwheel import (
     validate,
 )
 from morphwheel import params
-from morphwheel.cli import main
+from morphwheel.cli import main, set_field
 from morphwheel.params import reference_design
-from morphwheel.quasistatics import load_force_table
+from morphwheel.quasistatics import load_force_table, screw_torque
 
-from conftest import random_valid_params
+from conftest import random_params, random_valid_params
 
 MINIMAL_CONFIG = """
 screw:
@@ -89,7 +92,7 @@ class TestValidate:
             reference,
             screw=dataclasses.replace(reference.screw, n_levels=0, shaft_levels=-1,
                                       screw_level_length=-1.0),
-            motor_stall_torque=-5.0,
+            drive=dataclasses.replace(reference.drive, motor_stall_torque=-5.0),
         )
         fields = {v.field for v in validate(bad).violations}
         assert {"screw.n_levels", "screw.screw_level_length",
@@ -99,8 +102,33 @@ class TestValidate:
         assert validate(reference) == validate(reference)
 
     def test_friction_range(self, reference):
-        bad = dataclasses.replace(reference, screw_friction=1.0)
+        bad = dataclasses.replace(
+            reference, drive=dataclasses.replace(reference.drive, screw_friction=1.0))
         assert any(v.field == "drive.screw_friction" for v in validate(bad).violations)
+
+    @pytest.mark.parametrize("diameter,physical", [
+        (0.999, False),  # pi * d below mu * lead
+        (1.0, False),    # pi * d == mu * lead == pi exactly
+        (1.001, True),
+    ])
+    def test_non_physical_screw(self, reference, diameter, physical):
+        drive = DriveSpec(screw_lead=2.0 * math.pi, screw_friction=0.5,
+                          screw_mean_diameter=diameter)
+        report = validate(dataclasses.replace(reference, drive=drive))
+        assert report.valid is physical
+        if physical:
+            assert screw_torque(1.0, drive.screw_lead, diameter, drive.screw_friction) > 0
+        else:
+            assert [(v.field, v.constraint) for v in report.violations] == [
+                ("drive.screw_mean_diameter",
+                 "pi * screw_mean_diameter > screw_friction * screw_lead")]
+            with pytest.raises(ValueError, match="non-physical"):
+                screw_torque(1.0, drive.screw_lead, diameter, drive.screw_friction)
+
+    def test_non_positive_screw_diameter_is_one_violation(self, reference):
+        drive = dataclasses.replace(reference.drive, screw_mean_diameter=-1.0)
+        report = validate(dataclasses.replace(reference, drive=drive))
+        assert [v.constraint for v in report.violations] == ["screw_mean_diameter > 0"]
 
     def test_identity_warning_when_both_reported_lengths_supplied(self, reference):
         # 340 - 165 = 175 does not match 2 * 20 * 3 = 120.
@@ -137,35 +165,34 @@ class TestDefaults:
 
 class TestLoad:
     def test_minimal_config_fills_defaults(self):
-        loaded = load(MINIMAL_CONFIG)
-        p = loaded.params
-        assert loaded.report.valid
+        p = load(MINIMAL_CONFIG)
+        assert p.validation.valid
         assert p.screw.base_screw_diameter == 2.3
         assert p.screw.shaft_levels == 3
         assert p.layout.joint_height == 10.0
         assert p.platform.plate_count == 4
         assert p.wheel.spoke_pairs == 6
         assert p.wheel.min_half_separation is None
-        assert p.screw_lead == 2.0
-        assert p.screw_friction == 0.2
-        assert p.screw_mean_diameter == 8.0
+        assert p.drive == DriveSpec()
+        assert p.drive.motor_stall_torque == 1470.0
+        assert p.drive.screw_lead == 2.0
+        assert p.drive.screw_friction == 0.2
+        assert p.drive.screw_mean_diameter == 8.0
         assert p.reported.wheel_diameter is None
 
     def test_negative_length_loads_with_nonempty_report(self):
         text = MINIMAL_CONFIG.replace("screw_level_length: 20.0",
                                       "screw_level_length: -20.0")
-        loaded = load(text)
-        assert not loaded.report.valid
-        assert any(v.field == "screw.screw_level_length"
-                   for v in loaded.report.violations)
+        report = load(text).validation
+        assert not report.valid
+        assert any(v.field == "screw.screw_level_length" for v in report.violations)
 
     def test_reference_config_file_reproduces_targets(self):
-        loaded = load_path(Path(__file__).resolve().parent.parent
-                           / "configs" / "reference.yaml")
-        assert loaded.report.valid
-        assert loaded.params == reference_design()
-        assert loaded.params.reported.wheel_diameter == 400.0
-        assert loaded.params.reported.elongated_length == 340.0
+        p = load_path(Path(__file__).resolve().parent.parent / "configs" / "reference.yaml")
+        assert p.validation.valid
+        assert p == reference_design()
+        assert p.reported.wheel_diameter == 400.0
+        assert p.reported.elongated_length == 340.0
 
     def test_missing_section_names_it(self):
         text = MINIMAL_CONFIG.replace("screw:", "screwXX:")
@@ -201,6 +228,25 @@ class TestLoad:
         with pytest.raises(ConfigError, match="screw.n_levels"):
             load(text)
 
+    def test_optional_count_must_be_an_integer(self):
+        # ``shaft_levels`` is ``int | None``: a count, though it has a default.
+        with pytest.raises(ConfigError, match="integer count.*screw.shaft_levels"):
+            load(MINIMAL_CONFIG.replace("n_levels: 4", "n_levels: 4\n  shaft_levels: 3.0"))
+
+    @pytest.mark.parametrize("text,message", [
+        ("drive: 3\n", "section 'drive' must be a mapping"),
+        ("drive:\n  screw_pitch: 2.0\n", "unknown key.*drive.screw_pitch"),
+        ("drive:\n  screw_lead: fast\n", "expected a number.*drive.screw_lead"),
+    ])
+    def test_drive_section_errors(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            load(MINIMAL_CONFIG + text)
+
+    def test_partial_drive_section_keeps_other_defaults(self):
+        p = load(MINIMAL_CONFIG + "drive:\n  screw_lead: 3\n")
+        assert p.drive == DriveSpec(screw_lead=3.0)
+        assert isinstance(p.drive.screw_lead, float)
+
     @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
     @pytest.mark.parametrize("field", [
         "wheel.hub_offset",
@@ -219,19 +265,53 @@ class TestLoad:
             load(text)
 
 
+def one_bad_field_designs():
+    """One design per config field set to -1, plus a non-physical screw:
+    between them they trip every check ``validate`` makes."""
+    reference = reference_design()
+    for section in dataclasses.fields(reference):
+        spec = getattr(reference, section.name)
+        for f in dataclasses.fields(spec):
+            bad = -1 if isinstance(getattr(spec, f.name), int) else -1.0
+            yield dataclasses.replace(
+                reference, **{section.name: dataclasses.replace(spec, **{f.name: bad})})
+    yield dataclasses.replace(reference, drive=DriveSpec(
+        screw_lead=10.0, screw_friction=0.5, screw_mean_diameter=1.0))
+
+
+class TestOneVocabulary:
+    """A ``Violation`` names its field by the path that ``set_field`` and
+    ``sweep --sweep-param`` take, which is also the config key."""
+
+    def test_every_violation_field_is_settable_by_its_name(self):
+        rng = random.Random(6)
+        designs = [*one_bad_field_designs(), *(random_params(rng) for _ in range(1000))]
+        named = set()
+        for p in designs:
+            for v in validate(p).violations:
+                named.add(v.field)
+                current = operator.attrgetter(v.field)(p)
+                assert set_field(p, v.field, current) == p
+        config_keys = {f"{s.name}.{f.name}"
+                       for s in dataclasses.fields(params.DesignParams)
+                       if s.name != "reported"
+                       for f in dataclasses.fields(getattr(reference_design(), s.name))}
+        assert named == config_keys
+
+
 class TestRoundTrip:
     def test_reference_round_trips(self, reference):
-        assert load(serialize(reference)).params == reference
+        assert load(serialize(reference)) == reference
 
     def test_minimal_round_trips(self):
-        p = load(MINIMAL_CONFIG).params
-        assert load(serialize(p)).params == p
+        p = load(MINIMAL_CONFIG)
+        assert load(serialize(p)) == p
 
     def test_random_designs_round_trip(self):
         rng = random.Random(20260810)
         for _ in range(50):
             p = random_valid_params(rng)
-            assert load(serialize(p)).params == p
+            assert load(serialize(p)) == p
 
     @given(st.floats(min_value=0.001, max_value=1e6),
            st.floats(min_value=0.001, max_value=1e6))
@@ -242,7 +322,7 @@ class TestRoundTrip:
             p,
             wheel=dataclasses.replace(p.wheel, rod_half_length=a, hub_offset=b),
         )
-        again = load(serialize(p)).params
+        again = load(serialize(p))
         assert again.wheel.rod_half_length == a
         assert again.wheel.hub_offset == b
 

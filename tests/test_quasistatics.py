@@ -22,7 +22,7 @@ from morphwheel.wheelgeom import transform_profile
 class TestForceTable:
     def test_default_table_samples(self):
         table = default_force_table()
-        assert len(table) == 8
+        assert len(table.samples) == 8
         assert table.samples[0] == (1.0, 3.4)
         assert table.samples[-1] == (8.0, 0.1)
         assert [f for _, f in table.samples] == [3.4, 3.2, 2.5, 2.1, 1.5, 1.0, 0.6, 0.1]
@@ -186,7 +186,7 @@ class TestTorqueProfile:
 class TestMotorCheck:
     def test_reference_design_passes(self, reference):
         profile = torque_profile(reference, steps=50)
-        check = motor_check(profile.peak_torque, reference.motor_stall_torque)
+        check = motor_check(profile.peak_torque, reference.drive.motor_stall_torque)
         assert check.passed
         assert check.stall_torque == 1470.0
         assert check.ratio == pytest.approx(check.peak_torque / 1470.0)

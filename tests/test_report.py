@@ -209,6 +209,10 @@ class TestValidateOnce:
         sweep_point(reference, default_force_table())
         assert len(count_validate) == 1
 
+    def test_cli_validate_validates_once(self, count_validate, design_file):
+        assert main(["validate", "--config", design_file]) == 0
+        assert len(count_validate) == 1
+
     def test_cli_report_validates_once(self, count_validate, design_file):
         assert main(["report", "--config", design_file]) == 0
         assert len(count_validate) == 1
