@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import enum
 import functools
 import logging
-import operator
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import quasistatics, wheelgeom
@@ -25,15 +21,17 @@ from .errors import ConfigError, InfeasibleError, InvalidDesignError
 from .params import DesignParams, load
 from .report import (
     DEFAULT_TOTAL_BEND,
-    SWEEP_METRICS,
+    Objective,
     RunReport,
+    SweepSpec,
     config_digest,
     consistency_warnings,
     design_card,
-    sweep_point,
+    sweep,
+    sweep_columns,
 )
 
-__all__ = ["Objective", "SweepSpec", "set_field", "main"]
+__all__ = ["main"]
 
 log = logging.getLogger("morphwheel")
 
@@ -45,58 +43,6 @@ PROFILE_COLUMNS = (
     "step", "module_length_mm", "h_mm", "wheel_radius_mm",
     "trigger_mode", "axial_force_N", "per_motor_torque_Nmm",
 )
-
-
-class Objective(enum.Enum):
-    MIN_REDUCED_LENGTH = "min-reduced-length"
-    MAX_WHEEL_RADIUS = "max-wheel-radius"
-    MIN_PEAK_TORQUE = "min-peak-torque"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    parameter_path: str  # dotted field name, e.g. "screw.screw_level_length"
-    start: float
-    stop: float
-    steps: int
-    objective: Objective
-
-    def __post_init__(self):
-        if self.steps < 2:
-            raise ValueError("sweep needs at least 2 grid points")
-        if self.start == self.stop:
-            raise ValueError("sweep start and stop must differ")
-
-    def grid(self) -> list[float]:
-        span = self.stop - self.start
-        return [self.start + span * i / (self.steps - 1) for i in range(self.steps)]
-
-
-def set_field(p: DesignParams, path: str, value: float) -> DesignParams:
-    """Return a copy of the design with one dotted numeric field replaced."""
-    parts = path.split(".")
-
-    def descend(obj, parts):
-        name = parts[0]
-        if not dataclasses.is_dataclass(obj) or name not in {
-            f.name for f in dataclasses.fields(obj)
-        }:
-            raise ConfigError("unresolvable parameter path", field=path)
-        current = getattr(obj, name)
-        if len(parts) == 1:
-            if not isinstance(current, (int, float)) or isinstance(current, bool):
-                raise ConfigError("parameter path is not a numeric field", field=path)
-            if isinstance(current, int):
-                if not float(value).is_integer():
-                    raise ConfigError(f"count field needs an integer value, got {value!r}",
-                                      field=path)
-                new = int(value)
-            else:
-                new = float(value)
-            return dataclasses.replace(obj, **{name: new})
-        return dataclasses.replace(obj, **{name: descend(current, parts[1:])})
-
-    return descend(p, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -248,74 +194,45 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-_OBJECTIVE_METRIC = {
-    Objective.MIN_REDUCED_LENGTH: ("reduced_length_mm", min),
-    Objective.MAX_WHEEL_RADIUS: ("wheel_radius_mm", max),
-    Objective.MIN_PEAK_TORQUE: ("peak_torque_Nmm", min),
-}
-
-
 def cmd_sweep(args) -> int:
     p, _ = _load_or_exit(args.config)
     if _refused(p, "sweep"):
         return EXIT_VALIDATION
     try:
         start, stop, steps = _parse_range(args.sweep_range)
-        spec = SweepSpec(
-            parameter_path=args.sweep_param,
-            start=start,
-            stop=stop,
-            steps=steps,
-            objective=Objective(args.objective),
-        )
-        # Build every grid point up front so a typo in the path or a
-        # non-integral count value fails before any work.
-        points = [set_field(p, spec.parameter_path, v) for v in spec.grid()]
-    except (ConfigError, ValueError) as exc:
+        spec = SweepSpec(args.sweep_param, start, stop, steps, Objective(args.objective))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-    metric, best_fn = _OBJECTIVE_METRIC[spec.objective]
-    table = quasistatics.default_force_table()
-    rows = []
-    evaluated = operator.attrgetter(spec.parameter_path)  # labels rows with what ran
-    for i, point in enumerate(points):
-        value = evaluated(point)
-        row: dict[str, object] = {"index": i, spec.parameter_path: value}
-        try:
-            row.update(sweep_point(point, table))
-            row["objective"] = row[metric]
-        except (InvalidDesignError, InfeasibleError, ValueError) as exc:
-            log.debug("grid point %s=%s infeasible: %s", spec.parameter_path, value, exc)
-            row["objective"] = ""
-        rows.append(row)
-
-    columns = ["index", spec.parameter_path, *SWEEP_METRICS, "objective"]
+    # The rows stream into a temporary next to the target, which replaces
+    # the target only once every row is written: an interrupted sweep or a
+    # bad path leaves no partial CSV behind.
+    out = Path(args.out)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     try:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([
-                    repr(row[c]) if isinstance(row.get(c), float) else row.get(c, "")
-                    for c in columns
-                ])
+            writer.writerow(sweep_columns(spec))
+            best = sweep(p, spec, writer.writerow)
+        os.replace(tmp, out)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        tmp.unlink(missing_ok=True)
 
-    feasible = [r for r in rows if r["objective"] != ""]
-    if feasible:
-        best = best_fn(feasible, key=lambda r: r["objective"])
-        label = "argmax" if best_fn is max else "argmin"
+    if best is not None:
         print(
-            f"{label} {spec.objective.value}: {spec.parameter_path}="
-            f"{_fmt(best[spec.parameter_path])} -> {metric}={_fmt(best['objective'])} "
-            f"(row {best['index']})"
+            f"{'argmax' if spec.maximise else 'argmin'} {spec.objective.value}: "
+            f"{spec.parameter_path}={_fmt(best[spec.parameter_path])} -> "
+            f"{spec.metric}={_fmt(best['objective'])} (row {best['index']})"
         )
     else:
         print("no feasible grid points")
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({spec.steps} rows)")
     return EXIT_OK
 
 

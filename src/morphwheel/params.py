@@ -18,16 +18,18 @@ import functools
 import io
 import math
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError, InvalidDesignError
 
-# libyaml's C parser when PyYAML was built with it, else the pure-Python one;
-# PyYAML's Python constructor resolves the values either way.
+# libyaml's C parser and emitter when PyYAML was built with them, else the
+# pure-Python ones; PyYAML's Python constructor and representer handle the
+# values either way, so both give the same results.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 __all__ = [
     "TelescopicScrewSpec",
@@ -41,6 +43,7 @@ __all__ = [
     "Inconsistency",
     "ValidationReport",
     "YAML_LOADER",
+    "YAML_DUMPER",
     "residual_length",
     "elongated_length",
     "min_half_separation",
@@ -214,9 +217,12 @@ def min_half_separation(p: DesignParams) -> float:
 # ---------------------------------------------------------------------------
 # validation
 
-def _positive(out: list[Violation], path: str, value: float) -> None:
-    if not value > 0:
-        out.append(Violation(path, f"{path.rsplit('.', 1)[-1]} > 0"))
+def _positive(out: list[Violation], section: str, obj, names: tuple[str, ...]) -> None:
+    # The path is built only for a failed check: ``validate`` runs once per
+    # sweep point.
+    for name in names:
+        if not getattr(obj, name) > 0:
+            out.append(Violation(f"{section}.{name}", f"{name} > 0"))
 
 
 def validate(p: DesignParams) -> ValidationReport:
@@ -232,27 +238,24 @@ def validate(p: DesignParams) -> ValidationReport:
 
     if s.n_levels < 1:
         v.append(Violation("screw.n_levels", "n_levels >= 1"))
-    for name in ("screw_level_length", "stopper_width", "thread_width", "base_screw_diameter"):
-        _positive(v, f"screw.{name}", getattr(s, name))
+    _positive(v, "screw", s,
+              ("screw_level_length", "stopper_width", "thread_width", "base_screw_diameter"))
     if s.thread_clearance < 0:
         v.append(Violation("screw.thread_clearance", "thread_clearance >= 0"))
     if s.shaft_levels != s.n_levels - 1:
         v.append(Violation("screw.shaft_levels", "shaft_levels == n_levels - 1"))
 
-    for name in ("joint_arm_height", "joint_height", "drive_assembly_length",
-                 "tensioner_length", "plate_clearance"):
-        _positive(v, f"layout.{name}", getattr(lay, name))
+    _positive(v, "layout", lay, ("joint_arm_height", "joint_height", "drive_assembly_length",
+                                 "tensioner_length", "plate_clearance"))
     if abs(lay.joint_height - 2.0 * lay.joint_arm_height) > 1e-9:
         v.append(Violation("layout.joint_height", "joint_height == 2 * joint_arm_height"))
 
-    for name in ("screw_circle_spacing", "max_screw_extension", "joint_mount_width",
-                 "universal_joint_diameter"):
-        _positive(v, f"platform.{name}", getattr(pf, name))
+    _positive(v, "platform", pf, ("screw_circle_spacing", "max_screw_extension",
+                                  "joint_mount_width", "universal_joint_diameter"))
     if pf.plate_count < 1:
         v.append(Violation("platform.plate_count", "plate_count >= 1"))
 
-    _positive(v, "wheel.rod_half_length", w.rod_half_length)
-    _positive(v, "wheel.curved_rod_length", w.curved_rod_length)
+    _positive(v, "wheel", w, ("rod_half_length", "curved_rod_length"))
     if w.hub_offset < 0:
         v.append(Violation("wheel.hub_offset", "hub_offset >= 0"))
     if w.hinge_allowance < 0:
@@ -270,9 +273,7 @@ def validate(p: DesignParams) -> ValidationReport:
                            "2 * (rod_half_length - min_half_separation) < elongated length"))
 
     dr = p.drive
-    _positive(v, "drive.motor_stall_torque", dr.motor_stall_torque)
-    _positive(v, "drive.screw_lead", dr.screw_lead)
-    _positive(v, "drive.screw_mean_diameter", dr.screw_mean_diameter)
+    _positive(v, "drive", dr, ("motor_stall_torque", "screw_lead", "screw_mean_diameter"))
     if not 0 <= dr.screw_friction < 1:
         v.append(Violation("drive.screw_friction", "0 <= screw_friction < 1"))
     # With pi * d <= mu * lead no motor torque can raise the load: the screw jams.
@@ -328,6 +329,12 @@ def _required(f) -> bool:
     return f.default is MISSING and f.default_factory is MISSING
 
 
+def _is_count(f) -> bool:
+    # Annotations are strings (``from __future__ import annotations``); every
+    # section field is a number, and a count when it is annotated an int.
+    return f.type in ("int", "int | None")
+
+
 def _coerce(path: str, value, is_count: bool):
     if is_count:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -358,7 +365,7 @@ def _read_section(doc: dict, name: str, cls: type):
     out = {}
     for key, f in known.items():
         if key in section:
-            out[key] = _coerce(f"{name}.{key}", section[key], f.type in ("int", "int | None"))
+            out[key] = _coerce(f"{name}.{key}", section[key], _is_count(f))
         elif _required(f):
             raise ConfigError("missing required field", field=f"{name}.{key}")
     return cls(**out)
@@ -413,7 +420,70 @@ def serialize(p: DesignParams) -> str:
     A section whose every field is None is left out."""
     doc = {name: section for name in _SECTION_TYPES
            if (section := _section_dict(getattr(p, name)))}
-    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
+    return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=True, default_flow_style=False)
+
+
+# ---------------------------------------------------------------------------
+# field paths
+
+@dataclass(frozen=True)
+class _FieldPath:
+    """A dotted name such as ``screw.n_levels``, resolved to its section and
+    field: the name a config key, a ``Violation`` and a sweep share."""
+
+    path: str
+    section: str     # the field of ``DesignParams`` that holds the section
+    name: str        # the field of the section
+    cls: type        # the section's dataclass
+    is_count: bool   # annotated ``int`` or ``int | None``
+
+    def value(self, value: float) -> int | float:
+        """``value`` as this field holds it: an int for a count, which
+        refuses a non-integral value, else a float."""
+        if not self.is_count:
+            return float(value)
+        if not float(value).is_integer():
+            raise ConfigError(f"count field needs an integer value, got {value!r}",
+                              field=self.path)
+        return int(value)
+
+    def setter(self, p: DesignParams):
+        """A function of one value (as ``value`` returns it) that gives a copy
+        of ``p`` with this field set to it.
+
+        A field of the same section that holds what its ``None`` default
+        derives (``shaft_levels`` from ``n_levels``, ``joint_height`` from
+        ``joint_arm_height``) is derived again from the new value; one set to
+        anything else keeps it. The section's and the design's other fields
+        are read once, here, not per call.
+        """
+        section = getattr(p, self.section)
+        kwargs = {f.name: getattr(section, f.name) for f in fields(self.cls)}
+        for f in fields(self.cls):
+            if f.name != self.name and f.default is None and kwargs[f.name] \
+                    == getattr(replace(section, **{f.name: None}), f.name):
+                kwargs[f.name] = None
+        design = {name: getattr(p, name) for name in _SECTION_TYPES}
+        cls, name, section_name = self.cls, self.name, self.section
+
+        def at(value):
+            kwargs[name] = value
+            design[section_name] = cls(**kwargs)
+            return DesignParams(**design)
+        return at
+
+
+def _field_path(path: str) -> _FieldPath:
+    """Resolve a dotted field name; ``ConfigError`` names a path that is no
+    field, or a section rather than a field."""
+    section, dot, name = path.partition(".")
+    cls = _SECTION_TYPES.get(section)
+    if cls is not None and not dot:
+        raise ConfigError("parameter path is not a numeric field", field=path)
+    found = [f for f in fields(cls) if f.name == name] if cls is not None else []
+    if not found:
+        raise ConfigError("unresolvable parameter path", field=path)
+    return _FieldPath(path, section, name, cls, _is_count(found[0]))
 
 
 def reference_design() -> DesignParams:

@@ -1,4 +1,4 @@
-"""Design cards, sweep points and cross-checks against reported targets.
+"""Design cards, sweeps and cross-checks against reported targets.
 
 Everything here is read-only aggregation over the computation modules; the
 CLI renders these structures but owns no logic of its own. Entry points
@@ -8,21 +8,36 @@ once, on first use.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import bending, quasistatics, telescopic, wheelgeom
-from .errors import InfeasibleError
-from .params import DesignParams, Inconsistency, ValidationReport, require_valid, serialize
+from .errors import InfeasibleError, InvalidDesignError
+from .params import (
+    DesignParams,
+    Inconsistency,
+    ValidationReport,
+    _field_path,
+    require_valid,
+    serialize,
+)
 
 __all__ = [
     "RunReport",
     "DEFAULT_TOTAL_BEND",
     "SWEEP_METRICS",
+    "Objective",
+    "SweepSpec",
     "consistency_warnings",
     "design_card",
     "sweep_point",
+    "set_field",
+    "sweep_columns",
+    "sweep",
     "config_digest",
 ]
 
@@ -109,19 +124,128 @@ SWEEP_METRICS = (
 )
 
 
+def _sweep_values(p: DesignParams, table: quasistatics.SiliconeForceTable
+                  ) -> tuple[float, ...]:
+    lengths = telescopic.module_lengths(p)  # the one validation of the point
+    theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
+    return (
+        lengths.elongated,
+        lengths.reduced,
+        lengths.reduction_ratio,
+        bending.chassis_diameter(p, theta).chassis_diameter,
+        transform_endpoint_radius(p),
+        quasistatics.peak_load(p, table)[1],
+    )
+
+
 def sweep_point(p: DesignParams, table: quasistatics.SiliconeForceTable) -> dict[str, float]:
     """The ``SWEEP_METRICS`` of one design; raises ``InvalidDesignError``,
     ``InfeasibleError`` or ``ValueError`` for a design without a value."""
-    lengths = telescopic.module_lengths(p)  # the one validation of the point
-    theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
-    return {
-        "elongated_length_mm": lengths.elongated,
-        "reduced_length_mm": lengths.reduced,
-        "reduction_ratio": lengths.reduction_ratio,
-        "chassis_diameter_mm": bending.chassis_diameter(p, theta).chassis_diameter,
-        "wheel_radius_mm": transform_endpoint_radius(p),
-        "peak_torque_Nmm": quasistatics.peak_load(p, table)[1],
-    }
+    return dict(zip(SWEEP_METRICS, _sweep_values(p, table)))
+
+
+# ---------------------------------------------------------------------------
+# sweeps
+
+class Objective(enum.Enum):
+    MIN_REDUCED_LENGTH = "min-reduced-length"
+    MAX_WHEEL_RADIUS = "max-wheel-radius"
+    MIN_PEAK_TORQUE = "min-peak-torque"
+
+
+# The metric each objective reads, and whether it maximises it.
+_OBJECTIVE_METRIC = {
+    Objective.MIN_REDUCED_LENGTH: ("reduced_length_mm", False),
+    Objective.MAX_WHEEL_RADIUS: ("wheel_radius_mm", True),
+    Objective.MIN_PEAK_TORQUE: ("peak_torque_Nmm", False),
+}
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    parameter_path: str  # dotted field name, e.g. "screw.screw_level_length"
+    start: float
+    stop: float
+    steps: int
+    objective: Objective
+
+    def __post_init__(self):
+        if self.steps < 2:
+            raise ValueError("sweep needs at least 2 grid points")
+        if self.start == self.stop:
+            raise ValueError("sweep start and stop must differ")
+
+    def value(self, i: int) -> float:
+        """Grid value ``i`` of ``steps``, evenly spaced from start to stop."""
+        return self.start + (self.stop - self.start) * i / (self.steps - 1)
+
+    @property
+    def metric(self) -> str:
+        """The ``SWEEP_METRICS`` column the objective reads."""
+        return _OBJECTIVE_METRIC[self.objective][0]
+
+    @property
+    def maximise(self) -> bool:
+        return _OBJECTIVE_METRIC[self.objective][1]
+
+
+def set_field(p: DesignParams, path: str, value: float) -> DesignParams:
+    """Return a copy of the design with one dotted numeric field replaced;
+    a field derived from it by default is derived again."""
+    field = _field_path(path)
+    return field.setter(p)(field.value(value))
+
+
+def sweep_columns(spec: SweepSpec) -> tuple[str, ...]:
+    """The names of the values in each row of ``sweep(p, spec, ...)``."""
+    return ("index", spec.parameter_path, *SWEEP_METRICS, "objective", "status", "reason")
+
+
+def sweep(p: DesignParams, spec: SweepSpec,
+          emit: Callable[[tuple], object]) -> dict[str, object] | None:
+    """Evaluate ``sweep_point`` over the grid of ``spec``, one design per grid
+    value with the swept field set to it, and return the best ``ok`` row by
+    column (the first of equals), or None when no point has a value.
+
+    The path and every grid value are checked first, before any point is
+    evaluated: ``ConfigError`` for a path that names no numeric field or a
+    non-integral value of a count field. Then each row goes to ``emit`` as it
+    is evaluated, a tuple of plain values under ``sweep_columns(spec)``: the
+    index, the swept value, the ``SWEEP_METRICS``, ``objective``, ``status``
+    and ``reason``. The status is ``ok``, ``invalid`` (the design violates an
+    invariant; the reason lists the violated fields) or ``infeasible`` (no
+    value for its geometry; the reason is the exception's message). Only
+    ``ok`` rows carry the metrics. Nothing per point is kept but the best
+    row. Every point validates once; the design ``p`` itself is not refused.
+    """
+    field = _field_path(spec.parameter_path)
+    convert = field.value
+    if field.is_count:  # only a count field refuses a grid value
+        for i in range(spec.steps):
+            convert(spec.value(i))
+    table = quasistatics.default_force_table()
+    at = field.setter(p)
+    metric = SWEEP_METRICS.index(spec.metric)
+    better = operator.gt if spec.maximise else operator.lt
+    blank = ("",) * (len(SWEEP_METRICS) + 1)
+    best = best_row = None
+    for i in range(spec.steps):
+        value = convert(spec.value(i))
+        try:
+            values = _sweep_values(at(value), table)
+        except InvalidDesignError as exc:
+            fields = dict.fromkeys(v.field for v in exc.report.violations)
+            emit((i, value, *blank, "invalid", " ".join(fields)))
+            continue
+        except (InfeasibleError, ValueError) as exc:
+            emit((i, value, *blank, "infeasible", str(exc)))
+            continue
+        objective = values[metric]
+        row = (i, value, *values, objective, "ok", "")
+        if best is None or better(objective, best):
+            best, best_row = objective, row
+        emit(row)
+    return None if best_row is None else dict(zip(sweep_columns(spec), best_row))
 
 
 def design_card(p: DesignParams, *, target_ratio: float = 0.5,

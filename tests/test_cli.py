@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from morphwheel import ConfigError, cli, serialize, wheelgeom
-from morphwheel.cli import Objective, SweepSpec, main, set_field
+from morphwheel import ConfigError, cli, report, serialize, wheelgeom
+from morphwheel.cli import main
 from morphwheel.params import reference_design
-from morphwheel.report import consistency_warnings, design_card
+from morphwheel.report import Objective, SweepSpec, consistency_warnings, design_card, set_field
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "reference.yaml")
 
@@ -117,6 +117,23 @@ class TestSetField:
         with pytest.raises(ConfigError, match="numeric"):
             set_field(reference, "screw", 1.0)
 
+    def test_derived_fields_follow(self, reference):
+        assert set_field(reference, "screw.n_levels", 6).screw.shaft_levels == 5
+        assert set_field(reference, "layout.joint_arm_height", 7.0).layout.joint_height == 14.0
+
+    def test_a_derived_field_set_to_another_value_is_kept(self, reference):
+        p = dataclasses.replace(reference, screw=dataclasses.replace(
+            reference.screw, shaft_levels=2))
+        assert set_field(p, "screw.n_levels", 6).screw.shaft_levels == 2
+
+    def test_unset_optional_fields(self, reference):
+        import morphwheel.params as params
+        p = dataclasses.replace(
+            reference, wheel=dataclasses.replace(reference.wheel, min_half_separation=None),
+            reported=params.ReportedTargets())
+        assert set_field(p, "wheel.min_half_separation", 3).wheel.min_half_separation == 3.0
+        assert set_field(p, "reported.wheel_diameter", 400).reported.wheel_diameter == 400.0
+
 
 class TestSweepSpec:
     def test_invariants(self):
@@ -127,7 +144,7 @@ class TestSweepSpec:
 
     def test_grid_endpoints(self):
         spec = SweepSpec("a", 20.0, 50.0, 4, Objective.MIN_REDUCED_LENGTH)
-        grid = spec.grid()
+        grid = [spec.value(i) for i in range(spec.steps)]
         assert grid[0] == 20.0 and grid[-1] == 50.0 and len(grid) == 4
 
 
@@ -455,6 +472,85 @@ class TestCmdSweep:
                      "--objective", "min-peak-torque",
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert "unresolvable parameter path" in capsys.readouterr().err
+
+    def test_interrupted_sweep_leaves_the_old_csv(self, config_file, tmp_path, monkeypatch):
+        out = tmp_path / "s.csv"
+        out.write_text("old\n", encoding="utf-8")
+        evaluate = report._sweep_values
+        calls = []
+
+        def interrupted(p, table):
+            calls.append(p)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return evaluate(p, table)
+
+        monkeypatch.setattr(report, "_sweep_values", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", config_file,
+                  "--sweep-param", "wheel.hub_offset",
+                  "--sweep-range", "10:90:5",
+                  "--objective", "max-wheel-radius",
+                  "--out", str(out)])
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert sorted(tmp_path.iterdir()) == sorted([out, Path(config_file)])
+
+    def test_unwritable_path_exits_2(self, config_file, tmp_path, capsys):
+        assert main(["sweep", "--config", config_file,
+                     "--sweep-param", "wheel.hub_offset",
+                     "--sweep-range", "10:90:5",
+                     "--objective", "max-wheel-radius",
+                     "--out", str(tmp_path / "nodir" / "s.csv")]) == 2
+        assert "cannot write output" in capsys.readouterr().err
+
+    def test_status_and_reason_columns(self, config_file, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", config_file,
+                     "--sweep-param", "wheel.min_half_separation",
+                     "--sweep-range=-100:200:4",
+                     "--objective", "max-wheel-radius",
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            assert next(csv.reader(fh))[-3:] == ["objective", "status", "reason"]
+        rows = read_csv(out)
+        assert [r["status"] for r in rows] == ["invalid", "ok", "ok", "infeasible"]
+        # -100 is negative and also strokes 480 mm of a 340 mm module.
+        assert rows[0]["reason"] == "wheel.min_half_separation wheel.rod_half_length"
+        assert rows[1]["reason"] == rows[2]["reason"] == ""
+        assert rows[3]["reason"] == "infeasible wheel geometry: compressed half-separation " \
+            "must stay below the rod half-length"
+        for row in (rows[0], rows[3]):
+            assert row["wheel_radius_mm"] == row["objective"] == ""
+        assert "argmax max-wheel-radius: wheel.min_half_separation=0 -> wheel_radius_mm=200 " \
+            "(row 1)" in capsys.readouterr().out
+
+    def test_derived_field_follows_the_swept_count(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", REFERENCE_CONFIG,
+                     "--sweep-param", "screw.n_levels",
+                     "--sweep-range", "2:6:5",
+                     "--objective", "min-reduced-length",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        # Two levels stroke 280 mm of a 260 mm module: a real violation.
+        assert [(r["status"], r["reason"]) for r in rows] \
+            == [("invalid", "wheel.rod_half_length")] + [("ok", "")] * 4
+        assert [float(r["elongated_length_mm"]) for r in rows[1:]] == [300.0, 340.0, 380.0, 420.0]
+
+    def test_field_the_config_leaves_unset(self, tmp_path, capsys):
+        config = tmp_path / "design.yaml"
+        config.write_text(serialize(dataclasses.replace(
+            reference_design(), wheel=dataclasses.replace(
+                reference_design().wheel, min_half_separation=None))), encoding="utf-8")
+        assert "min_half_separation" not in config.read_text()
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(config),
+                     "--sweep-param", "wheel.min_half_separation",
+                     "--sweep-range", "0:8:3",
+                     "--objective", "max-wheel-radius",
+                     "--out", str(out)]) == 0
+        assert [r["status"] for r in read_csv(out)] == ["ok"] * 3
+        assert "argmax max-wheel-radius: wheel.min_half_separation=0 " in capsys.readouterr().out
 
     def test_bad_range_exits_2(self, config_file, tmp_path):
         assert main(["sweep", "--config", config_file,

@@ -23,9 +23,10 @@ from morphwheel import (
     validate,
 )
 from morphwheel import params
-from morphwheel.cli import main, set_field
+from morphwheel.cli import main
 from morphwheel.params import reference_design
 from morphwheel.quasistatics import load_force_table, screw_torque
+from morphwheel.report import set_field
 
 from conftest import random_params, random_valid_params
 
@@ -367,11 +368,12 @@ class TestYamlLoader:
         self.assert_same(monkeypatch, load, text)
 
     def test_pyyaml_without_libyaml(self, capsys):
-        # A fresh interpreter whose PyYAML lacks the C loader picks the
-        # pure-Python one and prints the same card.
-        script = ("import sys, yaml; del yaml.CSafeLoader; "
+        # A fresh interpreter whose PyYAML lacks libyaml picks the
+        # pure-Python loader and dumper and prints the same card.
+        script = ("import sys, yaml; del yaml.CSafeLoader, yaml.CSafeDumper; "
                   "import morphwheel.params as params; from morphwheel.cli import main; "
                   "assert params.YAML_LOADER is yaml.SafeLoader; "
+                  "assert params.YAML_DUMPER is yaml.SafeDumper; "
                   "sys.exit(main(sys.argv[1:]))")
         argv = ["report", "--config", str(CONFIGS / "reference.yaml")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -408,3 +410,30 @@ class TestYamlLoader:
         assert str(reference).startswith("force table is not valid YAML")
         assert fast.line is not None
         assert fast.line == reference.line
+
+
+INSTALLED_DUMPER = params.YAML_DUMPER
+
+
+class TestYamlDumper:
+    """The pure-Python ``yaml.SafeDumper`` that ``yaml.safe_dump`` uses is the
+    reference for the dumper ``serialize`` picks; both write the same bytes."""
+
+    def assert_same(self, monkeypatch, p):
+        texts = []
+        for dumper in (INSTALLED_DUMPER, yaml.SafeDumper):
+            monkeypatch.setattr(params, "YAML_DUMPER", dumper)
+            texts.append(serialize(p).encode("utf-8"))
+        assert texts[0] == texts[1]
+
+    def test_libyaml_is_used_when_installed(self):
+        expected = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+        assert INSTALLED_DUMPER is expected
+
+    def test_reference_config(self, monkeypatch):
+        self.assert_same(monkeypatch, load_path(CONFIGS / "reference.yaml"))
+
+    def test_random_designs(self, monkeypatch):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            self.assert_same(monkeypatch, random_params(rng))

@@ -1,11 +1,21 @@
+import csv
 import dataclasses
+import operator
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import morphwheel.params as params
-from morphwheel import InvalidDesignError, bending, telescopic, validate
+from morphwheel import (
+    ConfigError,
+    InfeasibleError,
+    InvalidDesignError,
+    bending,
+    telescopic,
+    validate,
+)
 from morphwheel.cli import main
 from morphwheel.quasistatics import (
     SiliconeForceTable,
@@ -13,7 +23,15 @@ from morphwheel.quasistatics import (
     load_force_table_path,
     states_torque_profile,
 )
-from morphwheel.report import consistency_warnings, design_card, sweep_point
+from morphwheel.report import (
+    Objective,
+    SweepSpec,
+    consistency_warnings,
+    design_card,
+    sweep,
+    sweep_columns,
+    sweep_point,
+)
 from morphwheel.wheelgeom import transform_profile
 
 from conftest import random_params, random_valid_params
@@ -246,3 +264,136 @@ class TestValidateOnce:
                      "--sweep-range", "10:200:40", "--objective", "max-wheel-radius",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert len(count_validate) == 1 + 40  # the loaded design, then each point
+
+
+# Fields whose ``None`` default derives them from another field of the section.
+DERIVED = {"screw.n_levels": "shaft_levels", "layout.joint_arm_height": "joint_height"}
+NUMERIC_PATHS = [(f"{section.name}.{f.name}", f.type in ("int", "int | None"))
+                 for section in dataclasses.fields(params.DesignParams)
+                 for f in dataclasses.fields(getattr(params.reference_design(), section.name))]
+BLANK = ("",) * 7
+
+
+def replaced(p, path, value):
+    """Oracle for a sweep point: ``p`` with one field set by plain
+    ``dataclasses.replace``, and a derived field derived again."""
+    section, name = path.split(".")
+    changes = {name: value}
+    if path in DERIVED:
+        changes[DERIVED[path]] = None
+    return dataclasses.replace(
+        p, **{section: dataclasses.replace(getattr(p, section), **changes)})
+
+
+def expected_row(i, value, p, metric):
+    try:
+        point = sweep_point(p, default_force_table())
+    except InvalidDesignError:
+        fields = dict.fromkeys(v.field for v in validate(p).violations)
+        return (i, value, *BLANK, "invalid", " ".join(fields))
+    except (InfeasibleError, ValueError) as exc:
+        return (i, value, *BLANK, "infeasible", str(exc))
+    return (i, value, *point.values(), point[metric], "ok", "")
+
+
+def swept(p, spec):
+    """The rows ``report.sweep`` emits, and the best row it returns."""
+    rows = []
+    best = sweep(p, spec, rows.append)
+    return rows, best
+
+
+def random_spec(rng, p, path, is_count):
+    objective = rng.choice(list(Objective))
+    current = operator.attrgetter(path)(p)
+    if is_count:
+        start = rng.randint(0, 4)
+        return SweepSpec(path, start, start + 2 * rng.randint(1, 3), 3, objective)
+    if current is None or current == 0:
+        return SweepSpec(path, 0.0, rng.uniform(1.0, 300.0), 3, objective)
+    return SweepSpec(path, current * rng.uniform(-0.5, 1.0), current * rng.uniform(1.1, 3.0),
+                     3, objective)
+
+
+class TestSweep:
+    def test_rows_match_points_built_by_replace(self):
+        # Every numeric field of random designs, count fields included.
+        rng = random.Random(7)
+        statuses = set()
+        for _ in range(25):
+            p = random_valid_params(rng)
+            for path, is_count in NUMERIC_PATHS:
+                spec = random_spec(rng, p, path, is_count)
+                got, got_best = swept(p, spec)
+                expected = []
+                for i in range(spec.steps):
+                    x = spec.value(i)
+                    value = int(x) if is_count else float(x)
+                    expected.append(expected_row(i, value, replaced(p, path, value),
+                                                 spec.metric))
+                assert got == expected, path
+                assert [type(row[1]) for row in got] == [int if is_count else float] * 3
+                ok = [row for row in expected if row[-2] == "ok"]
+                pick = max if spec.maximise else min
+                best = pick(ok, key=lambda row: row[-3]) if ok else None
+                assert got_best == (None if best is None
+                                    else dict(zip(sweep_columns(spec), best)))
+                statuses.update(row[-2] for row in got)
+        assert statuses == {"ok", "invalid", "infeasible"}
+
+    def test_first_of_equal_objectives_is_best(self, reference):
+        # The hub offset leaves the reduced length alone: every row ties.
+        spec = SweepSpec("wheel.hub_offset", 10.0, 90.0, 5, Objective.MIN_REDUCED_LENGTH)
+        rows, best = swept(reference, spec)
+        assert len({row[-3] for row in rows}) == 1
+        assert best["index"] == 0
+
+    def test_path_and_grid_checked_before_any_point(self, reference, count_validate):
+        with pytest.raises(ConfigError, match="unresolvable parameter path"):
+            swept(reference, SweepSpec("wheel.nope", 1.0, 2.0, 3, Objective.MIN_PEAK_TORQUE))
+        emitted = []
+        with pytest.raises(ConfigError, match="got 1.5"):
+            sweep(reference, SweepSpec("screw.n_levels", 1.0, 2.0, 3,
+                                       Objective.MIN_PEAK_TORQUE), emitted.append)
+        assert emitted == [] and count_validate == []
+        rows, _ = swept(reference, SweepSpec("wheel.hub_offset", 1.0, 2.0, 3,
+                                             Objective.MIN_PEAK_TORQUE))
+        assert len(rows) == 3
+        assert len(count_validate) == 3  # once per point, not the design swept
+
+    def test_derived_fields_follow_the_swept_field(self, reference):
+        spec = SweepSpec("screw.n_levels", 3.0, 6.0, 4, Objective.MIN_REDUCED_LENGTH)
+        assert [row[-2] for row in swept(reference, spec)[0]] == ["ok"] * 4
+        spec = SweepSpec("layout.joint_arm_height", 4.0, 6.0, 3, Objective.MIN_REDUCED_LENGTH)
+        assert [row[3] for row in swept(reference, spec)[0]] == [216.0, 220.0, 224.0]
+
+    def test_unset_optional_fields_can_be_swept(self, reference):
+        p = dataclasses.replace(
+            reference, wheel=dataclasses.replace(reference.wheel, min_half_separation=None),
+            reported=params.ReportedTargets())
+        spec = SweepSpec("wheel.min_half_separation", 0.0, 200.0, 3, Objective.MAX_WHEEL_RADIUS)
+        rows, _ = swept(p, spec)
+        assert [row[1] for row in rows] == [0.0, 100.0, 200.0]
+        assert [row[-2] for row in rows] == ["ok", "ok", "infeasible"]
+        assert rows[2][-1].startswith("infeasible wheel geometry")
+        spec = SweepSpec("reported.wheel_diameter", 300.0, 500.0, 3, Objective.MAX_WHEEL_RADIUS)
+        assert [row[-2] for row in swept(p, spec)[0]] == ["ok"] * 3
+
+    def test_memory_does_not_grow_with_the_grid(self, design_file, tmp_path):
+        def peak(points):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--config", design_file, "--sweep-param",
+                             "wheel.hub_offset", "--sweep-range", f"10:200:{points}",
+                             "--objective", "max-wheel-radius",
+                             "--out", str(tmp_path / "s.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(500)  # first use: imports, caches and the parser
+        small, large = peak(500), peak(4000)
+        with open(tmp_path / "s.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 4001
+        # Holding the 3500 extra designs or rows would take megabytes.
+        assert large - small < 16 * 1024
