@@ -12,12 +12,13 @@ import argparse
 import csv
 import functools
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import quasistatics, wheelgeom
-from .errors import ConfigError, InfeasibleError, InvalidDesignError
+from .errors import ConfigError, InvalidDesignError
 from .params import DesignParams, load
 from .report import (
     DEFAULT_TOTAL_BEND,
@@ -157,9 +158,19 @@ def cmd_profile(args) -> int:
     try:
         states = wheelgeom.transform_profile(p, args.steps)
         torques = quasistatics.states_torque_profile(p, states, table)
-    except (InvalidDesignError, InfeasibleError, ValueError) as exc:
+    except (InvalidDesignError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    # One pass formats each state once: the reprs of its floats and its
+    # trigger mode go into both its CSV row, as ``csv.writer`` would write
+    # them, and its keyframe frame.
+    rows, frames = [",".join(PROFILE_COLUMNS) + "\r\n"], []
+    for i, (state, entry) in enumerate(zip(states, torques.entries)):
+        frame = (repr(state.module_length), repr(state.axial_half_separation),
+                 repr(state.wheel_radius), state.trigger_mode.value)
+        rows.append(f"{i},{','.join(frame)},"
+                    f"{entry.axial_force!r},{entry.per_motor_torque!r}\r\n")
+        frames.append(frame)
     out = Path(args.out)
     keyframe_path = out.with_name(out.stem + "_keyframes.json")
     # Both files go to temporaries next to their targets and replace them
@@ -168,19 +179,9 @@ def cmd_profile(args) -> int:
         path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in (out, keyframe_path))
     try:
         with open(tmp_out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(PROFILE_COLUMNS)
-            for i, (state, entry) in enumerate(zip(states, torques.entries)):
-                writer.writerow([
-                    i,
-                    repr(state.module_length),
-                    repr(state.axial_half_separation),
-                    repr(state.wheel_radius),
-                    state.trigger_mode.value,
-                    repr(entry.axial_force),
-                    repr(entry.per_motor_torque),
-                ])
-        wheelgeom.write_keyframes(states, p, tmp_keyframes)
+            fh.write("".join(rows))
+        with open(tmp_keyframes, "w", encoding="utf-8") as fh:
+            fh.write(wheelgeom.keyframes_text(p, frames))
         os.replace(tmp_keyframes, keyframe_path)
         os.replace(tmp_out, out)
     except OSError as exc:
@@ -252,7 +253,10 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("sweep range must look like START:STOP:STEPS")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop = float(parts[0]), float(parts[1])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"sweep range START and STOP must be finite, got {text!r}")
+    return start, stop, int(parts[2])
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,8 @@ def validate(p: DesignParams) -> ValidationReport:
     invariant is listed (no short-circuiting); an empty violations tuple
     means the design is structurally sound. Warnings carry cross-checks
     against any supplied reported values and never invalidate a design.
+    A design that passes every other check, as their formulas assume, is
+    last checked for derived quantities past the float range.
     """
     v: list[Violation] = []
     s, lay, pf, w = p.screw, p.layout, p.platform, p.wheel
@@ -266,9 +268,15 @@ def validate(p: DesignParams) -> ValidationReport:
         v.append(Violation("wheel.spoke_pairs", "spoke_pairs >= 3"))
     if w.min_half_separation is not None and w.min_half_separation < 0:
         v.append(Violation("wheel.min_half_separation", "min_half_separation >= 0"))
+    h_min = min_half_separation(p)
+    # A rod pair that cannot fold forms no wheel.
+    if not h_min < w.rod_half_length:
+        v.append(Violation("wheel.min_half_separation",
+                           "min_half_separation < rod_half_length"))
     # Each unit of half-separation lost shortens the module by two, so a
     # longer wheel stroke would compress the module to nothing.
-    if 2.0 * (w.rod_half_length - min_half_separation(p)) >= elongated_length(p):
+    elongated = elongated_length(p)
+    if 2.0 * (w.rod_half_length - h_min) >= elongated:
         v.append(Violation("wheel.rod_half_length",
                            "2 * (rod_half_length - min_half_separation) < elongated length"))
 
@@ -282,7 +290,32 @@ def validate(p: DesignParams) -> ValidationReport:
         v.append(Violation("drive.screw_mean_diameter",
                            "pi * screw_mean_diameter > screw_friction * screw_lead"))
 
+    if not v:
+        v.extend(_overflows(p, elongated))
     return ValidationReport(violations=tuple(v), warnings=_length_identity_warnings(p))
+
+
+def _overflows(p: DesignParams, elongated: float) -> list[Violation]:
+    # The card, the profile and a sweep row print these quantities: none may
+    # overflow. The rim plan also rounds the rim arc over the usable rod
+    # length to a level count and checks it in floats, which count exactly
+    # only below 2**53.
+    out = []
+    if not math.isfinite(elongated):
+        out.append(Violation("screw.screw_level_length", "elongated length is finite"))
+    w = p.wheel
+    radius = wheelgeom.transform_endpoint_radius(p)
+    arc = wheelgeom.rim_arc(radius, w.spoke_pairs)
+    if not math.isfinite(radius):
+        out.append(Violation("wheel.rod_half_length", "wheel radius is finite"))
+    elif not math.isfinite(arc):
+        out.append(Violation("wheel.hub_offset", "rim arc of the wheel radius is finite"))
+    elif not arc / (w.curved_rod_length - w.hinge_allowance) < 2.0 ** 53:
+        out.append(Violation("wheel.curved_rod_length",
+                             "rim arc / (curved_rod_length - hinge_allowance) < 2**53"))
+    if not math.isfinite(quasistatics.peak_load(p)[1]):
+        out.append(Violation("drive.screw_mean_diameter", "peak torque is finite"))
+    return out
 
 
 def _length_identity_warnings(p: DesignParams) -> tuple[Inconsistency, ...]:
@@ -540,3 +573,8 @@ def reference_design() -> DesignParams:
             rod_half_expansion=80.0,
         ),
     )
+
+
+# The formulas ``validate`` checks for overflow; both modules import this
+# one, so they are bound once it is complete.
+from . import quasistatics, wheelgeom  # noqa: E402

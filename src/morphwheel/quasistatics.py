@@ -10,8 +10,9 @@ transformations would load the screws unevenly and are not modelled).
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import pi
 from pathlib import Path
 
@@ -47,11 +48,14 @@ class SiliconeForceTable:
     """Restoring force vs. module length change. Abscissa in cm, force in N."""
 
     samples: tuple[tuple[float, float], ...]
+    # The samples' length changes, kept for the lookups of ``silicone_force``.
+    abscissae: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.samples:
             raise ValueError("force table must not be empty")
-        xs = [x for x, _ in self.samples]
+        xs = tuple(x for x, _ in self.samples)
+        object.__setattr__(self, "abscissae", xs)
         fs = [f for _, f in self.samples]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("length changes must be strictly increasing")
@@ -61,6 +65,7 @@ class SiliconeForceTable:
             raise ValueError("forces must be nonnegative")
 
 
+@functools.cache  # one table per process; it is immutable
 def default_force_table() -> SiliconeForceTable:
     """Default skin restoring-force samples, one per centimetre of compression."""
     return SiliconeForceTable(samples=(
@@ -112,7 +117,7 @@ def silicone_force(table: SiliconeForceTable, length_change: float) -> float:
     """
     if length_change < 0:
         raise ValueError("length change must be nonnegative")
-    xs = [x for x, _ in table.samples]
+    xs = table.abscissae
     if length_change <= xs[0]:
         return table.samples[0][1]
     if length_change >= xs[-1]:

@@ -80,18 +80,15 @@ def consistency_warnings(p: DesignParams,
     """
     require_valid(p)
     theta = total_bend / p.platform.plate_count
-    try:
-        wheel_d = 2.0 * transform_endpoint_radius(p)
-    except InfeasibleError:
-        wheel_d = None  # the card flags the geometry instead
     return _warnings(p, telescopic.module_lengths(p),
-                     bending.chassis_diameter(p, theta).chassis_diameter, theta, wheel_d)
+                     bending.chassis_diameter(p, theta).chassis_diameter, theta,
+                     2.0 * wheelgeom.transform_endpoint_radius(p))
 
 
 def _warnings(p: DesignParams, lengths: telescopic.ModuleLengths, chassis_d: float,
-              theta: float, wheel_d: float | None) -> tuple[Inconsistency, ...]:
+              theta: float, wheel_d: float) -> tuple[Inconsistency, ...]:
     # ``consistency_warnings`` over quantities already computed for a valid
-    # design; ``wheel_d`` is None when the wheel geometry is infeasible.
+    # design.
     rep = p.reported
     checks = (
         _mismatch("elongated_length_mismatch", lengths.elongated,
@@ -110,14 +107,6 @@ def _warnings(p: DesignParams, lengths: telescopic.ModuleLengths, chassis_d: flo
     return (*p.validation.warnings, *(c for c in checks if c is not None))
 
 
-def transform_endpoint_radius(p: DesignParams) -> float:
-    """Wheel radius at full compression: the last state of every
-    ``transform_profile``, without sweeping the whole profile."""
-    w = p.wheel
-    h_min = wheelgeom.compressed_half_separation(p)
-    return wheelgeom.bulge_radius(w.rod_half_length, h_min, w.hub_offset)
-
-
 SWEEP_METRICS = (
     "elongated_length_mm", "reduced_length_mm", "reduction_ratio",
     "chassis_diameter_mm", "wheel_radius_mm", "peak_torque_Nmm",
@@ -133,14 +122,14 @@ def _sweep_values(p: DesignParams, table: quasistatics.SiliconeForceTable
         lengths.reduced,
         lengths.reduction_ratio,
         bending.chassis_diameter(p, theta).chassis_diameter,
-        transform_endpoint_radius(p),
+        wheelgeom.transform_endpoint_radius(p),
         quasistatics.peak_load(p, table)[1],
     )
 
 
 def sweep_point(p: DesignParams, table: quasistatics.SiliconeForceTable) -> dict[str, float]:
-    """The ``SWEEP_METRICS`` of one design; raises ``InvalidDesignError``,
-    ``InfeasibleError`` or ``ValueError`` for a design without a value."""
+    """The ``SWEEP_METRICS`` of one design; raises ``InvalidDesignError`` for
+    an invalid one, the only kind of design without a value."""
     return dict(zip(SWEEP_METRICS, _sweep_values(p, table)))
 
 
@@ -212,11 +201,10 @@ def sweep(p: DesignParams, spec: SweepSpec,
     non-integral value of a count field. Then each row goes to ``emit`` as it
     is evaluated, a tuple of plain values under ``sweep_columns(spec)``: the
     index, the swept value, the ``SWEEP_METRICS``, ``objective``, ``status``
-    and ``reason``. The status is ``ok``, ``invalid`` (the design violates an
-    invariant; the reason lists the violated fields) or ``infeasible`` (no
-    value for its geometry; the reason is the exception's message). Only
-    ``ok`` rows carry the metrics. Nothing per point is kept but the best
-    row. Every point validates once; the design ``p`` itself is not refused.
+    and ``reason``. The status is ``ok`` or ``invalid`` (the design violates
+    an invariant; the reason lists the violated fields). Only ``ok`` rows
+    carry the metrics. Nothing per point is kept but the best row. Every
+    point validates once; the design ``p`` itself is not refused.
     """
     field = _field_path(spec.parameter_path)
     convert = field.value
@@ -237,9 +225,6 @@ def sweep(p: DesignParams, spec: SweepSpec,
             fields = dict.fromkeys(v.field for v in exc.report.violations)
             emit((i, value, *blank, "invalid", " ".join(fields)))
             continue
-        except (InfeasibleError, ValueError) as exc:
-            emit((i, value, *blank, "infeasible", str(exc)))
-            continue
         objective = values[metric]
         row = (i, value, *values, objective, "ok", "")
         if best is None or better(objective, best):
@@ -254,10 +239,9 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
                 digest: str | None = None) -> RunReport:
     """One complete design card: every top-level quantity plus pass/fail flags.
 
-    Geometric infeasibilities (for example a rod pair that cannot close) are
-    surfaced as string flags in the affected outputs instead of aborting the
-    card; invalid designs raise ``InvalidDesignError``. The card's
-    ``validation`` is ``p.validation``.
+    A chassis rod that the bend demand outgrows is surfaced as a string flag
+    in ``rod_sizing`` instead of aborting the card; invalid designs raise
+    ``InvalidDesignError``. The card's ``validation`` is ``p.validation``.
     """
     validation = require_valid(p)
     outputs: dict[str, object] = {}
@@ -289,23 +273,20 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
     except InfeasibleError as exc:
         outputs["rod_sizing"] = f"INFEASIBLE: {exc}"
 
-    try:
-        radius = transform_endpoint_radius(p)
-        outputs["wheel_radius_mm"] = radius
-        outputs["wheel_diameter_mm"] = 2.0 * radius
-        plan = wheelgeom.curved_rod_plan(radius, p)
-        outputs["rim_arc_per_sector_mm"] = plan.arc_per_sector
-        outputs["curved_rod_levels"] = plan.levels
-        outputs["curved_rod_curvature_mm"] = plan.matched_curvature
+    radius = wheelgeom.transform_endpoint_radius(p)
+    outputs["wheel_radius_mm"] = radius
+    outputs["wheel_diameter_mm"] = wheel_d = 2.0 * radius
+    plan = wheelgeom.curved_rod_plan(radius, p)
+    outputs["rim_arc_per_sector_mm"] = plan.arc_per_sector
+    outputs["curved_rod_levels"] = plan.levels
+    outputs["curved_rod_curvature_mm"] = plan.matched_curvature
 
-        force, torque = quasistatics.peak_load(p, table)
-        outputs["peak_axial_force_N"] = force
-        outputs["peak_torque_Nmm"] = torque
-        check = quasistatics.motor_check(torque, p.drive.motor_stall_torque)
-        outputs["motor_check_ok"] = check.passed
-        outputs["motor_check_note"] = check.note
-    except InfeasibleError as exc:
-        outputs["wheel_geometry"] = f"INFEASIBLE: {exc}"
+    force, torque = quasistatics.peak_load(p, table)
+    outputs["peak_axial_force_N"] = force
+    outputs["peak_torque_Nmm"] = torque
+    check = quasistatics.motor_check(torque, p.drive.motor_stall_torque)
+    outputs["motor_check_ok"] = check.passed
+    outputs["motor_check_note"] = check.note
 
     rep = p.reported
     if rep.elongated_length is not None:
@@ -314,15 +295,13 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
     if rep.reduced_length is not None:
         outputs["target_reduced_ok"] = _mismatch(
             "", lengths.reduced, rep.reduced_length, "") is None
-    if rep.wheel_diameter is not None and "wheel_diameter_mm" in outputs:
+    if rep.wheel_diameter is not None:
         outputs["target_wheel_diameter_ok"] = _mismatch(
-            "", outputs["wheel_diameter_mm"],  # type: ignore[arg-type]
-            rep.wheel_diameter, "") is None
+            "", wheel_d, rep.wheel_diameter, "") is None
 
     return RunReport(
         digest=digest if digest is not None else config_digest(serialize(p)),
         validation=validation,
         outputs=outputs,
-        warnings=_warnings(p, lengths, chassis.chassis_diameter, theta,
-                           outputs.get("wheel_diameter_mm")),  # type: ignore[arg-type]
+        warnings=_warnings(p, lengths, chassis.chassis_diameter, theta, wheel_d),
     )

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InfeasibleError
 from .params import DesignParams, min_half_separation
 from .telescopic import module_lengths
 
@@ -26,13 +25,15 @@ __all__ = [
     "CurvedRodPlan",
     "KEYFRAME_SCHEMA_VERSION",
     "bulge_radius",
-    "compressed_half_separation",
     "trigger_state",
     "transform_profile",
+    "transform_endpoint_radius",
+    "rim_arc",
     "curved_rod_plan",
     "keyframe_record",
     "keyframes_document",
     "expand_frame",
+    "keyframes_text",
     "write_keyframes",
 ]
 
@@ -76,18 +77,6 @@ def bulge_radius(l: float, h: float, br: float) -> float:
     return math.sqrt(l * l - h * h) + br
 
 
-def compressed_half_separation(p: DesignParams) -> float:
-    """Rod-pair half-separation at full compression, refused unless it stays
-    below the rod half-length (a pair that cannot fold forms no wheel)."""
-    h_min = min_half_separation(p)
-    if h_min >= p.wheel.rod_half_length:
-        raise InfeasibleError(
-            "infeasible wheel geometry: compressed half-separation must stay "
-            "below the rod half-length"
-        )
-    return h_min
-
-
 def trigger_state(module_length: float, elongated: float) -> TriggerMode:
     """Trigger mode from the current module length.
 
@@ -120,7 +109,7 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
     lengths = module_lengths(p)
     w = p.wheel
     l = w.rod_half_length
-    h_min = compressed_half_separation(p)
+    h_min = min_half_separation(p)
 
     states = []
     for i in range(steps):
@@ -140,6 +129,18 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
     return states
 
 
+def transform_endpoint_radius(p: DesignParams) -> float:
+    """Wheel radius at full compression: the last state of every
+    ``transform_profile``, without sweeping the whole profile."""
+    w = p.wheel
+    return bulge_radius(w.rod_half_length, min_half_separation(p), w.hub_offset)
+
+
+def rim_arc(radius: float, spoke_pairs: int) -> float:
+    """Rim arc between adjacent spoke joints of a wheel of ``radius``."""
+    return 2.0 * math.pi * radius / spoke_pairs
+
+
 def curved_rod_plan(radius: float, p: DesignParams) -> CurvedRodPlan:
     """Levels needed for the curved rim rods to cover one wheel sector.
 
@@ -153,7 +154,7 @@ def curved_rod_plan(radius: float, p: DesignParams) -> CurvedRodPlan:
     usable = w.curved_rod_length - w.hinge_allowance
     if usable <= 0:
         raise ValueError("curved rod length must exceed the hinge allowance")
-    arc = 2.0 * math.pi * radius / w.spoke_pairs
+    arc = rim_arc(radius, w.spoke_pairs)
     levels = max(1, math.ceil(arc / usable))
     # Scan around the ceiling so float rounding can never break minimal cover.
     while levels * usable < arc:
@@ -222,14 +223,33 @@ def expand_frame(doc: dict, i: int) -> dict:
     return {**frame, "plate_positions": [-h, 0.0, h], "spokes": spokes, "rim": rim}
 
 
+# The keyframe file is ``keyframes_document`` as compact, sorted-key JSON
+# (``json.dumps(doc, sort_keys=True, separators=(",", ":"))``) plus a newline.
+# Its frames are written from text rather than encoded: a float's JSON text
+# is its ``repr``, which a CSV row of the same state can share, except that
+# the encoder spells the non-finite ones as below.
+_JSON_NON_FINITE = {repr(x): json.dumps(x) for x in (math.nan, math.inf, -math.inf)}
+
+
+def keyframes_text(p: DesignParams, frames: list[tuple[str, str, str, str]]) -> str:
+    """The keyframe file of design ``p``. ``frames`` holds, for each state in
+    order, the ``repr`` of its module length, half-separation and wheel
+    radius and the value of its trigger mode. The encoder writes the header,
+    and the frames go between its brackets."""
+    j = _JSON_NON_FINITE.get
+    body = ",".join([
+        f'{{"axial_half_separation":{j(h, h)},"module_length":{j(length, length)},'
+        f'"step":{i},"trigger_mode":"{mode}","wheel_radius":{j(radius, radius)}}}'
+        for i, (length, h, radius, mode) in enumerate(frames)])
+    header = json.dumps(keyframes_document([], p), sort_keys=True, separators=(",", ":"))
+    cut = header.index('"frames":[') + len('"frames":[')
+    return f"{header[:cut]}{body}{header[cut:]}\n"
+
+
 def write_keyframes(states: list[TransformState], p: DesignParams,
                     path: str | Path) -> None:
-    """Write the keyframe document as compact, sorted-key JSON.
-
-    Without ``indent`` the C encoder does the work, and identical states
-    give identical bytes.
-    """
-    doc = keyframes_document(states, p)
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    """Write the keyframe file of ``states``; identical states give
+    identical bytes."""
+    frames = [(repr(s.module_length), repr(s.axial_half_separation), repr(s.wheel_radius),
+               s.trigger_mode.value) for s in states]
+    Path(path).write_text(keyframes_text(p, frames), encoding="utf-8")

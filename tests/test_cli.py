@@ -1,13 +1,27 @@
 import csv
 import dataclasses
+import io
+import json
+import math
+import random
 from pathlib import Path
 
 import pytest
 
-from morphwheel import ConfigError, cli, report, serialize, wheelgeom
+from morphwheel import (
+    ConfigError,
+    InvalidDesignError,
+    cli,
+    quasistatics,
+    report,
+    serialize,
+    wheelgeom,
+)
 from morphwheel.cli import main
 from morphwheel.params import reference_design
 from morphwheel.report import Objective, SweepSpec, consistency_warnings, design_card, set_field
+
+from conftest import random_valid_params
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "reference.yaml")
 
@@ -75,13 +89,12 @@ class TestDesignCard:
         card = design_card(reference, target_ratio=0.9)
         assert card.outputs["reduction_ok"] is True
 
-    def test_infeasible_wheel_geometry_is_flagged_not_fatal(self, reference):
+    def test_rod_pair_that_cannot_fold_is_refused(self, reference):
         p = dataclasses.replace(
             reference,
             wheel=dataclasses.replace(reference.wheel, min_half_separation=150.0))
-        card = design_card(p)
-        assert "INFEASIBLE" in card.outputs["wheel_geometry"]
-        assert "elongated_length_mm" in card.outputs  # rest of the card intact
+        with pytest.raises(InvalidDesignError, match="wheel.min_half_separation"):
+            design_card(p)
 
     def test_card_is_deterministic(self, reference):
         a, b = design_card(reference), design_card(reference)
@@ -219,13 +232,19 @@ class TestCmdReport:
         assert main(["report", "--config", config_file, "--target-ratio", "0.9"]) == 0
         assert "reduction_ok = PASS" in capsys.readouterr().out
 
-    def test_infeasible_geometry_surfaced(self, tmp_path, capsys):
+    def test_rod_pair_that_cannot_fold_exits_1(self, tmp_path, capsys):
         text = serialize(reference_design()).replace(
             "min_half_separation: 0.0", "min_half_separation: 150.0")
-        path = tmp_path / "inf.yaml"
+        path = tmp_path / "fold.yaml"
         path.write_text(text)
-        assert main(["report", "--config", str(path)]) == 0
-        assert "INFEASIBLE" in capsys.readouterr().out
+        out = tmp_path / "p.csv"
+        assert main(["report", "--config", str(path)]) == 1
+        assert main(["profile", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("VIOLATION wheel.min_half_separation: "
+                         "min_half_separation < rod_half_length\n") == 2
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_invalid_design_refused(self, tmp_path):
         text = serialize(reference_design()).replace(
@@ -302,10 +321,17 @@ class TestCmdProfile:
 
     def test_failed_keyframe_write_leaves_no_csv(self, config_file, tmp_path,
                                                  monkeypatch, capsys):
-        def fail(states, p, path):
-            raise OSError("no space left on device")
+        # The disk fills up while the keyframe bytes are written, after the
+        # CSV and the keyframe temporaries both exist.
+        def full_disk(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if Path(path).name.startswith(".p_keyframes.json."):
+                def fail(text):
+                    raise OSError("no space left on device")
+                fh.write = fail
+            return fh
 
-        monkeypatch.setattr(wheelgeom, "write_keyframes", fail)
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
         out = tmp_path / "p.csv"
         assert main(["profile", "--config", config_file, "--steps", "5",
                      "--out", str(out)]) == 2
@@ -357,6 +383,81 @@ class TestCmdProfile:
         assert main(["profile", "--config", config_file, "--steps", "3",
                      "--out", str(tmp_path / "p.csv"),
                      "--force-table", str(table)]) == 2
+
+
+def profile_oracle(p, steps, table):
+    """The profile CSV and keyframe bytes as ``csv.writer`` and ``json.dumps``
+    write them from the library's states."""
+    states = wheelgeom.transform_profile(p, steps)
+    torques = quasistatics.states_torque_profile(p, states, table)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(cli.PROFILE_COLUMNS)
+    for i, (state, entry) in enumerate(zip(states, torques.entries)):
+        writer.writerow([i, repr(state.module_length), repr(state.axial_half_separation),
+                         repr(state.wheel_radius), state.trigger_mode.value,
+                         repr(entry.axial_force), repr(entry.per_motor_torque)])
+    doc = wheelgeom.keyframes_document(states, p)
+    keyframes = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return buf.getvalue().encode(), keyframes.encode()
+
+
+FORCE_TABLE = Path(REFERENCE_CONFIG).with_name("force_table.yaml")
+
+
+class TestProfileFiles:
+    """The one-pass writer against ``csv.writer`` and ``json.dumps``."""
+
+    @pytest.mark.parametrize("table_path", [None, FORCE_TABLE], ids=["default", "file"])
+    def test_bytes_match_the_encoders_on_random_designs(self, tmp_path, table_path):
+        table = quasistatics.default_force_table() if table_path is None \
+            else quasistatics.load_force_table_path(table_path)
+        extra = [] if table_path is None else ["--force-table", str(table_path)]
+        rng = random.Random(8)
+        config, out = tmp_path / "design.yaml", tmp_path / "p.csv"
+        for _ in range(6):
+            p = random_valid_params(rng)
+            config.write_text(serialize(p), encoding="utf-8")
+            for steps in (2, 3, 50, 2000):
+                assert main(["profile", "--config", str(config), "--steps", str(steps),
+                             "--out", str(out), *extra]) == 0
+                csv_bytes, keyframe_bytes = profile_oracle(p, steps, table)
+                assert out.read_bytes() == csv_bytes
+                assert (tmp_path / "p_keyframes.json").read_bytes() == keyframe_bytes
+                states = wheelgeom.transform_profile(p, steps)
+                wheelgeom.write_keyframes(states, p, tmp_path / "w.json")
+                assert (tmp_path / "w.json").read_bytes() == keyframe_bytes
+
+    def test_non_finite_values_are_written_as_the_encoders_write_them(
+            self, config_file, tmp_path, monkeypatch):
+        # No valid design has a non-finite state; these are put in its place.
+        p, _ = cli._load_or_exit(config_file)
+        states = [
+            wheelgeom.TransformState(340.0, math.nan, math.inf, wheelgeom.TriggerMode.TELESCOPIC),
+            wheelgeom.TransformState(-math.inf, 70.0, math.nan, wheelgeom.TriggerMode.RIGID),
+            wheelgeom.TransformState(math.nan, -math.inf, 200.0, wheelgeom.TriggerMode.RIGID),
+        ]
+        torques = quasistatics.TorqueProfile(entries=(
+            quasistatics.TorqueEntry(340.0, math.inf, math.nan),
+            quasistatics.TorqueEntry(-math.inf, -math.inf, 1.0),
+            quasistatics.TorqueEntry(math.nan, 0.1, math.inf),
+        ))
+        monkeypatch.setattr(wheelgeom, "transform_profile", lambda p, steps: states)
+        monkeypatch.setattr(quasistatics, "states_torque_profile",
+                            lambda p, states, table: torques)
+        out = tmp_path / "p.csv"
+        assert main(["profile", "--config", config_file, "--steps", "3",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[1:] == ["0,340.0,nan,inf,telescopic,inf,nan",
+                            "1,-inf,70.0,nan,rigid,-inf,1.0",
+                            "2,nan,-inf,200.0,rigid,0.1,inf"]
+        frames = (tmp_path / "p_keyframes.json").read_text()
+        assert '"axial_half_separation":NaN,' in frames
+        assert '"wheel_radius":Infinity}' in frames
+        assert '"module_length":-Infinity,' in frames
+        doc = wheelgeom.keyframes_document(states, p)
+        assert frames == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class TestCmdSweep:
@@ -513,12 +614,12 @@ class TestCmdSweep:
         with open(out, newline="") as fh:
             assert next(csv.reader(fh))[-3:] == ["objective", "status", "reason"]
         rows = read_csv(out)
-        assert [r["status"] for r in rows] == ["invalid", "ok", "ok", "infeasible"]
-        # -100 is negative and also strokes 480 mm of a 340 mm module.
+        assert [r["status"] for r in rows] == ["invalid", "ok", "ok", "invalid"]
+        # -100 is negative and also strokes 480 mm of a 340 mm module; the
+        # 140 mm rods cannot fold at 200.
         assert rows[0]["reason"] == "wheel.min_half_separation wheel.rod_half_length"
         assert rows[1]["reason"] == rows[2]["reason"] == ""
-        assert rows[3]["reason"] == "infeasible wheel geometry: compressed half-separation " \
-            "must stay below the rod half-length"
+        assert rows[3]["reason"] == "wheel.min_half_separation"
         for row in (rows[0], rows[3]):
             assert row["wheel_radius_mm"] == row["objective"] == ""
         assert "argmax max-wheel-radius: wheel.min_half_separation=0 -> wheel_radius_mm=200 " \
@@ -558,6 +659,18 @@ class TestCmdSweep:
                      "--sweep-range", "1:2",
                      "--objective", "min-peak-torque",
                      "--out", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize("grid", ["inf:10:3", "nan:10:3", "10:-inf:3", "10:NaN:3"])
+    def test_non_finite_range_exits_2(self, config_file, tmp_path, capsys, grid):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", config_file,
+                     "--sweep-param", "wheel.hub_offset",
+                     f"--sweep-range={grid}",
+                     "--objective", "max-wheel-radius",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: sweep range START and STOP must be finite, got {grid!r}\n"
+        assert not out.exists()
 
 
 class TestParserReuse:

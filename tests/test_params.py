@@ -131,6 +131,22 @@ class TestValidate:
         report = validate(dataclasses.replace(reference, drive=drive))
         assert [v.constraint for v in report.violations] == ["screw_mean_diameter > 0"]
 
+    @pytest.mark.parametrize("h_min,rod,folds", [
+        (140.0, 140.0, False),
+        (150.0, 140.0, False),
+        (139.0, 140.0, True),
+        (None, 8.0, False),  # unset, h_min is the 2 mm * 4 levels stopper stack
+        (None, 8.5, True),
+    ])
+    def test_rod_pair_must_fold(self, reference, h_min, rod, folds):
+        wheel = dataclasses.replace(reference.wheel, min_half_separation=h_min,
+                                    rod_half_length=rod)
+        report = validate(dataclasses.replace(reference, wheel=wheel))
+        assert report.valid is folds
+        if not folds:
+            assert [(v.field, v.constraint) for v in report.violations] == [
+                ("wheel.min_half_separation", "min_half_separation < rod_half_length")]
+
     def test_identity_warning_when_both_reported_lengths_supplied(self, reference):
         # 340 - 165 = 175 does not match 2 * 20 * 3 = 120.
         report = validate(reference)
@@ -149,6 +165,68 @@ class TestValidate:
         )
         assert not any(w.code == "reported_length_identity"
                        for w in validate(ok).warnings)
+
+
+def with_fields(p, changes):
+    for path, value in changes.items():
+        p = set_field(p, path, value)
+    return p
+
+
+class TestOverflow:
+    """Derived quantities past the float range are violations."""
+
+    @pytest.mark.parametrize("changes,field,constraint", [
+        ({"layout.drive_assembly_length": 1e308, "layout.tensioner_length": 1e308},
+         "screw.screw_level_length", "elongated length is finite"),
+        # 1e200 squared overflows.
+        ({"wheel.rod_half_length": 1e200, "screw.screw_level_length": 1e200},
+         "wheel.rod_half_length", "wheel radius is finite"),
+        ({"wheel.hub_offset": 1e308},
+         "wheel.hub_offset", "rim arc of the wheel radius is finite"),
+        # A 209 mm arc over 1e-306 mm of rod needs more levels than a float
+        # holds, and over 1e-14 mm more than it counts exactly.
+        ({"wheel.curved_rod_length": 1e-306, "wheel.hinge_allowance": 0.0},
+         "wheel.curved_rod_length", "rim arc / (curved_rod_length - hinge_allowance) < 2**53"),
+        ({"wheel.curved_rod_length": 1e-14, "wheel.hinge_allowance": 0.0},
+         "wheel.curved_rod_length", "rim arc / (curved_rod_length - hinge_allowance) < 2**53"),
+        ({"drive.screw_mean_diameter": 1e200},
+         "drive.screw_mean_diameter", "peak torque is finite"),
+    ])
+    def test_refused_by_every_verb(self, reference, tmp_path, capsys, changes, field,
+                                   constraint):
+        p = with_fields(reference, changes)
+        assert [(v.field, v.constraint) for v in validate(p).violations] == [(field, constraint)]
+        config = tmp_path / "design.yaml"
+        config.write_text(serialize(p), encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert main(["validate", "--config", str(config)]) == 1
+        assert main(["report", "--config", str(config)]) == 1
+        assert main(["profile", "--config", str(config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"VIOLATION {field}: {constraint}\n" in captured.out
+        assert captured.err.count(f"VIOLATION {field}: {constraint}\n") == 2
+        assert not out.exists()
+
+    def test_huge_but_finite_quantities_are_accepted(self, reference, tmp_path, capsys):
+        # A 1e17 mm hub needs 2 * pi * 1e17 / 6 / 105, about 1e15, rim rod
+        # levels; 1e-7 mm of usable rod needs 2094395103.
+        for changes in ({"wheel.hub_offset": 1e17},
+                        {"wheel.curved_rod_length": 1e-7, "wheel.hinge_allowance": 0.0},
+                        {"layout.drive_assembly_length": 1e307}):
+            p = with_fields(reference, changes)
+            assert validate(p).valid
+            config = tmp_path / "design.yaml"
+            config.write_text(serialize(p), encoding="utf-8")
+            assert main(["report", "--config", str(config)]) == 0
+            assert main(["profile", "--config", str(config),
+                         "--out", str(tmp_path / "p.csv")]) == 0
+        assert "curved_rod_levels = 2094395103\n" in capsys.readouterr().out
+
+    def test_only_a_structurally_sound_design_is_checked(self, reference):
+        # The overflow checks assume the structural invariants hold.
+        p = with_fields(reference, {"wheel.hub_offset": 1e308, "drive.screw_lead": -1.0})
+        assert [v.field for v in validate(p).violations] == ["drive.screw_lead"]
 
 
 class TestDefaults:

@@ -1,16 +1,20 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import operator
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import morphwheel.params as params
 from morphwheel import (
     ConfigError,
-    InfeasibleError,
     InvalidDesignError,
     bending,
     telescopic,
@@ -28,6 +32,7 @@ from morphwheel.report import (
     SweepSpec,
     consistency_warnings,
     design_card,
+    set_field,
     sweep,
     sweep_columns,
     sweep_point,
@@ -291,8 +296,6 @@ def expected_row(i, value, p, metric):
     except InvalidDesignError:
         fields = dict.fromkeys(v.field for v in validate(p).violations)
         return (i, value, *BLANK, "invalid", " ".join(fields))
-    except (InfeasibleError, ValueError) as exc:
-        return (i, value, *BLANK, "infeasible", str(exc))
     return (i, value, *point.values(), point[metric], "ok", "")
 
 
@@ -339,7 +342,7 @@ class TestSweep:
                 assert got_best == (None if best is None
                                     else dict(zip(sweep_columns(spec), best)))
                 statuses.update(row[-2] for row in got)
-        assert statuses == {"ok", "invalid", "infeasible"}
+        assert statuses == {"ok", "invalid"}
 
     def test_first_of_equal_objectives_is_best(self, reference):
         # The hub offset leaves the reduced length alone: every row ties.
@@ -374,8 +377,8 @@ class TestSweep:
         spec = SweepSpec("wheel.min_half_separation", 0.0, 200.0, 3, Objective.MAX_WHEEL_RADIUS)
         rows, _ = swept(p, spec)
         assert [row[1] for row in rows] == [0.0, 100.0, 200.0]
-        assert [row[-2] for row in rows] == ["ok", "ok", "infeasible"]
-        assert rows[2][-1].startswith("infeasible wheel geometry")
+        assert [row[-2] for row in rows] == ["ok", "ok", "invalid"]
+        assert rows[2][-1] == "wheel.min_half_separation"
         spec = SweepSpec("reported.wheel_diameter", 300.0, 500.0, 3, Objective.MAX_WHEEL_RADIUS)
         assert [row[-2] for row in swept(p, spec)[0]] == ["ok"] * 3
 
@@ -397,3 +400,37 @@ class TestSweep:
             assert len(list(csv.reader(fh))) == 4001
         # Holding the 3500 extra designs or rows would take megabytes.
         assert large - small < 16 * 1024
+
+
+# Config fields with a float value, and the count fields. A count sets the
+# size of what ``report`` prints (the diameter ladder has ``n_levels``
+# entries), so counts are drawn small; floats reach ``sys.float_info.max``.
+FLOAT_PATHS = [path for path, is_count in NUMERIC_PATHS if not is_count]
+COUNT_PATHS = [path for path, is_count in NUMERIC_PATHS if is_count]
+
+
+class TestHugeFields:
+    @given(st.dictionaries(st.sampled_from(FLOAT_PATHS),
+                           st.floats(min_value=-1.0, max_value=sys.float_info.max),
+                           max_size=4),
+           st.dictionaries(st.sampled_from(COUNT_PATHS), st.integers(0, 12), max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_designs_report_and_profile(self, tmp_path_factory, floats, counts):
+        p = params.reference_design()
+        for path, value in {**floats, **counts}.items():
+            p = set_field(p, path, value)
+        work = tmp_path_factory.mktemp("huge")
+        config, out = work / "design.yaml", work / "p.csv"
+        config.write_text(params.serialize(p), encoding="utf-8")
+        codes = {}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            for verb, extra in (("validate", []), ("report", []),
+                                ("profile", ["--steps", "3", "--out", str(out)])):
+                codes[verb] = main([verb, "--config", str(config), *extra])
+        assert set(codes.values()) <= {0, 1, 2}
+        assert "Traceback" not in err.getvalue()
+        if codes["validate"] == 0:
+            assert codes["report"] == codes["profile"] == 0
+            text = out.read_text()
+            assert "nan" not in text and "inf" not in text, text

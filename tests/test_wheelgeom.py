@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphwheel import InfeasibleError
+from morphwheel import InvalidDesignError
 from morphwheel.params import min_half_separation
 from morphwheel.telescopic import module_lengths
 from morphwheel.wheelgeom import (
@@ -92,11 +92,11 @@ class TestTransformProfile:
         states = transform_profile(p, 5)
         assert states[-1].axial_half_separation == 8.0
 
-    def test_min_separation_beyond_rod_is_infeasible(self, reference):
+    def test_min_separation_beyond_rod_is_refused(self, reference):
         p = dataclasses.replace(
             reference,
             wheel=dataclasses.replace(reference.wheel, min_half_separation=150.0))
-        with pytest.raises(InfeasibleError, match="half-separation"):
+        with pytest.raises(InvalidDesignError, match="wheel.min_half_separation"):
             transform_profile(p, 5)
 
 
