@@ -12,6 +12,7 @@ full universal-joint constraints are out of scope.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
@@ -22,6 +23,7 @@ __all__ = [
     "ChassisGeometry",
     "RodSizing",
     "SCREW_AZIMUTHS",
+    "MAX_PLATE_TILT",
     "screw_circle_radius",
     "distribute_bend",
     "screw_extensions",
@@ -36,7 +38,11 @@ __all__ = [
 # Screw positions on the circular plate, 120 degrees apart.
 SCREW_AZIMUTHS = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
 
+# The largest tilt of one plate that the chassis and rod sizing accept.
+MAX_PLATE_TILT = math.pi / 4.0
+
 _TWO_PI = 2.0 * math.pi
+_COS_60 = math.cos(math.pi / 3.0)
 
 
 @dataclass(frozen=True)
@@ -50,8 +56,9 @@ class BendState:
     screw_extensions: tuple[float, float, float]  # mm, signed, one per screw
 
 
-@dataclass(frozen=True)
-class ChassisGeometry:
+class ChassisGeometry(typing.NamedTuple):
+    # A named tuple, not a dataclass: validation and every sweep point build
+    # one, and a tuple is built in about half the time.
     chassis_diameter: float       # mm
     triangle_base: float          # mm, bend contribution of the screw stroke
     screw_offset_component: float  # mm, projection of the screw spacing
@@ -156,15 +163,12 @@ def chassis_diameter(p: DesignParams, theta_plate: float) -> ChassisGeometry:
     The radius is the screw-spacing projection plus the lateral excursion of
     a fully extended screw at that tilt.
     """
-    if not 0 <= theta_plate <= math.pi / 4.0:
+    if not 0 <= theta_plate <= MAX_PLATE_TILT:
         raise ValueError("theta_plate must be in [0, pi/4]")
-    offset = p.platform.screw_circle_spacing * math.cos(math.pi / 3.0)
-    base = p.platform.max_screw_extension * math.sin(theta_plate)
-    return ChassisGeometry(
-        chassis_diameter=2.0 * (base + offset),
-        triangle_base=base,
-        screw_offset_component=offset,
-    )
+    pf = p.platform
+    offset = pf.screw_circle_spacing * _COS_60
+    base = pf.max_screw_extension * math.sin(theta_plate)
+    return ChassisGeometry(2.0 * (base + offset), base, offset)
 
 
 def rod_sizing_from_half_expansion(half_expansion: float, chassis_d: float,
@@ -203,7 +207,7 @@ def rod_sizing(p: DesignParams, theta_plate: float, chassis_d: float) -> RodSizi
     """Telescopic chassis rod sizing for the design's joint and screw geometry."""
     if chassis_d <= 0:
         raise ValueError("chassis diameter must be positive")
-    if not 0 < theta_plate <= math.pi / 4.0:
+    if not 0 < theta_plate <= MAX_PLATE_TILT:
         raise ValueError("theta_plate must be in (0, pi/4]")
     return rod_sizing_from_half_expansion(
         rod_half_expansion(p, theta_plate), chassis_d, theta_plate

@@ -18,6 +18,7 @@ import functools
 import io
 import math
 import typing
+from collections.abc import Hashable
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -26,8 +27,9 @@ import yaml
 from .errors import ConfigError, InvalidDesignError
 
 # libyaml's C parser and emitter when PyYAML was built with them, else the
-# pure-Python ones; PyYAML's Python constructor and representer handle the
-# values either way, so both give the same results.
+# pure-Python ones; the values are built from the node tree in Python (see
+# ``_parse_yaml``) and written by PyYAML's representer either way, so both
+# give the same results.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
@@ -315,6 +317,14 @@ def _overflows(p: DesignParams, elongated: float) -> list[Violation]:
                              "rim arc / (curved_rod_length - hinge_allowance) < 2**53"))
     if not math.isfinite(quasistatics.peak_load(p)[1]):
         out.append(Violation("drive.screw_mean_diameter", "peak torque is finite"))
+    # The card's chassis and rod lengths grow with the plate tilt.
+    tilt = bending.MAX_PLATE_TILT
+    if not math.isfinite(bending.chassis_diameter(p, tilt).chassis_diameter):
+        out.append(Violation("platform.max_screw_extension",
+                             "chassis diameter at a pi/4 tilt is finite"))
+    if not math.isfinite(2.0 * bending.rod_half_expansion(p, tilt)):
+        out.append(Violation("platform.joint_mount_width",
+                             "rod length at a pi/4 tilt is finite"))
     return out
 
 
@@ -372,6 +382,12 @@ def _coerce(path: str, value, is_count: bool):
     if is_count:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError("expected an integer count", field=path)
+        # Counts multiply floats: one past the float range is as unusable as
+        # a non-finite number.
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError("expected a finite number", field=path) from None
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("expected a number", field=path)
@@ -380,39 +396,134 @@ def _coerce(path: str, value, is_count: bool):
     return float(value)
 
 
-def _read_section(doc: dict, name: str, cls: type):
-    """The ``cls`` instance that section ``name`` of ``doc`` describes. A key
-    is required when its field has no default, and a count when its
-    annotation is ``int`` or ``int | None``."""
+class _Field(typing.NamedTuple):
+    name: str
+    path: str       # "section.name", as a ``Violation`` and a sweep name it
+    required: bool  # the field has no default
+    is_count: bool  # annotated ``int`` or ``int | None``
+
+
+@dataclass(frozen=True)
+class _Section:
+    """What ``load`` needs of one section's dataclass, read once from
+    ``dataclasses.fields()``."""
+
+    cls: type
+    fields: tuple[_Field, ...]
+    names: frozenset[str]
+    required: bool  # some field is
+
+
+def _section(name: str, cls: type) -> _Section:
+    spec = tuple(_Field(f.name, f"{name}.{f.name}", _required(f), _is_count(f))
+                 for f in fields(cls))
+    return _Section(cls, spec, frozenset(f.name for f in spec), any(f.required for f in spec))
+
+
+# Section name -> its schema, in the order of the fields of ``DesignParams``.
+_SECTIONS = {name: _section(name, cls) for name, cls in _SECTION_TYPES.items()}
+
+
+def _read_section(doc: dict, name: str, schema: _Section):
+    """The instance of ``schema.cls`` that section ``name`` of ``doc``
+    describes."""
     section = doc.get(name)
     if section is None:
-        if any(_required(f) for f in fields(cls)):
+        if schema.required:
             raise ConfigError(f"missing required section '{name}'", field=name)
-        return cls()
+        return schema.cls()
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be a mapping", field=name)
-    known = {f.name: f for f in fields(cls)}
     for key in section:
-        if key not in known:
+        if key not in schema.names:
             raise ConfigError("unknown key", field=f"{name}.{key}")
     out = {}
-    for key, f in known.items():
+    for key, path, required, is_count in schema.fields:
         if key in section:
-            out[key] = _coerce(f"{name}.{key}", section[key], _is_count(f))
-        elif _required(f):
-            raise ConfigError("missing required field", field=f"{name}.{key}")
-    return cls(**out)
+            out[key] = _coerce(path, section[key], is_count)
+        elif required:
+            raise ConfigError("missing required field", field=path)
+    return schema.cls(**out)
+
+
+_STR, _FLOAT, _MAP, _SEQ = (f"tag:yaml.org,2002:{kind}" for kind in ("str", "float", "map", "seq"))
 
 
 def _parse_yaml(text: str, what: str):
-    """The YAML document in ``text``; a syntax error raises ``ConfigError``
-    saying ``what`` is not valid YAML, with the line of its mark."""
+    """The YAML document in ``text``, the value ``yaml.load(text,
+    Loader=YAML_LOADER)`` gives; a YAML error raises ``ConfigError`` saying
+    ``what`` is not valid YAML, with the line of its mark."""
+    loader = YAML_LOADER(io.StringIO(text))
     try:
-        return yaml.load(io.StringIO(text), Loader=YAML_LOADER)
+        root = loader.get_single_node()
+        return None if root is None else _construct(loader, root)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ConfigError(f"{what} is not valid YAML: {exc}",
                           line=None if mark is None else mark.line + 1) from exc
+    finally:
+        loader.dispose()
+
+
+def _construct(loader, root):
+    """The value of the node tree under ``root``, as the loader's
+    ``construct_document`` would build it, in one walk without its per-node
+    bookkeeping.
+
+    A plain mapping or sequence becomes a dict or list, registered in the
+    loader's table of built nodes before it is filled, so an alias shares
+    the object and a recursive alias refers back to it. Its filling waits in
+    one first-in first-out queue with the loader's own deferred constructors,
+    the order in which PyYAML fills its containers, so the first error is the
+    one ``yaml.load`` raises. A ``str`` scalar is its text and a ``float``
+    one ``float`` of it, which equals the loader's value whenever ``float``
+    accepts the text. Every other node goes to the loader's constructor.
+    """
+    built = loader.constructed_objects
+    pending = []
+
+    def value(node):
+        tag, kind = node.tag, type(node)
+        if kind is yaml.ScalarNode:
+            if tag == _STR:
+                return node.value
+            if tag == _FLOAT:
+                try:
+                    return float(node.value)
+                except ValueError:  # .inf, .nan, sexagesimal, ...
+                    pass
+        elif tag == (_MAP if kind is yaml.MappingNode else _SEQ):
+            obj = built.get(node)
+            if obj is None:
+                obj = built[node] = {} if kind is yaml.MappingNode else []
+                pending.append(node)
+            return obj
+        obj = loader.construct_object(node)
+        pending.extend(loader.state_generators)
+        loader.state_generators.clear()
+        return obj
+
+    doc = value(root)
+    for item in pending:  # grows while it is read
+        kind = type(item)
+        if kind is yaml.MappingNode:
+            loader.flatten_mapping(item)  # merge keys and value keys
+            mapping = built[item]
+            for key_node, value_node in item.value:
+                key = value(key_node)
+                if type(key) is not str and not isinstance(key, Hashable):
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", item.start_mark,
+                        "found unhashable key", key_node.start_mark)
+                mapping[key] = value(value_node)
+        elif kind is yaml.SequenceNode:
+            built[item].extend([value(child) for child in item.value])
+        else:  # a deferred constructor of the loader's
+            for _ in item:
+                pass
+            pending.extend(loader.state_generators)
+            loader.state_generators.clear()
+    return doc
 
 
 def load(config_text: str) -> DesignParams:
@@ -431,8 +542,8 @@ def load(config_text: str) -> DesignParams:
     for key in doc:
         if key not in _SECTION_TYPES:
             raise ConfigError("unknown section", field=str(key))
-    return DesignParams(**{name: _read_section(doc, name, cls)
-                           for name, cls in _SECTION_TYPES.items()})
+    return DesignParams(**{name: _read_section(doc, name, schema)
+                           for name, schema in _SECTIONS.items()})
 
 
 def load_path(path: str | Path) -> DesignParams:
@@ -510,13 +621,13 @@ def _field_path(path: str) -> _FieldPath:
     """Resolve a dotted field name; ``ConfigError`` names a path that is no
     field, or a section rather than a field."""
     section, dot, name = path.partition(".")
-    cls = _SECTION_TYPES.get(section)
-    if cls is not None and not dot:
+    schema = _SECTIONS.get(section)
+    if schema is not None and not dot:
         raise ConfigError("parameter path is not a numeric field", field=path)
-    found = [f for f in fields(cls) if f.name == name] if cls is not None else []
+    found = [f for f in schema.fields if f.name == name] if schema is not None else []
     if not found:
         raise ConfigError("unresolvable parameter path", field=path)
-    return _FieldPath(path, section, name, cls, _is_count(found[0]))
+    return _FieldPath(path, section, name, schema.cls, found[0].is_count)
 
 
 def reference_design() -> DesignParams:
@@ -575,6 +686,6 @@ def reference_design() -> DesignParams:
     )
 
 
-# The formulas ``validate`` checks for overflow; both modules import this
+# The formulas ``validate`` checks for overflow; these modules import this
 # one, so they are bound once it is complete.
-from . import quasistatics, wheelgeom  # noqa: E402
+from . import bending, quasistatics, wheelgeom  # noqa: E402

@@ -1,6 +1,8 @@
 """Golden test: the committed files in docs/examples/ are what the CLI
 writes for the reference config today."""
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
@@ -22,10 +24,16 @@ def generated(tmp_path_factory):
                  "--sweep-range", "20:50:4",
                  "--objective", "min-reduced-length",
                  "--out", str(out / "sweep.csv")]) == 0
+    for verb in ("validate", "report"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main([verb, "--config", REFERENCE_CONFIG]) == 0
+        (out / f"{verb}.txt").write_text(stdout.getvalue(), encoding="utf-8")
     return out
 
 
-@pytest.mark.parametrize("name", ["profile.csv", "profile_keyframes.json", "sweep.csv"])
+@pytest.mark.parametrize("name", ["profile.csv", "profile_keyframes.json", "sweep.csv",
+                                  "validate.txt", "report.txt"])
 def test_committed_example_matches_cli_output(generated, name):
     assert (generated / name).read_bytes() == (EXAMPLES / name).read_bytes()
 

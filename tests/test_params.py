@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import math
 import operator
 import os
@@ -6,6 +8,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
@@ -192,6 +195,12 @@ class TestOverflow:
          "wheel.curved_rod_length", "rim arc / (curved_rod_length - hinge_allowance) < 2**53"),
         ({"drive.screw_mean_diameter": 1e200},
          "drive.screw_mean_diameter", "peak torque is finite"),
+        # 2 * (1e308 * sin(pi/4) + 1.7e308 / 2) overflows; the rods stay finite.
+        ({"platform.max_screw_extension": 1e308, "platform.screw_circle_spacing": 1.7e308},
+         "platform.max_screw_extension", "chassis diameter at a pi/4 tilt is finite"),
+        # 2 * 1.7e308 * sin(pi/4) overflows; the chassis stays finite.
+        ({"platform.joint_mount_width": 1.7e308},
+         "platform.joint_mount_width", "rod length at a pi/4 tilt is finite"),
     ])
     def test_refused_by_every_verb(self, reference, tmp_path, capsys, changes, field,
                                    constraint):
@@ -213,7 +222,8 @@ class TestOverflow:
         # levels; 1e-7 mm of usable rod needs 2094395103.
         for changes in ({"wheel.hub_offset": 1e17},
                         {"wheel.curved_rod_length": 1e-7, "wheel.hinge_allowance": 0.0},
-                        {"layout.drive_assembly_length": 1e307}):
+                        {"layout.drive_assembly_length": 1e307},
+                        {"platform.max_screw_extension": 1e308}):
             p = with_fields(reference, changes)
             assert validate(p).valid
             config = tmp_path / "design.yaml"
@@ -222,6 +232,35 @@ class TestOverflow:
             assert main(["profile", "--config", str(config),
                          "--out", str(tmp_path / "p.csv")]) == 0
         assert "curved_rod_levels = 2094395103\n" in capsys.readouterr().out
+
+    def test_infinite_chassis_is_an_invalid_sweep_row(self, reference, tmp_path):
+        p = with_fields(reference, {"platform.screw_circle_spacing": 1.7e308})
+        config, out = tmp_path / "design.yaml", tmp_path / "s.csv"
+        config.write_text(serialize(p), encoding="utf-8")
+        assert main(["sweep", "--config", str(config),
+                     "--sweep-param", "platform.max_screw_extension",
+                     "--sweep-range", "80:1e308:2", "--objective", "min-reduced-length",
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["status"], r["reason"]) for r in rows] \
+            == [("ok", ""), ("invalid", "platform.max_screw_extension")]
+        assert math.isfinite(float(rows[0]["chassis_diameter_mm"]))
+
+    @pytest.mark.parametrize("field", ["screw.n_levels", "screw.shaft_levels",
+                                       "platform.plate_count", "wheel.spoke_pairs"])
+    def test_count_past_the_float_range_exits_2(self, reference, tmp_path, capsys, field):
+        section, key = field.split(".")
+        doc = yaml.safe_load(serialize(reference))
+        doc[section][key] = 10 ** 400
+        config = tmp_path / "design.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"expected a finite number.*{field}"):
+            load_path(config)
+        out = tmp_path / "p.csv"
+        for argv in (["validate"], ["report"], ["profile", "--out", str(out)]):
+            assert main([*argv, "--config", str(config)]) == 2
+            assert f"expected a finite number (field: {field})" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_only_a_structurally_sound_design_is_checked(self, reference):
         # The overflow checks assume the structural invariants hold.
@@ -488,6 +527,175 @@ class TestYamlLoader:
         assert str(reference).startswith("force table is not valid YAML")
         assert fast.line is not None
         assert fast.line == reference.line
+
+
+
+# Plain scalars of every implicit type PyYAML resolves, including values its
+# constructors refuse (month 13, ``0b_``).
+IMPLICIT_SCALARS = (
+    "~", "null", "yes", "Off", "true", "0", "-12", "017", "0x1F", "0b101", "1_000",
+    "190:20:30", "0b_", "1.5", "-0.0", "1.0e+3", "6.8523015e+5", "1.0e-400", ".inf",
+    "-.Inf", ".NaN", "1_000.5", "190:20:30.15", "1.", "2001-12-14",
+    "2001-12-14 21:59:43.10 -5", "2001-13-14", "abc", "'1.5'", '"yes"', "=", "<<",
+)
+TAGS = ("!!str", "!!float", "!!int", "!!bool", "!!null", "!!binary", "!!timestamp",
+        "!!map", "!!seq", "!!set", "!!omap", "!!pairs", "!foo", "!!bogus")
+
+
+class YamlText:
+    """Random YAML text, drawn part by part: a block mapping of flow nodes
+    with anchors, aliases (some to an enclosing node, a few undefined), merge
+    and value keys, duplicate and unhashable keys, and explicit and unknown
+    tags."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.anchors = []
+
+    def one_in(self, n: int) -> bool:
+        return self.draw(st.integers(0, n - 1)) == 0
+
+    def props(self) -> str:
+        out = self.draw(st.sampled_from(TAGS)) + " " if self.one_in(8) else ""
+        if self.one_in(2):
+            self.anchors.append(f"a{len(self.anchors)}")
+            out += f"&{self.anchors[-1]} "
+        return out
+
+    def alias(self) -> str:
+        # A space after it keeps a following ':' out of its name.
+        if self.one_in(50) or not self.anchors:
+            return "*undefined "
+        return f"*{self.draw(st.sampled_from(self.anchors))} "
+
+    def key(self, depth: int) -> str:
+        kind = self.draw(st.sampled_from("sssssssssssm=ca"))
+        if kind == "m":
+            return "<<"
+        if kind == "=":
+            return "="
+        if kind == "c":
+            return self.collection(depth + 1)  # unhashable
+        if kind == "a" and self.anchors:
+            return self.alias()
+        return self.draw(st.sampled_from(("k", "k2", "1", "1.5", "~", "yes")))
+
+    def pair(self, key: str, depth: int) -> str:
+        if key == "<<" and not self.one_in(8):
+            value = self.alias() if self.anchors and self.one_in(2) else self.collection(
+                depth + 1, "{")
+        else:
+            value = self.node(depth + 1)
+        return f"{key}: {value}"
+
+    def collection(self, depth: int, kind: str | None = None) -> str:
+        props = self.props()
+        kind = kind or self.draw(st.sampled_from("[{"))
+        items = [self.node(depth + 1) if kind == "[" else self.pair(self.key(depth), depth)
+                 for _ in range(self.draw(st.integers(0, 3)))]
+        return props + kind + ", ".join(items) + ("]" if kind == "[" else "}")
+
+    def node(self, depth: int = 0) -> str:
+        kind = self.draw(st.sampled_from("aasssscc" if depth < 3 else "aass"))
+        if kind == "a" and self.anchors:
+            return self.alias()
+        if kind == "c":
+            return self.collection(depth)
+        return self.props() + self.draw(st.sampled_from(IMPLICIT_SCALARS))
+
+    def document(self) -> str:
+        lines = []
+        for _ in range(self.draw(st.integers(1, 5))):
+            key = self.key(0)
+            line = self.pair(key, 0)
+            lines.append(f"? {key}\n: {line[len(key) + 2:]}"
+                         if key.startswith(("[", "{", "!", "&")) else line)
+        return "\n".join(lines) + "\n"
+
+
+def parse_outcome(loader, text):
+    """What ``_parse_yaml`` gives under ``loader``: ("value", its repr),
+    ("ConfigError", message, line), or (exception type, message)."""
+    with mock.patch.object(params, "YAML_LOADER", loader):
+        try:
+            return "value", repr(params._parse_yaml(text, "config"))
+        except ConfigError as exc:
+            return "ConfigError", str(exc), exc.line
+        except Exception as exc:  # what the loader's own constructors raise
+            return type(exc).__name__, str(exc)
+
+
+def load_outcome(loader, text):
+    """The same for ``yaml.load``, with a YAML error as the ``ConfigError``
+    ``_parse_yaml`` must raise for it."""
+    try:
+        return "value", repr(yaml.load(io.StringIO(text), Loader=loader))
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        return ("ConfigError", f"config is not valid YAML: {exc}"
+                + ("" if mark is None else f" (line: {mark.line + 1})"),
+                None if mark is None else mark.line + 1)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+# Ten lists of ten, each of aliases to the one before: expanded, the last
+# would hold 10**11 strings.
+ALIAS_BOMB_SCRIPT = """
+import resource, sys, yaml
+from morphwheel import params
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+params.YAML_LOADER = getattr(yaml, sys.argv[1])
+lines = ["a0: &a0 [" + ", ".join(["x"] * 10) + "]"]
+lines += [f"a{i}: &a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, 11)]
+doc = params._parse_yaml("\\n".join(lines), "config")
+for i in range(1, 11):
+    assert all(item is doc[f"a{i - 1}"] for item in doc[f"a{i}"])
+"""
+
+
+class TestParseYaml:
+    """``_parse_yaml`` walks the node tree itself; it must give what
+    ``yaml.load`` gives under each loader, or fail as it fails."""
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_same_as_yaml_load(self, loader, data):
+        text = YamlText(data.draw).document()
+        cut = data.draw(st.one_of(st.none(), st.integers(0, len(text))))
+        text = text if cut is None else text[:cut]
+        assert parse_outcome(loader, text) == load_outcome(loader, text), text
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("text", [
+        "&a [*a]\n",
+        "&a {x: *a, y: [*a]}\n",
+        "a: &x {k: 1}\nb: &y {<<: *x, j: 2}\nc: {<<: [*y, *x], =: 3}\n",
+        "&a {<<: *a}\n",
+        "a: !!set {? x, ? y}\nb: !!omap [{k: &m [*m]}]\nc: *m\n",
+        "&a {x: !!omap [{k: *a}]}\n",
+        "a: {[1]: 2}\nb: !!bogus x\n",
+        "a: !!set {? [1]}\nb: !!bogus x\n",
+        "a: !!map x\nb: {{k: 1}: 2}\n",
+        "k: 1\nk: 2\n1: a\n1.0: b\n",
+        "",
+        "--- 1\n--- 2\n",
+    ])
+    def test_cases(self, loader, text):
+        assert parse_outcome(loader, text) == load_outcome(loader, text)
+
+    @pytest.mark.parametrize("loader", [loader.__name__ for loader in LOADERS])
+    def test_alias_bomb_is_not_expanded(self, loader):
+        # The parse runs in a child process limited to 1 GiB, so a walk that
+        # expands the bomb fails there instead of exhausting the host.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", ALIAS_BOMB_SCRIPT, loader], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 INSTALLED_DUMPER = params.YAML_DUMPER

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import math
 import operator
 import random
 import sys
@@ -28,6 +29,7 @@ from morphwheel.quasistatics import (
     states_torque_profile,
 )
 from morphwheel.report import (
+    SWEEP_METRICS,
     Objective,
     SweepSpec,
     consistency_warnings,
@@ -246,6 +248,9 @@ class TestValidateOnce:
         assert len(count_validate) == 1
 
     def test_card_computes_each_quantity_once(self, reference, monkeypatch):
+        # Validation checks the chassis at the largest tilt for overflow; the
+        # card itself computes it once, at its own tilt.
+        assert reference.validation.valid
         lengths = count_calls(monkeypatch, telescopic, "module_lengths")
         chassis = count_calls(monkeypatch, bending, "chassis_diameter")
         card = design_card(reference)
@@ -409,28 +414,97 @@ FLOAT_PATHS = [path for path, is_count in NUMERIC_PATHS if not is_count]
 COUNT_PATHS = [path for path, is_count in NUMERIC_PATHS if is_count]
 
 
+REFERENCE_BYTES = (Path(__file__).resolve().parent.parent / "configs"
+                   / "reference.yaml").read_bytes()
+# Bytes a mutation writes: YAML syntax and digits often, any byte sometimes.
+MUTATION_BYTES = st.one_of(st.sampled_from(b"0123456789.-+:eE ,[]{}#&*!|>'\"\n\t~_"),
+                           st.integers(0, 255))
+
+
+@st.composite
+def mutated_reference(draw) -> bytes:
+    """``configs/reference.yaml`` with a few bytes replaced, inserted or
+    deleted."""
+    data = bytearray(REFERENCE_BYTES)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data) - 1))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        if edit == "delete":
+            del data[at]
+        else:
+            data[at:at + (edit == "replace")] = bytes([draw(MUTATION_BYTES)])
+    return bytes(data)
+
+
+def run_four_verbs(work: Path, config: bytes, sweep_path: str, sweep_range: str):
+    """Exit codes of ``validate``, ``report``, ``profile`` and ``sweep`` on
+    the config bytes, their stderr, and the sweep's rows (None unless it
+    wrote them)."""
+    path, csv_out, sweep_out = work / "design.yaml", work / "p.csv", work / "s.csv"
+    path.write_bytes(config)
+    codes = {}
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        for verb, extra in (("validate", []), ("report", []),
+                            ("profile", ["--steps", "3", "--out", str(csv_out)]),
+                            ("sweep", ["--sweep-param", sweep_path,
+                                       f"--sweep-range={sweep_range}",
+                                       "--objective", "min-peak-torque",
+                                       "--out", str(sweep_out)])):
+            try:
+                codes[verb] = main([verb, "--config", str(path), *extra])
+            except SystemExit as exc:  # argparse refuses the arguments
+                codes[verb] = exc.code
+    rows = list(csv.DictReader(sweep_out.open())) if sweep_out.exists() else None
+    return codes, err.getvalue(), rows
+
+
+def assert_no_crash(codes, err):
+    """Every verb exits 0, 1 or 2 with no traceback, and a design that
+    ``validate`` accepts reports and profiles."""
+    assert set(codes.values()) <= {0, 1, 2}, codes
+    assert "Traceback" not in err
+    if codes["validate"] == 0:
+        assert codes["report"] == codes["profile"] == 0, err
+
+
 class TestHugeFields:
-    @given(st.dictionaries(st.sampled_from(FLOAT_PATHS),
+    # The design is the reference, or a ``random_params`` design whose rod
+    # pair need not fold (its minimal half separation drawn up to 600 mm).
+    @given(st.one_of(st.none(), st.tuples(st.integers(0, 2**32 - 1), st.floats(0.0, 600.0))),
+           st.dictionaries(st.sampled_from(FLOAT_PATHS),
                            st.floats(min_value=-1.0, max_value=sys.float_info.max),
                            max_size=4),
-           st.dictionaries(st.sampled_from(COUNT_PATHS), st.integers(0, 12), max_size=2))
+           st.dictionaries(st.sampled_from(COUNT_PATHS), st.integers(0, 12), max_size=2),
+           st.sampled_from(FLOAT_PATHS),
+           st.lists(st.floats(min_value=-1.0, max_value=sys.float_info.max),
+                    min_size=2, max_size=2))
     @settings(max_examples=300, deadline=None)
-    def test_accepted_designs_report_and_profile(self, tmp_path_factory, floats, counts):
-        p = params.reference_design()
+    def test_accepted_designs_report_and_profile(self, tmp_path_factory, base, floats,
+                                                 counts, sweep_path, sweep_ends):
+        if base is None:
+            p = params.reference_design()
+        else:
+            seed, h_min = base
+            p = set_field(random_params(random.Random(seed)), "wheel.min_half_separation", h_min)
         for path, value in {**floats, **counts}.items():
             p = set_field(p, path, value)
         work = tmp_path_factory.mktemp("huge")
-        config, out = work / "design.yaml", work / "p.csv"
-        config.write_text(params.serialize(p), encoding="utf-8")
-        codes = {}
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            for verb, extra in (("validate", []), ("report", []),
-                                ("profile", ["--steps", "3", "--out", str(out)])):
-                codes[verb] = main([verb, "--config", str(config), *extra])
-        assert set(codes.values()) <= {0, 1, 2}
-        assert "Traceback" not in err.getvalue()
+        start, stop = sweep_ends
+        codes, err, rows = run_four_verbs(work, params.serialize(p).encode("utf-8"),
+                                          sweep_path, f"{start!r}:{stop!r}:3")
+        assert_no_crash(codes, err)
         if codes["validate"] == 0:
-            assert codes["report"] == codes["profile"] == 0
-            text = out.read_text()
+            text = (work / "p.csv").read_text()
             assert "nan" not in text and "inf" not in text, text
+        for row in rows or ():
+            if row["status"] == "ok":
+                assert all(math.isfinite(float(row[m])) for m in SWEEP_METRICS), row
+
+    @given(st.one_of(st.binary(max_size=300), mutated_reference()),
+           st.sampled_from(FLOAT_PATHS + COUNT_PATHS))
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_bytes(self, tmp_path_factory, config, sweep_path):
+        codes, err, _ = run_four_verbs(tmp_path_factory.mktemp("bytes"), config,
+                                       sweep_path, "1:4:4")
+        assert_no_crash(codes, err)
