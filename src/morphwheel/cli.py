@@ -3,7 +3,7 @@
 Verbs: ``validate``, ``report``, ``profile``, ``sweep``. Exit codes follow a
 fixed contract: 0 success, 1 validation failure, 2 I/O or parse failure.
 All output is deterministic: identical config and flags produce identical
-bytes. Set MORPHWHEEL_LOG=debug|info|warning to control log verbosity.
+bytes.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import logging
 import math
 import os
 import sys
@@ -33,8 +32,6 @@ from .report import (
 )
 
 __all__ = ["main"]
-
-log = logging.getLogger("morphwheel")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -157,7 +154,7 @@ def cmd_profile(args) -> int:
     table = _force_table_or_exit(args)
     try:
         states = wheelgeom.transform_profile(p, args.steps)
-        torques = quasistatics.states_torque_profile(p, states, table)
+        torques = quasistatics.torque_profile(p, states, table)
     except (InvalidDesignError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -165,7 +162,7 @@ def cmd_profile(args) -> int:
     # trigger mode go into both its CSV row, as ``csv.writer`` would write
     # them, and its keyframe frame.
     rows, frames = [",".join(PROFILE_COLUMNS) + "\r\n"], []
-    for i, (state, entry) in enumerate(zip(states, torques.entries)):
+    for i, (state, entry) in enumerate(zip(states, torques)):
         frame = (repr(state.module_length), repr(state.axial_half_separation),
                  repr(state.wheel_radius), state.trigger_mode.value)
         rows.append(f"{i},{','.join(frame)},"
@@ -190,7 +187,6 @@ def cmd_profile(args) -> int:
     finally:
         for tmp in (tmp_out, tmp_keyframes):
             tmp.unlink(missing_ok=True)
-    log.info("wrote %s and %s", out, keyframe_path)
     print(f"wrote {out} ({len(states)} rows) and {keyframe_path}")
     return EXIT_OK
 
@@ -304,14 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    level = os.environ.get("MORPHWHEEL_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

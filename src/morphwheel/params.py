@@ -49,6 +49,7 @@ __all__ = [
     "residual_length",
     "elongated_length",
     "min_half_separation",
+    "screw_diameter",
     "validate",
     "require_valid",
     "load",
@@ -216,6 +217,13 @@ def min_half_separation(p: DesignParams) -> float:
     return _STOPPER_HEIGHT * p.screw.n_levels if h_min is None else h_min
 
 
+def screw_diameter(p: DesignParams, level: int) -> float:
+    """Outer diameter of screw level ``level``, 0 the innermost: each level
+    adds one thread width, the thread clearance and one stopper width."""
+    s = p.screw
+    return s.base_screw_diameter + level * (s.thread_width + s.thread_clearance + s.stopper_width)
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -305,6 +313,8 @@ def _overflows(p: DesignParams, elongated: float) -> list[Violation]:
     out = []
     if not math.isfinite(elongated):
         out.append(Violation("screw.screw_level_length", "elongated length is finite"))
+    if not math.isfinite(screw_diameter(p, p.screw.n_levels - 1)):
+        out.append(Violation("screw.thread_width", "outermost screw diameter is finite"))
     w = p.wheel
     radius = wheelgeom.transform_endpoint_radius(p)
     arc = wheelgeom.rim_arc(radius, w.spoke_pairs)
@@ -379,21 +389,18 @@ def _is_count(f) -> bool:
 
 
 def _coerce(path: str, value, is_count: bool):
-    if is_count:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError("expected an integer count", field=path)
-        # Counts multiply floats: one past the float range is as unusable as
-        # a non-finite number.
-        try:
-            float(value)
-        except OverflowError:
-            raise ConfigError("expected a finite number", field=path) from None
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("expected a number", field=path)
-    if not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, int if is_count else (int, float)):
+        raise ConfigError("expected an integer count" if is_count else "expected a number",
+                          field=path)
+    # An integer past the float range is as unusable as a non-finite number:
+    # every field, counts too, multiplies floats.
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ConfigError("expected a finite number", field=path)
-    return float(value)
+    return value if is_count else float(value)
 
 
 class _Field(typing.NamedTuple):
@@ -451,9 +458,10 @@ _STR, _FLOAT, _MAP, _SEQ = (f"tag:yaml.org,2002:{kind}" for kind in ("str", "flo
 
 def _parse_yaml(text: str, what: str):
     """The YAML document in ``text``, the value ``yaml.load(text,
-    Loader=YAML_LOADER)`` gives; a YAML error raises ``ConfigError`` saying
-    ``what`` is not valid YAML, with the line of its mark."""
-    loader = YAML_LOADER(io.StringIO(text))
+    Loader=YAML_LOADER)`` gives; a YAML error, or a constructor's own error,
+    raises ``ConfigError`` saying ``what`` is not valid YAML, with the line of
+    its mark."""
+    loader = _checked(YAML_LOADER)(io.StringIO(text))
     try:
         root = loader.get_single_node()
         return None if root is None else _construct(loader, root)
@@ -463,6 +471,23 @@ def _parse_yaml(text: str, what: str):
                           line=None if mark is None else mark.line + 1) from exc
     finally:
         loader.dispose()
+
+
+@functools.cache
+def _checked(loader_class: type) -> type:
+    """``loader_class`` raising its constructors' own errors (a timestamp with
+    month 13, ``!!bool maybe``) as YAML errors at the node being built."""
+
+    class Checked(loader_class):
+        def construct_object(self, node, deep=False):
+            try:
+                return super().construct_object(node, deep)
+            except (ValueError, KeyError, AttributeError, IndexError) as exc:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"cannot construct a {node.tag} value: {exc!r}",
+                    node.start_mark) from exc
+
+    return Checked
 
 
 def _construct(loader, root):

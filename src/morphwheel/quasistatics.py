@@ -13,18 +13,17 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import pi
+from math import isfinite, pi
 from pathlib import Path
 
 from . import params
 from .errors import ConfigError
 from .params import DesignParams
-from .wheelgeom import TransformState, transform_profile
+from .wheelgeom import TransformState
 
 __all__ = [
     "SiliconeForceTable",
     "TorqueEntry",
-    "TorqueProfile",
     "MotorCheck",
     "SELECTION_THRESHOLD",
     "default_force_table",
@@ -33,7 +32,6 @@ __all__ = [
     "silicone_force",
     "screw_torque",
     "torque_profile",
-    "states_torque_profile",
     "peak_load",
     "motor_check",
 ]
@@ -54,6 +52,8 @@ class SiliconeForceTable:
     def __post_init__(self):
         if not self.samples:
             raise ValueError("force table must not be empty")
+        if not all(isfinite(v) for sample in self.samples for v in sample):
+            raise ValueError("length changes and forces must be finite")
         xs = tuple(x for x, _ in self.samples)
         object.__setattr__(self, "abscissae", xs)
         fs = [f for _, f in self.samples]
@@ -98,7 +98,10 @@ def load_force_table(text: str) -> SiliconeForceTable:
                               field=f"force_table[{i}]")
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry):
             raise ConfigError("expected numbers", field=f"force_table[{i}]")
-        samples.append((float(entry[0]), float(entry[1])))
+        try:
+            samples.append((float(entry[0]), float(entry[1])))
+        except OverflowError:  # an integer past the float range
+            raise ConfigError("expected finite numbers", field=f"force_table[{i}]") from None
     try:
         return SiliconeForceTable(samples=tuple(samples))
     except ValueError as exc:
@@ -159,29 +162,9 @@ class TorqueEntry:
     per_motor_torque: float  # N*mm
 
 
-@dataclass(frozen=True)
-class TorqueProfile:
-    entries: tuple[TorqueEntry, ...]
-
-    @property
-    def peak_index(self) -> int:
-        return max(range(len(self.entries)),
-                   key=lambda i: self.entries[i].per_motor_torque)
-
-    @property
-    def peak_torque(self) -> float:
-        return self.entries[self.peak_index].per_motor_torque
-
-
-def torque_profile(p: DesignParams, table: SiliconeForceTable | None = None,
-                   steps: int = 50) -> TorqueProfile:
-    """Per-motor torque over the whole transformation of ``steps`` states."""
-    return states_torque_profile(p, transform_profile(p, steps), table)
-
-
-def states_torque_profile(p: DesignParams, states: list[TransformState],
-                          table: SiliconeForceTable | None = None) -> TorqueProfile:
-    """Per-motor torque over already-computed transformation states.
+def torque_profile(p: DesignParams, states: list[TransformState],
+                   table: SiliconeForceTable | None = None) -> tuple[TorqueEntry, ...]:
+    """Per-motor torque at each of the transformation ``states``.
 
     One entry per state; the first state is the elongated crawler. The
     axial load is the skin restoring force at that compression (the single
@@ -200,7 +183,7 @@ def states_torque_profile(p: DesignParams, states: list[TransformState],
             axial_force=force,
             per_motor_torque=_motor_torque(p, force),
         ))
-    return TorqueProfile(entries=tuple(entries))
+    return tuple(entries)
 
 
 def peak_load(p: DesignParams, table: SiliconeForceTable | None = None) -> tuple[float, float]:

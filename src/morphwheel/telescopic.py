@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
-from .params import DesignParams, elongated_length, require_valid, residual_length
+from .params import (DesignParams, elongated_length, require_valid, residual_length,
+                     screw_diameter)
 
 __all__ = [
     "ModuleLengths",
@@ -127,21 +128,13 @@ def min_levels(screw_length: float, residual: float, target_ratio: float) -> int
 
 
 def diameter_ladder(p: DesignParams) -> ScrewDiameterLadder:
-    """Outer diameter per nesting level.
+    """Outer diameter per nesting level (``params.screw_diameter``).
 
-    Each level adds one thread width, the inter-thread clearance and one
-    stopper width on top of the previous diameter. A zero increment is
-    computed as-is (all levels equal); the validator flags the underlying
-    zero widths as violations.
+    A zero increment is computed as-is (all levels equal); the validator
+    flags the underlying zero widths as violations.
     """
-    s = p.screw
-    increment = s.thread_width + s.thread_clearance + s.stopper_width
-    d = s.base_screw_diameter
-    out = [d]
-    for _ in range(s.n_levels - 1):
-        d += increment
-        out.append(d)
-    return ScrewDiameterLadder(diameters=tuple(out))
+    return ScrewDiameterLadder(
+        diameters=tuple(screw_diameter(p, k) for k in range(p.screw.n_levels)))
 
 
 def shaft_levels(p: DesignParams) -> int:

@@ -11,10 +11,8 @@ the moment the module compresses.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .params import DesignParams, min_half_separation
 from .telescopic import module_lengths
@@ -30,11 +28,8 @@ __all__ = [
     "transform_endpoint_radius",
     "rim_arc",
     "curved_rod_plan",
-    "keyframe_record",
-    "keyframes_document",
     "expand_frame",
     "keyframes_text",
-    "write_keyframes",
 ]
 
 KEYFRAME_SCHEMA_VERSION = 2
@@ -171,27 +166,6 @@ def curved_rod_plan(radius: float, p: DesignParams) -> CurvedRodPlan:
 # offset, rim sampling) and only scalars per frame; ``expand_frame``
 # rebuilds the plottable spoke, rim and plate geometry of one frame.
 
-def keyframe_record(state: TransformState, step: int = 0) -> dict:
-    """Per-frame scalars of one transformation state."""
-    return {
-        "step": step,
-        "module_length": state.module_length,
-        "axial_half_separation": state.axial_half_separation,
-        "wheel_radius": state.wheel_radius,
-        "trigger_mode": state.trigger_mode.value,
-    }
-
-
-def keyframes_document(states: list[TransformState], p: DesignParams) -> dict:
-    return {
-        "schema_version": KEYFRAME_SCHEMA_VERSION,
-        "spoke_pairs": p.wheel.spoke_pairs,
-        "hub_offset": p.wheel.hub_offset,
-        "arc_points_per_sector": ARC_POINTS_PER_SECTOR,
-        "frames": [keyframe_record(s, step=i) for i, s in enumerate(states)],
-    }
-
-
 def expand_frame(doc: dict, i: int) -> dict:
     """Plottable geometry of frame ``i`` of a keyframe document.
 
@@ -223,33 +197,16 @@ def expand_frame(doc: dict, i: int) -> dict:
     return {**frame, "plate_positions": [-h, 0.0, h], "spokes": spokes, "rim": rim}
 
 
-# The keyframe file is ``keyframes_document`` as compact, sorted-key JSON
-# (``json.dumps(doc, sort_keys=True, separators=(",", ":"))``) plus a newline.
-# Its frames are written from text rather than encoded: a float's JSON text
-# is its ``repr``, which a CSV row of the same state can share, except that
-# the encoder spells the non-finite ones as below.
-_JSON_NON_FINITE = {repr(x): json.dumps(x) for x in (math.nan, math.inf, -math.inf)}
-
-
 def keyframes_text(p: DesignParams, frames: list[tuple[str, str, str, str]]) -> str:
-    """The keyframe file of design ``p``. ``frames`` holds, for each state in
-    order, the ``repr`` of its module length, half-separation and wheel
-    radius and the value of its trigger mode. The encoder writes the header,
-    and the frames go between its brackets."""
-    j = _JSON_NON_FINITE.get
+    """The keyframe file of design ``p``: one line of compact, sorted-key JSON.
+    ``frames`` holds, for each state in order, the ``repr`` of its module
+    length, half-separation and wheel radius (a valid design's are finite, and
+    a finite float's JSON text is its ``repr``) and its trigger mode's value."""
     body = ",".join([
-        f'{{"axial_half_separation":{j(h, h)},"module_length":{j(length, length)},'
-        f'"step":{i},"trigger_mode":"{mode}","wheel_radius":{j(radius, radius)}}}'
+        f'{{"axial_half_separation":{h},"module_length":{length},'
+        f'"step":{i},"trigger_mode":"{mode}","wheel_radius":{radius}}}'
         for i, (length, h, radius, mode) in enumerate(frames)])
-    header = json.dumps(keyframes_document([], p), sort_keys=True, separators=(",", ":"))
-    cut = header.index('"frames":[') + len('"frames":[')
-    return f"{header[:cut]}{body}{header[cut:]}\n"
-
-
-def write_keyframes(states: list[TransformState], p: DesignParams,
-                    path: str | Path) -> None:
-    """Write the keyframe file of ``states``; identical states give
-    identical bytes."""
-    frames = [(repr(s.module_length), repr(s.axial_half_separation), repr(s.wheel_radius),
-               s.trigger_mode.value) for s in states]
-    Path(path).write_text(keyframes_text(p, frames), encoding="utf-8")
+    w = p.wheel
+    return (f'{{"arc_points_per_sector":{ARC_POINTS_PER_SECTOR},"frames":[{body}],'
+            f'"hub_offset":{w.hub_offset!r},"schema_version":{KEYFRAME_SCHEMA_VERSION},'
+            f'"spoke_pairs":{w.spoke_pairs}}}\n')

@@ -1,6 +1,10 @@
-"""Brute-force oracles for the closed-form inverse sizing in ``telescopic``."""
+"""Brute-force oracles: the closed-form inverse sizing in ``telescopic``, the
+keyframe file as ``json.dumps`` writes it, and the peak of a torque profile."""
+
+import json
 
 from morphwheel import InfeasibleError
+from morphwheel.wheelgeom import ARC_POINTS_PER_SECTOR, KEYFRAME_SCHEMA_VERSION
 
 
 def _ratio(screw_length: float, n_levels: int, residual: float) -> float:
@@ -25,3 +29,32 @@ def scan_min_levels(screw_length: float, residual: float, target_ratio: float) -
     while _ratio(screw_length, n, residual) > target_ratio:
         n += 1
     return n
+
+
+def keyframes_document(states, p) -> dict:
+    """The schema-2 keyframe document of ``states`` of design ``p``: the wheel
+    topology once, then the scalars of each state."""
+    return {
+        "schema_version": KEYFRAME_SCHEMA_VERSION,
+        "spoke_pairs": p.wheel.spoke_pairs,
+        "hub_offset": p.wheel.hub_offset,
+        "arc_points_per_sector": ARC_POINTS_PER_SECTOR,
+        "frames": [{
+            "step": i,
+            "module_length": s.module_length,
+            "axial_half_separation": s.axial_half_separation,
+            "wheel_radius": s.wheel_radius,
+            "trigger_mode": s.trigger_mode.value,
+        } for i, s in enumerate(states)],
+    }
+
+
+def keyframes_json(states, p) -> str:
+    """The keyframe file of ``states``: their document as compact, sorted-key
+    JSON plus a newline."""
+    return json.dumps(keyframes_document(states, p), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def peak_index(entries) -> int:
+    """Index of the first torque entry of the largest per-motor torque."""
+    return max(range(len(entries)), key=lambda i: entries[i].per_motor_torque)

@@ -32,7 +32,7 @@ from morphwheel.telescopic import (
 from morphwheel.wheelgeom import TriggerMode, bulge_radius, curved_rod_plan, transform_profile
 
 from conftest import random_valid_params
-from oracles import scan_min_levels, scan_min_screw_length
+from oracles import peak_index, scan_min_levels, scan_min_screw_length
 
 
 def report(n: int, text: str) -> None:
@@ -64,8 +64,9 @@ def test_criterion_3_force_table_fidelity():
     for x, f in expected:
         assert silicone_force(table, x) == f
     assert abs(silicone_force(table, 1.5) - 3.3) <= 1e-12
-    profile = torque_profile(reference_design(), steps=200)
-    assert max(e.axial_force for e in profile.entries) == 3.4
+    p = reference_design()
+    profile = torque_profile(p, transform_profile(p, 200))
+    assert max(e.axial_force for e in profile) == 3.4
     report(3, "all 8 force samples exact, 1.5 cm interpolates to 3.3 N, "
               "profile force maximum is 3.4 N")
 
@@ -184,13 +185,13 @@ def test_criterion_9_torque_model():
         assert abs(screw_torque(f, lead, d, 0.0) - f * lead / (2 * math.pi)) <= 1e-12
 
     p = reference_design()
-    profile = torque_profile(p, steps=100)
-    forces = [e.axial_force for e in profile.entries]
-    assert profile.entries[profile.peak_index].axial_force == max(forces)
-    assert profile.peak_index == min(
-        i for i, f in enumerate(forces) if f == max(forces))
+    profile = torque_profile(p, transform_profile(p, 100))
+    forces = [e.axial_force for e in profile]
+    peak = peak_index(profile)
+    assert profile[peak].axial_force == max(forces)
+    assert peak == min(i for i, f in enumerate(forces) if f == max(forces))
 
-    check = motor_check(profile.peak_torque, 1470.0)
+    check = motor_check(profile[peak].per_motor_torque, 1470.0)
     assert check.passed
     assert f"{check.peak_torque:.3f}" in check.note and "500" in check.note
     print(f"\n  computed peak {check.peak_torque:.3f} N*mm | "

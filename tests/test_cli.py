@@ -1,8 +1,6 @@
 import csv
 import dataclasses
 import io
-import json
-import math
 import random
 from pathlib import Path
 
@@ -22,6 +20,7 @@ from morphwheel.params import reference_design
 from morphwheel.report import Objective, SweepSpec, consistency_warnings, design_card, set_field
 
 from conftest import random_valid_params
+from oracles import keyframes_json
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "reference.yaml")
 
@@ -389,17 +388,15 @@ def profile_oracle(p, steps, table):
     """The profile CSV and keyframe bytes as ``csv.writer`` and ``json.dumps``
     write them from the library's states."""
     states = wheelgeom.transform_profile(p, steps)
-    torques = quasistatics.states_torque_profile(p, states, table)
+    torques = quasistatics.torque_profile(p, states, table)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(cli.PROFILE_COLUMNS)
-    for i, (state, entry) in enumerate(zip(states, torques.entries)):
+    for i, (state, entry) in enumerate(zip(states, torques)):
         writer.writerow([i, repr(state.module_length), repr(state.axial_half_separation),
                          repr(state.wheel_radius), state.trigger_mode.value,
                          repr(entry.axial_force), repr(entry.per_motor_torque)])
-    doc = wheelgeom.keyframes_document(states, p)
-    keyframes = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    return buf.getvalue().encode(), keyframes.encode()
+    return buf.getvalue().encode(), keyframes_json(states, p).encode()
 
 
 FORCE_TABLE = Path(REFERENCE_CONFIG).with_name("force_table.yaml")
@@ -424,40 +421,59 @@ class TestProfileFiles:
                 csv_bytes, keyframe_bytes = profile_oracle(p, steps, table)
                 assert out.read_bytes() == csv_bytes
                 assert (tmp_path / "p_keyframes.json").read_bytes() == keyframe_bytes
-                states = wheelgeom.transform_profile(p, steps)
-                wheelgeom.write_keyframes(states, p, tmp_path / "w.json")
-                assert (tmp_path / "w.json").read_bytes() == keyframe_bytes
 
-    def test_non_finite_values_are_written_as_the_encoders_write_them(
-            self, config_file, tmp_path, monkeypatch):
-        # No valid design has a non-finite state; these are put in its place.
-        p, _ = cli._load_or_exit(config_file)
-        states = [
-            wheelgeom.TransformState(340.0, math.nan, math.inf, wheelgeom.TriggerMode.TELESCOPIC),
-            wheelgeom.TransformState(-math.inf, 70.0, math.nan, wheelgeom.TriggerMode.RIGID),
-            wheelgeom.TransformState(math.nan, -math.inf, 200.0, wheelgeom.TriggerMode.RIGID),
-        ]
-        torques = quasistatics.TorqueProfile(entries=(
-            quasistatics.TorqueEntry(340.0, math.inf, math.nan),
-            quasistatics.TorqueEntry(-math.inf, -math.inf, 1.0),
-            quasistatics.TorqueEntry(math.nan, 0.1, math.inf),
-        ))
-        monkeypatch.setattr(wheelgeom, "transform_profile", lambda p, steps: states)
-        monkeypatch.setattr(quasistatics, "states_torque_profile",
-                            lambda p, states, table: torques)
+
+# Values whose YAML constructor raises its own error rather than a YAML
+# one: a ValueError (month 13; a binary int with no digits), a KeyError, an
+# AttributeError and an IndexError.
+CONSTRUCTOR_ERRORS = ["2020-13-45", "0b_", "!!bool maybe", "!!timestamp x", "!!int ''"]
+NON_FINITE = [".inf", "-.inf", ".nan"]
+
+
+class TestRefusedInput:
+    """Each exits 2 with a one-line message, and writes no output file."""
+
+    def run(self, capsys, tmp_path, argv, files):
         out = tmp_path / "p.csv"
-        assert main(["profile", "--config", config_file, "--steps", "3",
-                     "--out", str(out)]) == 0
-        rows = out.read_text().splitlines()
-        assert rows[1:] == ["0,340.0,nan,inf,telescopic,inf,nan",
-                            "1,-inf,70.0,nan,rigid,-inf,1.0",
-                            "2,nan,-inf,200.0,rigid,0.1,inf"]
-        frames = (tmp_path / "p_keyframes.json").read_text()
-        assert '"axial_half_separation":NaN,' in frames
-        assert '"wheel_radius":Infinity}' in frames
-        assert '"module_length":-Infinity,' in frames
-        doc = wheelgeom.keyframes_document(states, p)
-        assert frames == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        for verb in (["report"], ["profile", "--out", str(out)]):
+            assert main([*verb, *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert captured.err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+        return captured.err
+
+    @pytest.mark.parametrize("value", CONSTRUCTOR_ERRORS)
+    def test_constructor_error_in_a_config(self, tmp_path, capsys, value):
+        lines = Path(REFERENCE_CONFIG).read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("  n_levels:"))
+        lines[at] = f"  n_levels: {value}\n"
+        config = tmp_path / "design.yaml"
+        config.write_text("".join(lines))
+        err = self.run(capsys, tmp_path, ["--config", str(config)], ["design.yaml"])
+        assert err.startswith("error: config is not valid YAML: cannot construct a tag:")
+        assert err.endswith(f"(line: {at + 1})\n")
+        assert main(["validate", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("value", CONSTRUCTOR_ERRORS)
+    def test_constructor_error_in_a_force_table(self, config_file, tmp_path, capsys, value):
+        table = tmp_path / "table.yaml"
+        table.write_text(f"- [1.0, 3.4]\n- [2.0, {value}]\n")
+        err = self.run(capsys, tmp_path, ["--config", config_file, "--force-table", str(table)],
+                       ["design.yaml", "table.yaml"])
+        assert err.startswith("error: cannot load force table: "
+                              "force table is not valid YAML: cannot construct a tag:")
+        assert err.endswith("(line: 2)\n")
+
+    @pytest.mark.parametrize("entry", [f"[1.0, {v}]" for v in NON_FINITE]
+                             + [f"[{v}, 1.0]" for v in NON_FINITE])
+    def test_non_finite_force_table(self, config_file, tmp_path, capsys, entry):
+        table = tmp_path / "table.yaml"
+        table.write_text(f"- {entry}\n")
+        err = self.run(capsys, tmp_path, ["--config", config_file, "--force-table", str(table)],
+                       ["design.yaml", "table.yaml"])
+        assert err == ("error: cannot load force table: invalid force table: "
+                       "length changes and forces must be finite (field: force_table)\n")
 
 
 class TestCmdSweep:

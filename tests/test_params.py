@@ -201,6 +201,9 @@ class TestOverflow:
         # 2 * 1.7e308 * sin(pi/4) overflows; the chassis stays finite.
         ({"platform.joint_mount_width": 1.7e308},
          "platform.joint_mount_width", "rod length at a pi/4 tilt is finite"),
+        # 2.3 + 3 * (1.7e308 + 1.5) overflows: the outermost of four levels.
+        ({"screw.thread_width": 1.7e308},
+         "screw.thread_width", "outermost screw diameter is finite"),
     ])
     def test_refused_by_every_verb(self, reference, tmp_path, capsys, changes, field,
                                    constraint):
@@ -249,6 +252,15 @@ class TestOverflow:
     @pytest.mark.parametrize("field", ["screw.n_levels", "screw.shaft_levels",
                                        "platform.plate_count", "wheel.spoke_pairs"])
     def test_count_past_the_float_range_exits_2(self, reference, tmp_path, capsys, field):
+        self.assert_refused_past_the_float_range(reference, tmp_path, capsys, field)
+
+    @pytest.mark.parametrize("field", ["screw.screw_level_length", "wheel.hub_offset",
+                                       "wheel.min_half_separation"])
+    def test_integer_past_the_float_range_exits_2(self, reference, tmp_path, capsys, field):
+        self.assert_refused_past_the_float_range(reference, tmp_path, capsys, field)
+
+    @staticmethod
+    def assert_refused_past_the_float_range(reference, tmp_path, capsys, field):
         section, key = field.split(".")
         doc = yaml.safe_load(serialize(reference))
         doc[section][key] = 10 ** 400
@@ -625,9 +637,14 @@ def parse_outcome(loader, text):
             return type(exc).__name__, str(exc)
 
 
+# The errors of PyYAML's own constructors that are not YAML errors.
+CONSTRUCTOR_ERRORS = (ValueError, KeyError, AttributeError, IndexError)
+
+
 def load_outcome(loader, text):
     """The same for ``yaml.load``, with a YAML error as the ``ConfigError``
-    ``_parse_yaml`` must raise for it."""
+    ``_parse_yaml`` must raise for it. A constructor's own error gives
+    ("constructor", its repr, the line of the node being constructed)."""
     try:
         return "value", repr(yaml.load(io.StringIO(text), Loader=loader))
     except yaml.YAMLError as exc:
@@ -635,8 +652,28 @@ def load_outcome(loader, text):
         return ("ConfigError", f"config is not valid YAML: {exc}"
                 + ("" if mark is None else f" (line: {mark.line + 1})"),
                 None if mark is None else mark.line + 1)
+    except CONSTRUCTOR_ERRORS as exc:
+        # The node is that of the innermost ``construct_object`` call.
+        tb, node = exc.__traceback__, None
+        while tb is not None:
+            if tb.tb_frame.f_code.co_name == "construct_object":
+                node = tb.tb_frame.f_locals["node"]
+            tb = tb.tb_next
+        return "constructor", repr(exc), node.start_mark.line + 1
     except Exception as exc:
         return type(exc).__name__, str(exc)
+
+
+def assert_same_outcome(loader, text):
+    """``_parse_yaml`` gives what ``yaml.load`` gives, and raises a
+    ``ConfigError`` at the node where a constructor raises its own error."""
+    parsed, loaded = parse_outcome(loader, text), load_outcome(loader, text)
+    if loaded[0] == "constructor":
+        kind, message, line = parsed
+        assert kind == "ConfigError" and line == loaded[2], (text, parsed, loaded)
+        assert message.startswith("config is not valid YAML: ") and loaded[1] in message
+    else:
+        assert parsed == loaded, text
 
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
@@ -659,7 +696,8 @@ for i in range(1, 11):
 
 class TestParseYaml:
     """``_parse_yaml`` walks the node tree itself; it must give what
-    ``yaml.load`` gives under each loader, or fail as it fails."""
+    ``yaml.load`` gives under each loader, or fail as it fails, except that a
+    constructor's own error is a ``ConfigError`` with the line of its node."""
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
     @given(data=st.data())
@@ -668,7 +706,7 @@ class TestParseYaml:
         text = YamlText(data.draw).document()
         cut = data.draw(st.one_of(st.none(), st.integers(0, len(text))))
         text = text if cut is None else text[:cut]
-        assert parse_outcome(loader, text) == load_outcome(loader, text), text
+        assert_same_outcome(loader, text)
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
     @pytest.mark.parametrize("text", [
@@ -684,9 +722,14 @@ class TestParseYaml:
         "k: 1\nk: 2\n1: a\n1.0: b\n",
         "",
         "--- 1\n--- 2\n",
+        "k: 2020-13-45\n",
+        "k: [1, {j: !!bool maybe}]\n",
+        "a: !!set\n  ? x\n  ? !!timestamp x\n",
+        "a: 1\nb: !!omap\n  - k: 1\n  - j: !!int ''\n",
+        "a: &x {k: 0b_}\nb: *x\n",
     ])
     def test_cases(self, loader, text):
-        assert parse_outcome(loader, text) == load_outcome(loader, text)
+        assert_same_outcome(loader, text)
 
     @pytest.mark.parametrize("loader", [loader.__name__ for loader in LOADERS])
     def test_alias_bomb_is_not_expanded(self, loader):

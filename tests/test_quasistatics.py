@@ -18,6 +18,8 @@ from morphwheel.quasistatics import (
 )
 from morphwheel.wheelgeom import transform_profile
 
+from oracles import peak_index
+
 
 class TestForceTable:
     def test_default_table_samples(self):
@@ -34,6 +36,13 @@ class TestForceTable:
             SiliconeForceTable(samples=((2.0, 3.0), (1.0, 2.0)))
         with pytest.raises(ValueError, match="nonincreasing"):
             SiliconeForceTable(samples=((1.0, 1.0), (2.0, 2.0)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_samples_rejected(self, bad):
+        # A NaN passes every ordering check, so finiteness is checked first.
+        for samples in (((1.0, bad),), ((bad, 1.0),), ((1.0, 3.0), (2.0, bad))):
+            with pytest.raises(ValueError, match="must be finite"):
+                SiliconeForceTable(samples=samples)
 
 
 class TestForceTableOverride:
@@ -58,6 +67,12 @@ class TestForceTableOverride:
             load_force_table("- [2.0, 3.0]\n- [1.0, 1.0]\n")
         with pytest.raises(ConfigError, match="nonnegative"):
             load_force_table("- [1.0, 3.0]\n- [2.0, -0.5]\n")
+
+    @pytest.mark.parametrize("bad", [".inf", "-.inf", ".nan", "1" + "0" * 400])
+    def test_non_finite_numbers_rejected(self, bad):
+        for text in (f"- [1.0, {bad}]\n", f"- [{bad}, 1.0]\n"):
+            with pytest.raises(ConfigError, match="finite"):
+                load_force_table(text)
 
 
 class TestSiliconeForce:
@@ -152,41 +167,50 @@ class TestScrewTorque:
         assert screw_torque(5.0, 2.0, lo, 0.2) < screw_torque(5.0, 2.0, hi, 0.2)
 
 
+def profile_of(p, steps, table=None):
+    return torque_profile(p, transform_profile(p, steps), table)
+
+
+def peak_torque(entries):
+    return entries[peak_index(entries)].per_motor_torque
+
+
 class TestTorqueProfile:
     def test_peak_at_maximum_force(self, reference):
-        profile = torque_profile(reference, steps=50)
-        forces = [e.axial_force for e in profile.entries]
-        assert profile.entries[profile.peak_index].axial_force == max(forces)
+        profile = profile_of(reference, 50)
+        forces = [e.axial_force for e in profile]
+        assert profile[peak_index(profile)].axial_force == max(forces)
         assert max(forces) == 3.4
-        assert profile.peak_index == 0  # clamp holds the max from the first step
+        assert peak_index(profile) == 0  # clamp holds the max from the first step
 
     def test_zero_force_table(self, reference):
         table = SiliconeForceTable(samples=((1.0, 0.0), (2.0, 0.0)))
-        profile = torque_profile(reference, table, steps=10)
-        assert all(e.per_motor_torque == 0.0 for e in profile.entries)
+        profile = profile_of(reference, 10, table)
+        assert all(e.per_motor_torque == 0.0 for e in profile)
 
     def test_linearity_in_force(self, reference):
         base = default_force_table()
         doubled = SiliconeForceTable(
             samples=tuple((x, 2 * f) for x, f in base.samples))
-        p1 = torque_profile(reference, base, steps=20)
-        p2 = torque_profile(reference, doubled, steps=20)
-        for a, b in zip(p1.entries, p2.entries):
+        p1 = profile_of(reference, 20, base)
+        p2 = profile_of(reference, 20, doubled)
+        for a, b in zip(p1, p2):
             assert b.per_motor_torque == pytest.approx(2 * a.per_motor_torque,
                                                        rel=1e-12)
 
     def test_aligns_with_transform_profile(self, reference):
         states = transform_profile(reference, 25)
-        profile = torque_profile(reference, steps=25)
-        assert len(profile.entries) == len(states)
-        for state, entry in zip(states, profile.entries):
+        profile = torque_profile(reference, states)
+        assert isinstance(profile, tuple)
+        assert len(profile) == len(states)
+        for state, entry in zip(states, profile):
             assert entry.module_length == state.module_length
 
 
 class TestMotorCheck:
     def test_reference_design_passes(self, reference):
-        profile = torque_profile(reference, steps=50)
-        check = motor_check(profile.peak_torque, reference.drive.motor_stall_torque)
+        peak = peak_torque(profile_of(reference, 50))
+        check = motor_check(peak, reference.drive.motor_stall_torque)
         assert check.passed
         assert check.stall_torque == 1470.0
         assert check.ratio == pytest.approx(check.peak_torque / 1470.0)
@@ -196,19 +220,19 @@ class TestMotorCheck:
         assert "500" in check.note
 
     def test_boundary_peak_equals_stall(self, reference):
-        profile = torque_profile(reference, steps=10)
-        check = motor_check(profile.peak_torque, profile.peak_torque, margin=1.0)
+        peak = peak_torque(profile_of(reference, 10))
+        check = motor_check(peak, peak, margin=1.0)
         assert check.passed
 
     def test_overloaded_motor_fails_with_ratio_above_one(self, reference):
-        profile = torque_profile(reference, steps=10)
-        check = motor_check(profile.peak_torque, profile.peak_torque / 2)
+        peak = peak_torque(profile_of(reference, 10))
+        check = motor_check(peak, peak / 2)
         assert not check.passed
         assert check.ratio > 1.0
 
     def test_margin_domain(self, reference):
-        profile = torque_profile(reference, steps=10)
+        peak = peak_torque(profile_of(reference, 10))
         with pytest.raises(ValueError):
-            motor_check(profile.peak_torque, 1000.0, margin=0.0)
+            motor_check(peak, 1000.0, margin=0.0)
         with pytest.raises(ValueError):
-            motor_check(profile.peak_torque, 1000.0, margin=1.5)
+            motor_check(peak, 1000.0, margin=1.5)

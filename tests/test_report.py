@@ -2,9 +2,11 @@ import contextlib
 import csv
 import dataclasses
 import io
+import json
 import math
 import operator
 import random
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -26,7 +28,7 @@ from morphwheel.quasistatics import (
     SiliconeForceTable,
     default_force_table,
     load_force_table_path,
-    states_torque_profile,
+    torque_profile,
 )
 from morphwheel.report import (
     SWEEP_METRICS,
@@ -42,6 +44,7 @@ from morphwheel.report import (
 from morphwheel.wheelgeom import transform_profile
 
 from conftest import random_params, random_valid_params
+from oracles import keyframes_json, peak_index
 
 FORCE_TABLE = Path(__file__).resolve().parent.parent / "configs" / "force_table.yaml"
 TABLES = {"default": default_force_table(), "force_table.yaml": load_force_table_path(FORCE_TABLE)}
@@ -104,11 +107,12 @@ class TestClosedForms:
             point = sweep_point(p, table)
             for steps in (2, 50, 200):
                 states = transform_profile(p, steps)
-                torques = states_torque_profile(p, states, table)
-                peak_force = max(e.axial_force for e in torques.entries)
+                torques = torque_profile(p, states, table)
+                peak_force = max(e.axial_force for e in torques)
+                peak_torque = torques[peak_index(torques)].per_motor_torque
                 assert card["peak_axial_force_N"] == peak_force
-                assert card["peak_torque_Nmm"] == torques.peak_torque
-                assert point["peak_torque_Nmm"] == torques.peak_torque
+                assert card["peak_torque_Nmm"] == peak_torque
+                assert point["peak_torque_Nmm"] == peak_torque
                 assert card["wheel_radius_mm"] == states[-1].wheel_radius
                 assert point["wheel_radius_mm"] == states[-1].wheel_radius
 
@@ -117,8 +121,8 @@ class TestClosedForms:
         table = SiliconeForceTable(samples=((-1.0, 5.0), (3.0, 1.0), (9.0, 0.0)))
         card = design_card(reference, table=table).outputs
         assert card["peak_axial_force_N"] == 4.0
-        torques = states_torque_profile(reference, transform_profile(reference, 50), table)
-        assert card["peak_torque_Nmm"] == torques.peak_torque
+        torques = torque_profile(reference, transform_profile(reference, 50), table)
+        assert card["peak_torque_Nmm"] == torques[peak_index(torques)].per_motor_torque
 
     def test_sweep_point_matches_the_card(self, reference):
         table = default_force_table()
@@ -438,25 +442,27 @@ def mutated_reference(draw) -> bytes:
 
 def run_four_verbs(work: Path, config: bytes, sweep_path: str, sweep_range: str):
     """Exit codes of ``validate``, ``report``, ``profile`` and ``sweep`` on
-    the config bytes, their stderr, and the sweep's rows (None unless it
-    wrote them)."""
+    the config bytes, their stderr, the sweep's rows (None unless it wrote
+    them) and the stdout of ``report``."""
     path, csv_out, sweep_out = work / "design.yaml", work / "p.csv", work / "s.csv"
     path.write_bytes(config)
-    codes = {}
+    codes, outs = {}, {}
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err):
         for verb, extra in (("validate", []), ("report", []),
                             ("profile", ["--steps", "3", "--out", str(csv_out)]),
                             ("sweep", ["--sweep-param", sweep_path,
                                        f"--sweep-range={sweep_range}",
                                        "--objective", "min-peak-torque",
                                        "--out", str(sweep_out)])):
-            try:
-                codes[verb] = main([verb, "--config", str(path), *extra])
-            except SystemExit as exc:  # argparse refuses the arguments
-                codes[verb] = exc.code
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                try:
+                    codes[verb] = main([verb, "--config", str(path), *extra])
+                except SystemExit as exc:  # argparse refuses the arguments
+                    codes[verb] = exc.code
+            outs[verb] = out.getvalue()
     rows = list(csv.DictReader(sweep_out.open())) if sweep_out.exists() else None
-    return codes, err.getvalue(), rows
+    return codes, err.getvalue(), rows, outs["report"]
 
 
 def assert_no_crash(codes, err):
@@ -468,43 +474,84 @@ def assert_no_crash(codes, err):
         assert codes["report"] == codes["profile"] == 0, err
 
 
+# Any float up to the largest, and often one within a factor 16 of it, so
+# that a sum or a product of a few fields overflows.
+HUGE_FLOATS = st.one_of(st.floats(min_value=-1.0, max_value=sys.float_info.max),
+                        st.floats(min_value=sys.float_info.max / 16,
+                                  max_value=sys.float_info.max))
+
+
+@st.composite
+def huge_designs(draw, max_floats=4):
+    """The reference design, or a ``random_params`` design whose rod pair
+    need not fold (its minimal half separation drawn up to 600 mm), with up
+    to ``max_floats`` float fields up to ``sys.float_info.max`` and two
+    small counts."""
+    base = draw(st.one_of(st.none(), st.tuples(st.integers(0, 2**32 - 1),
+                                               st.floats(0.0, 600.0))))
+    if base is None:
+        p = params.reference_design()
+    else:
+        seed, h_min = base
+        p = set_field(random_params(random.Random(seed)), "wheel.min_half_separation", h_min)
+    floats = draw(st.dictionaries(st.sampled_from(FLOAT_PATHS), HUGE_FLOATS, max_size=max_floats))
+    counts = draw(st.dictionaries(st.sampled_from(COUNT_PATHS), st.integers(0, 12),
+                                  max_size=2))
+    for path, value in {**floats, **counts}.items():
+        p = set_field(p, path, value)
+    return p
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
 class TestHugeFields:
-    # The design is the reference, or a ``random_params`` design whose rod
-    # pair need not fold (its minimal half separation drawn up to 600 mm).
-    @given(st.one_of(st.none(), st.tuples(st.integers(0, 2**32 - 1), st.floats(0.0, 600.0))),
-           st.dictionaries(st.sampled_from(FLOAT_PATHS),
-                           st.floats(min_value=-1.0, max_value=sys.float_info.max),
-                           max_size=4),
-           st.dictionaries(st.sampled_from(COUNT_PATHS), st.integers(0, 12), max_size=2),
-           st.sampled_from(FLOAT_PATHS),
+    @given(huge_designs(), st.sampled_from(FLOAT_PATHS),
            st.lists(st.floats(min_value=-1.0, max_value=sys.float_info.max),
                     min_size=2, max_size=2))
     @settings(max_examples=300, deadline=None)
-    def test_accepted_designs_report_and_profile(self, tmp_path_factory, base, floats,
-                                                 counts, sweep_path, sweep_ends):
-        if base is None:
-            p = params.reference_design()
-        else:
-            seed, h_min = base
-            p = set_field(random_params(random.Random(seed)), "wheel.min_half_separation", h_min)
-        for path, value in {**floats, **counts}.items():
-            p = set_field(p, path, value)
+    def test_accepted_designs_report_and_profile(self, tmp_path_factory, p, sweep_path,
+                                                 sweep_ends):
         work = tmp_path_factory.mktemp("huge")
         start, stop = sweep_ends
-        codes, err, rows = run_four_verbs(work, params.serialize(p).encode("utf-8"),
-                                          sweep_path, f"{start!r}:{stop!r}:3")
+        codes, err, rows, card = run_four_verbs(work, params.serialize(p).encode("utf-8"),
+                                                sweep_path, f"{start!r}:{stop!r}:3")
         assert_no_crash(codes, err)
         if codes["validate"] == 0:
             text = (work / "p.csv").read_text()
             assert "nan" not in text and "inf" not in text, text
+            assert not re.search(r"\b(inf|nan)\b", card), card
         for row in rows or ():
             if row["status"] == "ok":
                 assert all(math.isfinite(float(row[m])) for m in SWEEP_METRICS), row
+
+    # Two huge fields rather than four: more of the designs are accepted.
+    @given(huge_designs(max_floats=2), st.sampled_from([2, 3, 50]))
+    @settings(max_examples=500, deadline=None)
+    def test_accepted_designs_write_finite_keyframes(self, tmp_path_factory, p, steps):
+        # The keyframe encoder writes each float as its repr, which is JSON
+        # only for a finite float: every state of an accepted design must be.
+        text = params.serialize(p)
+        try:
+            p = params.load(text)
+        except ConfigError:  # a field the design derives is past the float range
+            return
+        if not p.validation.valid:
+            return
+        work = tmp_path_factory.mktemp("keyframes")
+        (work / "design.yaml").write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["profile", "--config", str(work / "design.yaml"),
+                         "--steps", str(steps), "--out", str(work / "p.csv")]) == 0
+        frames = (work / "p_keyframes.json").read_text(encoding="utf-8")
+        json.loads(frames, parse_constant=refuse_constant)
+        assert frames == keyframes_json(transform_profile(p, steps), p)
 
     @given(st.one_of(st.binary(max_size=300), mutated_reference()),
            st.sampled_from(FLOAT_PATHS + COUNT_PATHS))
     @settings(max_examples=300, deadline=None)
     def test_malformed_bytes(self, tmp_path_factory, config, sweep_path):
-        codes, err, _ = run_four_verbs(tmp_path_factory.mktemp("bytes"), config,
-                                       sweep_path, "1:4:4")
+        codes, err, _, _ = run_four_verbs(tmp_path_factory.mktemp("bytes"), config,
+                                          sweep_path, "1:4:4")
         assert_no_crash(codes, err)

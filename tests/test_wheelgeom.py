@@ -17,12 +17,12 @@ from morphwheel.wheelgeom import (
     bulge_radius,
     curved_rod_plan,
     expand_frame,
-    keyframe_record,
-    keyframes_document,
+    keyframes_text,
     transform_profile,
     trigger_state,
-    write_keyframes,
 )
+
+from oracles import keyframes_document, keyframes_json
 
 
 class TestBulgeRadius:
@@ -164,10 +164,16 @@ V2_EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "examples" \
     / "profile_keyframes.json"
 
 
+def frames_of(states):
+    """The formatted frames ``keyframes_text`` takes, as ``profile`` makes them."""
+    return [(repr(s.module_length), repr(s.axial_half_separation), repr(s.wheel_radius),
+             s.trigger_mode.value) for s in states]
+
+
 class TestKeyframes:
     def test_record_geometry(self, reference):
         states = transform_profile(reference, 3)
-        rec = expand_frame(keyframes_document(states, reference), 1)
+        rec = expand_frame(json.loads(keyframes_text(reference, frames_of(states))), 1)
         h = states[1].axial_half_separation
         r = states[1].wheel_radius
         assert rec["step"] == 1
@@ -189,35 +195,28 @@ class TestKeyframes:
 
     def test_frames_hold_only_scalars(self, reference):
         states = transform_profile(reference, 4)
-        doc = keyframes_document(states, reference)
+        doc = json.loads(keyframes_text(reference, frames_of(states)))
         assert doc["spoke_pairs"] == reference.wheel.spoke_pairs
         assert doc["hub_offset"] == reference.wheel.hub_offset
-        assert doc["frames"][2] == keyframe_record(states[2], step=2)
+        assert doc["frames"][2] == keyframes_document(states, reference)["frames"][2]
         for frame in doc["frames"]:
             assert set(frame) == {"step", "module_length", "axial_half_separation",
                                   "wheel_radius", "trigger_mode"}
 
-    def test_document_and_file_round_trip(self, reference, tmp_path):
+    def test_document_and_file_round_trip(self, reference):
         states = transform_profile(reference, 4)
-        doc = keyframes_document(states, reference)
+        doc = json.loads(keyframes_text(reference, frames_of(states)))
         assert doc["schema_version"] == KEYFRAME_SCHEMA_VERSION == 2
         assert len(doc["frames"]) == 4
-        path = tmp_path / "frames.json"
-        write_keyframes(states, reference, path)
-        parsed = json.loads(path.read_text())
-        assert parsed == json.loads(json.dumps(doc))
+        assert doc == keyframes_document(states, reference)
 
-    def test_file_bytes_deterministic(self, reference, tmp_path):
-        states = transform_profile(reference, 4)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_keyframes(states, reference, a)
-        write_keyframes(states, reference, b)
-        assert a.read_bytes() == b.read_bytes()
+    def test_file_bytes_deterministic(self, reference):
+        a, b = (keyframes_text(reference, frames_of(transform_profile(reference, 4)))
+                for _ in range(2))
+        assert a == b == keyframes_json(transform_profile(reference, 4), reference)
 
-    def test_file_is_compact_json(self, reference, tmp_path):
-        path = tmp_path / "frames.json"
-        write_keyframes(transform_profile(reference, 4), reference, path)
-        text = path.read_text()
+    def test_file_is_compact_json(self, reference):
+        text = keyframes_text(reference, frames_of(transform_profile(reference, 4)))
         assert text.endswith("}\n") and text.count("\n") == 1
         assert ", " not in text and ": " not in text
 
