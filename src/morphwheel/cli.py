@@ -245,6 +245,18 @@ def _profile_steps(text: str) -> int:
     return steps
 
 
+def _target_ratio(text: str) -> float:
+    # The range ``telescopic.reduction_ok`` accepts, as the inverse sizing
+    # does; a ratio outside it is a usage error, not a design failure.
+    try:
+        ratio = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < ratio <= 1:
+        raise argparse.ArgumentTypeError("target ratio must be in (0, 1]")
+    return ratio
+
+
 def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -272,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="print the complete design card")
     p_report.add_argument("--config", required=True)
-    p_report.add_argument("--target-ratio", type=float, default=0.5,
+    p_report.add_argument("--target-ratio", type=_target_ratio, default=0.5,
                           help="reduction ratio target (default 0.5)")
     p_report.add_argument("--total-bend", type=float, default=DEFAULT_TOTAL_BEND,
                           help="total platform bend in radians (default pi/4)")

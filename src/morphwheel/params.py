@@ -197,6 +197,10 @@ class ValidationReport:
 # pair from closing completely unless the design overrides it.
 _STOPPER_HEIGHT = 2.0  # mm
 
+# Most screw levels a design may have. ``report`` prints one diameter per
+# level, and no nested stack is built from anywhere near this many.
+_MAX_LEVELS = 1000
+
 
 def residual_length(p: DesignParams) -> float:
     """Axial length that does not telescope: joints, clearance, drive, tensioner."""
@@ -250,6 +254,8 @@ def validate(p: DesignParams) -> ValidationReport:
 
     if s.n_levels < 1:
         v.append(Violation("screw.n_levels", "n_levels >= 1"))
+    elif s.n_levels > _MAX_LEVELS:
+        v.append(Violation("screw.n_levels", f"n_levels <= {_MAX_LEVELS}"))
     _positive(v, "screw", s,
               ("screw_level_length", "stopper_width", "thread_width", "base_screw_diameter"))
     if s.thread_clearance < 0:
@@ -372,21 +378,87 @@ def require_valid(p: DesignParams) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema
 
-# Section name -> dataclass, read from the annotations of ``DesignParams``.
-_SECTION_TYPES: dict[str, type] = typing.get_type_hints(DesignParams)
+class _Field(typing.NamedTuple):
+    """One config field, named by the dotted path that a config key, a
+    ``Violation`` and a sweep parameter share."""
+
+    section: str    # the field of ``DesignParams`` that holds the section
+    name: str       # the field of the section
+    path: str       # "section.name"
+    cls: type       # the section's dataclass
+    required: bool  # the field has no default
+    is_count: bool  # annotated ``int`` or ``int | None``
+
+    def value(self, value: float) -> int | float:
+        """``value`` as this field holds it: an int for a count, which
+        refuses a non-integral value, else a float."""
+        if not self.is_count:
+            return float(value)
+        if not float(value).is_integer():
+            raise ConfigError(f"count field needs an integer value, got {value!r}",
+                              field=self.path)
+        return int(value)
+
+    def setter(self, p: DesignParams):
+        """A function of one value (as ``value`` returns it) that gives a copy
+        of ``p`` with this field set to it.
+
+        A field of the same section that holds what its ``None`` default
+        derives (``shaft_levels`` from ``n_levels``, ``joint_height`` from
+        ``joint_arm_height``) is derived again from the new value; one set to
+        anything else keeps it. The section's and the design's other fields
+        are read once, here, not per call.
+        """
+        section = getattr(p, self.section)
+        kwargs = {f.name: getattr(section, f.name) for f in fields(self.cls)}
+        for f in fields(self.cls):
+            if f.name != self.name and f.default is None and kwargs[f.name] \
+                    == getattr(replace(section, **{f.name: None}), f.name):
+                kwargs[f.name] = None
+        design = {name: getattr(p, name) for name in _SECTIONS}
+        cls, name, section_name = self.cls, self.name, self.section
+
+        def at(value):
+            kwargs[name] = value
+            design[section_name] = cls(**kwargs)
+            return DesignParams(**design)
+        return at
 
 
-def _required(f) -> bool:
-    return f.default is MISSING and f.default_factory is MISSING
-
-
-def _is_count(f) -> bool:
+def _schema(section: str, cls: type) -> dict[str, _Field]:
     # Annotations are strings (``from __future__ import annotations``); every
     # section field is a number, and a count when it is annotated an int.
-    return f.type in ("int", "int | None")
+    return {f.name: _Field(section, f.name, f"{section}.{f.name}", cls,
+                           f.default is MISSING and f.default_factory is MISSING,
+                           f.type in ("int", "int | None"))
+            for f in fields(cls)}
 
+
+# Section name -> (its dataclass, {key: _Field}), in the order of the fields
+# of ``DesignParams``, read from its annotations: the one table that
+# ``load``, ``serialize``, ``set_field`` and a sweep read.
+_SECTIONS: dict[str, tuple[type, dict[str, _Field]]] = {
+    name: (cls, _schema(name, cls))
+    for name, cls in typing.get_type_hints(DesignParams).items()}
+
+
+def _field_path(path: str) -> _Field:
+    """Resolve a dotted field name; ``ConfigError`` names a path that is no
+    field, or a section rather than a field."""
+    section, dot, name = path.partition(".")
+    entry = _SECTIONS.get(section)
+    if entry is not None and not dot:
+        raise ConfigError("parameter path is not a numeric field", field=path)
+    found = None if entry is None else entry[1].get(name)
+    if found is None:
+        raise ConfigError("unresolvable parameter path", field=path)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# config parsing
 
 def _coerce(path: str, value, is_count: bool):
     if isinstance(value, bool) or not isinstance(value, int if is_count else (int, float)):
@@ -403,54 +475,25 @@ def _coerce(path: str, value, is_count: bool):
     return value if is_count else float(value)
 
 
-class _Field(typing.NamedTuple):
-    name: str
-    path: str       # "section.name", as a ``Violation`` and a sweep name it
-    required: bool  # the field has no default
-    is_count: bool  # annotated ``int`` or ``int | None``
-
-
-@dataclass(frozen=True)
-class _Section:
-    """What ``load`` needs of one section's dataclass, read once from
-    ``dataclasses.fields()``."""
-
-    cls: type
-    fields: tuple[_Field, ...]
-    names: frozenset[str]
-    required: bool  # some field is
-
-
-def _section(name: str, cls: type) -> _Section:
-    spec = tuple(_Field(f.name, f"{name}.{f.name}", _required(f), _is_count(f))
-                 for f in fields(cls))
-    return _Section(cls, spec, frozenset(f.name for f in spec), any(f.required for f in spec))
-
-
-# Section name -> its schema, in the order of the fields of ``DesignParams``.
-_SECTIONS = {name: _section(name, cls) for name, cls in _SECTION_TYPES.items()}
-
-
-def _read_section(doc: dict, name: str, schema: _Section):
-    """The instance of ``schema.cls`` that section ``name`` of ``doc``
-    describes."""
+def _read_section(doc: dict, name: str, cls: type, schema: dict[str, _Field]):
+    """The instance of ``cls`` that section ``name`` of ``doc`` describes."""
     section = doc.get(name)
     if section is None:
-        if schema.required:
+        if any(f.required for f in schema.values()):
             raise ConfigError(f"missing required section '{name}'", field=name)
-        return schema.cls()
+        return cls()
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be a mapping", field=name)
     for key in section:
-        if key not in schema.names:
+        if key not in schema:
             raise ConfigError("unknown key", field=f"{name}.{key}")
     out = {}
-    for key, path, required, is_count in schema.fields:
+    for key, f in schema.items():
         if key in section:
-            out[key] = _coerce(path, section[key], is_count)
-        elif required:
-            raise ConfigError("missing required field", field=path)
-    return schema.cls(**out)
+            out[key] = _coerce(f.path, section[key], f.is_count)
+        elif f.required:
+            raise ConfigError("missing required field", field=f.path)
+    return cls(**out)
 
 
 _STR, _FLOAT, _MAP, _SEQ = (f"tag:yaml.org,2002:{kind}" for kind in ("str", "float", "map", "seq"))
@@ -565,94 +608,26 @@ def load(config_text: str) -> DesignParams:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping of sections")
     for key in doc:
-        if key not in _SECTION_TYPES:
+        if key not in _SECTIONS:
             raise ConfigError("unknown section", field=str(key))
-    return DesignParams(**{name: _read_section(doc, name, schema)
-                           for name, schema in _SECTIONS.items()})
+    return DesignParams(**{name: _read_section(doc, name, cls, schema)
+                           for name, (cls, schema) in _SECTIONS.items()})
 
 
 def load_path(path: str | Path) -> DesignParams:
     return load(Path(path).read_text(encoding="utf-8"))
 
 
-def _section_dict(obj) -> dict:
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if value is not None:
-            out[f.name] = value
-    return out
-
-
 def serialize(p: DesignParams) -> str:
     """Emit config text that ``load`` parses back to an equal ``DesignParams``.
     A section whose every field is None is left out."""
-    doc = {name: section for name in _SECTION_TYPES
-           if (section := _section_dict(getattr(p, name)))}
+    doc = {}
+    for name, (_, schema) in _SECTIONS.items():
+        section = getattr(p, name)
+        values = {key: value for key in schema if (value := getattr(section, key)) is not None}
+        if values:
+            doc[name] = values
     return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=True, default_flow_style=False)
-
-
-# ---------------------------------------------------------------------------
-# field paths
-
-@dataclass(frozen=True)
-class _FieldPath:
-    """A dotted name such as ``screw.n_levels``, resolved to its section and
-    field: the name a config key, a ``Violation`` and a sweep share."""
-
-    path: str
-    section: str     # the field of ``DesignParams`` that holds the section
-    name: str        # the field of the section
-    cls: type        # the section's dataclass
-    is_count: bool   # annotated ``int`` or ``int | None``
-
-    def value(self, value: float) -> int | float:
-        """``value`` as this field holds it: an int for a count, which
-        refuses a non-integral value, else a float."""
-        if not self.is_count:
-            return float(value)
-        if not float(value).is_integer():
-            raise ConfigError(f"count field needs an integer value, got {value!r}",
-                              field=self.path)
-        return int(value)
-
-    def setter(self, p: DesignParams):
-        """A function of one value (as ``value`` returns it) that gives a copy
-        of ``p`` with this field set to it.
-
-        A field of the same section that holds what its ``None`` default
-        derives (``shaft_levels`` from ``n_levels``, ``joint_height`` from
-        ``joint_arm_height``) is derived again from the new value; one set to
-        anything else keeps it. The section's and the design's other fields
-        are read once, here, not per call.
-        """
-        section = getattr(p, self.section)
-        kwargs = {f.name: getattr(section, f.name) for f in fields(self.cls)}
-        for f in fields(self.cls):
-            if f.name != self.name and f.default is None and kwargs[f.name] \
-                    == getattr(replace(section, **{f.name: None}), f.name):
-                kwargs[f.name] = None
-        design = {name: getattr(p, name) for name in _SECTION_TYPES}
-        cls, name, section_name = self.cls, self.name, self.section
-
-        def at(value):
-            kwargs[name] = value
-            design[section_name] = cls(**kwargs)
-            return DesignParams(**design)
-        return at
-
-
-def _field_path(path: str) -> _FieldPath:
-    """Resolve a dotted field name; ``ConfigError`` names a path that is no
-    field, or a section rather than a field."""
-    section, dot, name = path.partition(".")
-    schema = _SECTIONS.get(section)
-    if schema is not None and not dot:
-        raise ConfigError("parameter path is not a numeric field", field=path)
-    found = [f for f in schema.fields if f.name == name] if schema is not None else []
-    if not found:
-        raise ConfigError("unresolvable parameter path", field=path)
-    return _FieldPath(path, section, name, schema.cls, found[0].is_count)
 
 
 def reference_design() -> DesignParams:

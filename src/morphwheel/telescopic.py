@@ -68,6 +68,8 @@ def module_lengths(p: DesignParams) -> ModuleLengths:
 
 def reduction_ok(reduced: float, elongated: float, target_ratio: float = 0.5) -> bool:
     """True when reduced/elongated meets the target (boundary included)."""
+    if not 0 < target_ratio <= 1:
+        raise ValueError("target_ratio must be in (0, 1]")
     if elongated <= 0:
         raise ValueError("elongated length must be positive")
     return reduced / elongated <= target_ratio

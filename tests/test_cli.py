@@ -231,6 +231,21 @@ class TestCmdReport:
         assert main(["report", "--config", config_file, "--target-ratio", "0.9"]) == 0
         assert "reduction_ok = PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "-1", "0", "1.5"])
+    def test_target_ratio_outside_the_unit_interval_exits_2(self, config_file, capsys,
+                                                            ratio):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--config", config_file, f"--target-ratio={ratio}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --target-ratio: target ratio must be in (0, 1]\n" in captured.err
+
+    def test_target_ratio_of_one_exits_0(self, config_file, capsys):
+        assert main(["report", "--config", config_file, "--target-ratio", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "reduction_target = 1\n" in out and "reduction_ok = PASS\n" in out
+
     def test_rod_pair_that_cannot_fold_exits_1(self, tmp_path, capsys):
         text = serialize(reference_design()).replace(
             "min_half_separation: 0.0", "min_half_separation: 150.0")

@@ -170,6 +170,35 @@ class TestValidate:
                        for w in validate(ok).warnings)
 
 
+class TestLevelCap:
+    """A screw count past ``params._MAX_LEVELS`` is a violation: ``report``
+    would print one diameter per level."""
+
+    def test_cap_is_valid_and_one_past_is_not(self, reference):
+        cap = params._MAX_LEVELS
+        assert validate(set_field(reference, "screw.n_levels", cap)).valid
+        past = validate(set_field(reference, "screw.n_levels", cap + 1))
+        assert [(v.field, v.constraint) for v in past.violations] \
+            == [("screw.n_levels", f"n_levels <= {cap}")]
+
+    def test_one_past_the_cap_is_refused_by_every_verb(self, reference, tmp_path, capsys):
+        config = tmp_path / "design.yaml"
+        config.write_text(
+            serialize(set_field(reference, "screw.n_levels", params._MAX_LEVELS + 1)),
+            encoding="utf-8")
+        out, sweep_out = tmp_path / "p.csv", tmp_path / "s.csv"
+        for argv in (["validate"], ["report"], ["profile", "--out", str(out)],
+                     ["sweep", "--sweep-param", "drive.screw_lead", "--sweep-range", "1:4:4",
+                      "--objective", "min-peak-torque", "--out", str(sweep_out)]):
+            assert main([*argv, "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        line = f"VIOLATION screw.n_levels: n_levels <= {params._MAX_LEVELS}\n"
+        assert line in captured.out
+        assert captured.err.count(line) == 3
+        assert "Traceback" not in captured.err
+        assert not out.exists() and not sweep_out.exists()
+
+
 def with_fields(p, changes):
     for path, value in changes.items():
         p = set_field(p, path, value)
@@ -395,6 +424,12 @@ class TestLoad:
             load(text)
 
 
+# Every config field as "section.key", read from the dataclasses themselves.
+CONFIG_PATHS = [f"{section.name}.{f.name}"
+                for section in dataclasses.fields(params.DesignParams)
+                for f in dataclasses.fields(getattr(reference_design(), section.name))]
+
+
 def one_bad_field_designs():
     """One design per config field set to -1, plus a non-physical screw:
     between them they trip every check ``validate`` makes."""
@@ -427,6 +462,35 @@ class TestOneVocabulary:
                        if s.name != "reported"
                        for f in dataclasses.fields(getattr(reference_design(), s.name))}
         assert named == config_keys
+
+    @pytest.mark.parametrize("path", CONFIG_PATHS)
+    def test_string_value_is_named(self, reference, path):
+        section, key = path.split(".")
+        doc = yaml.safe_load(serialize(reference))
+        doc[section][key] = "wide"
+        with pytest.raises(ConfigError, match="^expected an? ") as exc:
+            load(yaml.safe_dump(doc))
+        assert exc.value.field == path
+        assert str(exc.value).endswith(f" (field: {path})")
+
+    @pytest.mark.parametrize("path", CONFIG_PATHS)
+    def test_unknown_key_of_its_section_is_named(self, reference, path):
+        section = path.split(".")[0]
+        doc = yaml.safe_load(serialize(reference))
+        doc[section]["bogus"] = 1.0
+        with pytest.raises(ConfigError) as exc:
+            load(yaml.safe_dump(doc))
+        assert str(exc.value) == f"unknown key (field: {section}.bogus)"
+        with pytest.raises(ConfigError) as exc:
+            set_field(reference, f"{section}.bogus", 1.0)
+        assert str(exc.value) == f"unresolvable parameter path (field: {section}.bogus)"
+        with pytest.raises(ConfigError) as exc:
+            set_field(reference, section, 1.0)
+        assert str(exc.value) == f"parameter path is not a numeric field (field: {section})"
+
+    @pytest.mark.parametrize("path", CONFIG_PATHS)
+    def test_setting_the_current_value_gives_an_equal_design(self, reference, path):
+        assert set_field(reference, path, operator.attrgetter(path)(reference)) == reference
 
 
 class TestRoundTrip:

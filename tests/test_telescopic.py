@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -82,6 +83,11 @@ class TestReductionCheck:
     def test_boundary_inclusive(self):
         assert reduction_ok(170.0, 340.0)
         assert not reduction_ok(170.1, 340.0)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -1.0, 0.0, 1.5])
+    def test_target_outside_the_unit_interval_raises(self, target):
+        with pytest.raises(ValueError, match=r"target_ratio must be in \(0, 1\]"):
+            reduction_ok(165.0, 340.0, target)
 
 
 class TestMinScrewLength:
