@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import quasistatics, wheelgeom
-from .errors import ConfigError, InvalidDesignError
+from .errors import ConfigError
 from .params import DesignParams, load
 from .report import (
     DEFAULT_TOTAL_BEND,
@@ -90,14 +90,21 @@ def _load_or_exit(config: str) -> tuple[DesignParams, str]:
     return p, text
 
 
-def _force_table_or_exit(args) -> quasistatics.SiliconeForceTable | None:
+def _force_table_or_exit(args, p: DesignParams) -> quasistatics.SiliconeForceTable | None:
     if getattr(args, "force_table", None) is None:
         return None
     try:
-        return quasistatics.load_force_table_path(args.force_table)
+        table = quasistatics.load_force_table_path(args.force_table)
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"error: cannot load force table: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
+    # Validation checks the peak torque on the default table; the card and
+    # the profile print it on this one. No torque of the profile exceeds it.
+    if not math.isfinite(quasistatics.peak_load(p, table)[1]):
+        print(f"error: force table {args.force_table}: the design's peak torque "
+              "on it is not finite", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
+    return table
 
 
 def _refused(p: DesignParams, action: str) -> bool:
@@ -131,7 +138,7 @@ def cmd_report(args) -> int:
     p, text = _load_or_exit(args.config)
     if _refused(p, "report on"):
         return EXIT_VALIDATION
-    table = _force_table_or_exit(args)
+    table = _force_table_or_exit(args, p)
     try:
         rr = design_card(
             p,
@@ -151,13 +158,13 @@ def cmd_profile(args) -> int:
     p, _ = _load_or_exit(args.config)
     if _refused(p, "profile"):
         return EXIT_VALIDATION
-    table = _force_table_or_exit(args)
+    table = _force_table_or_exit(args, p)
     try:
         states = wheelgeom.transform_profile(p, args.steps)
-        torques = quasistatics.torque_profile(p, states, table)
-    except (InvalidDesignError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except ValueError as exc:  # more steps than the design resolves
+        print(f"error: --steps: {exc}", file=sys.stderr)
+        return EXIT_IO
+    torques = quasistatics.torque_profile(p, states, table)
     # One pass formats each state once: the reprs of its floats and its
     # trigger mode go into both its CSV row, as ``csv.writer`` would write
     # them, and its keyframe frame.

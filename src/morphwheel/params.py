@@ -48,6 +48,7 @@ __all__ = [
     "YAML_DUMPER",
     "residual_length",
     "elongated_length",
+    "reduced_length",
     "min_half_separation",
     "screw_diameter",
     "validate",
@@ -180,10 +181,20 @@ class Inconsistency:
     reported: float | None = None
 
 
+class _Derived(typing.NamedTuple):
+    # The quantities ``validate`` derives to check a design for overflow,
+    # kept on a valid design's report: the card and a sweep point read them
+    # instead of deriving them again.
+    elongated: float     # mm, ``elongated_length``
+    wheel_radius: float  # mm, ``wheelgeom.transform_endpoint_radius``
+    peak_load: tuple[float, float]  # ``quasistatics.peak_load`` on the default table
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[Violation, ...] = ()
     warnings: tuple[Inconsistency, ...] = ()
+    _derived: _Derived | None = field(default=None, compare=False, repr=False)
 
     @property
     def valid(self) -> bool:
@@ -201,6 +212,12 @@ _STOPPER_HEIGHT = 2.0  # mm
 # level, and no nested stack is built from anywhere near this many.
 _MAX_LEVELS = 1000
 
+# Least share of a length that the wheel stroke may change it by. At this
+# share the states of a 50-state profile still differ in floats: its
+# flattest step, the radius near full compression, moves by about 2**-42 of
+# it, some 2**10 units in the last place.
+_MIN_STROKE_SHARE = 2.0 ** -30
+
 
 def residual_length(p: DesignParams) -> float:
     """Axial length that does not telescope: joints, clearance, drive, tensioner."""
@@ -212,6 +229,11 @@ def residual_length(p: DesignParams) -> float:
 def elongated_length(p: DesignParams) -> float:
     """Module length with all ``n_levels`` screw levels extended on both platforms."""
     return 2.0 * p.screw.n_levels * p.screw.screw_level_length + residual_length(p)
+
+
+def reduced_length(p: DesignParams) -> float:
+    """Module length with the stack collapsed to one level per platform."""
+    return 2.0 * p.screw.screw_level_length + residual_length(p)
 
 
 def min_half_separation(p: DesignParams) -> float:
@@ -247,7 +269,8 @@ def validate(p: DesignParams) -> ValidationReport:
     means the design is structurally sound. Warnings carry cross-checks
     against any supplied reported values and never invalidate a design.
     A design that passes every other check, as their formulas assume, is
-    last checked for derived quantities past the float range.
+    last checked for derived quantities past the float range and for a wheel
+    stroke lost to rounding.
     """
     v: list[Violation] = []
     s, lay, pf, w = p.screw, p.layout, p.platform, p.wheel
@@ -306,23 +329,34 @@ def validate(p: DesignParams) -> ValidationReport:
         v.append(Violation("drive.screw_mean_diameter",
                            "pi * screw_mean_diameter > screw_friction * screw_lead"))
 
+    derived = None
     if not v:
-        v.extend(_overflows(p, elongated))
-    return ValidationReport(violations=tuple(v), warnings=_length_identity_warnings(p))
+        derived = _Derived(elongated, wheelgeom.transform_endpoint_radius(p),
+                           quasistatics.peak_load(p))
+        v.extend(_overflows(p, derived, w.rod_half_length - h_min))
+    return ValidationReport(tuple(v), _length_identity_warnings(p), None if v else derived)
 
 
-def _overflows(p: DesignParams, elongated: float) -> list[Violation]:
+def _overflows(p: DesignParams, derived: _Derived, travel: float) -> list[Violation]:
     # The card, the profile and a sweep row print these quantities: none may
-    # overflow. The rim plan also rounds the rim arc over the usable rod
-    # length to a level count and checks it in floats, which count exactly
-    # only below 2**53.
+    # overflow, and the wheel stroke, twice the rod ``travel``, must change
+    # the module length, the half-separation and the wheel radius by a share
+    # that floats resolve. The rim plan also rounds the rim arc over the
+    # usable rod length to a level count and checks it in floats, which count
+    # exactly only below 2**53.
     out = []
-    if not math.isfinite(elongated):
+    w = p.wheel
+    if not math.isfinite(derived.elongated):
         out.append(Violation("screw.screw_level_length", "elongated length is finite"))
+    elif not 2.0 * travel > _MIN_STROKE_SHARE * derived.elongated:
+        out.append(Violation("wheel.rod_half_length", "2 * (rod_half_length - "
+                             "min_half_separation) > 2**-30 * elongated length"))
+    if not travel > _MIN_STROKE_SHARE * w.rod_half_length:
+        out.append(Violation("wheel.min_half_separation", "rod_half_length - "
+                             "min_half_separation > 2**-30 * rod_half_length"))
     if not math.isfinite(screw_diameter(p, p.screw.n_levels - 1)):
         out.append(Violation("screw.thread_width", "outermost screw diameter is finite"))
-    w = p.wheel
-    radius = wheelgeom.transform_endpoint_radius(p)
+    radius = derived.wheel_radius
     arc = wheelgeom.rim_arc(radius, w.spoke_pairs)
     if not math.isfinite(radius):
         out.append(Violation("wheel.rod_half_length", "wheel radius is finite"))
@@ -331,7 +365,10 @@ def _overflows(p: DesignParams, elongated: float) -> list[Violation]:
     elif not arc / (w.curved_rod_length - w.hinge_allowance) < 2.0 ** 53:
         out.append(Violation("wheel.curved_rod_length",
                              "rim arc / (curved_rod_length - hinge_allowance) < 2**53"))
-    if not math.isfinite(quasistatics.peak_load(p)[1]):
+    elif not radius - w.hub_offset > _MIN_STROKE_SHARE * radius:
+        out.append(Violation("wheel.hub_offset",
+                             "wheel radius - hub_offset > 2**-30 * wheel radius"))
+    if not math.isfinite(derived.peak_load[1]):
         out.append(Violation("drive.screw_mean_diameter", "peak torque is finite"))
     # The card's chassis and rod lengths grow with the plate tilt.
     tilt = bending.MAX_PLATE_TILT

@@ -15,7 +15,7 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import bending, quasistatics, telescopic, wheelgeom
+from . import bending, params, quasistatics, telescopic, wheelgeom
 from .errors import InfeasibleError, InvalidDesignError
 from .params import (
     DesignParams,
@@ -61,9 +61,9 @@ class RunReport:
     warnings: tuple[Inconsistency, ...]
 
 
-def _mismatch(code: str, computed: float | None, reported: float | None,
+def _mismatch(code: str, computed: float, reported: float | None,
               detail: str) -> Inconsistency | None:
-    if computed is None or reported is None:
+    if reported is None:
         return None
     if abs(computed - reported) <= _REL_TOL * max(1.0, abs(reported)):
         return None
@@ -81,12 +81,11 @@ def consistency_warnings(p: DesignParams,
     require_valid(p)
     theta = total_bend / p.platform.plate_count
     return _warnings(p, telescopic.module_lengths(p),
-                     bending.chassis_diameter(p, theta).chassis_diameter, theta,
-                     2.0 * wheelgeom.transform_endpoint_radius(p))
+                     bending.chassis_diameter(p, theta).chassis_diameter, theta)
 
 
 def _warnings(p: DesignParams, lengths: telescopic.ModuleLengths, chassis_d: float,
-              theta: float, wheel_d: float) -> tuple[Inconsistency, ...]:
+              theta: float) -> tuple[Inconsistency, ...]:
     # ``consistency_warnings`` over quantities already computed for a valid
     # design.
     rep = p.reported
@@ -101,7 +100,8 @@ def _warnings(p: DesignParams, lengths: telescopic.ModuleLengths, chassis_d: flo
         _mismatch("rod_half_expansion_mismatch", bending.rod_half_expansion(p, theta),
                   rep.rod_half_expansion,
                   "computed rod half expansion differs from the reported value"),
-        _mismatch("wheel_diameter_mismatch", wheel_d, rep.wheel_diameter,
+        _mismatch("wheel_diameter_mismatch", 2.0 * p.validation._derived.wheel_radius,
+                  rep.wheel_diameter,
                   "computed full-compression wheel diameter differs from the reported value"),
     )
     return (*p.validation.warnings, *(c for c in checks if c is not None))
@@ -113,24 +113,39 @@ SWEEP_METRICS = (
 )
 
 
-def _sweep_values(p: DesignParams, table: quasistatics.SiliconeForceTable
-                  ) -> tuple[float, ...]:
-    lengths = telescopic.module_lengths(p)  # the one validation of the point
+def _peak_load(p: DesignParams, derived: params._Derived,
+               table: quasistatics.SiliconeForceTable | None) -> tuple[float, float]:
+    # ``quasistatics.peak_load(p, table)``; validation derived it on the default table.
+    default = table is None or table is quasistatics.default_force_table()
+    return derived.peak_load if default else quasistatics.peak_load(p, table)
+
+
+def _sweep_values(p: DesignParams, table: quasistatics.SiliconeForceTable | None,
+                  derived: params._Derived | None = None) -> tuple[float, ...]:
+    # ``sweep_point``'s values. A sweep's own designs are thrown away, so each
+    # validates directly (``derived`` None), not through the report a design
+    # keeps.
+    if derived is None:
+        report = params.validate(p)
+        if not report.valid:
+            raise InvalidDesignError(report)
+        derived = report._derived
+    lengths = telescopic.ModuleLengths(derived.elongated, params.reduced_length(p))
     theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
     return (
         lengths.elongated,
         lengths.reduced,
         lengths.reduction_ratio,
         bending.chassis_diameter(p, theta).chassis_diameter,
-        wheelgeom.transform_endpoint_radius(p),
-        quasistatics.peak_load(p, table)[1],
+        derived.wheel_radius,
+        _peak_load(p, derived, table)[1],
     )
 
 
 def sweep_point(p: DesignParams, table: quasistatics.SiliconeForceTable) -> dict[str, float]:
     """The ``SWEEP_METRICS`` of one design; raises ``InvalidDesignError`` for
     an invalid one, the only kind of design without a value."""
-    return dict(zip(SWEEP_METRICS, _sweep_values(p, table)))
+    return dict(zip(SWEEP_METRICS, _sweep_values(p, table, require_valid(p)._derived)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +226,6 @@ def sweep(p: DesignParams, spec: SweepSpec,
     if field.is_count:  # only a count field refuses a grid value
         for i in range(spec.steps):
             convert(spec.value(i))
-    table = quasistatics.default_force_table()
     at = field.setter(p)
     metric = SWEEP_METRICS.index(spec.metric)
     better = operator.gt if spec.maximise else operator.lt
@@ -220,7 +234,7 @@ def sweep(p: DesignParams, spec: SweepSpec,
     for i in range(spec.steps):
         value = convert(spec.value(i))
         try:
-            values = _sweep_values(at(value), table)
+            values = _sweep_values(at(value), None)  # the default table
         except InvalidDesignError as exc:
             fields = dict.fromkeys(v.field for v in exc.report.violations)
             emit((i, value, *blank, "invalid", " ".join(fields)))
@@ -273,35 +287,32 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
     except InfeasibleError as exc:
         outputs["rod_sizing"] = f"INFEASIBLE: {exc}"
 
-    radius = wheelgeom.transform_endpoint_radius(p)
+    radius = validation._derived.wheel_radius
     outputs["wheel_radius_mm"] = radius
-    outputs["wheel_diameter_mm"] = wheel_d = 2.0 * radius
+    outputs["wheel_diameter_mm"] = 2.0 * radius
     plan = wheelgeom.curved_rod_plan(radius, p)
     outputs["rim_arc_per_sector_mm"] = plan.arc_per_sector
     outputs["curved_rod_levels"] = plan.levels
     outputs["curved_rod_curvature_mm"] = plan.matched_curvature
 
-    force, torque = quasistatics.peak_load(p, table)
+    force, torque = _peak_load(p, validation._derived, table)
     outputs["peak_axial_force_N"] = force
     outputs["peak_torque_Nmm"] = torque
     check = quasistatics.motor_check(torque, p.drive.motor_stall_torque)
     outputs["motor_check_ok"] = check.passed
     outputs["motor_check_note"] = check.note
 
-    rep = p.reported
-    if rep.elongated_length is not None:
-        outputs["target_elongated_ok"] = _mismatch(
-            "", lengths.elongated, rep.elongated_length, "") is None
-    if rep.reduced_length is not None:
-        outputs["target_reduced_ok"] = _mismatch(
-            "", lengths.reduced, rep.reduced_length, "") is None
-    if rep.wheel_diameter is not None:
-        outputs["target_wheel_diameter_ok"] = _mismatch(
-            "", wheel_d, rep.wheel_diameter, "") is None
+    warnings = _warnings(p, lengths, chassis.chassis_diameter, theta)
+    codes = {w.code for w in warnings}
+    for key, target in (("target_elongated_ok", "elongated_length"),
+                        ("target_reduced_ok", "reduced_length"),
+                        ("target_wheel_diameter_ok", "wheel_diameter")):
+        if getattr(p.reported, target) is not None:
+            outputs[key] = f"{target}_mismatch" not in codes
 
     return RunReport(
         digest=digest if digest is not None else config_digest(serialize(p)),
         validation=validation,
         outputs=outputs,
-        warnings=_warnings(p, lengths, chassis.chassis_diameter, theta, wheel_d),
+        warnings=warnings,
     )

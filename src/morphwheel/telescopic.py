@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
-from .params import (DesignParams, elongated_length, require_valid, residual_length,
+from .params import (DesignParams, reduced_length, require_valid, residual_length,
                      screw_diameter)
 
 __all__ = [
@@ -57,13 +57,10 @@ def module_lengths(p: DesignParams) -> ModuleLengths:
     Elongated stacks all ``n_levels`` screw levels twice (one per cascaded
     platform) on top of the residual; reduced keeps a single collapsed level
     per platform. Refuses invalid designs with their validation report
-    (``p.validation``, computed once per design).
+    (``p.validation``, computed once per design), which holds the elongated
+    length.
     """
-    require_valid(p)
-    return ModuleLengths(
-        elongated=elongated_length(p),
-        reduced=2.0 * p.screw.screw_level_length + residual_length(p),
-    )
+    return ModuleLengths(require_valid(p)._derived.elongated, reduced_length(p))
 
 
 def reduction_ok(reduced: float, elongated: float, target_ratio: float = 0.5) -> bool:

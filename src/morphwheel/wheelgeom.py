@@ -97,7 +97,8 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
     the length column starts exactly at the elongated crawler length and
     decreases strictly while the radius increases strictly. Refuses invalid
     designs with ``InvalidDesignError`` (``p.validation``, computed once per
-    design).
+    design), and with ``ValueError`` a step count finer than the design's
+    floats resolve, whose states would not all differ.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -107,6 +108,7 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
     h_min = min_half_separation(p)
 
     states = []
+    last_length, last_radius = math.inf, -math.inf
     for i in range(steps):
         if i == 0:
             h = l
@@ -115,10 +117,15 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
         else:
             h = l + (h_min - l) * (i / (steps - 1))
         length = lengths.elongated - 2.0 * (l - h)
+        radius = bulge_radius(l, h, w.hub_offset)
+        if not (length < last_length and radius > last_radius):
+            raise ValueError(f"{steps} steps are finer than the design resolves: state {i} "
+                             "does not shorten the module and widen the wheel")
+        last_length, last_radius = length, radius
         states.append(TransformState(
             module_length=length,
             axial_half_separation=h,
-            wheel_radius=bulge_radius(l, h, w.hub_offset),
+            wheel_radius=radius,
             trigger_mode=trigger_state(length, lengths.elongated),
         ))
     return states

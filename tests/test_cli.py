@@ -399,6 +399,22 @@ class TestCmdProfile:
                      "--force-table", str(table)]) == 2
 
 
+    def test_steps_finer_than_the_design_resolves_exit_2(self, tmp_path, capsys):
+        # On a 1.5e11 mm hub, the last of 10000 states would widen the wheel
+        # by 7e-7 mm, below the 3e-5 mm float resolution of its radius.
+        config = tmp_path / "design.yaml"
+        config.write_text(serialize(set_field(reference_design(), "wheel.hub_offset", 1.5e11)))
+        out = tmp_path / "p.csv"
+        assert main(["profile", "--config", str(config), "--steps", "10000",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --steps: 10000 steps are finer than the design "
+                              "resolves: state ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["design.yaml"]
+        assert main(["profile", "--config", str(config), "--steps", "2000",
+                     "--out", str(out)]) == 0
+
 def profile_oracle(p, steps, table):
     """The profile CSV and keyframe bytes as ``csv.writer`` and ``json.dumps``
     write them from the library's states."""
@@ -489,6 +505,21 @@ class TestRefusedInput:
                        ["design.yaml", "table.yaml"])
         assert err == ("error: cannot load force table: invalid force table: "
                        "length changes and forces must be finite (field: force_table)\n")
+
+    def test_peak_torque_past_the_float_range_on_the_force_table(self, tmp_path, capsys):
+        # A valid design, whose peak torque is finite on the default table
+        # that validation checks, and past the float range on this one.
+        config = tmp_path / "design.yaml"
+        config.write_text(Path(REFERENCE_CONFIG).read_text().replace(
+            "screw_mean_diameter: 8.0", "screw_mean_diameter: 1.0e+10"))
+        table = tmp_path / "table.yaml"
+        table.write_text("- [1.0, 1.0e+300]\n- [2.0, 1.0]\n")
+        assert main(["report", "--config", str(config)]) == 0
+        capsys.readouterr()
+        err = self.run(capsys, tmp_path, ["--config", str(config), "--force-table", str(table)],
+                       ["design.yaml", "table.yaml"])
+        assert err == (f"error: force table {table}: "
+                       "the design's peak torque on it is not finite\n")
 
 
 class TestCmdSweep:

@@ -251,10 +251,14 @@ class TestOverflow:
 
     def test_huge_but_finite_quantities_are_accepted(self, reference, tmp_path, capsys):
         # A 1e17 mm hub needs 2 * pi * 1e17 / 6 / 105, about 1e15, rim rod
-        # levels; 1e-7 mm of usable rod needs 2094395103.
-        for changes in ({"wheel.hub_offset": 1e17},
+        # levels; 1e-7 mm of usable rod needs 2094395103. A wheel stroke
+        # lost to rounding against a huge hub or module length is refused
+        # (``TestStrokeResolution``), so the hub comes with 1e9 mm rods on
+        # a module long enough to fold them, and the drive is 1e11 mm long.
+        for changes in ({"wheel.hub_offset": 1e17, "wheel.rod_half_length": 1e9,
+                         "screw.screw_level_length": 1e9},
                         {"wheel.curved_rod_length": 1e-7, "wheel.hinge_allowance": 0.0},
-                        {"layout.drive_assembly_length": 1e307},
+                        {"layout.drive_assembly_length": 1e11},
                         {"platform.max_screw_extension": 1e308}):
             p = with_fields(reference, changes)
             assert validate(p).valid
@@ -307,6 +311,53 @@ class TestOverflow:
         # The overflow checks assume the structural invariants hold.
         p = with_fields(reference, {"wheel.hub_offset": 1e308, "drive.screw_lead": -1.0})
         assert [v.field for v in validate(p).violations] == ["drive.screw_lead"]
+
+
+class TestStrokeResolution:
+    """A wheel stroke that the module length, the rod half-length or the
+    wheel radius cannot show in floats is a violation: every state of a
+    profile would share one length or one radius."""
+
+    STROKE = ("wheel.rod_half_length",
+              "2 * (rod_half_length - min_half_separation) > 2**-30 * elongated length")
+
+    @pytest.mark.parametrize("changes,field,constraint", [
+        # 8e200 mm long: the 280 mm stroke rounds away.
+        ({"screw.screw_level_length": 1.0e200}, *STROKE),
+        ({"layout.drive_assembly_length": 1e307}, *STROKE),
+        # The 140 mm radius gain rounds away on the hub.
+        ({"wheel.hub_offset": 1e17},
+         "wheel.hub_offset", "wheel radius - hub_offset > 2**-30 * wheel radius"),
+        # The half-separation moves by 5e-7 of a 1000 mm rod.
+        ({"wheel.rod_half_length": 1000.0, "wheel.min_half_separation": 1000.0 - 5e-7},
+         "wheel.min_half_separation",
+         "rod_half_length - min_half_separation > 2**-30 * rod_half_length"),
+    ])
+    def test_refused_by_every_verb(self, reference, tmp_path, capsys, changes, field,
+                                   constraint):
+        p = with_fields(reference, changes)
+        assert [(v.field, v.constraint) for v in validate(p).violations] == [(field, constraint)]
+        config = tmp_path / "design.yaml"
+        config.write_text(serialize(p), encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert main(["validate", "--config", str(config)]) == 1
+        assert main(["report", "--config", str(config)]) == 1
+        assert main(["profile", "--config", str(config), "--steps", "3",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"VIOLATION {field}: {constraint}\n" in captured.out
+        assert captured.err.count(f"VIOLATION {field}: {constraint}\n") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["design.yaml"]
+
+    @pytest.mark.parametrize("path,share", [
+        ("wheel.hub_offset", 140.0), ("layout.drive_assembly_length", 280.0)])
+    def test_boundary(self, reference, path, share):
+        # The stroke's share of the length it changes, just above and just
+        # below 2**-30.
+        above = with_fields(reference, {path: share * 2.0 ** 30 * 0.99})
+        below = with_fields(reference, {path: share * 2.0 ** 30 * 1.01})
+        assert validate(above).valid
+        assert not validate(below).valid
 
 
 class TestDefaults:

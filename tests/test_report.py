@@ -20,9 +20,13 @@ from morphwheel import (
     ConfigError,
     InvalidDesignError,
     bending,
+    cli,
+    quasistatics,
     telescopic,
     validate,
+    wheelgeom,
 )
+from morphwheel import report as report_module
 from morphwheel.cli import main
 from morphwheel.quasistatics import (
     SiliconeForceTable,
@@ -31,6 +35,7 @@ from morphwheel.quasistatics import (
     torque_profile,
 )
 from morphwheel.report import (
+    DEFAULT_TOTAL_BEND,
     SWEEP_METRICS,
     Objective,
     SweepSpec,
@@ -278,6 +283,92 @@ class TestValidateOnce:
                      "--sweep-range", "10:200:40", "--objective", "max-wheel-radius",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert len(count_validate) == 1 + 40  # the loaded design, then each point
+
+
+PACKAGE = (params, telescopic, bending, wheelgeom, quasistatics, report_module, cli)
+# The formulas whose values validation keeps for the card and the sweep.
+FORMULAS = ("elongated_length", "reduced_length", "transform_endpoint_radius", "peak_load")
+
+
+def count_formulas(monkeypatch):
+    """Per name in ``FORMULAS``, the argument tuples of every later call
+    through any module's binding of it."""
+    calls = {}
+    for name in FORMULAS:
+        calls[name] = counted = []
+        for module in PACKAGE:
+            original = getattr(module, name, None)
+            if original is not None:
+                def wrapper(*args, _original=original, _counted=counted, **kwargs):
+                    _counted.append(args)
+                    return _original(*args, **kwargs)
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def bits(values):
+    # A float's repr names it exactly, signed zeros included.
+    return [repr(v) for v in values]
+
+
+class TestDeriveOnce:
+    """Validation keeps the elongated length, the wheel radius and the peak
+    load it checks for overflow; the card and a sweep point read them."""
+
+    def test_sweep_point_derives_each_quantity_once(self, monkeypatch):
+        calls = count_formulas(monkeypatch)
+        sweep_point(params.reference_design(), default_force_table())
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(FORMULAS, 1)
+
+    @pytest.mark.parametrize("table", [None, default_force_table()], ids=["none", "default"])
+    def test_default_table_card_derives_each_quantity_once(self, monkeypatch, table):
+        calls = count_formulas(monkeypatch)
+        design_card(params.reference_design(), table=table)
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(FORMULAS, 1)
+
+    def test_another_table_gets_its_own_peak(self, monkeypatch):
+        table = TABLES["force_table.yaml"]
+        calls = count_formulas(monkeypatch)
+        design_card(params.reference_design(), table=table)
+        sweep_point(params.reference_design(), table)
+        # Validation's, on the default table, then the entry point's.
+        assert [args[1:] for args in calls["peak_load"]] == [(), (table,)] * 2
+
+    def test_cli_sweep_derives_each_quantity_once_per_point(self, monkeypatch, design_file,
+                                                           tmp_path):
+        calls = count_formulas(monkeypatch)
+        assert main(["sweep", "--config", design_file, "--sweep-param", "wheel.hub_offset",
+                     "--sweep-range", "10:200:40", "--objective", "max-wheel-radius",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        # The loaded design's validation, then each point; validation needs
+        # no reduced length.
+        assert {name: len(c) for name, c in calls.items()} \
+            == {**dict.fromkeys(FORMULAS, 1 + 40), "reduced_length": 40}
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_values_are_the_formulas(self, seed):
+        # Each entry point gets a design of its own, with no report yet.
+        p = random_valid_params(random.Random(seed))
+        table = default_force_table()
+        lengths = telescopic.module_lengths(dataclasses.replace(p))
+        assert bits([lengths.elongated, lengths.reduced]) \
+            == bits([params.elongated_length(p), params.reduced_length(p)])
+        theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
+        chassis = bending.chassis_diameter(p, theta).chassis_diameter
+        radius = wheelgeom.transform_endpoint_radius(p)
+        force, torque = quasistatics.peak_load(p, table)
+        point = sweep_point(dataclasses.replace(p), table)
+        assert bits(point.values()) == bits([lengths.elongated, lengths.reduced,
+                                             lengths.reduction_ratio, chassis, radius, torque])
+        keys = ("elongated_length_mm", "reduced_length_mm", "reduction_ratio",
+                "chassis_diameter_mm", "wheel_radius_mm", "wheel_diameter_mm",
+                "peak_axial_force_N", "peak_torque_Nmm")
+        expected = bits([lengths.elongated, lengths.reduced, lengths.reduction_ratio, chassis,
+                         radius, 2.0 * radius, force, torque])
+        for card_table in (None, table):
+            card = design_card(dataclasses.replace(p), table=card_table).outputs
+            assert bits(card[key] for key in keys) == expected
 
 
 # Fields whose ``None`` default derives them from another field of the section.
@@ -547,6 +638,38 @@ class TestHugeFields:
         frames = (work / "p_keyframes.json").read_text(encoding="utf-8")
         json.loads(frames, parse_constant=refuse_constant)
         assert frames == keyframes_json(transform_profile(p, steps), p)
+
+    # The promises of ``transform_profile``'s docstring, on the CSV: the
+    # module length falls strictly, the wheel radius rises strictly and only
+    # the first state is telescopic. Validation leaves a wheel stroke that
+    # floats resolve into a few dozen states; a finer step count is refused.
+    @given(huge_designs(max_floats=2), st.sampled_from([2, 3, 50, 2000]))
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_designs_keep_the_profile_promises(self, tmp_path_factory, p, steps):
+        text = params.serialize(p)
+        try:
+            p = params.load(text)
+        except ConfigError:  # a field the design derives is past the float range
+            return
+        if not p.validation.valid:
+            return
+        work = tmp_path_factory.mktemp("promises")
+        (work / "design.yaml").write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["profile", "--config", str(work / "design.yaml"),
+                         "--steps", str(steps), "--out", str(work / "p.csv")])
+        if code != 0:
+            assert (steps, code) == (2000, 2), err.getvalue()
+            assert err.getvalue().startswith("error: --steps: 2000 steps are finer")
+            assert sorted(f.name for f in work.iterdir()) == ["design.yaml"]
+            return
+        rows = list(csv.DictReader((work / "p.csv").open()))
+        lengths = [float(r["module_length_mm"]) for r in rows]
+        radii = [float(r["wheel_radius_mm"]) for r in rows]
+        assert all(a > b for a, b in zip(lengths, lengths[1:])), lengths
+        assert all(a < b for a, b in zip(radii, radii[1:])), radii
+        assert [r["trigger_mode"] for r in rows] == ["telescopic"] + ["rigid"] * (steps - 1)
 
     @given(st.one_of(st.binary(max_size=300), mutated_reference()),
            st.sampled_from(FLOAT_PATHS + COUNT_PATHS))
