@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass
 
 from .errors import InfeasibleError
 from .params import DesignParams
@@ -24,6 +23,7 @@ __all__ = [
     "RodSizing",
     "SCREW_AZIMUTHS",
     "MAX_PLATE_TILT",
+    "MAX_TOTAL_BEND",
     "screw_circle_radius",
     "distribute_bend",
     "screw_extensions",
@@ -41,12 +41,14 @@ SCREW_AZIMUTHS = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
 # The largest tilt of one plate that the chassis and rod sizing accept.
 MAX_PLATE_TILT = math.pi / 4.0
 
+# The module's bend envelope: the largest total bend, either way.
+MAX_TOTAL_BEND = math.pi / 2.0
+
 _TWO_PI = 2.0 * math.pi
 _COS_60 = math.cos(math.pi / 3.0)
 
 
-@dataclass(frozen=True)
-class BendState:
+class BendState(typing.NamedTuple):
     """Full bend description of the cascaded platform stack."""
 
     total_bend: float                 # rad, at the last plate
@@ -64,8 +66,7 @@ class ChassisGeometry(typing.NamedTuple):
     screw_offset_component: float  # mm, projection of the screw spacing
 
 
-@dataclass(frozen=True)
-class RodSizing:
+class RodSizing(typing.NamedTuple):
     """Telescopic chassis rod lengths required by the bend envelope."""
 
     half_expansion: float  # mm
@@ -91,7 +92,7 @@ def distribute_bend(total_bend: float, plate_count: int) -> tuple[float, ...]:
     """
     if plate_count < 1:
         raise ValueError("plate_count must be >= 1")
-    if abs(total_bend) > math.pi / 2.0:
+    if abs(total_bend) > MAX_TOTAL_BEND:
         raise ValueError("total bend exceeds the +/-90 degree envelope")
     per_plate = total_bend / plate_count
     angles = [k * per_plate for k in range(1, plate_count)]

@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import quasistatics, wheelgeom
+from . import bending, quasistatics, wheelgeom
 from .errors import ConfigError
 from .params import DesignParams, load
 from .report import (
@@ -147,8 +147,9 @@ def cmd_report(args) -> int:
             table=table,
             digest=config_digest(text),
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # a bend that tilts each of few plates past pi/4
+        print(f"error: --total-bend: {args.total_bend!r} rad over "
+              f"{p.platform.plate_count} plate(s): {exc}", file=sys.stderr)
         return EXIT_IO
     _print_report(rr)
     return EXIT_OK
@@ -264,6 +265,18 @@ def _target_ratio(text: str) -> float:
     return ratio
 
 
+def _total_bend(text: str) -> float:
+    # ``bending.distribute_bend``'s envelope, and positive: the card sizes
+    # its rods at a nonzero tilt. A bend outside it is a usage error.
+    try:
+        bend = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < bend <= bending.MAX_TOTAL_BEND:
+        raise argparse.ArgumentTypeError("total bend must be in (0, pi/2]")
+    return bend
+
+
 def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -293,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--config", required=True)
     p_report.add_argument("--target-ratio", type=_target_ratio, default=0.5,
                           help="reduction ratio target (default 0.5)")
-    p_report.add_argument("--total-bend", type=float, default=DEFAULT_TOTAL_BEND,
+    p_report.add_argument("--total-bend", type=_total_bend, default=DEFAULT_TOTAL_BEND,
                           help="total platform bend in radians (default pi/4)")
     p_report.add_argument("--force-table", default=None,
                           help="YAML file of (cm, N) pairs overriding the builtin table")

@@ -160,16 +160,14 @@ class DesignParams:
         return validate(self)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(typing.NamedTuple):
     """One violated structural invariant."""
 
     field: str       # dotted path, e.g. "screw.n_levels"
     constraint: str  # the rule that failed, e.g. "n_levels >= 1"
 
 
-@dataclass(frozen=True)
-class Inconsistency:
+class Inconsistency(typing.NamedTuple):
     """A computed quantity disagrees with a supplied reported value.
 
     Machine-readable on purpose: downstream tooling asserts on ``code``.

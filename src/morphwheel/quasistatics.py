@@ -11,6 +11,7 @@ transformations would load the screws unevenly and are not modelled).
 from __future__ import annotations
 
 import functools
+import typing
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import isfinite, pi
@@ -155,11 +156,14 @@ def screw_torque(axial_force: float, lead: float, mean_diameter: float,
         * (lead + pi * friction * mean_diameter) / denom
 
 
-@dataclass(frozen=True)
-class TorqueEntry:
+class TorqueEntry(typing.NamedTuple):
     module_length: float    # mm
     axial_force: float      # N
     per_motor_torque: float  # N*mm
+
+
+# The three screws share the axial load equally.
+_SCREWS = 3.0
 
 
 def torque_profile(p: DesignParams, states: list[TransformState],
@@ -173,16 +177,14 @@ def torque_profile(p: DesignParams, states: list[TransformState],
     """
     if table is None:
         table = default_force_table()
+    dr = p.drive
+    lead, d, mu = dr.screw_lead, dr.screw_mean_diameter, dr.screw_friction
     elongated = states[0].module_length
     entries = []
     for state in states:
-        compression_cm = (elongated - state.module_length) / 10.0
-        force = silicone_force(table, compression_cm)
-        entries.append(TorqueEntry(
-            module_length=state.module_length,
-            axial_force=force,
-            per_motor_torque=_motor_torque(p, force),
-        ))
+        length = state.module_length
+        force = silicone_force(table, (elongated - length) / 10.0)
+        entries.append(TorqueEntry(length, force, screw_torque(force / _SCREWS, lead, d, mu)))
     return tuple(entries)
 
 
@@ -193,17 +195,12 @@ def peak_load(p: DesignParams, table: SiliconeForceTable | None = None) -> tuple
     if table is None:
         table = default_force_table()
     force = silicone_force(table, 0.0)
-    return force, _motor_torque(p, force)
-
-
-def _motor_torque(p: DesignParams, force: float) -> float:
-    # The three screws share the axial load equally.
     dr = p.drive
-    return screw_torque(force / 3.0, dr.screw_lead, dr.screw_mean_diameter, dr.screw_friction)
+    return force, screw_torque(force / _SCREWS, dr.screw_lead, dr.screw_mean_diameter,
+                               dr.screw_friction)
 
 
-@dataclass(frozen=True)
-class MotorCheck:
+class MotorCheck(typing.NamedTuple):
     passed: bool
     peak_torque: float         # N*mm
     stall_torque: float        # N*mm

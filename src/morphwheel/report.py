@@ -12,6 +12,7 @@ import enum
 import hashlib
 import math
 import operator
+import typing
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -51,8 +52,7 @@ def config_digest(config_text: str) -> str:
     return "sha256:" + hashlib.sha256(config_text.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(typing.NamedTuple):
     """Deterministic record of one command run."""
 
     digest: str                 # hash of the canonical config text
@@ -72,7 +72,8 @@ def _mismatch(code: str, computed: float, reported: float | None,
 
 def consistency_warnings(p: DesignParams,
                          total_bend: float = DEFAULT_TOTAL_BEND) -> tuple[Inconsistency, ...]:
-    """Compare computed quantities against any supplied reported values.
+    """Compare computed quantities against any supplied reported values,
+    and the wheel stroke's end against the telescopic reduced length.
 
     Disagreements are reported as machine-readable records and left
     standing; nothing is patched to make the numbers meet. Invalid designs
@@ -89,6 +90,9 @@ def _warnings(p: DesignParams, lengths: telescopic.ModuleLengths, chassis_d: flo
     # ``consistency_warnings`` over quantities already computed for a valid
     # design.
     rep = p.reported
+    # The wheel stroke shortens the module by twice the rod travel.
+    stroke_end = lengths.elongated - 2.0 * (p.wheel.rod_half_length
+                                            - params.min_half_separation(p))
     checks = (
         _mismatch("elongated_length_mismatch", lengths.elongated,
                   rep.elongated_length,
@@ -103,6 +107,13 @@ def _warnings(p: DesignParams, lengths: telescopic.ModuleLengths, chassis_d: flo
         _mismatch("wheel_diameter_mismatch", 2.0 * p.validation._derived.wheel_radius,
                   rep.wheel_diameter,
                   "computed full-compression wheel diameter differs from the reported value"),
+        # Two models, not a reported value: the module length at the last
+        # state of ``wheelgeom.transform_profile`` against the length the
+        # telescopic stack collapses to.
+        None if stroke_end >= lengths.reduced else Inconsistency(
+            "wheel_stroke_exceeds_telescopic_stroke",
+            "the wheel stroke ends at a module length (computed) below the "
+            "telescopic reduced length (reported)", stroke_end, lengths.reduced),
     )
     return (*p.validation.warnings, *(c for c in checks if c is not None))
 

@@ -8,7 +8,7 @@ brute-force scans that check them live with the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import typing
 
 from .errors import InfeasibleError
 from .params import (DesignParams, reduced_length, require_valid, residual_length,
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModuleLengths:
+class ModuleLengths(typing.NamedTuple):
     elongated: float  # mm, all screw levels extended
     reduced: float    # mm, stack collapsed to one level
 
@@ -38,15 +37,13 @@ class ModuleLengths:
         return self.reduced / self.elongated
 
 
-@dataclass(frozen=True)
-class ScrewDiameterLadder:
+class ScrewDiameterLadder(typing.NamedTuple):
     """Outer diameters per level, innermost (master screw) first."""
 
     diameters: tuple[float, ...]  # mm
 
 
-@dataclass(frozen=True)
-class ScrewLengthSolution:
+class ScrewLengthSolution(typing.NamedTuple):
     length: float          # mm, minimum level length meeting the target
     degenerate: bool = False  # target ratio of 1 needs no telescoping at all
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import typing
 
 from .params import DesignParams, min_half_separation
 from .telescopic import module_lengths
@@ -42,8 +42,7 @@ class TriggerMode(enum.Enum):
     RIGID = "rigid"
 
 
-@dataclass(frozen=True)
-class TransformState:
+class TransformState(typing.NamedTuple):
     """One instant of the crawler-to-wheel transformation."""
 
     module_length: float          # mm
@@ -52,8 +51,7 @@ class TransformState:
     trigger_mode: TriggerMode
 
 
-@dataclass(frozen=True)
-class CurvedRodPlan:
+class CurvedRodPlan(typing.NamedTuple):
     """Telescoping plan for the curved rim rods tiling the wheel circumference."""
 
     arc_per_sector: float     # mm, rim arc between adjacent spoke joints
@@ -122,12 +120,7 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
             raise ValueError(f"{steps} steps are finer than the design resolves: state {i} "
                              "does not shorten the module and widen the wheel")
         last_length, last_radius = length, radius
-        states.append(TransformState(
-            module_length=length,
-            axial_half_separation=h,
-            wheel_radius=radius,
-            trigger_mode=trigger_state(length, lengths.elongated),
-        ))
+        states.append(TransformState(length, h, radius, trigger_state(length, lengths.elongated)))
     return states
 
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import random
 from pathlib import Path
@@ -66,9 +67,27 @@ class TestConsistencyWarnings:
         assert "wheel_diameter_mismatch" not in codes
 
     def test_silent_without_reported_values(self, reference):
+        # Only the cross-model stroke check, which reads no reported value,
+        # is left.
         import morphwheel.params as params
         bare = dataclasses.replace(reference, reported=params.ReportedTargets())
-        assert consistency_warnings(bare) == ()
+        assert [w.code for w in consistency_warnings(bare)] \
+            == ["wheel_stroke_exceeds_telescopic_stroke"]
+
+    def test_reference_wheel_stroke_ends_below_the_reduced_length(self, reference):
+        # 340 - 2 * (140 - 0) = 60 mm, against the 220 mm the stack collapses to.
+        (stroke,) = [w for w in consistency_warnings(reference)
+                     if w.code == "wheel_stroke_exceeds_telescopic_stroke"]
+        assert (stroke.computed, stroke.reported) == (60.0, 220.0)
+        assert stroke.computed == wheelgeom.transform_profile(reference, 2)[-1].module_length
+        assert " = " not in stroke.detail  # the card parser reads ``key = value`` lines
+
+    def test_no_stroke_warning_when_the_wheel_stroke_fits(self, reference):
+        # 340 - 2 * (50 - 0) = 240 mm is above the 220 mm reduced length.
+        p = set_field(reference, "wheel.rod_half_length", 50.0)
+        codes = [w.code for w in consistency_warnings(p)]
+        assert "wheel_stroke_exceeds_telescopic_stroke" not in codes
+        assert "reduced_length_mismatch" in codes
 
 
 class TestDesignCard:
@@ -240,6 +259,32 @@ class TestCmdReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --target-ratio: target ratio must be in (0, 1]\n" in captured.err
+
+    @pytest.mark.parametrize("bend", ["3.0", "-0.1", "0", "nan", "inf", "1.5708"])
+    def test_total_bend_outside_the_envelope_exits_2(self, config_file, capsys, bend):
+        # ``bending.distribute_bend`` refuses more than pi/2; the card sizes
+        # its rods at a nonzero tilt.
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--config", config_file, f"--total-bend={bend}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --total-bend: total bend must be in (0, pi/2]\n" in captured.err
+
+    def test_total_bend_of_the_envelope_exits_0(self, config_file, capsys):
+        assert main(["report", "--config", config_file,
+                     "--total-bend=1.5707963267948966"]) == 0
+        assert "per_plate_bend_rad = 0.392699\n" in capsys.readouterr().out
+
+    def test_total_bend_past_pi_over_4_on_one_plate_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "one_plate.yaml"
+        config.write_text(serialize(set_field(reference_design(), "platform.plate_count", 1)))
+        assert main(["report", "--config", str(config), "--total-bend=1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --total-bend: 1.0 rad over 1 plate(s): "
+                                "theta_plate must be in [0, pi/4]\n")
+        assert main(["report", "--config", str(config)]) == 0
 
     def test_target_ratio_of_one_exits_0(self, config_file, capsys):
         assert main(["report", "--config", config_file, "--target-ratio", "1"]) == 0
@@ -435,6 +480,15 @@ FORCE_TABLE = Path(REFERENCE_CONFIG).with_name("force_table.yaml")
 
 class TestProfileFiles:
     """The one-pass writer against ``csv.writer`` and ``json.dumps``."""
+
+    def test_reference_2000_steps_with_the_table_file_keep_their_bytes(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert main(["profile", "--config", REFERENCE_CONFIG, "--steps", "2000",
+                     "--force-table", str(FORCE_TABLE), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() \
+            == "5708a62af965845d0847c8c91fb70ec6b8fdc3dcb9d58c6f37f480c331c6b073"
+        assert hashlib.sha256((tmp_path / "p_keyframes.json").read_bytes()).hexdigest() \
+            == "2a33ee13399f76845aa89e26b0f07a268ffdbd36d8798c4e7dbb18df8a870890"
 
     @pytest.mark.parametrize("table_path", [None, FORCE_TABLE], ids=["default", "file"])
     def test_bytes_match_the_encoders_on_random_designs(self, tmp_path, table_path):

@@ -1,4 +1,5 @@
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,18 @@ from morphwheel.quasistatics import (
 )
 from morphwheel.wheelgeom import transform_profile
 
+from conftest import random_valid_params
 from oracles import peak_index
+
+
+@st.composite
+def force_tables(draw) -> SiliconeForceTable:
+    """Valid force tables: increasing length changes, nonincreasing
+    nonnegative forces."""
+    xs = sorted(draw(st.sets(st.floats(0.0, 20.0), min_size=1, max_size=10)))
+    fs = sorted(draw(st.lists(st.floats(0.0, 1e3), min_size=len(xs), max_size=len(xs))),
+                reverse=True)
+    return SiliconeForceTable(samples=tuple(zip(xs, fs)))
 
 
 class TestForceTable:
@@ -197,6 +209,22 @@ class TestTorqueProfile:
         for a, b in zip(p1, p2):
             assert b.per_motor_torque == pytest.approx(2 * a.per_motor_torque,
                                                        rel=1e-12)
+
+    @given(st.integers(0, 2**32), force_tables(), st.integers(2, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_each_entry_is_the_screw_formula_on_a_third_of_the_force(self, seed, table,
+                                                                       steps):
+        p = random_valid_params(random.Random(seed))
+        states = transform_profile(p, steps)
+        dr = p.drive
+        elongated = states[0].module_length
+        for state, entry in zip(states, torque_profile(p, states, table)):
+            force = silicone_force(table, (elongated - state.module_length) / 10.0)
+            torque = screw_torque(force / 3.0, dr.screw_lead, dr.screw_mean_diameter,
+                                  dr.screw_friction)
+            assert (repr(entry.module_length), repr(entry.axial_force),
+                    repr(entry.per_motor_torque)) \
+                == (repr(state.module_length), repr(force), repr(torque))
 
     def test_aligns_with_transform_profile(self, reference):
         states = transform_profile(reference, 25)
