@@ -78,7 +78,7 @@ class RodSizing(typing.NamedTuple):
 
 def screw_circle_radius(spacing: float) -> float:
     """Circumradius of the equilateral screw triangle with the given side."""
-    if spacing <= 0:
+    if not spacing > 0:
         raise ValueError("screw spacing must be positive")
     return spacing / math.sqrt(3.0)
 
@@ -87,13 +87,13 @@ def distribute_bend(total_bend: float, plate_count: int) -> tuple[float, ...]:
     """Spread a total bend uniformly over the cascaded plates.
 
     Plate k carries k times the per-plate angle; the last plate carries the
-    full bend exactly. Bends beyond +/- 90 degrees are outside the module's
-    envelope and rejected.
+    full bend exactly. Bends beyond +/- 90 degrees, or not finite, are
+    outside the module's envelope and rejected.
     """
     if plate_count < 1:
         raise ValueError("plate_count must be >= 1")
-    if abs(total_bend) > MAX_TOTAL_BEND:
-        raise ValueError("total bend exceeds the +/-90 degree envelope")
+    if not abs(total_bend) <= MAX_TOTAL_BEND:  # NaN fails too
+        raise ValueError(f"total bend {total_bend!r} is outside the +/-90 degree envelope")
     per_plate = total_bend / plate_count
     angles = [k * per_plate for k in range(1, plate_count)]
     angles.append(total_bend)  # exact at the last plate by construction
@@ -104,12 +104,16 @@ def screw_extensions(theta_plate: float, direction: float,
                      screw_circle_radius: float) -> tuple[float, float, float]:
     """Signed extension of the three screws for one plate tilt.
 
-    Extensions always sum to zero: the plate pivots about its centre.
+    Extensions always sum to zero: the plate pivots about its centre. A tilt
+    outside the envelope or NaN, a direction that is not finite, or a radius
+    that is not positive (NaN included) raises ``ValueError``.
     """
-    if screw_circle_radius <= 0:
+    if not screw_circle_radius > 0:
         raise ValueError("screw_circle_radius must be positive")
-    if abs(theta_plate) > math.pi / 4.0 + 1e-12:  # slack for round-tripped angles
+    if not abs(theta_plate) <= math.pi / 4.0 + 1e-12:  # slack for round-tripped angles
         raise ValueError("per-plate tilt beyond +/-45 degrees is out of range")
+    if not math.isfinite(direction):
+        raise ValueError(f"bend direction must be finite, got {direction!r}")
     amplitude = screw_circle_radius * math.sin(theta_plate)
     e = tuple(amplitude * math.cos(a - direction) for a in SCREW_AZIMUTHS)
     return e  # type: ignore[return-value]
@@ -125,11 +129,11 @@ def bend_from_extensions(extensions: tuple[float, float, float],
     cannot translate axially); the zero triple canonicalizes to (0, 0) and
     the azimuth is returned in [0, 2*pi).
     """
-    if screw_circle_radius <= 0:
+    if not screw_circle_radius > 0:
         raise ValueError("screw_circle_radius must be positive")
     if len(extensions) != 3:
         raise ValueError("expected exactly three extensions")
-    if abs(sum(extensions)) > tol:
+    if not abs(sum(extensions)) <= tol:  # NaN fails too
         raise ValueError("incompatible extension triple: sum is not zero")
     u = (2.0 / 3.0) * sum(e * math.cos(a) for e, a in zip(extensions, SCREW_AZIMUTHS))
     v = (2.0 / 3.0) * sum(e * math.sin(a) for e, a in zip(extensions, SCREW_AZIMUTHS))
@@ -145,7 +149,8 @@ def bend_from_extensions(extensions: tuple[float, float, float],
 
 
 def bend_state(p: DesignParams, total_bend: float, direction: float = 0.0) -> BendState:
-    """Assemble the complete bend state for a commanded total bend."""
+    """Assemble the complete bend state for a commanded total bend; a bend
+    outside the envelope or a non-finite ``direction`` raises ``ValueError``."""
     angles = distribute_bend(total_bend, p.platform.plate_count)
     per_plate = total_bend / p.platform.plate_count
     r = screw_circle_radius(p.platform.screw_circle_spacing)

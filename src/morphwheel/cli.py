@@ -205,9 +205,13 @@ def cmd_sweep(args) -> int:
         return EXIT_VALIDATION
     try:
         start, stop, steps = _parse_range(args.sweep_range)
-        spec = SweepSpec(args.sweep_param, start, stop, steps, Objective(args.objective))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    try:
+        spec = SweepSpec(args.sweep_param, start, stop, steps, Objective(args.objective))
+    except ValueError as exc:  # a grid of too few or too many points, or of one value
+        print(f"error: --sweep-range: {exc}", file=sys.stderr)
         return EXIT_IO
     # The rows stream into a temporary next to the target, which replaces
     # the target only once every row is written: an interrupted sweep or a
@@ -284,7 +288,10 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     start, stop = float(parts[0]), float(parts[1])
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"sweep range START and STOP must be finite, got {text!r}")
-    return start, stop, int(parts[2])
+    try:
+        return start, stop, int(parts[2])
+    except ValueError:
+        raise ValueError(f"--sweep-range: STEPS must be an integer, got {parts[2]!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -180,19 +180,18 @@ class Inconsistency(typing.NamedTuple):
 
 
 class _Derived(typing.NamedTuple):
-    # The quantities ``validate`` derives to check a design for overflow,
-    # kept on a valid design's report: the card and a sweep point read them
-    # instead of deriving them again.
+    # The quantities ``validate`` derives for a valid design, kept on its
+    # report: the card, ``telescopic.module_lengths`` and a sweep point read
+    # them instead of deriving them again.
     elongated: float     # mm, ``elongated_length``
+    reduced: float       # mm, ``reduced_length``
     wheel_radius: float  # mm, ``wheelgeom.transform_endpoint_radius``
     peak_load: tuple[float, float]  # ``quasistatics.peak_load`` on the default table
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(typing.NamedTuple):
     violations: tuple[Violation, ...] = ()
-    warnings: tuple[Inconsistency, ...] = ()
-    _derived: _Derived | None = field(default=None, compare=False, repr=False)
+    derived: _Derived | None = None  # None for an invalid design
 
     @property
     def valid(self) -> bool:
@@ -209,6 +208,11 @@ _STOPPER_HEIGHT = 2.0  # mm
 # Most screw levels a design may have. ``report`` prints one diameter per
 # level, and no nested stack is built from anywhere near this many.
 _MAX_LEVELS = 1000
+
+# Most states a profile, or grid points a sweep, may have. A profile keeps
+# every state in memory before it writes, and a sweep's CSV grows by about
+# 300 bytes a point; no design study needs anywhere near this many.
+_MAX_STEPS = 100_000
 
 # Least share of a length that the wheel stroke may change it by. At this
 # share the states of a 50-state profile still differ in floats: its
@@ -264,9 +268,9 @@ def validate(p: DesignParams) -> ValidationReport:
 
     Pure: identical input gives an identical report. Every violated
     invariant is listed (no short-circuiting); an empty violations tuple
-    means the design is structurally sound. Warnings carry cross-checks
-    against any supplied reported values and never invalidate a design.
-    A design that passes every other check, as their formulas assume, is
+    means the design is structurally sound. Reported values are not checked
+    here: ``report.consistency_warnings`` compares them with the design. A
+    design that passes every other check, as their formulas assume, is
     last checked for derived quantities past the float range and for a wheel
     stroke lost to rounding.
     """
@@ -329,10 +333,10 @@ def validate(p: DesignParams) -> ValidationReport:
 
     derived = None
     if not v:
-        derived = _Derived(elongated, wheelgeom.transform_endpoint_radius(p),
-                           quasistatics.peak_load(p))
+        derived = _Derived(elongated, reduced_length(p),
+                           wheelgeom.transform_endpoint_radius(p), quasistatics.peak_load(p))
         v.extend(_overflows(p, derived, w.rod_half_length - h_min))
-    return ValidationReport(tuple(v), _length_identity_warnings(p), None if v else derived)
+    return ValidationReport(tuple(v), None if v else derived)
 
 
 def _overflows(p: DesignParams, derived: _Derived, travel: float) -> list[Violation]:
@@ -377,30 +381,6 @@ def _overflows(p: DesignParams, derived: _Derived, travel: float) -> list[Violat
         out.append(Violation("platform.joint_mount_width",
                              "rod length at a pi/4 tilt is finite"))
     return out
-
-
-def _length_identity_warnings(p: DesignParams) -> tuple[Inconsistency, ...]:
-    # Elongated and reduced module lengths differ by 2 * S_L * (N - 1) by
-    # construction, so any pair of reported lengths must honour the same
-    # identity. Flagged, never patched.
-    rep = p.reported
-    if rep.elongated_length is None or rep.reduced_length is None:
-        return ()
-    implied = rep.elongated_length - rep.reduced_length
-    derived = 2.0 * p.screw.screw_level_length * (p.screw.n_levels - 1)
-    if abs(implied - derived) <= 1e-6 * max(1.0, abs(derived)):
-        return ()
-    return (
-        Inconsistency(
-            code="reported_length_identity",
-            detail=(
-                "reported elongated - reduced length gap does not match "
-                "2 * screw_level_length * (n_levels - 1)"
-            ),
-            computed=derived,
-            reported=implied,
-        ),
-    )
 
 
 def require_valid(p: DesignParams) -> ValidationReport:
@@ -455,10 +435,10 @@ class _Field(typing.NamedTuple):
         design = {name: getattr(p, name) for name in _SECTIONS}
         cls, name, section_name = self.cls, self.name, self.section
 
-        def at(value):
+        def at(value):  # both dicts are in field order
             kwargs[name] = value
-            design[section_name] = cls(**kwargs)
-            return DesignParams(**design)
+            design[section_name] = cls(*kwargs.values())
+            return DesignParams(*design.values())
         return at
 
 

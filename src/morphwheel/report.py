@@ -70,10 +70,27 @@ def _mismatch(code: str, computed: float, reported: float | None,
     return Inconsistency(code=code, detail=detail, computed=computed, reported=reported)
 
 
+def _length_identity_warnings(p: DesignParams) -> tuple[Inconsistency, ...]:
+    # Elongated and reduced module lengths differ by 2 * S_L * (N - 1) by
+    # construction, so any pair of reported lengths must honour the same
+    # identity. Flagged, never patched.
+    rep = p.reported
+    if rep.elongated_length is None or rep.reduced_length is None:
+        return ()
+    implied = rep.elongated_length - rep.reduced_length
+    derived = 2.0 * p.screw.screw_level_length * (p.screw.n_levels - 1)
+    if abs(implied - derived) <= 1e-6 * max(1.0, abs(derived)):
+        return ()
+    return (Inconsistency("reported_length_identity",
+                          "reported elongated - reduced length gap does not match "
+                          "2 * screw_level_length * (n_levels - 1)", derived, implied),)
+
+
 def consistency_warnings(p: DesignParams,
                          total_bend: float = DEFAULT_TOTAL_BEND) -> tuple[Inconsistency, ...]:
-    """Compare computed quantities against any supplied reported values,
-    and the wheel stroke's end against the telescopic reduced length.
+    """Compare computed quantities against any supplied reported values, the
+    two reported lengths against each other, and the wheel stroke's end
+    against the telescopic reduced length.
 
     Disagreements are reported as machine-readable records and left
     standing; nothing is patched to make the numbers meet. Invalid designs
@@ -88,7 +105,7 @@ def consistency_warnings(p: DesignParams,
 def _warnings(p: DesignParams, lengths: telescopic.ModuleLengths, chassis_d: float,
               theta: float) -> tuple[Inconsistency, ...]:
     # ``consistency_warnings`` over quantities already computed for a valid
-    # design.
+    # design; the identity of the reported lengths comes first.
     rep = p.reported
     # The wheel stroke shortens the module by twice the rod travel.
     stroke_end = lengths.elongated - 2.0 * (p.wheel.rod_half_length
@@ -104,7 +121,7 @@ def _warnings(p: DesignParams, lengths: telescopic.ModuleLengths, chassis_d: flo
         _mismatch("rod_half_expansion_mismatch", bending.rod_half_expansion(p, theta),
                   rep.rod_half_expansion,
                   "computed rod half expansion differs from the reported value"),
-        _mismatch("wheel_diameter_mismatch", 2.0 * p.validation._derived.wheel_radius,
+        _mismatch("wheel_diameter_mismatch", 2.0 * p.validation.derived.wheel_radius,
                   rep.wheel_diameter,
                   "computed full-compression wheel diameter differs from the reported value"),
         # Two models, not a reported value: the module length at the last
@@ -115,7 +132,7 @@ def _warnings(p: DesignParams, lengths: telescopic.ModuleLengths, chassis_d: flo
             "the wheel stroke ends at a module length (computed) below the "
             "telescopic reduced length (reported)", stroke_end, lengths.reduced),
     )
-    return (*p.validation.warnings, *(c for c in checks if c is not None))
+    return (*_length_identity_warnings(p), *(c for c in checks if c is not None))
 
 
 SWEEP_METRICS = (
@@ -140,8 +157,8 @@ def _sweep_values(p: DesignParams, table: quasistatics.SiliconeForceTable | None
         report = params.validate(p)
         if not report.valid:
             raise InvalidDesignError(report)
-        derived = report._derived
-    lengths = telescopic.ModuleLengths(derived.elongated, params.reduced_length(p))
+        derived = report.derived
+    lengths = telescopic.ModuleLengths(derived.elongated, derived.reduced)
     theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
     return (
         lengths.elongated,
@@ -156,7 +173,7 @@ def _sweep_values(p: DesignParams, table: quasistatics.SiliconeForceTable | None
 def sweep_point(p: DesignParams, table: quasistatics.SiliconeForceTable) -> dict[str, float]:
     """The ``SWEEP_METRICS`` of one design; raises ``InvalidDesignError`` for
     an invalid one, the only kind of design without a value."""
-    return dict(zip(SWEEP_METRICS, _sweep_values(p, table, require_valid(p)._derived)))
+    return dict(zip(SWEEP_METRICS, _sweep_values(p, table, require_valid(p).derived)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +204,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError("sweep needs at least 2 grid points")
+        if self.steps > params._MAX_STEPS:
+            raise ValueError(f"sweep needs at most {params._MAX_STEPS} grid points")
         if self.start == self.stop:
             raise ValueError("sweep start and stop must differ")
 
@@ -298,7 +317,7 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
     except InfeasibleError as exc:
         outputs["rod_sizing"] = f"INFEASIBLE: {exc}"
 
-    radius = validation._derived.wheel_radius
+    radius = validation.derived.wheel_radius
     outputs["wheel_radius_mm"] = radius
     outputs["wheel_diameter_mm"] = 2.0 * radius
     plan = wheelgeom.curved_rod_plan(radius, p)
@@ -306,7 +325,7 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
     outputs["curved_rod_levels"] = plan.levels
     outputs["curved_rod_curvature_mm"] = plan.matched_curvature
 
-    force, torque = _peak_load(p, validation._derived, table)
+    force, torque = _peak_load(p, validation.derived, table)
     outputs["peak_axial_force_N"] = force
     outputs["peak_torque_Nmm"] = torque
     check = quasistatics.motor_check(torque, p.drive.motor_stall_torque)

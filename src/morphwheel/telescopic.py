@@ -11,8 +11,7 @@ import math
 import typing
 
 from .errors import InfeasibleError
-from .params import (DesignParams, reduced_length, require_valid, residual_length,
-                     screw_diameter)
+from .params import DesignParams, require_valid, residual_length, screw_diameter
 
 __all__ = [
     "ModuleLengths",
@@ -54,10 +53,10 @@ def module_lengths(p: DesignParams) -> ModuleLengths:
     Elongated stacks all ``n_levels`` screw levels twice (one per cascaded
     platform) on top of the residual; reduced keeps a single collapsed level
     per platform. Refuses invalid designs with their validation report
-    (``p.validation``, computed once per design), which holds the elongated
-    length.
+    (``p.validation``, computed once per design), which holds both lengths.
     """
-    return ModuleLengths(require_valid(p)._derived.elongated, reduced_length(p))
+    derived = require_valid(p).derived
+    return ModuleLengths(derived.elongated, derived.reduced)
 
 
 def reduction_ok(reduced: float, elongated: float, target_ratio: float = 0.5) -> bool:

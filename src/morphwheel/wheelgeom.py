@@ -14,7 +14,7 @@ import enum
 import math
 import typing
 
-from .params import DesignParams, min_half_separation
+from .params import _MAX_STEPS, DesignParams, min_half_separation
 from .telescopic import module_lengths
 
 __all__ = [
@@ -96,10 +96,13 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
     decreases strictly while the radius increases strictly. Refuses invalid
     designs with ``InvalidDesignError`` (``p.validation``, computed once per
     design), and with ``ValueError`` a step count finer than the design's
-    floats resolve, whose states would not all differ.
+    floats resolve, whose states would not all differ, or past
+    ``params._MAX_STEPS``.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"steps must be <= {_MAX_STEPS}")
     lengths = module_lengths(p)
     w = p.wheel
     l = w.rod_half_length

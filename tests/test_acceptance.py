@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from morphwheel import validate
 from morphwheel.bending import bend_from_extensions, distribute_bend, screw_extensions
 from morphwheel.cli import main
 from morphwheel.params import reference_design, serialize
@@ -22,6 +21,7 @@ from morphwheel.quasistatics import (
     silicone_force,
     torque_profile,
 )
+from morphwheel.report import consistency_warnings
 from morphwheel.telescopic import (
     min_levels,
     min_screw_length,
@@ -79,7 +79,7 @@ def test_criterion_4_reduction_constraint():
         lengths = module_lengths(p)
         gap = 2.0 * p.screw.screw_level_length * (p.screw.n_levels - 1)
         assert abs((lengths.elongated - lengths.reduced) - gap) <= 1e-9
-    warnings = validate(reference_design()).warnings
+    warnings = consistency_warnings(reference_design())
     assert any(w.code == "reported_length_identity" for w in warnings)
     report(4, "165/340 meets the half-length target, length-gap identity holds "
               "on 1000 random designs, and supplying both published lengths "

@@ -124,6 +124,41 @@ class TestBendState:
             assert angle == pytest.approx(k * state.per_plate_angle, abs=1e-12)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+class TestNonFiniteAngles:
+    """Every check is written so that NaN fails it: a non-finite angle is
+    refused by name, never turned into NaN results or a math domain error."""
+
+    def test_total_bend(self, reference, value):
+        with pytest.raises(ValueError, match="envelope"):
+            distribute_bend(value, 4)
+        with pytest.raises(ValueError, match="envelope"):
+            bend_state(reference, value)
+
+    def test_direction(self, reference, value):
+        with pytest.raises(ValueError, match="bend direction must be finite"):
+            bend_state(reference, 0.5, value)
+        with pytest.raises(ValueError, match="bend direction must be finite"):
+            screw_extensions(0.1, value, 10.0)
+
+    def test_plate_tilt(self, value):
+        with pytest.raises(ValueError, match="per-plate tilt"):
+            screw_extensions(value, 0.0, 10.0)
+
+    def test_extensions(self, value):
+        with pytest.raises(ValueError, match="sum is not zero"):
+            bend_from_extensions((value, 0.0, 0.0), 10.0)
+
+
+def test_nan_radius_is_refused():
+    with pytest.raises(ValueError, match="must be positive"):
+        screw_extensions(0.1, 0.0, math.nan)
+    with pytest.raises(ValueError, match="must be positive"):
+        screw_circle_radius(math.nan)
+    with pytest.raises(ValueError, match="must be positive"):
+        bend_from_extensions((0.0, 0.0, 0.0), math.nan)
+
+
 class TestChassisDiameter:
     def test_reference_geometry(self, reference):
         # Oracle: V = 24*cos(pi/3), B = 80*sin(pi/16), D = 2*(V + B).

@@ -17,7 +17,7 @@ from morphwheel import (
     wheelgeom,
 )
 from morphwheel.cli import main
-from morphwheel.params import reference_design
+from morphwheel.params import _MAX_STEPS, reference_design
 from morphwheel.report import Objective, SweepSpec, consistency_warnings, design_card, set_field
 
 from conftest import random_valid_params
@@ -172,6 +172,11 @@ class TestSweepSpec:
             SweepSpec("a", 1.0, 2.0, 1, Objective.MIN_PEAK_TORQUE)
         with pytest.raises(ValueError):
             SweepSpec("a", 2.0, 2.0, 5, Objective.MIN_PEAK_TORQUE)
+
+    def test_step_cap(self):
+        SweepSpec("a", 1.0, 2.0, _MAX_STEPS, Objective.MIN_PEAK_TORQUE)
+        with pytest.raises(ValueError, match=f"at most {_MAX_STEPS} grid points"):
+            SweepSpec("a", 1.0, 2.0, _MAX_STEPS + 1, Objective.MIN_PEAK_TORQUE)
 
     def test_grid_endpoints(self):
         spec = SweepSpec("a", 20.0, 50.0, 4, Objective.MIN_REDUCED_LENGTH)
@@ -436,6 +441,16 @@ class TestCmdProfile:
         assert "argument --steps: steps must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_step_cap(self, reference, config_file, tmp_path, capsys):
+        # The cap is checked before any state is built: a regression past it
+        # fails here at once rather than filling memory.
+        assert len(wheelgeom.transform_profile(reference, _MAX_STEPS)) == _MAX_STEPS
+        out = tmp_path / "p.csv"
+        assert main(["profile", "--config", config_file, "--steps", str(_MAX_STEPS + 1),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --steps: steps must be <= {_MAX_STEPS}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["design.yaml"]
+
     def test_bad_force_table_exits_2(self, config_file, tmp_path):
         table = tmp_path / "table.yaml"
         table.write_text("- [2.0, 1.0]\n- [1.0, 3.0]\n")
@@ -577,6 +592,40 @@ class TestRefusedInput:
 
 
 class TestCmdSweep:
+    @pytest.mark.parametrize("param, grid, objective, digest", [
+        ("screw.screw_level_length", "13.5:90.25:1000", "min-peak-torque",
+         "a879757d83a11dc77903abb5b37fb6fe8f6babbf1a48d5c923b09f9e3426f567"),
+        ("wheel.hub_offset", "10:200:1000", "max-wheel-radius",
+         "a31d390c5ddf58676bd89b65043f813cbdd43e44cd20c8104918dce81feba951"),
+        ("screw.screw_level_length", "5:30:1000", "min-reduced-length",
+         "9a0d34a6a51ab0f26b707cdfe10e0edb2bc560ac424fcbeacbadbf1a1ac82b15"),
+    ], ids=["screw-length", "hub-offset", "with-invalid-rows"])
+    def test_reference_1000_points_keep_their_bytes(self, tmp_path, param, grid, objective,
+                                                    digest):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", REFERENCE_CONFIG, "--sweep-param", param,
+                     "--sweep-range", grid, "--objective", objective, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_step_cap(self, config_file, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", config_file, "--sweep-param", "wheel.hub_offset",
+                     "--sweep-range", f"10:200:{_MAX_STEPS + 1}",
+                     "--objective", "max-wheel-radius", "--out", str(out)]) == 2
+        assert capsys.readouterr().err \
+            == f"error: --sweep-range: sweep needs at most {_MAX_STEPS} grid points\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["design.yaml"]
+
+    @pytest.mark.parametrize("steps", ["3.0", "x", ""])
+    def test_steps_not_an_integer_exits_2(self, config_file, tmp_path, capsys, steps):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", config_file, "--sweep-param", "wheel.hub_offset",
+                     "--sweep-range", f"10:200:{steps}",
+                     "--objective", "max-wheel-radius", "--out", str(out)]) == 2
+        assert capsys.readouterr().err \
+            == f"error: --sweep-range: STEPS must be an integer, got {steps!r}\n"
+        assert not out.exists()
+
     def test_screw_length_sweep_monotone_argmin_at_boundary(self, config_file,
                                                             tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -29,7 +29,7 @@ from morphwheel import params
 from morphwheel.cli import main
 from morphwheel.params import reference_design
 from morphwheel.quasistatics import load_force_table, screw_torque
-from morphwheel.report import set_field
+from morphwheel.report import consistency_warnings, set_field
 
 from conftest import random_params, random_valid_params
 
@@ -152,13 +152,12 @@ class TestValidate:
 
     def test_identity_warning_when_both_reported_lengths_supplied(self, reference):
         # 340 - 165 = 175 does not match 2 * 20 * 3 = 120.
-        report = validate(reference)
-        assert any(w.code == "reported_length_identity" for w in report.warnings)
-        codes_without = validate(
+        assert any(w.code == "reported_length_identity"
+                   for w in consistency_warnings(reference))
+        codes_without = [w.code for w in consistency_warnings(
             dataclasses.replace(reference, reported=dataclasses.replace(
-                reference.reported, reduced_length=None))
-        ).warnings
-        assert not codes_without
+                reference.reported, reduced_length=None)))]
+        assert "reported_length_identity" not in codes_without
 
     def test_identity_warning_absent_when_numbers_agree(self, reference):
         ok = dataclasses.replace(
@@ -167,7 +166,13 @@ class TestValidate:
                                          elongated_length=340.0, reduced_length=220.0),
         )
         assert not any(w.code == "reported_length_identity"
-                       for w in validate(ok).warnings)
+                       for w in consistency_warnings(ok))
+
+    def test_validation_checks_no_reported_value(self, reference):
+        # The reported block is cross-checked by ``consistency_warnings``
+        # only: validation reads none of it.
+        bare = dataclasses.replace(reference, reported=params.ReportedTargets())
+        assert validate(reference) == validate(bare)
 
 
 class TestLevelCap:

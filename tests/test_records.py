@@ -8,6 +8,7 @@ from morphwheel import bending, params, quasistatics, report, telescopic, wheelg
 RECORDS = [
     (params.Violation, ("field", "constraint")),
     (params.Inconsistency, ("code", "detail", "computed", "reported")),
+    (params.ValidationReport, ("violations", "derived")),
     (bending.BendState, ("total_bend", "direction", "per_plate_angle", "plate_angles",
                          "screw_extensions")),
     (bending.RodSizing, ("half_expansion", "rod_max", "rod_min", "outer_segment",
@@ -26,6 +27,7 @@ RECORDS = [
 
 DEFAULTS = {
     params.Inconsistency: {"computed": None, "reported": None},
+    params.ValidationReport: {"violations": (), "derived": None},
     telescopic.ScrewLengthSolution: {"degenerate": False},
 }
 
@@ -40,6 +42,16 @@ def test_fields_keep_their_order_and_defaults(record, fields):
 def test_defaults_fill_the_trailing_fields():
     assert telescopic.ScrewLengthSolution(1.0).degenerate is False
     assert params.Inconsistency("code", "detail") == ("code", "detail", None, None)
+
+
+def test_validation_report_is_valid_without_violations():
+    assert params.ValidationReport().valid
+    assert params.ValidationReport() == ((), None)
+    report = params.validate(params.reference_design())
+    assert report.valid and report.derived is not None
+    # ``derived`` is a function of the design: equal designs, equal reports.
+    assert report == params.validate(params.reference_design())
+    assert not params.ValidationReport((params.Violation("f", "c"),)).valid
 
 
 def test_records_compare_as_tuples():

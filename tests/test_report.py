@@ -284,6 +284,16 @@ class TestValidateOnce:
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert len(count_validate) == 1 + 40  # the loaded design, then each point
 
+    def test_sweep_checks_no_reported_value(self, count_validate, monkeypatch, reference):
+        # A sweep row carries no warning, so a point builds none; the card
+        # checks the identity of the reported lengths once.
+        identity = count_calls(monkeypatch, report_module, "_length_identity_warnings")
+        spec = SweepSpec("wheel.hub_offset", 10.0, 200.0, 50, Objective.MAX_WHEEL_RADIUS)
+        assert sweep(reference, spec, lambda row: None)["status"] == "ok"
+        assert (len(count_validate), len(identity)) == (50, 0)
+        design_card(reference)
+        assert len(identity) == 1
+
 
 PACKAGE = (params, telescopic, bending, wheelgeom, quasistatics, report_module, cli)
 # The formulas whose values validation keeps for the card and the sweep.
@@ -340,10 +350,8 @@ class TestDeriveOnce:
         assert main(["sweep", "--config", design_file, "--sweep-param", "wheel.hub_offset",
                      "--sweep-range", "10:200:40", "--objective", "max-wheel-radius",
                      "--out", str(tmp_path / "s.csv")]) == 0
-        # The loaded design's validation, then each point; validation needs
-        # no reduced length.
-        assert {name: len(c) for name, c in calls.items()} \
-            == {**dict.fromkeys(FORMULAS, 1 + 40), "reduced_length": 40}
+        # The loaded design's validation, then each point's.
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(FORMULAS, 1 + 40)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
