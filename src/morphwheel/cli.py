@@ -9,10 +9,10 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -31,7 +31,7 @@ from .report import (
     sweep_columns,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -220,9 +220,12 @@ def cmd_sweep(args) -> int:
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(sweep_columns(spec))
-            best = sweep(p, spec, writer.writerow)
+            # As ``csv.writer`` writes these rows: no value holds a comma, a
+            # quote or a line break, and ``str`` of a float is its repr.
+            def write_row(row):
+                fh.write(",".join(map(str, row)) + "\r\n")
+            write_row(sweep_columns(spec))
+            best = sweep(p, spec, write_row)
         os.replace(tmp, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -347,5 +350,28 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised where the process is, so that its ``finally`` blocks
+    remove the temporary files; ``BaseException``, so no handler of the
+    commands' errors takes it."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
+def entry() -> int:
+    """The process entry point (the console script and ``python -m
+    morphwheel.cli``): ``main``, with SIGTERM ending the run through its
+    ``finally`` blocks, exit 143 (128 + SIGTERM) and one ``error:`` line.
+    ``main`` itself leaves the caller's signal handlers alone."""
+    signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return main()
+    except _Terminated:
+        print("error: terminated by SIGTERM", file=sys.stderr)
+        return 128 + signal.SIGTERM
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

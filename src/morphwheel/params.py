@@ -7,7 +7,7 @@ The force lookup table is the single exception (centimetre abscissa, see
 ``quasistatics``).
 
 Config files are YAML with one section per field of ``DesignParams``, whose
-keys are the fields of that section's dataclass (the ``reported`` block of
+keys are the fields of that section's named tuple (the ``reported`` block of
 published target values, used for cross-checking, is optional). See
 ``configs/reference.yaml`` for an annotated example of every key.
 """
@@ -19,7 +19,6 @@ import io
 import math
 import typing
 from collections.abc import Hashable
-from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -60,10 +59,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TelescopicScrewSpec:
-    """Nested screw stack driving one platform actuator."""
+def _remake(cls, iterable):
+    # ``_make``, and so ``_replace``, of a named tuple whose ``__new__`` checks
+    # or derives something: a plain named tuple's skips ``__new__``.
+    return cls(*iterable)
 
+
+def _read_only(self, name, value=None):
+    # ``__setattr__`` and ``__delattr__`` of a named tuple whose ``__dict__``
+    # keeps a value computed from its fields.
+    raise AttributeError(f"cannot set or delete {type(self).__name__}.{name}")
+
+
+class _ScrewFields(typing.NamedTuple):
     n_levels: int                    # telescoping levels per screw
     screw_level_length: float        # mm, one level incl. its stopper
     stopper_width: float             # mm, radial stopper between levels
@@ -72,28 +80,44 @@ class TelescopicScrewSpec:
     base_screw_diameter: float = 2.3  # mm, innermost (master) screw
     shaft_levels: int | None = None  # telescoping levels of the internal shaft
 
-    def __post_init__(self):
+
+class TelescopicScrewSpec(_ScrewFields):
+    """Nested screw stack driving one platform actuator. ``shaft_levels``
+    None is built as ``n_levels - 1``."""
+
+    __slots__ = ()
+    _make = classmethod(_remake)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.shaft_levels is None:
-            object.__setattr__(self, "shaft_levels", self.n_levels - 1)
+            return tuple.__new__(cls, (*self[:-1], self.n_levels - 1))
+        return self
 
 
-@dataclass(frozen=True)
-class ModuleLayout:
-    """Axial length budget of one module."""
-
+class _LayoutFields(typing.NamedTuple):
     joint_arm_height: float          # mm, one universal-joint arm
     drive_assembly_length: float     # mm, chain drive section
     tensioner_length: float          # mm, chain tensioner section
     plate_clearance: float           # mm, gap between adjacent plates
     joint_height: float | None = None  # mm, full universal joint (= 2 * arm)
 
-    def __post_init__(self):
+
+class ModuleLayout(_LayoutFields):
+    """Axial length budget of one module. ``joint_height`` None is built as
+    ``2 * joint_arm_height``."""
+
+    __slots__ = ()
+    _make = classmethod(_remake)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.joint_height is None:
-            object.__setattr__(self, "joint_height", 2.0 * self.joint_arm_height)
+            return tuple.__new__(cls, (*self[:-1], 2.0 * self.joint_arm_height))
+        return self
 
 
-@dataclass(frozen=True)
-class PlatformSpec:
+class PlatformSpec(typing.NamedTuple):
     """One 3-screw tilting platform of the cascaded pair."""
 
     screw_circle_spacing: float      # mm, distance between adjacent screw centres
@@ -103,8 +127,7 @@ class PlatformSpec:
     plate_count: int = 4             # cascaded tilt interfaces
 
 
-@dataclass(frozen=True)
-class WheelSpec:
+class WheelSpec(typing.NamedTuple):
     """Chassis rod pair and rim geometry for the wheel mode."""
 
     rod_half_length: float           # mm, one rod of the hinged pair
@@ -116,8 +139,7 @@ class WheelSpec:
     # None falls back to the stopper stack height (``min_half_separation``).
 
 
-@dataclass(frozen=True)
-class DriveSpec:
+class DriveSpec(typing.NamedTuple):
     """Gearmotor and power screw of one platform actuator."""
 
     motor_stall_torque: float = 1470.0   # N*mm (15 kg*cm class gearmotor)
@@ -126,8 +148,7 @@ class DriveSpec:
     screw_mean_diameter: float = 8.0     # mm, effective thread contact diameter
 
 
-@dataclass(frozen=True)
-class ReportedTargets:
+class ReportedTargets(typing.NamedTuple):
     """Published target values, kept for cross-checking computed results.
 
     All optional; a supplied value is compared against the corresponding
@@ -142,21 +163,26 @@ class ReportedTargets:
     rod_half_expansion: float | None = None  # mm
 
 
-@dataclass(frozen=True)
-class DesignParams:
-    """Single source of truth for every computation in the package."""
-
+class _DesignFields(typing.NamedTuple):
     screw: TelescopicScrewSpec
     layout: ModuleLayout
     platform: PlatformSpec
     wheel: WheelSpec
-    drive: DriveSpec = field(default_factory=DriveSpec)
-    reported: ReportedTargets = field(default_factory=ReportedTargets)
+    drive: DriveSpec = DriveSpec()  # immutable, so one default serves every design
+    reported: ReportedTargets = ReportedTargets()
+
+
+class DesignParams(_DesignFields):
+    """Single source of truth for every computation in the package."""
+
+    # No ``__slots__``: the ``__dict__`` keeps ``validation``, which takes no
+    # part in equality.
+    __setattr__ = __delattr__ = _read_only
 
     @functools.cached_property
     def validation(self) -> ValidationReport:
         """``validate(self)``, run on the first read and kept: the design is
-        frozen, so its report cannot go stale."""
+        immutable, so its report cannot go stale."""
         return validate(self)
 
 
@@ -402,7 +428,7 @@ class _Field(typing.NamedTuple):
     section: str    # the field of ``DesignParams`` that holds the section
     name: str       # the field of the section
     path: str       # "section.name"
-    cls: type       # the section's dataclass
+    cls: type       # the section's named tuple
     required: bool  # the field has no default
     is_count: bool  # annotated ``int`` or ``int | None``
 
@@ -426,14 +452,14 @@ class _Field(typing.NamedTuple):
         anything else keeps it. The section's and the design's other fields
         are read once, here, not per call.
         """
-        section = getattr(p, self.section)
-        kwargs = {f.name: getattr(section, f.name) for f in fields(self.cls)}
-        for f in fields(self.cls):
-            if f.name != self.name and f.default is None and kwargs[f.name] \
-                    == getattr(replace(section, **{f.name: None}), f.name):
-                kwargs[f.name] = None
-        design = {name: getattr(p, name) for name in _SECTIONS}
         cls, name, section_name = self.cls, self.name, self.section
+        section = getattr(p, section_name)
+        kwargs = section._asdict()
+        for key, default in cls._field_defaults.items():
+            if key != name and default is None \
+                    and kwargs[key] == getattr(section._replace(**{key: None}), key):
+                kwargs[key] = None
+        design = p._asdict()
 
         def at(value):  # both dicts are in field order
             kwargs[name] = value
@@ -443,17 +469,19 @@ class _Field(typing.NamedTuple):
 
 
 def _schema(section: str, cls: type) -> dict[str, _Field]:
-    # Annotations are strings (``from __future__ import annotations``); every
-    # section field is a number, and a count when it is annotated an int.
-    return {f.name: _Field(section, f.name, f"{section}.{f.name}", cls,
-                           f.default is MISSING and f.default_factory is MISSING,
-                           f.type in ("int", "int | None"))
-            for f in fields(cls)}
+    # Every section field is a number, and a count when it is annotated an
+    # int. ``typing.NamedTuple`` keeps the annotations as ``ForwardRef``s of
+    # their text (``from __future__ import annotations``); ``get_type_hints``
+    # evaluates them, also on the named tuple that a section class extends.
+    defaults = cls._field_defaults
+    return {name: _Field(section, name, f"{section}.{name}", cls, name not in defaults,
+                         hint in (int, int | None))
+            for name, hint in typing.get_type_hints(cls).items()}
 
 
-# Section name -> (its dataclass, {key: _Field}), in the order of the fields
-# of ``DesignParams``, read from its annotations: the one table that
-# ``load``, ``serialize``, ``set_field`` and a sweep read.
+# Section name -> (its class, {key: _Field}), in the order of the fields of
+# ``DesignParams``, read from its annotations: the one table that ``load``,
+# ``serialize``, ``set_field`` and a sweep read.
 _SECTIONS: dict[str, tuple[type, dict[str, _Field]]] = {
     name: (cls, _schema(name, cls))
     for name, cls in typing.get_type_hints(DesignParams).items()}

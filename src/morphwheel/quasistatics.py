@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import typing
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from math import isfinite, pi
 from pathlib import Path
 
@@ -42,28 +41,41 @@ __all__ = [
 SELECTION_THRESHOLD = 500.0
 
 
-@dataclass(frozen=True)
-class SiliconeForceTable:
-    """Restoring force vs. module length change. Abscissa in cm, force in N."""
-
+class _ForceTableFields(typing.NamedTuple):
     samples: tuple[tuple[float, float], ...]
-    # The samples' length changes, kept for the lookups of ``silicone_force``.
-    abscissae: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.samples:
+
+class SiliconeForceTable(_ForceTableFields):
+    """Restoring force vs. module length change. Abscissa in cm, force in N.
+
+    Every way of building one checks the samples: the constructor, ``_make``
+    and ``_replace``.
+    """
+
+    # No ``__slots__``: the ``__dict__`` keeps ``abscissae``, the samples'
+    # length changes, for the lookups of ``silicone_force``; it takes no part
+    # in equality.
+    abscissae: tuple[float, ...]
+    __setattr__ = __delattr__ = params._read_only
+    _make = classmethod(params._remake)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        samples = self.samples
+        if not samples:
             raise ValueError("force table must not be empty")
-        if not all(isfinite(v) for sample in self.samples for v in sample):
+        if not all(isfinite(v) for sample in samples for v in sample):
             raise ValueError("length changes and forces must be finite")
-        xs = tuple(x for x, _ in self.samples)
-        object.__setattr__(self, "abscissae", xs)
-        fs = [f for _, f in self.samples]
+        xs = tuple(x for x, _ in samples)
+        fs = [f for _, f in samples]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("length changes must be strictly increasing")
         if any(b > a for a, b in zip(fs, fs[1:])):
             raise ValueError("forces must be nonincreasing")
         if fs[-1] < 0:
             raise ValueError("forces must be nonnegative")
+        self.__dict__["abscissae"] = xs
+        return self
 
 
 @functools.cache  # one table per process; it is immutable

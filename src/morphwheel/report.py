@@ -14,7 +14,6 @@ import math
 import operator
 import typing
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from . import bending, params, quasistatics, telescopic, wheelgeom
 from .errors import InfeasibleError, InvalidDesignError
@@ -193,21 +192,30 @@ _OBJECTIVE_METRIC = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class _SweepFields(typing.NamedTuple):
     parameter_path: str  # dotted field name, e.g. "screw.screw_level_length"
     start: float
     stop: float
     steps: int
     objective: Objective
 
-    def __post_init__(self):
+
+class SweepSpec(_SweepFields):
+    """A sweep's grid and objective. Every way of building one checks the
+    grid: the constructor, ``_make`` and ``_replace``."""
+
+    __slots__ = ()
+    _make = classmethod(params._remake)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.steps < 2:
             raise ValueError("sweep needs at least 2 grid points")
         if self.steps > params._MAX_STEPS:
             raise ValueError(f"sweep needs at most {params._MAX_STEPS} grid points")
         if self.start == self.stop:
             raise ValueError("sweep start and stop must differ")
+        return self
 
     def value(self, i: int) -> float:
         """Grid value ``i`` of ``steps``, evenly spaced from start to stop."""

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to get one printed
 PASS line per criterion (a failed assertion means the criterion FAILED).
 """
 
-import dataclasses
 import math
 import random
 import time
@@ -147,10 +146,10 @@ def test_criterion_7_curved_rod_plan():
         radius = rng.uniform(0.5, 2000.0)
         rod = rng.uniform(5.0, 300.0)
         hinge = rng.uniform(0.0, rod * 0.95)
-        q = dataclasses.replace(
-            p, wheel=dataclasses.replace(p.wheel, curved_rod_length=rod,
-                                         hinge_allowance=hinge,
-                                         spoke_pairs=rng.randint(3, 12)))
+        q = p._replace(
+            wheel=p.wheel._replace(curved_rod_length=rod,
+                                   hinge_allowance=hinge,
+                                   spoke_pairs=rng.randint(3, 12)))
         plan = curved_rod_plan(radius, q)
         usable = rod - hinge
         assert plan.levels * usable >= plan.arc_per_sector

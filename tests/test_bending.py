@@ -174,10 +174,8 @@ class TestChassisDiameter:
             reference.platform.screw_circle_spacing, abs=1e-9)
 
     def test_zero_stroke(self, reference):
-        import dataclasses
-        p = dataclasses.replace(
-            reference,
-            platform=dataclasses.replace(reference.platform, max_screw_extension=1e-12))
+        p = reference._replace(
+            platform=reference.platform._replace(max_screw_extension=1e-12))
         geo = chassis_diameter(p, math.pi / 8)
         assert geo.chassis_diameter == pytest.approx(
             2 * geo.screw_offset_component, abs=1e-9)

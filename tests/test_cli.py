@@ -1,29 +1,37 @@
 import csv
-import dataclasses
 import hashlib
 import io
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from morphwheel import (
     ConfigError,
     InvalidDesignError,
     cli,
+    load,
     quasistatics,
     report,
     serialize,
     wheelgeom,
 )
 from morphwheel.cli import main
-from morphwheel.params import _MAX_STEPS, reference_design
+from morphwheel.params import _MAX_STEPS, _SECTIONS, reference_design
 from morphwheel.report import Objective, SweepSpec, consistency_warnings, design_card, set_field
 
 from conftest import random_valid_params
 from oracles import keyframes_json
 
-REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "reference.yaml")
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE_CONFIG = str(ROOT / "configs" / "reference.yaml")
 
 
 @pytest.fixture
@@ -70,7 +78,7 @@ class TestConsistencyWarnings:
         # Only the cross-model stroke check, which reads no reported value,
         # is left.
         import morphwheel.params as params
-        bare = dataclasses.replace(reference, reported=params.ReportedTargets())
+        bare = reference._replace(reported=params.ReportedTargets())
         assert [w.code for w in consistency_warnings(bare)] \
             == ["wheel_stroke_exceeds_telescopic_stroke"]
 
@@ -108,9 +116,8 @@ class TestDesignCard:
         assert card.outputs["reduction_ok"] is True
 
     def test_rod_pair_that_cannot_fold_is_refused(self, reference):
-        p = dataclasses.replace(
-            reference,
-            wheel=dataclasses.replace(reference.wheel, min_half_separation=150.0))
+        p = reference._replace(
+            wheel=reference.wheel._replace(min_half_separation=150.0))
         with pytest.raises(InvalidDesignError, match="wheel.min_half_separation"):
             design_card(p)
 
@@ -153,14 +160,13 @@ class TestSetField:
         assert set_field(reference, "layout.joint_arm_height", 7.0).layout.joint_height == 14.0
 
     def test_a_derived_field_set_to_another_value_is_kept(self, reference):
-        p = dataclasses.replace(reference, screw=dataclasses.replace(
-            reference.screw, shaft_levels=2))
+        p = reference._replace(screw=reference.screw._replace(shaft_levels=2))
         assert set_field(p, "screw.n_levels", 6).screw.shaft_levels == 2
 
     def test_unset_optional_fields(self, reference):
         import morphwheel.params as params
-        p = dataclasses.replace(
-            reference, wheel=dataclasses.replace(reference.wheel, min_half_separation=None),
+        p = reference._replace(
+            wheel=reference.wheel._replace(min_half_separation=None),
             reported=params.ReportedTargets())
         assert set_field(p, "wheel.min_half_separation", 3).wheel.min_half_separation == 3.0
         assert set_field(p, "reported.wheel_diameter", 400).reported.wheel_diameter == 400.0
@@ -805,9 +811,9 @@ class TestCmdSweep:
 
     def test_field_the_config_leaves_unset(self, tmp_path, capsys):
         config = tmp_path / "design.yaml"
-        config.write_text(serialize(dataclasses.replace(
-            reference_design(), wheel=dataclasses.replace(
-                reference_design().wheel, min_half_separation=None))), encoding="utf-8")
+        config.write_text(serialize(reference_design()._replace(
+            wheel=reference_design().wheel._replace(
+                min_half_separation=None))), encoding="utf-8")
         assert "min_half_separation" not in config.read_text()
         out = tmp_path / "s.csv"
         assert main(["sweep", "--config", str(config),
@@ -838,6 +844,42 @@ class TestCmdSweep:
         assert not out.exists()
 
 
+# Every numeric config field, as a sweep takes it: (path, is a count).
+SWEEP_FIELDS = [(f.path, f.is_count) for _, schema in _SECTIONS.values()
+                for f in schema.values()]
+
+
+class TestSweepFile:
+    """The CLI writes its sweep rows as text; ``csv.writer`` is the oracle."""
+
+    @given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from(SWEEP_FIELDS),
+           steps=st.integers(2, 6), objective=st.sampled_from(list(Objective)),
+           data=st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_are_what_csv_writer_writes(self, tmp_path, seed, field, steps, objective,
+                                              data):
+        path, is_count = field
+        if is_count:
+            start = data.draw(st.integers(-3, 12))
+            stop = start + data.draw(st.integers(-3, 3).filter(bool)) * (steps - 1)
+        else:  # negative values give invalid rows for most fields
+            start = data.draw(st.floats(-100.0, 600.0))
+            stop = data.draw(st.floats(-100.0, 600.0).filter(lambda v: v != start))
+        text = serialize(random_valid_params(random.Random(seed)))
+        config, out = tmp_path / "design.yaml", tmp_path / "s.csv"
+        config.write_text(text, encoding="utf-8")
+        assert main(["sweep", "--config", str(config), "--sweep-param", path,
+                     f"--sweep-range={start!r}:{stop!r}:{steps}",
+                     "--objective", objective.value, "--out", str(out)]) == 0
+        spec = SweepSpec(path, float(start), float(stop), steps, objective)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(report.sweep_columns(spec))
+        report.sweep(load(text), spec, writer.writerow)
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
+
 class TestParserReuse:
     def test_main_runs_repeatedly_in_one_process(self, config_file, capsys):
         assert main(["report", "--config", config_file]) == 0
@@ -854,3 +896,62 @@ class TestParserReuse:
         assert main(["report", "--config", config_file]) == 0
         assert capsys.readouterr() == first
         assert cli._build_parser() is cli._build_parser()
+
+
+def child_env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
+# The two ways a process enters the CLI: ``python -m`` and the function the
+# console script calls.
+ENTRIES = {
+    "module": ["-m", "morphwheel.cli"],
+    "console-script": ["-c", "import sys; from morphwheel.cli import entry; sys.exit(entry())"],
+}
+
+
+class TestProcess:
+    def test_console_script_calls_the_entry(self):
+        text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        assert 'morphwheel = "morphwheel.cli:entry"' in text
+
+    def test_import_loads_no_dataclasses_inspect_or_csv(self):
+        # In a fresh interpreter: pytest itself loads all three.
+        code = ("import sys, morphwheel.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout == "[]\n"
+
+    def test_main_leaves_sigterm_alone(self, config_file, capsys):
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(["validate", "--config", config_file]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+    def test_sigterm_leaves_no_temporary_file(self, tmp_path, entry):
+        out = tmp_path / "s.csv"
+        proc = subprocess.Popen(
+            [sys.executable, *entry, "sweep", "--config", REFERENCE_CONFIG,
+             "--sweep-param", "wheel.hub_offset", "--sweep-range", f"10:200:{_MAX_STEPS}",
+             "--objective", "max-wheel-radius", "--out", str(out)],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not any(tmp_path.glob(".s.csv.*.tmp")):
+                assert proc.poll() is None, "the sweep ended before it was signalled"
+                assert time.monotonic() < deadline, "no temporary file within 60 s"
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=60)
+        assert proc.returncode == 128 + signal.SIGTERM == 143
+        assert list(tmp_path.iterdir()) == []
+        assert "Traceback" not in stderr
+        assert stderr == "error: terminated by SIGTERM\n"

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import math
 import operator
@@ -65,18 +64,16 @@ class TestValidate:
         assert len(report.violations) == 0
 
     def test_zero_levels_reported(self, reference):
-        bad = dataclasses.replace(
-            reference,
-            screw=dataclasses.replace(reference.screw, n_levels=0, shaft_levels=-1),
+        bad = reference._replace(
+            screw=reference.screw._replace(n_levels=0, shaft_levels=-1),
         )
         report = validate(bad)
         assert any(v.field == "screw.n_levels" and "n_levels >= 1" in v.constraint
                    for v in report.violations)
 
     def test_joint_height_doubling_rule(self, reference):
-        bad = dataclasses.replace(
-            reference,
-            layout=dataclasses.replace(reference.layout, joint_height=11.0),
+        bad = reference._replace(
+            layout=reference.layout._replace(joint_height=11.0),
         )
         report = validate(bad)
         assert any(v.field == "layout.joint_height"
@@ -84,19 +81,17 @@ class TestValidate:
                    for v in report.violations)
 
     def test_shaft_levels_must_track_screw_levels(self, reference):
-        bad = dataclasses.replace(
-            reference,
-            screw=dataclasses.replace(reference.screw, shaft_levels=5),
+        bad = reference._replace(
+            screw=reference.screw._replace(shaft_levels=5),
         )
         report = validate(bad)
         assert any(v.field == "screw.shaft_levels" for v in report.violations)
 
     def test_all_violations_listed_not_just_first(self, reference):
-        bad = dataclasses.replace(
-            reference,
-            screw=dataclasses.replace(reference.screw, n_levels=0, shaft_levels=-1,
-                                      screw_level_length=-1.0),
-            drive=dataclasses.replace(reference.drive, motor_stall_torque=-5.0),
+        bad = reference._replace(
+            screw=reference.screw._replace(n_levels=0, shaft_levels=-1,
+                                           screw_level_length=-1.0),
+            drive=reference.drive._replace(motor_stall_torque=-5.0),
         )
         fields = {v.field for v in validate(bad).violations}
         assert {"screw.n_levels", "screw.screw_level_length",
@@ -106,8 +101,8 @@ class TestValidate:
         assert validate(reference) == validate(reference)
 
     def test_friction_range(self, reference):
-        bad = dataclasses.replace(
-            reference, drive=dataclasses.replace(reference.drive, screw_friction=1.0))
+        bad = reference._replace(
+            drive=reference.drive._replace(screw_friction=1.0))
         assert any(v.field == "drive.screw_friction" for v in validate(bad).violations)
 
     @pytest.mark.parametrize("diameter,physical", [
@@ -118,7 +113,7 @@ class TestValidate:
     def test_non_physical_screw(self, reference, diameter, physical):
         drive = DriveSpec(screw_lead=2.0 * math.pi, screw_friction=0.5,
                           screw_mean_diameter=diameter)
-        report = validate(dataclasses.replace(reference, drive=drive))
+        report = validate(reference._replace(drive=drive))
         assert report.valid is physical
         if physical:
             assert screw_torque(1.0, drive.screw_lead, diameter, drive.screw_friction) > 0
@@ -130,8 +125,8 @@ class TestValidate:
                 screw_torque(1.0, drive.screw_lead, diameter, drive.screw_friction)
 
     def test_non_positive_screw_diameter_is_one_violation(self, reference):
-        drive = dataclasses.replace(reference.drive, screw_mean_diameter=-1.0)
-        report = validate(dataclasses.replace(reference, drive=drive))
+        drive = reference.drive._replace(screw_mean_diameter=-1.0)
+        report = validate(reference._replace(drive=drive))
         assert [v.constraint for v in report.violations] == ["screw_mean_diameter > 0"]
 
     @pytest.mark.parametrize("h_min,rod,folds", [
@@ -142,9 +137,9 @@ class TestValidate:
         (None, 8.5, True),
     ])
     def test_rod_pair_must_fold(self, reference, h_min, rod, folds):
-        wheel = dataclasses.replace(reference.wheel, min_half_separation=h_min,
-                                    rod_half_length=rod)
-        report = validate(dataclasses.replace(reference, wheel=wheel))
+        wheel = reference.wheel._replace(min_half_separation=h_min,
+                                         rod_half_length=rod)
+        report = validate(reference._replace(wheel=wheel))
         assert report.valid is folds
         if not folds:
             assert [(v.field, v.constraint) for v in report.violations] == [
@@ -155,15 +150,14 @@ class TestValidate:
         assert any(w.code == "reported_length_identity"
                    for w in consistency_warnings(reference))
         codes_without = [w.code for w in consistency_warnings(
-            dataclasses.replace(reference, reported=dataclasses.replace(
-                reference.reported, reduced_length=None)))]
+            reference._replace(reported=reference.reported._replace(
+                reduced_length=None)))]
         assert "reported_length_identity" not in codes_without
 
     def test_identity_warning_absent_when_numbers_agree(self, reference):
-        ok = dataclasses.replace(
-            reference,
-            reported=dataclasses.replace(reference.reported,
-                                         elongated_length=340.0, reduced_length=220.0),
+        ok = reference._replace(
+            reported=reference.reported._replace(elongated_length=340.0,
+                                                 reduced_length=220.0),
         )
         assert not any(w.code == "reported_length_identity"
                        for w in consistency_warnings(ok))
@@ -171,7 +165,7 @@ class TestValidate:
     def test_validation_checks_no_reported_value(self, reference):
         # The reported block is cross-checked by ``consistency_warnings``
         # only: validation reads none of it.
-        bare = dataclasses.replace(reference, reported=params.ReportedTargets())
+        bare = reference._replace(reported=params.ReportedTargets())
         assert validate(reference) == validate(bare)
 
 
@@ -480,24 +474,23 @@ class TestLoad:
             load(text)
 
 
-# Every config field as "section.key", read from the dataclasses themselves.
-CONFIG_PATHS = [f"{section.name}.{f.name}"
-                for section in dataclasses.fields(params.DesignParams)
-                for f in dataclasses.fields(getattr(reference_design(), section.name))]
+# Every config field as "section.key", read from the named tuples themselves.
+CONFIG_PATHS = [f"{section}.{name}"
+                for section in params.DesignParams._fields
+                for name in getattr(reference_design(), section)._fields]
 
 
 def one_bad_field_designs():
     """One design per config field set to -1, plus a non-physical screw:
     between them they trip every check ``validate`` makes."""
     reference = reference_design()
-    for section in dataclasses.fields(reference):
-        spec = getattr(reference, section.name)
-        for f in dataclasses.fields(spec):
-            bad = -1 if isinstance(getattr(spec, f.name), int) else -1.0
-            yield dataclasses.replace(
-                reference, **{section.name: dataclasses.replace(spec, **{f.name: bad})})
-    yield dataclasses.replace(reference, drive=DriveSpec(
-        screw_lead=10.0, screw_friction=0.5, screw_mean_diameter=1.0))
+    for section in reference._fields:
+        spec = getattr(reference, section)
+        for name in spec._fields:
+            bad = -1 if isinstance(getattr(spec, name), int) else -1.0
+            yield reference._replace(**{section: spec._replace(**{name: bad})})
+    yield reference._replace(drive=DriveSpec(
+                             screw_lead=10.0, screw_friction=0.5, screw_mean_diameter=1.0))
 
 
 class TestOneVocabulary:
@@ -513,10 +506,10 @@ class TestOneVocabulary:
                 named.add(v.field)
                 current = operator.attrgetter(v.field)(p)
                 assert set_field(p, v.field, current) == p
-        config_keys = {f"{s.name}.{f.name}"
-                       for s in dataclasses.fields(params.DesignParams)
-                       if s.name != "reported"
-                       for f in dataclasses.fields(getattr(reference_design(), s.name))}
+        config_keys = {f"{s}.{name}"
+                       for s in params.DesignParams._fields
+                       if s != "reported"
+                       for name in getattr(reference_design(), s)._fields}
         assert named == config_keys
 
     @pytest.mark.parametrize("path", CONFIG_PATHS)
@@ -568,9 +561,8 @@ class TestRoundTrip:
     @settings(max_examples=50, deadline=None)
     def test_serialization_preserves_exact_floats(self, a, b):
         p = reference_design()
-        p = dataclasses.replace(
-            p,
-            wheel=dataclasses.replace(p.wheel, rod_half_length=a, hub_offset=b),
+        p = p._replace(
+            wheel=p.wheel._replace(rod_half_length=a, hub_offset=b),
         )
         again = load(serialize(p))
         assert again.wheel.rod_half_length == a

@@ -1,9 +1,16 @@
-"""The result records are named tuples: their fields keep the order and the
-defaults they had as frozen dataclasses, and they compare as tuples."""
+"""The result records, the config sections and the specs are named tuples:
+their fields keep the order and the defaults they had as frozen dataclasses,
+and they compare as tuples. A type that checks or derives something when it
+is built does so on every way of building one."""
+
+import math
 
 import pytest
 
 from morphwheel import bending, params, quasistatics, report, telescopic, wheelgeom
+from morphwheel.params import ModuleLayout, TelescopicScrewSpec
+from morphwheel.quasistatics import SiliconeForceTable
+from morphwheel.report import Objective, SweepSpec
 
 RECORDS = [
     (params.Violation, ("field", "constraint")),
@@ -23,12 +30,36 @@ RECORDS = [
     (quasistatics.MotorCheck, ("passed", "peak_torque", "stall_torque", "margin", "ratio",
                                "selection_threshold", "note")),
     (report.RunReport, ("digest", "validation", "outputs", "warnings")),
+    (params.TelescopicScrewSpec, ("n_levels", "screw_level_length", "stopper_width",
+                                  "thread_width", "thread_clearance", "base_screw_diameter",
+                                  "shaft_levels")),
+    (params.ModuleLayout, ("joint_arm_height", "drive_assembly_length", "tensioner_length",
+                           "plate_clearance", "joint_height")),
+    (params.PlatformSpec, ("screw_circle_spacing", "max_screw_extension", "joint_mount_width",
+                           "universal_joint_diameter", "plate_count")),
+    (params.WheelSpec, ("rod_half_length", "hub_offset", "curved_rod_length",
+                        "hinge_allowance", "spoke_pairs", "min_half_separation")),
+    (params.DriveSpec, ("motor_stall_torque", "screw_lead", "screw_friction",
+                        "screw_mean_diameter")),
+    (params.ReportedTargets, ("elongated_length", "reduced_length", "chassis_diameter",
+                              "wheel_diameter", "rod_half_expansion")),
+    (params.DesignParams, ("screw", "layout", "platform", "wheel", "drive", "reported")),
+    (quasistatics.SiliconeForceTable, ("samples",)),
+    (report.SweepSpec, ("parameter_path", "start", "stop", "steps", "objective")),
 ]
 
 DEFAULTS = {
     params.Inconsistency: {"computed": None, "reported": None},
     params.ValidationReport: {"violations": (), "derived": None},
     telescopic.ScrewLengthSolution: {"degenerate": False},
+    params.TelescopicScrewSpec: {"base_screw_diameter": 2.3, "shaft_levels": None},
+    params.ModuleLayout: {"joint_height": None},
+    params.PlatformSpec: {"plate_count": 4},
+    params.WheelSpec: {"spoke_pairs": 6, "min_half_separation": None},
+    params.DriveSpec: {"motor_stall_torque": 1470.0, "screw_lead": 2.0,
+                       "screw_friction": 0.2, "screw_mean_diameter": 8.0},
+    params.ReportedTargets: dict.fromkeys(params.ReportedTargets._fields),
+    params.DesignParams: {"drive": params.DriveSpec(), "reported": params.ReportedTargets()},
 }
 
 
@@ -62,3 +93,138 @@ def test_records_compare_as_tuples():
     assert lengths._asdict() == {"elongated": 340.0, "reduced": 220.0}
     with pytest.raises(AttributeError):
         lengths.reduced = 1.0  # type: ignore[misc]
+
+
+SCREW = (4, 20.0, 1.0, 0.5, 0.5)  # the reference screw's required fields
+LAYOUT = (5.0, 90.0, 60.0, 10.0)  # the reference layout's required fields
+
+
+class TestDerivedDefaults:
+    """``shaft_levels`` None is built as ``n_levels - 1`` and ``joint_height``
+    None as ``2 * joint_arm_height``, however the record is built (by keyword:
+    ``test_params.TestDefaults``)."""
+
+    def test_positionally(self):
+        assert TelescopicScrewSpec(*SCREW) == (*SCREW, 2.3, 3)
+        assert TelescopicScrewSpec(*SCREW, 2.3, None).shaft_levels == 3
+        assert ModuleLayout(*LAYOUT) == (*LAYOUT, 10.0)
+        assert ModuleLayout(*LAYOUT, None).joint_height == 10.0
+
+    def test_a_given_value_is_kept(self):
+        assert TelescopicScrewSpec(*SCREW, shaft_levels=7).shaft_levels == 7
+        assert ModuleLayout(*LAYOUT, joint_height=11.0).joint_height == 11.0
+
+    def test_through_make(self):
+        assert TelescopicScrewSpec._make([*SCREW, 2.3, None]).shaft_levels == 3
+        assert ModuleLayout._make([*LAYOUT, None]).joint_height == 10.0
+        assert type(TelescopicScrewSpec._make([*SCREW, 2.3, None])) is TelescopicScrewSpec
+
+    def test_replace_keeps_a_derived_value(self):
+        # As ``dataclasses.replace`` did: the derived value is a field value.
+        screw, layout = TelescopicScrewSpec(*SCREW), ModuleLayout(*LAYOUT)
+        assert screw._replace(n_levels=6).shaft_levels == 3
+        assert layout._replace(joint_arm_height=7.0).joint_height == 10.0
+
+    def test_replace_with_none_derives_again(self):
+        screw, layout = TelescopicScrewSpec(*SCREW), ModuleLayout(*LAYOUT)
+        assert screw._replace(n_levels=6, shaft_levels=None).shaft_levels == 5
+        assert layout._replace(joint_arm_height=7.0, joint_height=None).joint_height == 14.0
+
+
+class TestDesignParams:
+    def test_drive_and_reported_default_to_one_shared_instance(self):
+        p = params.reference_design()
+        a = params.DesignParams(p.screw, p.layout, p.platform, p.wheel)
+        b = params.DesignParams(p.screw, p.layout, p.platform, p.wheel)
+        assert a.drive == params.DriveSpec() and a.reported == params.ReportedTargets()
+        assert a.drive is b.drive and a.reported is b.reported
+
+    def test_validation_is_kept_per_design(self):
+        p = params.reference_design()
+        assert p.validation is p.validation
+        copy = p._replace()
+        assert copy == p
+        assert copy.validation == p.validation and copy.validation is not p.validation
+
+    def test_fields_are_read_only(self):
+        p = params.reference_design()
+        with pytest.raises(AttributeError):
+            p.screw = p.screw  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            del p.validation
+        with pytest.raises(AttributeError):
+            p.screw.n_levels = 5  # type: ignore[misc]
+
+
+GRID = ("wheel.hub_offset", 10.0, 200.0, 5, Objective.MAX_WHEEL_RADIUS)
+BAD_GRIDS = [
+    ({"steps": 1}, "at least 2 grid points"),
+    ({"steps": params._MAX_STEPS + 1}, f"at most {params._MAX_STEPS} grid points"),
+    ({"stop": 10.0}, "start and stop must differ"),
+]
+
+
+class TestSweepSpec:
+    @pytest.mark.parametrize("change, message", BAD_GRIDS)
+    def test_every_way_of_building_one_checks_it(self, change, message):
+        values = dict(zip(SweepSpec._fields, GRID), **change)
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(**values)
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(*values.values())
+        with pytest.raises(ValueError, match=message):
+            SweepSpec._make(values.values())
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(*GRID)._replace(**change)
+
+    def test_a_good_grid_is_built_every_way(self):
+        spec = SweepSpec(*GRID)
+        assert spec == GRID
+        assert SweepSpec._make(GRID) == spec
+        assert type(spec._replace(steps=params._MAX_STEPS)) is SweepSpec
+        assert spec._replace(steps=3).value(1) == 105.0
+
+
+SAMPLES = ((1.0, 3.0), (2.0, 1.0))
+BAD_SAMPLES = [
+    ((), "must not be empty"),
+    (((1.0, math.nan),), "must be finite"),
+    (((math.inf, 1.0),), "must be finite"),
+    (((2.0, 3.0), (1.0, 1.0)), "strictly increasing"),
+    (((1.0, 3.0), (1.0, 1.0)), "strictly increasing"),
+    (((1.0, 1.0), (2.0, 3.0)), "nonincreasing"),
+    (((1.0, 1.0), (2.0, -1.0)), "nonnegative"),
+]
+
+
+class TestSiliconeForceTable:
+    @pytest.mark.parametrize("samples, message", BAD_SAMPLES)
+    def test_every_way_of_building_one_checks_it(self, samples, message):
+        with pytest.raises(ValueError, match=message):
+            SiliconeForceTable(samples)
+        with pytest.raises(ValueError, match=message):
+            SiliconeForceTable(samples=samples)
+        with pytest.raises(ValueError, match=message):
+            SiliconeForceTable._make([samples])
+        with pytest.raises(ValueError, match=message):
+            SiliconeForceTable(SAMPLES)._replace(samples=samples)
+
+    def test_abscissae_follow_the_samples(self):
+        table = SiliconeForceTable(SAMPLES)
+        assert table.abscissae == (1.0, 2.0)
+        assert table._replace(samples=((3.0, 2.0),)).abscissae == (3.0,)
+        assert SiliconeForceTable._make([((4.0, 0.0),)]).abscissae == (4.0,)
+
+    def test_abscissae_take_no_part_in_equality_or_repr(self):
+        table = SiliconeForceTable(SAMPLES)
+        assert table == (SAMPLES,) and table == SiliconeForceTable(SAMPLES)
+        assert hash(table) == hash((SAMPLES,))
+        assert "abscissae" not in repr(table)
+
+    def test_read_only(self):
+        table = SiliconeForceTable(SAMPLES)
+        with pytest.raises(AttributeError):
+            table.abscissae = (0.0, 9.0)  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            table.samples = ()  # type: ignore[misc]
+        assert table.abscissae == (1.0, 2.0)

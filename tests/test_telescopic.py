@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -22,16 +21,16 @@ from oracles import scan_min_levels, scan_min_screw_length
 
 
 def with_levels(p, n, s_l=None):
-    screw = dataclasses.replace(p.screw, n_levels=n, shaft_levels=n - 1)
+    screw = p.screw._replace(n_levels=n, shaft_levels=n - 1)
     if s_l is not None:
-        screw = dataclasses.replace(screw, screw_level_length=s_l)
-    return dataclasses.replace(p, screw=screw)
+        screw = screw._replace(screw_level_length=s_l)
+    return p._replace(screw=screw)
 
 
 def with_short_rods(p):
     # 100 mm rods: the 200 mm wheel stroke fits a one-level reference
     # module (220 mm), which the 140 mm reference rods would overrun.
-    return dataclasses.replace(p, wheel=dataclasses.replace(p.wheel, rod_half_length=100.0))
+    return p._replace(wheel=p.wheel._replace(rod_half_length=100.0))
 
 
 class TestModuleLengths:
@@ -48,9 +47,9 @@ class TestModuleLengths:
         assert lengths.reduction_ratio == 1.0
 
     def test_invalid_design_refused_with_report(self, reference):
-        bad = dataclasses.replace(
-            reference, screw=dataclasses.replace(reference.screw, n_levels=0,
-                                                 shaft_levels=-1))
+        bad = reference._replace(
+            screw=reference.screw._replace(n_levels=0,
+                                           shaft_levels=-1))
         with pytest.raises(InvalidDesignError) as exc:
             module_lengths(bad)
         assert any(v.field == "screw.n_levels" for v in exc.value.report.violations)
@@ -100,9 +99,8 @@ class TestMinScrewLength:
 
     def test_solution_hits_target_exactly(self, reference):
         sol = min_screw_length(reference.screw.n_levels, residual_length(reference), 0.5)
-        p2 = dataclasses.replace(
-            reference, screw=dataclasses.replace(reference.screw,
-                                                 screw_level_length=sol.length))
+        p2 = reference._replace(
+            screw=reference.screw._replace(screw_level_length=sol.length))
         assert module_lengths(p2).reduction_ratio == pytest.approx(0.5, abs=1e-9)
 
     def test_two_levels_at_half_is_infeasible(self, reference):
@@ -183,10 +181,9 @@ class TestDiameterLadder:
         assert diameter_ladder(with_levels(reference, 1)).diameters == (2.3,)
 
     def test_zero_increment_degenerates_and_is_flagged(self, reference):
-        flat = dataclasses.replace(
-            reference,
-            screw=dataclasses.replace(reference.screw, thread_width=0.0,
-                                      thread_clearance=0.0, stopper_width=0.0),
+        flat = reference._replace(
+            screw=reference.screw._replace(thread_width=0.0,
+                                           thread_clearance=0.0, stopper_width=0.0),
         )
         ladder = diameter_ladder(flat)
         assert all(d == 2.3 for d in ladder.diameters)
@@ -200,9 +197,8 @@ class TestDiameterLadder:
     def test_strictly_increasing_for_positive_increment(self, tw, tc, sw, n):
         from morphwheel import reference_design
         base = reference_design()
-        p = dataclasses.replace(
-            base,
-            screw=dataclasses.replace(base.screw, thread_width=tw,
+        p = base._replace(
+            screw=base.screw._replace(thread_width=tw,
                                       thread_clearance=tc, stopper_width=sw,
                                       n_levels=n, shaft_levels=n - 1),
         )

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -85,17 +84,15 @@ class TestTransformProfile:
             transform_profile(reference, 1)
 
     def test_default_min_separation_is_the_stopper_stack(self, reference):
-        p = dataclasses.replace(
-            reference,
-            wheel=dataclasses.replace(reference.wheel, min_half_separation=None))
+        p = reference._replace(
+            wheel=reference.wheel._replace(min_half_separation=None))
         assert min_half_separation(p) == 8.0  # 2 mm * 4 levels
         states = transform_profile(p, 5)
         assert states[-1].axial_half_separation == 8.0
 
     def test_min_separation_beyond_rod_is_refused(self, reference):
-        p = dataclasses.replace(
-            reference,
-            wheel=dataclasses.replace(reference.wheel, min_half_separation=150.0))
+        p = reference._replace(
+            wheel=reference.wheel._replace(min_half_separation=150.0))
         with pytest.raises(InvalidDesignError, match="wheel.min_half_separation"):
             transform_profile(p, 5)
 
@@ -123,9 +120,8 @@ class TestCurvedRodPlan:
             curved_rod_plan(0.0, reference)
 
     def test_hinges_consuming_the_rod_rejected(self, reference):
-        p = dataclasses.replace(
-            reference,
-            wheel=dataclasses.replace(reference.wheel, hinge_allowance=120.0))
+        p = reference._replace(
+            wheel=reference.wheel._replace(hinge_allowance=120.0))
         with pytest.raises(ValueError, match="hinge"):
             curved_rod_plan(200.0, p)
 
@@ -135,11 +131,10 @@ class TestCurvedRodPlan:
             radius = rng.uniform(0.5, 2000.0)
             rod = rng.uniform(5.0, 300.0)
             hinge = rng.uniform(0.0, rod * 0.95)
-            p = dataclasses.replace(
-                reference,
-                wheel=dataclasses.replace(reference.wheel, curved_rod_length=rod,
-                                          hinge_allowance=hinge,
-                                          spoke_pairs=rng.randint(3, 12)))
+            p = reference._replace(
+                wheel=reference.wheel._replace(curved_rod_length=rod,
+                                               hinge_allowance=hinge,
+                                               spoke_pairs=rng.randint(3, 12)))
             plan = curved_rod_plan(radius, p)
             usable = rod - hinge
             assert plan.levels * usable >= plan.arc_per_sector
