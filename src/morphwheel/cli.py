@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import signal
 import sys
 from pathlib import Path
@@ -168,13 +169,18 @@ def cmd_profile(args) -> int:
     torques = quasistatics.torque_profile(p, states, table)
     # One pass formats each state once: the reprs of its floats and its
     # trigger mode go into both its CSV row, as ``csv.writer`` would write
-    # them, and its keyframe frame.
+    # them, and its keyframe frame. The force and torque are formatted once
+    # per run of rows that share their objects (``torque_profile`` shares
+    # them past a clamped end of the table). ``_value_`` is what the enum's
+    # ``value`` property returns, without the property's Python-level call.
     rows, frames = [",".join(PROFILE_COLUMNS) + "\r\n"], []
-    for i, (state, entry) in enumerate(zip(states, torques)):
+    force = torque = tail = None
+    for i, (state, (_, f, t)) in enumerate(zip(states, torques)):
         frame = (repr(state.module_length), repr(state.axial_half_separation),
-                 repr(state.wheel_radius), state.trigger_mode.value)
-        rows.append(f"{i},{','.join(frame)},"
-                    f"{entry.axial_force!r},{entry.per_motor_torque!r}\r\n")
+                 repr(state.wheel_radius), state.trigger_mode._value_)
+        if f is not force or t is not torque:
+            force, torque, tail = f, t, f",{f!r},{t!r}\r\n"
+        rows.append(f"{i},{','.join(frame)}{tail}")
         frames.append(frame)
     out = Path(args.out)
     keyframe_path = out.with_name(out.stem + "_keyframes.json")
@@ -335,6 +341,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sweep-param", required=True,
                          help="dotted field name, e.g. screw.screw_level_length")
     p_sweep.add_argument("--sweep-range", required=True, help="START:STOP:STEPS")
+    # argparse reads a word that starts with a minus as an option unless the
+    # parser's negative-number pattern matches it, by default only a plain
+    # number such as -100. No option of this verb starts with a minus and a
+    # digit, so any such word is a value: -100:200:4 as well as -100.
+    p_sweep._negative_number_matcher = re.compile(r"-\.?\d")
     p_sweep.add_argument("--objective", required=True,
                          choices=[o.value for o in Objective])
     p_sweep.add_argument("--out", required=True)
@@ -351,26 +362,29 @@ def main(argv: list[str] | None = None) -> int:
 
 
 class _Terminated(BaseException):
-    """SIGTERM, raised where the process is, so that its ``finally`` blocks
-    remove the temporary files; ``BaseException``, so no handler of the
-    commands' errors takes it."""
+    """SIGINT or SIGTERM, raised where the process is, so that its
+    ``finally`` blocks remove the temporary files; ``BaseException``, so no
+    handler of the commands' errors takes it. Its argument is the signal."""
 
 
 def _terminate(signum, frame):
-    raise _Terminated
+    raise _Terminated(signal.Signals(signum))
 
 
 def entry() -> int:
     """The process entry point (the console script and ``python -m
-    morphwheel.cli``): ``main``, with SIGTERM ending the run through its
-    ``finally`` blocks, exit 143 (128 + SIGTERM) and one ``error:`` line.
-    ``main`` itself leaves the caller's signal handlers alone."""
-    signal.signal(signal.SIGTERM, _terminate)
+    morphwheel.cli``): ``main``, with SIGINT (Ctrl-C) or SIGTERM ending the
+    run through its ``finally`` blocks, exit 128 + the signal's number (130
+    or 143) and one ``error:`` line. ``main`` itself leaves the caller's
+    signal handlers alone."""
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, _terminate)
     try:
         return main()
-    except _Terminated:
-        print("error: terminated by SIGTERM", file=sys.stderr)
-        return 128 + signal.SIGTERM
+    except _Terminated as exc:
+        signum = exc.args[0]
+        print(f"error: terminated by {signum.name}", file=sys.stderr)
+        return 128 + signum
 
 
 if __name__ == "__main__":

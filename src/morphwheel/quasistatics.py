@@ -185,7 +185,10 @@ def torque_profile(p: DesignParams, states: list[TransformState],
     One entry per state; the first state is the elongated crawler. The
     axial load is the skin restoring force at that compression (the single
     mm-to-cm conversion in the package happens here) and is shared equally
-    by the three screws.
+    by the three screws. A state whose force is the very float object of
+    the state before, as every state past a clamped end of the table gets,
+    shares that entry's force and torque objects: the torque is computed
+    once per run of such states.
     """
     if table is None:
         table = default_force_table()
@@ -193,10 +196,14 @@ def torque_profile(p: DesignParams, states: list[TransformState],
     lead, d, mu = dr.screw_lead, dr.screw_mean_diameter, dr.screw_friction
     elongated = states[0].module_length
     entries = []
+    force = torque = None
     for state in states:
         length = state.module_length
-        force = silicone_force(table, (elongated - length) / 10.0)
-        entries.append(TorqueEntry(length, force, screw_torque(force / _SCREWS, lead, d, mu)))
+        f = silicone_force(table, (elongated - length) / 10.0)
+        # Identity, not equality: 0.0 and -0.0 are equal but print apart.
+        if f is not force:
+            force, torque = f, screw_torque(f / _SCREWS, lead, d, mu)
+        entries.append(TorqueEntry(length, force, torque))
     return tuple(entries)
 
 

@@ -103,9 +103,9 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
         raise ValueError("steps must be >= 2")
     if steps > _MAX_STEPS:
         raise ValueError(f"steps must be <= {_MAX_STEPS}")
-    lengths = module_lengths(p)
+    elongated = module_lengths(p).elongated
     w = p.wheel
-    l = w.rod_half_length
+    l, hub_offset = w.rod_half_length, w.hub_offset
     h_min = min_half_separation(p)
 
     states = []
@@ -117,13 +117,13 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
             h = h_min
         else:
             h = l + (h_min - l) * (i / (steps - 1))
-        length = lengths.elongated - 2.0 * (l - h)
-        radius = bulge_radius(l, h, w.hub_offset)
+        length = elongated - 2.0 * (l - h)
+        radius = bulge_radius(l, h, hub_offset)
         if not (length < last_length and radius > last_radius):
             raise ValueError(f"{steps} steps are finer than the design resolves: state {i} "
                              "does not shorten the module and widen the wheel")
         last_length, last_radius = length, radius
-        states.append(TransformState(length, h, radius, trigger_state(length, lengths.elongated)))
+        states.append(TransformState(length, h, radius, trigger_state(length, elongated)))
     return states
 
 

@@ -19,6 +19,19 @@ def reference() -> DesignParams:
     return reference_design()
 
 
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every later call of ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_params(rng: random.Random) -> DesignParams:
     """Random design over the property-suite ranges.
 

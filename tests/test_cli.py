@@ -497,6 +497,7 @@ def profile_oracle(p, steps, table):
 
 
 FORCE_TABLE = Path(REFERENCE_CONFIG).with_name("force_table.yaml")
+NEGATIVE_ZERO_END_TABLE = ROOT / "tests" / "data" / "force_table_negative_zero_end.yaml"
 
 
 class TestProfileFiles:
@@ -511,7 +512,8 @@ class TestProfileFiles:
         assert hashlib.sha256((tmp_path / "p_keyframes.json").read_bytes()).hexdigest() \
             == "2a33ee13399f76845aa89e26b0f07a268ffdbd36d8798c4e7dbb18df8a870890"
 
-    @pytest.mark.parametrize("table_path", [None, FORCE_TABLE], ids=["default", "file"])
+    @pytest.mark.parametrize("table_path", [None, FORCE_TABLE, NEGATIVE_ZERO_END_TABLE],
+                             ids=["default", "file", "negative-zero-end"])
     def test_bytes_match_the_encoders_on_random_designs(self, tmp_path, table_path):
         table = quasistatics.default_force_table() if table_path is None \
             else quasistatics.load_force_table_path(table_path)
@@ -796,6 +798,23 @@ class TestCmdSweep:
         assert "argmax max-wheel-radius: wheel.min_half_separation=0 -> wheel_radius_mm=200 " \
             "(row 1)" in capsys.readouterr().out
 
+    def test_negative_start_needs_no_equals_sign(self, config_file, tmp_path, capsys):
+        outs = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out, grid in zip(outs, (["--sweep-range=-100:200:4"],
+                                    ["--sweep-range", "-100:200:4"])):
+            assert main(["sweep", "--config", config_file,
+                         "--sweep-param", "wheel.min_half_separation", *grid,
+                         "--objective", "max-wheel-radius", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        capsys.readouterr()
+        # A word that starts with a minus and a letter is still an option.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", config_file, "--sweep-param", "wheel.hub_offset",
+                  "--sweep-range", "-x", "--objective", "max-wheel-radius",
+                  "--out", str(outs[0])])
+        assert exc.value.code == 2
+        assert "argument --sweep-range: expected one argument" in capsys.readouterr().err
+
     def test_derived_field_follows_the_swept_count(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--config", REFERENCE_CONFIG,
@@ -927,12 +946,31 @@ class TestProcess:
         assert proc.stdout == "[]\n"
 
     def test_main_leaves_sigterm_alone(self, config_file, capsys):
-        before = signal.getsignal(signal.SIGTERM)
+        before = signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT)
         assert main(["validate", "--config", config_file]) == 0
-        assert signal.getsignal(signal.SIGTERM) is before
+        assert (signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT)) == before
 
     @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
     def test_sigterm_leaves_no_temporary_file(self, tmp_path, entry):
+        proc, stderr = self.signal_sweep(tmp_path, entry, signal.SIGTERM)
+        assert proc.returncode == 128 + signal.SIGTERM == 143
+        assert list(tmp_path.iterdir()) == []
+        assert "Traceback" not in stderr
+        assert stderr == "error: terminated by SIGTERM\n"
+
+    @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+    def test_sigint_leaves_no_temporary_file(self, tmp_path, entry):
+        # Ctrl-C: no KeyboardInterrupt traceback, no death by the signal.
+        proc, stderr = self.signal_sweep(tmp_path, entry, signal.SIGINT)
+        assert proc.returncode == 128 + signal.SIGINT == 130
+        assert list(tmp_path.iterdir()) == []
+        assert "Traceback" not in stderr
+        assert stderr == "error: terminated by SIGINT\n"
+
+    @staticmethod
+    def signal_sweep(tmp_path, entry, signum):
+        """Send ``signum`` to a long sweep once its temporary file exists;
+        the ended process and its standard error."""
         out = tmp_path / "s.csv"
         proc = subprocess.Popen(
             [sys.executable, *entry, "sweep", "--config", REFERENCE_CONFIG,
@@ -945,13 +983,10 @@ class TestProcess:
                 assert proc.poll() is None, "the sweep ended before it was signalled"
                 assert time.monotonic() < deadline, "no temporary file within 60 s"
                 time.sleep(0.005)
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(signum)
             _, stderr = proc.communicate(timeout=60)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate(timeout=60)
-        assert proc.returncode == 128 + signal.SIGTERM == 143
-        assert list(tmp_path.iterdir()) == []
-        assert "Traceback" not in stderr
-        assert stderr == "error: terminated by SIGTERM\n"
+        return proc, stderr

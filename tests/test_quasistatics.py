@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphwheel import ConfigError
+from morphwheel import ConfigError, quasistatics
 from morphwheel.quasistatics import (
     SELECTION_THRESHOLD,
     SiliconeForceTable,
     default_force_table,
     load_force_table,
+    load_force_table_path,
     motor_check,
     screw_torque,
     silicone_force,
@@ -19,8 +20,10 @@ from morphwheel.quasistatics import (
 )
 from morphwheel.wheelgeom import transform_profile
 
-from conftest import random_valid_params
+from conftest import count_calls, random_valid_params
 from oracles import peak_index
+
+FORCE_TABLE = Path(__file__).resolve().parent.parent / "configs" / "force_table.yaml"
 
 
 @st.composite
@@ -31,6 +34,24 @@ def force_tables(draw) -> SiliconeForceTable:
     fs = sorted(draw(st.lists(st.floats(0.0, 1e3), min_size=len(xs), max_size=len(xs))),
                 reverse=True)
     return SiliconeForceTable(samples=tuple(zip(xs, fs)))
+
+
+def ending_in_negative_zero(table: SiliconeForceTable) -> SiliconeForceTable:
+    """``table`` with its last force -0.0: equal to a 0.0 before it, but
+    printed apart from it."""
+    *head, (x, _) = table.samples
+    return table._replace(samples=(*head, (x, -0.0)))
+
+
+# Every kind of table a profile meets: the builtin one, the file that holds
+# the same samples, and random ones, some ending in -0.0.
+profile_tables = st.one_of(
+    st.just(default_force_table()),
+    st.builds(load_force_table_path, st.just(FORCE_TABLE)),
+    st.just(SiliconeForceTable(samples=((1.0, 2.0), (2.0, 0.0), (3.0, -0.0)))),
+    force_tables(),
+    force_tables().map(ending_in_negative_zero),
+)
 
 
 class TestForceTable:
@@ -63,8 +84,7 @@ class TestForceTableOverride:
         assert table.samples == ((1.0, 3.0), (2.0, 1.0))
 
     def test_mapping_form_matches_default(self):
-        path = Path(__file__).resolve().parent.parent / "configs" / "force_table.yaml"
-        assert load_force_table(path.read_text()) == default_force_table()
+        assert load_force_table(FORCE_TABLE.read_text()) == default_force_table()
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ConfigError, match="pair"):
@@ -210,10 +230,12 @@ class TestTorqueProfile:
             assert b.per_motor_torque == pytest.approx(2 * a.per_motor_torque,
                                                        rel=1e-12)
 
-    @given(st.integers(0, 2**32), force_tables(), st.integers(2, 60))
+    @given(st.integers(0, 2**32), profile_tables, st.integers(2, 2000))
     @settings(max_examples=100, deadline=None)
     def test_each_entry_is_the_screw_formula_on_a_third_of_the_force(self, seed, table,
                                                                        steps):
+        # Bit for bit, though entries past a clamped end of the table share
+        # one computed torque.
         p = random_valid_params(random.Random(seed))
         states = transform_profile(p, steps)
         dr = p.drive
@@ -225,6 +247,21 @@ class TestTorqueProfile:
             assert (repr(entry.module_length), repr(entry.axial_force),
                     repr(entry.per_motor_torque)) \
                 == (repr(state.module_length), repr(force), repr(torque))
+
+    @pytest.mark.parametrize("table_path", [None, FORCE_TABLE], ids=["builtin", "file"])
+    def test_torque_computed_once_per_run_of_one_force(self, monkeypatch, reference,
+                                                       table_path):
+        # 1428 of the reference's 2000 states lie past the table's far end,
+        # and 72 before its near end; each of those two runs of states gets
+        # the table's own sample object as its force.
+        table = default_force_table() if table_path is None \
+            else load_force_table_path(table_path)
+        states = transform_profile(reference, 2000)
+        calls = count_calls(monkeypatch, quasistatics, "screw_torque")
+        forces = [e.axial_force for e in torque_profile(reference, states, table)]
+        assert sum(f is table.samples[-1][1] for f in forces) == 1428
+        runs = 1 + sum(a is not b for a, b in zip(forces, forces[1:]))
+        assert len(calls) == runs <= 2000 - 1428
 
     def test_aligns_with_transform_profile(self, reference):
         states = transform_profile(reference, 25)

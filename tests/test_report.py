@@ -48,7 +48,7 @@ from morphwheel.report import (
 )
 from morphwheel.wheelgeom import transform_profile
 
-from conftest import random_params, random_valid_params
+from conftest import count_calls, random_params, random_valid_params
 from oracles import keyframes_json, peak_index
 
 FORCE_TABLE = Path(__file__).resolve().parent.parent / "configs" / "force_table.yaml"
@@ -60,19 +60,6 @@ def overrunning(reference):
     # the module completely.
     return reference._replace(
         wheel=reference.wheel._replace(rod_half_length=170.0))
-
-
-def count_calls(monkeypatch, module, name):
-    """The argument tuples of every later call of ``module.name``."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 @pytest.fixture
