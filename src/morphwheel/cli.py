@@ -226,11 +226,19 @@ def cmd_sweep(args) -> int:
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            columns = sweep_columns(spec)
+            objective, metric = columns.index("objective"), columns.index(spec.metric)
+            last, texts = list(columns), list(columns)
+            fh.write(",".join(columns) + "\r\n")
             # As ``csv.writer`` writes these rows: no value holds a comma, a
-            # quote or a line break, and ``str`` of a float is its repr.
+            # quote or a line break, and ``str`` of a float is its repr. The
+            # previous row's object (``is``: 0.0 is not -0.0) keeps its text.
             def write_row(row):
-                fh.write(",".join(map(str, row)) + "\r\n")
-            write_row(sweep_columns(spec))
+                for j, value in enumerate(row):
+                    if value is not last[j] and j != objective:
+                        texts[j] = str(value)
+                texts[objective], last[:] = texts[metric], row
+                fh.write(",".join(texts) + "\r\n")
             best = sweep(p, spec, write_row)
         os.replace(tmp, out)
     except ConfigError as exc:
@@ -344,8 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # argparse reads a word that starts with a minus as an option unless the
     # parser's negative-number pattern matches it, by default only a plain
     # number such as -100. No option of this verb starts with a minus and a
-    # digit, so any such word is a value: -100:200:4 as well as -100.
-    p_sweep._negative_number_matcher = re.compile(r"-\.?\d")
+    # digit, inf or nan, so any such word is a value, as -100:200:4 is.
+    p_sweep._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     p_sweep.add_argument("--objective", required=True,
                          choices=[o.value for o in Objective])
     p_sweep.add_argument("--out", required=True)

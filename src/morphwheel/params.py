@@ -282,8 +282,8 @@ def screw_diameter(p: DesignParams, level: int) -> float:
 # validation
 
 def _positive(out: list[Violation], section: str, obj, names: tuple[str, ...]) -> None:
-    # The path is built only for a failed check: ``validate`` runs once per
-    # sweep point.
+    # The path is built only for a failed check: a sweep point runs the
+    # checks of its section.
     for name in names:
         if not getattr(obj, name) > 0:
             out.append(Violation(f"{section}.{name}", f"{name} > 0"))
@@ -300,9 +300,11 @@ def validate(p: DesignParams) -> ValidationReport:
     last checked for derived quantities past the float range and for a wheel
     stroke lost to rounding.
     """
-    v: list[Violation] = []
-    s, lay, pf, w = p.screw, p.layout, p.platform, p.wheel
+    return _varying(None)(p)
 
+
+def _check_screw(p, v, got):
+    s, lay = p.screw, p.layout
     if s.n_levels < 1:
         v.append(Violation("screw.n_levels", "n_levels >= 1"))
     elif s.n_levels > _MAX_LEVELS:
@@ -313,17 +315,22 @@ def validate(p: DesignParams) -> ValidationReport:
         v.append(Violation("screw.thread_clearance", "thread_clearance >= 0"))
     if s.shaft_levels != s.n_levels - 1:
         v.append(Violation("screw.shaft_levels", "shaft_levels == n_levels - 1"))
-
     _positive(v, "layout", lay, ("joint_arm_height", "joint_height", "drive_assembly_length",
                                  "tensioner_length", "plate_clearance"))
     if abs(lay.joint_height - 2.0 * lay.joint_arm_height) > 1e-9:
         v.append(Violation("layout.joint_height", "joint_height == 2 * joint_arm_height"))
+    return {"elongated": elongated_length(p), "reduced": reduced_length(p)}
 
-    _positive(v, "platform", pf, ("screw_circle_spacing", "max_screw_extension",
-                                  "joint_mount_width", "universal_joint_diameter"))
-    if pf.plate_count < 1:
+
+def _check_platform(p, v, got):
+    _positive(v, "platform", p.platform, ("screw_circle_spacing", "max_screw_extension",
+                                          "joint_mount_width", "universal_joint_diameter"))
+    if p.platform.plate_count < 1:
         v.append(Violation("platform.plate_count", "plate_count >= 1"))
 
+
+def _check_wheel(p, v, got):
+    w = p.wheel
     _positive(v, "wheel", w, ("rod_half_length", "curved_rod_length"))
     if w.hub_offset < 0:
         v.append(Violation("wheel.hub_offset", "hub_offset >= 0"))
@@ -342,11 +349,13 @@ def validate(p: DesignParams) -> ValidationReport:
                            "min_half_separation < rod_half_length"))
     # Each unit of half-separation lost shortens the module by two, so a
     # longer wheel stroke would compress the module to nothing.
-    elongated = elongated_length(p)
-    if 2.0 * (w.rod_half_length - h_min) >= elongated:
+    if 2.0 * (w.rod_half_length - h_min) >= got["elongated"]:
         v.append(Violation("wheel.rod_half_length",
                            "2 * (rod_half_length - min_half_separation) < elongated length"))
+    return {"travel": w.rod_half_length - h_min}
 
+
+def _check_drive(p, v, got):
     dr = p.drive
     _positive(v, "drive", dr, ("motor_stall_torque", "screw_lead", "screw_mean_diameter"))
     if not 0 <= dr.screw_friction < 1:
@@ -357,56 +366,93 @@ def validate(p: DesignParams) -> ValidationReport:
         v.append(Violation("drive.screw_mean_diameter",
                            "pi * screw_mean_diameter > screw_friction * screw_lead"))
 
-    derived = None
-    if not v:
-        derived = _Derived(elongated, reduced_length(p),
-                           wheelgeom.transform_endpoint_radius(p), quasistatics.peak_load(p))
-        v.extend(_overflows(p, derived, w.rod_half_length - h_min))
-    return ValidationReport(tuple(v), None if v else derived)
 
-
-def _overflows(p: DesignParams, derived: _Derived, travel: float) -> list[Violation]:
-    # The card, the profile and a sweep row print these quantities: none may
-    # overflow, and the wheel stroke, twice the rod ``travel``, must change
-    # the module length, the half-separation and the wheel radius by a share
-    # that floats resolve. The rim plan also rounds the rim arc over the
-    # usable rod length to a level count and checks it in floats, which count
-    # exactly only below 2**53.
-    out = []
-    w = p.wheel
-    if not math.isfinite(derived.elongated):
-        out.append(Violation("screw.screw_level_length", "elongated length is finite"))
-    elif not 2.0 * travel > _MIN_STROKE_SHARE * derived.elongated:
-        out.append(Violation("wheel.rod_half_length", "2 * (rod_half_length - "
-                             "min_half_separation) > 2**-30 * elongated length"))
+# The overflow stages, which run only on a structurally sound design. The
+# card, the profile and a sweep row print these quantities: none may
+# overflow, and the wheel stroke, twice the rod ``travel``, must change the
+# module length, the half-separation and the wheel radius by a share that
+# floats resolve. The rim plan also rounds the rim arc over the usable rod
+# length to a level count and checks it in floats, which count exactly only
+# below 2**53.
+def _check_stroke(p, v, got):
+    w, elongated, travel = p.wheel, got["elongated"], got["travel"]
+    if not math.isfinite(elongated):
+        v.append(Violation("screw.screw_level_length", "elongated length is finite"))
+    elif not 2.0 * travel > _MIN_STROKE_SHARE * elongated:
+        v.append(Violation("wheel.rod_half_length", "2 * (rod_half_length - "
+                           "min_half_separation) > 2**-30 * elongated length"))
     if not travel > _MIN_STROKE_SHARE * w.rod_half_length:
-        out.append(Violation("wheel.min_half_separation", "rod_half_length - "
-                             "min_half_separation > 2**-30 * rod_half_length"))
+        v.append(Violation("wheel.min_half_separation", "rod_half_length - "
+                           "min_half_separation > 2**-30 * rod_half_length"))
     if not math.isfinite(screw_diameter(p, p.screw.n_levels - 1)):
-        out.append(Violation("screw.thread_width", "outermost screw diameter is finite"))
-    radius = derived.wheel_radius
+        v.append(Violation("screw.thread_width", "outermost screw diameter is finite"))
+    radius = wheelgeom.transform_endpoint_radius(p)
     arc = wheelgeom.rim_arc(radius, w.spoke_pairs)
     if not math.isfinite(radius):
-        out.append(Violation("wheel.rod_half_length", "wheel radius is finite"))
+        v.append(Violation("wheel.rod_half_length", "wheel radius is finite"))
     elif not math.isfinite(arc):
-        out.append(Violation("wheel.hub_offset", "rim arc of the wheel radius is finite"))
+        v.append(Violation("wheel.hub_offset", "rim arc of the wheel radius is finite"))
     elif not arc / (w.curved_rod_length - w.hinge_allowance) < 2.0 ** 53:
-        out.append(Violation("wheel.curved_rod_length",
-                             "rim arc / (curved_rod_length - hinge_allowance) < 2**53"))
+        v.append(Violation("wheel.curved_rod_length",
+                           "rim arc / (curved_rod_length - hinge_allowance) < 2**53"))
     elif not radius - w.hub_offset > _MIN_STROKE_SHARE * radius:
-        out.append(Violation("wheel.hub_offset",
-                             "wheel radius - hub_offset > 2**-30 * wheel radius"))
-    if not math.isfinite(derived.peak_load[1]):
-        out.append(Violation("drive.screw_mean_diameter", "peak torque is finite"))
+        v.append(Violation("wheel.hub_offset",
+                           "wheel radius - hub_offset > 2**-30 * wheel radius"))
+    return {"wheel_radius": radius}
+
+
+def _check_peak_load(p, v, got):
+    peak = quasistatics.peak_load(p)
+    if not math.isfinite(peak[1]):
+        v.append(Violation("drive.screw_mean_diameter", "peak torque is finite"))
+    return {"peak_load": peak}
+
+
+def _check_tilt(p, v, got):
     # The card's chassis and rod lengths grow with the plate tilt.
     tilt = bending.MAX_PLATE_TILT
     if not math.isfinite(bending.chassis_diameter(p, tilt).chassis_diameter):
-        out.append(Violation("platform.max_screw_extension",
-                             "chassis diameter at a pi/4 tilt is finite"))
+        v.append(Violation("platform.max_screw_extension",
+                           "chassis diameter at a pi/4 tilt is finite"))
     if not math.isfinite(2.0 * bending.rod_half_expansion(p, tilt)):
-        out.append(Violation("platform.joint_mount_width",
-                             "rod length at a pi/4 tilt is finite"))
-    return out
+        v.append(Violation("platform.joint_mount_width",
+                           "rod length at a pi/4 tilt is finite"))
+
+
+# The stages of ``validate`` in order, each with the sections it reads, also
+# through the quantities it takes. A stage is called with the design, the
+# violations to extend and the quantities that earlier stages returned.
+_STRUCTURE = (({"screw", "layout"}, _check_screw), ({"platform"}, _check_platform),
+              ({"wheel", "screw", "layout"}, _check_wheel), ({"drive"}, _check_drive))
+_OVERFLOWS = (({"wheel", "screw", "layout"}, _check_stroke), ({"drive"}, _check_peak_load),
+              ({"platform"}, _check_tilt))
+
+
+def _varying(section: str | None) -> typing.Callable[[DesignParams], ValidationReport]:
+    """``validate`` for designs that share every section object but
+    ``section``, as a sweep's do: a stage that reads no ``section`` runs once,
+    on the first design that needs it, and its results serve the rest."""
+    kept = {} if section is None else dict.fromkeys(  # None: ``validate``
+        stage for reads, stage in _STRUCTURE + _OVERFLOWS if section not in reads)
+
+    def check(p: DesignParams) -> ValidationReport:
+        v, got = [], {}
+        for stages in (_STRUCTURE, _OVERFLOWS):
+            for _, stage in () if v else stages:
+                done = kept.get(stage)
+                if done is None:
+                    n = len(v)
+                    gave = stage(p, v, got)
+                    if stage in kept:
+                        kept[stage] = gave, v[n:]
+                else:
+                    gave = done[0]
+                    v += done[1]
+                if gave:
+                    got.update(gave)
+        return ValidationReport(tuple(v)) if v else ValidationReport((), _Derived(
+            got["elongated"], got["reduced"], got["wheel_radius"], got["peak_load"]))
+    return check
 
 
 def require_valid(p: DesignParams) -> ValidationReport:

@@ -16,7 +16,7 @@ import typing
 from collections.abc import Callable
 
 from . import bending, params, quasistatics, telescopic, wheelgeom
-from .errors import InfeasibleError, InvalidDesignError
+from .errors import InfeasibleError
 from .params import (
     DesignParams,
     Inconsistency,
@@ -147,32 +147,24 @@ def _peak_load(p: DesignParams, derived: params._Derived,
     return derived.peak_load if default else quasistatics.peak_load(p, table)
 
 
-def _sweep_values(p: DesignParams, table: quasistatics.SiliconeForceTable | None,
-                  derived: params._Derived | None = None) -> tuple[float, ...]:
-    # ``sweep_point``'s values. A sweep's own designs are thrown away, so each
-    # validates directly (``derived`` None), not through the report a design
-    # keeps.
-    if derived is None:
-        report = params.validate(p)
-        if not report.valid:
-            raise InvalidDesignError(report)
-        derived = report.derived
-    lengths = telescopic.ModuleLengths(derived.elongated, derived.reduced)
-    theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
-    return (
-        lengths.elongated,
-        lengths.reduced,
-        lengths.reduction_ratio,
-        bending.chassis_diameter(p, theta).chassis_diameter,
-        derived.wheel_radius,
-        _peak_load(p, derived, table)[1],
-    )
+def _sweep_values(p: DesignParams, derived: params._Derived,
+                  table: quasistatics.SiliconeForceTable | None,
+                  ratio: float | None = None, chassis: float | None = None) -> tuple[float, ...]:
+    # ``sweep_point``'s values; a sweep passes the ratio and the chassis
+    # diameter when the previous point's serve.
+    if ratio is None:
+        ratio = telescopic.ModuleLengths(derived.elongated, derived.reduced).reduction_ratio
+    if chassis is None:
+        theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
+        chassis = bending.chassis_diameter(p, theta).chassis_diameter
+    return (derived.elongated, derived.reduced, ratio, chassis, derived.wheel_radius,
+            _peak_load(p, derived, table)[1])
 
 
 def sweep_point(p: DesignParams, table: quasistatics.SiliconeForceTable) -> dict[str, float]:
     """The ``SWEEP_METRICS`` of one design; raises ``InvalidDesignError`` for
     an invalid one, the only kind of design without a value."""
-    return dict(zip(SWEEP_METRICS, _sweep_values(p, table, require_valid(p).derived)))
+    return dict(zip(SWEEP_METRICS, _sweep_values(p, require_valid(p).derived, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +248,9 @@ def sweep(p: DesignParams, spec: SweepSpec,
     index, the swept value, the ``SWEEP_METRICS``, ``objective``, ``status``
     and ``reason``. The status is ``ok`` or ``invalid`` (the design violates
     an invariant; the reason lists the violated fields). Only ``ok`` rows
-    carry the metrics. Nothing per point is kept but the best row. Every
-    point validates once; the design ``p`` itself is not refused.
+    carry the metrics. Nothing per point is kept but the best row. A check
+    or formula that reads no field of the swept section runs once per sweep;
+    the design ``p`` itself is not refused.
     """
     field = _field_path(spec.parameter_path)
     convert = field.value
@@ -265,18 +258,23 @@ def sweep(p: DesignParams, spec: SweepSpec,
         for i in range(spec.steps):
             convert(spec.value(i))
     at = field.setter(p)
+    check = params._varying(field.section)
     metric = SWEEP_METRICS.index(spec.metric)
     better = operator.gt if spec.maximise else operator.lt
     blank = ("",) * (len(SWEEP_METRICS) + 1)
-    best = best_row = None
+    best = best_row = last = ratio = chassis = None
     for i in range(spec.steps):
         value = convert(spec.value(i))
-        try:
-            values = _sweep_values(at(value), None)  # the default table
-        except InvalidDesignError as exc:
-            fields = dict.fromkeys(v.field for v in exc.report.violations)
+        report = check(q := at(value))
+        if not report.valid:
+            fields = dict.fromkeys(v.field for v in report.violations)
             emit((i, value, *blank, "invalid", " ".join(fields)))
             continue
+        derived = report.derived
+        if last is not None:  # the CLI formats once a value that keeps its object
+            ratio = last[2] if derived.elongated is last[0] and derived.reduced is last[1] else None
+            chassis = None if field.section == "platform" else last[3]
+        last = values = _sweep_values(q, derived, None, ratio, chassis)  # the default table
         objective = values[metric]
         row = (i, value, *values, objective, "ok", "")
         if best is None or better(objective, best):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -607,7 +608,16 @@ class TestCmdSweep:
          "a31d390c5ddf58676bd89b65043f813cbdd43e44cd20c8104918dce81feba951"),
         ("screw.screw_level_length", "5:30:1000", "min-reduced-length",
          "9a0d34a6a51ab0f26b707cdfe10e0edb2bc560ac424fcbeacbadbf1a1ac82b15"),
-    ], ids=["screw-length", "hub-offset", "with-invalid-rows"])
+        # Sections the three above never vary; the first has 334 invalid
+        # rows, the last 33.
+        ("drive.screw_friction", "0:1.5:1000", "min-peak-torque",
+         "393e94ddc1e5acf46c2630ae27babd10893114c28cacb26806df0eee4bb4e122"),
+        ("layout.joint_arm_height", "0.5:40:1000", "min-reduced-length",
+         "a3bb04dbf26684a15351476cc481c9ff1b577f38459c93ee3ebb7a14e01bf06c"),
+        ("platform.max_screw_extension", "-10:300:1000", "min-peak-torque",
+         "423a9353e4d0e5b74eb834a1dcc15bfaed8d5fd1c02ea05cf24e6b76c8317cdc"),
+    ], ids=["screw-length", "hub-offset", "with-invalid-rows", "screw-friction",
+            "joint-arm-height", "screw-extension"])
     def test_reference_1000_points_keep_their_bytes(self, tmp_path, param, grid, objective,
                                                     digest):
         out = tmp_path / "s.csv"
@@ -753,11 +763,11 @@ class TestCmdSweep:
         evaluate = report._sweep_values
         calls = []
 
-        def interrupted(p, table):
+        def interrupted(p, *args):
             calls.append(p)
             if len(calls) == 3:
                 raise KeyboardInterrupt
-            return evaluate(p, table)
+            return evaluate(p, *args)
 
         monkeypatch.setattr(report, "_sweep_values", interrupted)
         with pytest.raises(KeyboardInterrupt):
@@ -768,6 +778,7 @@ class TestCmdSweep:
                   "--out", str(out)])
         assert out.read_text(encoding="utf-8") == "old\n"
         assert sorted(tmp_path.iterdir()) == sorted([out, Path(config_file)])
+        assert [p.wheel.hub_offset for p in calls] == [10.0, 30.0, 50.0]
 
     def test_unwritable_path_exits_2(self, config_file, tmp_path, capsys):
         assert main(["sweep", "--config", config_file,
@@ -814,6 +825,36 @@ class TestCmdSweep:
                   "--out", str(outs[0])])
         assert exc.value.code == 2
         assert "argument --sweep-range: expected one argument" in capsys.readouterr().err
+
+    def test_a_value_keeps_the_text_only_of_its_own_object(self, config_file, tmp_path,
+                                                            monkeypatch):
+        # 0.0 and -0.0 are equal values but not one object: each keeps its
+        # own text. The objective is written as its metric column is.
+        def rows(p, spec, emit):
+            emit((0, 0.0, 340.0, 165.0, 0.5, 94.0, 200.0, 0.0, 0.0, "ok", ""))
+            emit((1, -0.0, 340.0, 165.0, 0.5, 94.0, 200.0, -0.0, -0.0, "ok", ""))
+            emit((2, 1.0, *("",) * 7, "invalid", "wheel.hub_offset"))
+        monkeypatch.setattr(cli, "sweep", rows)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", config_file, "--sweep-param", "wheel.hub_offset",
+                     "--sweep-range", "0:1:3", "--objective", "min-peak-torque",
+                     "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == [
+            "0,0.0,340.0,165.0,0.5,94.0,200.0,0.0,0.0,ok,",
+            "1,-0.0,340.0,165.0,0.5,94.0,200.0,-0.0,-0.0,ok,",
+            "2,1.0,,,,,,,,invalid,wheel.hub_offset"]
+
+    @pytest.mark.parametrize("start", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+    def test_non_finite_negative_start_needs_no_equals_sign(self, config_file, tmp_path,
+                                                            capsys, start):
+        # The range reaches the sweep's own check, not argparse's.
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", config_file, "--sweep-param", "wheel.hub_offset",
+                     "--sweep-range", f"{start}:200:4", "--objective", "max-wheel-radius",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: sweep range START and STOP must be finite, got '{start}:200:4'\n"
+        assert not out.exists()
 
     def test_derived_field_follows_the_swept_count(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -897,6 +938,77 @@ class TestSweepFile:
         writer.writerow(report.sweep_columns(spec))
         report.sweep(load(text), spec, writer.writerow)
         assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+# Values a flag may be given: usual ones, then rare ones, which are out of
+# range, non-finite or malformed. The step counts include the cap, rare as a
+# run at the cap takes a second, and one past it.
+USUAL_FLOATS, RARE_FLOATS = ["0.5", "1"], ["0", "-1", "2.5", "1e400", "inf", "-inf", "nan",
+                                           "-NaN", "x", ""]
+USUAL_STEPS = ["2", "3", "50"]
+RARE_STEPS = [str(_MAX_STEPS), str(_MAX_STEPS + 1), "1", "0", "-3", "2.5", "x", ""]
+
+
+def pick(usual, rare):
+    """A usual value three times in four, else a rare one."""
+    return st.one_of(*[st.sampled_from(usual)] * 3, st.sampled_from(rare))
+
+
+@st.composite
+def verb_argvs(draw, config: str, work: Path) -> list[str]:
+    """An argv of one verb: each of its flags, left out one time in twenty,
+    with a value from that flag's pool, given as ``--flag=value`` or as two
+    words, and one time in twenty a flag no verb has."""
+    config = draw(pick([config], [str(work / "missing.yaml")]))
+    table = pick([str(ROOT / "configs" / "force_table.yaml")],
+                 [config, str(work / "missing.yaml")])
+    out = pick([str(work / "out.csv")], [str(work / "no" / "out.csv")])
+    floats = pick(USUAL_FLOATS, RARE_FLOATS)
+    ends = pick(["-100", "0.5", "12.5", "300"], RARE_FLOATS)
+    steps = pick(USUAL_STEPS, RARE_STEPS)
+    flags = {
+        "validate": {"--config": st.just(config)},
+        "report": {"--config": st.just(config), "--target-ratio": floats,
+                   "--total-bend": floats, "--force-table": table},
+        "profile": {"--config": st.just(config), "--steps": steps,
+                    "--out": out, "--force-table": table},
+        "sweep": {"--config": st.just(config),
+                  "--sweep-param": pick([path for path, _ in SWEEP_FIELDS],
+                                        ["screw", "screw.bogus", ""]),
+                  "--sweep-range": st.one_of(
+                      *[st.builds("{}:{}:{}".format, ends, ends, steps)] * 3,
+                      st.sampled_from(["1:2", "1:2:3:4", "", ":", "-x"])),
+                  "--objective": pick([o.value for o in Objective], ["bogus"]),
+                  "--out": out},
+    }
+    verb = draw(st.sampled_from(sorted(flags)))
+    argv = [verb]
+    for flag, values in flags[verb].items():
+        if draw(st.integers(0, 19)):
+            value = draw(values)
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if not draw(st.integers(0, 19)):
+        argv.append("--bogus")
+    return argv
+
+
+class TestArgv:
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_run_exits_0_1_or_2_without_a_traceback(self, tmp_path, seed, data):
+        config = tmp_path / "design.yaml"
+        config.write_text(serialize(random_valid_params(random.Random(seed))),
+                          encoding="utf-8")
+        argv = data.draw(verb_argvs(str(config), tmp_path))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the arguments
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 class TestParserReuse:

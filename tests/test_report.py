@@ -12,7 +12,7 @@ import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import morphwheel.params as params
@@ -65,6 +65,41 @@ def overrunning(reference):
 @pytest.fixture
 def count_validate(monkeypatch):
     return count_calls(monkeypatch, params, "validate")
+
+
+def count_stages(monkeypatch):
+    """Per stage of ``validate``, by name, the designs of every later run of
+    it, through ``validate`` or a sweep's check."""
+    calls = {}
+
+    def counted(stage):
+        calls[stage.__name__] = runs = []
+
+        def run(p, v, got):
+            runs.append(p)
+            return stage(p, v, got)
+        return run
+
+    for name in ("_STRUCTURE", "_OVERFLOWS"):
+        monkeypatch.setattr(params, name, tuple(
+            (reads, counted(stage)) for reads, stage in getattr(params, name)))
+    return calls
+
+
+def stage_runs(calls):
+    return {name: len(runs) for name, runs in calls.items()}
+
+
+# Stage runs of one sweep of the wheel: its two stages at every point, the
+# others once; ``validate`` runs each once.
+STAGE_NAMES = ("_check_screw", "_check_platform", "_check_wheel", "_check_drive",
+               "_check_stroke", "_check_peak_load", "_check_tilt")
+WHEEL_STAGES = ("_check_wheel", "_check_stroke")
+
+
+def wheel_sweep_runs(points, validations):
+    return {name: validations + (points if name in WHEEL_STAGES else 1)
+            for name in STAGE_NAMES}
 
 
 @pytest.fixture
@@ -265,19 +300,26 @@ class TestValidateOnce:
                      "--force-table", str(FORCE_TABLE)]) == 0
         assert len(count_yaml_loads) == 2
 
-    def test_cli_sweep_validates_once_per_point(self, count_validate, design_file, tmp_path):
+    def test_cli_sweep_validates_once_per_point(self, count_validate, design_file, tmp_path,
+                                                monkeypatch):
+        # The loaded design validates; each point runs the checks that read
+        # the swept section, and the others run once, on the first point.
+        stages = count_stages(monkeypatch)
         assert main(["sweep", "--config", design_file, "--sweep-param", "wheel.hub_offset",
                      "--sweep-range", "10:200:40", "--objective", "max-wheel-radius",
                      "--out", str(tmp_path / "s.csv")]) == 0
-        assert len(count_validate) == 1 + 40  # the loaded design, then each point
+        assert len(count_validate) == 1
+        assert stage_runs(stages) == wheel_sweep_runs(40, 1)
 
     def test_sweep_checks_no_reported_value(self, count_validate, monkeypatch, reference):
         # A sweep row carries no warning, so a point builds none; the card
         # checks the identity of the reported lengths once.
         identity = count_calls(monkeypatch, report_module, "_length_identity_warnings")
+        stages = count_stages(monkeypatch)
         spec = SweepSpec("wheel.hub_offset", 10.0, 200.0, 50, Objective.MAX_WHEEL_RADIUS)
         assert sweep(reference, spec, lambda row: None)["status"] == "ok"
-        assert (len(count_validate), len(identity)) == (50, 0)
+        assert (len(count_validate), len(identity)) == (0, 0)
+        assert stage_runs(stages) == wheel_sweep_runs(50, 0)
         design_card(reference)
         assert len(identity) == 1
 
@@ -333,12 +375,16 @@ class TestDeriveOnce:
 
     def test_cli_sweep_derives_each_quantity_once_per_point(self, monkeypatch, design_file,
                                                            tmp_path):
-        calls = count_formulas(monkeypatch)
-        assert main(["sweep", "--config", design_file, "--sweep-param", "wheel.hub_offset",
-                     "--sweep-range", "10:200:40", "--objective", "max-wheel-radius",
-                     "--out", str(tmp_path / "s.csv")]) == 0
-        # The loaded design's validation, then each point's.
-        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(FORMULAS, 1 + 40)
+        # The loaded design's validation, then each point's quantities that
+        # read the swept section, and the others once, at the first point.
+        for path, varying in (("wheel.hub_offset", "transform_endpoint_radius"),
+                              ("drive.screw_friction", "peak_load")):
+            calls = count_formulas(monkeypatch)
+            assert main(["sweep", "--config", design_file, "--sweep-param", path,
+                         "--sweep-range", "0.1:0.5:40", "--objective", "min-peak-torque",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+            assert {name: len(c) for name, c in calls.items()} \
+                == {name: 1 + (40 if name == varying else 1) for name in FORMULAS}
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -404,23 +450,39 @@ def swept(p, spec):
 def random_spec(rng, p, path, is_count):
     objective = rng.choice(list(Objective))
     current = operator.attrgetter(path)(p)
+    steps = rng.randint(2, 12)
     if is_count:
         start = rng.randint(0, 4)
-        return SweepSpec(path, start, start + 2 * rng.randint(1, 3), 3, objective)
+        return SweepSpec(path, start, start + rng.randint(1, 2) * (steps - 1), steps, objective)
     if current is None or current == 0:
-        return SweepSpec(path, 0.0, rng.uniform(1.0, 300.0), 3, objective)
+        return SweepSpec(path, 0.0, rng.uniform(1.0, 300.0), steps, objective)
     return SweepSpec(path, current * rng.uniform(-0.5, 1.0), current * rng.uniform(1.1, 3.0),
-                     3, objective)
+                     steps, objective)
+
+
+# Float fields that -1 violates: every one outside ``reported``.
+CHECKED_FLOAT_PATHS = [path for path, is_count in NUMERIC_PATHS
+                       if not is_count and not path.startswith("reported.")]
 
 
 class TestSweep:
     def test_rows_match_points_built_by_replace(self):
-        # Every numeric field of random designs, count fields included.
+        # Every numeric field of random designs, count fields included, on
+        # grids of 2 to 12 points. Every other design has a violation in a
+        # section that is not swept, which every row of it lists, with the
+        # fields in ``validate``'s order.
         rng = random.Random(7)
         statuses = set()
-        for _ in range(25):
-            p = random_valid_params(rng)
+        for k in range(50):
+            valid = random_valid_params(rng)
             for path, is_count in NUMERIC_PATHS:
+                p = valid
+                if k % 2:
+                    section = path.partition(".")[0]
+                    broken = rng.choice([f for f in CHECKED_FLOAT_PATHS
+                                         if not f.startswith(section + ".")])
+                    p = set_field(valid, broken, -1.0)
+                    assert broken in {v.field for v in validate(p).violations}
                 spec = random_spec(rng, p, path, is_count)
                 got, got_best = swept(p, spec)
                 expected = []
@@ -430,7 +492,10 @@ class TestSweep:
                     expected.append(expected_row(i, value, replaced(p, path, value),
                                                  spec.metric))
                 assert got == expected, path
-                assert [type(row[1]) for row in got] == [int if is_count else float] * 3
+                assert [type(row[1]) for row in got] \
+                    == [int if is_count else float] * spec.steps
+                if k % 2:
+                    assert all(broken in row[-1].split() for row in got)
                 ok = [row for row in expected if row[-2] == "ok"]
                 pick = max if spec.maximise else min
                 best = pick(ok, key=lambda row: row[-3]) if ok else None
@@ -446,7 +511,9 @@ class TestSweep:
         assert len({row[-3] for row in rows}) == 1
         assert best["index"] == 0
 
-    def test_path_and_grid_checked_before_any_point(self, reference, count_validate):
+    def test_path_and_grid_checked_before_any_point(self, reference, count_validate,
+                                                    monkeypatch):
+        stages = count_stages(monkeypatch)
         with pytest.raises(ConfigError, match="unresolvable parameter path"):
             swept(reference, SweepSpec("wheel.nope", 1.0, 2.0, 3, Objective.MIN_PEAK_TORQUE))
         emitted = []
@@ -454,10 +521,13 @@ class TestSweep:
             sweep(reference, SweepSpec("screw.n_levels", 1.0, 2.0, 3,
                                        Objective.MIN_PEAK_TORQUE), emitted.append)
         assert emitted == [] and count_validate == []
+        assert stage_runs(stages) == dict.fromkeys(STAGE_NAMES, 0)
         rows, _ = swept(reference, SweepSpec("wheel.hub_offset", 1.0, 2.0, 3,
                                              Objective.MIN_PEAK_TORQUE))
         assert len(rows) == 3
-        assert len(count_validate) == 3  # once per point, not the design swept
+        # Checks per point, none through ``validate``, nor of the design swept.
+        assert count_validate == []
+        assert stage_runs(stages) == wheel_sweep_runs(3, 0)
 
     def test_derived_fields_follow_the_swept_field(self, reference):
         spec = SweepSpec("screw.n_levels", 3.0, 6.0, 4, Objective.MIN_REDUCED_LENGTH)
@@ -673,3 +743,81 @@ class TestHugeFields:
         codes, err, _, _ = run_four_verbs(tmp_path_factory.mktemp("bytes"), config,
                                           sweep_path, "1:4:4")
         assert_no_crash(codes, err)
+
+
+STAGES = params._STRUCTURE + params._OVERFLOWS
+SECTIONS = params.DesignParams._fields
+
+
+def stage_results(p, index):
+    """``repr`` of the violations and the quantities of stage ``index`` on
+    ``p``, fed by the stages before it, or None for an overflow stage on a
+    design that ``validate`` does not run it on."""
+    got, violations = {}, []
+    for i, (_, stage) in enumerate(STAGES[:index + 1]):
+        if i == len(params._STRUCTURE) and violations:
+            return None
+        found = []
+        gave = stage(p, found, got)
+        violations += found
+        got.update(gave or {})
+    return repr(found), repr(gave)
+
+
+# Values at which a check of one field may fail: out of range, or at or
+# near the ends of the float range, the largest most often.
+BREAKING_FLOATS = st.sampled_from([-1.0, 0.0, 1e-300, sys.float_info.max / 3,
+                                   sys.float_info.max, sys.float_info.max])
+
+
+@st.composite
+def stage_designs(draw):
+    """A ``random_params`` design with up to four float fields set to a
+    value that may fail a check, and in half of them the rod pair's least
+    half separation left unset, so that it is derived from the screw."""
+    p = random_params(random.Random(draw(st.integers(0, 2**32 - 1))))
+    for path in draw(st.lists(st.sampled_from(FLOAT_PATHS), max_size=4)):
+        p = set_field(p, path, draw(BREAKING_FLOATS))
+    if draw(st.booleans()):
+        p = p._replace(wheel=p.wheel._replace(min_half_separation=None))
+    return p
+
+
+class TestStages:
+    """A sweep reuses a stage's results for designs that differ only in
+    sections the stage does not declare: so they must not change them."""
+
+    def test_validate_runs_each_stage_once_in_order(self, monkeypatch, reference):
+        ran = []
+        for name in ("_STRUCTURE", "_OVERFLOWS"):
+            monkeypatch.setattr(params, name, tuple(
+                (reads, lambda p, v, got, stage=stage: ran.append(stage.__name__)
+                 or stage(p, v, got)) for reads, stage in getattr(params, name)))
+        assert validate(reference).valid
+        assert ran == list(STAGE_NAMES)
+        # A structurally unsound design runs no overflow stage.
+        ran.clear()
+        assert not validate(overrunning(reference)).valid
+        assert ran == list(STAGE_NAMES[:len(params._STRUCTURE)])
+
+    @pytest.mark.parametrize("index", range(len(STAGES)),
+                             ids=[stage.__name__ for _, stage in STAGES])
+    @given(stage_designs(), stage_designs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_undeclared_sections_leave_the_stage_alone(self, index, p, donor, data):
+        undeclared = [s for s in SECTIONS if s not in STAGES[index][0]]
+        swapped = data.draw(st.lists(st.sampled_from(undeclared), min_size=1, unique=True))
+        q = p._replace(**{s: getattr(donor, s) for s in swapped})
+        results = stage_results(p, index), stage_results(q, index)
+        assume(None not in results)
+        assert results[0] == results[1]
+
+    @given(stage_designs(), st.sampled_from(sorted(SECTIONS)),
+           st.lists(stage_designs(), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_a_varying_check_is_validate(self, p, section, donors):
+        # Designs that share every section object but one, some invalid.
+        check = params._varying(section)
+        for donor in donors:
+            q = p._replace(**{section: getattr(donor, section)})
+            assert repr(check(q)) == repr(validate(q))
