@@ -18,7 +18,6 @@ from .params import (
     Violation,
     WheelSpec,
     load,
-    load_path,
     reference_design,
     serialize,
     validate,
@@ -42,7 +41,6 @@ __all__ = [
     "Violation",
     "WheelSpec",
     "load",
-    "load_path",
     "reference_design",
     "serialize",
     "validate",

@@ -8,7 +8,8 @@ The force lookup table is the single exception (centimetre abscissa, see
 
 Config files are YAML with one section per field of ``DesignParams``, whose
 keys are the fields of that section's named tuple (the ``reported`` block of
-published target values, used for cross-checking, is optional). See
+published target values, used for cross-checking, is optional); a section may
+also restate a value derived from its fields (``_RESTATED``). See
 ``configs/reference.yaml`` for an annotated example of every key.
 """
 
@@ -19,7 +20,6 @@ import io
 import math
 import typing
 from collections.abc import Hashable
-from pathlib import Path
 
 import yaml
 
@@ -53,7 +53,6 @@ __all__ = [
     "validate",
     "require_valid",
     "load",
-    "load_path",
     "serialize",
     "reference_design",
 ]
@@ -61,7 +60,7 @@ __all__ = [
 
 def _remake(cls, iterable):
     # ``_make``, and so ``_replace``, of a named tuple whose ``__new__`` checks
-    # or derives something: a plain named tuple's skips ``__new__``.
+    # something: a plain named tuple's skips ``__new__``.
     return cls(*iterable)
 
 
@@ -71,50 +70,24 @@ def _read_only(self, name, value=None):
     raise AttributeError(f"cannot set or delete {type(self).__name__}.{name}")
 
 
-class _ScrewFields(typing.NamedTuple):
+class TelescopicScrewSpec(typing.NamedTuple):
+    """Nested screw stack driving one platform actuator."""
+
     n_levels: int                    # telescoping levels per screw
     screw_level_length: float        # mm, one level incl. its stopper
     stopper_width: float             # mm, radial stopper between levels
     thread_width: float              # mm
     thread_clearance: float          # mm, radial play between nested threads
     base_screw_diameter: float = 2.3  # mm, innermost (master) screw
-    shaft_levels: int | None = None  # telescoping levels of the internal shaft
 
 
-class TelescopicScrewSpec(_ScrewFields):
-    """Nested screw stack driving one platform actuator. ``shaft_levels``
-    None is built as ``n_levels - 1``."""
+class ModuleLayout(typing.NamedTuple):
+    """Axial length budget of one module. A full universal joint is two arms."""
 
-    __slots__ = ()
-    _make = classmethod(_remake)
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.shaft_levels is None:
-            return tuple.__new__(cls, (*self[:-1], self.n_levels - 1))
-        return self
-
-
-class _LayoutFields(typing.NamedTuple):
     joint_arm_height: float          # mm, one universal-joint arm
     drive_assembly_length: float     # mm, chain drive section
     tensioner_length: float          # mm, chain tensioner section
     plate_clearance: float           # mm, gap between adjacent plates
-    joint_height: float | None = None  # mm, full universal joint (= 2 * arm)
-
-
-class ModuleLayout(_LayoutFields):
-    """Axial length budget of one module. ``joint_height`` None is built as
-    ``2 * joint_arm_height``."""
-
-    __slots__ = ()
-    _make = classmethod(_remake)
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.joint_height is None:
-            return tuple.__new__(cls, (*self[:-1], 2.0 * self.joint_arm_height))
-        return self
 
 
 class PlatformSpec(typing.NamedTuple):
@@ -248,9 +221,10 @@ _MIN_STROKE_SHARE = 2.0 ** -30
 
 
 def residual_length(p: DesignParams) -> float:
-    """Axial length that does not telescope: joints, clearance, drive, tensioner."""
+    """Axial length that does not telescope: two joints of two arms each,
+    clearance, drive, tensioner."""
     lay = p.layout
-    return 2.0 * lay.joint_height + lay.plate_clearance \
+    return 4.0 * lay.joint_arm_height + lay.plate_clearance \
         + lay.drive_assembly_length + lay.tensioner_length
 
 
@@ -313,12 +287,8 @@ def _check_screw(p, v, got):
               ("screw_level_length", "stopper_width", "thread_width", "base_screw_diameter"))
     if s.thread_clearance < 0:
         v.append(Violation("screw.thread_clearance", "thread_clearance >= 0"))
-    if s.shaft_levels != s.n_levels - 1:
-        v.append(Violation("screw.shaft_levels", "shaft_levels == n_levels - 1"))
-    _positive(v, "layout", lay, ("joint_arm_height", "joint_height", "drive_assembly_length",
+    _positive(v, "layout", lay, ("joint_arm_height", "drive_assembly_length",
                                  "tensioner_length", "plate_clearance"))
-    if abs(lay.joint_height - 2.0 * lay.joint_arm_height) > 1e-9:
-        v.append(Violation("layout.joint_height", "joint_height == 2 * joint_arm_height"))
     return {"elongated": elongated_length(p), "reduced": reduced_length(p)}
 
 
@@ -476,7 +446,7 @@ class _Field(typing.NamedTuple):
     path: str       # "section.name"
     cls: type       # the section's named tuple
     required: bool  # the field has no default
-    is_count: bool  # annotated ``int`` or ``int | None``
+    is_count: bool  # annotated ``int``
 
     def value(self, value: float) -> int | float:
         """``value`` as this field holds it: an int for a count, which
@@ -490,21 +460,10 @@ class _Field(typing.NamedTuple):
 
     def setter(self, p: DesignParams):
         """A function of one value (as ``value`` returns it) that gives a copy
-        of ``p`` with this field set to it.
-
-        A field of the same section that holds what its ``None`` default
-        derives (``shaft_levels`` from ``n_levels``, ``joint_height`` from
-        ``joint_arm_height``) is derived again from the new value; one set to
-        anything else keeps it. The section's and the design's other fields
-        are read once, here, not per call.
-        """
+        of ``p`` with this field set to it. The section's and the design's
+        other fields are read once, here, not per call."""
         cls, name, section_name = self.cls, self.name, self.section
-        section = getattr(p, section_name)
-        kwargs = section._asdict()
-        for key, default in cls._field_defaults.items():
-            if key != name and default is None \
-                    and kwargs[key] == getattr(section._replace(**{key: None}), key):
-                kwargs[key] = None
+        kwargs = getattr(p, section_name)._asdict()
         design = p._asdict()
 
         def at(value):  # both dicts are in field order
@@ -518,10 +477,10 @@ def _schema(section: str, cls: type) -> dict[str, _Field]:
     # Every section field is a number, and a count when it is annotated an
     # int. ``typing.NamedTuple`` keeps the annotations as ``ForwardRef``s of
     # their text (``from __future__ import annotations``); ``get_type_hints``
-    # evaluates them, also on the named tuple that a section class extends.
+    # evaluates them.
     defaults = cls._field_defaults
     return {name: _Field(section, name, f"{section}.{name}", cls, name not in defaults,
-                         hint in (int, int | None))
+                         hint is int)
             for name, hint in typing.get_type_hints(cls).items()}
 
 
@@ -564,6 +523,15 @@ def _coerce(path: str, value, is_count: bool):
     return value if is_count else float(value)
 
 
+# Keys that a config may restate though no design choice sets them: a value
+# derived from the rest of the section must equal it, and it is then dropped.
+# Section name -> {key: (the rule, the value derived from the section)}.
+_RESTATED = {
+    "screw": {"shaft_levels": ("n_levels - 1", lambda s: s.n_levels - 1)},
+    "layout": {"joint_height": ("2 * joint_arm_height", lambda lay: 2.0 * lay.joint_arm_height)},
+}
+
+
 def _read_section(doc: dict, name: str, cls: type, schema: dict[str, _Field]):
     """The instance of ``cls`` that section ``name`` of ``doc`` describes."""
     section = doc.get(name)
@@ -573,8 +541,9 @@ def _read_section(doc: dict, name: str, cls: type, schema: dict[str, _Field]):
         return cls()
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be a mapping", field=name)
+    restated = _RESTATED.get(name, {})
     for key in section:
-        if key not in schema:
+        if key not in schema and key not in restated:
             raise ConfigError("unknown key", field=f"{name}.{key}")
     out = {}
     for key, f in schema.items():
@@ -582,7 +551,13 @@ def _read_section(doc: dict, name: str, cls: type, schema: dict[str, _Field]):
             out[key] = _coerce(f.path, section[key], f.is_count)
         elif f.required:
             raise ConfigError("missing required field", field=f.path)
-    return cls(**out)
+    built = cls(**out)
+    for key, (rule, derive) in restated.items():
+        if key in section:  # a count when the derived value is one
+            path, derived = f"{name}.{key}", derive(built)
+            if abs(_coerce(path, section[key], isinstance(derived, int)) - derived) > 1e-9:
+                raise ConfigError(f"restated value must equal {rule} = {derived!r}", field=path)
+    return built
 
 
 _STR, _FLOAT, _MAP, _SEQ = (f"tag:yaml.org,2002:{kind}" for kind in ("str", "float", "map", "seq"))
@@ -687,7 +662,8 @@ def load(config_text: str) -> DesignParams:
     """Parse config text into ``DesignParams``.
 
     Structural problems (bad YAML, missing sections or fields, wrong types,
-    unknown keys) raise ``ConfigError`` naming the field and, for YAML syntax
+    unknown keys, a restated value that differs from the one its section
+    derives) raise ``ConfigError`` naming the field and, for YAML syntax
     errors, the source line. Invariant violations do NOT raise; they are
     reported in the design's ``validation`` so callers can decide.
     """
@@ -701,10 +677,6 @@ def load(config_text: str) -> DesignParams:
             raise ConfigError("unknown section", field=str(key))
     return DesignParams(**{name: _read_section(doc, name, cls, schema)
                            for name, (cls, schema) in _SECTIONS.items()})
-
-
-def load_path(path: str | Path) -> DesignParams:
-    return load(Path(path).read_text(encoding="utf-8"))
 
 
 def serialize(p: DesignParams) -> str:
@@ -722,7 +694,7 @@ def serialize(p: DesignParams) -> str:
 def reference_design() -> DesignParams:
     """Builtin module-scale design used by the test fixtures and docs.
 
-    The axial length budget (joint_height 10, plate_clearance 10,
+    The axial length budget (10 mm joints of two 5 mm arms, plate_clearance 10,
     drive_assembly_length 90, tensioner_length 60) is a documented fill-in
     chosen so the elongated length lands on the published 340 mm; the
     published values themselves live in ``reported`` and are cross-checked,

@@ -224,8 +224,7 @@ class SweepSpec(_SweepFields):
 
 
 def set_field(p: DesignParams, path: str, value: float) -> DesignParams:
-    """Return a copy of the design with one dotted numeric field replaced;
-    a field derived from it by default is derived again."""
+    """Return a copy of the design with one dotted numeric field replaced."""
     field = _field_path(path)
     return field.setter(p)(field.value(value))
 

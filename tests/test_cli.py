@@ -25,8 +25,9 @@ from morphwheel import (
     wheelgeom,
 )
 from morphwheel.cli import main
-from morphwheel.params import _MAX_STEPS, _SECTIONS, reference_design
+from morphwheel.params import _MAX_STEPS, _SECTIONS, reference_design, residual_length
 from morphwheel.report import Objective, SweepSpec, consistency_warnings, design_card, set_field
+from morphwheel.telescopic import shaft_levels
 
 from conftest import random_valid_params
 from oracles import keyframes_json
@@ -157,12 +158,22 @@ class TestSetField:
             set_field(reference, "screw", 1.0)
 
     def test_derived_fields_follow(self, reference):
-        assert set_field(reference, "screw.n_levels", 6).screw.shaft_levels == 5
-        assert set_field(reference, "layout.joint_arm_height", 7.0).layout.joint_height == 14.0
+        # The shaft levels and the full joint height (two arms) are derived.
+        assert shaft_levels(set_field(reference, "screw.n_levels", 6)) == 5
+        p = set_field(reference, "layout.joint_arm_height", 7.0)
+        assert residual_length(p) == residual_length(reference) + 4 * 2.0
 
-    def test_a_derived_field_set_to_another_value_is_kept(self, reference):
-        p = reference._replace(screw=reference.screw._replace(shaft_levels=2))
-        assert set_field(p, "screw.n_levels", 6).screw.shaft_levels == 2
+    def test_a_derived_value_is_no_field(self, reference, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        for path in ("screw.shaft_levels", "layout.joint_height"):
+            with pytest.raises(ConfigError, match=f"^unresolvable parameter path .*{path}"):
+                set_field(reference, path, 3)
+            assert main(["sweep", "--config", str(ROOT / "configs" / "reference.yaml"),
+                         "--sweep-param", path, "--sweep-range", "2:4:3",
+                         "--objective", "min-peak-torque", "--out", str(out)]) == 2
+            assert capsys.readouterr().err \
+                == f"error: unresolvable parameter path (field: {path})\n"
+            assert not out.exists()
 
     def test_unset_optional_fields(self, reference):
         import morphwheel.params as params

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -11,7 +12,7 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from morphwheel import (
@@ -20,18 +21,19 @@ from morphwheel import (
     ModuleLayout,
     TelescopicScrewSpec,
     load,
-    load_path,
     serialize,
     validate,
 )
 from morphwheel import params
 from morphwheel.cli import main
-from morphwheel.params import reference_design
+from morphwheel.params import reference_design, residual_length
 from morphwheel.quasistatics import load_force_table, screw_torque
 from morphwheel.report import consistency_warnings, set_field
+from morphwheel.telescopic import shaft_levels
 
 from conftest import random_params, random_valid_params
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MINIMAL_CONFIG = """
 screw:
   n_levels: 4
@@ -65,32 +67,42 @@ class TestValidate:
 
     def test_zero_levels_reported(self, reference):
         bad = reference._replace(
-            screw=reference.screw._replace(n_levels=0, shaft_levels=-1),
+            screw=reference.screw._replace(n_levels=0),
         )
         report = validate(bad)
         assert any(v.field == "screw.n_levels" and "n_levels >= 1" in v.constraint
                    for v in report.violations)
 
-    def test_joint_height_doubling_rule(self, reference):
-        bad = reference._replace(
-            layout=reference.layout._replace(joint_height=11.0),
-        )
-        report = validate(bad)
-        assert any(v.field == "layout.joint_height"
-                   and "2 * joint_arm_height" in v.constraint
-                   for v in report.violations)
+    def test_joint_height_doubling_rule(self, reference, tmp_path, capsys):
+        # A full joint is two arms; a config may restate its height only so.
+        text = MINIMAL_CONFIG.replace("joint_arm_height: 5.0",
+                                      "joint_arm_height: 5.0\n  joint_height: 11.0")
+        with pytest.raises(ConfigError) as exc:
+            load(text)
+        assert str(exc.value) == ("restated value must equal 2 * joint_arm_height = 10.0 "
+                                  "(field: layout.joint_height)")
+        config = tmp_path / "design.yaml"
+        config.write_text(text, encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        # The arm is the one field: a non-positive one is one violation.
+        bad = reference._replace(layout=reference.layout._replace(joint_arm_height=-1.0))
+        assert validate(bad).violations \
+            == (params.Violation("layout.joint_arm_height", "joint_arm_height > 0"),)
 
     def test_shaft_levels_must_track_screw_levels(self, reference):
-        bad = reference._replace(
-            screw=reference.screw._replace(shaft_levels=5),
-        )
-        report = validate(bad)
-        assert any(v.field == "screw.shaft_levels" for v in report.violations)
+        with pytest.raises(ConfigError) as exc:
+            load(MINIMAL_CONFIG.replace("n_levels: 4", "n_levels: 4\n  shaft_levels: 5"))
+        assert str(exc.value) \
+            == "restated value must equal n_levels - 1 = 3 (field: screw.shaft_levels)"
+        for n in (1, 6):
+            p = reference._replace(screw=reference.screw._replace(n_levels=n))
+            assert shaft_levels(p) == n - 1
+            assert load(restated(p)) == p
 
     def test_all_violations_listed_not_just_first(self, reference):
         bad = reference._replace(
-            screw=reference.screw._replace(n_levels=0, shaft_levels=-1,
-                                           screw_level_length=-1.0),
+            screw=reference.screw._replace(n_levels=0, screw_level_length=-1.0),
             drive=reference.drive._replace(motor_stall_torque=-5.0),
         )
         fields = {v.field for v in validate(bad).violations}
@@ -299,7 +311,7 @@ class TestOverflow:
         config = tmp_path / "design.yaml"
         config.write_text(yaml.safe_dump(doc), encoding="utf-8")
         with pytest.raises(ConfigError, match=f"expected a finite number.*{field}"):
-            load_path(config)
+            load(config.read_text(encoding="utf-8"))
         out = tmp_path / "p.csv"
         for argv in (["validate"], ["report"], ["profile", "--out", str(out)]):
             assert main([*argv, "--config", str(config)]) == 2
@@ -360,16 +372,18 @@ class TestStrokeResolution:
 
 
 class TestDefaults:
-    def test_shaft_levels_default(self):
+    def test_shaft_levels_default(self, reference):
         spec = TelescopicScrewSpec(n_levels=4, screw_level_length=20.0,
                                    stopper_width=1.0, thread_width=0.5,
                                    thread_clearance=0.5)
-        assert spec.shaft_levels == 3
+        assert spec.base_screw_diameter == 2.3
+        assert shaft_levels(reference._replace(screw=spec)) == 3
 
-    def test_joint_height_default(self):
+    def test_joint_height_default(self, reference):
         layout = ModuleLayout(joint_arm_height=5.0, drive_assembly_length=90.0,
                               tensioner_length=60.0, plate_clearance=10.0)
-        assert layout.joint_height == 10.0
+        # Two joints of two 5 mm arms, then the clearance, drive and tensioner.
+        assert residual_length(reference._replace(layout=layout)) == 20.0 + 10.0 + 90.0 + 60.0
 
 
 class TestLoad:
@@ -377,8 +391,8 @@ class TestLoad:
         p = load(MINIMAL_CONFIG)
         assert p.validation.valid
         assert p.screw.base_screw_diameter == 2.3
-        assert p.screw.shaft_levels == 3
-        assert p.layout.joint_height == 10.0
+        assert shaft_levels(p) == 3
+        assert residual_length(p) == 180.0
         assert p.platform.plate_count == 4
         assert p.wheel.spoke_pairs == 6
         assert p.wheel.min_half_separation is None
@@ -397,7 +411,7 @@ class TestLoad:
         assert any(v.field == "screw.screw_level_length" for v in report.violations)
 
     def test_reference_config_file_reproduces_targets(self):
-        p = load_path(Path(__file__).resolve().parent.parent / "configs" / "reference.yaml")
+        p = load((CONFIGS / "reference.yaml").read_text(encoding="utf-8"))
         assert p.validation.valid
         assert p == reference_design()
         assert p.reported.wheel_diameter == 400.0
@@ -438,7 +452,7 @@ class TestLoad:
             load(text)
 
     def test_optional_count_must_be_an_integer(self):
-        # ``shaft_levels`` is ``int | None``: a count, though it has a default.
+        # ``shaft_levels`` is no field, but a config that restates it gives a count.
         with pytest.raises(ConfigError, match="integer count.*screw.shaft_levels"):
             load(MINIMAL_CONFIG.replace("n_levels: 4", "n_levels: 4\n  shaft_levels: 3.0"))
 
@@ -474,10 +488,90 @@ class TestLoad:
             load(text)
 
 
-# Every config field as "section.key", read from the named tuples themselves.
+# The values a config may restate, as the design derives them.
+RESTATED = {"screw.shaft_levels": shaft_levels,
+            "layout.joint_height": lambda p: 2.0 * p.layout.joint_arm_height}
+
+
+def restated(p, shaft=0, joint=0.0):
+    """Config text of ``p`` that restates both derived values, the shaft
+    levels off by ``shaft`` and the joint height by ``joint``."""
+    doc = yaml.safe_load(serialize(p))
+    doc["screw"]["shaft_levels"] = RESTATED["screw.shaft_levels"](p) + shaft
+    doc["layout"]["joint_height"] = RESTATED["layout.joint_height"](p) + joint
+    return yaml.safe_dump(doc)
+
+
+def run(argv):
+    """Exit code, standard output and standard error of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def without_digest(text):
+    return "".join(line for line in text.splitlines(True) if not line.startswith("digest: "))
+
+
+class TestRestatedKeys:
+    """A config may restate the shaft levels and the full joint height. At
+    their derived values (within 1e-9) they change no output; any other
+    value exits 2 naming the key."""
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_restating_the_derived_values_changes_nothing(self, tmp_path, seed, data):
+        p = random_valid_params(random.Random(seed))
+        text = restated(p, joint=data.draw(st.floats(-5e-10, 5e-10)))
+        assert load(text) == p
+        path = data.draw(st.sampled_from(["layout.joint_arm_height", "screw.screw_level_length",
+                                          "wheel.hub_offset", "drive.screw_friction"]))
+        current = operator.attrgetter(path)(p)
+        grid = f"{0.5 * current!r}:{2.0 * current + 1.0!r}:1000"
+        outputs = []
+        config, sweep = tmp_path / "design.yaml", tmp_path / "sweep.csv"
+        for config_text in (serialize(p), text):
+            config.write_text(config_text, encoding="utf-8")
+            runs = [run([verb, "--config", str(config)]) for verb in ("validate", "report")]
+            runs.append(run(["sweep", "--config", str(config), "--sweep-param", path,
+                             "--sweep-range", grid, "--objective", "min-peak-torque",
+                             "--out", str(sweep)]))
+            outputs.append([(code, without_digest(out), err) for code, out, err in runs]
+                           + [sweep.read_bytes()])
+        assert outputs[0] == outputs[1]
+        assert [code for code, _, _ in outputs[0][:3]] == [0, 0, 0]
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_value_off_by_more_than_1e_9_exits_2(self, tmp_path, seed, data):
+        p = random_valid_params(random.Random(seed))
+        path = data.draw(st.sampled_from(sorted(RESTATED)))
+        if path == "screw.shaft_levels":
+            text = restated(p, shaft=data.draw(st.integers(-3, 3).filter(bool)))
+        else:
+            off = data.draw(st.floats(2e-9, 1e3)) * data.draw(st.sampled_from([-1.0, 1.0]))
+            text = restated(p, joint=off)
+        with pytest.raises(ConfigError, match="^restated value must equal ") as exc:
+            load(text)
+        assert exc.value.field == path
+        config, out = tmp_path / "design.yaml", tmp_path / "out.csv"
+        config.write_text(text, encoding="utf-8")
+        for argv in (["validate"], ["report"], ["profile", "--steps", "3", "--out", str(out)],
+                     ["sweep", "--sweep-param", "wheel.hub_offset", "--sweep-range", "1:2:3",
+                      "--objective", "min-peak-torque", "--out", str(out)]):
+            assert run([*argv, "--config", str(config)]) == (2, "", f"error: {exc.value}\n")
+        assert not out.exists()
+
+
+# Every config field as "section.key", read from the named tuples themselves,
+# and every key a config may hold: the fields and the restated values.
 CONFIG_PATHS = [f"{section}.{name}"
                 for section in params.DesignParams._fields
                 for name in getattr(reference_design(), section)._fields]
+CONFIG_KEYS = CONFIG_PATHS + sorted(RESTATED)
 
 
 def one_bad_field_designs():
@@ -512,7 +606,7 @@ class TestOneVocabulary:
                        for name in getattr(reference_design(), s)._fields}
         assert named == config_keys
 
-    @pytest.mark.parametrize("path", CONFIG_PATHS)
+    @pytest.mark.parametrize("path", CONFIG_KEYS)
     def test_string_value_is_named(self, reference, path):
         section, key = path.split(".")
         doc = yaml.safe_load(serialize(reference))
@@ -522,7 +616,7 @@ class TestOneVocabulary:
         assert exc.value.field == path
         assert str(exc.value).endswith(f" (field: {path})")
 
-    @pytest.mark.parametrize("path", CONFIG_PATHS)
+    @pytest.mark.parametrize("path", CONFIG_KEYS)
     def test_unknown_key_of_its_section_is_named(self, reference, path):
         section = path.split(".")[0]
         doc = yaml.safe_load(serialize(reference))
@@ -537,9 +631,16 @@ class TestOneVocabulary:
             set_field(reference, section, 1.0)
         assert str(exc.value) == f"parameter path is not a numeric field (field: {section})"
 
-    @pytest.mark.parametrize("path", CONFIG_PATHS)
+    @pytest.mark.parametrize("path", CONFIG_KEYS)
     def test_setting_the_current_value_gives_an_equal_design(self, reference, path):
-        assert set_field(reference, path, operator.attrgetter(path)(reference)) == reference
+        # In a config, and a field also through ``set_field``.
+        section, key = path.split(".")
+        current = RESTATED.get(path, operator.attrgetter(path))(reference)
+        doc = yaml.safe_load(serialize(reference))
+        doc[section][key] = current
+        assert load(yaml.safe_dump(doc)) == reference
+        if path not in RESTATED:
+            assert set_field(reference, path, current) == reference
 
 
 class TestRoundTrip:
@@ -569,7 +670,6 @@ class TestRoundTrip:
         assert again.wheel.hub_offset == b
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 INSTALLED_LOADER = params.YAML_LOADER
 MALFORMED_YAML = {
     "unclosed flow sequence": "screw:\n  n_levels: [4, 5\n",
@@ -872,7 +972,7 @@ class TestYamlDumper:
         assert INSTALLED_DUMPER is expected
 
     def test_reference_config(self, monkeypatch):
-        self.assert_same(monkeypatch, load_path(CONFIGS / "reference.yaml"))
+        self.assert_same(monkeypatch, load((CONFIGS / "reference.yaml").read_text(encoding="utf-8")))
 
     def test_random_designs(self, monkeypatch):
         rng = random.Random(20261019)

@@ -31,10 +31,9 @@ RECORDS = [
                                "selection_threshold", "note")),
     (report.RunReport, ("digest", "validation", "outputs", "warnings")),
     (params.TelescopicScrewSpec, ("n_levels", "screw_level_length", "stopper_width",
-                                  "thread_width", "thread_clearance", "base_screw_diameter",
-                                  "shaft_levels")),
+                                  "thread_width", "thread_clearance", "base_screw_diameter")),
     (params.ModuleLayout, ("joint_arm_height", "drive_assembly_length", "tensioner_length",
-                           "plate_clearance", "joint_height")),
+                           "plate_clearance")),
     (params.PlatformSpec, ("screw_circle_spacing", "max_screw_extension", "joint_mount_width",
                            "universal_joint_diameter", "plate_count")),
     (params.WheelSpec, ("rod_half_length", "hub_offset", "curved_rod_length",
@@ -52,8 +51,7 @@ DEFAULTS = {
     params.Inconsistency: {"computed": None, "reported": None},
     params.ValidationReport: {"violations": (), "derived": None},
     telescopic.ScrewLengthSolution: {"degenerate": False},
-    params.TelescopicScrewSpec: {"base_screw_diameter": 2.3, "shaft_levels": None},
-    params.ModuleLayout: {"joint_height": None},
+    params.TelescopicScrewSpec: {"base_screw_diameter": 2.3},
     params.PlatformSpec: {"plate_count": 4},
     params.WheelSpec: {"spoke_pairs": 6, "min_half_separation": None},
     params.DriveSpec: {"motor_stall_torque": 1470.0, "screw_lead": 2.0,
@@ -100,35 +98,52 @@ LAYOUT = (5.0, 90.0, 60.0, 10.0)  # the reference layout's required fields
 
 
 class TestDerivedDefaults:
-    """``shaft_levels`` None is built as ``n_levels - 1`` and ``joint_height``
-    None as ``2 * joint_arm_height``, however the record is built (by keyword:
-    ``test_params.TestDefaults``)."""
+    """The shaft's level count (``telescopic.shaft_levels``) and the full
+    joint height (two arms, in ``params.residual_length``) are no fields:
+    each follows the field it is derived from, however the record is built
+    or changed (by keyword: ``test_params.TestDefaults``)."""
+
+    @staticmethod
+    def derived(screw, layout):
+        # The shaft levels and the height of one of the two joints.
+        p = params.reference_design()._replace(screw=screw, layout=layout)
+        return telescopic.shaft_levels(p), (params.residual_length(p) - sum(layout[1:])) / 2
 
     def test_positionally(self):
-        assert TelescopicScrewSpec(*SCREW) == (*SCREW, 2.3, 3)
-        assert TelescopicScrewSpec(*SCREW, 2.3, None).shaft_levels == 3
-        assert ModuleLayout(*LAYOUT) == (*LAYOUT, 10.0)
-        assert ModuleLayout(*LAYOUT, None).joint_height == 10.0
+        assert TelescopicScrewSpec(*SCREW) == (*SCREW, 2.3)
+        assert ModuleLayout(*LAYOUT) == LAYOUT
+        assert self.derived(TelescopicScrewSpec(*SCREW), ModuleLayout(*LAYOUT)) == (3, 10.0)
 
-    def test_a_given_value_is_kept(self):
-        assert TelescopicScrewSpec(*SCREW, shaft_levels=7).shaft_levels == 7
-        assert ModuleLayout(*LAYOUT, joint_height=11.0).joint_height == 11.0
+    def test_a_given_value_is_refused(self):
+        with pytest.raises(TypeError):
+            TelescopicScrewSpec(*SCREW, 2.3, 3)
+        with pytest.raises(TypeError):
+            TelescopicScrewSpec(*SCREW, shaft_levels=3)
+        with pytest.raises(TypeError):
+            ModuleLayout(*LAYOUT, joint_height=10.0)
 
     def test_through_make(self):
-        assert TelescopicScrewSpec._make([*SCREW, 2.3, None]).shaft_levels == 3
-        assert ModuleLayout._make([*LAYOUT, None]).joint_height == 10.0
-        assert type(TelescopicScrewSpec._make([*SCREW, 2.3, None])) is TelescopicScrewSpec
+        screw, layout = TelescopicScrewSpec._make([*SCREW, 2.3]), ModuleLayout._make(LAYOUT)
+        assert type(screw) is TelescopicScrewSpec and type(layout) is ModuleLayout
+        assert self.derived(screw, layout) == (3, 10.0)
+        with pytest.raises(TypeError):
+            TelescopicScrewSpec._make([*SCREW, 2.3, 3])
 
     def test_replace_keeps_a_derived_value(self):
-        # As ``dataclasses.replace`` did: the derived value is a field value.
+        # Changing a field that a derived value does not read keeps it.
         screw, layout = TelescopicScrewSpec(*SCREW), ModuleLayout(*LAYOUT)
-        assert screw._replace(n_levels=6).shaft_levels == 3
-        assert layout._replace(joint_arm_height=7.0).joint_height == 10.0
+        assert self.derived(screw._replace(stopper_width=2.0),
+                            layout._replace(plate_clearance=3.0)) == (3, 10.0)
 
-    def test_replace_with_none_derives_again(self):
+    def test_replace_derives_again(self):
         screw, layout = TelescopicScrewSpec(*SCREW), ModuleLayout(*LAYOUT)
-        assert screw._replace(n_levels=6, shaft_levels=None).shaft_levels == 5
-        assert layout._replace(joint_arm_height=7.0, joint_height=None).joint_height == 14.0
+        assert self.derived(screw._replace(n_levels=6),
+                            layout._replace(joint_arm_height=7.0)) == (5, 14.0)
+        with pytest.raises(ValueError, match="shaft_levels"):
+            screw._replace(shaft_levels=None)
+        # A section changed by plain ``_replace`` is a sound design.
+        p = params.reference_design()
+        assert params.validate(p._replace(screw=p.screw._replace(n_levels=6))).valid
 
 
 class TestDesignParams:

@@ -412,23 +412,16 @@ class TestDeriveOnce:
             assert bits(card[key] for key in keys) == expected
 
 
-# Fields whose ``None`` default derives them from another field of the section.
-DERIVED = {"screw.n_levels": "shaft_levels", "layout.joint_arm_height": "joint_height"}
-NUMERIC_PATHS = [(f"{section}.{name}", hint in (int, int | None))
+NUMERIC_PATHS = [(f"{section}.{name}", hint is int)
                  for section, cls in typing.get_type_hints(params.DesignParams).items()
                  for name, hint in typing.get_type_hints(cls).items()]
 BLANK = ("",) * 7
 
 
 def replaced(p, path, value):
-    """Oracle for a sweep point: ``p`` with one field set by plain
-    ``_replace``, and a derived field derived again."""
+    """Oracle for a sweep point: ``p`` with one field set by plain ``_replace``."""
     section, name = path.split(".")
-    changes = {name: value}
-    if path in DERIVED:
-        changes[DERIVED[path]] = None
-    return p._replace(
-        **{section: getattr(p, section)._replace(**changes)})
+    return p._replace(**{section: getattr(p, section)._replace(**{name: value})})
 
 
 def expected_row(i, value, p, metric):

@@ -21,7 +21,7 @@ from oracles import scan_min_levels, scan_min_screw_length
 
 
 def with_levels(p, n, s_l=None):
-    screw = p.screw._replace(n_levels=n, shaft_levels=n - 1)
+    screw = p.screw._replace(n_levels=n)
     if s_l is not None:
         screw = screw._replace(screw_level_length=s_l)
     return p._replace(screw=screw)
@@ -48,8 +48,7 @@ class TestModuleLengths:
 
     def test_invalid_design_refused_with_report(self, reference):
         bad = reference._replace(
-            screw=reference.screw._replace(n_levels=0,
-                                           shaft_levels=-1))
+            screw=reference.screw._replace(n_levels=0))
         with pytest.raises(InvalidDesignError) as exc:
             module_lengths(bad)
         assert any(v.field == "screw.n_levels" for v in exc.value.report.violations)
@@ -200,7 +199,7 @@ class TestDiameterLadder:
         p = base._replace(
             screw=base.screw._replace(thread_width=tw,
                                       thread_clearance=tc, stopper_width=sw,
-                                      n_levels=n, shaft_levels=n - 1),
+                                      n_levels=n),
         )
         d = diameter_ladder(p).diameters
         assert len(d) == n
