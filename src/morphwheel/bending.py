@@ -32,7 +32,6 @@ __all__ = [
     "chassis_diameter",
     "rod_half_expansion",
     "rod_sizing",
-    "rod_sizing_from_half_expansion",
 ]
 
 # Screw positions on the circular plate, 120 degrees apart.
@@ -71,8 +70,7 @@ class RodSizing(typing.NamedTuple):
 
     half_expansion: float  # mm
     rod_max: float         # mm, fully extended rod
-    rod_min: float         # mm, fully collapsed rod
-    outer_segment: float   # mm
+    rod_min: float         # mm, fully collapsed rod, also its outer segment
     inner_segment: float   # mm
 
 
@@ -110,7 +108,7 @@ def screw_extensions(theta_plate: float, direction: float,
     """
     if not screw_circle_radius > 0:
         raise ValueError("screw_circle_radius must be positive")
-    if not abs(theta_plate) <= math.pi / 4.0 + 1e-12:  # slack for round-tripped angles
+    if not abs(theta_plate) <= MAX_PLATE_TILT + 1e-12:  # slack for round-tripped angles
         raise ValueError("per-plate tilt beyond +/-45 degrees is out of range")
     if not math.isfinite(direction):
         raise ValueError(f"bend direction must be finite, got {direction!r}")
@@ -177,15 +175,27 @@ def chassis_diameter(p: DesignParams, theta_plate: float) -> ChassisGeometry:
     return ChassisGeometry(2.0 * (base + offset), base, offset)
 
 
-def rod_sizing_from_half_expansion(half_expansion: float, chassis_d: float,
-                                   theta_plate: float) -> RodSizing:
-    """Rod lengths from a given half expansion at a given tilt.
+def rod_half_expansion(p: DesignParams, theta_plate: float) -> float:
+    """Lateral excursion at a plate tilt of joint mount, half joint and full screw."""
+    pf = p.platform
+    reach = pf.joint_mount_width + pf.universal_joint_diameter / 2.0 \
+        + pf.max_screw_extension
+    return reach * math.sin(theta_plate)
+
+
+def rod_sizing(p: DesignParams, theta_plate: float, chassis_d: float) -> RodSizing:
+    """Telescopic chassis rod sizing for the design's joint and screw geometry.
 
     The rod must extend to twice the half expansion and still overlap when
     the bend shortens its chord by the chassis-diameter projection; a
     non-positive collapsed length means the bend demand exceeds what any
     two-segment rod can serve.
     """
+    if chassis_d <= 0:
+        raise ValueError("chassis diameter must be positive")
+    if not 0 < theta_plate <= MAX_PLATE_TILT:
+        raise ValueError("theta_plate must be in (0, pi/4]")
+    half_expansion = rod_half_expansion(p, theta_plate)
     rod_max = 2.0 * half_expansion
     rod_min = rod_max - chassis_d * math.sin(theta_plate)
     if rod_min <= 0:
@@ -196,25 +206,5 @@ def rod_sizing_from_half_expansion(half_expansion: float, chassis_d: float,
         half_expansion=half_expansion,
         rod_max=rod_max,
         rod_min=rod_min,
-        outer_segment=rod_min,
         inner_segment=rod_max - rod_min,
-    )
-
-
-def rod_half_expansion(p: DesignParams, theta_plate: float) -> float:
-    """Lateral excursion at a plate tilt of joint mount, half joint and full screw."""
-    pf = p.platform
-    reach = pf.joint_mount_width + pf.universal_joint_diameter / 2.0 \
-        + pf.max_screw_extension
-    return reach * math.sin(theta_plate)
-
-
-def rod_sizing(p: DesignParams, theta_plate: float, chassis_d: float) -> RodSizing:
-    """Telescopic chassis rod sizing for the design's joint and screw geometry."""
-    if chassis_d <= 0:
-        raise ValueError("chassis diameter must be positive")
-    if not 0 < theta_plate <= MAX_PLATE_TILT:
-        raise ValueError("theta_plate must be in (0, pi/4]")
-    return rod_sizing_from_half_expansion(
-        rod_half_expansion(p, theta_plate), chassis_d, theta_plate
     )

@@ -9,6 +9,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -57,23 +58,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _print_report(rr: RunReport, out=None) -> None:
-    if out is None:
-        out = sys.stdout
-    print(f"digest: {rr.digest}", file=out)
+def _print_report(rr: RunReport) -> None:
+    print(f"digest: {rr.digest}")
     if rr.validation.valid:
-        print("validation: OK", file=out)
+        print("validation: OK")
     else:
-        print(f"validation: {len(rr.validation.violations)} violation(s)", file=out)
+        print(f"validation: {len(rr.validation.violations)} violation(s)")
     for v in rr.validation.violations:
-        print(f"VIOLATION {v.field}: {v.constraint}", file=out)
+        print(f"VIOLATION {v.field}: {v.constraint}")
     for key, value in rr.outputs.items():
-        print(f"{key} = {_fmt(value)}", file=out)
+        print(f"{key} = {_fmt(value)}")
     for w in rr.warnings:
         print(
             f"WARNING {w.code}: computed={_fmt(w.computed)} "
-            f"reported={_fmt(w.reported)} ({w.detail})",
-            file=out,
+            f"reported={_fmt(w.reported)} ({w.detail})"
         )
 
 
@@ -116,6 +114,21 @@ def _refused(p: DesignParams, action: str) -> bool:
     for v in p.validation.violations:
         print(f"VIOLATION {v.field}: {v.constraint}", file=sys.stderr)
     return True
+
+
+@contextlib.contextmanager
+def _replacing(*targets: Path):
+    """Temporaries next to ``targets``, to be written in the block. They
+    replace the targets, in order, only once the block has written them
+    all, so a failed or interrupted write leaves no partial file behind."""
+    tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in targets]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, targets):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +197,15 @@ def cmd_profile(args) -> int:
         frames.append(frame)
     out = Path(args.out)
     keyframe_path = out.with_name(out.stem + "_keyframes.json")
-    # Both files go to temporaries next to their targets and replace them
-    # only once both are written, so a failed write leaves neither behind.
-    tmp_out, tmp_keyframes = (
-        path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in (out, keyframe_path))
-    try:
-        with open(tmp_out, "w", newline="", encoding="utf-8") as fh:
-            fh.write("".join(rows))
-        with open(tmp_keyframes, "w", encoding="utf-8") as fh:
-            fh.write(wheelgeom.keyframes_text(p, frames))
-        os.replace(tmp_keyframes, keyframe_path)
-        os.replace(tmp_out, out)
+    try:  # the keyframes replace theirs first: a failure keeps the earlier CSV
+        with _replacing(keyframe_path, out) as (tmp_keyframes, tmp_out):
+            with open(tmp_out, "w", newline="", encoding="utf-8") as fh:
+                fh.write("".join(rows))
+            with open(tmp_keyframes, "w", encoding="utf-8") as fh:
+                fh.write(wheelgeom.keyframes_text(p, frames))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        for tmp in (tmp_out, tmp_keyframes):
-            tmp.unlink(missing_ok=True)
     print(f"wrote {out} ({len(states)} rows) and {keyframe_path}")
     return EXIT_OK
 
@@ -219,13 +224,9 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:  # a grid of too few or too many points, or of one value
         print(f"error: --sweep-range: {exc}", file=sys.stderr)
         return EXIT_IO
-    # The rows stream into a temporary next to the target, which replaces
-    # the target only once every row is written: an interrupted sweep or a
-    # bad path leaves no partial CSV behind.
-    out = Path(args.out)
-    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        with _replacing(Path(args.out)) as (tmp,), \
+                open(tmp, "w", newline="", encoding="utf-8") as fh:
             columns = sweep_columns(spec)
             objective, metric = columns.index("objective"), columns.index(spec.metric)
             last, texts = list(columns), list(columns)
@@ -240,15 +241,12 @@ def cmd_sweep(args) -> int:
                 texts[objective], last[:] = texts[metric], row
                 fh.write(",".join(texts) + "\r\n")
             best = sweep(p, spec, write_row)
-        os.replace(tmp, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        tmp.unlink(missing_ok=True)
 
     if best is not None:
         print(
@@ -262,40 +260,20 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _profile_steps(text: str) -> int:
-    # A profile runs from the elongated to the compressed state, so it has
-    # at least those two; fewer is a usage error, not a design failure.
-    try:
-        steps = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if steps < 2:
-        raise argparse.ArgumentTypeError("steps must be >= 2")
-    return steps
-
-
-def _target_ratio(text: str) -> float:
-    # The range ``telescopic.reduction_ok`` accepts, as the inverse sizing
-    # does; a ratio outside it is a usage error, not a design failure.
-    try:
-        ratio = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 < ratio <= 1:
-        raise argparse.ArgumentTypeError("target ratio must be in (0, 1]")
-    return ratio
-
-
-def _total_bend(text: str) -> float:
-    # ``bending.distribute_bend``'s envelope, and positive: the card sizes
-    # its rods at a nonzero tilt. A bend outside it is a usage error.
-    try:
-        bend = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 < bend <= bending.MAX_TOTAL_BEND:
-        raise argparse.ArgumentTypeError("total bend must be in (0, pi/2]")
-    return bend
+def _bounded(convert, accept, message: str):
+    """An argparse type: ``convert`` the text, and refuse a value that
+    ``accept`` does not with ``message``. Either is a usage error, not a
+    design failure."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return parse
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -328,9 +306,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="print the complete design card")
     p_report.add_argument("--config", required=True)
-    p_report.add_argument("--target-ratio", type=_target_ratio, default=0.5,
+    # The range ``telescopic.reduction_ok`` accepts, as the inverse sizing does.
+    p_report.add_argument("--target-ratio", default=0.5, type=_bounded(
+                              float, lambda r: 0 < r <= 1, "target ratio must be in (0, 1]"),
                           help="reduction ratio target (default 0.5)")
-    p_report.add_argument("--total-bend", type=_total_bend, default=DEFAULT_TOTAL_BEND,
+    # ``bending.distribute_bend``'s envelope, and positive: the card sizes
+    # its rods at a nonzero tilt.
+    p_report.add_argument("--total-bend", default=DEFAULT_TOTAL_BEND, type=_bounded(
+                              float, lambda b: 0 < b <= bending.MAX_TOTAL_BEND,
+                              "total bend must be in (0, pi/2]"),
                           help="total platform bend in radians (default pi/4)")
     p_report.add_argument("--force-table", default=None,
                           help="YAML file of (cm, N) pairs overriding the builtin table")
@@ -338,7 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser("profile", help="emit the transformation profile CSV and keyframes")
     p_profile.add_argument("--config", required=True)
-    p_profile.add_argument("--steps", type=_profile_steps, default=50)
+    # A profile runs from the elongated to the compressed state: at least two.
+    p_profile.add_argument("--steps", default=50,
+                           type=_bounded(int, lambda n: n >= 2, "steps must be >= 2"))
     p_profile.add_argument("--out", required=True, help="CSV output path; keyframes go next to it")
     p_profile.add_argument("--force-table", default=None,
                            help="YAML file of (cm, N) pairs overriding the builtin table")

@@ -274,7 +274,7 @@ def validate(p: DesignParams) -> ValidationReport:
     last checked for derived quantities past the float range and for a wheel
     stroke lost to rounding.
     """
-    return _varying(None)(p)
+    return _validate(p)
 
 
 def _check_screw(p, v, got):
@@ -423,6 +423,9 @@ def _varying(section: str | None) -> typing.Callable[[DesignParams], ValidationR
         return ValidationReport(tuple(v)) if v else ValidationReport((), _Derived(
             got["elongated"], got["reduced"], got["wheel_radius"], got["peak_load"]))
     return check
+
+
+_validate = _varying(None)  # ``validate``: built once, it keeps no stage
 
 
 def require_valid(p: DesignParams) -> ValidationReport:

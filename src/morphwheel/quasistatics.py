@@ -223,33 +223,29 @@ class MotorCheck(typing.NamedTuple):
     passed: bool
     peak_torque: float         # N*mm
     stall_torque: float        # N*mm
-    margin: float
     ratio: float               # peak / stall
     selection_threshold: float  # N*mm, reference context only
     note: str
 
 
-def motor_check(peak: float, stall_torque: float, margin: float = 1.0) -> MotorCheck:
+def motor_check(peak: float, stall_torque: float) -> MotorCheck:
     """Compare the peak required torque (N*mm) against the motor's stall torque.
 
-    Passes when peak <= margin * stall. The reference selection threshold is
-    reported side by side for context, never as an equality target.
+    Passes when peak <= stall (margin 1). The reference selection threshold
+    is reported side by side for context, never as an equality target.
     """
-    if not 0 < margin <= 1:
-        raise ValueError("margin must be in (0, 1]")
     if stall_torque <= 0:
         raise ValueError("stall torque must be positive")
     ratio = peak / stall_torque
     note = (
         f"peak {peak:.3f} N*mm vs selection threshold "
         f"{SELECTION_THRESHOLD:.0f} N*mm (side-by-side reference, not an "
-        f"equality target); stall {stall_torque:.0f} N*mm, margin {margin:g}"
+        f"equality target); stall {stall_torque:.0f} N*mm, margin 1"
     )
     return MotorCheck(
-        passed=peak <= margin * stall_torque,
+        passed=peak <= stall_torque,
         peak_torque=peak,
         stall_torque=stall_torque,
-        margin=margin,
         ratio=ratio,
         selection_threshold=SELECTION_THRESHOLD,
         note=note,

@@ -34,7 +34,6 @@ __all__ = [
     "SweepSpec",
     "consistency_warnings",
     "design_card",
-    "sweep_point",
     "set_field",
     "sweep_columns",
     "sweep",
@@ -54,7 +53,7 @@ def config_digest(config_text: str) -> str:
 class RunReport(typing.NamedTuple):
     """Deterministic record of one command run."""
 
-    digest: str                 # hash of the canonical config text
+    digest: str                 # hash of the CLI's config file text, else of serialize(p)
     validation: ValidationReport
     outputs: dict[str, object]  # computed quantities, insertion-ordered
     warnings: tuple[Inconsistency, ...]
@@ -78,25 +77,24 @@ def _length_identity_warnings(p: DesignParams) -> tuple[Inconsistency, ...]:
         return ()
     implied = rep.elongated_length - rep.reduced_length
     derived = 2.0 * p.screw.screw_level_length * (p.screw.n_levels - 1)
-    if abs(implied - derived) <= 1e-6 * max(1.0, abs(derived)):
+    if abs(implied - derived) <= _REL_TOL * max(1.0, abs(derived)):
         return ()
     return (Inconsistency("reported_length_identity",
                           "reported elongated - reduced length gap does not match "
                           "2 * screw_level_length * (n_levels - 1)", derived, implied),)
 
 
-def consistency_warnings(p: DesignParams,
-                         total_bend: float = DEFAULT_TOTAL_BEND) -> tuple[Inconsistency, ...]:
-    """Compare computed quantities against any supplied reported values, the
-    two reported lengths against each other, and the wheel stroke's end
-    against the telescopic reduced length.
+def consistency_warnings(p: DesignParams) -> tuple[Inconsistency, ...]:
+    """Compare computed quantities, at the ``DEFAULT_TOTAL_BEND``, against any
+    supplied reported values, the two reported lengths against each other,
+    and the wheel stroke's end against the telescopic reduced length.
 
     Disagreements are reported as machine-readable records and left
     standing; nothing is patched to make the numbers meet. Invalid designs
     raise ``InvalidDesignError``.
     """
     require_valid(p)
-    theta = total_bend / p.platform.plate_count
+    theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
     return _warnings(p, telescopic.module_lengths(p),
                      bending.chassis_diameter(p, theta).chassis_diameter, theta)
 
@@ -140,31 +138,18 @@ SWEEP_METRICS = (
 )
 
 
-def _peak_load(p: DesignParams, derived: params._Derived,
-               table: quasistatics.SiliconeForceTable | None) -> tuple[float, float]:
-    # ``quasistatics.peak_load(p, table)``; validation derived it on the default table.
-    default = table is None or table is quasistatics.default_force_table()
-    return derived.peak_load if default else quasistatics.peak_load(p, table)
-
-
 def _sweep_values(p: DesignParams, derived: params._Derived,
-                  table: quasistatics.SiliconeForceTable | None,
-                  ratio: float | None = None, chassis: float | None = None) -> tuple[float, ...]:
-    # ``sweep_point``'s values; a sweep passes the ratio and the chassis
-    # diameter when the previous point's serve.
+                  ratio: float | None, chassis: float | None) -> tuple[float, ...]:
+    # The ``SWEEP_METRICS`` of a valid design, the peak torque on the default
+    # table; the ratio and the chassis diameter are the previous point's
+    # when they serve, else None.
     if ratio is None:
         ratio = telescopic.ModuleLengths(derived.elongated, derived.reduced).reduction_ratio
     if chassis is None:
         theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
         chassis = bending.chassis_diameter(p, theta).chassis_diameter
     return (derived.elongated, derived.reduced, ratio, chassis, derived.wheel_radius,
-            _peak_load(p, derived, table)[1])
-
-
-def sweep_point(p: DesignParams, table: quasistatics.SiliconeForceTable) -> dict[str, float]:
-    """The ``SWEEP_METRICS`` of one design; raises ``InvalidDesignError`` for
-    an invalid one, the only kind of design without a value."""
-    return dict(zip(SWEEP_METRICS, _sweep_values(p, require_valid(p).derived, table)))
+            derived.peak_load[1])
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +221,8 @@ def sweep_columns(spec: SweepSpec) -> tuple[str, ...]:
 
 def sweep(p: DesignParams, spec: SweepSpec,
           emit: Callable[[tuple], object]) -> dict[str, object] | None:
-    """Evaluate ``sweep_point`` over the grid of ``spec``, one design per grid
-    value with the swept field set to it, and return the best ``ok`` row by
+    """Evaluate the ``SWEEP_METRICS`` over the grid of ``spec``, one design per
+    grid value with the swept field set to it, and return the best ``ok`` row by
     column (the first of equals), or None when no point has a value.
 
     The path and every grid value are checked first, before any point is
@@ -273,7 +258,7 @@ def sweep(p: DesignParams, spec: SweepSpec,
         if last is not None:  # the CLI formats once a value that keeps its object
             ratio = last[2] if derived.elongated is last[0] and derived.reduced is last[1] else None
             chassis = None if field.section == "platform" else last[3]
-        last = values = _sweep_values(q, derived, None, ratio, chassis)  # the default table
+        last = values = _sweep_values(q, derived, ratio, chassis)
         objective = values[metric]
         row = (i, value, *values, objective, "ok", "")
         if best is None or better(objective, best):
@@ -303,7 +288,7 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
     outputs["reduction_ok"] = telescopic.reduction_ok(
         lengths.reduced, lengths.elongated, target_ratio)
     outputs["shaft_levels"] = telescopic.shaft_levels(p)
-    outputs["screw_diameters_mm"] = telescopic.diameter_ladder(p).diameters
+    outputs["screw_diameters_mm"] = telescopic.diameter_ladder(p)
 
     theta = total_bend / p.platform.plate_count
     outputs["total_bend_rad"] = total_bend
@@ -317,7 +302,7 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
         outputs["rod_half_expansion_mm"] = rods.half_expansion
         outputs["rod_length_max_mm"] = rods.rod_max
         outputs["rod_length_min_mm"] = rods.rod_min
-        outputs["rod_outer_segment_mm"] = rods.outer_segment
+        outputs["rod_outer_segment_mm"] = rods.rod_min
         outputs["rod_inner_segment_mm"] = rods.inner_segment
     except InfeasibleError as exc:
         outputs["rod_sizing"] = f"INFEASIBLE: {exc}"
@@ -330,7 +315,9 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
     outputs["curved_rod_levels"] = plan.levels
     outputs["curved_rod_curvature_mm"] = plan.matched_curvature
 
-    force, torque = _peak_load(p, validation.derived, table)
+    # Validation derived the peak load on the default table.
+    default = table is None or table is quasistatics.default_force_table()
+    force, torque = validation.derived.peak_load if default else quasistatics.peak_load(p, table)
     outputs["peak_axial_force_N"] = force
     outputs["peak_torque_Nmm"] = torque
     check = quasistatics.motor_check(torque, p.drive.motor_stall_torque)

@@ -15,7 +15,6 @@ from .params import DesignParams, require_valid, residual_length, screw_diameter
 
 __all__ = [
     "ModuleLengths",
-    "ScrewDiameterLadder",
     "ScrewLengthSolution",
     "residual_length",
     "module_lengths",
@@ -34,12 +33,6 @@ class ModuleLengths(typing.NamedTuple):
     @property
     def reduction_ratio(self) -> float:
         return self.reduced / self.elongated
-
-
-class ScrewDiameterLadder(typing.NamedTuple):
-    """Outer diameters per level, innermost (master screw) first."""
-
-    diameters: tuple[float, ...]  # mm
 
 
 class ScrewLengthSolution(typing.NamedTuple):
@@ -122,14 +115,14 @@ def min_levels(screw_length: float, residual: float, target_ratio: float) -> int
     return n
 
 
-def diameter_ladder(p: DesignParams) -> ScrewDiameterLadder:
-    """Outer diameter per nesting level (``params.screw_diameter``).
+def diameter_ladder(p: DesignParams) -> tuple[float, ...]:
+    """Outer diameter in mm per nesting level (``params.screw_diameter``),
+    innermost (master screw) first.
 
     A zero increment is computed as-is (all levels equal); the validator
     flags the underlying zero widths as violations.
     """
-    return ScrewDiameterLadder(
-        diameters=tuple(screw_diameter(p, k) for k in range(p.screw.n_levels)))
+    return tuple(screw_diameter(p, k) for k in range(p.screw.n_levels))
 
 
 def shaft_levels(p: DesignParams) -> int:

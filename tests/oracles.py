@@ -1,9 +1,11 @@
 """Brute-force oracles: the closed-form inverse sizing in ``telescopic``, the
-keyframe file as ``json.dumps`` writes it, and the peak of a torque profile."""
+keyframe file as ``json.dumps`` writes it, the peak of a torque profile and
+the metrics of a sweep row."""
 
 import json
 
-from morphwheel import InfeasibleError
+from morphwheel import InfeasibleError, bending, params, quasistatics, wheelgeom
+from morphwheel.report import DEFAULT_TOTAL_BEND
 from morphwheel.wheelgeom import ARC_POINTS_PER_SECTOR, KEYFRAME_SCHEMA_VERSION
 
 
@@ -58,3 +60,15 @@ def keyframes_json(states, p) -> str:
 def peak_index(entries) -> int:
     """Index of the first torque entry of the largest per-motor torque."""
     return max(range(len(entries)), key=lambda i: entries[i].per_motor_torque)
+
+
+def sweep_row(p) -> tuple[float, ...]:
+    """The ``report.SWEEP_METRICS`` of a valid design from the public formulas
+    alone: the module lengths and their ratio, the chassis diameter at the
+    default bend, the fully compressed wheel radius and the peak torque on the
+    default force table."""
+    elongated, reduced = params.elongated_length(p), params.reduced_length(p)
+    theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
+    return (elongated, reduced, reduced / elongated,
+            bending.chassis_diameter(p, theta).chassis_diameter,
+            wheelgeom.transform_endpoint_radius(p), quasistatics.peak_load(p)[1])

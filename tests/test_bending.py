@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphwheel import InfeasibleError
+from morphwheel import InfeasibleError, reference_design
 from morphwheel.bending import (
     bend_from_extensions,
     bend_state,
     chassis_diameter,
     distribute_bend,
     rod_sizing,
-    rod_sizing_from_half_expansion,
     screw_circle_radius,
     screw_extensions,
 )
@@ -19,6 +18,17 @@ from morphwheel.bending import (
 angles = st.floats(min_value=1e-6, max_value=math.pi / 4)
 directions = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
 radii = st.floats(min_value=0.5, max_value=500.0)
+
+
+def rods_for(half_expansion, chassis_d, theta):
+    """``rod_sizing`` of the reference with all of its rod reach (joint
+    mount, half joint and full screw) in a screw extension that gives
+    ``half_expansion`` at the tilt ``theta``, to within rounding."""
+    p = reference_design()
+    p = p._replace(platform=p.platform._replace(
+        joint_mount_width=0.0, universal_joint_diameter=0.0,
+        max_screw_extension=half_expansion / math.sin(theta)))
+    return rod_sizing(p, theta, chassis_d)
 
 
 class TestDistributeBend:
@@ -203,23 +213,22 @@ class TestRodSizing:
         assert rods.rod_max == pytest.approx(2 * expected_half, abs=1e-12)
 
     def test_published_table_values(self):
-        # Half expansion and chassis diameter taken directly as inputs.
+        # Half expansion and chassis diameter taken from the table.
         theta = math.pi / 16
-        rods = rod_sizing_from_half_expansion(80.0, 80.0, theta)
+        rods = rods_for(80.0, 80.0, theta)
         assert rods.rod_max == pytest.approx(160.0, abs=1e-12)
         assert rods.rod_min == pytest.approx(160.0 - 80.0 * math.sin(theta), abs=1e-12)
         assert rods.rod_min == pytest.approx(144.393, abs=5e-4)
         assert rods.inner_segment == pytest.approx(15.607, abs=5e-4)
-        assert rods.outer_segment == rods.rod_min
 
     def test_vanishing_tilt_needs_no_telescoping(self):
-        rods = rod_sizing_from_half_expansion(80.0, 80.0, 1e-12)
+        rods = rods_for(80.0, 80.0, 1e-12)
         assert rods.rod_min == pytest.approx(rods.rod_max, abs=1e-6)
         assert rods.inner_segment == pytest.approx(0.0, abs=1e-6)
 
     def test_excessive_bend_demand_is_infeasible(self):
         with pytest.raises(InfeasibleError, match="rod"):
-            rod_sizing_from_half_expansion(10.0, 200.0, math.pi / 4)
+            rods_for(10.0, 200.0, math.pi / 4)
 
     @given(st.floats(min_value=1.0, max_value=200.0),
            st.floats(min_value=1.0, max_value=100.0),
@@ -227,8 +236,9 @@ class TestRodSizing:
     @settings(max_examples=200, deadline=None)
     def test_segments_partition_the_rod(self, half, d, theta):
         try:
-            rods = rod_sizing_from_half_expansion(half, d, theta)
+            rods = rods_for(half, d, theta)
         except InfeasibleError:
             return
-        assert rods.outer_segment + rods.inner_segment == rods.rod_max  # exact
+        # The collapsed rod is the outer segment.
+        assert rods.rod_min + rods.inner_segment == rods.rod_max  # exact
         assert rods.rod_min <= rods.rod_max

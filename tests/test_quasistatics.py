@@ -283,10 +283,11 @@ class TestMotorCheck:
         # peak and threshold printed side by side, never equated
         assert f"{check.peak_torque:.3f}" in check.note
         assert "500" in check.note
+        assert check.note.endswith(", margin 1")
 
     def test_boundary_peak_equals_stall(self, reference):
         peak = peak_torque(profile_of(reference, 10))
-        check = motor_check(peak, peak, margin=1.0)
+        check = motor_check(peak, peak)
         assert check.passed
 
     def test_overloaded_motor_fails_with_ratio_above_one(self, reference):
@@ -294,10 +295,3 @@ class TestMotorCheck:
         check = motor_check(peak, peak / 2)
         assert not check.passed
         assert check.ratio > 1.0
-
-    def test_margin_domain(self, reference):
-        peak = peak_torque(profile_of(reference, 10))
-        with pytest.raises(ValueError):
-            motor_check(peak, 1000.0, margin=0.0)
-        with pytest.raises(ValueError):
-            motor_check(peak, 1000.0, margin=1.5)

@@ -18,16 +18,14 @@ RECORDS = [
     (params.ValidationReport, ("violations", "derived")),
     (bending.BendState, ("total_bend", "direction", "per_plate_angle", "plate_angles",
                          "screw_extensions")),
-    (bending.RodSizing, ("half_expansion", "rod_max", "rod_min", "outer_segment",
-                         "inner_segment")),
+    (bending.RodSizing, ("half_expansion", "rod_max", "rod_min", "inner_segment")),
     (telescopic.ModuleLengths, ("elongated", "reduced")),
-    (telescopic.ScrewDiameterLadder, ("diameters",)),
     (telescopic.ScrewLengthSolution, ("length", "degenerate")),
     (wheelgeom.TransformState, ("module_length", "axial_half_separation", "wheel_radius",
                                 "trigger_mode")),
     (wheelgeom.CurvedRodPlan, ("arc_per_sector", "levels", "matched_curvature")),
     (quasistatics.TorqueEntry, ("module_length", "axial_force", "per_motor_torque")),
-    (quasistatics.MotorCheck, ("passed", "peak_torque", "stall_torque", "margin", "ratio",
+    (quasistatics.MotorCheck, ("passed", "peak_torque", "stall_torque", "ratio",
                                "selection_threshold", "note")),
     (report.RunReport, ("digest", "validation", "outputs", "warnings")),
     (params.TelescopicScrewSpec, ("n_levels", "screw_level_length", "stopper_width",

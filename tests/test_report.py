@@ -35,7 +35,6 @@ from morphwheel.quasistatics import (
     torque_profile,
 )
 from morphwheel.report import (
-    DEFAULT_TOTAL_BEND,
     SWEEP_METRICS,
     Objective,
     SweepSpec,
@@ -44,12 +43,11 @@ from morphwheel.report import (
     set_field,
     sweep,
     sweep_columns,
-    sweep_point,
 )
 from morphwheel.wheelgeom import transform_profile
 
 from conftest import count_calls, random_params, random_valid_params
-from oracles import keyframes_json, peak_index
+from oracles import keyframes_json, peak_index, sweep_row
 
 FORCE_TABLE = Path(__file__).resolve().parent.parent / "configs" / "force_table.yaml"
 TABLES = {"default": default_force_table(), "force_table.yaml": load_force_table_path(FORCE_TABLE)}
@@ -122,16 +120,31 @@ def design_file(tmp_path):
     return str(path)
 
 
+def bits(values):
+    # A float's repr names it exactly, signed zeros included.
+    return [repr(v) for v in values]
+
+
+def own_point(p):
+    """The ``SWEEP_METRICS`` that ``sweep`` gives the design ``p`` itself: the
+    first row of a sweep of its hub offset that starts at its own value."""
+    h = p.wheel.hub_offset
+    rows, _ = swept(p, SweepSpec("wheel.hub_offset", h, h + 1.0, 2, Objective.MAX_WHEEL_RADIUS))
+    return dict(zip(SWEEP_METRICS, rows[0][2:2 + len(SWEEP_METRICS)]))
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("table_name", sorted(TABLES))
     def test_card_and_sweep_point_match_the_profile(self, table_name):
-        # Oracle: the maximum and the last entry of full profiles.
+        # Oracle: the maximum and the last entry of full profiles. A sweep
+        # reads the default table.
         table = TABLES[table_name]
         rng = random.Random(3)
         for _ in range(500):
             p = random_valid_params(rng)
             card = design_card(p, table=table).outputs
-            point = sweep_point(p, table)
+            point = own_point(p)
+            assert bits(point.values()) == bits(sweep_row(p))
             for steps in (2, 50, 200):
                 states = transform_profile(p, steps)
                 torques = torque_profile(p, states, table)
@@ -139,7 +152,8 @@ class TestClosedForms:
                 peak_torque = torques[peak_index(torques)].per_motor_torque
                 assert card["peak_axial_force_N"] == peak_force
                 assert card["peak_torque_Nmm"] == peak_torque
-                assert point["peak_torque_Nmm"] == peak_torque
+                if table_name == "default":
+                    assert point["peak_torque_Nmm"] == peak_torque
                 assert card["wheel_radius_mm"] == states[-1].wheel_radius
                 assert point["wheel_radius_mm"] == states[-1].wheel_radius
 
@@ -152,9 +166,8 @@ class TestClosedForms:
         assert card["peak_torque_Nmm"] == torques[peak_index(torques)].per_motor_torque
 
     def test_sweep_point_matches_the_card(self, reference):
-        table = default_force_table()
-        card = design_card(reference, table=table).outputs
-        point = sweep_point(reference, table)
+        card = design_card(reference, table=default_force_table()).outputs
+        point = own_point(reference)
         assert list(point) == ["elongated_length_mm", "reduced_length_mm", "reduction_ratio",
                                "chassis_diameter_mm", "wheel_radius_mm", "peak_torque_Nmm"]
         for key, value in point.items():
@@ -185,8 +198,6 @@ class TestOverrun:
         p = overrunning(reference)
         with pytest.raises(InvalidDesignError):
             design_card(p)
-        with pytest.raises(InvalidDesignError):
-            sweep_point(p, default_force_table())
         with pytest.raises(InvalidDesignError):
             transform_profile(p, 50)
 
@@ -247,8 +258,6 @@ class TestValidateOnce:
         with pytest.raises(InvalidDesignError):
             design_card(p)
         with pytest.raises(InvalidDesignError):
-            sweep_point(p, default_force_table())
-        with pytest.raises(InvalidDesignError):
             transform_profile(p, 50)
 
     def test_card_carries_the_design_report(self):
@@ -261,9 +270,14 @@ class TestValidateOnce:
         design_card(reference)
         assert len(count_validate) == 1
 
-    def test_sweep_point_validates_once(self, reference, count_validate):
-        sweep_point(reference, default_force_table())
-        assert len(count_validate) == 1
+    def test_sweep_point_validates_once(self, reference, count_validate, monkeypatch):
+        # A sweep checks each point once, by the stages that read the swept
+        # section; the others run on its first point only.
+        stages = count_stages(monkeypatch)
+        point = own_point(reference)
+        assert count_validate == []
+        assert stage_runs(stages) == wheel_sweep_runs(2, 0)
+        assert bits(point.values()) == bits(sweep_row(reference))
 
     def test_cli_validate_validates_once(self, count_validate, design_file):
         assert main(["validate", "--config", design_file]) == 0
@@ -345,19 +359,18 @@ def count_formulas(monkeypatch):
     return calls
 
 
-def bits(values):
-    # A float's repr names it exactly, signed zeros included.
-    return [repr(v) for v in values]
-
-
 class TestDeriveOnce:
     """Validation keeps the elongated length, the wheel radius and the peak
     load it checks for overflow; the card and a sweep point read them."""
 
     def test_sweep_point_derives_each_quantity_once(self, monkeypatch):
+        # The first point of a sweep of the hub offset derives each quantity
+        # once, the second only the wheel radius.
         calls = count_formulas(monkeypatch)
-        sweep_point(params.reference_design(), default_force_table())
-        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(FORMULAS, 1)
+        point = own_point(params.reference_design())
+        assert {name: len(c) for name, c in calls.items()} \
+            == {name: 1 + (name == "transform_endpoint_radius") for name in FORMULAS}
+        assert bits(point.values()) == bits(sweep_row(params.reference_design()))
 
     @pytest.mark.parametrize("table", [None, default_force_table()], ids=["none", "default"])
     def test_default_table_card_derives_each_quantity_once(self, monkeypatch, table):
@@ -369,9 +382,8 @@ class TestDeriveOnce:
         table = TABLES["force_table.yaml"]
         calls = count_formulas(monkeypatch)
         design_card(params.reference_design(), table=table)
-        sweep_point(params.reference_design(), table)
-        # Validation's, on the default table, then the entry point's.
-        assert [args[1:] for args in calls["peak_load"]] == [(), (table,)] * 2
+        # Validation's, on the default table, then the card's.
+        assert [args[1:] for args in calls["peak_load"]] == [(), (table,)]
 
     def test_cli_sweep_derives_each_quantity_once_per_point(self, monkeypatch, design_file,
                                                            tmp_path):
@@ -392,21 +404,15 @@ class TestDeriveOnce:
         # Each entry point gets a design of its own, with no report yet.
         p = random_valid_params(random.Random(seed))
         table = default_force_table()
+        row = sweep_row(p)
         lengths = telescopic.module_lengths(p._replace())
-        assert bits([lengths.elongated, lengths.reduced]) \
-            == bits([params.elongated_length(p), params.reduced_length(p)])
-        theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
-        chassis = bending.chassis_diameter(p, theta).chassis_diameter
-        radius = wheelgeom.transform_endpoint_radius(p)
-        force, torque = quasistatics.peak_load(p, table)
-        point = sweep_point(p._replace(), table)
-        assert bits(point.values()) == bits([lengths.elongated, lengths.reduced,
-                                             lengths.reduction_ratio, chassis, radius, torque])
+        assert bits([*lengths, lengths.reduction_ratio]) == bits(row[:3])
+        assert bits(own_point(p._replace()).values()) == bits(row)
+        force = quasistatics.peak_load(p, table)[0]
         keys = ("elongated_length_mm", "reduced_length_mm", "reduction_ratio",
                 "chassis_diameter_mm", "wheel_radius_mm", "wheel_diameter_mm",
                 "peak_axial_force_N", "peak_torque_Nmm")
-        expected = bits([lengths.elongated, lengths.reduced, lengths.reduction_ratio, chassis,
-                         radius, 2.0 * radius, force, torque])
+        expected = bits([*row[:5], 2.0 * row[4], force, row[5]])
         for card_table in (None, table):
             card = design_card(p._replace(), table=card_table).outputs
             assert bits(card[key] for key in keys) == expected
@@ -425,12 +431,12 @@ def replaced(p, path, value):
 
 
 def expected_row(i, value, p, metric):
-    try:
-        point = sweep_point(p, default_force_table())
-    except InvalidDesignError:
-        fields = dict.fromkeys(v.field for v in validate(p).violations)
+    report = validate(p)
+    if not report.valid:
+        fields = dict.fromkeys(v.field for v in report.violations)
         return (i, value, *BLANK, "invalid", " ".join(fields))
-    return (i, value, *point.values(), point[metric], "ok", "")
+    row = sweep_row(p)
+    return (i, value, *row, row[SWEEP_METRICS.index(metric)], "ok", "")
 
 
 def swept(p, spec):
@@ -484,7 +490,7 @@ class TestSweep:
                     value = int(x) if is_count else float(x)
                     expected.append(expected_row(i, value, replaced(p, path, value),
                                                  spec.metric))
-                assert got == expected, path
+                assert [bits(row) for row in got] == [bits(row) for row in expected], path
                 assert [type(row[1]) for row in got] \
                     == [int if is_count else float] * spec.steps
                 if k % 2:
@@ -792,6 +798,12 @@ class TestStages:
         ran.clear()
         assert not validate(overrunning(reference)).valid
         assert ran == list(STAGE_NAMES[:len(params._STRUCTURE)])
+
+    def test_validate_builds_no_check(self, monkeypatch, reference):
+        # ``validate`` runs the one check built at import.
+        built = count_calls(monkeypatch, params, "_varying")
+        assert validate(reference).valid
+        assert built == []
 
     @pytest.mark.parametrize("index", range(len(STAGES)),
                              ids=[stage.__name__ for _, stage in STAGES])

@@ -173,19 +173,18 @@ class TestMinLevels:
 class TestDiameterLadder:
     def test_reference_ladder(self, reference):
         # Oracle: repeated addition of T_w + T_c + S_w = 2.0 onto 2.3.
-        assert diameter_ladder(reference).diameters == pytest.approx(
+        assert diameter_ladder(reference) == pytest.approx(
             (2.3, 4.3, 6.3, 8.3))
 
     def test_single_level(self, reference):
-        assert diameter_ladder(with_levels(reference, 1)).diameters == (2.3,)
+        assert diameter_ladder(with_levels(reference, 1)) == (2.3,)
 
     def test_zero_increment_degenerates_and_is_flagged(self, reference):
         flat = reference._replace(
             screw=reference.screw._replace(thread_width=0.0,
                                            thread_clearance=0.0, stopper_width=0.0),
         )
-        ladder = diameter_ladder(flat)
-        assert all(d == 2.3 for d in ladder.diameters)
+        assert all(d == 2.3 for d in diameter_ladder(flat))
         assert not validate(flat).valid  # zero widths violate the positivity rules
 
     @given(st.floats(min_value=0.01, max_value=5.0),
@@ -201,7 +200,7 @@ class TestDiameterLadder:
                                       thread_clearance=tc, stopper_width=sw,
                                       n_levels=n),
         )
-        d = diameter_ladder(p).diameters
+        d = diameter_ladder(p)
         assert len(d) == n
         assert d[0] == p.screw.base_screw_diameter
         assert all(b > a for a, b in zip(d, d[1:]))
