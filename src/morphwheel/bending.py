@@ -191,7 +191,7 @@ def rod_sizing(p: DesignParams, theta_plate: float, chassis_d: float) -> RodSizi
     non-positive collapsed length means the bend demand exceeds what any
     two-segment rod can serve.
     """
-    if chassis_d <= 0:
+    if not chassis_d > 0:  # NaN too
         raise ValueError("chassis diameter must be positive")
     if not 0 < theta_plate <= MAX_PLATE_TILT:
         raise ValueError("theta_plate must be in (0, pi/4]")

@@ -18,17 +18,17 @@ from __future__ import annotations
 import functools
 import io
 import math
+import re
 import typing
-from collections.abc import Hashable
 
 import yaml
 
 from .errors import ConfigError, InvalidDesignError
 
 # libyaml's C parser and emitter when PyYAML was built with them, else the
-# pure-Python ones; the values are built from the node tree in Python (see
-# ``_parse_yaml``) and written by PyYAML's representer either way, so both
-# give the same results.
+# pure-Python ones; the values are built and written by PyYAML's constructor
+# and representer either way, so both give the same results. A plain config
+# does not reach the loader (``_plain_doc``).
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
@@ -563,9 +563,6 @@ def _read_section(doc: dict, name: str, cls: type, schema: dict[str, _Field]):
     return built
 
 
-_STR, _FLOAT, _MAP, _SEQ = (f"tag:yaml.org,2002:{kind}" for kind in ("str", "float", "map", "seq"))
-
-
 def _parse_yaml(text: str, what: str):
     """The YAML document in ``text``, the value ``yaml.load(text,
     Loader=YAML_LOADER)`` gives; a YAML error, or a constructor's own error,
@@ -573,8 +570,7 @@ def _parse_yaml(text: str, what: str):
     its mark."""
     loader = _checked(YAML_LOADER)(io.StringIO(text))
     try:
-        root = loader.get_single_node()
-        return None if root is None else _construct(loader, root)
+        return loader.get_single_data()
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ConfigError(f"{what} is not valid YAML: {exc}",
@@ -600,65 +596,55 @@ def _checked(loader_class: type) -> type:
     return Checked
 
 
-def _construct(loader, root):
-    """The value of the node tree under ``root``, as the loader's
-    ``construct_document`` would build it, in one walk without its per-node
-    bookkeeping.
+# One line of a plain config: a section header at column 0, a key indented
+# two spaces with a YAML 1.1 decimal int or float, or a blank or comment
+# line. A comment after a header or a value follows a space, as in YAML.
+_PLAIN_LINE = re.compile(
+    r"(?:([a-z_]+):|  ([a-z_]+): +(?:([-+]?(?:0|[1-9][0-9]*))"
+    r"|([-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)))(?: +#[ -~]*| *)"
+    r"| *(?:#[ -~]*)?")
 
-    A plain mapping or sequence becomes a dict or list, registered in the
-    loader's table of built nodes before it is filled, so an alias shares
-    the object and a recursive alias refers back to it. Its filling waits in
-    one first-in first-out queue with the loader's own deferred constructors,
-    the order in which PyYAML fills its containers, so the first error is the
-    one ``yaml.load`` raises. A ``str`` scalar is its text and a ``float``
-    one ``float`` of it, which equals the loader's value whenever ``float``
-    accepts the text. Every other node goes to the loader's constructor.
+# Section name -> the keys a plain config may give it.
+_PLAIN_KEYS = {name: schema.keys() | _RESTATED.get(name, {}).keys()
+               for name, (_, schema) in _SECTIONS.items()}
+
+
+def _plain_doc(text: str) -> dict | None:
+    """The document of a plain config, the one ``_parse_yaml`` gives, read
+    line by line without PyYAML; None for any other text.
+
+    A plain config is printable ASCII lines, each matching ``_PLAIN_LINE``,
+    with no section or key given twice, every section a config section and
+    every key one of its fields or restated keys: the shape ``serialize``
+    writes. Each of those keys is a string to YAML and each value the int or
+    float it names, so the document is YAML's; a section without keys is
+    None, as in YAML.
     """
-    built = loader.constructed_objects
-    pending = []
-
-    def value(node):
-        tag, kind = node.tag, type(node)
-        if kind is yaml.ScalarNode:
-            if tag == _STR:
-                return node.value
-            if tag == _FLOAT:
-                try:
-                    return float(node.value)
-                except ValueError:  # .inf, .nan, sexagesimal, ...
-                    pass
-        elif tag == (_MAP if kind is yaml.MappingNode else _SEQ):
-            obj = built.get(node)
-            if obj is None:
-                obj = built[node] = {} if kind is yaml.MappingNode else []
-                pending.append(node)
-            return obj
-        obj = loader.construct_object(node)
-        pending.extend(loader.state_generators)
-        loader.state_generators.clear()
-        return obj
-
-    doc = value(root)
-    for item in pending:  # grows while it is read
-        kind = type(item)
-        if kind is yaml.MappingNode:
-            loader.flatten_mapping(item)  # merge keys and value keys
-            mapping = built[item]
-            for key_node, value_node in item.value:
-                key = value(key_node)
-                if type(key) is not str and not isinstance(key, Hashable):
-                    raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", item.start_mark,
-                        "found unhashable key", key_node.start_mark)
-                mapping[key] = value(value_node)
-        elif kind is yaml.SequenceNode:
-            built[item].extend([value(child) for child in item.value])
-        else:  # a deferred constructor of the loader's
-            for _ in item:
-                pass
-            pending.extend(loader.state_generators)
-            loader.state_generators.clear()
-    return doc
+    doc = {}
+    current = keys = None
+    for line in text.split("\n"):
+        m = _PLAIN_LINE.fullmatch(line)
+        if m is None:
+            return None
+        name, key, count, number = m.groups()
+        if key is not None:
+            if keys is None or key not in keys:
+                return None
+            section = doc[current]
+            if section is None:
+                section = doc[current] = {}
+            elif key in section:
+                return None
+            try:  # ``int`` refuses a text past its digit limit; YAML fails too
+                section[key] = int(count) if count is not None else float(number)
+            except ValueError:
+                return None
+        elif name is not None:
+            if name in doc or name not in _PLAIN_KEYS:
+                return None
+            doc[name] = None
+            current, keys = name, _PLAIN_KEYS[name]
+    return doc or None
 
 
 def load(config_text: str) -> DesignParams:
@@ -670,7 +656,9 @@ def load(config_text: str) -> DesignParams:
     errors, the source line. Invariant violations do NOT raise; they are
     reported in the design's ``validation`` so callers can decide.
     """
-    doc = _parse_yaml(config_text, "config")
+    doc = _plain_doc(config_text)
+    if doc is None:
+        doc = _parse_yaml(config_text, "config")
     if doc is None:
         raise ConfigError("config is empty")
     if not isinstance(doc, dict):

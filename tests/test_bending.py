@@ -230,6 +230,12 @@ class TestRodSizing:
         with pytest.raises(InfeasibleError, match="rod"):
             rods_for(10.0, 200.0, math.pi / 4)
 
+    @pytest.mark.parametrize("chassis_d", [math.nan, -math.inf, 0.0, -1.0], ids=repr)
+    def test_chassis_diameter_must_be_positive(self, reference, chassis_d):
+        # A NaN diameter would give NaN rod lengths.
+        with pytest.raises(ValueError, match="chassis diameter must be positive"):
+            rod_sizing(reference, math.pi / 16, chassis_d)
+
     @given(st.floats(min_value=1.0, max_value=200.0),
            st.floats(min_value=1.0, max_value=100.0),
            st.floats(min_value=0.01, max_value=math.pi / 4))

@@ -678,6 +678,11 @@ MALFORMED_YAML = {
 }
 
 
+def parse_config(text):
+    # ``load`` reads a plain config without a YAML loader.
+    return params._parse_yaml(text, "config")
+
+
 class TestYamlLoader:
     """The pure-Python ``yaml.SafeLoader`` is the reference for the loader
     ``params`` picks; both must give the same results."""
@@ -706,7 +711,7 @@ class TestYamlLoader:
 
     def test_reference_config(self, monkeypatch):
         text = (CONFIGS / "reference.yaml").read_text(encoding="utf-8")
-        self.assert_same(monkeypatch, load, text)
+        self.assert_same(monkeypatch, parse_config, text)
 
     def test_pyyaml_without_libyaml(self, capsys):
         # A fresh interpreter whose PyYAML lacks libyaml picks the
@@ -725,7 +730,7 @@ class TestYamlLoader:
         assert proc.stdout == capsys.readouterr().out
 
     def test_minimal_config(self, monkeypatch):
-        self.assert_same(monkeypatch, load, MINIMAL_CONFIG)
+        self.assert_same(monkeypatch, parse_config, MINIMAL_CONFIG)
 
     def test_force_table_file(self, monkeypatch):
         text = (CONFIGS / "force_table.yaml").read_text(encoding="utf-8")
@@ -734,7 +739,7 @@ class TestYamlLoader:
     def test_random_designs(self, monkeypatch):
         rng = random.Random(20261018)
         for _ in range(200):
-            self.assert_same(monkeypatch, load, serialize(random_valid_params(rng)))
+            self.assert_same(monkeypatch, parse_config, serialize(random_valid_params(rng)))
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_YAML))
     def test_malformed_config_same_line(self, monkeypatch, case):
@@ -951,6 +956,216 @@ class TestParseYaml:
         proc = subprocess.run([sys.executable, "-c", ALIAS_BOMB_SCRIPT, loader], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+# Values YAML reads as no plain number or not at all: an exponent without
+# a sign, hex, octal, a leading dot, an underscore, infinity, a '#' with no
+# space before it, an int past ``int``'s digit limit, sexagesimal, a
+# timestamp, a bool, a null, a flow sequence, a quoted string, two words,
+# an anchor and an alias.
+NEAR_MISS_VALUES = ("1e3", "1.5e3", "0x1F", "017", "08", "00", ".5", "-.5", "1_000", ".inf",
+                    "-.inf", ".nan", "4#c", "9" * 5000, "190:20:30", "2001-12-14", "yes", "~",
+                    "", "[4]", "'4'", "4 5", "&a 4", "*a")
+# Keys YAML reads as a bool, a null, an int or a merge key, and unknown keys.
+NEAR_MISS_KEYS = ("on", "off", "yes", "no", "true", "false", "null", "Yes", "1", "<<", "bogus",
+                  "N_levels")
+COMMENTS = ("", " ", "  # c", " #c")
+# The ways a drawn text may leave the plain grammar or the design schema:
+# in its sections, keys and values, and in its layout.
+CONTENT_FLAWS = ("value", "key", "restated key", "repeated key", "header", "header comment",
+                 "missing section", "repeated section", "missing key", "empty section")
+LAYOUT_FLAWS = ("key before header", "indent", "indent one", "continuation", "tab",
+                "break in a comment", "crlf", "prefix", "suffix")
+# Characters YAML reads as a line break, besides '\n'.
+BREAKS = ("\r", "\x85", "\u2028", "\u2029")
+
+
+# Number texts of the plain grammar: ints for a count, else ints and
+# floats, some as ``serialize`` writes them and some with the six decimals
+# of the benchmark's configs.
+_SIGNS, _DIGITS = st.sampled_from(("", "-", "+")), st.integers(0, 10 ** 30).map(str)
+PLAIN_COUNTS = st.builds(operator.add, _SIGNS, _DIGITS)
+PLAIN_NUMBERS = st.one_of(
+    PLAIN_COUNTS,
+    st.builds("{}{}{}.{}{}".format, _SIGNS, st.sampled_from(("", "0", "00")), _DIGITS,
+              st.sampled_from(("", "0", "05")) | _DIGITS,
+              st.sampled_from(("", "e+5", "E-3", "e+07", "e-400", "E+400"))),
+    st.floats(allow_nan=False, allow_infinity=False).map(
+        lambda x: yaml.safe_dump(x).split("\n")[0]),
+    st.floats(-1e6, 1e6).map("{:.6f}".format))
+
+
+# Near-miss values, some drawn: a leading zero, an exponent without a sign.
+NEAR_MISS_NUMBERS = st.one_of(st.sampled_from(NEAR_MISS_VALUES),
+                              st.builds("{}0{}".format, _SIGNS, _DIGITS),
+                              st.builds("{}.{}e{}".format, _DIGITS, _DIGITS, _DIGITS))
+
+
+@st.composite
+def config_texts(draw):
+    """Config text from the plain grammar: every section and key in a drawn
+    order, each value a drawn plain number, with up to three content flaws
+    and one layout flaw."""
+    def pick(items):
+        return items[draw(st.integers(0, len(items) - 1))]
+
+    sections = []
+    for name, (_, schema) in params._SECTIONS.items():
+        keys = []
+        for key in draw(st.permutations(list(schema))):
+            number = PLAIN_COUNTS if schema[key].is_count else PLAIN_NUMBERS
+            keys.append([key, draw(number), pick(COMMENTS)])
+        sections.append([name, pick(COMMENTS), keys])
+    flaws = draw(st.lists(st.sampled_from(CONTENT_FLAWS), max_size=3)) \
+        + draw(st.lists(st.sampled_from(LAYOUT_FLAWS), max_size=1))
+    for flaw in flaws:
+        section = pick(sections)
+        name, _, keys = section
+        if flaw == "value" and keys:
+            pick(keys)[1] = draw(NEAR_MISS_NUMBERS)
+        elif flaw == "key":
+            keys.insert(draw(st.integers(0, len(keys))), [pick(NEAR_MISS_KEYS), "4", ""])
+        elif flaw == "restated key":  # in its own section or another
+            keys.append([pick(("shaft_levels", "joint_height")),
+                         pick(("3", "10.0", "4", "10.5")), ""])
+        elif flaw == "repeated key" and keys:
+            keys.append(list(pick(keys)))
+        elif flaw == "header":
+            section[0] = pick(NEAR_MISS_KEYS + tuple(params._SECTIONS))
+        elif flaw == "header comment":
+            section[1] = "#c"
+        elif flaw == "missing section":
+            sections.remove(section)
+        elif flaw == "repeated section":
+            sections.append([name, "", [list(key) for key in keys]])
+        elif flaw == "missing key" and keys:
+            keys.remove(pick(keys))
+        elif flaw == "empty section":
+            keys.clear()
+        if not sections:
+            break
+    lines = []
+    for name, comment, keys in sections:
+        lines.append(f"{name}:{comment}")
+        lines += [f"  {key}: {value}{comment}" for key, value, comment in keys]
+    for _ in range(draw(st.integers(0, 2))):  # blank and comment lines
+        lines.insert(draw(st.integers(0, len(lines))), pick(("", "# note", "   # note", "   ")))
+    if "key before header" in flaws:
+        lines.insert(0, "  n_levels: 4")
+    if "indent" in flaws:  # every key line
+        lines = ["  " + line if line.startswith("  ") else line for line in lines]
+    for flaw, fix in (("indent one", lambda line: "  " + line),
+                      ("tab", lambda line: line.replace(" ", "\t", 1)),
+                      ("break in a comment",
+                       lambda line: f"{line} # c{pick(BREAKS)}  n_levels: 5")):
+        if flaw in flaws and lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i] = fix(lines[i])
+    if "continuation" in flaws:
+        lines.insert(draw(st.integers(0, len(lines))), pick(("    5", "   more", "  - 4")))
+    text = ("\r\n" if "crlf" in flaws else "\n").join(lines) + pick(("", "\n"))
+    if "prefix" in flaws:
+        text = pick(("\ufeff", "---\n", "%YAML 1.1\n---\n")) + text
+    if "suffix" in flaws:
+        text += pick(("\n...\n", "\n---\n", "\nscrew: &s\n  n_levels: *s\n"))
+    return text
+
+
+def config_outcome(fn, text):
+    """``repr(fn(text))``, or the message, field and line of the
+    ``ConfigError`` it raised."""
+    try:
+        return repr(fn(text))
+    except ConfigError as exc:
+        return str(exc), exc.field, exc.line
+
+
+def yaml_only_load(text):
+    """``load`` with the plain reader refusing every text."""
+    with mock.patch.object(params, "_plain_doc", lambda text: None):
+        return load(text)
+
+
+def near_misses():
+    """A plain config with one near-miss of the plain grammar in it."""
+    plain = serialize(reference_design())
+    cases = {f"value {v[:8]}": plain.replace("n_levels: 4", f"n_levels: {v}")
+             for v in NEAR_MISS_VALUES}
+    cases |= {f"key {k}": plain.replace("\n  n_levels:", f"\n  {k}: 4\n  n_levels:")
+              for k in NEAR_MISS_KEYS}
+    cases |= {f"section {k}": plain.replace("\nscrew:", f"\n{k}:") for k in NEAR_MISS_KEYS}
+    cases |= {
+        "repeated key": plain.replace("\n  n_levels: 4", "\n  n_levels: 4\n  n_levels: 4"),
+        "repeated section": plain + "screw:\n  n_levels: 4\n",
+        "key before header": "  n_levels: 4\n" + plain,
+        "four-space indent": plain.replace("\n  ", "\n    "),
+        "continuation": plain.replace("n_levels: 4", "n_levels: 4\n    5"),
+        "crlf": plain.replace("\n", "\r\n"),
+        "tab": plain.replace("n_levels: 4", "n_levels:\t4"),
+        "bom": "\ufeff" + plain,
+        "document start": "---\n" + plain,
+        "anchor": plain.replace("n_levels: 4", "n_levels: &a 4\n  thread_width: *a"),
+        "not ascii": plain.replace("n_levels: 4", "n_levels: 4  # 5 \u00b5m"),
+        "only a comment": "# only a comment\n",
+    }
+    cases |= {f"break {ord(c):#x} in a comment":
+              plain.replace("n_levels: 4", f"n_levels: 4 # c{c}  n_levels: 5") for c in BREAKS}
+    return [pytest.param(text, id=name) for name, text in cases.items()]
+
+
+def assert_same_as_yaml(text):
+    """``_plain_doc`` gives YAML's document or None, and ``load`` gives what
+    a load by YAML alone gives."""
+    plain = params._plain_doc(text)
+    if plain is not None:
+        assert config_outcome(parse_config, text) == repr(plain)
+    assert config_outcome(load, text) == config_outcome(yaml_only_load, text)
+
+
+class TestPlainReader:
+    """``_plain_doc`` reads a plain config without PyYAML. Every document it
+    gives is the one ``_parse_yaml`` gives, and ``load`` gives what it gives
+    with YAML alone: the same design, or the same error."""
+
+    @given(config_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_same_as_yaml(self, text):
+        assert_same_as_yaml(text)
+
+    @given(st.integers(0, 2 ** 64), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_near_miss_in_a_serialized_design(self, seed, data):
+        # One key or value of a plain config, drawn from the near-misses.
+        lines = serialize(random_params(random.Random(seed))).split("\n")
+        i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line[:1] == " "]))
+        key, value = lines[i].split(": ")
+        if data.draw(st.booleans()):
+            value = data.draw(NEAR_MISS_NUMBERS)
+        else:
+            key = "  " + data.draw(st.sampled_from(NEAR_MISS_KEYS))
+        lines[i] = f"{key}: {value}"
+        assert_same_as_yaml("\n".join(lines))
+
+    @pytest.mark.parametrize("text", near_misses())
+    def test_near_misses_go_to_yaml(self, text):
+        assert params._plain_doc(text) is None
+        assert_same_as_yaml(text)
+
+    @given(st.integers(0, 2 ** 64), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_serialized_designs_are_plain(self, seed, valid):
+        # A design ``serialize`` writes never leaves the plain path.
+        p = (random_valid_params if valid else random_params)(random.Random(seed))
+        text = serialize(p)
+        assert repr(params._plain_doc(text)) == config_outcome(parse_config, text)
+        assert load(text) == p
+
+    @pytest.mark.parametrize("text", [(CONFIGS / "reference.yaml").read_text(encoding="utf-8"),
+                                      MINIMAL_CONFIG, MINIMAL_CONFIG + "reported:\n"],
+                             ids=["reference", "minimal", "empty section"])
+    def test_configs_are_plain(self, text):
+        # YAML reads a header with no keys as None, a missing section.
+        assert repr(params._plain_doc(text)) == config_outcome(parse_config, text)
 
 
 INSTALLED_DUMPER = params.YAML_DUMPER

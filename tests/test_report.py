@@ -101,16 +101,18 @@ def wheel_sweep_runs(points, validations):
 
 
 @pytest.fixture
-def count_yaml_loads(monkeypatch):
-    calls = []
+def count_parses(monkeypatch):
+    """The texts that later ``_plain_doc`` calls read, as argument tuples,
+    and that later YAML loaders are built on."""
+    loaded = []
 
     class Counted(params.YAML_LOADER):
         def __init__(self, stream):
-            calls.append(stream)
+            loaded.append(stream.getvalue())
             super().__init__(stream)
 
     monkeypatch.setattr(params, "YAML_LOADER", Counted)
-    return calls
+    return {"plain": count_calls(monkeypatch, params, "_plain_doc"), "yaml": loaded}
 
 
 @pytest.fixture
@@ -304,15 +306,29 @@ class TestValidateOnce:
         assert card.warnings == consistency_warnings(reference)
 
     @pytest.mark.parametrize("verb", ["validate", "report"])
-    def test_cli_parses_the_config_once(self, count_yaml_loads, design_file, verb):
+    def test_cli_parses_the_config_once(self, count_parses, design_file, verb):
+        # The plain reader reads the file once; no YAML loader is built.
         assert main([verb, "--config", design_file]) == 0
-        assert len(count_yaml_loads) == 1
+        text = Path(design_file).read_text(encoding="utf-8")
+        assert count_parses == {"plain": [(text,)], "yaml": []}
 
     def test_cli_report_parses_config_and_force_table_once_each(
-            self, count_yaml_loads, design_file):
+            self, count_parses, design_file):
         assert main(["report", "--config", design_file,
                      "--force-table", str(FORCE_TABLE)]) == 0
-        assert len(count_yaml_loads) == 2
+        text = Path(design_file).read_text(encoding="utf-8")
+        table = FORCE_TABLE.read_text(encoding="utf-8")
+        assert count_parses == {"plain": [(text,)], "yaml": [table]}
+
+    @pytest.mark.parametrize("verb", ["validate", "report"])
+    def test_cli_parses_a_yaml_config_once(self, count_parses, tmp_path, verb):
+        # Four-space indentation is YAML but not plain: the plain reader
+        # refuses it, and one YAML loader reads it.
+        text = params.serialize(params.reference_design()).replace("\n  ", "\n    ")
+        path = tmp_path / "design.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main([verb, "--config", str(path)]) == 0
+        assert count_parses == {"plain": [(text,)], "yaml": [text]}
 
     def test_cli_sweep_validates_once_per_point(self, count_validate, design_file, tmp_path,
                                                 monkeypatch):
