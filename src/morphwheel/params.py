@@ -10,7 +10,9 @@ Config files are YAML with one section per field of ``DesignParams``, whose
 keys are the fields of that section's named tuple (the ``reported`` block of
 published target values, used for cross-checking, is optional); a section may
 also restate a value derived from its fields (``_RESTATED``). See
-``configs/reference.yaml`` for an annotated example of every key.
+``configs/reference.yaml`` for an annotated example of every key. A plain
+config, the shape ``serialize`` writes, is read and written without PyYAML,
+which is imported only for other YAML and for force tables.
 """
 
 from __future__ import annotations
@@ -21,16 +23,7 @@ import math
 import re
 import typing
 
-import yaml
-
 from .errors import ConfigError, InvalidDesignError
-
-# libyaml's C parser and emitter when PyYAML was built with them, else the
-# pure-Python ones; the values are built and written by PyYAML's constructor
-# and representer either way, so both give the same results. A plain config
-# does not reach the loader (``_plain_doc``).
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 __all__ = [
     "TelescopicScrewSpec",
@@ -44,7 +37,6 @@ __all__ = [
     "Inconsistency",
     "ValidationReport",
     "YAML_LOADER",
-    "YAML_DUMPER",
     "residual_length",
     "elongated_length",
     "reduced_length",
@@ -489,7 +481,7 @@ def _schema(section: str, cls: type) -> dict[str, _Field]:
 
 # Section name -> (its class, {key: _Field}), in the order of the fields of
 # ``DesignParams``, read from its annotations: the one table that ``load``,
-# ``serialize``, ``set_field`` and a sweep read.
+# ``serialize`` and a sweep read.
 _SECTIONS: dict[str, tuple[type, dict[str, _Field]]] = {
     name: (cls, _schema(name, cls))
     for name, cls in typing.get_type_hints(DesignParams).items()}
@@ -563,12 +555,26 @@ def _read_section(doc: dict, name: str, cls: type, schema: dict[str, _Field]):
     return built
 
 
+def __getattr__(name: str):
+    # ``YAML_LOADER``, bound on first use, so that plain configs never import
+    # PyYAML: libyaml's C parser when PyYAML has it, else the pure-Python one;
+    # PyYAML's constructors build the values either way.
+    if name != "YAML_LOADER":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import yaml
+    global YAML_LOADER
+    YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    return YAML_LOADER
+
+
 def _parse_yaml(text: str, what: str):
     """The YAML document in ``text``, the value ``yaml.load(text,
     Loader=YAML_LOADER)`` gives; a YAML error, or a constructor's own error,
     raises ``ConfigError`` saying ``what`` is not valid YAML, with the line of
-    its mark."""
-    loader = _checked(YAML_LOADER)(io.StringIO(text))
+    its mark. The loader is the one ``YAML_LOADER`` names at the call."""
+    import yaml
+    loader = _checked(globals().get("YAML_LOADER") or __getattr__("YAML_LOADER"))(
+        io.StringIO(text))
     try:
         return loader.get_single_data()
     except yaml.YAMLError as exc:
@@ -583,6 +589,7 @@ def _parse_yaml(text: str, what: str):
 def _checked(loader_class: type) -> type:
     """``loader_class`` raising its constructors' own errors (a timestamp with
     month 13, ``!!bool maybe``) as YAML errors at the node being built."""
+    import yaml
 
     class Checked(loader_class):
         def construct_object(self, node, deep=False):
@@ -670,16 +677,28 @@ def load(config_text: str) -> DesignParams:
                            for name, (cls, schema) in _SECTIONS.items()})
 
 
+def _number(value: int | float) -> str:
+    # A number as PyYAML's SafeRepresenter writes it: its repr, with ".0" put
+    # before a bare exponent, as YAML 1.1 needs ("1.0e+300"), and YAML's names
+    # of the non-finite floats.
+    text = repr(value)
+    if "e" in text and "." not in text:
+        return text.replace("e", ".0e")
+    return {"inf": ".inf", "-inf": "-.inf", "nan": ".nan"}.get(text, text)
+
+
 def serialize(p: DesignParams) -> str:
-    """Emit config text that ``load`` parses back to an equal ``DesignParams``.
-    A section whose every field is None is left out."""
-    doc = {}
-    for name, (_, schema) in _SECTIONS.items():
+    """Emit config text that ``load`` parses back to an equal ``DesignParams``:
+    a plain config, byte for byte what ``yaml.safe_dump`` writes of it in block
+    style. A section whose every field is None is left out."""
+    out = []
+    for name, (_, schema) in sorted(_SECTIONS.items()):
         section = getattr(p, name)
-        values = {key: value for key in schema if (value := getattr(section, key)) is not None}
+        values = [f"  {key}: {_number(value)}\n" for key in sorted(schema)
+                  if (value := getattr(section, key)) is not None]
         if values:
-            doc[name] = values
-    return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=True, default_flow_style=False)
+            out += [f"{name}:\n", *values]
+    return "".join(out) or "{}\n"
 
 
 def reference_design() -> DesignParams:

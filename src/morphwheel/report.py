@@ -9,7 +9,6 @@ once, on first use.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 import operator
 import typing
@@ -26,6 +25,14 @@ from .params import (
     serialize,
 )
 
+try:  # the interpreter's own SHA-256: ``hashlib`` would load OpenSSL
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 __all__ = [
     "RunReport",
     "DEFAULT_TOTAL_BEND",
@@ -34,7 +41,6 @@ __all__ = [
     "SweepSpec",
     "consistency_warnings",
     "design_card",
-    "set_field",
     "sweep_columns",
     "sweep",
     "config_digest",
@@ -47,7 +53,10 @@ _REL_TOL = 1e-6
 
 
 def config_digest(config_text: str) -> str:
-    return "sha256:" + hashlib.sha256(config_text.encode("utf-8")).hexdigest()
+    """The SHA-256 of ``config_text`` in UTF-8. The CLI hashes the config file
+    as decoded with universal newlines, so a copy with CRLF line ends prints
+    the digest of the LF file."""
+    return "sha256:" + sha256(config_text.encode("utf-8")).hexdigest()
 
 
 class RunReport(typing.NamedTuple):
@@ -206,12 +215,6 @@ class SweepSpec(_SweepFields):
     @property
     def maximise(self) -> bool:
         return _OBJECTIVE_METRIC[self.objective][1]
-
-
-def set_field(p: DesignParams, path: str, value: float) -> DesignParams:
-    """Return a copy of the design with one dotted numeric field replaced."""
-    field = _field_path(path)
-    return field.setter(p)(field.value(value))
 
 
 def sweep_columns(spec: SweepSpec) -> tuple[str, ...]:

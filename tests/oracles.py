@@ -1,12 +1,19 @@
 """Brute-force oracles: the closed-form inverse sizing in ``telescopic``, the
 keyframe file as ``json.dumps`` writes it, the peak of a torque profile and
-the metrics of a sweep row."""
+the metrics of a sweep row; and ``set_field``, the setter a sweep applies at
+each point."""
 
 import json
 
 from morphwheel import InfeasibleError, bending, params, quasistatics, wheelgeom
 from morphwheel.report import DEFAULT_TOTAL_BEND
 from morphwheel.wheelgeom import ARC_POINTS_PER_SECTOR, KEYFRAME_SCHEMA_VERSION
+
+
+def set_field(p, path: str, value: float):
+    """A copy of design ``p`` with the dotted numeric field ``path`` set to ``value``."""
+    field = params._field_path(path)
+    return field.setter(p)(field.value(value))
 
 
 def _ratio(screw_length: float, n_levels: int, residual: float) -> float:

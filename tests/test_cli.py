@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from morphwheel import (
@@ -26,11 +26,11 @@ from morphwheel import (
 )
 from morphwheel.cli import main
 from morphwheel.params import _MAX_STEPS, _SECTIONS, reference_design, residual_length
-from morphwheel.report import Objective, SweepSpec, consistency_warnings, design_card, set_field
+from morphwheel.report import Objective, SweepSpec, consistency_warnings, design_card
 from morphwheel.telescopic import shaft_levels
 
 from conftest import random_valid_params
-from oracles import keyframes_json
+from oracles import keyframes_json, set_field
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_CONFIG = str(ROOT / "configs" / "reference.yaml")
@@ -128,6 +128,28 @@ class TestDesignCard:
         assert a.digest == b.digest
         assert a.outputs == b.outputs
         assert a.warnings == b.warnings
+
+
+class TestConfigDigest:
+    @given(st.text())
+    @example("")
+    @example("é ∑ 😀\n")
+    @example("a\r\nb\n")
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_sha256_of_the_utf8_text(self, text):
+        assert report.config_digest(text) == "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+    def test_crlf_copy_prints_the_lf_digest(self, tmp_path, capsys):
+        # The CLI hashes the text decoded with universal newlines.
+        lf = Path(REFERENCE_CONFIG).read_bytes()
+        crlf = tmp_path / "crlf.yaml"
+        crlf.write_bytes(lf.replace(b"\n", b"\r\n"))
+        digests = []
+        for path in (REFERENCE_CONFIG, str(crlf)):
+            assert main(["report", "--config", path]) == 0
+            digests += [line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("digest: ")]
+        assert digests == ["digest: sha256:" + hashlib.sha256(lf).hexdigest()] * 2
 
 
 class TestSetField:
@@ -1067,6 +1089,33 @@ class TestProcess:
         proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True, timeout=60, check=True)
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("argv, loaded", [
+        ([], []),
+        (["validate"], []),
+        (["report"], []),
+        (["sweep", "--sweep-param", "wheel.hub_offset", "--sweep-range", "10:200:4",
+          "--objective", "max-wheel-radius", "--out", "{tmp}/s.csv"], []),
+        (["profile", "--steps", "5", "--out", "{tmp}/p.csv"], []),
+        # PyYAML is imported for a force table and for a config that is not plain.
+        (["profile", "--steps", "5", "--out", "{tmp}/t.csv",
+          "--force-table", str(ROOT / "configs" / "force_table.yaml")], ["yaml"]),
+        (["report", "--config", "{tmp}/indented.yaml"], ["yaml"]),
+    ], ids=["import", "validate", "report", "sweep", "profile", "force-table", "indented"])
+    def test_plain_runs_load_no_yaml_or_hashlib(self, tmp_path, argv, loaded):
+        # In a fresh interpreter, which then prints what it loaded of the two.
+        text = Path(REFERENCE_CONFIG).read_text(encoding="utf-8")
+        (tmp_path / "indented.yaml").write_text(text.replace("\n  ", "\n    "), encoding="utf-8")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if argv and "--config" not in argv:
+            argv += ["--config", REFERENCE_CONFIG]
+        code = ("import sys; from morphwheel.cli import main; "
+                "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+                "print(sorted({'yaml', 'hashlib'} & set(sys.modules)), file=sys.stderr); "
+                "sys.exit(rc)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, f"{loaded}\n")
 
     def test_main_leaves_sigterm_alone(self, config_file, capsys):
         before = signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT)

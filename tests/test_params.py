@@ -28,10 +28,11 @@ from morphwheel import params
 from morphwheel.cli import main
 from morphwheel.params import reference_design, residual_length
 from morphwheel.quasistatics import load_force_table, screw_torque
-from morphwheel.report import consistency_warnings, set_field
+from morphwheel.report import consistency_warnings
 from morphwheel.telescopic import shaft_levels
 
 from conftest import random_params, random_valid_params
+from oracles import set_field
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MINIMAL_CONFIG = """
@@ -719,7 +720,6 @@ class TestYamlLoader:
         script = ("import sys, yaml; del yaml.CSafeLoader, yaml.CSafeDumper; "
                   "import morphwheel.params as params; from morphwheel.cli import main; "
                   "assert params.YAML_LOADER is yaml.SafeLoader; "
-                  "assert params.YAML_DUMPER is yaml.SafeDumper; "
                   "sys.exit(main(sys.argv[1:]))")
         argv = ["report", "--config", str(CONFIGS / "reference.yaml")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -1168,28 +1168,81 @@ class TestPlainReader:
         assert repr(params._plain_doc(text)) == config_outcome(parse_config, text)
 
 
-INSTALLED_DUMPER = params.YAML_DUMPER
+DUMPERS = [yaml.SafeDumper] + ([yaml.CSafeDumper] if yaml.__with_libyaml__ else [])
+# Numbers in each form PyYAML writes: a bare exponent, which gets ".0" (the
+# least subnormal among them), a dotted exponent, a negative zero, a short
+# repr and an int in a float field; then the floats ``load`` refuses.
+EDGE_VALUES = (1e300, 5e-324, -0.0, 1e16, 0.1, 60, -1e-7, 1.5e16)
+NON_FINITE = (math.inf, -math.inf, math.nan)
+FLOAT_FIELDS = [f for _, schema in params._SECTIONS.values() for f in schema.values()
+                if not f.is_count]
+
+
+def with_value(p, f, value):
+    """``p`` with field ``f`` holding ``value`` as given, unconverted."""
+    return p._replace(**{f.section: getattr(p, f.section)._replace(**{f.name: value})})
+
+
+def yaml_dump(p, dumper):
+    """The text ``yaml.dump`` writes of the document of ``p``, sorted, block style."""
+    doc = {}
+    for name, (_, schema) in params._SECTIONS.items():
+        values = {key: value for key in schema
+                  if (value := getattr(getattr(p, name), key)) is not None}
+        if values:
+            doc[name] = values
+    return yaml.dump(doc, Dumper=dumper, sort_keys=True, default_flow_style=False)
 
 
 class TestYamlDumper:
-    """The pure-Python ``yaml.SafeDumper`` that ``yaml.safe_dump`` uses is the
-    reference for the dumper ``serialize`` picks; both write the same bytes."""
+    """``serialize`` writes without PyYAML what PyYAML's ``SafeDumper``, and
+    libyaml's ``CSafeDumper`` when it is there, writes of the same document,
+    byte for byte. The text of a finite design is a plain config that reads
+    back to the design."""
 
-    def assert_same(self, monkeypatch, p):
-        texts = []
-        for dumper in (INSTALLED_DUMPER, yaml.SafeDumper):
-            monkeypatch.setattr(params, "YAML_DUMPER", dumper)
-            texts.append(serialize(p).encode("utf-8"))
-        assert texts[0] == texts[1]
+    def assert_same(self, p):
+        text = serialize(p)
+        for dumper in DUMPERS:
+            assert text.encode("utf-8") == yaml_dump(p, dumper).encode("utf-8"), dumper
+        values = [getattr(getattr(p, f.section), f.name) for f in FLOAT_FIELDS]
+        if all(v is None or math.isfinite(v) for v in values):
+            assert params._plain_doc(text) is not None, text
+            assert repr(params._plain_doc(text)) == repr(parse_config(text))
+            assert load(text) == p
 
-    def test_libyaml_is_used_when_installed(self):
-        expected = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
-        assert INSTALLED_DUMPER is expected
+    def test_reference_config(self):
+        self.assert_same(load((CONFIGS / "reference.yaml").read_text(encoding="utf-8")))
 
-    def test_reference_config(self, monkeypatch):
-        self.assert_same(monkeypatch, load((CONFIGS / "reference.yaml").read_text(encoding="utf-8")))
-
-    def test_random_designs(self, monkeypatch):
+    def test_random_designs(self):
         rng = random.Random(20261019)
         for _ in range(200):
-            self.assert_same(monkeypatch, random_params(rng))
+            self.assert_same(random_params(rng))
+
+    @given(st.integers(0, 2 ** 64), st.sampled_from(FLOAT_FIELDS),
+           st.one_of(st.floats(), st.integers(-2 ** 53, 2 ** 53), st.sampled_from(EDGE_VALUES)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_value_in_a_valid_design(self, seed, f, value):
+        self.assert_same(with_value(random_valid_params(random.Random(seed)), f, value))
+
+    @pytest.mark.parametrize("value", EDGE_VALUES + NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("path", ["wheel.hub_offset", "screw.screw_level_length",
+                                      "reported.wheel_diameter"])
+    def test_edge_values(self, reference, path, value):
+        self.assert_same(with_value(reference, params._field_path(path), value))
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_non_finite_values_are_refused(self, reference, value):
+        text = serialize(with_value(reference, params._field_path("wheel.hub_offset"), value))
+        assert params._plain_doc(text) is None
+        with pytest.raises(ConfigError, match="expected a finite number"):
+            load(text)
+
+    def test_a_design_without_values(self):
+        # No valid design is empty, but its text is still YAML's.
+        empty = params.DesignParams(*(cls(*[None] * len(cls._fields))
+                                      for cls, _ in params._SECTIONS.values()))
+        assert [serialize(empty)] * len(DUMPERS) == [yaml_dump(empty, d) for d in DUMPERS]
+        assert serialize(empty) == "{}\n"
+
+    def test_no_dumper_is_exported(self):
+        assert not hasattr(params, "YAML_DUMPER")

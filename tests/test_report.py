@@ -40,14 +40,13 @@ from morphwheel.report import (
     SweepSpec,
     consistency_warnings,
     design_card,
-    set_field,
     sweep,
     sweep_columns,
 )
 from morphwheel.wheelgeom import transform_profile
 
 from conftest import count_calls, random_params, random_valid_params
-from oracles import keyframes_json, peak_index, sweep_row
+from oracles import keyframes_json, peak_index, set_field, sweep_row
 
 FORCE_TABLE = Path(__file__).resolve().parent.parent / "configs" / "force_table.yaml"
 TABLES = {"default": default_force_table(), "force_table.yaml": load_force_table_path(FORCE_TABLE)}
