@@ -214,14 +214,10 @@ def cmd_sweep(args) -> int:
     p, _ = _load_or_exit(args.config)
     if _refused(p, "sweep"):
         return EXIT_VALIDATION
-    try:
-        start, stop, steps = _parse_range(args.sweep_range)
+    try:  # a malformed range, or a grid of too few or too many points, or of one value
+        spec = SweepSpec(args.sweep_param, *_parse_range(args.sweep_range),
+                         Objective(args.objective))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        spec = SweepSpec(args.sweep_param, start, stop, steps, Objective(args.objective))
-    except ValueError as exc:  # a grid of too few or too many points, or of one value
         print(f"error: --sweep-range: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -279,14 +275,17 @@ def _bounded(convert, accept, message: str):
 def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError("sweep range must look like START:STOP:STEPS")
-    start, stop = float(parts[0]), float(parts[1])
+        raise ValueError(f"expected START:STOP:STEPS, got {text!r}")
+    try:
+        start, stop = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ValueError(f"START and STOP must be numbers, got {text!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError(f"sweep range START and STOP must be finite, got {text!r}")
+        raise ValueError(f"START and STOP must be finite, got {text!r}")
     try:
         return start, stop, int(parts[2])
     except ValueError:
-        raise ValueError(f"--sweep-range: STEPS must be an integer, got {parts[2]!r}") from None
+        raise ValueError(f"STEPS must be an integer, got {parts[2]!r}") from None
 
 
 # ---------------------------------------------------------------------------

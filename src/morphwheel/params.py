@@ -36,7 +36,6 @@ __all__ = [
     "Violation",
     "Inconsistency",
     "ValidationReport",
-    "YAML_LOADER",
     "residual_length",
     "elongated_length",
     "reduced_length",

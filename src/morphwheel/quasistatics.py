@@ -94,12 +94,13 @@ def default_force_table() -> SiliconeForceTable:
 
 
 def load_force_table(text: str) -> SiliconeForceTable:
-    """Parse a force-table override: YAML list of (length change cm, force N) pairs.
-
-    Accepts either a bare list or a mapping with a single ``force_table`` key.
-    """
+    """Parse a force-table override: a YAML list of (length change cm, force N)
+    pairs, bare or as the value of the one key ``force_table`` of a mapping."""
     doc = params._parse_yaml(text, "force table")
     if isinstance(doc, dict):
+        for key in doc:
+            if key != "force_table":
+                raise ConfigError("unknown key", field=str(key))
         doc = doc.get("force_table")
     if not isinstance(doc, list) or not doc:
         raise ConfigError("force table must be a nonempty list of (cm, N) pairs",

@@ -1,4 +1,6 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,24 @@ from morphwheel import (
     reference_design,
     validate,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The two ways a process enters the CLI: ``python -m`` and the function the
+# console script calls.
+ENTRIES = {
+    "module": ["-m", "morphwheel.cli"],
+    "console-script": ["-c", "import sys; from morphwheel.cli import entry; sys.exit(entry())"],
+}
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment of a child Python process that imports this
+    checkout's package, with ``extra`` variables set."""
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@ import contextlib
 import csv
 import hashlib
 import io
-import os
 import random
 import signal
 import subprocess
@@ -29,7 +28,7 @@ from morphwheel.params import _MAX_STEPS, _SECTIONS, reference_design, residual_
 from morphwheel.report import Objective, SweepSpec, consistency_warnings, design_card
 from morphwheel.telescopic import shaft_levels
 
-from conftest import random_valid_params
+from conftest import ENTRIES, child_env, random_valid_params
 from oracles import keyframes_json, set_field
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -451,6 +450,8 @@ class TestCmdProfile:
         assert out.read_text() == "earlier run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) \
             == ["design.yaml", "p.csv", "p_keyframes.json"]
+        assert (tmp_path / "p_keyframes.json").is_dir()
+        assert not list(tmp_path.rglob(".*.tmp"))
 
     def test_force_table_override_changes_forces(self, config_file, tmp_path):
         table = tmp_path / "table.yaml"
@@ -537,10 +538,14 @@ NEGATIVE_ZERO_END_TABLE = ROOT / "tests" / "data" / "force_table_negative_zero_e
 class TestProfileFiles:
     """The one-pass writer against ``csv.writer`` and ``json.dumps``."""
 
-    def test_reference_2000_steps_with_the_table_file_keep_their_bytes(self, tmp_path):
+    # The builtin table holds the file's samples: both table paths of the
+    # shared clamped-end torque write the same bytes.
+    @pytest.mark.parametrize("extra", [["--force-table", str(FORCE_TABLE)], []],
+                             ids=["table-file", "builtin-table"])
+    def test_reference_2000_steps_keep_their_bytes(self, tmp_path, extra):
         out = tmp_path / "p.csv"
         assert main(["profile", "--config", REFERENCE_CONFIG, "--steps", "2000",
-                     "--force-table", str(FORCE_TABLE), "--out", str(out)]) == 0
+                     *extra, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() \
             == "5708a62af965845d0847c8c91fb70ec6b8fdc3dcb9d58c6f37f480c331c6b073"
         assert hashlib.sha256((tmp_path / "p_keyframes.json").read_bytes()).hexdigest() \
@@ -617,6 +622,14 @@ class TestRefusedInput:
         assert err == ("error: cannot load force table: invalid force table: "
                        "length changes and forces must be finite (field: force_table)\n")
 
+    def test_force_table_mapping_with_another_key(self, config_file, tmp_path, capsys):
+        # As a config's unknown key is refused.
+        table = tmp_path / "table.yaml"
+        table.write_text(FORCE_TABLE.read_text() + "bogus: 7\n")
+        err = self.run(capsys, tmp_path, ["--config", config_file, "--force-table", str(table)],
+                       ["design.yaml", "table.yaml"])
+        assert err == "error: cannot load force table: unknown key (field: bogus)\n"
+
     def test_peak_torque_past_the_float_range_on_the_force_table(self, tmp_path, capsys):
         # A valid design, whose peak torque is finite on the default table
         # that validation checks, and past the float range on this one.
@@ -625,6 +638,7 @@ class TestRefusedInput:
             "screw_mean_diameter: 8.0", "screw_mean_diameter: 1.0e+10"))
         table = tmp_path / "table.yaml"
         table.write_text("- [1.0, 1.0e+300]\n- [2.0, 1.0]\n")
+        assert main(["validate", "--config", str(config)]) == 0
         assert main(["report", "--config", str(config)]) == 0
         capsys.readouterr()
         err = self.run(capsys, tmp_path, ["--config", str(config), "--force-table", str(table)],
@@ -886,21 +900,25 @@ class TestCmdSweep:
                      "--sweep-range", f"{start}:200:4", "--objective", "max-wheel-radius",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
-            f"error: sweep range START and STOP must be finite, got '{start}:200:4'\n"
+            f"error: --sweep-range: START and STOP must be finite, got '{start}:200:4'\n"
         assert not out.exists()
 
     def test_derived_field_follows_the_swept_count(self, tmp_path):
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--config", REFERENCE_CONFIG,
-                     "--sweep-param", "screw.n_levels",
-                     "--sweep-range", "2:6:5",
-                     "--objective", "min-reduced-length",
-                     "--out", str(out)]) == 0
-        rows = read_csv(out)
-        # Two levels stroke 280 mm of a 260 mm module: a real violation.
-        assert [(r["status"], r["reason"]) for r in rows] \
-            == [("invalid", "wheel.rod_half_length")] + [("ok", "")] * 4
-        assert [float(r["elongated_length_mm"]) for r in rows[1:]] == [300.0, 340.0, 380.0, 420.0]
+        for grid, invalid in [
+            # Two levels stroke 280 mm of a 260 mm module: a real violation.
+            ("2:6:5", [("invalid", "wheel.rod_half_length")]),
+            ("3:6:4", []),
+        ]:
+            assert main(["sweep", "--config", REFERENCE_CONFIG,
+                         "--sweep-param", "screw.n_levels",
+                         "--sweep-range", grid,
+                         "--objective", "min-reduced-length",
+                         "--out", str(out)]) == 0
+            rows = read_csv(out)
+            assert [(r["status"], r["reason"]) for r in rows] == invalid + [("ok", "")] * 4
+            assert [float(r["elongated_length_mm"]) for r in rows[len(invalid):]] \
+                == [300.0, 340.0, 380.0, 420.0]
 
     def test_field_the_config_leaves_unset(self, tmp_path, capsys):
         config = tmp_path / "design.yaml"
@@ -917,12 +935,21 @@ class TestCmdSweep:
         assert [r["status"] for r in read_csv(out)] == ["ok"] * 3
         assert "argmax max-wheel-radius: wheel.min_half_separation=0 " in capsys.readouterr().out
 
-    def test_bad_range_exits_2(self, config_file, tmp_path):
-        assert main(["sweep", "--config", config_file,
-                     "--sweep-param", "wheel.hub_offset",
-                     "--sweep-range", "1:2",
-                     "--objective", "min-peak-torque",
-                     "--out", str(tmp_path / "s.csv")]) == 2
+    def test_bad_range_exits_2(self, config_file, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        for grid, err in [
+            ("1:2", "expected START:STOP:STEPS, got '1:2'"),
+            ("1:2:3:4", "expected START:STOP:STEPS, got '1:2:3:4'"),
+            ("x:1:3", "START and STOP must be numbers, got 'x:1:3'"),
+            ("1::3", "START and STOP must be numbers, got '1::3'"),
+        ]:
+            assert main(["sweep", "--config", config_file,
+                         "--sweep-param", "wheel.hub_offset",
+                         "--sweep-range", grid,
+                         "--objective", "min-peak-torque",
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: --sweep-range: {err}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["inf:10:3", "nan:10:3", "10:-inf:3", "10:NaN:3"])
     def test_non_finite_range_exits_2(self, config_file, tmp_path, capsys, grid):
@@ -933,7 +960,7 @@ class TestCmdSweep:
                      "--objective", "max-wheel-radius",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
-            f"error: sweep range START and STOP must be finite, got {grid!r}\n"
+            f"error: --sweep-range: START and STOP must be finite, got {grid!r}\n"
         assert not out.exists()
 
 
@@ -1062,19 +1089,7 @@ class TestParserReuse:
         assert cli._build_parser() is cli._build_parser()
 
 
-def child_env() -> dict[str, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    return env
-
-
-# The two ways a process enters the CLI: ``python -m`` and the function the
-# console script calls.
-ENTRIES = {
-    "module": ["-m", "morphwheel.cli"],
-    "console-script": ["-c", "import sys; from morphwheel.cli import entry; sys.exit(entry())"],
-}
+CLI = "from morphwheel.cli import main"
 
 
 class TestProcess:
@@ -1090,26 +1105,29 @@ class TestProcess:
                               capture_output=True, text=True, timeout=60, check=True)
         assert proc.stdout == "[]\n"
 
-    @pytest.mark.parametrize("argv, loaded", [
-        ([], []),
-        (["validate"], []),
-        (["report"], []),
-        (["sweep", "--sweep-param", "wheel.hub_offset", "--sweep-range", "10:200:4",
-          "--objective", "max-wheel-radius", "--out", "{tmp}/s.csv"], []),
-        (["profile", "--steps", "5", "--out", "{tmp}/p.csv"], []),
+    @pytest.mark.parametrize("imports, argv, loaded", [
+        (CLI, [], []),
+        (CLI, ["validate"], []),
+        (CLI, ["report"], []),
+        (CLI, ["sweep", "--sweep-param", "wheel.hub_offset", "--sweep-range", "10:200:4",
+               "--objective", "max-wheel-radius", "--out", "{tmp}/s.csv"], []),
+        (CLI, ["profile", "--steps", "5", "--out", "{tmp}/p.csv"], []),
+        # ``params`` exports no PyYAML loader.
+        ("from morphwheel.params import *", [], []),
         # PyYAML is imported for a force table and for a config that is not plain.
-        (["profile", "--steps", "5", "--out", "{tmp}/t.csv",
-          "--force-table", str(ROOT / "configs" / "force_table.yaml")], ["yaml"]),
-        (["report", "--config", "{tmp}/indented.yaml"], ["yaml"]),
-    ], ids=["import", "validate", "report", "sweep", "profile", "force-table", "indented"])
-    def test_plain_runs_load_no_yaml_or_hashlib(self, tmp_path, argv, loaded):
+        (CLI, ["profile", "--steps", "5", "--out", "{tmp}/t.csv",
+               "--force-table", str(ROOT / "configs" / "force_table.yaml")], ["yaml"]),
+        (CLI, ["report", "--config", "{tmp}/indented.yaml"], ["yaml"]),
+    ], ids=["import", "validate", "report", "sweep", "profile", "star-import", "force-table",
+            "indented"])
+    def test_plain_runs_load_no_yaml_or_hashlib(self, tmp_path, imports, argv, loaded):
         # In a fresh interpreter, which then prints what it loaded of the two.
         text = Path(REFERENCE_CONFIG).read_text(encoding="utf-8")
         (tmp_path / "indented.yaml").write_text(text.replace("\n  ", "\n    "), encoding="utf-8")
         argv = [a.format(tmp=tmp_path) for a in argv]
         if argv and "--config" not in argv:
             argv += ["--config", REFERENCE_CONFIG]
-        code = ("import sys; from morphwheel.cli import main; "
+        code = (f"import sys; {imports}; "
                 "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
                 "print(sorted({'yaml', 'hashlib'} & set(sys.modules)), file=sys.stderr); "
                 "sys.exit(rc)")

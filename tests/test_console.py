@@ -1,0 +1,63 @@
+"""The CLI run as a process, in a fresh interpreter: through ``python -m
+morphwheel.cli`` and through the function the console script calls.
+
+Only what needs a process of its own is here: argparse's usage, which wraps
+at the width the ``COLUMNS`` variable sets, and the files that a run whose
+output is a directory leaves behind."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import ENTRIES, child_env
+
+REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "reference.yaml")
+
+
+def run(entry, argv, **env):
+    return subprocess.run([sys.executable, *entry, *argv], env=child_env(**env),
+                          capture_output=True, text=True, timeout=60)
+
+
+PROFILE_USAGE = ("usage: morphwheel profile [-h] --config CONFIG [--steps STEPS] --out OUT\n"
+                 "                          [--force-table FORCE_TABLE]\n")
+REPORT_USAGE = ("usage: morphwheel report [-h] --config CONFIG [--target-ratio TARGET_RATIO]\n"
+                "                         [--total-bend TOTAL_BEND] [--force-table FORCE_TABLE]\n")
+
+# A malformed or out-of-range flag: the verb's usage and one error line, the
+# same bytes under Python 3.10, 3.11 and 3.12.
+USAGE_ERRORS = {
+    "steps": (["profile", "--steps", "1", "--out", "{tmp}/one.csv"], PROFILE_USAGE
+              + "morphwheel profile: error: argument --steps: steps must be >= 2\n"),
+    "total-bend": (["report", "--total-bend", "x"], REPORT_USAGE
+                   + "morphwheel report: error: argument --total-bend: invalid float value: 'x'\n"),
+    "target-ratio": (["report", "--target-ratio", "abc"], REPORT_USAGE
+                     + "morphwheel report: error: argument --target-ratio: "
+                       "invalid float value: 'abc'\n"),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+@pytest.mark.parametrize("flag", USAGE_ERRORS)
+def test_usage_error_bytes(tmp_path, entry, flag):
+    argv, err = USAGE_ERRORS[flag]
+    argv = [argv[0], "--config", REFERENCE_CONFIG, *(a.format(tmp=tmp_path) for a in argv[1:])]
+    proc = run(entry, argv, COLUMNS="80")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+def test_sweep_onto_a_directory_leaves_it_and_no_temporary_file(tmp_path, entry):
+    # A rename onto a directory fails whoever runs the script, root too.
+    out = tmp_path / "s.csv"
+    out.mkdir()
+    proc = run(entry, ["sweep", "--config", REFERENCE_CONFIG,
+                       "--sweep-param", "wheel.hub_offset", "--sweep-range", "10:200:4",
+                       "--objective", "max-wheel-radius", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
+    assert list(tmp_path.rglob("*")) == [out] and out.is_dir()

@@ -3,7 +3,6 @@ import csv
 import io
 import math
 import operator
-import os
 import random
 import subprocess
 import sys
@@ -31,7 +30,7 @@ from morphwheel.quasistatics import load_force_table, screw_torque
 from morphwheel.report import consistency_warnings
 from morphwheel.telescopic import shaft_levels
 
-from conftest import random_params, random_valid_params
+from conftest import child_env, random_params, random_valid_params
 from oracles import set_field
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -722,8 +721,7 @@ class TestYamlLoader:
                   "assert params.YAML_LOADER is yaml.SafeLoader; "
                   "sys.exit(main(sys.argv[1:]))")
         argv = ["report", "--config", str(CONFIGS / "reference.yaml")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=child_env(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert main(argv) == 0
@@ -952,8 +950,7 @@ class TestParseYaml:
     def test_alias_bomb_is_not_expanded(self, loader):
         # The parse runs in a child process limited to 1 GiB, so a walk that
         # expands the bomb fails there instead of exhausting the host.
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        proc = subprocess.run([sys.executable, "-c", ALIAS_BOMB_SCRIPT, loader], env=env,
+        proc = subprocess.run([sys.executable, "-c", ALIAS_BOMB_SCRIPT, loader], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 

@@ -93,6 +93,8 @@ class TestForceTableOverride:
             load_force_table("[]")
         with pytest.raises(ConfigError, match="numbers"):
             load_force_table("- [one, 2.0]\n")
+        with pytest.raises(ConfigError, match=r"^unknown key \(field: other\)$"):
+            load_force_table("{force_table: [[1.0, 2.0]], other: {}}")
 
     def test_table_invariants_enforced(self):
         with pytest.raises(ConfigError, match="increasing"):
