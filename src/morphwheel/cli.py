@@ -120,12 +120,16 @@ def _refused(p: DesignParams, action: str) -> bool:
 def _replacing(*targets: Path):
     """Temporaries next to ``targets``, to be written in the block. They
     replace the targets, in order, only once the block has written them
-    all, so a failed or interrupted write leaves no partial file behind."""
+    all, so a failed or interrupted write leaves no partial file behind; a
+    failed replace names the target, not its deleted temporary."""
     tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in targets]
     try:
         yield tmps
         for tmp, path in zip(tmps, targets):
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
@@ -180,29 +184,29 @@ def cmd_profile(args) -> int:
         print(f"error: --steps: {exc}", file=sys.stderr)
         return EXIT_IO
     torques = quasistatics.torque_profile(p, states, table)
-    # One pass formats each state once: the reprs of its floats and its
-    # trigger mode go into both its CSV row, as ``csv.writer`` would write
-    # them, and its keyframe frame. The force and torque are formatted once
-    # per run of rows that share their objects (``torque_profile`` shares
-    # them past a clamped end of the table). ``_value_`` is what the enum's
-    # ``value`` property returns, without the property's Python-level call.
-    rows, frames = [",".join(PROFILE_COLUMNS) + "\r\n"], []
-    force = torque = tail = None
-    for i, (state, (_, f, t)) in enumerate(zip(states, torques)):
-        frame = (repr(state.module_length), repr(state.axial_half_separation),
-                 repr(state.wheel_radius), state.trigger_mode._value_)
+    # Column by column: one ``repr`` per float and one trigger mode value
+    # (``_value_``, without the ``value`` property's call) per state make four
+    # text columns, and the CSV rows, as ``csv.writer`` would write them, and
+    # the keyframes are both joined from them. The force and torque are
+    # formatted once per run of rows that share their objects
+    # (``torque_profile`` shares them past a clamped end of the table).
+    *floats, modes = zip(*states)
+    columns = [*(list(map(repr, column)) for column in floats), [m._value_ for m in modes]]
+    tails, force, torque = [], None, None
+    for _, f, t in torques:
         if f is not force or t is not torque:
             force, torque, tail = f, t, f",{f!r},{t!r}\r\n"
-        rows.append(f"{i},{','.join(frame)}{tail}")
-        frames.append(frame)
+        tails.append(tail)
+    rows = [f"{i},{length},{h},{radius},{mode}{tail}"
+            for i, length, h, radius, mode, tail in zip(range(len(states)), *columns, tails)]
     out = Path(args.out)
     keyframe_path = out.with_name(out.stem + "_keyframes.json")
     try:  # the keyframes replace theirs first: a failure keeps the earlier CSV
         with _replacing(keyframe_path, out) as (tmp_keyframes, tmp_out):
             with open(tmp_out, "w", newline="", encoding="utf-8") as fh:
-                fh.write("".join(rows))
+                fh.write(",".join(PROFILE_COLUMNS) + "\r\n" + "".join(rows))
             with open(tmp_keyframes, "w", encoding="utf-8") as fh:
-                fh.write(wheelgeom.keyframes_text(p, frames))
+                fh.write(wheelgeom.keyframes_text(p, *columns))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -198,13 +198,14 @@ def torque_profile(p: DesignParams, states: list[TransformState],
     elongated = states[0].module_length
     entries = []
     force = torque = None
+    new = tuple.__new__  # without the named tuple's own ``__new__``
     for state in states:
         length = state.module_length
         f = silicone_force(table, (elongated - length) / 10.0)
         # Identity, not equality: 0.0 and -0.0 are equal but print apart.
         if f is not force:
             force, torque = f, screw_torque(f / _SCREWS, lead, d, mu)
-        entries.append(TorqueEntry(length, force, torque))
+        entries.append(new(TorqueEntry, (length, force, torque)))
     return tuple(entries)
 
 

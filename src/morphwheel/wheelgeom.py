@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import typing
 
 from .params import _MAX_STEPS, DesignParams, min_half_separation
@@ -108,23 +109,21 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
     l, hub_offset = w.rod_half_length, w.hub_offset
     h_min = min_half_separation(p)
 
-    states = []
-    last_length, last_radius = math.inf, -math.inf
-    for i in range(steps):
-        if i == 0:
-            h = l
-        elif i == steps - 1:
-            h = h_min
-        else:
-            h = l + (h_min - l) * (i / (steps - 1))
-        length = elongated - 2.0 * (l - h)
-        radius = bulge_radius(l, h, hub_offset)
-        if not (length < last_length and radius > last_radius):
-            raise ValueError(f"{steps} steps are finer than the design resolves: state {i} "
-                             "does not shorten the module and widen the wheel")
-        last_length, last_radius = length, radius
-        states.append(TransformState(length, h, radius, trigger_state(length, elongated)))
-    return states
+    last = steps - 1
+    hs = [l, *[l + (h_min - l) * (i / last) for i in range(1, last)], h_min]
+    lengths = [elongated - 2.0 * (l - h) for h in hs]
+    radii = [bulge_radius(l, h, hub_offset) for h in hs]
+    if not (all(map(operator.lt, lengths[1:], lengths))
+            and all(map(operator.gt, radii[1:], radii))):
+        i = next(i for i in range(1, steps)
+                 if not (lengths[i] < lengths[i - 1] and radii[i] > radii[i - 1]))
+        raise ValueError(f"{steps} steps are finer than the design resolves: state {i} "
+                         "does not shorten the module and widen the wheel")
+    # Lengths fall strictly from the elongated one, so only the ends can be
+    # other than rigid. ``tuple.__new__`` skips the named tuple's own.
+    modes = [trigger_state(lengths[0], elongated), *[TriggerMode.RIGID] * (steps - 2),
+             trigger_state(lengths[last], elongated)]
+    return list(map(tuple.__new__, [TransformState] * steps, zip(lengths, hs, radii, modes)))
 
 
 def transform_endpoint_radius(p: DesignParams) -> float:
@@ -200,15 +199,16 @@ def expand_frame(doc: dict, i: int) -> dict:
     return {**frame, "plate_positions": [-h, 0.0, h], "spokes": spokes, "rim": rim}
 
 
-def keyframes_text(p: DesignParams, frames: list[tuple[str, str, str, str]]) -> str:
+def keyframes_text(p: DesignParams, lengths: list[str], halves: list[str],
+                   radii: list[str], modes: list[str]) -> str:
     """The keyframe file of design ``p``: one line of compact, sorted-key JSON.
-    ``frames`` holds, for each state in order, the ``repr`` of its module
+    Its four text columns hold, per state in order, the ``repr`` of the module
     length, half-separation and wheel radius (a valid design's are finite, and
-    a finite float's JSON text is its ``repr``) and its trigger mode's value."""
+    a finite float's JSON text is its ``repr``) and the trigger mode's value."""
     body = ",".join([
         f'{{"axial_half_separation":{h},"module_length":{length},'
         f'"step":{i},"trigger_mode":"{mode}","wheel_radius":{radius}}}'
-        for i, (length, h, radius, mode) in enumerate(frames)])
+        for i, length, h, radius, mode in zip(range(len(lengths)), lengths, halves, radii, modes)])
     w = p.wheel
     return (f'{{"arc_points_per_sector":{ARC_POINTS_PER_SECTOR},"frames":[{body}],'
             f'"hub_offset":{w.hub_offset!r},"schema_version":{KEYFRAME_SCHEMA_VERSION},'

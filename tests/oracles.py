@@ -1,13 +1,21 @@
 """Brute-force oracles: the closed-form inverse sizing in ``telescopic``, the
-keyframe file as ``json.dumps`` writes it, the peak of a torque profile and
-the metrics of a sweep row; and ``set_field``, the setter a sweep applies at
-each point."""
+transformation profile state by state, the keyframe file as ``json.dumps``
+writes it, the peak of a torque profile and the metrics of a sweep row; and
+``set_field``, the setter a sweep applies at each point."""
 
 import json
+import math
 
 from morphwheel import InfeasibleError, bending, params, quasistatics, wheelgeom
 from morphwheel.report import DEFAULT_TOTAL_BEND
-from morphwheel.wheelgeom import ARC_POINTS_PER_SECTOR, KEYFRAME_SCHEMA_VERSION
+from morphwheel.telescopic import module_lengths
+from morphwheel.wheelgeom import (
+    ARC_POINTS_PER_SECTOR,
+    KEYFRAME_SCHEMA_VERSION,
+    TransformState,
+    bulge_radius,
+    trigger_state,
+)
 
 
 def set_field(p, path: str, value: float):
@@ -38,6 +46,40 @@ def scan_min_levels(screw_length: float, residual: float, target_ratio: float) -
     while _ratio(screw_length, n, residual) > target_ratio:
         n += 1
     return n
+
+
+def transform_profile(p, steps: int) -> list:
+    """``wheelgeom.transform_profile`` one state at a time: each state's
+    radius from ``bulge_radius``, its trigger mode from ``trigger_state`` and
+    its ``TransformState`` from the named tuple's constructor, refusing a
+    state that does not shorten the module and widen the wheel where it is
+    built."""
+    if steps < 2:
+        raise ValueError("steps must be >= 2")
+    if steps > params._MAX_STEPS:
+        raise ValueError(f"steps must be <= {params._MAX_STEPS}")
+    elongated = module_lengths(p).elongated
+    w = p.wheel
+    l, hub_offset = w.rod_half_length, w.hub_offset
+    h_min = params.min_half_separation(p)
+
+    states = []
+    last_length, last_radius = math.inf, -math.inf
+    for i in range(steps):
+        if i == 0:
+            h = l
+        elif i == steps - 1:
+            h = h_min
+        else:
+            h = l + (h_min - l) * (i / (steps - 1))
+        length = elongated - 2.0 * (l - h)
+        radius = bulge_radius(l, h, hub_offset)
+        if not (length < last_length and radius > last_radius):
+            raise ValueError(f"{steps} steps are finer than the design resolves: state {i} "
+                             "does not shorten the module and widen the wheel")
+        last_length, last_radius = length, radius
+        states.append(TransformState(length, h, radius, trigger_state(length, elongated)))
+    return states
 
 
 def keyframes_document(states, p) -> dict:

@@ -441,12 +441,15 @@ class TestCmdProfile:
         assert "no space left" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [Path(config_file)]
 
-    def test_failed_keyframe_replace_keeps_earlier_outputs(self, config_file, tmp_path):
+    def test_failed_keyframe_replace_keeps_earlier_outputs(self, config_file, tmp_path,
+                                                           capsys):
         out = tmp_path / "p.csv"
         out.write_text("earlier run\n")
         (tmp_path / "p_keyframes.json").mkdir()  # a directory cannot be replaced
         assert main(["profile", "--config", config_file, "--steps", "5",
                      "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: cannot write output: [Errno 21] "
+                                           f"Is a directory: '{tmp_path / 'p_keyframes.json'}'\n")
         assert out.read_text() == "earlier run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) \
             == ["design.yaml", "p.csv", "p_keyframes.json"]
@@ -553,21 +556,24 @@ class TestProfileFiles:
 
     @pytest.mark.parametrize("table_path", [None, FORCE_TABLE, NEGATIVE_ZERO_END_TABLE],
                              ids=["default", "file", "negative-zero-end"])
-    def test_bytes_match_the_encoders_on_random_designs(self, tmp_path, table_path):
+    @given(seed=st.integers(0, 2**32 - 1),
+           steps=st.one_of(st.sampled_from([2, 3, 50, 2000]), st.integers(2, 2000)))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_match_the_encoders_on_random_designs(self, tmp_path, table_path, seed,
+                                                        steps):
         table = quasistatics.default_force_table() if table_path is None \
             else quasistatics.load_force_table_path(table_path)
         extra = [] if table_path is None else ["--force-table", str(table_path)]
-        rng = random.Random(8)
+        p = random_valid_params(random.Random(seed))
         config, out = tmp_path / "design.yaml", tmp_path / "p.csv"
-        for _ in range(6):
-            p = random_valid_params(rng)
-            config.write_text(serialize(p), encoding="utf-8")
-            for steps in (2, 3, 50, 2000):
-                assert main(["profile", "--config", str(config), "--steps", str(steps),
-                             "--out", str(out), *extra]) == 0
-                csv_bytes, keyframe_bytes = profile_oracle(p, steps, table)
-                assert out.read_bytes() == csv_bytes
-                assert (tmp_path / "p_keyframes.json").read_bytes() == keyframe_bytes
+        config.write_text(serialize(p), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["profile", "--config", str(config), "--steps", str(steps),
+                         "--out", str(out), *extra]) == 0
+        csv_bytes, keyframe_bytes = profile_oracle(p, steps, table)
+        assert out.read_bytes() == csv_bytes
+        assert (tmp_path / "p_keyframes.json").read_bytes() == keyframe_bytes
 
 
 # Values whose YAML constructor raises its own error rather than a YAML

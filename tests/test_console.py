@@ -49,15 +49,26 @@ def test_usage_error_bytes(tmp_path, entry, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+def assert_refused_onto_a_directory(entry, verb, args, target):
+    # A rename onto a directory fails whoever runs the script, root too. The
+    # error names the target, not the temporary file that the run deletes.
+    target.mkdir()
+    proc = run(entry, [verb, "--config", REFERENCE_CONFIG, *args])
+    assert (proc.returncode, proc.stdout, proc.stderr) \
+        == (2, "", f"error: cannot write output: [Errno 21] Is a directory: '{target}'\n")
+    assert list(target.parent.rglob("*")) == [target] and target.is_dir()
+
+
 @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
 def test_sweep_onto_a_directory_leaves_it_and_no_temporary_file(tmp_path, entry):
-    # A rename onto a directory fails whoever runs the script, root too.
     out = tmp_path / "s.csv"
-    out.mkdir()
-    proc = run(entry, ["sweep", "--config", REFERENCE_CONFIG,
-                       "--sweep-param", "wheel.hub_offset", "--sweep-range", "10:200:4",
-                       "--objective", "max-wheel-radius", "--out", str(out)])
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: cannot write output: ")
-    assert proc.stderr.count("\n") == 1
-    assert list(tmp_path.rglob("*")) == [out] and out.is_dir()
+    assert_refused_onto_a_directory(entry, "sweep", [
+        "--sweep-param", "wheel.hub_offset", "--sweep-range", "10:200:4",
+        "--objective", "max-wheel-radius", "--out", str(out)], out)
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+def test_profile_onto_a_directory_leaves_it_and_no_temporary_file(tmp_path, entry):
+    assert_refused_onto_a_directory(entry, "profile", ["--steps", "5", "--out",
+                                                       str(tmp_path / "p.csv")],
+                                    tmp_path / "p_keyframes.json")

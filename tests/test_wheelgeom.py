@@ -1,17 +1,19 @@
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from morphwheel import InvalidDesignError
-from morphwheel.params import min_half_separation
+from morphwheel import InvalidDesignError, quasistatics, wheelgeom
+from morphwheel.params import _MAX_STEPS, min_half_separation
 from morphwheel.telescopic import module_lengths
 from morphwheel.wheelgeom import (
     KEYFRAME_SCHEMA_VERSION,
+    TransformState,
     TriggerMode,
     bulge_radius,
     curved_rod_plan,
@@ -21,6 +23,8 @@ from morphwheel.wheelgeom import (
     trigger_state,
 )
 
+import oracles
+from conftest import random_valid_params
 from oracles import keyframes_document, keyframes_json
 
 
@@ -79,6 +83,21 @@ class TestTransformProfile:
         assert states[0].trigger_mode is TriggerMode.TELESCOPIC
         assert all(s.trigger_mode is TriggerMode.RIGID for s in states[1:])
 
+    def test_one_formula_call_per_state(self, reference, monkeypatch):
+        # The radius and the force have one formula each, looked up through
+        # their modules at call time, as a wrapper that counts them sees them.
+        # The lengths fall strictly, so only the two ends ask the trigger model.
+        assert reference.validation.valid  # computed once, before the count
+        calls = Counter()
+        for module, name in ((wheelgeom, "bulge_radius"), (wheelgeom, "trigger_state"),
+                             (quasistatics, "silicone_force")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        quasistatics.torque_profile(reference, transform_profile(reference, 2000))
+        assert calls == {"bulge_radius": 2000, "trigger_state": 2, "silicone_force": 2000}
+
     def test_too_few_steps_rejected(self, reference):
         with pytest.raises(ValueError, match="steps"):
             transform_profile(reference, 1)
@@ -95,6 +114,40 @@ class TestTransformProfile:
             wheel=reference.wheel._replace(min_half_separation=150.0))
         with pytest.raises(InvalidDesignError, match="wheel.min_half_separation"):
             transform_profile(p, 5)
+
+
+class TestPerStateOracle:
+    """``transform_profile`` against the loop of ``oracles``, which calls
+    ``bulge_radius`` and ``trigger_state`` and builds a ``TransformState``
+    at every state."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           steps=st.one_of(st.sampled_from([1, 2, 3, _MAX_STEPS + 1]), st.integers(2, 3000)),
+           near_cap=st.one_of(st.none(), st.floats(29.5, 30.0)))
+    @example(seed=3, steps=2000, near_cap=29.9)  # refused at its last state
+    @example(seed=30, steps=3000, near_cap=29.9)  # refused one state before its last
+    @settings(max_examples=200, deadline=None)
+    def test_states_and_refusals_match_the_per_state_loop(self, seed, steps, near_cap):
+        p = random_valid_params(random.Random(seed))
+        if near_cap is not None:
+            # A rod pair that folds flat on a hub near its validation cap: the
+            # last states of a long profile widen the wheel by less than its
+            # radius resolves, so some step counts are refused.
+            w = p.wheel._replace(min_half_separation=0.0)
+            p = p._replace(wheel=w._replace(hub_offset=w.rod_half_length * 2.0 ** near_cap))
+            assume(p.validation.valid)
+        try:
+            want = oracles.transform_profile(p, steps)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                transform_profile(p, steps)
+            assert (type(refused.value), str(refused.value)) == (type(exc), str(exc))
+            return
+        got = transform_profile(p, steps)
+        # The reprs hold each field's type and sign, and the tuple's type.
+        assert list(map(repr, got)) == list(map(repr, want))
+        assert all(type(s) is TransformState for s in got)
+        assert all(a.trigger_mode is b.trigger_mode for a, b in zip(got, want))
 
 
 class TestCurvedRodPlan:
@@ -159,16 +212,20 @@ V2_EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "examples" \
     / "profile_keyframes.json"
 
 
-def frames_of(states):
-    """The formatted frames ``keyframes_text`` takes, as ``profile`` makes them."""
-    return [(repr(s.module_length), repr(s.axial_half_separation), repr(s.wheel_radius),
-             s.trigger_mode.value) for s in states]
+def columns_of(states):
+    """The four text columns ``keyframes_text`` takes, as ``profile`` makes them:
+    the reprs of the states' module lengths, half-separations and wheel radii,
+    and their trigger modes' values."""
+    return ([repr(s.module_length) for s in states],
+            [repr(s.axial_half_separation) for s in states],
+            [repr(s.wheel_radius) for s in states],
+            [s.trigger_mode.value for s in states])
 
 
 class TestKeyframes:
     def test_record_geometry(self, reference):
         states = transform_profile(reference, 3)
-        rec = expand_frame(json.loads(keyframes_text(reference, frames_of(states))), 1)
+        rec = expand_frame(json.loads(keyframes_text(reference, *columns_of(states))), 1)
         h = states[1].axial_half_separation
         r = states[1].wheel_radius
         assert rec["step"] == 1
@@ -190,7 +247,7 @@ class TestKeyframes:
 
     def test_frames_hold_only_scalars(self, reference):
         states = transform_profile(reference, 4)
-        doc = json.loads(keyframes_text(reference, frames_of(states)))
+        doc = json.loads(keyframes_text(reference, *columns_of(states)))
         assert doc["spoke_pairs"] == reference.wheel.spoke_pairs
         assert doc["hub_offset"] == reference.wheel.hub_offset
         assert doc["frames"][2] == keyframes_document(states, reference)["frames"][2]
@@ -200,18 +257,18 @@ class TestKeyframes:
 
     def test_document_and_file_round_trip(self, reference):
         states = transform_profile(reference, 4)
-        doc = json.loads(keyframes_text(reference, frames_of(states)))
+        doc = json.loads(keyframes_text(reference, *columns_of(states)))
         assert doc["schema_version"] == KEYFRAME_SCHEMA_VERSION == 2
         assert len(doc["frames"]) == 4
         assert doc == keyframes_document(states, reference)
 
     def test_file_bytes_deterministic(self, reference):
-        a, b = (keyframes_text(reference, frames_of(transform_profile(reference, 4)))
+        a, b = (keyframes_text(reference, *columns_of(transform_profile(reference, 4)))
                 for _ in range(2))
         assert a == b == keyframes_json(transform_profile(reference, 4), reference)
 
     def test_file_is_compact_json(self, reference):
-        text = keyframes_text(reference, frames_of(transform_profile(reference, 4)))
+        text = keyframes_text(reference, *columns_of(transform_profile(reference, 4)))
         assert text.endswith("}\n") and text.count("\n") == 1
         assert ", " not in text and ": " not in text
 
