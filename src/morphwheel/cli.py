@@ -120,16 +120,18 @@ def _refused(p: DesignParams, action: str) -> bool:
 def _replacing(*targets: Path):
     """Temporaries next to ``targets``, to be written in the block. They
     replace the targets, in order, only once the block has written them
-    all, so a failed or interrupted write leaves no partial file behind; a
-    failed replace names the target, not its deleted temporary."""
+    all, so a failed or interrupted write leaves no partial file behind; an
+    error about a temporary names its target, not the deleted temporary."""
     tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in targets]
+    named = {os.fspath(tmp): os.fspath(path) for tmp, path in zip(tmps, targets)}
     try:
         yield tmps
         for tmp, path in zip(tmps, targets):
-            try:
-                os.replace(tmp, path)
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+            os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename not in named:
+            raise
+        raise OSError(exc.errno, exc.strerror, named[exc.filename]) from None
     finally:
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
@@ -179,26 +181,23 @@ def cmd_profile(args) -> int:
         return EXIT_VALIDATION
     table = _force_table_or_exit(args, p)
     try:
-        states = wheelgeom.transform_profile(p, args.steps)
+        *floats, modes = wheelgeom.transform_columns(p, args.steps)
     except ValueError as exc:  # more steps than the design resolves
         print(f"error: --steps: {exc}", file=sys.stderr)
         return EXIT_IO
-    torques = quasistatics.torque_profile(p, states, table)
-    # Column by column: one ``repr`` per float and one trigger mode value
-    # (``_value_``, without the ``value`` property's call) per state make four
-    # text columns, and the CSV rows, as ``csv.writer`` would write them, and
-    # the keyframes are both joined from them. The force and torque are
-    # formatted once per run of rows that share their objects
-    # (``torque_profile`` shares them past a clamped end of the table).
-    *floats, modes = zip(*states)
+    forces, torques = quasistatics.torque_columns(p, floats[0], table)
+    # Four text columns, a ``repr`` per float and a trigger mode ``_value_``
+    # per state, make both the CSV rows (as ``csv.writer`` writes them) and the
+    # keyframes. A run of rows that share one force object (and so its torque
+    # object) formats the two once.
     columns = [*(list(map(repr, column)) for column in floats), [m._value_ for m in modes]]
-    tails, force, torque = [], None, None
-    for _, f, t in torques:
-        if f is not force or t is not torque:
-            force, torque, tail = f, t, f",{f!r},{t!r}\r\n"
+    tails, force = [], None
+    for f, t in zip(forces, torques):
+        if f is not force:
+            force, tail = f, f",{f!r},{t!r}\r\n"
         tails.append(tail)
     rows = [f"{i},{length},{h},{radius},{mode}{tail}"
-            for i, length, h, radius, mode, tail in zip(range(len(states)), *columns, tails)]
+            for i, length, h, radius, mode, tail in zip(range(len(modes)), *columns, tails)]
     out = Path(args.out)
     keyframe_path = out.with_name(out.stem + "_keyframes.json")
     try:  # the keyframes replace theirs first: a failure keeps the earlier CSV
@@ -210,7 +209,7 @@ def cmd_profile(args) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {out} ({len(states)} rows) and {keyframe_path}")
+    print(f"wrote {out} ({len(rows)} rows) and {keyframe_path}")
     return EXIT_OK
 
 

@@ -11,8 +11,9 @@ transformations would load the screws unevenly and are not modelled).
 from __future__ import annotations
 
 import functools
+import operator
 import typing
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from math import isfinite, pi
 from pathlib import Path
 
@@ -30,7 +31,9 @@ __all__ = [
     "load_force_table",
     "load_force_table_path",
     "silicone_force",
+    "silicone_forces",
     "screw_torque",
+    "torque_columns",
     "torque_profile",
     "peak_load",
     "motor_check",
@@ -126,6 +129,11 @@ def load_force_table_path(path: str | Path) -> SiliconeForceTable:
     return load_force_table(Path(path).read_text(encoding="utf-8"))
 
 
+def _interpolated(x0: float, f0: float, x1: float, f1: float, xs) -> list[float]:
+    # The force at each of ``xs`` on the table segment from (x0, f0) to (x1, f1).
+    return [f0 + (x - x0) / (x1 - x0) * (f1 - f0) for x in xs]
+
+
 def silicone_force(table: SiliconeForceTable, length_change: float) -> float:
     """Restoring force at a given length change (cm).
 
@@ -144,8 +152,24 @@ def silicone_force(table: SiliconeForceTable, length_change: float) -> float:
     x1, f1 = table.samples[i]
     if length_change == x1:
         return f1
-    t = (length_change - x0) / (x1 - x0)
-    return f0 + t * (f1 - f0)
+    return _interpolated(x0, f0, x1, f1, (length_change,))[0]
+
+
+def silicone_forces(table: SiliconeForceTable, length_changes: list[float]) -> list[float]:
+    """``silicone_force`` at each of the nondecreasing ``length_changes``, the
+    same float objects, computed one table segment at a time."""
+    if not all(map(operator.le, [0.0, *length_changes], length_changes)):
+        raise ValueError("length changes must be nonnegative and nondecreasing")
+    (x0, f0), *samples = table.samples
+    at = bisect_right(length_changes, x0)
+    forces = [f0] * at
+    for x1, f1 in samples:
+        hit = bisect_left(length_changes, x1, at)
+        forces += _interpolated(x0, f0, x1, f1, length_changes[at:hit])
+        at = bisect_right(length_changes, x1, hit)
+        forces += [f1] * (at - hit)
+        x0, f0 = x1, f1
+    return forces + [f0] * (len(length_changes) - at)
 
 
 def screw_torque(axial_force: float, lead: float, mean_diameter: float,
@@ -179,34 +203,33 @@ class TorqueEntry(typing.NamedTuple):
 _SCREWS = 3.0
 
 
-def torque_profile(p: DesignParams, states: list[TransformState],
-                   table: SiliconeForceTable | None = None) -> tuple[TorqueEntry, ...]:
-    """Per-motor torque at each of the transformation ``states``.
-
-    One entry per state; the first state is the elongated crawler. The
-    axial load is the skin restoring force at that compression (the single
-    mm-to-cm conversion in the package happens here) and is shared equally
-    by the three screws. A state whose force is the very float object of
-    the state before, as every state past a clamped end of the table gets,
-    shares that entry's force and torque objects: the torque is computed
-    once per run of such states.
-    """
+def torque_columns(p: DesignParams, lengths: list[float],
+                   table: SiliconeForceTable | None = None) -> tuple[list, list]:
+    """Axial force and per-motor torque columns at the module ``lengths``, which
+    fall from the first, the elongated crawler's. The load is the skin restoring
+    force at that compression (the package's one mm-to-cm conversion), shared by
+    the three screws; a run of one force object shares one torque object."""
     if table is None:
         table = default_force_table()
     dr = p.drive
     lead, d, mu = dr.screw_lead, dr.screw_mean_diameter, dr.screw_friction
-    elongated = states[0].module_length
-    entries = []
-    force = torque = None
-    new = tuple.__new__  # without the named tuple's own ``__new__``
-    for state in states:
-        length = state.module_length
-        f = silicone_force(table, (elongated - length) / 10.0)
+    elongated = lengths[0]
+    forces = silicone_forces(table, [(elongated - length) / 10.0 for length in lengths])
+    torques, force = [], None
+    for f in forces:
         # Identity, not equality: 0.0 and -0.0 are equal but print apart.
         if f is not force:
             force, torque = f, screw_torque(f / _SCREWS, lead, d, mu)
-        entries.append(new(TorqueEntry, (length, force, torque)))
-    return tuple(entries)
+        torques.append(torque)
+    return forces, torques
+
+
+def torque_profile(p: DesignParams, states: list[TransformState],
+                   table: SiliconeForceTable | None = None) -> tuple[TorqueEntry, ...]:
+    """``torque_columns`` at the transformation ``states``, one entry each."""
+    lengths = [state.module_length for state in states]
+    entries = zip(lengths, *torque_columns(p, lengths, table))
+    return tuple(map(tuple.__new__, [TorqueEntry] * len(lengths), entries))
 
 
 def peak_load(p: DesignParams, table: SiliconeForceTable | None = None) -> tuple[float, float]:

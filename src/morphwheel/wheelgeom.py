@@ -25,6 +25,7 @@ __all__ = [
     "KEYFRAME_SCHEMA_VERSION",
     "bulge_radius",
     "trigger_state",
+    "transform_columns",
     "transform_profile",
     "transform_endpoint_radius",
     "rim_arc",
@@ -68,7 +69,7 @@ def bulge_radius(l: float, h: float, br: float) -> float:
         raise ValueError("hub offset must be nonnegative")
     if h < 0 or h > l:
         raise ValueError("half-separation must satisfy 0 <= h <= l: rod cannot stretch")
-    return math.sqrt(l * l - h * h) + br
+    return math.sqrt(l * l - h * h) + br  # ``transform_columns`` repeats it
 
 
 def trigger_state(module_length: float, elongated: float) -> TriggerMode:
@@ -86,8 +87,9 @@ def trigger_state(module_length: float, elongated: float) -> TriggerMode:
     return TriggerMode.RIGID
 
 
-def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
-    """Sweep the transformation from flat crawler to fully formed wheel.
+def transform_columns(p: DesignParams, steps: int) -> tuple[list, list, list, list]:
+    """Module length, half-separation, wheel radius and ``TriggerMode``
+    columns of the transformation from flat crawler to fully formed wheel.
 
     The rod-pair half-separation is the driver: it runs from the rod
     half-length (rods flat along the axis, radius equals the hub offset)
@@ -112,7 +114,11 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
     last = steps - 1
     hs = [l, *[l + (h_min - l) * (i / last) for i in range(1, last)], h_min]
     lengths = [elongated - 2.0 * (l - h) for h in hs]
-    radii = [bulge_radius(l, h, hub_offset) for h in hs]
+    # ``bulge_radius`` at each h, whose checks every h passes: it lies in
+    # [h_min, l], which a valid design keeps in [0, l]. The expression is
+    # repeated: a helper shared with ``bulge_radius`` would slow each sweep
+    # point, which calls that once, by about 4% (CPython 3.11).
+    radii = [math.sqrt(l * l - h * h) + hub_offset for h in hs]
     if not (all(map(operator.lt, lengths[1:], lengths))
             and all(map(operator.gt, radii[1:], radii))):
         i = next(i for i in range(1, steps)
@@ -120,10 +126,16 @@ def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
         raise ValueError(f"{steps} steps are finer than the design resolves: state {i} "
                          "does not shorten the module and widen the wheel")
     # Lengths fall strictly from the elongated one, so only the ends can be
-    # other than rigid. ``tuple.__new__`` skips the named tuple's own.
+    # other than rigid.
     modes = [trigger_state(lengths[0], elongated), *[TriggerMode.RIGID] * (steps - 2),
              trigger_state(lengths[last], elongated)]
-    return list(map(tuple.__new__, [TransformState] * steps, zip(lengths, hs, radii, modes)))
+    return lengths, hs, radii, modes
+
+
+def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
+    """``transform_columns`` as states, one per step."""
+    states = zip(*transform_columns(p, steps))  # checks ``steps`` before the list below
+    return list(map(tuple.__new__, [TransformState] * steps, states))
 
 
 def transform_endpoint_radius(p: DesignParams) -> float:

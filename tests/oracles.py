@@ -1,7 +1,7 @@
 """Brute-force oracles: the closed-form inverse sizing in ``telescopic``, the
-transformation profile state by state, the keyframe file as ``json.dumps``
-writes it, the peak of a torque profile and the metrics of a sweep row; and
-``set_field``, the setter a sweep applies at each point."""
+transformation and torque profiles state by state, the keyframe file as
+``json.dumps`` writes it, the peak of a torque profile and the metrics of a
+sweep row; and ``set_field``, the setter a sweep applies at each point."""
 
 import json
 import math
@@ -80,6 +80,25 @@ def transform_profile(p, steps: int) -> list:
         last_length, last_radius = length, radius
         states.append(TransformState(length, h, radius, trigger_state(length, elongated)))
     return states
+
+
+def torque_profile(p, states, table=None) -> list:
+    """``quasistatics.torque_profile`` one state at a time: each state's force
+    from ``silicone_force``, its torque from ``screw_torque`` whenever the
+    force is another float object than the state's before, and its
+    ``TorqueEntry`` from the named tuple's constructor."""
+    if table is None:
+        table = quasistatics.default_force_table()
+    dr = p.drive
+    elongated = states[0].module_length
+    entries, force, torque = [], None, None
+    for state in states:
+        f = quasistatics.silicone_force(table, (elongated - state.module_length) / 10.0)
+        if f is not force:
+            force, torque = f, quasistatics.screw_torque(
+                f / 3.0, dr.screw_lead, dr.screw_mean_diameter, dr.screw_friction)
+        entries.append(quasistatics.TorqueEntry(state.module_length, force, torque))
+    return entries
 
 
 def keyframes_document(states, p) -> dict:

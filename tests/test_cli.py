@@ -28,6 +28,7 @@ from morphwheel.params import _MAX_STEPS, _SECTIONS, reference_design, residual_
 from morphwheel.report import Objective, SweepSpec, consistency_warnings, design_card
 from morphwheel.telescopic import shaft_levels
 
+import oracles
 from conftest import ENTRIES, child_env, random_valid_params
 from oracles import keyframes_json, set_field
 
@@ -521,9 +522,9 @@ class TestCmdProfile:
 
 def profile_oracle(p, steps, table):
     """The profile CSV and keyframe bytes as ``csv.writer`` and ``json.dumps``
-    write them from the library's states."""
-    states = wheelgeom.transform_profile(p, steps)
-    torques = quasistatics.torque_profile(p, states, table)
+    write them from the states and torques of the per-state oracles."""
+    states = oracles.transform_profile(p, steps)
+    torques = oracles.torque_profile(p, states, table)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(cli.PROFILE_COLUMNS)

@@ -2,8 +2,9 @@
 morphwheel.cli`` and through the function the console script calls.
 
 Only what needs a process of its own is here: argparse's usage, which wraps
-at the width the ``COLUMNS`` variable sets, and the files that a run whose
-output is a directory leaves behind."""
+at the width the ``COLUMNS`` variable sets, the files that a run whose
+output is a directory leaves behind, and the whole error line of a run whose
+output's directory is missing, which holds no process id."""
 
 import subprocess
 import sys
@@ -49,6 +50,10 @@ def test_usage_error_bytes(tmp_path, entry, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+SWEEP_ARGS = ["--sweep-param", "wheel.hub_offset", "--sweep-range", "10:200:4",
+              "--objective", "max-wheel-radius"]
+
+
 def assert_refused_onto_a_directory(entry, verb, args, target):
     # A rename onto a directory fails whoever runs the script, root too. The
     # error names the target, not the temporary file that the run deletes.
@@ -62,9 +67,7 @@ def assert_refused_onto_a_directory(entry, verb, args, target):
 @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
 def test_sweep_onto_a_directory_leaves_it_and_no_temporary_file(tmp_path, entry):
     out = tmp_path / "s.csv"
-    assert_refused_onto_a_directory(entry, "sweep", [
-        "--sweep-param", "wheel.hub_offset", "--sweep-range", "10:200:4",
-        "--objective", "max-wheel-radius", "--out", str(out)], out)
+    assert_refused_onto_a_directory(entry, "sweep", [*SWEEP_ARGS, "--out", str(out)], out)
 
 
 @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
@@ -72,3 +75,15 @@ def test_profile_onto_a_directory_leaves_it_and_no_temporary_file(tmp_path, entr
     assert_refused_onto_a_directory(entry, "profile", ["--steps", "5", "--out",
                                                        str(tmp_path / "p.csv")],
                                     tmp_path / "p_keyframes.json")
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+@pytest.mark.parametrize("verb, args, name", [("sweep", SWEEP_ARGS, "s.csv"),
+                                              ("profile", ["--steps", "5"], "p.csv")])
+def test_output_in_a_missing_directory_names_the_target(tmp_path, entry, verb, args, name):
+    # The temporary file's open fails first; the error names its target.
+    out = tmp_path / "nodir" / name
+    proc = run(entry, [verb, "--config", REFERENCE_CONFIG, *args, "--out", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) \
+        == (2, "", f"error: cannot write output: [Errno 2] No such file or directory: '{out}'\n")
+    assert list(tmp_path.iterdir()) == []

@@ -3,10 +3,10 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from morphwheel import ConfigError, quasistatics
+from morphwheel import ConfigError, quasistatics, reference_design
 from morphwheel.quasistatics import (
     SELECTION_THRESHOLD,
     SiliconeForceTable,
@@ -16,14 +16,19 @@ from morphwheel.quasistatics import (
     motor_check,
     screw_torque,
     silicone_force,
+    silicone_forces,
+    torque_columns,
     torque_profile,
 )
 from morphwheel.wheelgeom import transform_profile
 
+import oracles
 from conftest import count_calls, random_valid_params
 from oracles import peak_index
 
 FORCE_TABLE = Path(__file__).resolve().parent.parent / "configs" / "force_table.yaml"
+NEGATIVE_ZERO_END_TABLE = Path(__file__).resolve().parent / "data" \
+    / "force_table_negative_zero_end.yaml"
 
 
 @st.composite
@@ -145,6 +150,40 @@ class TestSiliconeForce:
         eps = 1e-7
         assert silicone_force(table, x + eps) \
             == pytest.approx(silicone_force(table, x), abs=1e-5)
+
+
+def runs(column) -> list[bool]:
+    """Whether each entry of ``column`` past the first is the very object of
+    the entry before it."""
+    return [a is b for a, b in zip(column, column[1:])]
+
+
+class TestSiliconeForces:
+    """The column of forces against ``silicone_force`` at each length change."""
+
+    @given(profile_tables, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_each_force_is_the_lookup_of_its_change(self, table, data):
+        # Changes drawn around the samples and exactly at them, some repeated.
+        xs = table.abscissae
+        changes = sorted(data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, *(x for x in xs if x >= 0)]),
+                      st.floats(0.0, xs[-1] + 1.0)), max_size=60)))
+        want = [silicone_force(table, x) for x in changes]
+        got = silicone_forces(table, changes)
+        assert list(map(repr, got)) == list(map(repr, want))
+        # The table's own force object wherever the lookup returns one.
+        assert [a is b for a, b in zip(got, want)] \
+            == [any(b is f for _, f in table.samples) for b in want]
+        assert runs(got) == runs(want)
+
+    def test_refusals(self):
+        table = default_force_table()
+        for changes in ([2.0, 1.0], [-0.1, 1.0], [0.5, -0.1]):
+            with pytest.raises(ValueError,
+                               match="^length changes must be nonnegative and nondecreasing$"):
+                silicone_forces(table, changes)
+        assert silicone_forces(table, []) == []
 
 
 class TestScrewTorque:
@@ -272,6 +311,47 @@ class TestTorqueProfile:
         assert len(profile) == len(states)
         for state, entry in zip(states, profile):
             assert entry.module_length == state.module_length
+
+
+class TestPerStateOracle:
+    """The force and torque columns, and the entries that view them, against
+    the loop of ``oracles``, which calls ``silicone_force`` at every state
+    and ``screw_torque`` at every new force object."""
+
+    @pytest.mark.parametrize("table_path", [None, FORCE_TABLE, NEGATIVE_ZERO_END_TABLE],
+                             ids=["default", "file", "negative-zero-end"])
+    @given(seed=st.integers(0, 2**32 - 1),
+           steps=st.one_of(st.sampled_from([2, 3]), st.integers(2, 3000)))
+    # The reference design, whose length changes at 281 steps are the tenths
+    # of a centimetre: every sample of each table is hit exactly.
+    @example(seed=None, steps=281)
+    @settings(max_examples=100, deadline=None)
+    def test_columns_match_the_per_state_loop(self, table_path, seed, steps):
+        table = default_force_table() if table_path is None \
+            else load_force_table_path(table_path)
+        p = reference_design() if seed is None else random_valid_params(random.Random(seed))
+        try:
+            states = oracles.transform_profile(p, steps)
+        except ValueError:  # more steps than the design resolves
+            assume(False)
+        want = oracles.torque_profile(p, states, table)
+        forces, torques = torque_columns(p, [s.module_length for s in states], table)
+        for got, column in ((forces, [e.axial_force for e in want]),
+                            (torques, [e.per_motor_torque for e in want])):
+            assert list(map(repr, got)) == list(map(repr, column))
+            assert runs(got) == runs(column)
+        samples = [f for _, f in table.samples]
+
+        def sample_of(force):
+            return next((i for i, f in enumerate(samples) if force is f), None)
+        hits = [sample_of(f) for f in forces]
+        assert hits == [sample_of(e.axial_force) for e in want]
+        if seed is None:
+            assert set(hits) >= set(range(len(samples)))
+        entries = torque_profile(p, states, table)
+        assert list(map(repr, entries)) == list(map(repr, want))
+        assert all(type(e) is quasistatics.TorqueEntry for e in entries)
+        assert [e.axial_force for e in entries] == forces
 
 
 class TestMotorCheck:

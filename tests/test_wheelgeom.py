@@ -27,6 +27,8 @@ import oracles
 from conftest import random_valid_params
 from oracles import keyframes_document, keyframes_json
 
+FORCE_TABLE = Path(__file__).resolve().parent.parent / "configs" / "force_table.yaml"
+
 
 class TestBulgeRadius:
     def test_pythagorean_triple(self):
@@ -83,20 +85,26 @@ class TestTransformProfile:
         assert states[0].trigger_mode is TriggerMode.TELESCOPIC
         assert all(s.trigger_mode is TriggerMode.RIGID for s in states[1:])
 
-    def test_one_formula_call_per_state(self, reference, monkeypatch):
-        # The radius and the force have one formula each, looked up through
-        # their modules at call time, as a wrapper that counts them sees them.
-        # The lengths fall strictly, so only the two ends ask the trigger model.
+    def test_no_formula_call_per_state(self, reference, monkeypatch):
+        # The radius and the force are computed as columns: no state calls
+        # ``bulge_radius`` or ``silicone_force``. The lengths fall strictly,
+        # so only the two ends ask the trigger model, and a run of states
+        # that share one force object shares one ``screw_torque`` call. Each
+        # is looked up through its module at call time, as a wrapper that
+        # counts it sees it.
         assert reference.validation.valid  # computed once, before the count
+        table = quasistatics.load_force_table_path(FORCE_TABLE)
         calls = Counter()
         for module, name in ((wheelgeom, "bulge_radius"), (wheelgeom, "trigger_state"),
-                             (quasistatics, "silicone_force")):
+                             (quasistatics, "silicone_force"), (quasistatics, "screw_torque")):
             def counted(*args, _fn=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(module, name, counted)
-        quasistatics.torque_profile(reference, transform_profile(reference, 2000))
-        assert calls == {"bulge_radius": 2000, "trigger_state": 2, "silicone_force": 2000}
+        entries = quasistatics.torque_profile(reference, transform_profile(reference, 2000),
+                                              table)
+        assert calls == {"trigger_state": 2, "screw_torque": 502}
+        assert len({id(e.axial_force) for e in entries}) == 502
 
     def test_too_few_steps_rejected(self, reference):
         with pytest.raises(ValueError, match="steps"):
