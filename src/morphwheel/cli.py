@@ -301,6 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Design toolkit for the crawler-to-wheel transforming module",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # An output path ends in a file name: ``Path.with_name`` refuses ``''``,
+    # ``.`` and ``/``, and ``sub/`` or ``sub/.`` would write a file ``sub``.
+    out_path = _bounded(str, lambda path: os.path.basename(path) not in ("", ".", ".."),
+                        "output path must end in a file name")
 
     p_validate = sub.add_parser("validate", help="check a design config against all invariants")
     p_validate.add_argument("--config", required=True, help="design config path (YAML)")
@@ -327,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # A profile runs from the elongated to the compressed state: at least two.
     p_profile.add_argument("--steps", default=50,
                            type=_bounded(int, lambda n: n >= 2, "steps must be >= 2"))
-    p_profile.add_argument("--out", required=True, help="CSV output path; keyframes go next to it")
+    p_profile.add_argument("--out", required=True, type=out_path,
+                           help="CSV output path; keyframes go next to it")
     p_profile.add_argument("--force-table", default=None,
                            help="YAML file of (cm, N) pairs overriding the builtin table")
     p_profile.set_defaults(func=cmd_profile)
@@ -344,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     p_sweep.add_argument("--objective", required=True,
                          choices=[o.value for o in Objective])
-    p_sweep.add_argument("--out", required=True)
+    p_sweep.add_argument("--out", required=True, type=out_path)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

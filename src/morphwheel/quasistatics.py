@@ -20,11 +20,9 @@ from pathlib import Path
 from . import params
 from .errors import ConfigError
 from .params import DesignParams
-from .wheelgeom import TransformState
 
 __all__ = [
     "SiliconeForceTable",
-    "TorqueEntry",
     "MotorCheck",
     "SELECTION_THRESHOLD",
     "default_force_table",
@@ -34,7 +32,6 @@ __all__ = [
     "silicone_forces",
     "screw_torque",
     "torque_columns",
-    "torque_profile",
     "peak_load",
     "motor_check",
 ]
@@ -55,11 +52,7 @@ class SiliconeForceTable(_ForceTableFields):
     and ``_replace``.
     """
 
-    # No ``__slots__``: the ``__dict__`` keeps ``abscissae``, the samples'
-    # length changes, for the lookups of ``silicone_force``; it takes no part
-    # in equality.
-    abscissae: tuple[float, ...]
-    __setattr__ = __delattr__ = params._read_only
+    __slots__ = ()
     _make = classmethod(params._remake)
 
     def __new__(cls, *args, **kwargs):
@@ -69,7 +62,7 @@ class SiliconeForceTable(_ForceTableFields):
             raise ValueError("force table must not be empty")
         if not all(isfinite(v) for sample in samples for v in sample):
             raise ValueError("length changes and forces must be finite")
-        xs = tuple(x for x, _ in samples)
+        xs = [x for x, _ in samples]
         fs = [f for _, f in samples]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("length changes must be strictly increasing")
@@ -77,7 +70,6 @@ class SiliconeForceTable(_ForceTableFields):
             raise ValueError("forces must be nonincreasing")
         if fs[-1] < 0:
             raise ValueError("forces must be nonnegative")
-        self.__dict__["abscissae"] = xs
         return self
 
 
@@ -142,14 +134,14 @@ def silicone_force(table: SiliconeForceTable, length_change: float) -> float:
     """
     if length_change < 0:
         raise ValueError("length change must be nonnegative")
-    xs = table.abscissae
-    if length_change <= xs[0]:
-        return table.samples[0][1]
-    if length_change >= xs[-1]:
-        return table.samples[-1][1]
-    i = bisect_left(xs, length_change)
-    x0, f0 = table.samples[i - 1]
-    x1, f1 = table.samples[i]
+    samples = table.samples
+    if length_change <= samples[0][0]:
+        return samples[0][1]
+    if length_change >= samples[-1][0]:
+        return samples[-1][1]
+    i = bisect_left(samples, length_change, key=operator.itemgetter(0))
+    x0, f0 = samples[i - 1]
+    x1, f1 = samples[i]
     if length_change == x1:
         return f1
     return _interpolated(x0, f0, x1, f1, (length_change,))[0]
@@ -193,12 +185,6 @@ def screw_torque(axial_force: float, lead: float, mean_diameter: float,
         * (lead + pi * friction * mean_diameter) / denom
 
 
-class TorqueEntry(typing.NamedTuple):
-    module_length: float    # mm
-    axial_force: float      # N
-    per_motor_torque: float  # N*mm
-
-
 # The three screws share the axial load equally.
 _SCREWS = 3.0
 
@@ -224,17 +210,9 @@ def torque_columns(p: DesignParams, lengths: list[float],
     return forces, torques
 
 
-def torque_profile(p: DesignParams, states: list[TransformState],
-                   table: SiliconeForceTable | None = None) -> tuple[TorqueEntry, ...]:
-    """``torque_columns`` at the transformation ``states``, one entry each."""
-    lengths = [state.module_length for state in states]
-    entries = zip(lengths, *torque_columns(p, lengths, table))
-    return tuple(map(tuple.__new__, [TorqueEntry] * len(lengths), entries))
-
-
 def peak_load(p: DesignParams, table: SiliconeForceTable | None = None) -> tuple[float, float]:
     """(axial force N, per-motor torque N*mm) at the peak of every
-    ``torque_profile``: its uncompressed first entry, since table forces
+    ``torque_columns``: its uncompressed first entry, since table forces
     never increase with compression."""
     if table is None:
         table = default_force_table()

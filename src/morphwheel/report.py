@@ -130,9 +130,9 @@ def _warnings(p: DesignParams, lengths: telescopic.ModuleLengths, chassis_d: flo
         _mismatch("wheel_diameter_mismatch", 2.0 * p.validation.derived.wheel_radius,
                   rep.wheel_diameter,
                   "computed full-compression wheel diameter differs from the reported value"),
-        # Two models, not a reported value: the module length at the last
-        # state of ``wheelgeom.transform_profile`` against the length the
-        # telescopic stack collapses to.
+        # Two models, not a reported value: the last module length of
+        # ``wheelgeom.transform_columns`` against the length the telescopic
+        # stack collapses to.
         None if stroke_end >= lengths.reduced else Inconsistency(
             "wheel_stroke_exceeds_telescopic_stroke",
             "the wheel stroke ends at a module length (computed) below the "

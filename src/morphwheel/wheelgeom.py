@@ -20,13 +20,11 @@ from .telescopic import module_lengths
 
 __all__ = [
     "TriggerMode",
-    "TransformState",
     "CurvedRodPlan",
     "KEYFRAME_SCHEMA_VERSION",
     "bulge_radius",
     "trigger_state",
     "transform_columns",
-    "transform_profile",
     "transform_endpoint_radius",
     "rim_arc",
     "curved_rod_plan",
@@ -42,15 +40,6 @@ ARC_POINTS_PER_SECTOR = 8
 class TriggerMode(enum.Enum):
     TELESCOPIC = "telescopic"
     RIGID = "rigid"
-
-
-class TransformState(typing.NamedTuple):
-    """One instant of the crawler-to-wheel transformation."""
-
-    module_length: float          # mm
-    axial_half_separation: float  # mm, h of the rod pair
-    wheel_radius: float           # mm
-    trigger_mode: TriggerMode
 
 
 class CurvedRodPlan(typing.NamedTuple):
@@ -132,15 +121,9 @@ def transform_columns(p: DesignParams, steps: int) -> tuple[list, list, list, li
     return lengths, hs, radii, modes
 
 
-def transform_profile(p: DesignParams, steps: int) -> list[TransformState]:
-    """``transform_columns`` as states, one per step."""
-    states = zip(*transform_columns(p, steps))  # checks ``steps`` before the list below
-    return list(map(tuple.__new__, [TransformState] * steps, states))
-
-
 def transform_endpoint_radius(p: DesignParams) -> float:
-    """Wheel radius at full compression: the last state of every
-    ``transform_profile``, without sweeping the whole profile."""
+    """Wheel radius at full compression: the last radius of every
+    ``transform_columns``, without sweeping the whole profile."""
     w = p.wheel
     return bulge_radius(w.rod_half_length, min_half_separation(p), w.hub_offset)
 

@@ -5,6 +5,7 @@ sweep row; and ``set_field``, the setter a sweep applies at each point."""
 
 import json
 import math
+import typing
 
 from morphwheel import InfeasibleError, bending, params, quasistatics, wheelgeom
 from morphwheel.report import DEFAULT_TOTAL_BEND
@@ -12,7 +13,7 @@ from morphwheel.telescopic import module_lengths
 from morphwheel.wheelgeom import (
     ARC_POINTS_PER_SECTOR,
     KEYFRAME_SCHEMA_VERSION,
-    TransformState,
+    TriggerMode,
     bulge_radius,
     trigger_state,
 )
@@ -48,12 +49,30 @@ def scan_min_levels(screw_length: float, residual: float, target_ratio: float) -
     return n
 
 
-def transform_profile(p, steps: int) -> list:
-    """``wheelgeom.transform_profile`` one state at a time: each state's
+class State(typing.NamedTuple):
+    """One instant of the crawler-to-wheel transformation: one row of
+    ``wheelgeom.transform_columns``."""
+
+    module_length: float          # mm
+    axial_half_separation: float  # mm, h of the rod pair
+    wheel_radius: float           # mm
+    trigger_mode: TriggerMode
+
+
+class Entry(typing.NamedTuple):
+    """The load at one state: its module length, then its row of
+    ``quasistatics.torque_columns``."""
+
+    module_length: float     # mm
+    axial_force: float       # N
+    per_motor_torque: float  # N*mm
+
+
+def transform_profile(p, steps: int) -> list[State]:
+    """``wheelgeom.transform_columns`` one state at a time: each state's
     radius from ``bulge_radius``, its trigger mode from ``trigger_state`` and
-    its ``TransformState`` from the named tuple's constructor, refusing a
-    state that does not shorten the module and widen the wheel where it is
-    built."""
+    its ``State`` from the named tuple's constructor, refusing a state that
+    does not shorten the module and widen the wheel where it is built."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if steps > params._MAX_STEPS:
@@ -78,15 +97,15 @@ def transform_profile(p, steps: int) -> list:
             raise ValueError(f"{steps} steps are finer than the design resolves: state {i} "
                              "does not shorten the module and widen the wheel")
         last_length, last_radius = length, radius
-        states.append(TransformState(length, h, radius, trigger_state(length, elongated)))
+        states.append(State(length, h, radius, trigger_state(length, elongated)))
     return states
 
 
-def torque_profile(p, states, table=None) -> list:
-    """``quasistatics.torque_profile`` one state at a time: each state's force
-    from ``silicone_force``, its torque from ``screw_torque`` whenever the
-    force is another float object than the state's before, and its
-    ``TorqueEntry`` from the named tuple's constructor."""
+def torque_profile(p, states, table=None) -> list[Entry]:
+    """``quasistatics.torque_columns`` at the ``states``, one state at a time:
+    each state's force from ``silicone_force``, its torque from
+    ``screw_torque`` whenever the force is another float object than the
+    state's before, and its ``Entry`` from the named tuple's constructor."""
     if table is None:
         table = quasistatics.default_force_table()
     dr = p.drive
@@ -97,7 +116,7 @@ def torque_profile(p, states, table=None) -> list:
         if f is not force:
             force, torque = f, quasistatics.screw_torque(
                 f / 3.0, dr.screw_lead, dr.screw_mean_diameter, dr.screw_friction)
-        entries.append(quasistatics.TorqueEntry(state.module_length, force, torque))
+        entries.append(Entry(state.module_length, force, torque))
     return entries
 
 
@@ -125,9 +144,9 @@ def keyframes_json(states, p) -> str:
     return json.dumps(keyframes_document(states, p), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def peak_index(entries) -> int:
-    """Index of the first torque entry of the largest per-motor torque."""
-    return max(range(len(entries)), key=lambda i: entries[i].per_motor_torque)
+def peak_index(torques) -> int:
+    """Index of the first of the largest per-motor ``torques``."""
+    return max(range(len(torques)), key=torques.__getitem__)
 
 
 def sweep_row(p) -> tuple[float, ...]:

@@ -18,7 +18,7 @@ from morphwheel.quasistatics import (
     motor_check,
     screw_torque,
     silicone_force,
-    torque_profile,
+    torque_columns,
 )
 from morphwheel.report import consistency_warnings
 from morphwheel.telescopic import (
@@ -28,7 +28,7 @@ from morphwheel.telescopic import (
     reduction_ok,
     shaft_levels,
 )
-from morphwheel.wheelgeom import TriggerMode, bulge_radius, curved_rod_plan, transform_profile
+from morphwheel.wheelgeom import TriggerMode, bulge_radius, curved_rod_plan, transform_columns
 
 from conftest import random_valid_params
 from oracles import peak_index, scan_min_levels, scan_min_screw_length
@@ -64,8 +64,8 @@ def test_criterion_3_force_table_fidelity():
         assert silicone_force(table, x) == f
     assert abs(silicone_force(table, 1.5) - 3.3) <= 1e-12
     p = reference_design()
-    profile = torque_profile(p, transform_profile(p, 200))
-    assert max(e.axial_force for e in profile) == 3.4
+    forces, _ = torque_columns(p, transform_columns(p, 200)[0])
+    assert max(forces) == 3.4
     report(3, "all 8 force samples exact, 1.5 cm interpolates to 3.3 N, "
               "profile force maximum is 3.4 N")
 
@@ -124,16 +124,16 @@ def test_criterion_6_wheel_geometry():
     assert bulge_radius(5.0, 3.0, 0.0) == 4.0
 
     p = reference_design()
-    states = transform_profile(p, 200)
-    lengths = module_lengths(p)
-    assert states[0].module_length == lengths.elongated
-    assert states[0].wheel_radius == p.wheel.hub_offset
-    assert states[0].trigger_mode is TriggerMode.TELESCOPIC
-    for a, b in zip(states, states[1:]):
-        assert a.module_length > b.module_length
-        assert a.wheel_radius < b.wheel_radius
-    assert abs(states[-1].wheel_radius - 200.0) <= 1e-9
-    assert abs(2 * states[-1].wheel_radius - 400.0) <= 1e-9
+    lengths, _, radii, modes = transform_columns(p, 200)
+    assert lengths[0] == module_lengths(p).elongated
+    assert radii[0] == p.wheel.hub_offset
+    assert modes[0] is TriggerMode.TELESCOPIC
+    for a, b in zip(lengths, lengths[1:]):
+        assert a > b
+    for a, b in zip(radii, radii[1:]):
+        assert a < b
+    assert abs(radii[-1] - 200.0) <= 1e-9
+    assert abs(2 * radii[-1] - 400.0) <= 1e-9
     report(6, "Pythagorean closure on 1000 random rods (1e-9), 3-4-5 exact, "
               "profile monotone from (340 mm, 60 mm) to the 400 mm wheel")
 
@@ -184,13 +184,12 @@ def test_criterion_9_torque_model():
         assert abs(screw_torque(f, lead, d, 0.0) - f * lead / (2 * math.pi)) <= 1e-12
 
     p = reference_design()
-    profile = torque_profile(p, transform_profile(p, 100))
-    forces = [e.axial_force for e in profile]
-    peak = peak_index(profile)
-    assert profile[peak].axial_force == max(forces)
+    forces, torques = torque_columns(p, transform_columns(p, 100)[0])
+    peak = peak_index(torques)
+    assert forces[peak] == max(forces)
     assert peak == min(i for i, f in enumerate(forces) if f == max(forces))
 
-    check = motor_check(profile[peak].per_motor_torque, 1470.0)
+    check = motor_check(torques[peak], 1470.0)
     assert check.passed
     assert f"{check.peak_torque:.3f}" in check.note and "500" in check.note
     print(f"\n  computed peak {check.peak_torque:.3f} N*mm | "

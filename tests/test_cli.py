@@ -89,7 +89,7 @@ class TestConsistencyWarnings:
         (stroke,) = [w for w in consistency_warnings(reference)
                      if w.code == "wheel_stroke_exceeds_telescopic_stroke"]
         assert (stroke.computed, stroke.reported) == (60.0, 220.0)
-        assert stroke.computed == wheelgeom.transform_profile(reference, 2)[-1].module_length
+        assert stroke.computed == wheelgeom.transform_columns(reference, 2)[0][-1]
         assert " = " not in stroke.detail  # the card parser reads ``key = value`` lines
 
     def test_no_stroke_warning_when_the_wheel_stroke_fits(self, reference):
@@ -240,6 +240,29 @@ class TestNonPhysicalScrew:
             "screw_friction * screw_lead\n" in captured.out + captured.err
         assert "Traceback" not in captured.err
         assert not list(tmp_path.glob("*.csv"))
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("verb,extra", [
+        ("profile", []),
+        ("sweep", ["--sweep-param", "wheel.hub_offset", "--sweep-range", "50:80:3",
+                   "--objective", "max-wheel-radius"]),
+    ], ids=["profile", "sweep"])
+    @pytest.mark.parametrize("out", ["", ".", "/", "sub/", "sub/.", ".."])
+    def test_a_path_without_a_file_name_is_a_usage_error(self, tmp_path, monkeypatch,
+                                                         capsys, verb, extra, out):
+        # Refused before the config is read: nothing is built or written.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--config", REFERENCE_CONFIG, *extra, "--out", out])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] \
+            == [f"morphwheel {verb}: error: argument --out: output path must end in a "
+                "file name"]
+        assert captured.err.startswith("usage: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCmdValidate:
@@ -489,7 +512,7 @@ class TestCmdProfile:
     def test_step_cap(self, reference, config_file, tmp_path, capsys):
         # The cap is checked before any state is built: a regression past it
         # fails here at once rather than filling memory.
-        assert len(wheelgeom.transform_profile(reference, _MAX_STEPS)) == _MAX_STEPS
+        assert len(wheelgeom.transform_columns(reference, _MAX_STEPS)[0]) == _MAX_STEPS
         out = tmp_path / "p.csv"
         assert main(["profile", "--config", config_file, "--steps", str(_MAX_STEPS + 1),
                      "--out", str(out)]) == 2
@@ -1029,7 +1052,7 @@ def verb_argvs(draw, config: str, work: Path) -> list[str]:
     config = draw(pick([config], [str(work / "missing.yaml")]))
     table = pick([str(ROOT / "configs" / "force_table.yaml")],
                  [config, str(work / "missing.yaml")])
-    out = pick([str(work / "out.csv")], [str(work / "no" / "out.csv")])
+    out = pick([str(work / "out.csv")], [str(work / "no" / "out.csv"), "", ".", "/"])
     floats = pick(USUAL_FLOATS, RARE_FLOATS)
     ends = pick(["-100", "0.5", "12.5", "300"], RARE_FLOATS)
     steps = pick(USUAL_STEPS, RARE_STEPS)

@@ -96,3 +96,21 @@ def test_restated_key_at_another_value_exits_2(tmp_path, capsys):
     assert main(["report", "--config", str(config)]) == 2
     assert capsys.readouterr() == ("", "error: restated value must equal 2 * joint_arm_height "
                                        "= 10.0 (field: layout.joint_height)\n")
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    """The README's two ``python`` blocks run as written: the keyframe reader
+    where ``profile --out profile.csv`` wrote its keyframes, and the library
+    walk-through from the repository root, whose config path is relative."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    reader, library = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    with contextlib.redirect_stdout(io.StringIO()):
+        monkeypatch.chdir(tmp_path)
+        assert main(["profile", "--config", REFERENCE_CONFIG, "--out", "profile.csv"]) == 0
+        namespace = {}
+        exec(reader, namespace)
+        assert len(namespace["frames"]) == 50
+        monkeypatch.chdir(ROOT)
+        namespace = {}
+        exec(library, namespace)
+        assert namespace["check"].passed

@@ -18,9 +18,8 @@ from morphwheel.quasistatics import (
     silicone_force,
     silicone_forces,
     torque_columns,
-    torque_profile,
 )
-from morphwheel.wheelgeom import transform_profile
+from morphwheel.wheelgeom import transform_columns
 
 import oracles
 from conftest import count_calls, random_valid_params
@@ -165,7 +164,7 @@ class TestSiliconeForces:
     @settings(max_examples=200, deadline=None)
     def test_each_force_is_the_lookup_of_its_change(self, table, data):
         # Changes drawn around the samples and exactly at them, some repeated.
-        xs = table.abscissae
+        xs = [x for x, _ in table.samples]
         changes = sorted(data.draw(st.lists(
             st.one_of(st.sampled_from([0.0, *(x for x in xs if x >= 0)]),
                       st.floats(0.0, xs[-1] + 1.0)), max_size=60)))
@@ -241,53 +240,45 @@ class TestScrewTorque:
 
 
 def profile_of(p, steps, table=None):
-    return torque_profile(p, transform_profile(p, steps), table)
-
-
-def peak_torque(entries):
-    return entries[peak_index(entries)].per_motor_torque
+    """The force and torque columns of a ``steps``-state profile of ``p``."""
+    return torque_columns(p, transform_columns(p, steps)[0], table)
 
 
 class TestTorqueProfile:
     def test_peak_at_maximum_force(self, reference):
-        profile = profile_of(reference, 50)
-        forces = [e.axial_force for e in profile]
-        assert profile[peak_index(profile)].axial_force == max(forces)
+        forces, torques = profile_of(reference, 50)
+        assert forces[peak_index(torques)] == max(forces)
         assert max(forces) == 3.4
-        assert peak_index(profile) == 0  # clamp holds the max from the first step
+        assert peak_index(torques) == 0  # clamp holds the max from the first step
 
     def test_zero_force_table(self, reference):
         table = SiliconeForceTable(samples=((1.0, 0.0), (2.0, 0.0)))
-        profile = profile_of(reference, 10, table)
-        assert all(e.per_motor_torque == 0.0 for e in profile)
+        _, torques = profile_of(reference, 10, table)
+        assert all(t == 0.0 for t in torques)
 
     def test_linearity_in_force(self, reference):
         base = default_force_table()
         doubled = SiliconeForceTable(
             samples=tuple((x, 2 * f) for x, f in base.samples))
-        p1 = profile_of(reference, 20, base)
-        p2 = profile_of(reference, 20, doubled)
-        for a, b in zip(p1, p2):
-            assert b.per_motor_torque == pytest.approx(2 * a.per_motor_torque,
-                                                       rel=1e-12)
+        _, t1 = profile_of(reference, 20, base)
+        _, t2 = profile_of(reference, 20, doubled)
+        for a, b in zip(t1, t2):
+            assert b == pytest.approx(2 * a, rel=1e-12)
 
     @given(st.integers(0, 2**32), profile_tables, st.integers(2, 2000))
     @settings(max_examples=100, deadline=None)
     def test_each_entry_is_the_screw_formula_on_a_third_of_the_force(self, seed, table,
                                                                        steps):
-        # Bit for bit, though entries past a clamped end of the table share
+        # Bit for bit, though states past a clamped end of the table share
         # one computed torque.
         p = random_valid_params(random.Random(seed))
-        states = transform_profile(p, steps)
+        lengths = transform_columns(p, steps)[0]
         dr = p.drive
-        elongated = states[0].module_length
-        for state, entry in zip(states, torque_profile(p, states, table)):
-            force = silicone_force(table, (elongated - state.module_length) / 10.0)
+        for length, *got in zip(lengths, *torque_columns(p, lengths, table)):
+            force = silicone_force(table, (lengths[0] - length) / 10.0)
             torque = screw_torque(force / 3.0, dr.screw_lead, dr.screw_mean_diameter,
                                   dr.screw_friction)
-            assert (repr(entry.module_length), repr(entry.axial_force),
-                    repr(entry.per_motor_torque)) \
-                == (repr(state.module_length), repr(force), repr(torque))
+            assert list(map(repr, got)) == [repr(force), repr(torque)]
 
     @pytest.mark.parametrize("table_path", [None, FORCE_TABLE], ids=["builtin", "file"])
     def test_torque_computed_once_per_run_of_one_force(self, monkeypatch, reference,
@@ -297,26 +288,22 @@ class TestTorqueProfile:
         # the table's own sample object as its force.
         table = default_force_table() if table_path is None \
             else load_force_table_path(table_path)
-        states = transform_profile(reference, 2000)
+        lengths = transform_columns(reference, 2000)[0]
         calls = count_calls(monkeypatch, quasistatics, "screw_torque")
-        forces = [e.axial_force for e in torque_profile(reference, states, table)]
+        forces, _ = torque_columns(reference, lengths, table)
         assert sum(f is table.samples[-1][1] for f in forces) == 1428
         runs = 1 + sum(a is not b for a, b in zip(forces, forces[1:]))
         assert len(calls) == runs <= 2000 - 1428
 
     def test_aligns_with_transform_profile(self, reference):
-        states = transform_profile(reference, 25)
-        profile = torque_profile(reference, states)
-        assert isinstance(profile, tuple)
-        assert len(profile) == len(states)
-        for state, entry in zip(states, profile):
-            assert entry.module_length == state.module_length
+        lengths = transform_columns(reference, 25)[0]
+        assert list(map(len, torque_columns(reference, lengths))) == [len(lengths)] * 2
 
 
 class TestPerStateOracle:
-    """The force and torque columns, and the entries that view them, against
-    the loop of ``oracles``, which calls ``silicone_force`` at every state
-    and ``screw_torque`` at every new force object."""
+    """The force and torque columns against the loop of ``oracles``, which
+    calls ``silicone_force`` at every state and ``screw_torque`` at every new
+    force object."""
 
     @pytest.mark.parametrize("table_path", [None, FORCE_TABLE, NEGATIVE_ZERO_END_TABLE],
                              ids=["default", "file", "negative-zero-end"])
@@ -348,15 +335,11 @@ class TestPerStateOracle:
         assert hits == [sample_of(e.axial_force) for e in want]
         if seed is None:
             assert set(hits) >= set(range(len(samples)))
-        entries = torque_profile(p, states, table)
-        assert list(map(repr, entries)) == list(map(repr, want))
-        assert all(type(e) is quasistatics.TorqueEntry for e in entries)
-        assert [e.axial_force for e in entries] == forces
 
 
 class TestMotorCheck:
     def test_reference_design_passes(self, reference):
-        peak = peak_torque(profile_of(reference, 50))
+        peak = max(profile_of(reference, 50)[1])
         check = motor_check(peak, reference.drive.motor_stall_torque)
         assert check.passed
         assert check.stall_torque == 1470.0
@@ -368,12 +351,12 @@ class TestMotorCheck:
         assert check.note.endswith(", margin 1")
 
     def test_boundary_peak_equals_stall(self, reference):
-        peak = peak_torque(profile_of(reference, 10))
+        peak = max(profile_of(reference, 10)[1])
         check = motor_check(peak, peak)
         assert check.passed
 
     def test_overloaded_motor_fails_with_ratio_above_one(self, reference):
-        peak = peak_torque(profile_of(reference, 10))
+        peak = max(profile_of(reference, 10)[1])
         check = motor_check(peak, peak / 2)
         assert not check.passed
         assert check.ratio > 1.0

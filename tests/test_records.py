@@ -21,10 +21,7 @@ RECORDS = [
     (bending.RodSizing, ("half_expansion", "rod_max", "rod_min", "inner_segment")),
     (telescopic.ModuleLengths, ("elongated", "reduced")),
     (telescopic.ScrewLengthSolution, ("length", "degenerate")),
-    (wheelgeom.TransformState, ("module_length", "axial_half_separation", "wheel_radius",
-                                "trigger_mode")),
     (wheelgeom.CurvedRodPlan, ("arc_per_sector", "levels", "matched_curvature")),
-    (quasistatics.TorqueEntry, ("module_length", "axial_force", "per_motor_torque")),
     (quasistatics.MotorCheck, ("passed", "peak_torque", "stall_torque", "ratio",
                                "selection_threshold", "note")),
     (report.RunReport, ("digest", "validation", "outputs", "warnings")),
@@ -222,22 +219,13 @@ class TestSiliconeForceTable:
         with pytest.raises(ValueError, match=message):
             SiliconeForceTable(SAMPLES)._replace(samples=samples)
 
-    def test_abscissae_follow_the_samples(self):
-        table = SiliconeForceTable(SAMPLES)
-        assert table.abscissae == (1.0, 2.0)
-        assert table._replace(samples=((3.0, 2.0),)).abscissae == (3.0,)
-        assert SiliconeForceTable._make([((4.0, 0.0),)]).abscissae == (4.0,)
-
-    def test_abscissae_take_no_part_in_equality_or_repr(self):
-        table = SiliconeForceTable(SAMPLES)
-        assert table == (SAMPLES,) and table == SiliconeForceTable(SAMPLES)
-        assert hash(table) == hash((SAMPLES,))
-        assert "abscissae" not in repr(table)
-
     def test_read_only(self):
+        # No ``__dict__``: a table holds its samples and nothing else.
         table = SiliconeForceTable(SAMPLES)
         with pytest.raises(AttributeError):
-            table.abscissae = (0.0, 9.0)  # type: ignore[misc]
+            table.lengths = (1.0, 2.0)  # type: ignore[attr-defined]
         with pytest.raises(AttributeError):
             table.samples = ()  # type: ignore[misc]
-        assert table.abscissae == (1.0, 2.0)
+        with pytest.raises(AttributeError):
+            del table.samples
+        assert table == (SAMPLES,) and not hasattr(table, "__dict__")

@@ -32,7 +32,7 @@ from morphwheel.quasistatics import (
     SiliconeForceTable,
     default_force_table,
     load_force_table_path,
-    torque_profile,
+    torque_columns,
 )
 from morphwheel.report import (
     SWEEP_METRICS,
@@ -43,8 +43,9 @@ from morphwheel.report import (
     sweep,
     sweep_columns,
 )
-from morphwheel.wheelgeom import transform_profile
+from morphwheel.wheelgeom import transform_columns
 
+import oracles
 from conftest import count_calls, random_params, random_valid_params
 from oracles import keyframes_json, peak_index, set_field, sweep_row
 
@@ -147,24 +148,23 @@ class TestClosedForms:
             point = own_point(p)
             assert bits(point.values()) == bits(sweep_row(p))
             for steps in (2, 50, 200):
-                states = transform_profile(p, steps)
-                torques = torque_profile(p, states, table)
-                peak_force = max(e.axial_force for e in torques)
-                peak_torque = torques[peak_index(torques)].per_motor_torque
-                assert card["peak_axial_force_N"] == peak_force
+                lengths, _, radii, _ = transform_columns(p, steps)
+                forces, torques = torque_columns(p, lengths, table)
+                peak_torque = torques[peak_index(torques)]
+                assert card["peak_axial_force_N"] == max(forces)
                 assert card["peak_torque_Nmm"] == peak_torque
                 if table_name == "default":
                     assert point["peak_torque_Nmm"] == peak_torque
-                assert card["wheel_radius_mm"] == states[-1].wheel_radius
-                assert point["wheel_radius_mm"] == states[-1].wheel_radius
+                assert card["wheel_radius_mm"] == radii[-1]
+                assert point["wheel_radius_mm"] == radii[-1]
 
     def test_table_starting_below_zero_compression(self, reference):
         # The peak force is interpolated at 0 cm, not the first sample.
         table = SiliconeForceTable(samples=((-1.0, 5.0), (3.0, 1.0), (9.0, 0.0)))
         card = design_card(reference, table=table).outputs
         assert card["peak_axial_force_N"] == 4.0
-        torques = torque_profile(reference, transform_profile(reference, 50), table)
-        assert card["peak_torque_Nmm"] == torques[peak_index(torques)].per_motor_torque
+        _, torques = torque_columns(reference, transform_columns(reference, 50)[0], table)
+        assert card["peak_torque_Nmm"] == torques[peak_index(torques)]
 
     def test_sweep_point_matches_the_card(self, reference):
         card = design_card(reference, table=default_force_table()).outputs
@@ -185,7 +185,7 @@ class TestOverrun:
         p = reference._replace(
             wheel=reference.wheel._replace(rod_half_length=169.99))
         assert validate(p).valid
-        assert transform_profile(p, 50)[-1].module_length > 0
+        assert transform_columns(p, 50)[0][-1] > 0
 
     def test_default_min_separation_counts(self, reference):
         # Default h_min is 8 mm, so 174 mm rods stroke 332 mm of 340 mm.
@@ -200,7 +200,7 @@ class TestOverrun:
         with pytest.raises(InvalidDesignError):
             design_card(p)
         with pytest.raises(InvalidDesignError):
-            transform_profile(p, 50)
+            transform_columns(p, 50)
 
     def test_accepted_designs_compute(self):
         # Over the unfiltered generator, overrunning designs included:
@@ -213,7 +213,7 @@ class TestOverrun:
                 refused += 1
                 continue
             design_card(p)
-            transform_profile(p, 50)
+            transform_columns(p, 50)
         assert 0 < refused < 1000
 
     def test_cli_exits_0_or_1_on_random_designs(self, tmp_path, capsys):
@@ -250,7 +250,7 @@ class TestValidateOnce:
         design_card(reference)
         consistency_warnings(reference)
         telescopic.module_lengths(reference)
-        transform_profile(reference, 50)
+        transform_columns(reference, 50)
         assert count_validate == []
 
     def test_a_replaced_design_gets_its_own_report(self, reference):
@@ -259,7 +259,7 @@ class TestValidateOnce:
         with pytest.raises(InvalidDesignError):
             design_card(p)
         with pytest.raises(InvalidDesignError):
-            transform_profile(p, 50)
+            transform_columns(p, 50)
 
     def test_card_carries_the_design_report(self):
         rng = random.Random(11)
@@ -716,9 +716,9 @@ class TestHugeFields:
                          "--steps", str(steps), "--out", str(work / "p.csv")]) == 0
         frames = (work / "p_keyframes.json").read_text(encoding="utf-8")
         json.loads(frames, parse_constant=refuse_constant)
-        assert frames == keyframes_json(transform_profile(p, steps), p)
+        assert frames == keyframes_json(oracles.transform_profile(p, steps), p)
 
-    # The promises of ``transform_profile``'s docstring, on the CSV: the
+    # The promises of ``transform_columns``'s docstring, on the CSV: the
     # module length falls strictly, the wheel radius rises strictly and only
     # the first state is telescopic. Validation leaves a wheel stroke that
     # floats resolve into a few dozen states; a finer step count is refused.

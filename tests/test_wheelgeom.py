@@ -13,13 +13,12 @@ from morphwheel.params import _MAX_STEPS, min_half_separation
 from morphwheel.telescopic import module_lengths
 from morphwheel.wheelgeom import (
     KEYFRAME_SCHEMA_VERSION,
-    TransformState,
     TriggerMode,
     bulge_radius,
     curved_rod_plan,
     expand_frame,
     keyframes_text,
-    transform_profile,
+    transform_columns,
     trigger_state,
 )
 
@@ -59,31 +58,30 @@ class TestBulgeRadius:
 
 class TestTransformProfile:
     def test_reference_endpoints(self, reference):
-        states = transform_profile(reference, 50)
-        first, last = states[0], states[-1]
-        assert first.module_length == module_lengths(reference).elongated
-        assert first.wheel_radius == reference.wheel.hub_offset
-        assert first.trigger_mode is TriggerMode.TELESCOPIC
-        assert last.axial_half_separation == 0.0
-        assert last.wheel_radius == pytest.approx(200.0, abs=1e-9)
-        assert last.trigger_mode is TriggerMode.RIGID
+        lengths, hs, radii, modes = transform_columns(reference, 50)
+        assert lengths[0] == module_lengths(reference).elongated
+        assert radii[0] == reference.wheel.hub_offset
+        assert modes[0] is TriggerMode.TELESCOPIC
+        assert hs[-1] == 0.0
+        assert radii[-1] == pytest.approx(200.0, abs=1e-9)
+        assert modes[-1] is TriggerMode.RIGID
 
     def test_two_steps_give_exactly_the_endpoints(self, reference):
-        states = transform_profile(reference, 2)
-        assert len(states) == 2
-        assert states[0].axial_half_separation == reference.wheel.rod_half_length
-        assert states[1].axial_half_separation == 0.0
+        columns = transform_columns(reference, 2)
+        assert list(map(len, columns)) == [2] * 4
+        assert columns[1] == [reference.wheel.rod_half_length, 0.0]
 
     def test_strict_monotonicity(self, reference):
-        states = transform_profile(reference, 100)
-        for a, b in zip(states, states[1:]):
-            assert a.module_length > b.module_length
-            assert a.wheel_radius < b.wheel_radius
+        lengths, _, radii, _ = transform_columns(reference, 100)
+        for a, b in zip(lengths, lengths[1:]):
+            assert a > b
+        for a, b in zip(radii, radii[1:]):
+            assert a < b
 
     def test_trigger_flips_at_first_compression(self, reference):
-        states = transform_profile(reference, 10)
-        assert states[0].trigger_mode is TriggerMode.TELESCOPIC
-        assert all(s.trigger_mode is TriggerMode.RIGID for s in states[1:])
+        modes = transform_columns(reference, 10)[3]
+        assert modes[0] is TriggerMode.TELESCOPIC
+        assert all(m is TriggerMode.RIGID for m in modes[1:])
 
     def test_no_formula_call_per_state(self, reference, monkeypatch):
         # The radius and the force are computed as columns: no state calls
@@ -101,33 +99,32 @@ class TestTransformProfile:
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(module, name, counted)
-        entries = quasistatics.torque_profile(reference, transform_profile(reference, 2000),
-                                              table)
+        lengths = transform_columns(reference, 2000)[0]
+        forces, _ = quasistatics.torque_columns(reference, lengths, table)
         assert calls == {"trigger_state": 2, "screw_torque": 502}
-        assert len({id(e.axial_force) for e in entries}) == 502
+        assert len({id(f) for f in forces}) == 502
 
     def test_too_few_steps_rejected(self, reference):
         with pytest.raises(ValueError, match="steps"):
-            transform_profile(reference, 1)
+            transform_columns(reference, 1)
 
     def test_default_min_separation_is_the_stopper_stack(self, reference):
         p = reference._replace(
             wheel=reference.wheel._replace(min_half_separation=None))
         assert min_half_separation(p) == 8.0  # 2 mm * 4 levels
-        states = transform_profile(p, 5)
-        assert states[-1].axial_half_separation == 8.0
+        assert transform_columns(p, 5)[1][-1] == 8.0
 
     def test_min_separation_beyond_rod_is_refused(self, reference):
         p = reference._replace(
             wheel=reference.wheel._replace(min_half_separation=150.0))
         with pytest.raises(InvalidDesignError, match="wheel.min_half_separation"):
-            transform_profile(p, 5)
+            transform_columns(p, 5)
 
 
 class TestPerStateOracle:
-    """``transform_profile`` against the loop of ``oracles``, which calls
-    ``bulge_radius`` and ``trigger_state`` and builds a ``TransformState``
-    at every state."""
+    """``transform_columns`` against the loop of ``oracles``, which calls
+    ``bulge_radius`` and ``trigger_state`` and builds a ``State`` at every
+    state."""
 
     @given(seed=st.integers(0, 2**32 - 1),
            steps=st.one_of(st.sampled_from([1, 2, 3, _MAX_STEPS + 1]), st.integers(2, 3000)),
@@ -148,14 +145,14 @@ class TestPerStateOracle:
             want = oracles.transform_profile(p, steps)
         except ValueError as exc:
             with pytest.raises(ValueError) as refused:
-                transform_profile(p, steps)
+                transform_columns(p, steps)
             assert (type(refused.value), str(refused.value)) == (type(exc), str(exc))
             return
-        got = transform_profile(p, steps)
-        # The reprs hold each field's type and sign, and the tuple's type.
-        assert list(map(repr, got)) == list(map(repr, want))
-        assert all(type(s) is TransformState for s in got)
-        assert all(a.trigger_mode is b.trigger_mode for a, b in zip(got, want))
+        columns = transform_columns(p, steps)
+        # The reprs hold each value's type and sign.
+        assert [list(map(repr, column)) for column in columns] \
+            == [list(map(repr, column)) for column in zip(*want)]
+        assert all(a is b for a, b in zip(columns[3], (s.trigger_mode for s in want)))
 
 
 class TestCurvedRodPlan:
@@ -220,22 +217,19 @@ V2_EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "examples" \
     / "profile_keyframes.json"
 
 
-def columns_of(states):
-    """The four text columns ``keyframes_text`` takes, as ``profile`` makes them:
-    the reprs of the states' module lengths, half-separations and wheel radii,
-    and their trigger modes' values."""
-    return ([repr(s.module_length) for s in states],
-            [repr(s.axial_half_separation) for s in states],
-            [repr(s.wheel_radius) for s in states],
-            [s.trigger_mode.value for s in states])
+def text_columns(p, steps):
+    """The four text columns ``keyframes_text`` takes, as ``profile`` makes them
+    from ``transform_columns``: the reprs of the module lengths,
+    half-separations and wheel radii, and the trigger modes' values."""
+    *floats, modes = transform_columns(p, steps)
+    return [*(list(map(repr, column)) for column in floats), [m.value for m in modes]]
 
 
 class TestKeyframes:
     def test_record_geometry(self, reference):
-        states = transform_profile(reference, 3)
-        rec = expand_frame(json.loads(keyframes_text(reference, *columns_of(states))), 1)
-        h = states[1].axial_half_separation
-        r = states[1].wheel_radius
+        rec = expand_frame(json.loads(keyframes_text(reference, *text_columns(reference, 3))), 1)
+        _, hs, radii, _ = transform_columns(reference, 3)
+        h, r = hs[1], radii[1]
         assert rec["step"] == 1
         assert rec["plate_positions"] == [-h, 0.0, h]
         assert len(rec["spokes"]) == reference.wheel.spoke_pairs
@@ -254,8 +248,8 @@ class TestKeyframes:
         assert rec["rim"][0] == rec["rim"][-1]  # closed polyline
 
     def test_frames_hold_only_scalars(self, reference):
-        states = transform_profile(reference, 4)
-        doc = json.loads(keyframes_text(reference, *columns_of(states)))
+        states = oracles.transform_profile(reference, 4)
+        doc = json.loads(keyframes_text(reference, *text_columns(reference, 4)))
         assert doc["spoke_pairs"] == reference.wheel.spoke_pairs
         assert doc["hub_offset"] == reference.wheel.hub_offset
         assert doc["frames"][2] == keyframes_document(states, reference)["frames"][2]
@@ -264,19 +258,18 @@ class TestKeyframes:
                                   "wheel_radius", "trigger_mode"}
 
     def test_document_and_file_round_trip(self, reference):
-        states = transform_profile(reference, 4)
-        doc = json.loads(keyframes_text(reference, *columns_of(states)))
+        states = oracles.transform_profile(reference, 4)
+        doc = json.loads(keyframes_text(reference, *text_columns(reference, 4)))
         assert doc["schema_version"] == KEYFRAME_SCHEMA_VERSION == 2
         assert len(doc["frames"]) == 4
         assert doc == keyframes_document(states, reference)
 
     def test_file_bytes_deterministic(self, reference):
-        a, b = (keyframes_text(reference, *columns_of(transform_profile(reference, 4)))
-                for _ in range(2))
-        assert a == b == keyframes_json(transform_profile(reference, 4), reference)
+        a, b = (keyframes_text(reference, *text_columns(reference, 4)) for _ in range(2))
+        assert a == b == keyframes_json(oracles.transform_profile(reference, 4), reference)
 
     def test_file_is_compact_json(self, reference):
-        text = keyframes_text(reference, *columns_of(transform_profile(reference, 4)))
+        text = keyframes_text(reference, *text_columns(reference, 4))
         assert text.endswith("}\n") and text.count("\n") == 1
         assert ", " not in text and ": " not in text
 
