@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import math
 import os
@@ -38,6 +39,8 @@ __all__ = ["main", "entry"]
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
+
+_SWEEP_BATCH = 256  # rows of a sweep's CSV per write, all that it holds of them
 
 PROFILE_COLUMNS = (
     "step", "module_length_mm", "h_mm", "wheel_radius_mm",
@@ -121,7 +124,11 @@ def _replacing(*targets: Path):
     """Temporaries next to ``targets``, to be written in the block. They
     replace the targets, in order, only once the block has written them
     all, so a failed or interrupted write leaves no partial file behind; an
-    error about a temporary names its target, not the deleted temporary."""
+    error about a temporary names its target, not the deleted temporary. A
+    target that is a directory, which no rename replaces, is refused first."""
+    for path in targets:
+        if path.is_dir() and not path.is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in targets]
     named = {os.fspath(tmp): os.fspath(path) for tmp, path in zip(tmps, targets)}
     try:
@@ -228,18 +235,23 @@ def cmd_sweep(args) -> int:
                 open(tmp, "w", newline="", encoding="utf-8") as fh:
             columns = sweep_columns(spec)
             objective, metric = columns.index("objective"), columns.index(spec.metric)
-            last, texts = list(columns), list(columns)
-            fh.write(",".join(columns) + "\r\n")
+            last, texts, batch = list(columns), list(columns), [",".join(columns) + "\r\n"]
             # As ``csv.writer`` writes these rows: no value holds a comma, a
-            # quote or a line break, and ``str`` of a float is its repr. The
-            # previous row's object (``is``: 0.0 is not -0.0) keeps its text.
+            # quote or a line break, and ``str`` of a float is its repr. A
+            # value equal to the previous row's keeps its text unless it is
+            # zero: equal nonzero floats have the same bits, 0.0 == -0.0 print
+            # apart, NaN equals nothing, and no column mixes int and float.
             def write_row(row):
                 for j, value in enumerate(row):
-                    if value is not last[j] and j != objective:
+                    if (value != last[j] or not value) and j != objective:
                         texts[j] = str(value)
                 texts[objective], last[:] = texts[metric], row
-                fh.write(",".join(texts) + "\r\n")
+                batch.append(",".join(texts) + "\r\n")
+                if len(batch) == _SWEEP_BATCH:
+                    fh.write("".join(batch))
+                    batch.clear()
             best = sweep(p, spec, write_row)
+            fh.write("".join(batch))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

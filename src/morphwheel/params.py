@@ -391,24 +391,36 @@ _OVERFLOWS = (({"wheel", "screw", "layout"}, _check_stroke), ({"drive"}, _check_
 
 def _varying(section: str | None) -> typing.Callable[[DesignParams], ValidationReport]:
     """``validate`` for designs that share every section object but
-    ``section``, as a sweep's do: a stage that reads no ``section`` runs once,
-    on the first design that needs it, and its results serve the rest."""
-    kept = {} if section is None else dict.fromkeys(  # None: ``validate``
-        stage for reads, stage in _STRUCTURE + _OVERFLOWS if section not in reads)
+    ``section``, as a sweep's do. The first design to reach a stage table
+    runs every stage; later ones run its plan: one dict of the quantities of
+    the stages that read no ``section``, then the stages that do, with the
+    others' violations, if any, in their places. ``validate`` (None) runs the
+    tables as they are at the call."""
+    plans = [None, None]
 
     def check(p: DesignParams) -> ValidationReport:
         v, got = [], {}
-        for stages in (_STRUCTURE, _OVERFLOWS):
-            for _, stage in () if v else stages:
-                done = kept.get(stage)
-                if done is None:
+        for k, stages in enumerate((_STRUCTURE, _OVERFLOWS)):
+            if v:
+                break
+            steps = stages if section is None else plans[k]
+            if steps is None:
+                kept = {}
+                plans[k] = [(None, lambda p, out, got, kept=kept: kept)]
+                for reads, stage in stages:
                     n = len(v)
-                    gave = stage(p, v, got)
-                    if stage in kept:
-                        kept[stage] = gave, v[n:]
-                else:
-                    gave = done[0]
-                    v += done[1]
+                    gave = stage(p, v, got) or {}
+                    got.update(gave)
+                    if section in reads:
+                        plans[k].append((reads, stage))
+                    else:
+                        kept.update(gave)
+                        if len(v) > n:
+                            plans[k].append((reads, lambda p, out, got, replay=v[n:]:
+                                             out.extend(replay)))
+                continue
+            for _, stage in steps:
+                gave = stage(p, v, got)
                 if gave:
                     got.update(gave)
         return ValidationReport(tuple(v)) if v else ValidationReport((), _Derived(
@@ -456,14 +468,14 @@ class _Field(typing.NamedTuple):
         """A function of one value (as ``value`` returns it) that gives a copy
         of ``p`` with this field set to it. The section's and the design's
         other fields are read once, here, not per call."""
-        cls, name, section_name = self.cls, self.name, self.section
-        kwargs = getattr(p, section_name)._asdict()
-        design = p._asdict()
+        fields, design = list(getattr(p, self.section)), list(p)
+        j, k = self.cls._fields.index(self.name), DesignParams._fields.index(self.section)
+        make, make_design = self.cls._make, DesignParams._make
 
-        def at(value):  # both dicts are in field order
-            kwargs[name] = value
-            design[section_name] = cls(*kwargs.values())
-            return DesignParams(*design.values())
+        def at(value):  # neither class checks its fields in ``__new__``
+            fields[j] = value
+            design[k] = make(fields)
+            return make_design(design)
         return at
 
 
@@ -566,22 +578,38 @@ def __getattr__(name: str):
     return YAML_LOADER
 
 
+_MAX_DEPTH = 10  # most levels a YAML document may nest: a config nests 2, a force table 3
+
+
 def _parse_yaml(text: str, what: str):
     """The YAML document in ``text``, the value ``yaml.load(text,
     Loader=YAML_LOADER)`` gives; a YAML error, or a constructor's own error,
     raises ``ConfigError`` saying ``what`` is not valid YAML, with the line of
     its mark. The loader is the one ``YAML_LOADER`` names at the call."""
     import yaml
-    loader = _checked(globals().get("YAML_LOADER") or __getattr__("YAML_LOADER"))(
-        io.StringIO(text))
+    loader_class = _checked(globals().get("YAML_LOADER") or __getattr__("YAML_LOADER"))
+    # PyYAML builds nodes recursively: the C loader's stack overflows on deep
+    # nesting, the pure-Python one raises ``RecursionError``. So a bare
+    # parser of the same kind counts the depth first, and leaves a YAML
+    # error to the load, which raises it or one that it meets first.
+    walker = yaml.BaseLoader if issubclass(loader_class, yaml.parser.Parser) \
+        else yaml.CBaseLoader
+    depth = 0
     try:
-        return loader.get_single_data()
+        for event in yaml.parse(text, walker):
+            depth += isinstance(event, yaml.CollectionStartEvent) \
+                - isinstance(event, yaml.CollectionEndEvent)
+            if depth > _MAX_DEPTH:
+                raise ConfigError(f"{what} nests deeper than {_MAX_DEPTH} levels",
+                                  line=event.start_mark.line + 1)
+    except yaml.YAMLError:
+        pass
+    try:
+        return yaml.load(io.StringIO(text), loader_class)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ConfigError(f"{what} is not valid YAML: {exc}",
                           line=None if mark is None else mark.line + 1) from exc
-    finally:
-        loader.dispose()
 
 
 @functools.cache

@@ -147,20 +147,6 @@ SWEEP_METRICS = (
 )
 
 
-def _sweep_values(p: DesignParams, derived: params._Derived,
-                  ratio: float | None, chassis: float | None) -> tuple[float, ...]:
-    # The ``SWEEP_METRICS`` of a valid design, the peak torque on the default
-    # table; the ratio and the chassis diameter are the previous point's
-    # when they serve, else None.
-    if ratio is None:
-        ratio = telescopic.ModuleLengths(derived.elongated, derived.reduced).reduction_ratio
-    if chassis is None:
-        theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
-        chassis = bending.chassis_diameter(p, theta).chassis_diameter
-    return (derived.elongated, derived.reduced, ratio, chassis, derived.wheel_radius,
-            derived.peak_load[1])
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -240,28 +226,30 @@ def sweep(p: DesignParams, spec: SweepSpec,
     the design ``p`` itself is not refused.
     """
     field = _field_path(spec.parameter_path)
-    convert = field.value
+    convert = field.value if field.is_count else float
     if field.is_count:  # only a count field refuses a grid value
         for i in range(spec.steps):
             convert(spec.value(i))
+    start, span, last = spec.start, spec.stop - spec.start, spec.steps - 1
     at = field.setter(p)
     check = params._varying(field.section)
     metric = SWEEP_METRICS.index(spec.metric)
     better = operator.gt if spec.maximise else operator.lt
     blank = ("",) * (len(SWEEP_METRICS) + 1)
-    best = best_row = last = ratio = chassis = None
+    platform = field.section == "platform"  # else one chassis diameter serves all
+    best = best_row = chassis = None
     for i in range(spec.steps):
-        value = convert(spec.value(i))
+        value = convert(start + span * i / last)  # ``spec.value(i)``
         report = check(q := at(value))
-        if not report.valid:
+        if report.violations:
             fields = dict.fromkeys(v.field for v in report.violations)
             emit((i, value, *blank, "invalid", " ".join(fields)))
             continue
-        derived = report.derived
-        if last is not None:  # the CLI formats once a value that keeps its object
-            ratio = last[2] if derived.elongated is last[0] and derived.reduced is last[1] else None
-            chassis = None if field.section == "platform" else last[3]
-        last = values = _sweep_values(q, derived, ratio, chassis)
+        elongated, reduced, radius, peak = report.derived
+        if chassis is None or platform:
+            theta = DEFAULT_TOTAL_BEND / q.platform.plate_count
+            chassis = bending.chassis_diameter(q, theta).chassis_diameter
+        values = (elongated, reduced, reduced / elongated, chassis, radius, peak[1])
         objective = values[metric]
         row = (i, value, *values, objective, "ok", "")
         if best is None or better(objective, best):

@@ -6,6 +6,7 @@ import random
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from morphwheel import (
     InvalidDesignError,
     cli,
     load,
+    params,
     quasistatics,
     report,
     serialize,
@@ -242,7 +244,57 @@ class TestNonPhysicalScrew:
         assert not list(tmp_path.glob("*.csv"))
 
 
+VERB_ARGS = {"profile": ["--steps", "5"],
+             "sweep": ["--sweep-param", "wheel.hub_offset", "--sweep-range", "50:80:3",
+                       "--objective", "max-wheel-radius"]}
+# What a target path is before a run; a missing parent directory holds none.
+TARGET_STATES = ("absent", "file", "directory")
+OLD_BYTES = b"old\n"
+
+
+def tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``, with its bytes, or None for a directory."""
+    return {str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
 class TestOutPath:
+    @given(verb=st.sampled_from(sorted(VERB_ARGS)), missing_parent=st.booleans(),
+           states=st.tuples(st.sampled_from(TARGET_STATES), st.sampled_from(TARGET_STATES)))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_targets_are_all_replaced_or_all_left(self, tmp_path, verb, missing_parent,
+                                                  states):
+        # A profile's targets are its CSV and then its keyframes; a sweep's is
+        # its CSV, and it leaves a keyframes file of the same stem alone.
+        with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+            work = Path(work)
+            paths = [work / "o.csv", work / "o_keyframes.json"]
+            for path, state in zip(paths, states):
+                if state == "file":
+                    path.write_bytes(OLD_BYTES)
+                elif state == "directory":
+                    path.mkdir()
+            out = work / "missing" / "o.csv" if missing_parent else paths[0]
+            targets = paths if verb == "profile" else paths[:1]
+            before = tree(work)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([verb, "--config", REFERENCE_CONFIG, *VERB_ARGS[verb],
+                             "--out", str(out)])
+            refused = missing_parent or "directory" in states[:len(targets)]
+            assert code == (2 if refused else 0)
+            after = tree(work)
+            if refused:  # every target as it was, and no temporary file
+                assert after == before
+            else:
+                assert after.keys() == before.keys() | {p.name for p in targets}
+                for name, data in after.items():
+                    if work / name in targets:
+                        assert data not in (None, b"", OLD_BYTES)
+                    else:
+                        assert data == before[name]
+
     @pytest.mark.parametrize("verb,extra", [
         ("profile", []),
         ("sweep", ["--sweep-param", "wheel.hub_offset", "--sweep-range", "50:80:3",
@@ -837,16 +889,20 @@ class TestCmdSweep:
     def test_interrupted_sweep_leaves_the_old_csv(self, config_file, tmp_path, monkeypatch):
         out = tmp_path / "s.csv"
         out.write_text("old\n", encoding="utf-8")
-        evaluate = report._sweep_values
+        varying = params._varying
         calls = []
 
-        def interrupted(p, *args):
-            calls.append(p)
-            if len(calls) == 3:
-                raise KeyboardInterrupt
-            return evaluate(p, *args)
+        def interrupted(section):
+            check = varying(section)
 
-        monkeypatch.setattr(report, "_sweep_values", interrupted)
+            def interrupting(p):
+                calls.append(p)
+                if len(calls) == 3:
+                    raise KeyboardInterrupt
+                return check(p)
+            return interrupting
+
+        monkeypatch.setattr(params, "_varying", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["sweep", "--config", config_file,
                   "--sweep-param", "wheel.hub_offset",
@@ -997,14 +1053,18 @@ class TestCmdSweep:
 # Every numeric config field, as a sweep takes it: (path, is a count).
 SWEEP_FIELDS = [(f.path, f.is_count) for _, schema in _SECTIONS.values()
                 for f in schema.values()]
+# Grids that end just before, at and after the end of a write batch, whose
+# first also holds the header, and span more than two batches.
+LONG_GRIDS = [cli._SWEEP_BATCH - 2, cli._SWEEP_BATCH - 1, cli._SWEEP_BATCH,
+              2 * cli._SWEEP_BATCH + 7]
 
 
 class TestSweepFile:
     """The CLI writes its sweep rows as text; ``csv.writer`` is the oracle."""
 
     @given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from(SWEEP_FIELDS),
-           steps=st.integers(2, 6), objective=st.sampled_from(list(Objective)),
-           data=st.data())
+           steps=st.one_of(st.integers(2, 6), st.sampled_from(LONG_GRIDS)),
+           objective=st.sampled_from(list(Objective)), data=st.data())
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_bytes_are_what_csv_writer_writes(self, tmp_path, seed, field, steps, objective,
@@ -1023,10 +1083,38 @@ class TestSweepFile:
                      f"--sweep-range={start!r}:{stop!r}:{steps}",
                      "--objective", objective.value, "--out", str(out)]) == 0
         spec = SweepSpec(path, float(start), float(stop), steps, objective)
-        expected = io.StringIO()
+        expected, rows = io.StringIO(), []
         writer = csv.writer(expected)
         writer.writerow(report.sweep_columns(spec))
-        report.sweep(load(text), spec, writer.writerow)
+        report.sweep(load(text), spec, rows.append)
+        writer.writerows(rows)
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+        # The writer keeps the text of a value equal to the previous row's:
+        # 1 == 1.0, so no column may hold both an int and a float.
+        for column in zip(*rows):
+            assert len({type(v) for v in column} & {int, float}) <= 1
+
+    def test_crafted_rows_are_what_csv_writer_writes(self, tmp_path, monkeypatch):
+        # Rows of values that compare equal but print apart, or never compare
+        # equal, or are equal new objects, each after its like.
+        nan, inf, x = float("nan"), float("inf"), 1.5
+        same = float(repr(x))  # equal to ``x``, and a new object
+        assert same == x and same is not x
+        values = [0.0, -0.0, -0.0, 0.0, nan, nan, inf, inf, -inf, -inf, x, same, x, 0.0]
+        rows = [(i, v, v, v, v, v, v, v, v, "ok", "") for i, v in enumerate(values)]
+
+        def crafted(p, spec, emit):
+            for row in rows:
+                emit(row)
+        monkeypatch.setattr(cli, "sweep", crafted)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", REFERENCE_CONFIG, "--sweep-param", "wheel.hub_offset",
+                     "--sweep-range", "0:1:2", "--objective", "max-wheel-radius",
+                     "--out", str(out)]) == 0
+        expected = io.StringIO()
+        csv.writer(expected).writerows(
+            [report.sweep_columns(SweepSpec("wheel.hub_offset", 0.0, 1.0, 2,
+                                            Objective.MAX_WHEEL_RADIUS)), *rows])
         assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
 
@@ -1128,9 +1216,9 @@ class TestProcess:
         assert 'morphwheel = "morphwheel.cli:entry"' in text
 
     def test_import_loads_no_dataclasses_inspect_or_csv(self):
-        # In a fresh interpreter: pytest itself loads all three.
+        # In a fresh interpreter: pytest itself loads all four.
         code = ("import sys, morphwheel.cli; "
-                "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
+                "print(sorted({'dataclasses', 'inspect', 'csv', 'json'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True, timeout=60, check=True)
         assert proc.stdout == "[]\n"

@@ -3,14 +3,17 @@ morphwheel.cli`` and through the function the console script calls.
 
 Only what needs a process of its own is here: argparse's usage, which wraps
 at the width the ``COLUMNS`` variable sets, the files that a run whose
-output is a directory leaves behind, and the whole error line of a run whose
-output's directory is missing, which holds no process id."""
+output is a directory leaves behind, the whole error line of a run whose
+output's directory is missing, which holds no process id, and a YAML file
+nested deep enough to exhaust a process's stack."""
 
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from morphwheel.params import _MAX_DEPTH
 
 from conftest import ENTRIES, child_env
 
@@ -87,3 +90,35 @@ def test_output_in_a_missing_directory_names_the_target(tmp_path, entry, verb, a
     assert (proc.returncode, proc.stdout, proc.stderr) \
         == (2, "", f"error: cannot write output: [Errno 2] No such file or directory: '{out}'\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# The two YAML loaders a process may have: libyaml's, whose recursive build
+# of a deeply nested document overflowed the C stack (exit 139, no message),
+# and the pure-Python one, which raised ``RecursionError``.
+YAML_ENTRIES = {
+    "installed-loader": ENTRIES["module"],
+    "pure-python-loader": ["-c", "import sys, yaml; del yaml.CSafeLoader; "
+                                 "from morphwheel.cli import entry; sys.exit(entry())"],
+}
+DEEP = 30_000
+
+
+@pytest.mark.parametrize("entry", YAML_ENTRIES.values(), ids=YAML_ENTRIES.keys())
+def test_deeply_nested_config_is_refused(tmp_path, entry):
+    config = tmp_path / "deep.yaml"
+    config.write_text("screw: " + "[" * DEEP, encoding="utf-8")
+    proc = run(entry, ["validate", "--config", str(config)])
+    assert (proc.returncode, proc.stdout, proc.stderr) \
+        == (2, "", f"error: config nests deeper than {_MAX_DEPTH} levels (line: 1)\n")
+
+
+@pytest.mark.parametrize("entry", YAML_ENTRIES.values(), ids=YAML_ENTRIES.keys())
+def test_deeply_nested_force_table_is_refused_and_writes_nothing(tmp_path, entry):
+    table = tmp_path / "deep.yaml"
+    table.write_text("force_table:\n  - " + "[" * DEEP, encoding="utf-8")
+    proc = run(entry, ["profile", "--config", REFERENCE_CONFIG, "--steps", "5",
+                       "--out", str(tmp_path / "p.csv"), "--force-table", str(table)])
+    assert (proc.returncode, proc.stdout, proc.stderr) \
+        == (2, "", "error: cannot load force table: force table nests deeper than "
+                   f"{_MAX_DEPTH} levels (line: 2)\n")
+    assert list(tmp_path.iterdir()) == [table]

@@ -946,6 +946,19 @@ class TestParseYaml:
     def test_cases(self, loader, text):
         assert_same_outcome(loader, text)
 
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    def test_nesting_past_the_limit_is_refused_at_its_line(self, loader):
+        # Collections of every kind count, the root mapping too; a document
+        # at the limit loads as ``yaml.load`` loads it.
+        n = params._MAX_DEPTH - 1
+        nested = "[{k: " * (n // 2) + "[" * (n % 2) + "1" + "]" * (n % 2) + "}]" * (n // 2)
+        assert_same_outcome(loader, f"a: 1\nb: {nested}\n")
+        with mock.patch.object(params, "YAML_LOADER", loader), \
+                pytest.raises(ConfigError) as caught:
+            params._parse_yaml(f"a: 1\nb:\n  - {nested}\n", "config")
+        assert str(caught.value) \
+            == f"config nests deeper than {params._MAX_DEPTH} levels (line: 3)"
+
     @pytest.mark.parametrize("loader", [loader.__name__ for loader in LOADERS])
     def test_alias_bomb_is_not_expanded(self, loader):
         # The parse runs in a child process limited to 1 GiB, so a walk that

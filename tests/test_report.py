@@ -833,11 +833,19 @@ class TestStages:
         assert results[0] == results[1]
 
     @given(stage_designs(), st.sampled_from(sorted(SECTIONS)),
-           st.lists(stage_designs(), min_size=1, max_size=4))
+           st.lists(stage_designs(), min_size=1, max_size=12), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_a_varying_check_is_validate(self, p, section, donors):
-        # Designs that share every section object but one, some invalid.
+    def test_a_varying_check_is_validate(self, p, section, donors, data):
+        # Designs that share every section object but one, some invalid. The
+        # first few may break the varying section, so that a check resolves
+        # its overflow plan only at a later design; ``p`` itself often
+        # violates other sections, whose violations the check replays among
+        # the varying section's.
         check = params._varying(section)
-        for donor in donors:
+        broken = [path for path in CHECKED_FLOAT_PATHS if path.startswith(section + ".")]
+        lead = data.draw(st.integers(0, 3)) if broken else 0
+        for i, donor in enumerate(donors):
+            if i < lead:
+                donor = set_field(donor, data.draw(st.sampled_from(broken)), -1.0)
             q = p._replace(**{section: getattr(donor, section)})
             assert repr(check(q)) == repr(validate(q))
