@@ -62,20 +62,14 @@ def _fmt(value) -> str:
 
 
 def _print_report(rr: RunReport) -> None:
-    print(f"digest: {rr.digest}")
-    if rr.validation.valid:
-        print("validation: OK")
-    else:
-        print(f"validation: {len(rr.validation.violations)} violation(s)")
-    for v in rr.validation.violations:
-        print(f"VIOLATION {v.field}: {v.constraint}")
-    for key, value in rr.outputs.items():
-        print(f"{key} = {_fmt(value)}")
-    for w in rr.warnings:
-        print(
-            f"WARNING {w.code}: computed={_fmt(w.computed)} "
-            f"reported={_fmt(w.reported)} ({w.detail})"
-        )
+    report = rr.validation
+    lines = [f"digest: {rr.digest}", "validation: OK" if report.valid
+             else f"validation: {len(report.violations)} violation(s)"]
+    lines += [f"VIOLATION {v.field}: {v.constraint}" for v in report.violations]
+    lines += [f"{key} = {_fmt(value)}" for key, value in rr.outputs.items()]
+    lines += [f"WARNING {w.code}: computed={_fmt(w.computed)} "
+              f"reported={_fmt(w.reported)} ({w.detail})" for w in rr.warnings]
+    print("\n".join(lines))
 
 
 def _load_or_exit(config: str) -> tuple[DesignParams, str]:
@@ -307,7 +301,7 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 # entry point
 
 @functools.cache  # one parser per process; parse_args returns a fresh namespace
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="morphwheel",
         description="Design toolkit for the crawler-to-wheel transforming module",
@@ -363,11 +357,18 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=[o.value for o in Objective])
     p_sweep.add_argument("--out", required=True, type=out_path)
     p_sweep.set_defaults(func=cmd_sweep)
-    return parser
+    return parser, sub.choices  # the top parser, and each verb's by its name
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # The top parser would hand every word after a verb to that verb's
+    # parser; it runs only without a verb or with words left over.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, verbs = _build_parser()
+    verb = verbs.get(argv[0]) if argv else None
+    args, rest = (None, argv) if verb is None else verb.parse_known_args(argv[1:])
+    if args is None or rest:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -423,8 +423,8 @@ def _varying(section: str | None) -> typing.Callable[[DesignParams], ValidationR
                 gave = stage(p, v, got)
                 if gave:
                     got.update(gave)
-        return ValidationReport(tuple(v)) if v else ValidationReport((), _Derived(
-            got["elongated"], got["reduced"], got["wheel_radius"], got["peak_load"]))
+        return ValidationReport(tuple(v)) if v else ValidationReport._make(((), _Derived._make((
+            got["elongated"], got["reduced"], got["wheel_radius"], got["peak_load"]))))
     return check
 
 
@@ -537,6 +537,10 @@ _RESTATED = {
     "layout": {"joint_height": ("2 * joint_arm_height", lambda lay: 2.0 * lay.joint_arm_height)},
 }
 
+# Section name -> the keys a config may give it: its fields and restated keys.
+_KEYS = {name: schema.keys() | _RESTATED.get(name, {}).keys()
+         for name, (_, schema) in _SECTIONS.items()}
+
 
 def _read_section(doc: dict, name: str, cls: type, schema: dict[str, _Field]):
     """The instance of ``cls`` that section ``name`` of ``doc`` describes."""
@@ -547,18 +551,21 @@ def _read_section(doc: dict, name: str, cls: type, schema: dict[str, _Field]):
         return cls()
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be a mapping", field=name)
-    restated = _RESTATED.get(name, {})
-    for key in section:
-        if key not in schema and key not in restated:
-            raise ConfigError("unknown key", field=f"{name}.{key}")
-    out = {}
-    for key, f in schema.items():
-        if key in section:
-            out[key] = _coerce(f.path, section[key], f.is_count)
-        elif f.required:
-            raise ConfigError("missing required field", field=f.path)
-    built = cls(**out)
-    for key, (rule, derive) in restated.items():
+    if not section.keys() <= _KEYS[name]:
+        key = next(key for key in section if key not in _KEYS[name])
+        raise ConfigError("unknown key", field=f"{name}.{key}")
+    fields = []
+    for key, f in schema.items():  # the fields of ``cls``, in order
+        if key not in section:
+            if f.required:
+                raise ConfigError("missing required field", field=f.path)
+            fields.append(cls._field_defaults[key])
+        elif type(value := section[key]) is float and value - value == 0 and not f.is_count:
+            fields.append(value)  # a finite float, as ``_coerce`` returns it
+        else:
+            fields.append(_coerce(f.path, value, f.is_count))
+    built = cls._make(fields)  # no section checks its fields in ``__new__``
+    for key, (rule, derive) in _RESTATED.get(name, {}).items():
         if key in section:  # a count when the derived value is one
             path, derived = f"{name}.{key}", derive(built)
             if abs(_coerce(path, section[key], isinstance(derived, int)) - derived) > 1e-9:
@@ -630,38 +637,34 @@ def _checked(loader_class: type) -> type:
     return Checked
 
 
-# One line of a plain config: a section header at column 0, a key indented
-# two spaces with a YAML 1.1 decimal int or float, or a blank or comment
-# line. A comment after a header or a value follows a space, as in YAML.
+# One whole line of a plain config, none of whose characters is a '\n': a
+# section header at column 0, a key indented two spaces with a YAML 1.1
+# decimal int or float, or a blank or comment line. A comment after a
+# header or a value follows a space, as in YAML.
 _PLAIN_LINE = re.compile(
-    r"(?:([a-z_]+):|  ([a-z_]+): +(?:([-+]?(?:0|[1-9][0-9]*))"
+    r"^(?:(?:([a-z_]+):|  ([a-z_]+): +(?:([-+]?(?:0|[1-9][0-9]*))"
     r"|([-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)))(?: +#[ -~]*| *)"
-    r"| *(?:#[ -~]*)?")
-
-# Section name -> the keys a plain config may give it.
-_PLAIN_KEYS = {name: schema.keys() | _RESTATED.get(name, {}).keys()
-               for name, (_, schema) in _SECTIONS.items()}
+    r"| *(?:#[ -~]*)?)$", re.M)
 
 
 def _plain_doc(text: str) -> dict | None:
     """The document of a plain config, the one ``_parse_yaml`` gives, read
-    line by line without PyYAML; None for any other text.
+    in one scan without PyYAML; None for any other text.
 
-    A plain config is printable ASCII lines, each matching ``_PLAIN_LINE``,
-    with no section or key given twice, every section a config section and
-    every key one of its fields or restated keys: the shape ``serialize``
-    writes. Each of those keys is a string to YAML and each value the int or
-    float it names, so the document is YAML's; a section without keys is
-    None, as in YAML.
+    A plain config is printable ASCII lines, each matching ``_PLAIN_LINE``
+    (as many matches as lines: a line holds at most one), with no section or
+    key given twice, every section a config section and every key one of its
+    fields or restated keys: the shape ``serialize`` writes. Each of those
+    keys is a string to YAML and each value the int or float it names, so
+    the document is YAML's; a section without keys is None, as in YAML.
     """
+    lines = _PLAIN_LINE.findall(text)  # a group that took no part is ''
+    if len(lines) != text.count("\n") + 1:
+        return None
     doc = {}
     current = keys = None
-    for line in text.split("\n"):
-        m = _PLAIN_LINE.fullmatch(line)
-        if m is None:
-            return None
-        name, key, count, number = m.groups()
-        if key is not None:
+    for name, key, count, number in lines:
+        if key:
             if keys is None or key not in keys:
                 return None
             section = doc[current]
@@ -670,14 +673,14 @@ def _plain_doc(text: str) -> dict | None:
             elif key in section:
                 return None
             try:  # ``int`` refuses a text past its digit limit; YAML fails too
-                section[key] = int(count) if count is not None else float(number)
+                section[key] = int(count) if count else float(number)
             except ValueError:
                 return None
-        elif name is not None:
-            if name in doc or name not in _PLAIN_KEYS:
+        elif name:
+            if name in doc or name not in _KEYS:
                 return None
             doc[name] = None
-            current, keys = name, _PLAIN_KEYS[name]
+            current, keys = name, _KEYS[name]
     return doc or None
 
 
@@ -700,8 +703,8 @@ def load(config_text: str) -> DesignParams:
     for key in doc:
         if key not in _SECTIONS:
             raise ConfigError("unknown section", field=str(key))
-    return DesignParams(**{name: _read_section(doc, name, cls, schema)
-                           for name, (cls, schema) in _SECTIONS.items()})
+    return DesignParams._make(_read_section(doc, name, cls, schema)
+                              for name, (cls, schema) in _SECTIONS.items())
 
 
 def _number(value: int | float) -> str:

@@ -1,13 +1,15 @@
 """Brute-force oracles: the closed-form inverse sizing in ``telescopic``, the
 transformation and torque profiles state by state, the keyframe file as
-``json.dumps`` writes it, the peak of a torque profile and the metrics of a
-sweep row; and ``set_field``, the setter a sweep applies at each point."""
+``json.dumps`` writes it, the peak of a torque profile, the metrics of a
+sweep row and a run report printed line by line; and ``set_field``, the
+setter a sweep applies at each point."""
 
 import json
 import math
 import typing
 
 from morphwheel import InfeasibleError, bending, params, quasistatics, wheelgeom
+from morphwheel.cli import _fmt
 from morphwheel.report import DEFAULT_TOTAL_BEND
 from morphwheel.telescopic import module_lengths
 from morphwheel.wheelgeom import (
@@ -159,3 +161,20 @@ def sweep_row(p) -> tuple[float, ...]:
     return (elongated, reduced, reduced / elongated,
             bending.chassis_diameter(p, theta).chassis_diameter,
             wheelgeom.transform_endpoint_radius(p), quasistatics.peak_load(p)[1])
+
+
+def print_report(rr) -> None:
+    """A run report as ``validate`` and ``report`` print it, one ``print`` a
+    line, with the CLI's value format."""
+    print(f"digest: {rr.digest}")
+    if rr.validation.valid:
+        print("validation: OK")
+    else:
+        print(f"validation: {len(rr.validation.violations)} violation(s)")
+    for v in rr.validation.violations:
+        print(f"VIOLATION {v.field}: {v.constraint}")
+    for key, value in rr.outputs.items():
+        print(f"{key} = {_fmt(value)}")
+    for w in rr.warnings:
+        print(f"WARNING {w.code}: computed={_fmt(w.computed)} "
+              f"reported={_fmt(w.reported)} ({w.detail})")

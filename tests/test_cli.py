@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -31,7 +32,7 @@ from morphwheel.report import Objective, SweepSpec, consistency_warnings, design
 from morphwheel.telescopic import shaft_levels
 
 import oracles
-from conftest import ENTRIES, child_env, random_valid_params
+from conftest import ENTRIES, child_env, random_params, random_valid_params
 from oracles import keyframes_json, set_field
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1187,6 +1188,117 @@ class TestArgv:
                 code = exc.code
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+# Each verb flag cut to a prefix that names it alone; stray words include
+# prefixes that name two flags of a verb.
+ABBREVIATED = {"--config": "--conf", "--target-ratio": "--tar", "--total-bend": "--tot",
+               "--force-table": "--force", "--steps": "--st", "--out": "--ou",
+               "--sweep-param": "--sweep-p", "--sweep-range": "--sweep-r",
+               "--objective": "--obj"}
+STRAY = ("--bogus", "x", "validate", "-h", "--", "-", "-1", "--conf", "--t", "--sweep")
+
+
+def good_flags(config: str, work: Path) -> dict[str, list[list[str]]]:
+    """Each verb's flags, with a value that it accepts."""
+    table, out = str(ROOT / "configs" / "force_table.yaml"), str(work / "out.csv")
+    return {"validate": [["--config", config]],
+            "report": [["--config", config], ["--target-ratio", "0.5"],
+                       ["--total-bend", "0.5"], ["--force-table", table]],
+            "profile": [["--config", config], ["--steps", "3"], ["--out", out],
+                        ["--force-table", table]],
+            "sweep": [["--config", config], ["--sweep-param", "wheel.hub_offset"],
+                      ["--sweep-range", "50:80:3"], ["--objective", "max-wheel-radius"],
+                      ["--out", out]]}
+
+
+@st.composite
+def any_argvs(draw, config: str, work: Path) -> list[str]:
+    """An argv with no verb, an unknown verb or help, or a verb's argv, with
+    good flags in any order or with those ``verb_argvs`` draws: some flags
+    cut to a prefix, and one time in four one or two stray words."""
+    kind = draw(st.sampled_from(["good"] * 6 + ["drawn"] * 6 + ["none", "top", "unknown"]))
+    if kind == "none":
+        return []
+    if kind == "top":
+        return draw(st.sampled_from([["-h"], ["--help"], ["--"], ["--", "validate"],
+                                     ["-x", "validate"], ["--bogus"]]))
+    if kind == "good":
+        verb, flags = draw(st.sampled_from(sorted(good_flags(config, work).items())))
+        argv = [verb, *(word for flag in draw(st.permutations(flags)) for word in flag)]
+    else:
+        argv = draw(verb_argvs(config, work))
+    if kind == "unknown":
+        argv[0] = draw(st.sampled_from(["bogus", "Validate", "valid", "--config", ""]))
+    for i, word in enumerate(argv[1:], 1):
+        flag, eq, value = word.partition("=")
+        if flag in ABBREVIATED:
+            argv[i] = draw(pick([flag], [ABBREVIATED[flag]])) + eq + value
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(STRAY)))
+    return argv
+
+
+def run_argv(run, argv):
+    """(exit code, stdout, stderr) of ``run(argv)``; the code of a
+    ``SystemExit`` it raised stands for the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def top_parser_run(argv):
+    """The run the top parser dispatches: its namespace's ``func`` called
+    with the namespace."""
+    args = cli._build_parser()[0].parse_args(argv)
+    return args.func(args)
+
+
+class TestDispatch:
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_main_runs_as_the_top_parser_does(self, tmp_path, seed, data):
+        # The same exit code, the same output and the same usage errors.
+        config = tmp_path / "design.yaml"
+        config.write_text(serialize(random_valid_params(random.Random(seed))),
+                          encoding="utf-8")
+        argv = data.draw(any_argvs(str(config), tmp_path))
+        assert run_argv(main, argv) == run_argv(top_parser_run, argv), argv
+
+    def test_verb_parsers_are_the_top_parsers(self):
+        parser, verbs = cli._build_parser()
+        [action] = parser._subparsers._group_actions
+        assert verbs is action.choices
+        assert sorted(verbs) == ["profile", "report", "sweep", "validate"]
+
+
+class TestPrintReport:
+    @given(seed=st.integers(0, 2**32 - 1), valid=st.booleans(),
+           reported=st.sampled_from(["none", "reference", "drawn"]))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_cards_print_as_line_by_line(self, tmp_path, seed, valid, reported):
+        # Violations, outputs of each type, tuples among them, and warnings:
+        # the one write prints what a ``print`` per line printed.
+        rng = random.Random(seed)
+        p = (random_valid_params if valid else random_params)(rng)
+        if reported == "reference":
+            p = p._replace(reported=reference_design().reported)
+        elif reported == "drawn":
+            p = p._replace(reported=params.ReportedTargets(
+                *[rng.choice([None, rng.uniform(1.0, 1000.0)]) for _ in range(5)]))
+        config = tmp_path / "design.yaml"
+        config.write_text(serialize(p), encoding="utf-8")
+        for verb in ("validate", "report"):
+            argv = [verb, "--config", str(config)]
+            run = run_argv(main, argv)
+            with mock.patch.object(cli, "_print_report", oracles.print_report):
+                assert run == run_argv(main, argv)
 
 
 class TestParserReuse:

@@ -1123,6 +1123,23 @@ def near_misses():
     return [pytest.param(text, id=name) for name, text in cases.items()]
 
 
+def line_edges():
+    """(text, whether it is plain) at the edges of the line scan."""
+    plain = serialize(reference_design())
+    cases = {
+        "no final newline": (plain.rstrip("\n"), True),
+        "two final newlines": (plain + "\n", True),
+        "empty": ("", False),
+        "one newline": ("\n", False),
+        "spaces line": (plain.replace("\nlayout:", "\n   \nlayout:"), True),
+        "header trailing spaces": (plain.replace("layout:\n", "layout:   \n"), True),
+    }
+    for c in ("\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"):
+        cases[f"{ord(c):#x} line"] = (plain.replace("\nlayout:", f"\n{c}\nlayout:"), False)
+        cases[f"{ord(c):#x} joining lines"] = (plain.replace("\nlayout:", f"{c}layout:"), False)
+    return [pytest.param(text, is_plain, id=name) for name, (text, is_plain) in cases.items()]
+
+
 def assert_same_as_yaml(text):
     """``_plain_doc`` gives YAML's document or None, and ``load`` gives what
     a load by YAML alone gives."""
@@ -1159,6 +1176,14 @@ class TestPlainReader:
     @pytest.mark.parametrize("text", near_misses())
     def test_near_misses_go_to_yaml(self, text):
         assert params._plain_doc(text) is None
+        assert_same_as_yaml(text)
+
+    @pytest.mark.parametrize("text,plain", line_edges())
+    def test_line_edges(self, text, plain):
+        # The scan reads the text as lines split at '\n' alone, each matched
+        # whole: a line that any other break splits, or that holds one,
+        # leaves the plain path.
+        assert (params._plain_doc(text) is not None) == plain
         assert_same_as_yaml(text)
 
     @given(st.integers(0, 2 ** 64), st.booleans())
