@@ -9,12 +9,12 @@ from .errors import ConfigError, InfeasibleError, InvalidDesignError, Morphwheel
 from .params import (
     DesignParams,
     DriveSpec,
-    Inconsistency,
     ModuleLayout,
     PlatformSpec,
     ReportedTargets,
     TelescopicScrewSpec,
     ValidationReport,
+    Verdict,
     Violation,
     WheelSpec,
     load,
@@ -30,7 +30,6 @@ __all__ = [
     "DesignParams",
     "DriveSpec",
     "InfeasibleError",
-    "Inconsistency",
     "InvalidDesignError",
     "ModuleLayout",
     "MorphwheelError",
@@ -38,6 +37,7 @@ __all__ = [
     "ReportedTargets",
     "TelescopicScrewSpec",
     "ValidationReport",
+    "Verdict",
     "Violation",
     "WheelSpec",
     "load",

@@ -34,7 +34,7 @@ __all__ = [
     "ReportedTargets",
     "DesignParams",
     "Violation",
-    "Inconsistency",
+    "Verdict",
     "ValidationReport",
     "residual_length",
     "elongated_length",
@@ -157,16 +157,19 @@ class Violation(typing.NamedTuple):
     constraint: str  # the rule that failed, e.g. "n_levels >= 1"
 
 
-class Inconsistency(typing.NamedTuple):
-    """A computed quantity disagrees with a supplied reported value.
+class Verdict(typing.NamedTuple):
+    """One check of a valid design (``report.verdicts``): a computed quantity
+    against a reported value, a target or a second model, and in ``detail``
+    what its failure means.
 
     Machine-readable on purpose: downstream tooling asserts on ``code``.
     """
 
     code: str
+    passed: bool
+    computed: float
+    reported: float
     detail: str
-    computed: float | None = None
-    reported: float | None = None
 
 
 class _Derived(typing.NamedTuple):
@@ -260,7 +263,7 @@ def validate(p: DesignParams) -> ValidationReport:
     Pure: identical input gives an identical report. Every violated
     invariant is listed (no short-circuiting); an empty violations tuple
     means the design is structurally sound. Reported values are not checked
-    here: ``report.consistency_warnings`` compares them with the design. A
+    here: ``report.verdicts`` compares them with the design. A
     design that passes every other check, as their formulas assume, is
     last checked for derived quantities past the float range and for a wheel
     stroke lost to rounding.

@@ -23,7 +23,6 @@ from .params import DesignParams
 
 __all__ = [
     "SiliconeForceTable",
-    "MotorCheck",
     "SELECTION_THRESHOLD",
     "default_force_table",
     "load_force_table",
@@ -33,7 +32,6 @@ __all__ = [
     "screw_torque",
     "torque_columns",
     "peak_load",
-    "motor_check",
 ]
 
 # Reference motor-selection threshold, N*mm. Printed alongside the computed
@@ -220,36 +218,3 @@ def peak_load(p: DesignParams, table: SiliconeForceTable | None = None) -> tuple
     dr = p.drive
     return force, screw_torque(force / _SCREWS, dr.screw_lead, dr.screw_mean_diameter,
                                dr.screw_friction)
-
-
-class MotorCheck(typing.NamedTuple):
-    passed: bool
-    peak_torque: float         # N*mm
-    stall_torque: float        # N*mm
-    ratio: float               # peak / stall
-    selection_threshold: float  # N*mm, reference context only
-    note: str
-
-
-def motor_check(peak: float, stall_torque: float) -> MotorCheck:
-    """Compare the peak required torque (N*mm) against the motor's stall torque.
-
-    Passes when peak <= stall (margin 1). The reference selection threshold
-    is reported side by side for context, never as an equality target.
-    """
-    if stall_torque <= 0:
-        raise ValueError("stall torque must be positive")
-    ratio = peak / stall_torque
-    note = (
-        f"peak {peak:.3f} N*mm vs selection threshold "
-        f"{SELECTION_THRESHOLD:.0f} N*mm (side-by-side reference, not an "
-        f"equality target); stall {stall_torque:.0f} N*mm, margin 1"
-    )
-    return MotorCheck(
-        passed=peak <= stall_torque,
-        peak_torque=peak,
-        stall_torque=stall_torque,
-        ratio=ratio,
-        selection_threshold=SELECTION_THRESHOLD,
-        note=note,
-    )

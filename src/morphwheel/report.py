@@ -18,8 +18,8 @@ from . import bending, params, quasistatics, telescopic, wheelgeom
 from .errors import InfeasibleError
 from .params import (
     DesignParams,
-    Inconsistency,
     ValidationReport,
+    Verdict,
     _field_path,
     require_valid,
     serialize,
@@ -43,6 +43,7 @@ __all__ = [
     "design_card",
     "sweep_columns",
     "sweep",
+    "verdicts",
     "config_digest",
 ]
 
@@ -65,80 +66,92 @@ class RunReport(typing.NamedTuple):
     digest: str                 # hash of the CLI's config file text, else of serialize(p)
     validation: ValidationReport
     outputs: dict[str, object]  # computed quantities, insertion-ordered
-    warnings: tuple[Inconsistency, ...]
+    warnings: tuple[Verdict, ...]  # the failed verdicts that are not card flags
 
 
-def _mismatch(code: str, computed: float, reported: float | None,
-              detail: str) -> Inconsistency | None:
-    if reported is None:
-        return None
-    if abs(computed - reported) <= _REL_TOL * max(1.0, abs(reported)):
-        return None
-    return Inconsistency(code=code, detail=detail, computed=computed, reported=reported)
+# The verdicts the card prints as flags under their own codes; the others,
+# when failed, are its WARNING lines.
+_FLAGS = ("reduction_ok", "motor_check_ok")
+# The card's flag on each reported target, and the verdict it reads.
+_TARGETS = (("target_elongated_ok", "elongated_length_mismatch"),
+            ("target_reduced_ok", "reduced_length_mismatch"),
+            ("target_wheel_diameter_ok", "wheel_diameter_mismatch"))
 
 
-def _length_identity_warnings(p: DesignParams) -> tuple[Inconsistency, ...]:
-    # Elongated and reduced module lengths differ by 2 * S_L * (N - 1) by
-    # construction, so any pair of reported lengths must honour the same
-    # identity. Flagged, never patched.
-    rep = p.reported
-    if rep.elongated_length is None or rep.reduced_length is None:
-        return ()
-    implied = rep.elongated_length - rep.reduced_length
-    derived = 2.0 * p.screw.screw_level_length * (p.screw.n_levels - 1)
-    if abs(implied - derived) <= _REL_TOL * max(1.0, abs(derived)):
-        return ()
-    return (Inconsistency("reported_length_identity",
-                          "reported elongated - reduced length gap does not match "
-                          "2 * screw_level_length * (n_levels - 1)", derived, implied),)
-
-
-def consistency_warnings(p: DesignParams) -> tuple[Inconsistency, ...]:
-    """Compare computed quantities, at the ``DEFAULT_TOTAL_BEND``, against any
-    supplied reported values, the two reported lengths against each other,
-    and the wheel stroke's end against the telescopic reduced length.
-
-    Disagreements are reported as machine-readable records and left
-    standing; nothing is patched to make the numbers meet. Invalid designs
-    raise ``InvalidDesignError``.
-    """
+def verdicts(p: DesignParams, *, target_ratio: float = 0.5,
+             total_bend: float = DEFAULT_TOTAL_BEND,
+             table: quasistatics.SiliconeForceTable | None = None) -> tuple[Verdict, ...]:
+    """Every verdict on a design: ``reduction_ok`` at ``target_ratio`` and
+    ``motor_check_ok`` on ``table``, then the identity of the two reported
+    lengths, each reported value given against its quantity at ``total_bend``,
+    and the wheel stroke against the telescopic one. Nothing is patched to
+    make a verdict pass; invalid designs raise ``InvalidDesignError``."""
     require_valid(p)
-    theta = DEFAULT_TOTAL_BEND / p.platform.plate_count
-    return _warnings(p, telescopic.module_lengths(p),
-                     bending.chassis_diameter(p, theta).chassis_diameter, theta)
+    theta = total_bend / p.platform.plate_count
+    return _verdicts(p, telescopic.module_lengths(p), target_ratio, theta,
+                     bending.chassis_diameter(p, theta).chassis_diameter,
+                     _peak_load(p, table)[1])
 
 
-def _warnings(p: DesignParams, lengths: telescopic.ModuleLengths, chassis_d: float,
-              theta: float) -> tuple[Inconsistency, ...]:
-    # ``consistency_warnings`` over quantities already computed for a valid
-    # design; the identity of the reported lengths comes first.
-    rep = p.reported
-    # The wheel stroke shortens the module by twice the rod travel.
+def consistency_warnings(p: DesignParams) -> tuple[Verdict, ...]:
+    """The failed ``verdicts(p)`` that are not card flags: what ``validate``
+    and the card print as WARNING lines. Invalid designs raise
+    ``InvalidDesignError``."""
+    return tuple(v for v in verdicts(p) if not (v.passed or v.code in _FLAGS))
+
+
+def _peak_load(p: DesignParams, table) -> tuple[float, float]:
+    # Validation derived the peak load on the default table.
+    if table is None or table is quasistatics.default_force_table():
+        return p.validation.derived.peak_load
+    return quasistatics.peak_load(p, table)
+
+
+def _verdicts(p: DesignParams, lengths: telescopic.ModuleLengths, target_ratio: float,
+              theta: float, chassis_d: float, peak_torque: float) -> tuple[Verdict, ...]:
+    # ``verdicts`` over quantities already computed for a valid design.
+    rep, stall = p.reported, p.drive.motor_stall_torque
+    found = [Verdict("reduction_ok", telescopic.reduction_ok(
+                         lengths.reduced, lengths.elongated, target_ratio),
+                     lengths.reduction_ratio, target_ratio,
+                     "reduced / elongated module length exceeds the target ratio"),
+             Verdict("motor_check_ok", peak_torque <= stall, peak_torque, stall,
+                     "peak torque exceeds the motor stall torque, margin 1")]
+    if rep.elongated_length is not None and rep.reduced_length is not None:
+        # The module lengths differ by 2 * S_L * (N - 1) by construction, so
+        # must the reported ones, to a tolerance scaled by that derived gap.
+        gap = 2.0 * p.screw.screw_level_length * (p.screw.n_levels - 1)
+        implied = rep.elongated_length - rep.reduced_length
+        found.append(Verdict("reported_length_identity",
+                             abs(implied - gap) <= _REL_TOL * max(1.0, abs(gap)), gap, implied,
+                             "reported elongated - reduced length gap does not match "
+                             "2 * screw_level_length * (n_levels - 1)"))
+    # Each reported value given, to a tolerance scaled by that value.
+    for code, computed, reported, what in (
+            ("elongated_length_mismatch", lengths.elongated, rep.elongated_length,
+             "elongated module length"),
+            ("reduced_length_mismatch", lengths.reduced, rep.reduced_length,
+             "reduced module length"),
+            ("chassis_diameter_mismatch", chassis_d, rep.chassis_diameter, "chassis diameter"),
+            ("rod_half_expansion_mismatch", bending.rod_half_expansion(p, theta),
+             rep.rod_half_expansion, "rod half expansion"),
+            ("wheel_diameter_mismatch", 2.0 * p.validation.derived.wheel_radius,
+             rep.wheel_diameter, "full-compression wheel diameter")):
+        if reported is not None:
+            passed = abs(computed - reported) <= _REL_TOL * max(1.0, abs(reported))
+            found.append(Verdict(code, passed, computed, reported,
+                                 f"computed {what} differs from the reported value"))
+    # Two models, not a reported value: the wheel stroke, which shortens the
+    # module by twice the rod travel, ends at the last length of
+    # ``wheelgeom.transform_columns``; the telescopic stack collapses no lower
+    # than its reduced length.
     stroke_end = lengths.elongated - 2.0 * (p.wheel.rod_half_length
                                             - params.min_half_separation(p))
-    checks = (
-        _mismatch("elongated_length_mismatch", lengths.elongated,
-                  rep.elongated_length,
-                  "computed elongated module length differs from the reported value"),
-        _mismatch("reduced_length_mismatch", lengths.reduced, rep.reduced_length,
-                  "computed reduced module length differs from the reported value"),
-        _mismatch("chassis_diameter_mismatch", chassis_d, rep.chassis_diameter,
-                  "computed chassis diameter differs from the reported value"),
-        _mismatch("rod_half_expansion_mismatch", bending.rod_half_expansion(p, theta),
-                  rep.rod_half_expansion,
-                  "computed rod half expansion differs from the reported value"),
-        _mismatch("wheel_diameter_mismatch", 2.0 * p.validation.derived.wheel_radius,
-                  rep.wheel_diameter,
-                  "computed full-compression wheel diameter differs from the reported value"),
-        # Two models, not a reported value: the last module length of
-        # ``wheelgeom.transform_columns`` against the length the telescopic
-        # stack collapses to.
-        None if stroke_end >= lengths.reduced else Inconsistency(
-            "wheel_stroke_exceeds_telescopic_stroke",
-            "the wheel stroke ends at a module length (computed) below the "
-            "telescopic reduced length (reported)", stroke_end, lengths.reduced),
-    )
-    return (*_length_identity_warnings(p), *(c for c in checks if c is not None))
+    found.append(Verdict("wheel_stroke_exceeds_telescopic_stroke",
+                         stroke_end >= lengths.reduced, stroke_end, lengths.reduced,
+                         "the wheel stroke ends at a module length (computed) below the "
+                         "telescopic reduced length (reported)"))
+    return tuple(found)
 
 
 SWEEP_METRICS = (
@@ -262,29 +275,32 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
                 total_bend: float = DEFAULT_TOTAL_BEND,
                 table: quasistatics.SiliconeForceTable | None = None,
                 digest: str | None = None) -> RunReport:
-    """One complete design card: every top-level quantity plus pass/fail flags.
+    """One complete design card: every top-level quantity, the pass/fail flags
+    of its ``verdicts`` and, as warnings, the other verdicts it fails.
 
     A chassis rod that the bend demand outgrows is surfaced as a string flag
     in ``rod_sizing`` instead of aborting the card; invalid designs raise
     ``InvalidDesignError``. The card's ``validation`` is ``p.validation``.
     """
     validation = require_valid(p)
+    lengths = telescopic.module_lengths(p)
+    theta = total_bend / p.platform.plate_count
+    chassis = bending.chassis_diameter(p, theta)
+    force, torque = _peak_load(p, table)
+    found = {v.code: v for v in _verdicts(p, lengths, target_ratio, theta,
+                                          chassis.chassis_diameter, torque)}
     outputs: dict[str, object] = {}
 
-    lengths = telescopic.module_lengths(p)
     outputs["elongated_length_mm"] = lengths.elongated
     outputs["reduced_length_mm"] = lengths.reduced
     outputs["reduction_ratio"] = lengths.reduction_ratio
     outputs["reduction_target"] = target_ratio
-    outputs["reduction_ok"] = telescopic.reduction_ok(
-        lengths.reduced, lengths.elongated, target_ratio)
+    outputs["reduction_ok"] = found["reduction_ok"].passed
     outputs["shaft_levels"] = telescopic.shaft_levels(p)
     outputs["screw_diameters_mm"] = telescopic.diameter_ladder(p)
 
-    theta = total_bend / p.platform.plate_count
     outputs["total_bend_rad"] = total_bend
     outputs["per_plate_bend_rad"] = theta
-    chassis = bending.chassis_diameter(p, theta)
     outputs["chassis_offset_mm"] = chassis.screw_offset_component
     outputs["chassis_triangle_base_mm"] = chassis.triangle_base
     outputs["chassis_diameter_mm"] = chassis.chassis_diameter
@@ -306,26 +322,21 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
     outputs["curved_rod_levels"] = plan.levels
     outputs["curved_rod_curvature_mm"] = plan.matched_curvature
 
-    # Validation derived the peak load on the default table.
-    default = table is None or table is quasistatics.default_force_table()
-    force, torque = validation.derived.peak_load if default else quasistatics.peak_load(p, table)
     outputs["peak_axial_force_N"] = force
     outputs["peak_torque_Nmm"] = torque
-    check = quasistatics.motor_check(torque, p.drive.motor_stall_torque)
-    outputs["motor_check_ok"] = check.passed
-    outputs["motor_check_note"] = check.note
-
-    warnings = _warnings(p, lengths, chassis.chassis_diameter, theta)
-    codes = {w.code for w in warnings}
-    for key, target in (("target_elongated_ok", "elongated_length"),
-                        ("target_reduced_ok", "reduced_length"),
-                        ("target_wheel_diameter_ok", "wheel_diameter")):
-        if getattr(p.reported, target) is not None:
-            outputs[key] = f"{target}_mismatch" not in codes
+    outputs["motor_check_ok"] = found["motor_check_ok"].passed
+    # The reference selection threshold beside the peak, for context only.
+    outputs["motor_check_note"] = (
+        f"peak {torque:.3f} N*mm vs selection threshold "
+        f"{quasistatics.SELECTION_THRESHOLD:.0f} N*mm (side-by-side reference, not an "
+        f"equality target); stall {p.drive.motor_stall_torque:.0f} N*mm, margin 1")
+    for key, code in _TARGETS:
+        if code in found:
+            outputs[key] = found[code].passed
 
     return RunReport(
         digest=digest if digest is not None else config_digest(serialize(p)),
         validation=validation,
         outputs=outputs,
-        warnings=warnings,
+        warnings=tuple(v for v in found.values() if not (v.passed or v.code in _FLAGS)),
     )

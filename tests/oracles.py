@@ -1,14 +1,15 @@
 """Brute-force oracles: the closed-form inverse sizing in ``telescopic``, the
 transformation and torque profiles state by state, the keyframe file as
 ``json.dumps`` writes it, the peak of a torque profile, the metrics of a
-sweep row and a run report printed line by line; and ``set_field``, the
-setter a sweep applies at each point."""
+sweep row, a card's warnings and PASS/FAIL flags check by check, and a run
+report printed line by line; and ``set_field``, the setter a sweep applies at
+each point."""
 
 import json
 import math
 import typing
 
-from morphwheel import InfeasibleError, bending, params, quasistatics, wheelgeom
+from morphwheel import InfeasibleError, bending, params, quasistatics, telescopic, wheelgeom
 from morphwheel.cli import _fmt
 from morphwheel.report import DEFAULT_TOTAL_BEND
 from morphwheel.telescopic import module_lengths
@@ -161,6 +162,94 @@ def sweep_row(p) -> tuple[float, ...]:
     return (elongated, reduced, reduced / elongated,
             bending.chassis_diameter(p, theta).chassis_diameter,
             wheelgeom.transform_endpoint_radius(p), quasistatics.peak_load(p)[1])
+
+
+_REL_TOL = 1e-6
+
+
+class Inconsistency(typing.NamedTuple):
+    """One WARNING line of a run report: a computed quantity against a
+    reported value, or against a second model."""
+
+    code: str
+    detail: str
+    computed: float | None = None
+    reported: float | None = None
+
+
+def _mismatch(code: str, computed: float, reported: float | None,
+              detail: str) -> Inconsistency | None:
+    if reported is None:
+        return None
+    if abs(computed - reported) <= _REL_TOL * max(1.0, abs(reported)):
+        return None
+    return Inconsistency(code=code, detail=detail, computed=computed, reported=reported)
+
+
+def _length_identity_warnings(p) -> tuple[Inconsistency, ...]:
+    # Elongated and reduced module lengths differ by 2 * S_L * (N - 1) by
+    # construction, so any pair of reported lengths must honour the same
+    # identity.
+    rep = p.reported
+    if rep.elongated_length is None or rep.reduced_length is None:
+        return ()
+    implied = rep.elongated_length - rep.reduced_length
+    derived = 2.0 * p.screw.screw_level_length * (p.screw.n_levels - 1)
+    if abs(implied - derived) <= _REL_TOL * max(1.0, abs(derived)):
+        return ()
+    return (Inconsistency("reported_length_identity",
+                          "reported elongated - reduced length gap does not match "
+                          "2 * screw_level_length * (n_levels - 1)", derived, implied),)
+
+
+def warnings(p, total_bend: float = DEFAULT_TOTAL_BEND) -> tuple[Inconsistency, ...]:
+    """The WARNING records of a valid design's card at ``total_bend``, one
+    check at a time from the public formulas: the identity of the reported
+    lengths first, then each reported value given, then the wheel stroke's
+    end against the telescopic reduced length."""
+    theta = total_bend / p.platform.plate_count
+    rep = p.reported
+    elongated, reduced = params.elongated_length(p), params.reduced_length(p)
+    stroke_end = elongated - 2.0 * (p.wheel.rod_half_length - params.min_half_separation(p))
+    checks = (
+        _mismatch("elongated_length_mismatch", elongated, rep.elongated_length,
+                  "computed elongated module length differs from the reported value"),
+        _mismatch("reduced_length_mismatch", reduced, rep.reduced_length,
+                  "computed reduced module length differs from the reported value"),
+        _mismatch("chassis_diameter_mismatch",
+                  bending.chassis_diameter(p, theta).chassis_diameter, rep.chassis_diameter,
+                  "computed chassis diameter differs from the reported value"),
+        _mismatch("rod_half_expansion_mismatch", bending.rod_half_expansion(p, theta),
+                  rep.rod_half_expansion,
+                  "computed rod half expansion differs from the reported value"),
+        _mismatch("wheel_diameter_mismatch", 2.0 * wheelgeom.transform_endpoint_radius(p),
+                  rep.wheel_diameter,
+                  "computed full-compression wheel diameter differs from the reported value"),
+        None if stroke_end >= reduced else Inconsistency(
+            "wheel_stroke_exceeds_telescopic_stroke",
+            "the wheel stroke ends at a module length (computed) below the "
+            "telescopic reduced length (reported)", stroke_end, reduced),
+    )
+    return (*_length_identity_warnings(p), *(c for c in checks if c is not None))
+
+
+def card_flags(p, target_ratio: float = 0.5, total_bend: float = DEFAULT_TOTAL_BEND,
+               table=None) -> dict[str, bool]:
+    """The PASS/FAIL values of a valid design's card, in its order: the
+    reduction ratio against ``target_ratio``, the peak torque on ``table``
+    against the stall torque, and a ``target_*_ok`` per reported length or
+    wheel diameter given, which passes when its ``*_mismatch`` warning is
+    absent."""
+    flags = {"reduction_ok": telescopic.reduction_ok(
+                 params.reduced_length(p), params.elongated_length(p), target_ratio),
+             "motor_check_ok": quasistatics.peak_load(p, table)[1] <= p.drive.motor_stall_torque}
+    codes = {w.code for w in warnings(p, total_bend)}
+    for key, target in (("target_elongated_ok", "elongated_length"),
+                        ("target_reduced_ok", "reduced_length"),
+                        ("target_wheel_diameter_ok", "wheel_diameter")):
+        if getattr(p.reported, target) is not None:
+            flags[key] = f"{target}_mismatch" not in codes
+    return flags
 
 
 def print_report(rr) -> None:

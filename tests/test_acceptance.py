@@ -14,13 +14,13 @@ from morphwheel.bending import bend_from_extensions, distribute_bend, screw_exte
 from morphwheel.cli import main
 from morphwheel.params import reference_design, serialize
 from morphwheel.quasistatics import (
+    SELECTION_THRESHOLD,
     default_force_table,
-    motor_check,
     screw_torque,
     silicone_force,
     torque_columns,
 )
-from morphwheel.report import consistency_warnings
+from morphwheel.report import consistency_warnings, design_card, verdicts
 from morphwheel.telescopic import (
     min_levels,
     min_screw_length,
@@ -189,11 +189,13 @@ def test_criterion_9_torque_model():
     assert forces[peak] == max(forces)
     assert peak == min(i for i, f in enumerate(forces) if f == max(forces))
 
-    check = motor_check(torques[peak], 1470.0)
+    (check,) = [v for v in verdicts(p) if v.code == "motor_check_ok"]
+    assert (check.computed, check.reported) == (torques[peak], 1470.0)
     assert check.passed
-    assert f"{check.peak_torque:.3f}" in check.note and "500" in check.note
-    print(f"\n  computed peak {check.peak_torque:.3f} N*mm | "
-          f"selection threshold {check.selection_threshold:.0f} N*mm "
+    note = design_card(p).outputs["motor_check_note"]
+    assert f"{check.computed:.3f}" in note and "500" in note
+    print(f"\n  computed peak {check.computed:.3f} N*mm | "
+          f"selection threshold {SELECTION_THRESHOLD:.0f} N*mm "
           f"(reference, not an equality target)")
     report(9, "frictionless torque matches the energy balance within 1e-12, "
               "the peak sits at the maximum-force step, and the 1470 N*mm "

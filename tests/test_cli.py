@@ -1129,8 +1129,9 @@ RARE_STEPS = [str(_MAX_STEPS), str(_MAX_STEPS + 1), "1", "0", "-3", "2.5", "x", 
 
 
 def pick(usual, rare):
-    """A usual value three times in four, else a rare one."""
-    return st.one_of(*[st.sampled_from(usual)] * 3, st.sampled_from(rare))
+    """A usual value three times in four, else a rare one. (``st.one_of``
+    would weigh its branches by distinct strategy, so one usual to one rare.)"""
+    return st.sampled_from([usual] * 3 + [rare]).flatmap(st.sampled_from)
 
 
 @st.composite
@@ -1154,9 +1155,10 @@ def verb_argvs(draw, config: str, work: Path) -> list[str]:
         "sweep": {"--config": st.just(config),
                   "--sweep-param": pick([path for path, _ in SWEEP_FIELDS],
                                         ["screw", "screw.bogus", ""]),
-                  "--sweep-range": st.one_of(
-                      *[st.builds("{}:{}:{}".format, ends, ends, steps)] * 3,
-                      st.sampled_from(["1:2", "1:2:3:4", "", ":", "-x"])),
+                  "--sweep-range": st.sampled_from(
+                      [st.builds("{}:{}:{}".format, ends, ends, steps)] * 3
+                      + [st.sampled_from(["1:2", "1:2:3:4", "", ":", "-x"])]).flatmap(
+                      lambda ranges: ranges),
                   "--objective": pick([o.value for o in Objective], ["bogus"]),
                   "--out": out},
     }

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from morphwheel import ConfigError, quasistatics, reference_design
+from morphwheel import ConfigError, quasistatics, reference_design, report
 from morphwheel.quasistatics import (
     SELECTION_THRESHOLD,
     SiliconeForceTable,
     default_force_table,
     load_force_table,
     load_force_table_path,
-    motor_check,
     screw_torque,
     silicone_force,
     silicone_forces,
@@ -337,26 +336,35 @@ class TestPerStateOracle:
             assert set(hits) >= set(range(len(samples)))
 
 
+def motor_check(p, stall_torque=None):
+    """The ``motor_check_ok`` verdict on ``p``, with its stall torque set to
+    ``stall_torque`` when one is given."""
+    if stall_torque is not None:
+        p = p._replace(drive=p.drive._replace(motor_stall_torque=stall_torque))
+    (check,) = [v for v in report.verdicts(p) if v.code == "motor_check_ok"]
+    return check
+
+
 class TestMotorCheck:
     def test_reference_design_passes(self, reference):
         peak = max(profile_of(reference, 50)[1])
-        check = motor_check(peak, reference.drive.motor_stall_torque)
+        check = motor_check(reference)
         assert check.passed
-        assert check.stall_torque == 1470.0
-        assert check.ratio == pytest.approx(check.peak_torque / 1470.0)
-        assert check.selection_threshold == SELECTION_THRESHOLD
-        # peak and threshold printed side by side, never equated
-        assert f"{check.peak_torque:.3f}" in check.note
-        assert "500" in check.note
-        assert check.note.endswith(", margin 1")
+        assert (check.computed, check.reported) == (peak, 1470.0)
+        assert check.computed / check.reported == pytest.approx(peak / 1470.0)
+        # peak and threshold printed side by side on the card, never equated
+        note = report.design_card(reference).outputs["motor_check_note"]
+        assert f"{peak:.3f}" in note
+        assert f"{SELECTION_THRESHOLD:.0f} N*mm" in note and SELECTION_THRESHOLD == 500.0
+        assert note.endswith(", margin 1")
 
     def test_boundary_peak_equals_stall(self, reference):
         peak = max(profile_of(reference, 10)[1])
-        check = motor_check(peak, peak)
-        assert check.passed
+        check = motor_check(reference, peak)
+        assert check.passed and check.computed == check.reported == peak
 
     def test_overloaded_motor_fails_with_ratio_above_one(self, reference):
         peak = max(profile_of(reference, 10)[1])
-        check = motor_check(peak, peak / 2)
+        check = motor_check(reference, peak / 2)
         assert not check.passed
-        assert check.ratio > 1.0
+        assert check.computed / check.reported > 1.0

@@ -14,7 +14,7 @@ from morphwheel.report import Objective, SweepSpec
 
 RECORDS = [
     (params.Violation, ("field", "constraint")),
-    (params.Inconsistency, ("code", "detail", "computed", "reported")),
+    (params.Verdict, ("code", "passed", "computed", "reported", "detail")),
     (params.ValidationReport, ("violations", "derived")),
     (bending.BendState, ("total_bend", "direction", "per_plate_angle", "plate_angles",
                          "screw_extensions")),
@@ -22,8 +22,6 @@ RECORDS = [
     (telescopic.ModuleLengths, ("elongated", "reduced")),
     (telescopic.ScrewLengthSolution, ("length", "degenerate")),
     (wheelgeom.CurvedRodPlan, ("arc_per_sector", "levels", "matched_curvature")),
-    (quasistatics.MotorCheck, ("passed", "peak_torque", "stall_torque", "ratio",
-                               "selection_threshold", "note")),
     (report.RunReport, ("digest", "validation", "outputs", "warnings")),
     (params.TelescopicScrewSpec, ("n_levels", "screw_level_length", "stopper_width",
                                   "thread_width", "thread_clearance", "base_screw_diameter")),
@@ -43,7 +41,6 @@ RECORDS = [
 ]
 
 DEFAULTS = {
-    params.Inconsistency: {"computed": None, "reported": None},
     params.ValidationReport: {"violations": (), "derived": None},
     telescopic.ScrewLengthSolution: {"degenerate": False},
     params.TelescopicScrewSpec: {"base_screw_diameter": 2.3},
@@ -65,7 +62,6 @@ def test_fields_keep_their_order_and_defaults(record, fields):
 
 def test_defaults_fill_the_trailing_fields():
     assert telescopic.ScrewLengthSolution(1.0).degenerate is False
-    assert params.Inconsistency("code", "detail") == ("code", "detail", None, None)
 
 
 def test_validation_report_is_valid_without_violations():

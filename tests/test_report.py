@@ -42,6 +42,7 @@ from morphwheel.report import (
     design_card,
     sweep,
     sweep_columns,
+    verdicts,
 )
 from morphwheel.wheelgeom import transform_columns
 
@@ -341,16 +342,101 @@ class TestValidateOnce:
         assert stage_runs(stages) == wheel_sweep_runs(40, 1)
 
     def test_sweep_checks_no_reported_value(self, count_validate, monkeypatch, reference):
-        # A sweep row carries no warning, so a point builds none; the card
-        # checks the identity of the reported lengths once.
-        identity = count_calls(monkeypatch, report_module, "_length_identity_warnings")
+        # A sweep row carries no verdict, so a point builds none; the card
+        # builds its verdicts once.
+        built = count_calls(monkeypatch, report_module, "_verdicts")
         stages = count_stages(monkeypatch)
         spec = SweepSpec("wheel.hub_offset", 10.0, 200.0, 50, Objective.MAX_WHEEL_RADIUS)
         assert sweep(reference, spec, lambda row: None)["status"] == "ok"
-        assert (len(count_validate), len(identity)) == (0, 0)
+        assert (len(count_validate), len(built)) == (0, 0)
         assert stage_runs(stages) == wheel_sweep_runs(50, 0)
         design_card(reference)
-        assert len(identity) == 1
+        assert len(built) == 1
+
+
+# The card's flag on each reported target, and the verdict it reads.
+TARGET_FLAGS = {"target_elongated_ok": "elongated_length_mismatch",
+                "target_reduced_ok": "reduced_length_mismatch",
+                "target_wheel_diameter_ok": "wheel_diameter_mismatch"}
+CARD_FLAGS = ("reduction_ok", "motor_check_ok")
+
+
+def passes(code, computed, reported):
+    """Whether a verdict of ``code`` passes on its values, under the tolerance
+    of its kind: none for a flag or the stroke, the derived gap's scale for
+    the identity of the reported lengths, the reported value's for the rest."""
+    if code in CARD_FLAGS:
+        return computed <= reported
+    if code == "wheel_stroke_exceeds_telescopic_stroke":
+        return computed >= reported
+    scale = computed if code == "reported_length_identity" else reported
+    return abs(computed - reported) <= 1e-6 * max(1.0, abs(scale))
+
+
+@st.composite
+def verdict_designs(draw):
+    """A random valid design whose stall torque is drawn, or its peak torque
+    on the default table, or half that, with no reported values, the
+    reference's, values drawn as ``TestPrintReport`` draws them, or its own
+    values at the default bend, some moved to either side of the tolerance."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = random_valid_params(rng)
+    peak = quasistatics.peak_load(p)[1]
+    stall = draw(st.sampled_from([p.drive.motor_stall_torque, peak, peak / 2]))
+    p = p._replace(drive=p.drive._replace(motor_stall_torque=stall))
+    kind = draw(st.sampled_from(["none", "reference", "drawn", "own"]))
+    if kind == "reference":
+        return p._replace(reported=params.reference_design().reported)
+    if kind == "drawn":
+        return p._replace(reported=params.ReportedTargets(
+            *[rng.choice([None, rng.uniform(1.0, 1000.0)]) for _ in range(5)]))
+    if kind == "own":
+        theta = report_module.DEFAULT_TOTAL_BEND / p.platform.plate_count
+        own = (params.elongated_length(p), params.reduced_length(p),
+               bending.chassis_diameter(p, theta).chassis_diameter,
+               2.0 * wheelgeom.transform_endpoint_radius(p), bending.rod_half_expansion(p, theta))
+        scales = st.sampled_from([None, 1.0, 1.0 + 5e-7, 1.0 - 5e-7, 1.0 + 2e-6, 1.5])
+        rep = params.ReportedTargets(*[None if (k := draw(scales)) is None else v * k
+                                       for v in own])
+        if rep.elongated_length is not None and (k := draw(scales)) is not None:
+            # A reduced length whose gap to the elongated one is near the derived gap.
+            gap = 2.0 * p.screw.screw_level_length * (p.screw.n_levels - 1)
+            rep = rep._replace(reduced_length=rep.elongated_length - gap * k)
+        return p._replace(reported=rep)
+    return p
+
+
+class TestVerdicts:
+    @given(p=verdict_designs(), target_ratio=st.floats(0.0, 1.0, exclude_min=True),
+           total_bend=st.floats(1e-9, math.pi / 2),
+           table=st.sampled_from(sorted(TABLES)))
+    @settings(max_examples=300, deadline=None)
+    def test_the_list_gives_the_card_and_the_warnings(self, p, target_ratio, total_bend, table):
+        table = TABLES[table]
+        kwargs = {"target_ratio": target_ratio, "total_bend": total_bend, "table": table}
+        if total_bend / p.platform.plate_count > bending.MAX_PLATE_TILT:
+            for run in (verdicts, design_card):
+                with pytest.raises(ValueError, match="theta_plate"):
+                    run(p, **kwargs)
+            return
+        found = {v.code: v for v in verdicts(p, **kwargs)}
+        card = design_card(p, **kwargs)
+        # The card's PASS/FAIL values are its verdicts', and the reference's.
+        flags = {key: value for key, value in card.outputs.items() if isinstance(value, bool)}
+        assert flags == oracles.card_flags(p, target_ratio, total_bend, table)
+        assert flags == {**{code: found[code].passed for code in CARD_FLAGS},
+                         **{key: found[code].passed for key, code in TARGET_FLAGS.items()
+                            if code in found}}
+        # The failed verdicts that are not flags are the reference's warnings.
+        failed = [v for v in found.values() if not (v.passed or v.code in CARD_FLAGS)]
+        assert card.warnings == tuple(failed)
+        assert [(v.code, v.detail, v.computed, v.reported) for v in failed] \
+            == list(oracles.warnings(p, total_bend))
+        assert [(w.code, w.detail, w.computed, w.reported) for w in consistency_warnings(p)] \
+            == list(oracles.warnings(p))
+        # Each verdict passes exactly when its values meet its tolerance.
+        for v in found.values():
+            assert v.passed == passes(v.code, v.computed, v.reported), v
 
 
 PACKAGE = (params, telescopic, bending, wheelgeom, quasistatics, report_module, cli)
