@@ -229,23 +229,27 @@ def cmd_sweep(args) -> int:
                 open(tmp, "w", newline="", encoding="utf-8") as fh:
             columns = sweep_columns(spec)
             objective, metric = columns.index("objective"), columns.index(spec.metric)
-            last, texts, batch = list(columns), list(columns), [",".join(columns) + "\r\n"]
+            fh.write(",".join(columns) + "\r\n")
+            batch = []
             # As ``csv.writer`` writes these rows: no value holds a comma, a
             # quote or a line break, and ``str`` of a float is its repr. A
-            # value equal to the previous row's keeps its text unless it is
-            # zero: equal nonzero floats have the same bits, 0.0 == -0.0 print
-            # apart, NaN equals nothing, and no column mixes int and float.
+            # column of one nonzero value, whose equal floats print alike, is
+            # formatted once (0.0 == -0.0 print apart; no column mixes 1 and 1.0).
+            def flush():
+                texts = [None if j == objective else [str(c[0])] * len(c)
+                         if c[0] != 0 and c.count(c[0]) == len(c) else list(map(str, c))
+                         for j, c in enumerate(zip(*batch))]
+                texts[objective] = texts[metric]
+                fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
+                batch.clear()
+
             def write_row(row):
-                for j, value in enumerate(row):
-                    if (value != last[j] or not value) and j != objective:
-                        texts[j] = str(value)
-                texts[objective], last[:] = texts[metric], row
-                batch.append(",".join(texts) + "\r\n")
+                batch.append(row)
                 if len(batch) == _SWEEP_BATCH:
-                    fh.write("".join(batch))
-                    batch.clear()
+                    flush()
             best = sweep(p, spec, write_row)
-            fh.write("".join(batch))
+            if batch:
+                flush()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -247,203 +247,6 @@ def screw_diameter(p: DesignParams, level: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# validation
-
-def _positive(out: list[Violation], section: str, obj, names: tuple[str, ...]) -> None:
-    # The path is built only for a failed check: a sweep point runs the
-    # checks of its section.
-    for name in names:
-        if not getattr(obj, name) > 0:
-            out.append(Violation(f"{section}.{name}", f"{name} > 0"))
-
-
-def validate(p: DesignParams) -> ValidationReport:
-    """Check every structural invariant of a design.
-
-    Pure: identical input gives an identical report. Every violated
-    invariant is listed (no short-circuiting); an empty violations tuple
-    means the design is structurally sound. Reported values are not checked
-    here: ``report.verdicts`` compares them with the design. A
-    design that passes every other check, as their formulas assume, is
-    last checked for derived quantities past the float range and for a wheel
-    stroke lost to rounding.
-    """
-    return _validate(p)
-
-
-def _check_screw(p, v, got):
-    s, lay = p.screw, p.layout
-    if s.n_levels < 1:
-        v.append(Violation("screw.n_levels", "n_levels >= 1"))
-    elif s.n_levels > _MAX_LEVELS:
-        v.append(Violation("screw.n_levels", f"n_levels <= {_MAX_LEVELS}"))
-    _positive(v, "screw", s,
-              ("screw_level_length", "stopper_width", "thread_width", "base_screw_diameter"))
-    if s.thread_clearance < 0:
-        v.append(Violation("screw.thread_clearance", "thread_clearance >= 0"))
-    _positive(v, "layout", lay, ("joint_arm_height", "drive_assembly_length",
-                                 "tensioner_length", "plate_clearance"))
-    return {"elongated": elongated_length(p), "reduced": reduced_length(p)}
-
-
-def _check_platform(p, v, got):
-    _positive(v, "platform", p.platform, ("screw_circle_spacing", "max_screw_extension",
-                                          "joint_mount_width", "universal_joint_diameter"))
-    if p.platform.plate_count < 1:
-        v.append(Violation("platform.plate_count", "plate_count >= 1"))
-
-
-def _check_wheel(p, v, got):
-    w = p.wheel
-    _positive(v, "wheel", w, ("rod_half_length", "curved_rod_length"))
-    if w.hub_offset < 0:
-        v.append(Violation("wheel.hub_offset", "hub_offset >= 0"))
-    if w.hinge_allowance < 0:
-        v.append(Violation("wheel.hinge_allowance", "hinge_allowance >= 0"))
-    if not w.hinge_allowance < w.curved_rod_length:
-        v.append(Violation("wheel.hinge_allowance", "hinge_allowance < curved_rod_length"))
-    if w.spoke_pairs < 3:
-        v.append(Violation("wheel.spoke_pairs", "spoke_pairs >= 3"))
-    if w.min_half_separation is not None and w.min_half_separation < 0:
-        v.append(Violation("wheel.min_half_separation", "min_half_separation >= 0"))
-    h_min = min_half_separation(p)
-    # A rod pair that cannot fold forms no wheel.
-    if not h_min < w.rod_half_length:
-        v.append(Violation("wheel.min_half_separation",
-                           "min_half_separation < rod_half_length"))
-    # Each unit of half-separation lost shortens the module by two, so a
-    # longer wheel stroke would compress the module to nothing.
-    if 2.0 * (w.rod_half_length - h_min) >= got["elongated"]:
-        v.append(Violation("wheel.rod_half_length",
-                           "2 * (rod_half_length - min_half_separation) < elongated length"))
-    return {"travel": w.rod_half_length - h_min}
-
-
-def _check_drive(p, v, got):
-    dr = p.drive
-    _positive(v, "drive", dr, ("motor_stall_torque", "screw_lead", "screw_mean_diameter"))
-    if not 0 <= dr.screw_friction < 1:
-        v.append(Violation("drive.screw_friction", "0 <= screw_friction < 1"))
-    # With pi * d <= mu * lead no motor torque can raise the load: the screw jams.
-    if dr.screw_mean_diameter > 0 \
-            and not math.pi * dr.screw_mean_diameter > dr.screw_friction * dr.screw_lead:
-        v.append(Violation("drive.screw_mean_diameter",
-                           "pi * screw_mean_diameter > screw_friction * screw_lead"))
-
-
-# The overflow stages, which run only on a structurally sound design. The
-# card, the profile and a sweep row print these quantities: none may
-# overflow, and the wheel stroke, twice the rod ``travel``, must change the
-# module length, the half-separation and the wheel radius by a share that
-# floats resolve. The rim plan also rounds the rim arc over the usable rod
-# length to a level count and checks it in floats, which count exactly only
-# below 2**53.
-def _check_stroke(p, v, got):
-    w, elongated, travel = p.wheel, got["elongated"], got["travel"]
-    if not math.isfinite(elongated):
-        v.append(Violation("screw.screw_level_length", "elongated length is finite"))
-    elif not 2.0 * travel > _MIN_STROKE_SHARE * elongated:
-        v.append(Violation("wheel.rod_half_length", "2 * (rod_half_length - "
-                           "min_half_separation) > 2**-30 * elongated length"))
-    if not travel > _MIN_STROKE_SHARE * w.rod_half_length:
-        v.append(Violation("wheel.min_half_separation", "rod_half_length - "
-                           "min_half_separation > 2**-30 * rod_half_length"))
-    if not math.isfinite(screw_diameter(p, p.screw.n_levels - 1)):
-        v.append(Violation("screw.thread_width", "outermost screw diameter is finite"))
-    radius = wheelgeom.transform_endpoint_radius(p)
-    arc = wheelgeom.rim_arc(radius, w.spoke_pairs)
-    if not math.isfinite(radius):
-        v.append(Violation("wheel.rod_half_length", "wheel radius is finite"))
-    elif not math.isfinite(arc):
-        v.append(Violation("wheel.hub_offset", "rim arc of the wheel radius is finite"))
-    elif not arc / (w.curved_rod_length - w.hinge_allowance) < 2.0 ** 53:
-        v.append(Violation("wheel.curved_rod_length",
-                           "rim arc / (curved_rod_length - hinge_allowance) < 2**53"))
-    elif not radius - w.hub_offset > _MIN_STROKE_SHARE * radius:
-        v.append(Violation("wheel.hub_offset",
-                           "wheel radius - hub_offset > 2**-30 * wheel radius"))
-    return {"wheel_radius": radius}
-
-
-def _check_peak_load(p, v, got):
-    peak = quasistatics.peak_load(p)
-    if not math.isfinite(peak[1]):
-        v.append(Violation("drive.screw_mean_diameter", "peak torque is finite"))
-    return {"peak_load": peak}
-
-
-def _check_tilt(p, v, got):
-    # The card's chassis and rod lengths grow with the plate tilt.
-    tilt = bending.MAX_PLATE_TILT
-    if not math.isfinite(bending.chassis_diameter(p, tilt).chassis_diameter):
-        v.append(Violation("platform.max_screw_extension",
-                           "chassis diameter at a pi/4 tilt is finite"))
-    if not math.isfinite(2.0 * bending.rod_half_expansion(p, tilt)):
-        v.append(Violation("platform.joint_mount_width",
-                           "rod length at a pi/4 tilt is finite"))
-
-
-# The stages of ``validate`` in order, each with the sections it reads, also
-# through the quantities it takes. A stage is called with the design, the
-# violations to extend and the quantities that earlier stages returned.
-_STRUCTURE = (({"screw", "layout"}, _check_screw), ({"platform"}, _check_platform),
-              ({"wheel", "screw", "layout"}, _check_wheel), ({"drive"}, _check_drive))
-_OVERFLOWS = (({"wheel", "screw", "layout"}, _check_stroke), ({"drive"}, _check_peak_load),
-              ({"platform"}, _check_tilt))
-
-
-def _varying(section: str | None) -> typing.Callable[[DesignParams], ValidationReport]:
-    """``validate`` for designs that share every section object but
-    ``section``, as a sweep's do. The first design to reach a stage table
-    runs every stage; later ones run its plan: one dict of the quantities of
-    the stages that read no ``section``, then the stages that do, with the
-    others' violations, if any, in their places. ``validate`` (None) runs the
-    tables as they are at the call."""
-    plans = [None, None]
-
-    def check(p: DesignParams) -> ValidationReport:
-        v, got = [], {}
-        for k, stages in enumerate((_STRUCTURE, _OVERFLOWS)):
-            if v:
-                break
-            steps = stages if section is None else plans[k]
-            if steps is None:
-                kept = {}
-                plans[k] = [(None, lambda p, out, got, kept=kept: kept)]
-                for reads, stage in stages:
-                    n = len(v)
-                    gave = stage(p, v, got) or {}
-                    got.update(gave)
-                    if section in reads:
-                        plans[k].append((reads, stage))
-                    else:
-                        kept.update(gave)
-                        if len(v) > n:
-                            plans[k].append((reads, lambda p, out, got, replay=v[n:]:
-                                             out.extend(replay)))
-                continue
-            for _, stage in steps:
-                gave = stage(p, v, got)
-                if gave:
-                    got.update(gave)
-        return ValidationReport(tuple(v)) if v else ValidationReport._make(((), _Derived._make((
-            got["elongated"], got["reduced"], got["wheel_radius"], got["peak_load"]))))
-    return check
-
-
-_validate = _varying(None)  # ``validate``: built once, it keeps no stage
-
-
-def require_valid(p: DesignParams) -> ValidationReport:
-    """``p.validation``; raises ``InvalidDesignError`` (with the report) for
-    invalid designs."""
-    report = p.validation
-    if not report.valid:
-        raise InvalidDesignError(report)
-    return report
-
-
-# ---------------------------------------------------------------------------
 # config schema
 
 class _Field(typing.NamedTuple):
@@ -495,7 +298,7 @@ def _schema(section: str, cls: type) -> dict[str, _Field]:
 
 # Section name -> (its class, {key: _Field}), in the order of the fields of
 # ``DesignParams``, read from its annotations: the one table that ``load``,
-# ``serialize`` and a sweep read.
+# ``serialize``, validation's stages and a sweep read.
 _SECTIONS: dict[str, tuple[type, dict[str, _Field]]] = {
     name: (cls, _schema(name, cls))
     for name, cls in typing.get_type_hints(DesignParams).items()}
@@ -512,6 +315,242 @@ def _field_path(path: str) -> _Field:
     if found is None:
         raise ConfigError("unresolvable parameter path", field=path)
     return found
+
+
+# ---------------------------------------------------------------------------
+# validation
+
+def _positive(out: list[Violation], section: str, obj, names: tuple[str, ...]) -> None:
+    # The path is built only for a failed check: sweep points run these often.
+    for name in names:
+        if not getattr(obj, name) > 0:
+            out.append(Violation(f"{section}.{name}", f"{name} > 0"))
+
+
+def validate(p: DesignParams) -> ValidationReport:
+    """Check every structural invariant of a design.
+
+    Pure: identical input gives an identical report. Every violated
+    invariant is listed (no short-circuiting); an empty violations tuple
+    means the design is structurally sound. Reported values are not checked
+    here: ``report.verdicts`` compares them with the design. A
+    design that passes every other check, as their formulas assume, is
+    last checked for derived quantities past the float range and for a wheel
+    stroke lost to rounding.
+    """
+    return _validate(p)
+
+
+def _check_screw(p, v, got):
+    s = p.screw
+    if s.n_levels < 1:
+        v.append(Violation("screw.n_levels", "n_levels >= 1"))
+    elif s.n_levels > _MAX_LEVELS:
+        v.append(Violation("screw.n_levels", f"n_levels <= {_MAX_LEVELS}"))
+    _positive(v, "screw", s,
+              ("screw_level_length", "stopper_width", "thread_width", "base_screw_diameter"))
+    if s.thread_clearance < 0:
+        v.append(Violation("screw.thread_clearance", "thread_clearance >= 0"))
+
+
+def _check_layout(p, v, got):
+    _positive(v, "layout", p.layout, ("joint_arm_height", "drive_assembly_length",
+                                      "tensioner_length", "plate_clearance"))
+
+
+def _module_lengths(p, v, got):
+    return {"elongated": elongated_length(p), "reduced": reduced_length(p)}
+
+
+def _check_platform(p, v, got):
+    _positive(v, "platform", p.platform, ("screw_circle_spacing", "max_screw_extension",
+                                          "joint_mount_width", "universal_joint_diameter"))
+    if p.platform.plate_count < 1:
+        v.append(Violation("platform.plate_count", "plate_count >= 1"))
+
+
+def _check_rods(p, v, got):
+    _positive(v, "wheel", p.wheel, ("rod_half_length", "curved_rod_length"))
+
+
+def _check_hub(p, v, got):
+    if p.wheel.hub_offset < 0:
+        v.append(Violation("wheel.hub_offset", "hub_offset >= 0"))
+
+
+def _check_wheel(p, v, got):
+    w = p.wheel
+    if w.hinge_allowance < 0:
+        v.append(Violation("wheel.hinge_allowance", "hinge_allowance >= 0"))
+    if not w.hinge_allowance < w.curved_rod_length:
+        v.append(Violation("wheel.hinge_allowance", "hinge_allowance < curved_rod_length"))
+    if w.spoke_pairs < 3:
+        v.append(Violation("wheel.spoke_pairs", "spoke_pairs >= 3"))
+    if w.min_half_separation is not None and w.min_half_separation < 0:
+        v.append(Violation("wheel.min_half_separation", "min_half_separation >= 0"))
+    # A rod pair that cannot fold forms no wheel.
+    if not min_half_separation(p) < w.rod_half_length:
+        v.append(Violation("wheel.min_half_separation",
+                           "min_half_separation < rod_half_length"))
+
+
+def _check_wheel_stroke(p, v, got):
+    travel = p.wheel.rod_half_length - min_half_separation(p)
+    # Each unit of half-separation lost shortens the module by two, so a
+    # longer wheel stroke would compress the module to nothing.
+    if 2.0 * travel >= got["elongated"]:
+        v.append(Violation("wheel.rod_half_length",
+                           "2 * (rod_half_length - min_half_separation) < elongated length"))
+    return {"travel": travel}
+
+
+def _check_drive(p, v, got):
+    dr = p.drive
+    _positive(v, "drive", dr, ("motor_stall_torque", "screw_lead", "screw_mean_diameter"))
+    if not 0 <= dr.screw_friction < 1:
+        v.append(Violation("drive.screw_friction", "0 <= screw_friction < 1"))
+    # With pi * d <= mu * lead no motor torque can raise the load: the screw jams.
+    if dr.screw_mean_diameter > 0 \
+            and not math.pi * dr.screw_mean_diameter > dr.screw_friction * dr.screw_lead:
+        v.append(Violation("drive.screw_mean_diameter",
+                           "pi * screw_mean_diameter > screw_friction * screw_lead"))
+
+
+# The overflow stages, which run only on a structurally sound design. The
+# card, the profile and a sweep row print these quantities: none may
+# overflow, and the wheel stroke, twice the rod ``travel``, must change the
+# module length, the half-separation and the wheel radius by a share that
+# floats resolve. The rim plan also rounds the rim arc over the usable rod
+# length to a level count and checks it in floats, which count exactly only
+# below 2**53.
+def _check_stroke(p, v, got):
+    elongated, travel = got["elongated"], got["travel"]
+    if not math.isfinite(elongated):
+        v.append(Violation("screw.screw_level_length", "elongated length is finite"))
+    elif not 2.0 * travel > _MIN_STROKE_SHARE * elongated:
+        v.append(Violation("wheel.rod_half_length", "2 * (rod_half_length - "
+                           "min_half_separation) > 2**-30 * elongated length"))
+    if not travel > _MIN_STROKE_SHARE * p.wheel.rod_half_length:
+        v.append(Violation("wheel.min_half_separation", "rod_half_length - "
+                           "min_half_separation > 2**-30 * rod_half_length"))
+
+
+def _check_screw_diameter(p, v, got):
+    if not math.isfinite(screw_diameter(p, p.screw.n_levels - 1)):
+        v.append(Violation("screw.thread_width", "outermost screw diameter is finite"))
+
+
+def _check_radius(p, v, got):
+    w = p.wheel
+    radius = wheelgeom.transform_endpoint_radius(p)
+    arc = wheelgeom.rim_arc(radius, w.spoke_pairs)
+    if not math.isfinite(radius):
+        v.append(Violation("wheel.rod_half_length", "wheel radius is finite"))
+    elif not math.isfinite(arc):
+        v.append(Violation("wheel.hub_offset", "rim arc of the wheel radius is finite"))
+    elif not arc / (w.curved_rod_length - w.hinge_allowance) < 2.0 ** 53:
+        v.append(Violation("wheel.curved_rod_length",
+                           "rim arc / (curved_rod_length - hinge_allowance) < 2**53"))
+    elif not radius - w.hub_offset > _MIN_STROKE_SHARE * radius:
+        v.append(Violation("wheel.hub_offset",
+                           "wheel radius - hub_offset > 2**-30 * wheel radius"))
+    return {"wheel_radius": radius}
+
+
+def _check_peak_load(p, v, got):
+    peak = quasistatics.peak_load(p)
+    if not math.isfinite(peak[1]):
+        v.append(Violation("drive.screw_mean_diameter", "peak torque is finite"))
+    return {"peak_load": peak}
+
+
+def _check_tilt(p, v, got):
+    # The card's chassis and rod lengths grow with the plate tilt.
+    tilt = bending.MAX_PLATE_TILT
+    if not math.isfinite(bending.chassis_diameter(p, tilt).chassis_diameter):
+        v.append(Violation("platform.max_screw_extension",
+                           "chassis diameter at a pi/4 tilt is finite"))
+    if not math.isfinite(2.0 * bending.rod_half_expansion(p, tilt)):
+        v.append(Violation("platform.joint_mount_width",
+                           "rod length at a pi/4 tilt is finite"))
+
+
+def _reads(names: str) -> frozenset[str]:
+    return frozenset(path for name in names.split() for path in (
+        (name,) if "." in name else (f"{name}.{f}" for f in _SECTIONS[name][0]._fields)))
+
+
+# The stages of ``validate`` in order, each with the fields it reads, also
+# through the quantities it takes: the module lengths read ``_LENGTHS``, the
+# rod travel ``_TRAVEL``; a section name stands for all its fields. A stage
+# is called with the design, the violations to extend and the quantities
+# that earlier stages returned.
+_LENGTHS = "screw.n_levels screw.screw_level_length layout"
+_TRAVEL = "wheel.rod_half_length wheel.min_half_separation screw.n_levels"
+_STRUCTURE = tuple((_reads(names), stage) for names, stage in (
+    ("screw", _check_screw), ("layout", _check_layout), (_LENGTHS, _module_lengths),
+    ("platform", _check_platform), ("wheel.rod_half_length wheel.curved_rod_length", _check_rods),
+    ("wheel.hub_offset", _check_hub),
+    (f"wheel.hinge_allowance wheel.curved_rod_length wheel.spoke_pairs {_TRAVEL}", _check_wheel),
+    (f"{_TRAVEL} {_LENGTHS}", _check_wheel_stroke), ("drive", _check_drive)))
+_OVERFLOWS = tuple((_reads(names), stage) for names, stage in (
+    (f"{_TRAVEL} {_LENGTHS}", _check_stroke),
+    ("screw.n_levels screw.base_screw_diameter screw.thread_width screw.thread_clearance "
+     "screw.stopper_width", _check_screw_diameter),
+    ("wheel screw.n_levels", _check_radius),
+    ("drive.screw_lead drive.screw_friction drive.screw_mean_diameter", _check_peak_load),
+    ("platform", _check_tilt)))
+
+
+def _varying(path: str | None) -> typing.Callable[[DesignParams], ValidationReport]:
+    """``validate`` for designs that differ only in the field ``path``, as a
+    sweep's do. The first design to reach a stage table runs every stage;
+    later ones run its plan: one dict of the quantities of the stages that
+    do not read ``path``, then the stages that do, with the others'
+    violations, if any, in their places. ``validate`` (None) runs the tables
+    as they are at the call."""
+    plans = [None, None]
+
+    def check(p: DesignParams) -> ValidationReport:
+        v, got = [], {}
+        for k, stages in enumerate((_STRUCTURE, _OVERFLOWS)):
+            if v:
+                break
+            steps = stages if path is None else plans[k]
+            if steps is None:
+                kept = {}
+                plans[k] = [(None, lambda p, out, got, kept=kept: kept)]
+                for reads, stage in stages:
+                    n = len(v)
+                    gave = stage(p, v, got) or {}
+                    got.update(gave)
+                    if path in reads:
+                        plans[k].append((reads, stage))
+                    else:
+                        kept.update(gave)
+                        if len(v) > n:
+                            plans[k].append((reads, lambda p, out, got, replay=v[n:]:
+                                             out.extend(replay)))
+                continue
+            for _, stage in steps:
+                gave = stage(p, v, got)
+                if gave:
+                    got.update(gave)
+        return ValidationReport(tuple(v)) if v else ValidationReport._make(((), _Derived._make((
+            got["elongated"], got["reduced"], got["wheel_radius"], got["peak_load"]))))
+    return check
+
+
+_validate = _varying(None)  # ``validate``: built once, it keeps no stage
+
+
+def require_valid(p: DesignParams) -> ValidationReport:
+    """``p.validation``; raises ``InvalidDesignError`` (with the report) for
+    invalid designs."""
+    report = p.validation
+    if not report.valid:
+        raise InvalidDesignError(report)
+    return report
 
 
 # ---------------------------------------------------------------------------

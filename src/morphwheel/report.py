@@ -200,6 +200,8 @@ class SweepSpec(_SweepFields):
             raise ValueError(f"sweep needs at most {params._MAX_STEPS} grid points")
         if self.start == self.stop:
             raise ValueError("sweep start and stop must differ")
+        if not math.isfinite((self.stop - self.start) * (self.steps - 1)):
+            raise ValueError("sweep span (stop - start) * (steps - 1) must be finite")
         return self
 
     def value(self, i: int) -> float:
@@ -235,8 +237,8 @@ def sweep(p: DesignParams, spec: SweepSpec,
     and ``reason``. The status is ``ok`` or ``invalid`` (the design violates
     an invariant; the reason lists the violated fields). Only ``ok`` rows
     carry the metrics. Nothing per point is kept but the best row. A check
-    or formula that reads no field of the swept section runs once per sweep;
-    the design ``p`` itself is not refused.
+    that does not read the swept field, or a formula that reads no field of
+    its section, runs once per sweep; the design ``p`` itself is not refused.
     """
     field = _field_path(spec.parameter_path)
     convert = field.value if field.is_count else float
@@ -245,7 +247,7 @@ def sweep(p: DesignParams, spec: SweepSpec,
             convert(spec.value(i))
     start, span, last = spec.start, spec.stop - spec.start, spec.steps - 1
     at = field.setter(p)
-    check = params._varying(field.section)
+    check = params._varying(field.path)
     metric = SWEEP_METRICS.index(spec.metric)
     better = operator.gt if spec.maximise else operator.lt
     blank = ("",) * (len(SWEEP_METRICS) + 1)

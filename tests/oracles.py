@@ -2,7 +2,8 @@
 transformation and torque profiles state by state, the keyframe file as
 ``json.dumps`` writes it, the peak of a torque profile, the metrics of a
 sweep row, a card's warnings and PASS/FAIL flags check by check, and a run
-report printed line by line; and ``set_field``, the setter a sweep applies at
+report printed line by line, ``validate`` stage by stage as it was when each
+stage read whole sections; and ``set_field``, the setter a sweep applies at
 each point."""
 
 import json
@@ -11,6 +12,15 @@ import typing
 
 from morphwheel import InfeasibleError, bending, params, quasistatics, telescopic, wheelgeom
 from morphwheel.cli import _fmt
+from morphwheel.params import (
+    _MAX_LEVELS,
+    _MIN_STROKE_SHARE,
+    Violation,
+    elongated_length,
+    min_half_separation,
+    reduced_length,
+    screw_diameter,
+)
 from morphwheel.report import DEFAULT_TOTAL_BEND
 from morphwheel.telescopic import module_lengths
 from morphwheel.wheelgeom import (
@@ -267,3 +277,146 @@ def print_report(rr) -> None:
     for w in rr.warnings:
         print(f"WARNING {w.code}: computed={_fmt(w.computed)} "
               f"reported={_fmt(w.reported)} ({w.detail})")
+
+
+# ---------------------------------------------------------------------------
+# ``params.validate`` as seven stages that each read whole sections: the
+# screw and layout, the platform, the wheel and the drive, then, on a
+# structurally sound design only, the stroke and wheel radius, the peak load
+# and the plate tilt. The package splits them at check boundaries so that a
+# sweep point reruns only the checks that read its field; these are the
+# checks as they were before the split.
+
+def _positive(out: list[Violation], section: str, obj, names: tuple[str, ...]) -> None:
+    for name in names:
+        if not getattr(obj, name) > 0:
+            out.append(Violation(f"{section}.{name}", f"{name} > 0"))
+
+
+def _check_screw(p, v, got):
+    s, lay = p.screw, p.layout
+    if s.n_levels < 1:
+        v.append(Violation("screw.n_levels", "n_levels >= 1"))
+    elif s.n_levels > _MAX_LEVELS:
+        v.append(Violation("screw.n_levels", f"n_levels <= {_MAX_LEVELS}"))
+    _positive(v, "screw", s,
+              ("screw_level_length", "stopper_width", "thread_width", "base_screw_diameter"))
+    if s.thread_clearance < 0:
+        v.append(Violation("screw.thread_clearance", "thread_clearance >= 0"))
+    _positive(v, "layout", lay, ("joint_arm_height", "drive_assembly_length",
+                                 "tensioner_length", "plate_clearance"))
+    return {"elongated": elongated_length(p), "reduced": reduced_length(p)}
+
+
+def _check_platform(p, v, got):
+    _positive(v, "platform", p.platform, ("screw_circle_spacing", "max_screw_extension",
+                                          "joint_mount_width", "universal_joint_diameter"))
+    if p.platform.plate_count < 1:
+        v.append(Violation("platform.plate_count", "plate_count >= 1"))
+
+
+def _check_wheel(p, v, got):
+    w = p.wheel
+    _positive(v, "wheel", w, ("rod_half_length", "curved_rod_length"))
+    if w.hub_offset < 0:
+        v.append(Violation("wheel.hub_offset", "hub_offset >= 0"))
+    if w.hinge_allowance < 0:
+        v.append(Violation("wheel.hinge_allowance", "hinge_allowance >= 0"))
+    if not w.hinge_allowance < w.curved_rod_length:
+        v.append(Violation("wheel.hinge_allowance", "hinge_allowance < curved_rod_length"))
+    if w.spoke_pairs < 3:
+        v.append(Violation("wheel.spoke_pairs", "spoke_pairs >= 3"))
+    if w.min_half_separation is not None and w.min_half_separation < 0:
+        v.append(Violation("wheel.min_half_separation", "min_half_separation >= 0"))
+    h_min = min_half_separation(p)
+    # A rod pair that cannot fold forms no wheel.
+    if not h_min < w.rod_half_length:
+        v.append(Violation("wheel.min_half_separation",
+                           "min_half_separation < rod_half_length"))
+    # Each unit of half-separation lost shortens the module by two, so a
+    # longer wheel stroke would compress the module to nothing.
+    if 2.0 * (w.rod_half_length - h_min) >= got["elongated"]:
+        v.append(Violation("wheel.rod_half_length",
+                           "2 * (rod_half_length - min_half_separation) < elongated length"))
+    return {"travel": w.rod_half_length - h_min}
+
+
+def _check_drive(p, v, got):
+    dr = p.drive
+    _positive(v, "drive", dr, ("motor_stall_torque", "screw_lead", "screw_mean_diameter"))
+    if not 0 <= dr.screw_friction < 1:
+        v.append(Violation("drive.screw_friction", "0 <= screw_friction < 1"))
+    # With pi * d <= mu * lead no motor torque can raise the load: the screw jams.
+    if dr.screw_mean_diameter > 0 \
+            and not math.pi * dr.screw_mean_diameter > dr.screw_friction * dr.screw_lead:
+        v.append(Violation("drive.screw_mean_diameter",
+                           "pi * screw_mean_diameter > screw_friction * screw_lead"))
+
+
+# The overflow stages, which run only on a structurally sound design. The
+# card, the profile and a sweep row print these quantities: none may
+# overflow, and the wheel stroke, twice the rod ``travel``, must change the
+# module length, the half-separation and the wheel radius by a share that
+# floats resolve. The rim plan also rounds the rim arc over the usable rod
+# length to a level count and checks it in floats, which count exactly only
+# below 2**53.
+def _check_stroke(p, v, got):
+    w, elongated, travel = p.wheel, got["elongated"], got["travel"]
+    if not math.isfinite(elongated):
+        v.append(Violation("screw.screw_level_length", "elongated length is finite"))
+    elif not 2.0 * travel > _MIN_STROKE_SHARE * elongated:
+        v.append(Violation("wheel.rod_half_length", "2 * (rod_half_length - "
+                           "min_half_separation) > 2**-30 * elongated length"))
+    if not travel > _MIN_STROKE_SHARE * w.rod_half_length:
+        v.append(Violation("wheel.min_half_separation", "rod_half_length - "
+                           "min_half_separation > 2**-30 * rod_half_length"))
+    if not math.isfinite(screw_diameter(p, p.screw.n_levels - 1)):
+        v.append(Violation("screw.thread_width", "outermost screw diameter is finite"))
+    radius = wheelgeom.transform_endpoint_radius(p)
+    arc = wheelgeom.rim_arc(radius, w.spoke_pairs)
+    if not math.isfinite(radius):
+        v.append(Violation("wheel.rod_half_length", "wheel radius is finite"))
+    elif not math.isfinite(arc):
+        v.append(Violation("wheel.hub_offset", "rim arc of the wheel radius is finite"))
+    elif not arc / (w.curved_rod_length - w.hinge_allowance) < 2.0 ** 53:
+        v.append(Violation("wheel.curved_rod_length",
+                           "rim arc / (curved_rod_length - hinge_allowance) < 2**53"))
+    elif not radius - w.hub_offset > _MIN_STROKE_SHARE * radius:
+        v.append(Violation("wheel.hub_offset",
+                           "wheel radius - hub_offset > 2**-30 * wheel radius"))
+    return {"wheel_radius": radius}
+
+
+def _check_peak_load(p, v, got):
+    peak = quasistatics.peak_load(p)
+    if not math.isfinite(peak[1]):
+        v.append(Violation("drive.screw_mean_diameter", "peak torque is finite"))
+    return {"peak_load": peak}
+
+
+def _check_tilt(p, v, got):
+    # The card's chassis and rod lengths grow with the plate tilt.
+    tilt = bending.MAX_PLATE_TILT
+    if not math.isfinite(bending.chassis_diameter(p, tilt).chassis_diameter):
+        v.append(Violation("platform.max_screw_extension",
+                           "chassis diameter at a pi/4 tilt is finite"))
+    if not math.isfinite(2.0 * bending.rod_half_expansion(p, tilt)):
+        v.append(Violation("platform.joint_mount_width",
+                           "rod length at a pi/4 tilt is finite"))
+
+
+def validate_by_sections(p) -> params.ValidationReport:
+    """``params.validate(p)`` from the seven stages above, run in order: every
+    violation in their order and, for a valid design, the quantities it
+    derives."""
+    v, got = [], {}
+    for stages in ((_check_screw, _check_platform, _check_wheel, _check_drive),
+                   (_check_stroke, _check_peak_load, _check_tilt)):
+        if v:
+            break
+        for stage in stages:
+            got.update(stage(p, v, got) or {})
+    if v:
+        return params.ValidationReport(tuple(v))
+    return params.ValidationReport((), params._Derived(
+        got["elongated"], got["reduced"], got["wheel_radius"], got["peak_load"]))

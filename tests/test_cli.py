@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
 import random
 import signal
 import subprocess
@@ -1051,6 +1052,20 @@ class TestCmdSweep:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("grid", ["0:1e308:3", "-1e308:1e308:3", "1e308:-1e308:2"])
+    def test_overflowing_grid_exits_2(self, config_file, tmp_path, capsys, grid):
+        # Each end is finite, but the span, or the span times the last
+        # index, is not: a grid value would be inf or nan.
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", config_file,
+                     "--sweep-param", "reported.wheel_diameter",
+                     f"--sweep-range={grid}",
+                     "--objective", "max-wheel-radius",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: --sweep-range: sweep span "
+                                           "(stop - start) * (steps - 1) must be finite\n")
+        assert not out.exists()
+
 # Every numeric config field, as a sweep takes it: (path, is a count).
 SWEEP_FIELDS = [(f.path, f.is_count) for _, schema in _SECTIONS.values()
                 for f in schema.values()]
@@ -1119,6 +1134,38 @@ class TestSweepFile:
         assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
 
+    @pytest.mark.parametrize("n", [2 * cli._SWEEP_BATCH + 3, 2 * cli._SWEEP_BATCH + 1])
+    def test_crafted_batches_are_what_csv_writer_writes(self, tmp_path, monkeypatch, n):
+        # The writer formats each batch a column at a time, and a column of
+        # one nonzero value once. Columns, by row i: an int count that is
+        # constant in the first batch and then changes; a float constant in
+        # each batch, a new object each row, that changes at the boundary;
+        # 0.0 and -0.0 in turns; -0.0 alone; one NaN object; a new NaN
+        # object each row; inf in one batch and -inf in the next; the
+        # objective, as the metric it reads; a status and a reason that
+        # change. The last batch holds three rows, or one.
+        batch, nan = cli._SWEEP_BATCH, float("nan")
+        rows = [(i, 7 if i < batch else 8 + i % 3,
+                 float(repr(1.5 if i < batch else 2.5 + i // batch)),
+                 0.0 if i % 2 else -0.0, -0.0, nan, float("nan"),
+                 math.inf if i // batch % 2 else -math.inf, nan,
+                 "ok" if i % 5 else "invalid", "" if i % 5 else "screw.n_levels wheel.hub_offset")
+                for i in range(n)]
+
+        def crafted(p, spec, emit):
+            for row in rows:
+                emit(row)
+        monkeypatch.setattr(cli, "sweep", crafted)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", REFERENCE_CONFIG, "--sweep-param", "screw.n_levels",
+                     "--sweep-range", "1:2:2", "--objective", "max-wheel-radius",
+                     "--out", str(out)]) == 0
+        expected = io.StringIO()
+        csv.writer(expected).writerows(
+            [report.sweep_columns(SweepSpec("screw.n_levels", 1.0, 2.0, 2,
+                                            Objective.MAX_WHEEL_RADIUS)), *rows])
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
 # Values a flag may be given: usual ones, then rare ones, which are out of
 # range, non-finite or malformed. The step counts include the cap, rare as a
 # run at the cap takes a second, and one past it.
@@ -1134,41 +1181,54 @@ def pick(usual, rare):
     return st.sampled_from([usual] * 3 + [rare]).flatmap(st.sampled_from)
 
 
+# Usual sweep ends by kind of field. Any two count ends differ by a multiple
+# of 98, so every grid of 2, 3 or 50 usual steps between them is integral.
+USUAL_ENDS = {False: ["-100", "0.5", "12.5", "300"], True: ["-96", "2", "100", "198"]}
+
+
 @st.composite
 def verb_argvs(draw, config: str, work: Path) -> list[str]:
-    """An argv of one verb: each of its flags, left out one time in twenty,
-    with a value from that flag's pool, given as ``--flag=value`` or as two
-    words, and one time in twenty a flag no verb has."""
-    config = draw(pick([config], [str(work / "missing.yaml")]))
-    table = pick([str(ROOT / "configs" / "force_table.yaml")],
-                 [config, str(work / "missing.yaml")])
-    out = pick([str(work / "out.csv")], [str(work / "no" / "out.csv"), "", ".", "/"])
-    floats = pick(USUAL_FLOATS, RARE_FLOATS)
-    ends = pick(["-100", "0.5", "12.5", "300"], RARE_FLOATS)
-    steps = pick(USUAL_STEPS, RARE_STEPS)
+    """An argv of one verb. One time in four it gives every flag of the verb
+    a usual value, and a sweep two distinct ends. Otherwise each flag is
+    left out one time in twenty and takes a value from its pool, and one
+    time in twenty a flag no verb has is added. A flag is given as
+    ``--flag=value`` or as two words; a sweep's ends suit its path: counts
+    take integral ends."""
+    usual = not draw(st.integers(0, 3))
+    choose = (lambda values, rare: st.sampled_from(values)) if usual else pick
+    config = draw(choose([config], [str(work / "missing.yaml")]))
+    table = choose([str(ROOT / "configs" / "force_table.yaml")],
+                   [config, str(work / "missing.yaml")])
+    out = choose([str(work / "out.csv")], [str(work / "no" / "out.csv"), "", ".", "/"])
+    floats = choose(USUAL_FLOATS, RARE_FLOATS)
+    steps = choose(USUAL_STEPS, RARE_STEPS)
+    path = draw(choose([path for path, _ in SWEEP_FIELDS], ["screw", "screw.bogus", ""]))
+    usual_ends = USUAL_ENDS[dict(SWEEP_FIELDS).get(path, False)]
+    if usual:
+        ranges = st.builds("{0[0]}:{0[1]}:{1}".format, st.lists(
+            st.sampled_from(usual_ends), min_size=2, max_size=2, unique=True), steps)
+    else:
+        ends = pick(usual_ends, RARE_FLOATS)
+        ranges = st.sampled_from([st.builds("{}:{}:{}".format, ends, ends, steps)] * 3 + [
+            st.sampled_from(["1:2", "1:2:3:4", "", ":", "-x"])]).flatmap(lambda r: r)
     flags = {
         "validate": {"--config": st.just(config)},
         "report": {"--config": st.just(config), "--target-ratio": floats,
                    "--total-bend": floats, "--force-table": table},
         "profile": {"--config": st.just(config), "--steps": steps,
                     "--out": out, "--force-table": table},
-        "sweep": {"--config": st.just(config),
-                  "--sweep-param": pick([path for path, _ in SWEEP_FIELDS],
-                                        ["screw", "screw.bogus", ""]),
-                  "--sweep-range": st.sampled_from(
-                      [st.builds("{}:{}:{}".format, ends, ends, steps)] * 3
-                      + [st.sampled_from(["1:2", "1:2:3:4", "", ":", "-x"])]).flatmap(
-                      lambda ranges: ranges),
-                  "--objective": pick([o.value for o in Objective], ["bogus"]),
+        "sweep": {"--config": st.just(config), "--sweep-param": st.just(path),
+                  "--sweep-range": ranges,
+                  "--objective": choose([o.value for o in Objective], ["bogus"]),
                   "--out": out},
     }
     verb = draw(st.sampled_from(sorted(flags)))
     argv = [verb]
     for flag, values in flags[verb].items():
-        if draw(st.integers(0, 19)):
+        if usual or draw(st.integers(0, 19)):
             value = draw(values)
             argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
-    if not draw(st.integers(0, 19)):
+    if not (usual or draw(st.integers(0, 19))):
         argv.append("--bogus")
     return argv
 

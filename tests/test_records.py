@@ -167,6 +167,10 @@ BAD_GRIDS = [
     ({"steps": 1}, "at least 2 grid points"),
     ({"steps": params._MAX_STEPS + 1}, f"at most {params._MAX_STEPS} grid points"),
     ({"stop": 10.0}, "start and stop must differ"),
+    # A grid value multiplies the span by its index: a finite grid whose
+    # span, or span times the last index, overflows is refused.
+    ({"start": -1e308, "stop": 1e308}, "sweep span"),
+    ({"start": 0.0, "stop": 1e308, "steps": 3}, "sweep span"),
 ]
 
 
@@ -189,6 +193,8 @@ class TestSweepSpec:
         assert SweepSpec._make(GRID) == spec
         assert type(spec._replace(steps=params._MAX_STEPS)) is SweepSpec
         assert spec._replace(steps=3).value(1) == 105.0
+        huge = spec._replace(start=0.0, stop=1e308, steps=2)
+        assert [huge.value(i) for i in range(2)] == [0.0, 1e308]
 
 
 SAMPLES = ((1.0, 3.0), (2.0, 1.0))

@@ -89,15 +89,20 @@ def stage_runs(calls):
     return {name: len(runs) for name, runs in calls.items()}
 
 
-# Stage runs of one sweep of the wheel: its two stages at every point, the
-# others once; ``validate`` runs each once.
-STAGE_NAMES = ("_check_screw", "_check_platform", "_check_wheel", "_check_drive",
-               "_check_stroke", "_check_peak_load", "_check_tilt")
-WHEEL_STAGES = ("_check_wheel", "_check_stroke")
+# The stages of ``validate`` in order, and those whose reads include each
+# field that the benchmark sweeps: a point of a sweep of that field runs
+# these, and the others run once; ``validate`` runs each once.
+STAGE_NAMES = ("_check_screw", "_check_layout", "_module_lengths", "_check_platform",
+               "_check_rods", "_check_hub", "_check_wheel", "_check_wheel_stroke",
+               "_check_drive", "_check_stroke", "_check_screw_diameter", "_check_radius",
+               "_check_peak_load", "_check_tilt")
+WHEEL_STAGES = ("_check_hub", "_check_radius")  # ``wheel.hub_offset``
+SCREW_STAGES = ("_check_screw", "_module_lengths", "_check_wheel_stroke",
+                "_check_stroke")  # ``screw.screw_level_length``
 
 
-def wheel_sweep_runs(points, validations):
-    return {name: validations + (points if name in WHEEL_STAGES else 1)
+def sweep_runs(points, validations, varying=WHEEL_STAGES):
+    return {name: validations + (points if name in varying else 1)
             for name in STAGE_NAMES}
 
 
@@ -274,11 +279,11 @@ class TestValidateOnce:
 
     def test_sweep_point_validates_once(self, reference, count_validate, monkeypatch):
         # A sweep checks each point once, by the stages that read the swept
-        # section; the others run on its first point only.
+        # field; the others run on its first point only.
         stages = count_stages(monkeypatch)
         point = own_point(reference)
         assert count_validate == []
-        assert stage_runs(stages) == wheel_sweep_runs(2, 0)
+        assert stage_runs(stages) == sweep_runs(2, 0)
         assert bits(point.values()) == bits(sweep_row(reference))
 
     def test_cli_validate_validates_once(self, count_validate, design_file):
@@ -333,13 +338,13 @@ class TestValidateOnce:
     def test_cli_sweep_validates_once_per_point(self, count_validate, design_file, tmp_path,
                                                 monkeypatch):
         # The loaded design validates; each point runs the checks that read
-        # the swept section, and the others run once, on the first point.
+        # the swept field, and the others run once, on the first point.
         stages = count_stages(monkeypatch)
         assert main(["sweep", "--config", design_file, "--sweep-param", "wheel.hub_offset",
                      "--sweep-range", "10:200:40", "--objective", "max-wheel-radius",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert len(count_validate) == 1
-        assert stage_runs(stages) == wheel_sweep_runs(40, 1)
+        assert stage_runs(stages) == sweep_runs(40, 1)
 
     def test_sweep_checks_no_reported_value(self, count_validate, monkeypatch, reference):
         # A sweep row carries no verdict, so a point builds none; the card
@@ -349,7 +354,7 @@ class TestValidateOnce:
         spec = SweepSpec("wheel.hub_offset", 10.0, 200.0, 50, Objective.MAX_WHEEL_RADIUS)
         assert sweep(reference, spec, lambda row: None)["status"] == "ok"
         assert (len(count_validate), len(built)) == (0, 0)
-        assert stage_runs(stages) == wheel_sweep_runs(50, 0)
+        assert stage_runs(stages) == sweep_runs(50, 0)
         design_card(reference)
         assert len(built) == 1
 
@@ -489,7 +494,7 @@ class TestDeriveOnce:
     def test_cli_sweep_derives_each_quantity_once_per_point(self, monkeypatch, design_file,
                                                            tmp_path):
         # The loaded design's validation, then each point's quantities that
-        # read the swept section, and the others once, at the first point.
+        # read the swept field, and the others once, at the first point.
         for path, varying in (("wheel.hub_offset", "transform_endpoint_radius"),
                               ("drive.screw_friction", "peak_load")):
             calls = count_formulas(monkeypatch)
@@ -627,7 +632,7 @@ class TestSweep:
         assert len(rows) == 3
         # Checks per point, none through ``validate``, nor of the design swept.
         assert count_validate == []
-        assert stage_runs(stages) == wheel_sweep_runs(3, 0)
+        assert stage_runs(stages) == sweep_runs(3, 0)
 
     def test_derived_fields_follow_the_swept_field(self, reference):
         spec = SweepSpec("screw.n_levels", 3.0, 6.0, 4, Objective.MIN_REDUCED_LENGTH)
@@ -846,7 +851,7 @@ class TestHugeFields:
 
 
 STAGES = params._STRUCTURE + params._OVERFLOWS
-SECTIONS = params.DesignParams._fields
+PATHS = [path for path, _ in NUMERIC_PATHS]
 
 
 def stage_results(p, index):
@@ -885,7 +890,7 @@ def stage_designs(draw):
 
 class TestStages:
     """A sweep reuses a stage's results for designs that differ only in
-    sections the stage does not declare: so they must not change them."""
+    fields the stage does not declare: so they must not change them."""
 
     def test_validate_runs_each_stage_once_in_order(self, monkeypatch, reference):
         ran = []
@@ -906,32 +911,64 @@ class TestStages:
         assert validate(reference).valid
         assert built == []
 
+    @given(stage_designs(), st.lists(st.sampled_from(FLOAT_PATHS), max_size=12),
+           BREAKING_FLOATS)
+    @settings(max_examples=300, deadline=None)
+    def test_validate_is_the_sectioned_stages(self, p, broken, value):
+        # The same violations in the same order, and the same derived values,
+        # as the stages that each read whole sections. Some fields share one
+        # breaking value, so that neighbouring checks often fail together.
+        for path in broken:
+            p = set_field(p, path, value)
+        assert repr(validate(p)) == repr(oracles.validate_by_sections(p))
+
+    @pytest.mark.parametrize("path, varying, start, stop", [
+        ("screw.screw_level_length", SCREW_STAGES, 20.0, 50.0),
+        ("wheel.hub_offset", WHEEL_STAGES, 10.0, 200.0)])
+    def test_a_point_runs_the_stages_that_read_its_field(self, monkeypatch, reference, path,
+                                                         varying, start, stop):
+        assert set().union(*(reads for reads, _ in STAGES)) <= set(PATHS)
+        assert tuple(stage.__name__ for reads, stage in STAGES if path in reads) == varying
+        stages = count_stages(monkeypatch)
+        spec = SweepSpec(path, start, stop, 50, Objective.MIN_PEAK_TORQUE)
+        rows, _ = swept(reference, spec)
+        assert [row[-2] for row in rows] == ["ok"] * 50
+        assert stage_runs(stages) == sweep_runs(50, 0, varying)
+
     @pytest.mark.parametrize("index", range(len(STAGES)),
                              ids=[stage.__name__ for _, stage in STAGES])
     @given(stage_designs(), stage_designs(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_undeclared_sections_leave_the_stage_alone(self, index, p, donor, data):
-        undeclared = [s for s in SECTIONS if s not in STAGES[index][0]]
-        swapped = data.draw(st.lists(st.sampled_from(undeclared), min_size=1, unique=True))
-        q = p._replace(**{s: getattr(donor, s) for s in swapped})
+        # The fields that the stage does not declare, any of its sections'
+        # among them, take the donor's values.
+        undeclared = [path for path in PATHS if path not in STAGES[index][0]]
+        q = p
+        for path in data.draw(st.lists(st.sampled_from(undeclared), min_size=1, unique=True)):
+            field = params._field_path(path)
+            q = field.setter(q)(getattr(getattr(donor, field.section), field.name))
         results = stage_results(p, index), stage_results(q, index)
         assume(None not in results)
         assert results[0] == results[1]
 
-    @given(stage_designs(), st.sampled_from(sorted(SECTIONS)),
+    @given(stage_designs(), st.sampled_from(PATHS),
            st.lists(stage_designs(), min_size=1, max_size=12), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_a_varying_check_is_validate(self, p, section, donors, data):
-        # Designs that share every section object but one, some invalid. The
-        # first few may break the varying section, so that a check resolves
-        # its overflow plan only at a later design; ``p`` itself often
-        # violates other sections, whose violations the check replays among
-        # the varying section's.
-        check = params._varying(section)
-        broken = [path for path in CHECKED_FLOAT_PATHS if path.startswith(section + ".")]
-        lead = data.draw(st.integers(0, 3)) if broken else 0
+    def test_a_varying_check_is_validate(self, p, path, donors, data):
+        # Designs that differ only in the field ``path``, any numeric one: a
+        # reported value, or an optional field that ``p`` or a donor leaves
+        # unset, takes a drawn value or none. The first few may break the
+        # field, so that a check resolves its overflow plan only at a later
+        # design; ``p`` itself often violates other fields, whose violations
+        # the check replays among the varying field's.
+        check = params._varying(path)
+        field = params._field_path(path)
+        lead = data.draw(st.integers(0, 3)) if path in CHECKED_FLOAT_PATHS else 0
         for i, donor in enumerate(donors):
+            value = getattr(getattr(donor, field.section), field.name)
             if i < lead:
-                donor = set_field(donor, data.draw(st.sampled_from(broken)), -1.0)
-            q = p._replace(**{section: getattr(donor, section)})
+                value = -1.0
+            elif value is None:
+                value = data.draw(st.one_of(st.none(), BREAKING_FLOATS))
+            q = field.setter(p)(value)
             assert repr(check(q)) == repr(validate(q))
