@@ -74,7 +74,11 @@ def _print_report(rr: RunReport) -> None:
 
 def _load_or_exit(config: str) -> tuple[DesignParams, str]:
     try:
-        text = Path(config).read_text(encoding="utf-8")
+        try:  # a plain ``open``: building a ``Path`` is most of a read's cost
+            with open(config, encoding="utf-8") as file:
+                text = file.read()
+        except OSError:  # read again, for an error naming the path as ``pathlib`` does
+            text = Path(config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)

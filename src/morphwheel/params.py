@@ -174,8 +174,8 @@ class Verdict(typing.NamedTuple):
 
 class _Derived(typing.NamedTuple):
     # The quantities ``validate`` derives for a valid design, kept on its
-    # report: the card, ``telescopic.module_lengths`` and a sweep point read
-    # them instead of deriving them again.
+    # report: the card and ``telescopic.module_lengths`` read them instead of
+    # deriving them again.
     elongated: float     # mm, ``elongated_length``
     reduced: float       # mm, ``reduced_length``
     wheel_radius: float  # mm, ``wheelgeom.transform_endpoint_radius``
@@ -338,7 +338,15 @@ def validate(p: DesignParams) -> ValidationReport:
     last checked for derived quantities past the float range and for a wheel
     stroke lost to rounding.
     """
-    return _validate(p)
+    v, got = [], {}  # the stage tables as they are at the call
+    for stages in (_STRUCTURE, _OVERFLOWS):
+        for _, stage in stages:
+            if gave := stage(p, v, got):
+                got.update(gave)
+        if v:
+            return ValidationReport(tuple(v))
+    return ValidationReport._make(((), _Derived._make((
+        got["elongated"], got["reduced"], got["wheel_radius"], got["peak_load"]))))
 
 
 def _check_screw(p, v, got):
@@ -502,46 +510,43 @@ _OVERFLOWS = tuple((_reads(names), stage) for names, stage in (
     ("platform", _check_tilt)))
 
 
-def _varying(path: str | None) -> typing.Callable[[DesignParams], ValidationReport]:
-    """``validate`` for designs that differ only in the field ``path``, as a
-    sweep's do. The first design to reach a stage table runs every stage;
-    later ones run its plan: one dict of the quantities of the stages that
-    do not read ``path``, then the stages that do, with the others'
-    violations, if any, in their places. ``validate`` (None) runs the tables
-    as they are at the call."""
+def _varying(path: str) -> typing.Callable[[DesignParams], tuple[list[Violation], dict]]:
+    """The stages of ``validate`` for designs that differ only in the field
+    ``path``, as a sweep's do: a function of a design that gives its
+    violations and the quantities its stages derived. The first design to
+    reach a stage table runs every stage and resolves its plan: the
+    quantities of the stages that do not read ``path``, and the steps, each
+    a stage that does or, in place of one that does not, its violations."""
     plans = [None, None]
 
-    def check(p: DesignParams) -> ValidationReport:
+    def check(p: DesignParams) -> tuple[list[Violation], dict]:
         v, got = [], {}
-        for k, stages in enumerate((_STRUCTURE, _OVERFLOWS)):
+        for k in 0, 1:
             if v:
                 break
-            steps = stages if path is None else plans[k]
-            if steps is None:
-                kept = {}
-                plans[k] = [(None, lambda p, out, got, kept=kept: kept)]
-                for reads, stage in stages:
+            if plans[k] is None:
+                kept, steps = {}, []
+                for reads, stage in (_STRUCTURE, _OVERFLOWS)[k]:
                     n = len(v)
                     gave = stage(p, v, got) or {}
                     got.update(gave)
                     if path in reads:
-                        plans[k].append((reads, stage))
+                        steps.append(stage)
                     else:
                         kept.update(gave)
                         if len(v) > n:
-                            plans[k].append((reads, lambda p, out, got, replay=v[n:]:
-                                             out.extend(replay)))
+                            steps.append(tuple(v[n:]))
+                plans[k] = kept, tuple(steps)
                 continue
-            for _, stage in steps:
-                gave = stage(p, v, got)
-                if gave:
+            kept, steps = plans[k]
+            got.update(kept)
+            for step in steps:
+                if type(step) is tuple:
+                    v += step
+                elif gave := step(p, v, got):
                     got.update(gave)
-        return ValidationReport(tuple(v)) if v else ValidationReport._make(((), _Derived._make((
-            got["elongated"], got["reduced"], got["wheel_radius"], got["peak_load"]))))
+        return v, got
     return check
-
-
-_validate = _varying(None)  # ``validate``: built once, it keeps no stage
 
 
 def require_valid(p: DesignParams) -> ValidationReport:

@@ -248,6 +248,7 @@ def sweep(p: DesignParams, spec: SweepSpec,
     start, span, last = spec.start, spec.stop - spec.start, spec.steps - 1
     at = field.setter(p)
     check = params._varying(field.path)
+    derived = operator.itemgetter("elongated", "reduced", "wheel_radius", "peak_load")
     metric = SWEEP_METRICS.index(spec.metric)
     better = operator.gt if spec.maximise else operator.lt
     blank = ("",) * (len(SWEEP_METRICS) + 1)
@@ -255,12 +256,12 @@ def sweep(p: DesignParams, spec: SweepSpec,
     best = best_row = chassis = None
     for i in range(spec.steps):
         value = convert(start + span * i / last)  # ``spec.value(i)``
-        report = check(q := at(value))
-        if report.violations:
-            fields = dict.fromkeys(v.field for v in report.violations)
+        violations, got = check(q := at(value))
+        if violations:
+            fields = dict.fromkeys(v.field for v in violations)
             emit((i, value, *blank, "invalid", " ".join(fields)))
             continue
-        elongated, reduced, radius, peak = report.derived
+        elongated, reduced, radius, peak = derived(got)
         if chassis is None or platform:
             theta = DEFAULT_TOTAL_BEND / q.platform.plate_count
             chassis = bending.chassis_diameter(q, theta).chassis_diameter

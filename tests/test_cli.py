@@ -348,6 +348,27 @@ class TestCmdValidate:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("config, code", [
+        ("./x.yaml", 0), ("x.yaml/", 0), ("x.yaml/.", 0), ("d//x.yaml", 0), ("", 2),
+        ("d/", 2), ("./nope.yaml", 2), ("latin.yaml", 2)])
+    def test_config_path_reads_as_pathlib_reads_it(self, tmp_path, monkeypatch, capsys,
+                                                   config, code):
+        # The text that ``Path(config).read_text`` gives, or its error.
+        monkeypatch.chdir(tmp_path)
+        Path("d").mkdir()
+        for path in ("x.yaml", "d/x.yaml"):
+            Path(path).write_text(serialize(reference_design()), encoding="utf-8")
+        Path("latin.yaml").write_bytes(b"\xff\xfe")
+        try:
+            Path(config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            expected = "", f"error: cannot read config: {exc}\n"
+        else:
+            assert main(["validate", "--config", "x.yaml"]) == 0
+            expected = capsys.readouterr().out, ""
+        assert main(["validate", "--config", config]) == code
+        assert tuple(capsys.readouterr()) == expected
+
     def test_invalid_design_exits_1(self, tmp_path, capsys):
         text = serialize(reference_design()).replace(
             "rod_half_length: 140.0", "rod_half_length: -140.0")

@@ -66,6 +66,28 @@ def count_validate(monkeypatch):
     return count_calls(monkeypatch, params, "validate")
 
 
+@pytest.fixture
+def count_reports(monkeypatch):
+    """The arguments of every later ``ValidationReport`` built, by its
+    constructor or by ``_make``."""
+    built = []
+
+    class Counted(params.ValidationReport):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+        @classmethod
+        def _make(cls, iterable):
+            built.append((iterable,))
+            return super()._make(iterable)
+
+    monkeypatch.setattr(params, "ValidationReport", Counted)
+    return built
+
+
 def count_stages(monkeypatch):
     """Per stage of ``validate``, by name, the designs of every later run of
     it, through ``validate`` or a sweep's check."""
@@ -345,6 +367,19 @@ class TestValidateOnce:
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert len(count_validate) == 1
         assert stage_runs(stages) == sweep_runs(40, 1)
+
+    def test_a_sweep_point_builds_no_report(self, count_reports, reference, design_file,
+                                            tmp_path):
+        # A point's check gives its violations and quantities; only the
+        # design that the CLI loads builds a report.
+        spec = SweepSpec("screw.screw_level_length", 20.0, 50.0, 50,
+                         Objective.MIN_REDUCED_LENGTH)
+        assert sweep(reference, spec, lambda row: None)["status"] == "ok"
+        assert count_reports == []
+        assert main(["sweep", "--config", design_file, "--sweep-param", "wheel.hub_offset",
+                     "--sweep-range", "10:200:50", "--objective", "max-wheel-radius",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(count_reports) == 1
 
     def test_sweep_checks_no_reported_value(self, count_validate, monkeypatch, reference):
         # A sweep row carries no verdict, so a point builds none; the card
@@ -869,6 +904,15 @@ def stage_results(p, index):
     return repr(found), repr(gave)
 
 
+def checked_report(violations, got):
+    """The ``validate`` report of a design whose varying check gave
+    ``violations`` and the quantities ``got``."""
+    if violations:
+        return params.ValidationReport(tuple(violations))
+    return params.ValidationReport((), params._Derived(
+        got["elongated"], got["reduced"], got["wheel_radius"], got["peak_load"]))
+
+
 # Values at which a check of one field may fail: out of range, or at or
 # near the ends of the float range, the largest most often.
 BREAKING_FLOATS = st.sampled_from([-1.0, 0.0, 1e-300, sys.float_info.max / 3,
@@ -906,7 +950,7 @@ class TestStages:
         assert ran == list(STAGE_NAMES[:len(params._STRUCTURE)])
 
     def test_validate_builds_no_check(self, monkeypatch, reference):
-        # ``validate`` runs the one check built at import.
+        # ``validate`` runs the stage tables itself and builds no check.
         built = count_calls(monkeypatch, params, "_varying")
         assert validate(reference).valid
         assert built == []
@@ -971,4 +1015,4 @@ class TestStages:
             elif value is None:
                 value = data.draw(st.one_of(st.none(), BREAKING_FLOATS))
             q = field.setter(p)(value)
-            assert repr(check(q)) == repr(validate(q))
+            assert repr(checked_report(*check(q))) == repr(validate(q))
