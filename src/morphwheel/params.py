@@ -10,15 +10,15 @@ Config files are YAML with one section per field of ``DesignParams``, whose
 keys are the fields of that section's named tuple (the ``reported`` block of
 published target values, used for cross-checking, is optional); a section may
 also restate a value derived from its fields (``_RESTATED``). See
-``configs/reference.yaml`` for an annotated example of every key. A plain
-config, the shape ``serialize`` writes, is read and written without PyYAML,
-which is imported only for other YAML and for force tables.
+``configs/reference.yaml`` for an annotated example of every key. Configs
+and force tables are read in one plain subset of YAML (``_plain_doc``), the
+shape ``serialize`` writes, without PyYAML; any other text is refused at its
+first line outside it.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import math
 import re
 import typing
@@ -561,10 +561,9 @@ def require_valid(p: DesignParams) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _coerce(path: str, value, is_count: bool):
-    if isinstance(value, bool) or not isinstance(value, int if is_count else (int, float)):
-        raise ConfigError("expected an integer count" if is_count else "expected a number",
-                          field=path)
+def _coerce(path: str, value: int | float, is_count: bool):
+    if is_count and type(value) is not int:
+        raise ConfigError("expected an integer count", field=path)
     # An integer past the float range is as unusable as a non-finite number:
     # every field, counts too, multiplies floats.
     try:
@@ -596,8 +595,6 @@ def _read_section(doc: dict, name: str, cls: type, schema: dict[str, _Field]):
         if any(f.required for f in schema.values()):
             raise ConfigError(f"missing required section '{name}'", field=name)
         return cls()
-    if not isinstance(section, dict):
-        raise ConfigError(f"section '{name}' must be a mapping", field=name)
     if not section.keys() <= _KEYS[name]:
         key = next(key for key in section if key not in _KEYS[name])
         raise ConfigError("unknown key", field=f"{name}.{key}")
@@ -620,136 +617,104 @@ def _read_section(doc: dict, name: str, cls: type, schema: dict[str, _Field]):
     return built
 
 
-def __getattr__(name: str):
-    # ``YAML_LOADER``, bound on first use, so that plain configs never import
-    # PyYAML: libyaml's C parser when PyYAML has it, else the pure-Python one;
-    # PyYAML's constructors build the values either way.
-    if name != "YAML_LOADER":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import yaml
-    global YAML_LOADER
-    YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    return YAML_LOADER
+# The plain grammar of configs and force tables. A number is a YAML 1.1
+# decimal int or float, as ``serialize`` writes them; a key is followed by
+# its ':', and is no word that YAML reads as a bool or a null.
+_NUMBER = r"[-+]?(?:0|[1-9][0-9]*|[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)"
+_KEY = r"(?!(?:yes|no|true|false|on|off|null):)([a-z_]+):"
 
-
-_MAX_DEPTH = 10  # most levels a YAML document may nest: a config nests 2, a force table 3
-
-
-def _parse_yaml(text: str, what: str):
-    """The YAML document in ``text``, the value ``yaml.load(text,
-    Loader=YAML_LOADER)`` gives; a YAML error, or a constructor's own error,
-    raises ``ConfigError`` saying ``what`` is not valid YAML, with the line of
-    its mark. The loader is the one ``YAML_LOADER`` names at the call."""
-    import yaml
-    loader_class = _checked(globals().get("YAML_LOADER") or __getattr__("YAML_LOADER"))
-    # PyYAML builds nodes recursively: the C loader's stack overflows on deep
-    # nesting, the pure-Python one raises ``RecursionError``. So a bare
-    # parser of the same kind counts the depth first, and leaves a YAML
-    # error to the load, which raises it or one that it meets first.
-    walker = yaml.BaseLoader if issubclass(loader_class, yaml.parser.Parser) \
-        else yaml.CBaseLoader
-    depth = 0
-    try:
-        for event in yaml.parse(text, walker):
-            depth += isinstance(event, yaml.CollectionStartEvent) \
-                - isinstance(event, yaml.CollectionEndEvent)
-            if depth > _MAX_DEPTH:
-                raise ConfigError(f"{what} nests deeper than {_MAX_DEPTH} levels",
-                                  line=event.start_mark.line + 1)
-    except yaml.YAMLError:
-        pass
-    try:
-        return yaml.load(io.StringIO(text), loader_class)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        raise ConfigError(f"{what} is not valid YAML: {exc}",
-                          line=None if mark is None else mark.line + 1) from exc
-
-
-@functools.cache
-def _checked(loader_class: type) -> type:
-    """``loader_class`` raising its constructors' own errors (a timestamp with
-    month 13, ``!!bool maybe``) as YAML errors at the node being built."""
-    import yaml
-
-    class Checked(loader_class):
-        def construct_object(self, node, deep=False):
-            try:
-                return super().construct_object(node, deep)
-            except (ValueError, KeyError, AttributeError, IndexError) as exc:
-                raise yaml.constructor.ConstructorError(
-                    None, None, f"cannot construct a {node.tag} value: {exc!r}",
-                    node.start_mark) from exc
-
-    return Checked
-
-
-# One whole line of a plain config, none of whose characters is a '\n': a
-# section header at column 0, a key indented two spaces with a YAML 1.1
-# decimal int or float, or a blank or comment line. A comment after a
-# header or a value follows a space, as in YAML.
+# One whole line of the grammar, none of whose characters is a '\n': a key
+# indented two spaces with a number (first, as the most frequent), a header
+# at column 0, a force-table row ``- [x, y]`` bare at column 0 or indented
+# two spaces, or a blank or comment line. A comment after a value, a header
+# or a row follows a space, as in YAML.
 _PLAIN_LINE = re.compile(
-    r"^(?:(?:([a-z_]+):|  ([a-z_]+): +(?:([-+]?(?:0|[1-9][0-9]*))"
-    r"|([-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)))(?: +#[ -~]*| *)"
-    r"| *(?:#[ -~]*)?)$", re.M)
+    rf"^(?:(?:  {_KEY} +({_NUMBER})|{_KEY}|(  )?- \[({_NUMBER}), ({_NUMBER})\])"
+    r"(?: +#[ -~]*| *)| *(?:#[ -~]*)?)$", re.M)
+_KEY_LINE = re.compile(f"  {_KEY}")
 
 
-def _plain_doc(text: str) -> dict | None:
-    """The document of a plain config, the one ``_parse_yaml`` gives, read
-    in one scan without PyYAML; None for any other text.
+def _plain_doc(text: str, what: str):
+    """The document of ``text``, a config or force table (``what``) in the
+    plain grammar, read in one scan: the value ``yaml.safe_load`` gives, or
+    None for a text of blank and comment lines.
 
-    A plain config is printable ASCII lines, each matching ``_PLAIN_LINE``
-    (as many matches as lines: a line holds at most one), with no section or
-    key given twice, every section a config section and every key one of its
-    fields or restated keys: the shape ``serialize`` writes. Each of those
-    keys is a string to YAML and each value the int or float it names, so
-    the document is YAML's; a section without keys is None, as in YAML.
+    Every line matches ``_PLAIN_LINE`` (as many matches as lines: a line
+    holds at most one), and the lines nest as YAML's block style nests them:
+    a header's key lines, or the rows of the header ``force_table``, follow
+    it; bare rows make the whole text a list. Any other text raises
+    ``ConfigError`` at the first line that the grammar does not take, with
+    the field of a key line; a header, or a key of one header, given twice
+    raises at the repeat. Each key is a string to YAML and each number the
+    int or float it names, so the document is YAML's; a header without keys
+    or rows is None, as in YAML.
     """
     lines = _PLAIN_LINE.findall(text)  # a group that took no part is ''
+    bad = None
     if len(lines) != text.count("\n") + 1:
-        return None
-    doc = {}
-    current = keys = None
-    for name, key, count, number in lines:
-        if key:
-            if keys is None or key not in keys:
-                return None
-            section = doc[current]
-            if section is None:
-                section = doc[current] = {}
-            elif key in section:
-                return None
-            try:  # ``int`` refuses a text past its digit limit; YAML fails too
-                section[key] = int(count) if count else float(number)
-            except ValueError:
-                return None
-        elif name:
-            if name in doc or name not in _KEYS:
-                return None
-            doc[name] = None
-            current, keys = name, _KEYS[name]
-    return doc or None
+        bad = next(n for n, line in enumerate(text.split("\n"), 1)
+                   if not _PLAIN_LINE.fullmatch(line))
+        lines = lines[:bad - 1]
+    doc = header = section = None
+    try:
+        for n, (key, value, name, indent, x, y) in enumerate(lines, 1):
+            if key:
+                if header in (None, "force_table"):
+                    break
+                if section is None:
+                    section = doc[header] = {}
+                elif key in section:
+                    raise ConfigError("key given twice", field=f"{header}.{key}", line=n)
+                section[key] = float(value) if "." in value else int(value)
+            elif name:
+                if type(doc) is list:
+                    break
+                if doc is None:
+                    doc = {}
+                elif name in doc:
+                    raise ConfigError("key given twice", field=name, line=n)
+                doc[name] = section = None
+                header = name
+            elif x:
+                row = [float(x) if "." in x else int(x), float(y) if "." in y else int(y)]
+                if indent and header == "force_table":
+                    if section is None:
+                        section = doc[header] = []
+                    section.append(row)
+                elif not indent and type(doc) is not dict:
+                    doc = doc or []
+                    doc.append(row)
+                else:
+                    break
+        else:  # no line before ``bad`` is refused
+            n = bad
+    except ValueError:  # ``int`` refuses a text past its digit limit; YAML fails too
+        pass  # at line ``n``
+    if n is None:
+        return doc
+    key = _KEY_LINE.match(text.split("\n")[n - 1])
+    raise ConfigError(f"{what} line is outside the plain grammar", line=n,
+                      field=f"{header}.{key[1]}" if key and header else None)
 
 
 def load(config_text: str) -> DesignParams:
     """Parse config text into ``DesignParams``.
 
-    Structural problems (bad YAML, missing sections or fields, wrong types,
+    Structural problems (a line outside the plain grammar of ``_plain_doc``,
+    a key given twice, missing sections or fields, a non-integral count,
     unknown keys, a restated value that differs from the one its section
-    derives) raise ``ConfigError`` naming the field and, for YAML syntax
-    errors, the source line. Invariant violations do NOT raise; they are
-    reported in the design's ``validation`` so callers can decide.
+    derives) raise ``ConfigError`` naming the field and, for the first two,
+    the source line. Invariant violations do NOT raise; they are reported in
+    the design's ``validation`` so callers can decide.
     """
-    doc = _plain_doc(config_text)
-    if doc is None:
-        doc = _parse_yaml(config_text, "config")
+    doc = _plain_doc(config_text, "config")
     if doc is None:
         raise ConfigError("config is empty")
-    if not isinstance(doc, dict):
+    if type(doc) is list:
         raise ConfigError("config root must be a mapping of sections")
     for key in doc:
         if key not in _SECTIONS:
-            raise ConfigError("unknown section", field=str(key))
+            raise ConfigError("unknown section", field=key)
     return DesignParams._make(_read_section(doc, name, cls, schema)
                               for name, (cls, schema) in _SECTIONS.items())
 

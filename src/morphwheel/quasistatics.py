@@ -87,26 +87,21 @@ def default_force_table() -> SiliconeForceTable:
 
 
 def load_force_table(text: str) -> SiliconeForceTable:
-    """Parse a force-table override: a YAML list of (length change cm, force N)
-    pairs, bare or as the value of the one key ``force_table`` of a mapping."""
-    doc = params._parse_yaml(text, "force table")
-    if isinstance(doc, dict):
+    """Parse a force-table override: rows ``- [cm, N]`` of the plain grammar
+    (``params._plain_doc``), bare or under the one key ``force_table``."""
+    doc = params._plain_doc(text, "force table")
+    if type(doc) is dict:
         for key in doc:
             if key != "force_table":
-                raise ConfigError("unknown key", field=str(key))
-        doc = doc.get("force_table")
-    if not isinstance(doc, list) or not doc:
+                raise ConfigError("unknown key", field=key)
+        doc = doc["force_table"]
+    if not doc:
         raise ConfigError("force table must be a nonempty list of (cm, N) pairs",
                           field="force_table")
     samples = []
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ConfigError("expected a (length_change, force) pair",
-                              field=f"force_table[{i}]")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry):
-            raise ConfigError("expected numbers", field=f"force_table[{i}]")
+    for i, (x, force) in enumerate(doc):
         try:
-            samples.append((float(entry[0]), float(entry[1])))
+            samples.append((float(x), float(force)))
         except OverflowError:  # an integer past the float range
             raise ConfigError("expected finite numbers", field=f"force_table[{i}]") from None
     try:

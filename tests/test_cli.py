@@ -472,14 +472,17 @@ class TestCmdReport:
         assert exc.value.code == 2
 
     def test_infinite_hub_offset_exits_2(self, tmp_path, capsys):
-        text = serialize(reference_design()).replace(
-            "hub_offset: 60.0", "hub_offset: .inf")
+        # YAML's ``.inf`` is outside the plain grammar; a decimal past the
+        # float range is read, and refused.
+        text = serialize(reference_design())
+        line = text[:text.index("hub_offset: 60.0")].count("\n") + 1
         path = tmp_path / "inf.yaml"
-        path.write_text(text)
-        assert main(["report", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "wheel.hub_offset" in err and "finite" in err
-        assert "Traceback" not in err
+        for value, message in ((".inf", "config line is outside the plain grammar "
+                                        f"(field: wheel.hub_offset) (line: {line})"),
+                               ("1.0e+400", "expected a finite number (field: wheel.hub_offset)")):
+            path.write_text(text.replace("hub_offset: 60.0", f"hub_offset: {value}"))
+            assert main(["report", "--config", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestCmdProfile:
@@ -675,11 +678,47 @@ class TestProfileFiles:
         assert (tmp_path / "p_keyframes.json").read_bytes() == keyframe_bytes
 
 
-# Values whose YAML constructor raises its own error rather than a YAML
+# Values whose YAML constructor raised its own error rather than a YAML
 # one: a ValueError (month 13; a binary int with no digits), a KeyError, an
-# AttributeError and an IndexError.
+# AttributeError and an IndexError. Each is outside the plain grammar.
 CONSTRUCTOR_ERRORS = ["2020-13-45", "0b_", "!!bool maybe", "!!timestamp x", "!!int ''"]
 NON_FINITE = [".inf", "-.inf", ".nan"]
+
+
+# Forms of YAML outside the plain grammar that one line of a shipped file
+# can be rewritten into: of a value or a row's first number, of a header,
+# and of any line.
+VALUE_FORMS = ["0x1F", "1_000", "1e5", ".inf", "-.inf", ".nan", "'4'", '"4.0"', "&a 4", "*a",
+               "!!float 4", "[4]", "{a: 4}"]
+HEADER_FORMS = ["{}: {{}}", "{}: &a", "!!map {}:", '"{}":', "&a {}:", "{}: *a"]
+LINE_FORMS = [" {}".format, "   {}".format, "\t{}".format, "\ufeff{}".format, "{}\t".format]
+SHIPPED = {"config": Path(REFERENCE_CONFIG), "force table": FORCE_TABLE}
+
+
+@st.composite
+def refused_rewrites(draw):
+    """(what, text, n, crlf): a shipped config or force table with its line
+    n, a header, key or row, rewritten into a form the plain grammar
+    refuses, and whether the rewrite is a CRLF line end, which only ``load``
+    sees (the CLI reads universal newlines)."""
+    what = draw(st.sampled_from(sorted(SHIPPED)))
+    lines = SHIPPED[what].read_text(encoding="utf-8").split("\n")
+    i = draw(st.sampled_from([i for i, line in enumerate(lines)
+                              if line.strip() and not line.lstrip().startswith("#")]))
+    line = lines[i]
+    kind = draw(st.sampled_from(["value", "line", "crlf"]))
+    if kind == "crlf":
+        return what, "\n".join(lines[:i + 1]) + "\r\n" + "\n".join(lines[i + 1:]), i + 1, True
+    if kind == "line":  # an indented line may also lose its indentation
+        lines[i] = draw(st.sampled_from(LINE_FORMS + ([str.lstrip] if line[0] == " " else [])))(line)
+    elif line[0] != " ":  # a header
+        name = line.split(":")[0]
+        lines[i] = draw(st.sampled_from(HEADER_FORMS)).format(name) + line[len(name) + 1:]
+    else:  # a key's value or a row's first number
+        head, sep, rest = line.partition("[" if "- [" in line else ": ")
+        number = rest.split(",")[0].split(" ")[0]
+        lines[i] = head + sep + draw(st.sampled_from(VALUE_FORMS)) + rest[len(number):]
+    return what, "\n".join(lines), i + 1, False
 
 
 class TestRefusedInput:
@@ -695,6 +734,27 @@ class TestRefusedInput:
         assert sorted(p.name for p in tmp_path.iterdir()) == files
         return captured.err
 
+    @given(refused_rewrites())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_rewritten_line_of_a_shipped_file_is_refused_at_it(self, tmp_path, capsys,
+                                                                 rewrite):
+        what, text, n, crlf = rewrite
+        fn = params.load if what == "config" else quasistatics.load_force_table
+        with pytest.raises(ConfigError) as exc:
+            fn(text)
+        assert exc.value.line == n
+        if crlf:
+            return
+        path = tmp_path / "rewritten.yaml"
+        path.write_text(text, encoding="utf-8")
+        argv = ["report", "--config", str(path)] if what == "config" else \
+            ["report", "--config", REFERENCE_CONFIG, "--force-table", str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: ") and err.endswith(f"(line: {n})\n")
+
     @pytest.mark.parametrize("value", CONSTRUCTOR_ERRORS)
     def test_constructor_error_in_a_config(self, tmp_path, capsys, value):
         lines = Path(REFERENCE_CONFIG).read_text().splitlines(keepends=True)
@@ -703,8 +763,8 @@ class TestRefusedInput:
         config = tmp_path / "design.yaml"
         config.write_text("".join(lines))
         err = self.run(capsys, tmp_path, ["--config", str(config)], ["design.yaml"])
-        assert err.startswith("error: config is not valid YAML: cannot construct a tag:")
-        assert err.endswith(f"(line: {at + 1})\n")
+        assert err == ("error: config line is outside the plain grammar "
+                       f"(field: screw.n_levels) (line: {at + 1})\n")
         assert main(["validate", "--config", str(config)]) == 2
 
     @pytest.mark.parametrize("value", CONSTRUCTOR_ERRORS)
@@ -713,9 +773,8 @@ class TestRefusedInput:
         table.write_text(f"- [1.0, 3.4]\n- [2.0, {value}]\n")
         err = self.run(capsys, tmp_path, ["--config", config_file, "--force-table", str(table)],
                        ["design.yaml", "table.yaml"])
-        assert err.startswith("error: cannot load force table: "
-                              "force table is not valid YAML: cannot construct a tag:")
-        assert err.endswith("(line: 2)\n")
+        assert err == ("error: cannot load force table: "
+                       "force table line is outside the plain grammar (line: 2)\n")
 
     @pytest.mark.parametrize("entry", [f"[1.0, {v}]" for v in NON_FINITE]
                              + [f"[{v}, 1.0]" for v in NON_FINITE])
@@ -724,16 +783,44 @@ class TestRefusedInput:
         table.write_text(f"- {entry}\n")
         err = self.run(capsys, tmp_path, ["--config", config_file, "--force-table", str(table)],
                        ["design.yaml", "table.yaml"])
-        assert err == ("error: cannot load force table: invalid force table: "
-                       "length changes and forces must be finite (field: force_table)\n")
+        # YAML's names of the non-finite floats are outside the plain grammar.
+        assert err == ("error: cannot load force table: "
+                       "force table line is outside the plain grammar (line: 1)\n")
 
     def test_force_table_mapping_with_another_key(self, config_file, tmp_path, capsys):
-        # As a config's unknown key is refused.
+        # As a config's unknown key is refused; a key with a value is no
+        # header of the plain grammar.
         table = tmp_path / "table.yaml"
-        table.write_text(FORCE_TABLE.read_text() + "bogus: 7\n")
-        err = self.run(capsys, tmp_path, ["--config", config_file, "--force-table", str(table)],
+        n = FORCE_TABLE.read_text().count("\n") + 1
+        for extra, message in (("bogus:\n", "unknown key (field: bogus)"),
+                               ("bogus: 7\n", "force table line is outside the plain grammar "
+                                              f"(line: {n})")):
+            table.write_text(FORCE_TABLE.read_text() + extra)
+            err = self.run(capsys, tmp_path,
+                           ["--config", config_file, "--force-table", str(table)],
+                           ["design.yaml", "table.yaml"])
+            assert err == f"error: cannot load force table: {message}\n"
+
+    @pytest.mark.parametrize("repeat", ["key", "section", "force-table"])
+    def test_a_key_given_twice_exits_2(self, config_file, tmp_path, capsys, repeat):
+        # YAML keeps the last value; the repeat is refused at its line.
+        text, table = Path(REFERENCE_CONFIG).read_text(), FORCE_TABLE.read_text()
+        if repeat == "key":
+            text = text.replace("  n_levels: 4 ", "  n_levels: 4\n  n_levels: 7 ")
+            field, line = "screw.n_levels", text[:text.index("n_levels: 7")].count("\n") + 1
+        elif repeat == "section":
+            text += "screw:\n"
+            field, line = "screw", text.count("\n")
+        else:
+            table += "force_table:\n  - [1.0, 9.0]\n"
+            field, line = "force_table", table.count("\n") - 1
+        Path(config_file).write_text(text)
+        (tmp_path / "table.yaml").write_text(table)
+        err = self.run(capsys, tmp_path, ["--config", config_file,
+                                          "--force-table", str(tmp_path / "table.yaml")],
                        ["design.yaml", "table.yaml"])
-        assert err == "error: cannot load force table: unknown key (field: bogus)\n"
+        prefix = "cannot load force table: " if repeat == "force-table" else ""
+        assert err == f"error: {prefix}key given twice (field: {field}) (line: {line})\n"
 
     def test_peak_torque_past_the_float_range_on_the_force_table(self, tmp_path, capsys):
         # A valid design, whose peak torque is finite on the default table
@@ -1418,22 +1505,22 @@ class TestProcess:
                               capture_output=True, text=True, timeout=60, check=True)
         assert proc.stdout == "[]\n"
 
-    @pytest.mark.parametrize("imports, argv, loaded", [
-        (CLI, [], []),
-        (CLI, ["validate"], []),
-        (CLI, ["report"], []),
+    @pytest.mark.parametrize("imports, argv, error", [
+        (CLI, [], ""),
+        (CLI, ["validate"], ""),
+        (CLI, ["report"], ""),
         (CLI, ["sweep", "--sweep-param", "wheel.hub_offset", "--sweep-range", "10:200:4",
-               "--objective", "max-wheel-radius", "--out", "{tmp}/s.csv"], []),
-        (CLI, ["profile", "--steps", "5", "--out", "{tmp}/p.csv"], []),
-        # ``params`` exports no PyYAML loader.
-        ("from morphwheel.params import *", [], []),
-        # PyYAML is imported for a force table and for a config that is not plain.
+               "--objective", "max-wheel-radius", "--out", "{tmp}/s.csv"], ""),
+        (CLI, ["profile", "--steps", "5", "--out", "{tmp}/p.csv"], ""),
+        ("from morphwheel.params import *", [], ""),
         (CLI, ["profile", "--steps", "5", "--out", "{tmp}/t.csv",
-               "--force-table", str(ROOT / "configs" / "force_table.yaml")], ["yaml"]),
-        (CLI, ["report", "--config", "{tmp}/indented.yaml"], ["yaml"]),
+               "--force-table", str(ROOT / "configs" / "force_table.yaml")], ""),
+        # Refused at the first re-indented key line.
+        (CLI, ["report", "--config", "{tmp}/indented.yaml"],
+         "error: config line is outside the plain grammar (line: 8)\n"),
     ], ids=["import", "validate", "report", "sweep", "profile", "star-import", "force-table",
             "indented"])
-    def test_plain_runs_load_no_yaml_or_hashlib(self, tmp_path, imports, argv, loaded):
+    def test_plain_runs_load_no_yaml_or_hashlib(self, tmp_path, imports, argv, error):
         # In a fresh interpreter, which then prints what it loaded of the two.
         text = Path(REFERENCE_CONFIG).read_text(encoding="utf-8")
         (tmp_path / "indented.yaml").write_text(text.replace("\n  ", "\n    "), encoding="utf-8")
@@ -1446,7 +1533,26 @@ class TestProcess:
                 "sys.exit(rc)")
         proc = subprocess.run([sys.executable, "-c", code, *argv], env=child_env(),
                               capture_output=True, text=True, timeout=60)
-        assert (proc.returncode, proc.stderr) == (0, f"{loaded}\n")
+        assert (proc.returncode, proc.stderr) == (2 if error else 0, f"{error}[]\n")
+
+    @pytest.mark.parametrize("argv, example", [
+        (["validate"], "validate.txt"),
+        (["report", "--force-table", "configs/force_table.yaml"], "report.txt"),
+        (["profile", "--steps", "5", "--out", "{tmp}/p.csv",
+          "--force-table", "configs/force_table.yaml"], None),
+        (["sweep", "--sweep-param", "wheel.hub_offset", "--sweep-range", "10:200:4",
+          "--objective", "max-wheel-radius", "--out", "{tmp}/s.csv"], None),
+    ], ids=["validate", "report", "profile", "sweep"])
+    def test_runs_need_no_yaml(self, tmp_path, argv, example):
+        # In a fresh interpreter where ``import yaml`` fails.
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--config", "configs/reference.yaml"]
+        code = ("import sys; sys.modules['yaml'] = None; " + CLI + "; "
+                "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=child_env(), cwd=ROOT,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if example is not None:
+            assert proc.stdout == (ROOT / "docs" / "examples" / example).read_text()
 
     def test_main_leaves_sigterm_alone(self, config_file, capsys):
         before = signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT)

@@ -5,15 +5,13 @@ Only what needs a process of its own is here: argparse's usage, which wraps
 at the width the ``COLUMNS`` variable sets, the files that a run whose
 output is a directory leaves behind, the whole error line of a run whose
 output's directory is missing, which holds no process id, and a YAML file
-nested deep enough to exhaust a process's stack."""
+nested deep enough to have exhausted the stack of a process that built it."""
 
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-from morphwheel.params import _MAX_DEPTH
 
 from conftest import ENTRIES, child_env
 
@@ -92,9 +90,11 @@ def test_output_in_a_missing_directory_names_the_target(tmp_path, entry, verb, a
     assert list(tmp_path.iterdir()) == []
 
 
-# The two YAML loaders a process may have: libyaml's, whose recursive build
-# of a deeply nested document overflowed the C stack (exit 139, no message),
-# and the pure-Python one, which raised ``RecursionError``.
+# Two processes whose PyYAML differs, with libyaml and without. Before
+# the plain grammar, libyaml's recursive build of a deeply nested document
+# overflowed the C stack (exit 139, no message), and the pure-Python loader
+# raised ``RecursionError``; now neither is used, and the grammar refuses
+# the first line that nests.
 YAML_ENTRIES = {
     "installed-loader": ENTRIES["module"],
     "pure-python-loader": ["-c", "import sys, yaml; del yaml.CSafeLoader; "
@@ -109,7 +109,7 @@ def test_deeply_nested_config_is_refused(tmp_path, entry):
     config.write_text("screw: " + "[" * DEEP, encoding="utf-8")
     proc = run(entry, ["validate", "--config", str(config)])
     assert (proc.returncode, proc.stdout, proc.stderr) \
-        == (2, "", f"error: config nests deeper than {_MAX_DEPTH} levels (line: 1)\n")
+        == (2, "", "error: config line is outside the plain grammar (line: 1)\n")
 
 
 @pytest.mark.parametrize("entry", YAML_ENTRIES.values(), ids=YAML_ENTRIES.keys())
@@ -119,6 +119,6 @@ def test_deeply_nested_force_table_is_refused_and_writes_nothing(tmp_path, entry
     proc = run(entry, ["profile", "--config", REFERENCE_CONFIG, "--steps", "5",
                        "--out", str(tmp_path / "p.csv"), "--force-table", str(table)])
     assert (proc.returncode, proc.stdout, proc.stderr) \
-        == (2, "", "error: cannot load force table: force table nests deeper than "
-                   f"{_MAX_DEPTH} levels (line: 2)\n")
+        == (2, "", "error: cannot load force table: force table line is outside the "
+                   "plain grammar (line: 2)\n")
     assert list(tmp_path.iterdir()) == [table]

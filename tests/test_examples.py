@@ -1,6 +1,7 @@
 """Golden test: the committed files in docs/examples/ are what the CLI
 writes for the reference config today, and copies of that config which
-differ from it only in form print its card."""
+differ from it only in form print its card, or, outside the plain grammar,
+are refused at their first changed line."""
 
 import contextlib
 import io
@@ -9,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from morphwheel import params
 from morphwheel.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,7 +63,7 @@ def restated(text: str) -> str:
 
 # Copies of the reference config, and whether each is plain. The CLI reads
 # text with universal newlines, so the CRLF copy is still plain; the
-# indented and the tabbed copies go through PyYAML.
+# indented and the tabbed copies are refused at their first changed line.
 COPIES = {
     "restated": (restated, True),
     "crlf": (lambda text: text.replace("\n", "\r\n"), True),
@@ -83,7 +83,15 @@ def test_copy_of_the_reference_config_prints_its_card(tmp_path, capsys, copy):
     config = tmp_path / "copy.yaml"
     config.write_bytes(edit(text).encode("utf-8"))
     assert config.read_bytes() != text.encode("utf-8")
-    assert (params._plain_doc(config.read_text(encoding="utf-8")) is not None) == plain
+    if not plain:
+        line = next(n for n, (a, b) in enumerate(
+            zip(config.read_text(encoding="utf-8").split("\n"), text.split("\n")), 1) if a != b)
+        assert main(["report", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: config line is outside the plain grammar ")
+        assert err.endswith(f"(line: {line})\n")
+        return
     assert main(["report", "--config", str(config)]) == 0
     assert without_digest(capsys.readouterr().out) \
         == without_digest((EXAMPLES / "report.txt").read_text(encoding="utf-8"))

@@ -4,8 +4,6 @@ import io
 import math
 import operator
 import random
-import subprocess
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -26,11 +24,11 @@ from morphwheel import (
 from morphwheel import params
 from morphwheel.cli import main
 from morphwheel.params import reference_design, residual_length
-from morphwheel.quasistatics import load_force_table, screw_torque
+from morphwheel.quasistatics import SiliconeForceTable, load_force_table, screw_torque
 from morphwheel.report import consistency_warnings
 from morphwheel.telescopic import shaft_levels
 
-from conftest import child_env, random_params, random_valid_params
+from conftest import random_params, random_valid_params
 from oracles import set_field
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -418,10 +416,10 @@ class TestLoad:
         assert p.reported.elongated_length == 340.0
 
     def test_missing_section_names_it(self):
-        text = MINIMAL_CONFIG.replace("screw:", "screwXX:")
+        text = MINIMAL_CONFIG[MINIMAL_CONFIG.index("layout:"):]
         with pytest.raises(ConfigError) as exc:
             load(text)
-        assert "screw" in str(exc.value)
+        assert str(exc.value) == "missing required section 'screw' (field: screw)"
 
     def test_missing_field_names_it(self):
         text = MINIMAL_CONFIG.replace("  rod_half_length: 140.0\n", "")
@@ -439,7 +437,7 @@ class TestLoad:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="screw.bogus"):
-            load(MINIMAL_CONFIG + "\nscrew:\n  bogus: 1\n")
+            load(MINIMAL_CONFIG.replace("  n_levels: 4\n", "  n_levels: 4\n  bogus: 1\n"))
 
     def test_wrong_type_rejected(self):
         text = MINIMAL_CONFIG.replace("n_levels: 4", "n_levels: four")
@@ -457,9 +455,10 @@ class TestLoad:
             load(MINIMAL_CONFIG.replace("n_levels: 4", "n_levels: 4\n  shaft_levels: 3.0"))
 
     @pytest.mark.parametrize("text,message", [
-        ("drive: 3\n", "section 'drive' must be a mapping"),
+        ("drive: 3\n", r"^config line is outside the plain grammar \(line: 23\)$"),
         ("drive:\n  screw_pitch: 2.0\n", "unknown key.*drive.screw_pitch"),
-        ("drive:\n  screw_lead: fast\n", "expected a number.*drive.screw_lead"),
+        ("drive:\n  screw_lead: fast\n", r"^config line is outside the plain grammar "
+                                          r"\(field: drive.screw_lead\) \(line: 24\)$"),
     ])
     def test_drive_section_errors(self, text, message):
         with pytest.raises(ConfigError, match=message):
@@ -470,7 +469,7 @@ class TestLoad:
         assert p.drive == DriveSpec(screw_lead=3.0)
         assert isinstance(p.drive.screw_lead, float)
 
-    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "1.0e+400", "-1.0e+400"])
     @pytest.mark.parametrize("field", [
         "wheel.hub_offset",
         "wheel.min_half_separation",
@@ -479,13 +478,20 @@ class TestLoad:
         "screw.screw_level_length",
     ])
     def test_non_finite_number_rejected(self, reference, field, value):
+        # YAML's names of the non-finite floats are outside the plain
+        # grammar; a decimal past the float range is read, and refused.
         section, key = field.split(".")
         doc = yaml.safe_load(serialize(reference))
         doc[section][key] = value
         text = yaml.safe_dump(doc).replace(f"'{value}'", value)
         assert f"{key}: {value}\n" in text
-        with pytest.raises(ConfigError, match=f"finite.*{field}"):
+        line = text.split("\n").index(f"  {key}: {value}") + 1
+        with pytest.raises(ConfigError) as exc:
             load(text)
+        assert str(exc.value) == (f"expected a finite number (field: {field})"
+                                  if value[-1].isdigit() else
+                                  "config line is outside the plain grammar "
+                                  f"(field: {field}) (line: {line})")
 
 
 # The values a config may restate, as the design derives them.
@@ -611,10 +617,12 @@ class TestOneVocabulary:
         section, key = path.split(".")
         doc = yaml.safe_load(serialize(reference))
         doc[section][key] = "wide"
-        with pytest.raises(ConfigError, match="^expected an? ") as exc:
-            load(yaml.safe_dump(doc))
+        text = yaml.safe_dump(doc)
+        with pytest.raises(ConfigError, match="^config line is outside the plain grammar ") as exc:
+            load(text)
         assert exc.value.field == path
-        assert str(exc.value).endswith(f" (field: {path})")
+        line = text.split("\n").index(f"  {key}: wide") + 1
+        assert str(exc.value).endswith(f" (field: {path}) (line: {line})")
 
     @pytest.mark.parametrize("path", CONFIG_KEYS)
     def test_unknown_key_of_its_section_is_named(self, reference, path):
@@ -670,91 +678,91 @@ class TestRoundTrip:
         assert again.wheel.hub_offset == b
 
 
-INSTALLED_LOADER = params.YAML_LOADER
 MALFORMED_YAML = {
     "unclosed flow sequence": "screw:\n  n_levels: [4, 5\n",
     "nested plain mapping": "a: b: c\n",
     "tab indent": "screw:\n\tn_levels: 4\n",
 }
+# PyYAML's loaders, the oracles of the plain reader: the pure-Python one,
+# and libyaml's when PyYAML has it.
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
 def parse_config(text):
-    # ``load`` reads a plain config without a YAML loader.
-    return params._parse_yaml(text, "config")
+    """The document YAML reads of ``text``, as ``yaml.safe_load`` reads it,
+    with libyaml's parser when PyYAML has it."""
+    return yaml.load(text, Loader=LOADERS[-1])
+
+
+def assert_refused_at(text, exc, what="config"):
+    """``exc``, raised by the plain reader on ``text``, names the first line
+    that the reader refuses: it takes the lines before it, not that one."""
+    assert exc.line is not None, exc
+    lines = text.split("\n")
+    params._plain_doc("\n".join(lines[:exc.line - 1]), what)
+    with pytest.raises(ConfigError) as again:
+        params._plain_doc("\n".join(lines[:exc.line]), what)
+    assert again.value.line == exc.line
+
+
+def plain_outcome(text, what="config"):
+    """``repr`` of the plain reader's document of ``text``, or the line at
+    which it refused the text, checked to be the first it refuses."""
+    try:
+        return repr(params._plain_doc(text, what))
+    except ConfigError as exc:
+        assert_refused_at(text, exc, what)
+        return exc.line
 
 
 class TestYamlLoader:
-    """The pure-Python ``yaml.SafeLoader`` is the reference for the loader
-    ``params`` picks; both must give the same results."""
+    """The plain reader reads the shipped files and serialized designs as
+    each of PyYAML's loaders reads them, and refuses malformed YAML at a
+    line."""
 
     @staticmethod
-    def under_both(monkeypatch, fn, text):
-        """``fn(text)`` (or the exception it raised) under the installed
-        loader, then under the pure-Python one."""
-        results = []
-        for loader in (INSTALLED_LOADER, yaml.SafeLoader):
-            monkeypatch.setattr(params, "YAML_LOADER", loader)
-            try:
-                results.append(fn(text))
-            except ConfigError as exc:
-                results.append(exc)
-        return results
+    def assert_same(text, what="config"):
+        assert [plain_outcome(text, what)] * len(LOADERS) \
+            == [repr(yaml.load(text, Loader=loader)) for loader in LOADERS]
 
-    def assert_same(self, monkeypatch, fn, text):
-        fast, reference = self.under_both(monkeypatch, fn, text)
-        assert fast == reference
-        assert repr(fast) == repr(reference)  # same types too: int counts, float lengths
+    def test_reference_config(self):
+        self.assert_same((CONFIGS / "reference.yaml").read_text(encoding="utf-8"))
 
-    def test_libyaml_is_used_when_installed(self):
-        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-        assert INSTALLED_LOADER is expected
+    def test_minimal_config(self):
+        self.assert_same(MINIMAL_CONFIG)
 
-    def test_reference_config(self, monkeypatch):
-        text = (CONFIGS / "reference.yaml").read_text(encoding="utf-8")
-        self.assert_same(monkeypatch, parse_config, text)
-
-    def test_pyyaml_without_libyaml(self, capsys):
-        # A fresh interpreter whose PyYAML lacks libyaml picks the
-        # pure-Python loader and dumper and prints the same card.
-        script = ("import sys, yaml; del yaml.CSafeLoader, yaml.CSafeDumper; "
-                  "import morphwheel.params as params; from morphwheel.cli import main; "
-                  "assert params.YAML_LOADER is yaml.SafeLoader; "
-                  "sys.exit(main(sys.argv[1:]))")
-        argv = ["report", "--config", str(CONFIGS / "reference.yaml")]
-        proc = subprocess.run([sys.executable, "-c", script, *argv], env=child_env(),
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert main(argv) == 0
-        assert proc.stdout == capsys.readouterr().out
-
-    def test_minimal_config(self, monkeypatch):
-        self.assert_same(monkeypatch, parse_config, MINIMAL_CONFIG)
-
-    def test_force_table_file(self, monkeypatch):
+    def test_force_table_file(self):
         text = (CONFIGS / "force_table.yaml").read_text(encoding="utf-8")
-        self.assert_same(monkeypatch, load_force_table, text)
+        self.assert_same(text, "force table")
+        assert load_force_table(text) == SiliconeForceTable(tuple(
+            (float(x), float(f)) for x, f in yaml.safe_load(text)["force_table"]))
 
-    def test_random_designs(self, monkeypatch):
+    def test_random_designs(self):
         rng = random.Random(20261018)
         for _ in range(200):
-            self.assert_same(monkeypatch, parse_config, serialize(random_valid_params(rng)))
+            self.assert_same(serialize(random_valid_params(rng)))
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_YAML))
-    def test_malformed_config_same_line(self, monkeypatch, case):
-        fast, reference = self.under_both(monkeypatch, load, MALFORMED_YAML[case])
-        assert isinstance(fast, ConfigError) and isinstance(reference, ConfigError)
-        assert fast.line is not None
-        assert fast.line == reference.line
+    def test_malformed_config_same_line(self, case):
+        # One grammar: a config and a force table are refused at the same
+        # line, and no later than the line where PyYAML finds the error.
+        text = MALFORMED_YAML[case]
+        with pytest.raises(ConfigError) as config:
+            load(text)
+        with pytest.raises(ConfigError) as table:
+            load_force_table(text)
+        assert config.value.line == table.value.line == plain_outcome(text)
+        for loader in LOADERS:
+            with pytest.raises(yaml.YAMLError) as exc:
+                yaml.load(text, Loader=loader)
+            assert config.value.line <= exc.value.problem_mark.line + 1
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_YAML))
-    def test_malformed_force_table(self, monkeypatch, case):
-        fast, reference = self.under_both(monkeypatch, load_force_table, MALFORMED_YAML[case])
-        assert isinstance(fast, ConfigError) and isinstance(reference, ConfigError)
-        assert str(fast).startswith("force table is not valid YAML")
-        assert str(reference).startswith("force table is not valid YAML")
-        assert fast.line is not None
-        assert fast.line == reference.line
-
+    def test_malformed_force_table(self, case):
+        with pytest.raises(ConfigError) as exc:
+            load_force_table(MALFORMED_YAML[case])
+        assert str(exc.value).startswith("force table line is outside the plain grammar")
+        assert exc.value.line == plain_outcome(MALFORMED_YAML[case], "force table")
 
 
 # Plain scalars of every implicit type PyYAML resolves, including values its
@@ -840,79 +848,17 @@ class YamlText:
         return "\n".join(lines) + "\n"
 
 
-def parse_outcome(loader, text):
-    """What ``_parse_yaml`` gives under ``loader``: ("value", its repr),
-    ("ConfigError", message, line), or (exception type, message)."""
-    with mock.patch.object(params, "YAML_LOADER", loader):
-        try:
-            return "value", repr(params._parse_yaml(text, "config"))
-        except ConfigError as exc:
-            return "ConfigError", str(exc), exc.line
-        except Exception as exc:  # what the loader's own constructors raise
-            return type(exc).__name__, str(exc)
-
-
-# The errors of PyYAML's own constructors that are not YAML errors.
-CONSTRUCTOR_ERRORS = (ValueError, KeyError, AttributeError, IndexError)
-
-
-def load_outcome(loader, text):
-    """The same for ``yaml.load``, with a YAML error as the ``ConfigError``
-    ``_parse_yaml`` must raise for it. A constructor's own error gives
-    ("constructor", its repr, the line of the node being constructed)."""
-    try:
-        return "value", repr(yaml.load(io.StringIO(text), Loader=loader))
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        return ("ConfigError", f"config is not valid YAML: {exc}"
-                + ("" if mark is None else f" (line: {mark.line + 1})"),
-                None if mark is None else mark.line + 1)
-    except CONSTRUCTOR_ERRORS as exc:
-        # The node is that of the innermost ``construct_object`` call.
-        tb, node = exc.__traceback__, None
-        while tb is not None:
-            if tb.tb_frame.f_code.co_name == "construct_object":
-                node = tb.tb_frame.f_locals["node"]
-            tb = tb.tb_next
-        return "constructor", repr(exc), node.start_mark.line + 1
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-
-
-def assert_same_outcome(loader, text):
-    """``_parse_yaml`` gives what ``yaml.load`` gives, and raises a
-    ``ConfigError`` at the node where a constructor raises its own error."""
-    parsed, loaded = parse_outcome(loader, text), load_outcome(loader, text)
-    if loaded[0] == "constructor":
-        kind, message, line = parsed
-        assert kind == "ConfigError" and line == loaded[2], (text, parsed, loaded)
-        assert message.startswith("config is not valid YAML: ") and loaded[1] in message
-    else:
-        assert parsed == loaded, text
-
-
-LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
-
-
 # Ten lists of ten, each of aliases to the one before: expanded, the last
 # would hold 10**11 strings.
-ALIAS_BOMB_SCRIPT = """
-import resource, sys, yaml
-from morphwheel import params
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-params.YAML_LOADER = getattr(yaml, sys.argv[1])
-lines = ["a0: &a0 [" + ", ".join(["x"] * 10) + "]"]
-lines += [f"a{i}: &a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, 11)]
-doc = params._parse_yaml("\\n".join(lines), "config")
-for i in range(1, 11):
-    assert all(item is doc[f"a{i - 1}"] for item in doc[f"a{i}"])
-"""
+ALIAS_BOMB = "\n".join(
+    ["a0: &a0 [" + ", ".join(["x"] * 10) + "]"]
+    + [f"a{i}: &a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, 11)])
 
 
 class TestParseYaml:
-    """``_parse_yaml`` walks the node tree itself; it must give what
-    ``yaml.load`` gives under each loader, or fail as it fails, except that a
-    constructor's own error is a ``ConfigError`` with the line of its node."""
+    """YAML beyond the plain grammar, with PyYAML's loaders as the oracle:
+    the plain reader refuses such a text at its first line outside the
+    grammar, and a text it takes is read as ``yaml.load`` reads it."""
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
     @given(data=st.data())
@@ -921,7 +867,7 @@ class TestParseYaml:
         text = YamlText(data.draw).document()
         cut = data.draw(st.one_of(st.none(), st.integers(0, len(text))))
         text = text if cut is None else text[:cut]
-        assert_same_outcome(loader, text)
+        assert_same_as_yaml(text, loader)
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
     @pytest.mark.parametrize("text", [
@@ -944,28 +890,35 @@ class TestParseYaml:
         "a: &x {k: 0b_}\nb: *x\n",
     ])
     def test_cases(self, loader, text):
-        assert_same_outcome(loader, text)
+        # Each text but the empty one is refused at its first line.
+        assert assert_same_as_yaml(text, loader) == (1 if text else "None")
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
     def test_nesting_past_the_limit_is_refused_at_its_line(self, loader):
-        # Collections of every kind count, the root mapping too; a document
-        # at the limit loads as ``yaml.load`` loads it.
-        n = params._MAX_DEPTH - 1
-        nested = "[{k: " * (n // 2) + "[" * (n % 2) + "1" + "]" * (n % 2) + "}]" * (n // 2)
-        assert_same_outcome(loader, f"a: 1\nb: {nested}\n")
-        with mock.patch.object(params, "YAML_LOADER", loader), \
-                pytest.raises(ConfigError) as caught:
-            params._parse_yaml(f"a: 1\nb:\n  - {nested}\n", "config")
-        assert str(caught.value) \
-            == f"config nests deeper than {params._MAX_DEPTH} levels (line: 3)"
+        # A config nests 2 levels and a force table 3; a document that YAML
+        # reads 11 deep is refused at the line that nests past them.
+        def depth(node):
+            if not isinstance(node, (dict, list)):
+                return 0
+            return 1 + max(map(depth, node.values() if isinstance(node, dict) else node))
 
-    @pytest.mark.parametrize("loader", [loader.__name__ for loader in LOADERS])
+        nested = "[{k: " * 4 + "[1]" + "}]" * 4
+        text = f"force_table:\n  - [1.0, 2.0]\n  - {nested}\n"
+        assert depth(yaml.load(text, Loader=loader)) == 11
+        for what, fn in (("config", load), ("force table", load_force_table)):
+            with pytest.raises(ConfigError) as caught:
+                fn(text)
+            assert str(caught.value) == f"{what} line is outside the plain grammar (line: 3)"
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
     def test_alias_bomb_is_not_expanded(self, loader):
-        # The parse runs in a child process limited to 1 GiB, so a walk that
-        # expands the bomb fails there instead of exhausting the host.
-        proc = subprocess.run([sys.executable, "-c", ALIAS_BOMB_SCRIPT, loader], env=child_env(),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        # PyYAML shares the aliased lists; the plain reader refuses the
+        # first anchor, before any alias.
+        doc = yaml.load(ALIAS_BOMB, Loader=loader)
+        assert all(item is doc["a9"] for item in doc["a10"])
+        with pytest.raises(ConfigError) as caught:
+            load(ALIAS_BOMB)
+        assert str(caught.value) == "config line is outside the plain grammar (line: 1)"
 
 
 # Values YAML reads as no plain number or not at all: an exponent without
@@ -1091,13 +1044,20 @@ def config_outcome(fn, text):
 
 
 def yaml_only_load(text):
-    """``load`` with the plain reader refusing every text."""
-    with mock.patch.object(params, "_plain_doc", lambda text: None):
+    """``load`` with the document YAML reads in place of the plain reader's."""
+    with mock.patch.object(params, "_plain_doc", lambda text, what: parse_config(text)):
         return load(text)
 
 
+# Near-misses of the plain grammar that it still takes: YAML reads them as
+# it does, and ``load`` refuses them as it refuses YAML's document.
+TAKEN_NEAR_MISSES = ("key bogus", "section bogus", "only a comment")
+
+
 def near_misses():
-    """A plain config with one near-miss of the plain grammar in it."""
+    """A plain config with one near-miss of the plain grammar in it, and the
+    line the reader refuses: the first that differs from the plain config,
+    or None for a near-miss it takes."""
     plain = serialize(reference_design())
     cases = {f"value {v[:8]}": plain.replace("n_levels: 4", f"n_levels: {v}")
              for v in NEAR_MISS_VALUES}
@@ -1120,17 +1080,22 @@ def near_misses():
     }
     cases |= {f"break {ord(c):#x} in a comment":
               plain.replace("n_levels: 4", f"n_levels: 4 # c{c}  n_levels: 5") for c in BREAKS}
-    return [pytest.param(text, id=name) for name, text in cases.items()]
+    out = []
+    for name, text in cases.items():
+        line = None if name in TAKEN_NEAR_MISSES else next(
+            n for n, (a, b) in enumerate(zip(text.split("\n"), plain.split("\n")), 1) if a != b)
+        out.append(pytest.param(text, line, id=name))
+    return out
 
 
 def line_edges():
-    """(text, whether it is plain) at the edges of the line scan."""
+    """(text, whether the reader takes it) at the edges of the line scan."""
     plain = serialize(reference_design())
     cases = {
         "no final newline": (plain.rstrip("\n"), True),
         "two final newlines": (plain + "\n", True),
-        "empty": ("", False),
-        "one newline": ("\n", False),
+        "empty": ("", True),
+        "one newline": ("\n", True),
         "spaces line": (plain.replace("\nlayout:", "\n   \nlayout:"), True),
         "header trailing spaces": (plain.replace("layout:\n", "layout:   \n"), True),
     }
@@ -1140,24 +1105,96 @@ def line_edges():
     return [pytest.param(text, is_plain, id=name) for name, (text, is_plain) in cases.items()]
 
 
-def assert_same_as_yaml(text):
-    """``_plain_doc`` gives YAML's document or None, and ``load`` gives what
-    a load by YAML alone gives."""
-    plain = params._plain_doc(text)
-    if plain is not None:
-        assert config_outcome(parse_config, text) == repr(plain)
-    assert config_outcome(load, text) == config_outcome(yaml_only_load, text)
+def assert_same_as_yaml(text, loader=LOADERS[-1]):
+    """The plain reader refuses ``text`` at the first line it does not take,
+    or gives the document ``yaml.load`` gives under ``loader``, and then
+    ``load`` gives what it gives on YAML's document: the same design, or the
+    same error. The plain reader's outcome."""
+    outcome = plain_outcome(text)
+    if type(outcome) is str:
+        assert outcome == repr(yaml.load(text, Loader=loader)), text
+        assert config_outcome(load, text) == config_outcome(yaml_only_load, text)
+    return outcome
+
+
+# Force-table rows: strictly increasing length changes and nonincreasing
+# forces, some written as ints, most as ``serialize`` or the benchmark
+# writes floats; and, drawn into some, one row out of order.
+def number_text(draw, value: float) -> str:
+    form = draw(st.sampled_from(("yaml", "yaml", "fixed", "int")))
+    if form == "int" and value.is_integer():
+        return str(int(value))
+    return f"{value:.6f}" if form == "fixed" else yaml.safe_dump(value).split("\n")[0]
+
+
+@st.composite
+def force_table_texts(draw):
+    """Force-table text in the plain grammar, bare or under ``force_table``,
+    with blank and comment lines, and at most one flaw of its layout."""
+    n = draw(st.integers(1, 8))
+    xs = sorted(draw(st.sets(st.floats(0, 100), min_size=n, max_size=n)))
+    forces = sorted(draw(st.lists(st.floats(-1, 10), min_size=n, max_size=n)), reverse=True)
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        xs.reverse()
+    keyed = draw(st.booleans())
+    indent = "  " if keyed else ""
+    lines = ["force_table:" + draw(st.sampled_from(("", "  # c")))] if keyed else []
+    lines += [f"{indent}- [{number_text(draw, x)}, {number_text(draw, f)}]"
+              + draw(st.sampled_from(COMMENTS)) for x, f in zip(xs, forces)]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", "# note"))))
+    flaw = draw(st.sampled_from((None,) * 8 + ("indent", "dedent", "key", "flow", "repeat",
+                                               "tab", "crlf")))
+    i = draw(st.integers(0, len(lines) - 1))
+    if flaw == "indent":
+        lines[i] = " " + lines[i]
+    elif flaw == "dedent":  # a bare row under the header
+        lines[i] = lines[i].lstrip()
+    elif flaw == "key":  # a key line in place of a row
+        lines[i] = "  n_levels: 4"
+    elif flaw == "flow":
+        lines[i] = lines[i].replace(", ", ",")
+    elif flaw == "repeat" and keyed:
+        lines.append(lines[0])
+    elif flaw == "tab":
+        lines[i] = lines[i].replace(" ", "\t", 1)
+    return ("\r\n" if flaw == "crlf" else "\n").join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+def yaml_force_table(text):
+    """The table ``load_force_table`` built from YAML's document of ``text``."""
+    doc = parse_config(text)
+    if isinstance(doc, dict):
+        doc = doc["force_table"] if doc.keys() == {"force_table"} else None
+    return SiliconeForceTable(tuple((float(x), float(f)) for x, f in doc or ()))
 
 
 class TestPlainReader:
-    """``_plain_doc`` reads a plain config without PyYAML. Every document it
-    gives is the one ``_parse_yaml`` gives, and ``load`` gives what it gives
-    with YAML alone: the same design, or the same error."""
+    """The plain reader reads configs and force tables without PyYAML. It
+    refuses a text at the first line it does not take; every document it
+    gives is the one YAML gives, and ``load`` gives what it gives on YAML's
+    document: the same design, or the same error."""
 
     @given(config_texts())
     @settings(max_examples=400, deadline=None)
     def test_same_as_yaml(self, text):
         assert_same_as_yaml(text)
+
+    @given(force_table_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_force_tables_same_as_yaml(self, text):
+        outcome = plain_outcome(text, "force table")
+        if type(outcome) is int:
+            return
+        assert outcome == repr(parse_config(text))
+        try:
+            expected = repr(yaml_force_table(text))
+        except (ValueError, OverflowError):
+            expected = None
+        try:
+            assert repr(load_force_table(text)) == expected
+        except ConfigError as exc:
+            assert expected is None and exc.line is None, exc
 
     @given(st.integers(0, 2 ** 64), st.data())
     @settings(max_examples=300, deadline=None)
@@ -1171,28 +1208,28 @@ class TestPlainReader:
         else:
             key = "  " + data.draw(st.sampled_from(NEAR_MISS_KEYS))
         lines[i] = f"{key}: {value}"
-        assert_same_as_yaml("\n".join(lines))
+        outcome = assert_same_as_yaml("\n".join(lines))
+        assert outcome == i + 1 or type(outcome) is str
 
-    @pytest.mark.parametrize("text", near_misses())
-    def test_near_misses_go_to_yaml(self, text):
-        assert params._plain_doc(text) is None
-        assert_same_as_yaml(text)
+    @pytest.mark.parametrize("text,line", near_misses())
+    def test_near_misses_go_to_yaml(self, text, line):
+        outcome = assert_same_as_yaml(text)
+        assert outcome == line if line else type(outcome) is str
 
     @pytest.mark.parametrize("text,plain", line_edges())
     def test_line_edges(self, text, plain):
         # The scan reads the text as lines split at '\n' alone, each matched
-        # whole: a line that any other break splits, or that holds one,
-        # leaves the plain path.
-        assert (params._plain_doc(text) is not None) == plain
-        assert_same_as_yaml(text)
+        # whole: a line that any other break splits, or that holds one, is
+        # refused.
+        assert (type(assert_same_as_yaml(text)) is str) == plain
 
     @given(st.integers(0, 2 ** 64), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_serialized_designs_are_plain(self, seed, valid):
-        # A design ``serialize`` writes never leaves the plain path.
+        # A design ``serialize`` writes is always taken.
         p = (random_valid_params if valid else random_params)(random.Random(seed))
         text = serialize(p)
-        assert repr(params._plain_doc(text)) == config_outcome(parse_config, text)
+        assert plain_outcome(text) == config_outcome(parse_config, text)
         assert load(text) == p
 
     @pytest.mark.parametrize("text", [(CONFIGS / "reference.yaml").read_text(encoding="utf-8"),
@@ -1200,7 +1237,7 @@ class TestPlainReader:
                              ids=["reference", "minimal", "empty section"])
     def test_configs_are_plain(self, text):
         # YAML reads a header with no keys as None, a missing section.
-        assert repr(params._plain_doc(text)) == config_outcome(parse_config, text)
+        assert plain_outcome(text) == config_outcome(parse_config, text)
 
 
 DUMPERS = [yaml.SafeDumper] + ([yaml.CSafeDumper] if yaml.__with_libyaml__ else [])
@@ -1241,8 +1278,7 @@ class TestYamlDumper:
             assert text.encode("utf-8") == yaml_dump(p, dumper).encode("utf-8"), dumper
         values = [getattr(getattr(p, f.section), f.name) for f in FLOAT_FIELDS]
         if all(v is None or math.isfinite(v) for v in values):
-            assert params._plain_doc(text) is not None, text
-            assert repr(params._plain_doc(text)) == repr(parse_config(text))
+            assert plain_outcome(text) == repr(parse_config(text)), text
             assert load(text) == p
 
     def test_reference_config(self):
@@ -1267,10 +1303,13 @@ class TestYamlDumper:
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
     def test_non_finite_values_are_refused(self, reference, value):
+        # YAML's names of the non-finite floats are outside the plain grammar.
         text = serialize(with_value(reference, params._field_path("wheel.hub_offset"), value))
-        assert params._plain_doc(text) is None
-        with pytest.raises(ConfigError, match="expected a finite number"):
+        line = text.split("\n").index(f"  hub_offset: {params._number(value)}") + 1
+        with pytest.raises(ConfigError) as exc:
             load(text)
+        assert str(exc.value) == ("config line is outside the plain grammar "
+                                  f"(field: wheel.hub_offset) (line: {line})")
 
     def test_a_design_without_values(self):
         # No valid design is empty, but its text is still YAML's.

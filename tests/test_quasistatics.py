@@ -90,14 +90,18 @@ class TestForceTableOverride:
         assert load_force_table(FORCE_TABLE.read_text()) == default_force_table()
 
     def test_bad_shapes_rejected(self):
-        with pytest.raises(ConfigError, match="pair"):
-            load_force_table("- [1.0, 2.0, 3.0]\n")
-        with pytest.raises(ConfigError, match="nonempty"):
-            load_force_table("[]")
-        with pytest.raises(ConfigError, match="numbers"):
-            load_force_table("- [one, 2.0]\n")
+        # A row that is no pair of numbers, and flow style, are outside the
+        # plain grammar.
+        for text in ("- [1.0, 2.0, 3.0]\n", "[]", "- [one, 2.0]\n",
+                     "{force_table: [[1.0, 2.0]], other: {}}"):
+            with pytest.raises(ConfigError, match=r"^force table line is outside the plain "
+                                                  r"grammar \(line: 1\)$"):
+                load_force_table(text)
+        for text in ("", "# no rows\n", "force_table:\n"):
+            with pytest.raises(ConfigError, match="nonempty"):
+                load_force_table(text)
         with pytest.raises(ConfigError, match=r"^unknown key \(field: other\)$"):
-            load_force_table("{force_table: [[1.0, 2.0]], other: {}}")
+            load_force_table("force_table:\n  - [1.0, 2.0]\nother:\n")
 
     def test_table_invariants_enforced(self):
         with pytest.raises(ConfigError, match="increasing"):
@@ -105,11 +109,21 @@ class TestForceTableOverride:
         with pytest.raises(ConfigError, match="nonnegative"):
             load_force_table("- [1.0, 3.0]\n- [2.0, -0.5]\n")
 
-    @pytest.mark.parametrize("bad", [".inf", "-.inf", ".nan", "1" + "0" * 400])
+    @pytest.mark.parametrize("bad", [".inf", "-.inf", ".nan", "1" + "0" * 400, "1.0e+400"])
     def test_non_finite_numbers_rejected(self, bad):
+        # YAML's names of the non-finite floats are outside the plain
+        # grammar; a decimal past the float range is read, and refused.
+        if bad.lstrip("-").startswith("."):
+            message = "force table line is outside the plain grammar (line: 1)"
+        elif "." in bad:
+            message = "invalid force table: length changes and forces must be finite " \
+                      "(field: force_table)"
+        else:  # an integer past the float range
+            message = "expected finite numbers (field: force_table[0])"
         for text in (f"- [1.0, {bad}]\n", f"- [{bad}, 1.0]\n"):
-            with pytest.raises(ConfigError, match="finite"):
+            with pytest.raises(ConfigError) as exc:
                 load_force_table(text)
+            assert str(exc.value) == message
 
 
 class TestSiliconeForce:

@@ -130,17 +130,9 @@ def sweep_runs(points, validations, varying=WHEEL_STAGES):
 
 @pytest.fixture
 def count_parses(monkeypatch):
-    """The texts that later ``_plain_doc`` calls read, as argument tuples,
-    and that later YAML loaders are built on."""
-    loaded = []
-
-    class Counted(params.YAML_LOADER):
-        def __init__(self, stream):
-            loaded.append(stream.getvalue())
-            super().__init__(stream)
-
-    monkeypatch.setattr(params, "YAML_LOADER", Counted)
-    return {"plain": count_calls(monkeypatch, params, "_plain_doc"), "yaml": loaded}
+    """The texts that later ``_plain_doc`` calls read, with what each is, as
+    argument tuples."""
+    return count_calls(monkeypatch, params, "_plain_doc")
 
 
 @pytest.fixture
@@ -334,10 +326,10 @@ class TestValidateOnce:
 
     @pytest.mark.parametrize("verb", ["validate", "report"])
     def test_cli_parses_the_config_once(self, count_parses, design_file, verb):
-        # The plain reader reads the file once; no YAML loader is built.
+        # The plain reader reads the file once.
         assert main([verb, "--config", design_file]) == 0
         text = Path(design_file).read_text(encoding="utf-8")
-        assert count_parses == {"plain": [(text,)], "yaml": []}
+        assert count_parses == [(text, "config")]
 
     def test_cli_report_parses_config_and_force_table_once_each(
             self, count_parses, design_file):
@@ -345,17 +337,19 @@ class TestValidateOnce:
                      "--force-table", str(FORCE_TABLE)]) == 0
         text = Path(design_file).read_text(encoding="utf-8")
         table = FORCE_TABLE.read_text(encoding="utf-8")
-        assert count_parses == {"plain": [(text,)], "yaml": [table]}
+        assert count_parses == [(text, "config"), (table, "force table")]
 
     @pytest.mark.parametrize("verb", ["validate", "report"])
-    def test_cli_parses_a_yaml_config_once(self, count_parses, tmp_path, verb):
-        # Four-space indentation is YAML but not plain: the plain reader
-        # refuses it, and one YAML loader reads it.
+    def test_cli_parses_a_yaml_config_once(self, count_parses, tmp_path, capsys, verb):
+        # Four-space indentation is YAML but not plain: one scan refuses it
+        # at its first key line.
         text = params.serialize(params.reference_design()).replace("\n  ", "\n    ")
         path = tmp_path / "design.yaml"
         path.write_text(text, encoding="utf-8")
-        assert main([verb, "--config", str(path)]) == 0
-        assert count_parses == {"plain": [(text,)], "yaml": [text]}
+        assert main([verb, "--config", str(path)]) == 2
+        assert count_parses == [(text, "config")]
+        assert capsys.readouterr() \
+            == ("", "error: config line is outside the plain grammar (line: 2)\n")
 
     def test_cli_sweep_validates_once_per_point(self, count_validate, design_file, tmp_path,
                                                 monkeypatch):
