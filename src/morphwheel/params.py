@@ -174,8 +174,9 @@ class Verdict(typing.NamedTuple):
 
 class _Derived(typing.NamedTuple):
     # The quantities ``validate`` derives for a valid design, kept on its
-    # report: the card and ``telescopic.module_lengths`` read them instead of
-    # deriving them again.
+    # report: ``telescopic.module_lengths`` reads them, and the card and
+    # ``report.verdicts`` seed their table of quantities with them, instead
+    # of deriving them again.
     elongated: float     # mm, ``elongated_length``
     reduced: float       # mm, ``reduced_length``
     wheel_radius: float  # mm, ``wheelgeom.transform_endpoint_radius``
@@ -346,7 +347,8 @@ def validate(p: DesignParams) -> ValidationReport:
         if v:
             return ValidationReport(tuple(v))
     return ValidationReport._make(((), _Derived._make((
-        got["elongated"], got["reduced"], got["wheel_radius"], got["peak_load"]))))
+        got["elongated_length_mm"], got["reduced_length_mm"], got["wheel_radius_mm"],
+        (got["peak_axial_force_N"], got["peak_torque_Nmm"])))))
 
 
 def _check_screw(p, v, got):
@@ -367,7 +369,7 @@ def _check_layout(p, v, got):
 
 
 def _module_lengths(p, v, got):
-    return {"elongated": elongated_length(p), "reduced": reduced_length(p)}
+    return {"elongated_length_mm": elongated_length(p), "reduced_length_mm": reduced_length(p)}
 
 
 def _check_platform(p, v, got):
@@ -406,7 +408,7 @@ def _check_wheel_stroke(p, v, got):
     travel = p.wheel.rod_half_length - min_half_separation(p)
     # Each unit of half-separation lost shortens the module by two, so a
     # longer wheel stroke would compress the module to nothing.
-    if 2.0 * travel >= got["elongated"]:
+    if 2.0 * travel >= got["elongated_length_mm"]:
         v.append(Violation("wheel.rod_half_length",
                            "2 * (rod_half_length - min_half_separation) < elongated length"))
     return {"travel": travel}
@@ -432,7 +434,7 @@ def _check_drive(p, v, got):
 # length to a level count and checks it in floats, which count exactly only
 # below 2**53.
 def _check_stroke(p, v, got):
-    elongated, travel = got["elongated"], got["travel"]
+    elongated, travel = got["elongated_length_mm"], got["travel"]
     if not math.isfinite(elongated):
         v.append(Violation("screw.screw_level_length", "elongated length is finite"))
     elif not 2.0 * travel > _MIN_STROKE_SHARE * elongated:
@@ -462,14 +464,14 @@ def _check_radius(p, v, got):
     elif not radius - w.hub_offset > _MIN_STROKE_SHARE * radius:
         v.append(Violation("wheel.hub_offset",
                            "wheel radius - hub_offset > 2**-30 * wheel radius"))
-    return {"wheel_radius": radius}
+    return {"wheel_radius_mm": radius}
 
 
 def _check_peak_load(p, v, got):
-    peak = quasistatics.peak_load(p)
-    if not math.isfinite(peak[1]):
+    force, torque = quasistatics.peak_load(p)
+    if not math.isfinite(torque):
         v.append(Violation("drive.screw_mean_diameter", "peak torque is finite"))
-    return {"peak_load": peak}
+    return {"peak_axial_force_N": force, "peak_torque_Nmm": torque}
 
 
 def _check_tilt(p, v, got):
@@ -489,12 +491,16 @@ def _reads(names: str) -> frozenset[str]:
 
 
 # The stages of ``validate`` in order, each with the fields it reads, also
-# through the quantities it takes: the module lengths read ``_LENGTHS``, the
-# rod travel ``_TRAVEL``; a section name stands for all its fields. A stage
-# is called with the design, the violations to extend and the quantities
-# that earlier stages returned.
+# through the quantities it takes, which ``_LENGTHS``, ``_TRAVEL``, ``_RADIUS``,
+# ``_LADDER`` and ``_PEAK`` name; a section name stands for all its fields. A
+# stage is called with the design, the violations to extend and ``got``, the
+# quantities that earlier stages returned under the keys the card prints.
 _LENGTHS = "screw.n_levels screw.screw_level_length layout"
 _TRAVEL = "wheel.rod_half_length wheel.min_half_separation screw.n_levels"
+_RADIUS = f"wheel.hub_offset {_TRAVEL}"
+_LADDER = "screw.n_levels screw.base_screw_diameter screw.thread_width " \
+    "screw.thread_clearance screw.stopper_width"
+_PEAK = "drive.screw_lead drive.screw_friction drive.screw_mean_diameter"
 _STRUCTURE = tuple((_reads(names), stage) for names, stage in (
     ("screw", _check_screw), ("layout", _check_layout), (_LENGTHS, _module_lengths),
     ("platform", _check_platform), ("wheel.rod_half_length wheel.curved_rod_length", _check_rods),
@@ -502,49 +508,47 @@ _STRUCTURE = tuple((_reads(names), stage) for names, stage in (
     (f"wheel.hinge_allowance wheel.curved_rod_length wheel.spoke_pairs {_TRAVEL}", _check_wheel),
     (f"{_TRAVEL} {_LENGTHS}", _check_wheel_stroke), ("drive", _check_drive)))
 _OVERFLOWS = tuple((_reads(names), stage) for names, stage in (
-    (f"{_TRAVEL} {_LENGTHS}", _check_stroke),
-    ("screw.n_levels screw.base_screw_diameter screw.thread_width screw.thread_clearance "
-     "screw.stopper_width", _check_screw_diameter),
-    ("wheel screw.n_levels", _check_radius),
-    ("drive.screw_lead drive.screw_friction drive.screw_mean_diameter", _check_peak_load),
-    ("platform", _check_tilt)))
+    (f"{_TRAVEL} {_LENGTHS}", _check_stroke), (_LADDER, _check_screw_diameter),
+    (f"{_RADIUS} wheel", _check_radius), (_PEAK, _check_peak_load), ("platform", _check_tilt)))
 
 
-def _varying(path: str) -> typing.Callable[[DesignParams], tuple[list[Violation], dict]]:
-    """The stages of ``validate`` for designs that differ only in the field
-    ``path``, as a sweep's do: a function of a design that gives its
-    violations and the quantities its stages derived. The first design to
-    reach a stage table runs every stage and resolves its plan: the
-    quantities of the stages that do not read ``path``, and the steps, each
-    a stage that does or, in place of one that does not, its violations."""
-    plans = [None, None]
+def _varying(path: str, groups: tuple[tuple, ...], seed: dict
+             ) -> typing.Callable[[DesignParams], tuple[list[Violation], dict]]:
+    """The ``groups`` of entries, tables shaped as the stages of ``validate``,
+    for designs that differ only in the field ``path``, as a sweep's do: a
+    function of a design that gives its violations and ``got``, ``seed`` and
+    the quantities its entries derived. A group runs only when those before
+    it found no violation. The first design to reach a group runs every entry
+    and resolves the group's plan: the steps, each an entry that reads
+    ``path`` or, in place of one that does not, its violations; the others'
+    quantities go to ``kept``, which later designs start from a copy of."""
+    plans, kept = [], dict(seed)
 
     def check(p: DesignParams) -> tuple[list[Violation], dict]:
-        v, got = [], {}
-        for k in 0, 1:
-            if v:
-                break
-            if plans[k] is None:
-                kept, steps = {}, []
-                for reads, stage in (_STRUCTURE, _OVERFLOWS)[k]:
-                    n = len(v)
-                    gave = stage(p, v, got) or {}
-                    got.update(gave)
-                    if path in reads:
-                        steps.append(stage)
-                    else:
-                        kept.update(gave)
-                        if len(v) > n:
-                            steps.append(tuple(v[n:]))
-                plans[k] = kept, tuple(steps)
-                continue
-            kept, steps = plans[k]
-            got.update(kept)
+        v, got = [], kept.copy()
+        for steps in plans:
             for step in steps:
                 if type(step) is tuple:
                     v += step
                 elif gave := step(p, v, got):
                     got.update(gave)
+            if v:
+                return v, got
+        for entries in groups[len(plans):]:
+            steps = []
+            for reads, entry in entries:
+                n = len(v)
+                gave = entry(p, v, got) or {}
+                got.update(gave)
+                if path in reads:
+                    steps.append(entry)
+                else:
+                    kept.update(gave)
+                    if len(v) > n:
+                        steps.append(tuple(v[n:]))
+            plans.append(tuple(steps))
+            if v:
+                break
         return v, got
     return check
 

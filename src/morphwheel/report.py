@@ -69,13 +69,176 @@ class RunReport(typing.NamedTuple):
     warnings: tuple[Verdict, ...]  # the failed verdicts that are not card flags
 
 
+# ---------------------------------------------------------------------------
+# the table of quantities
+#
+# One ordered table of entries ``(reads, entry)``, each run as a stage of
+# ``params.validate`` is: validation's stages, then ``_METRICS``, the sweep's
+# metrics beyond them, the verdicts (``_FLAGGED``, ``_WARNED``), each after
+# the quantities it takes, and ``_CARD_ONLY``. An entry gives a quantity
+# under the key the card prints it by, a verdict under its code, and nothing
+# else computes it. Three seeds head ``got``: ``reduction_target``,
+# ``total_bend_rad`` and the force ``table``.
+
+def _ratio(p, v, got):
+    return {"reduction_ratio": got["reduced_length_mm"] / got["elongated_length_mm"]}
+
+
+def _chassis(p, v, got):
+    # The one plate tilt: the total bend, inside the envelope, over the plates.
+    total_bend = got["total_bend_rad"]
+    if not 0 < total_bend <= bending.MAX_TOTAL_BEND:  # NaN fails too
+        raise ValueError(f"total_bend must be in (0, pi/2], got {total_bend!r}")
+    theta = total_bend / p.platform.plate_count
+    chassis = bending.chassis_diameter(p, theta)
+    return {"per_plate_bend_rad": theta, "chassis_offset_mm": chassis.screw_offset_component,
+            "chassis_triangle_base_mm": chassis.triangle_base,
+            "chassis_diameter_mm": chassis.chassis_diameter}
+
+
+def _peak(p, v, got):  # validation gave the peak load on the default table
+    table = got["table"]
+    if table is not None and table is not quasistatics.default_force_table():
+        force, torque = quasistatics.peak_load(p, table)
+        return {"peak_axial_force_N": force, "peak_torque_Nmm": torque}
+
+
+def _reduction_ok(p, v, got):
+    target = got["reduction_target"]
+    passed = telescopic.reduction_ok(got["reduced_length_mm"], got["elongated_length_mm"],
+                                     target)
+    return {"reduction_ok": Verdict("reduction_ok", passed, got["reduction_ratio"], target,
+                                    "reduced / elongated module length exceeds the target ratio")}
+
+
+def _motor_check_ok(p, v, got):
+    torque, stall = got["peak_torque_Nmm"], p.drive.motor_stall_torque
+    return {"motor_check_ok": Verdict("motor_check_ok", torque <= stall, torque, stall,
+                                      "peak torque exceeds the motor stall torque, margin 1")}
+
+
+def _rod_half_expansion(p, v, got):
+    return {"rod_half_expansion_mm": bending.rod_half_expansion(p, got["per_plate_bend_rad"])}
+
+
+def _wheel_diameter(p, v, got):
+    return {"wheel_diameter_mm": 2.0 * got["wheel_radius_mm"]}
+
+
+def _reported_length_identity(p, v, got):
+    # The module lengths differ by 2 * S_L * (N - 1) by construction, so must
+    # the reported ones, to a tolerance scaled by that derived gap.
+    rep = p.reported
+    if rep.elongated_length is not None and rep.reduced_length is not None:
+        gap = 2.0 * p.screw.screw_level_length * (p.screw.n_levels - 1)
+        implied = rep.elongated_length - rep.reduced_length
+        return {"reported_length_identity": Verdict(
+            "reported_length_identity", abs(implied - gap) <= _REL_TOL * max(1.0, abs(gap)),
+            gap, implied, "reported elongated - reduced length gap does not match "
+            "2 * screw_level_length * (n_levels - 1)")}
+
+
+def _mismatch(name: str, reads: str, what: str) -> tuple:
+    # The verdict ``{name}_mismatch`` with its reads: the quantity ``{name}_mm``
+    # against the reported value given, to a tolerance scaled by that value.
+    code, key = f"{name}_mismatch", f"{name}_mm"
+    detail = f"computed {what} differs from the reported value"
+
+    def entry(p, v, got):
+        if (reported := getattr(p.reported, name)) is not None:
+            passed = abs(got[key] - reported) <= _REL_TOL * max(1.0, abs(reported))
+            return {code: Verdict(code, passed, got[key], reported, detail)}
+    entry.__name__ = f"_{code}"
+    return f"reported.{name} {reads}", entry
+
+
+def _wheel_stroke(p, v, got):
+    # Two models, not a reported value: the wheel stroke, which shortens the
+    # module by twice the rod travel, ends at the last length of
+    # ``wheelgeom.transform_columns``; the telescopic stack collapses no lower
+    # than its reduced length.
+    reduced = got["reduced_length_mm"]
+    stroke_end = got["elongated_length_mm"] - 2.0 * (p.wheel.rod_half_length
+                                                     - params.min_half_separation(p))
+    return {"wheel_stroke_exceeds_telescopic_stroke": Verdict(
+        "wheel_stroke_exceeds_telescopic_stroke", stroke_end >= reduced, stroke_end, reduced,
+        "the wheel stroke ends at a module length (computed) below the "
+        "telescopic reduced length (reported)")}
+
+
+def _rod_sizing(p, v, got):
+    try:  # a chassis rod that the bend demand outgrows is a string flag
+        rods = bending.rod_sizing(p, got["per_plate_bend_rad"], got["chassis_diameter_mm"])
+    except InfeasibleError as exc:
+        return {"rod_sizing": f"INFEASIBLE: {exc}"}
+    return {"rod_length_max_mm": rods.rod_max, "rod_length_min_mm": rods.rod_min,
+            "rod_outer_segment_mm": rods.rod_min, "rod_inner_segment_mm": rods.inner_segment}
+
+
+def _rim_and_ladder(p, v, got):
+    plan = wheelgeom.curved_rod_plan(got["wheel_radius_mm"], p)
+    return {"rim_arc_per_sector_mm": plan.arc_per_sector, "curved_rod_levels": plan.levels,
+            "curved_rod_curvature_mm": plan.matched_curvature,
+            "shaft_levels": telescopic.shaft_levels(p),
+            "screw_diameters_mm": telescopic.diameter_ladder(p)}
+
+
+def _table(*rows) -> tuple:
+    return tuple((params._reads(names), entry) for names, entry in rows)
+
+
+# The reads of the plate tilt, and of the quantities that take it.
+_TILT = "platform.plate_count"
+_CHASSIS = f"{_TILT} platform.max_screw_extension platform.screw_circle_spacing"
+_HALF_EXPANSION = f"{_TILT} platform.max_screw_extension platform.joint_mount_width " \
+    "platform.universal_joint_diameter"
+_METRICS = _table((params._LENGTHS, _ratio), (_CHASSIS, _chassis))
+_FLAGGED = _table((params._PEAK, _peak), (params._LENGTHS, _reduction_ok),
+                  (f"{params._PEAK} drive.motor_stall_torque", _motor_check_ok))
+_WARNED = _table(
+    (_HALF_EXPANSION, _rod_half_expansion), (params._RADIUS, _wheel_diameter),
+    ("reported.elongated_length reported.reduced_length screw.screw_level_length "
+     "screw.n_levels", _reported_length_identity),
+    _mismatch("elongated_length", params._LENGTHS, "elongated module length"),
+    _mismatch("reduced_length", params._LENGTHS, "reduced module length"),
+    _mismatch("chassis_diameter", _CHASSIS, "chassis diameter"),
+    _mismatch("rod_half_expansion", _HALF_EXPANSION, "rod half expansion"),
+    _mismatch("wheel_diameter", params._RADIUS, "full-compression wheel diameter"),
+    (f"{params._TRAVEL} {params._LENGTHS}", _wheel_stroke))
+_CARD_ONLY = _table(
+    (f"{_CHASSIS} {_HALF_EXPANSION}", _rod_sizing),
+    (f"{params._RADIUS} wheel {params._LADDER}", _rim_and_ladder))
+
+# The seeds at their defaults, which a sweep takes.
+_SEEDS = {"reduction_target": 0.5, "total_bend_rad": DEFAULT_TOTAL_BEND, "table": None}
+
+
+def _quantities(p: DesignParams, entries: tuple, target_ratio: float = 0.5,
+                total_bend: float = DEFAULT_TOTAL_BEND,
+                table: quasistatics.SiliconeForceTable | None = None) -> dict[str, object]:
+    # ``got`` of a valid design: validation's quantities and the seeds, then
+    # those that ``entries`` give in order. No entry after validation's finds
+    # a violation.
+    derived = require_valid(p).derived
+    got = {"elongated_length_mm": derived.elongated, "reduced_length_mm": derived.reduced,
+           "wheel_radius_mm": derived.wheel_radius, "reduction_target": target_ratio,
+           "total_bend_rad": total_bend, "table": table}
+    got["peak_axial_force_N"], got["peak_torque_Nmm"] = derived.peak_load
+    v: list = []
+    for _, entry in entries:
+        if gave := entry(p, v, got):
+            got.update(gave)
+    return got
+
+
 # The verdicts the card prints as flags under their own codes; the others,
 # when failed, are its WARNING lines.
 _FLAGS = ("reduction_ok", "motor_check_ok")
-# The card's flag on each reported target, and the verdict it reads.
-_TARGETS = (("target_elongated_ok", "elongated_length_mismatch"),
-            ("target_reduced_ok", "reduced_length_mismatch"),
-            ("target_wheel_diameter_ok", "wheel_diameter_mismatch"))
+
+
+def _warnings(got: dict) -> tuple[Verdict, ...]:
+    return tuple([value for value in got.values() if type(value) is Verdict
+                  and not (value.passed or value.code in _FLAGS)])
 
 
 def verdicts(p: DesignParams, *, target_ratio: float = 0.5,
@@ -85,73 +248,17 @@ def verdicts(p: DesignParams, *, target_ratio: float = 0.5,
     ``motor_check_ok`` on ``table``, then the identity of the two reported
     lengths, each reported value given against its quantity at ``total_bend``,
     and the wheel stroke against the telescopic one. Nothing is patched to
-    make a verdict pass; invalid designs raise ``InvalidDesignError``."""
-    require_valid(p)
-    theta = total_bend / p.platform.plate_count
-    return _verdicts(p, telescopic.module_lengths(p), target_ratio, theta,
-                     bending.chassis_diameter(p, theta).chassis_diameter,
-                     _peak_load(p, table)[1])
+    make a verdict pass; invalid designs raise ``InvalidDesignError``, and a
+    ``total_bend`` outside ``(0, pi/2]`` ``ValueError``."""
+    got = _quantities(p, _METRICS + _FLAGGED + _WARNED, target_ratio, total_bend, table)
+    return tuple([value for value in got.values() if type(value) is Verdict])
 
 
 def consistency_warnings(p: DesignParams) -> tuple[Verdict, ...]:
     """The failed ``verdicts(p)`` that are not card flags: what ``validate``
     and the card print as WARNING lines. Invalid designs raise
     ``InvalidDesignError``."""
-    return tuple(v for v in verdicts(p) if not (v.passed or v.code in _FLAGS))
-
-
-def _peak_load(p: DesignParams, table) -> tuple[float, float]:
-    # Validation derived the peak load on the default table.
-    if table is None or table is quasistatics.default_force_table():
-        return p.validation.derived.peak_load
-    return quasistatics.peak_load(p, table)
-
-
-def _verdicts(p: DesignParams, lengths: telescopic.ModuleLengths, target_ratio: float,
-              theta: float, chassis_d: float, peak_torque: float) -> tuple[Verdict, ...]:
-    # ``verdicts`` over quantities already computed for a valid design.
-    rep, stall = p.reported, p.drive.motor_stall_torque
-    found = [Verdict("reduction_ok", telescopic.reduction_ok(
-                         lengths.reduced, lengths.elongated, target_ratio),
-                     lengths.reduction_ratio, target_ratio,
-                     "reduced / elongated module length exceeds the target ratio"),
-             Verdict("motor_check_ok", peak_torque <= stall, peak_torque, stall,
-                     "peak torque exceeds the motor stall torque, margin 1")]
-    if rep.elongated_length is not None and rep.reduced_length is not None:
-        # The module lengths differ by 2 * S_L * (N - 1) by construction, so
-        # must the reported ones, to a tolerance scaled by that derived gap.
-        gap = 2.0 * p.screw.screw_level_length * (p.screw.n_levels - 1)
-        implied = rep.elongated_length - rep.reduced_length
-        found.append(Verdict("reported_length_identity",
-                             abs(implied - gap) <= _REL_TOL * max(1.0, abs(gap)), gap, implied,
-                             "reported elongated - reduced length gap does not match "
-                             "2 * screw_level_length * (n_levels - 1)"))
-    # Each reported value given, to a tolerance scaled by that value.
-    for code, computed, reported, what in (
-            ("elongated_length_mismatch", lengths.elongated, rep.elongated_length,
-             "elongated module length"),
-            ("reduced_length_mismatch", lengths.reduced, rep.reduced_length,
-             "reduced module length"),
-            ("chassis_diameter_mismatch", chassis_d, rep.chassis_diameter, "chassis diameter"),
-            ("rod_half_expansion_mismatch", bending.rod_half_expansion(p, theta),
-             rep.rod_half_expansion, "rod half expansion"),
-            ("wheel_diameter_mismatch", 2.0 * p.validation.derived.wheel_radius,
-             rep.wheel_diameter, "full-compression wheel diameter")):
-        if reported is not None:
-            passed = abs(computed - reported) <= _REL_TOL * max(1.0, abs(reported))
-            found.append(Verdict(code, passed, computed, reported,
-                                 f"computed {what} differs from the reported value"))
-    # Two models, not a reported value: the wheel stroke, which shortens the
-    # module by twice the rod travel, ends at the last length of
-    # ``wheelgeom.transform_columns``; the telescopic stack collapses no lower
-    # than its reduced length.
-    stroke_end = lengths.elongated - 2.0 * (p.wheel.rod_half_length
-                                            - params.min_half_separation(p))
-    found.append(Verdict("wheel_stroke_exceeds_telescopic_stroke",
-                         stroke_end >= lengths.reduced, stroke_end, lengths.reduced,
-                         "the wheel stroke ends at a module length (computed) below the "
-                         "telescopic reduced length (reported)"))
-    return tuple(found)
+    return _warnings(_quantities(p, _METRICS + _WARNED))
 
 
 SWEEP_METRICS = (
@@ -236,9 +343,10 @@ def sweep(p: DesignParams, spec: SweepSpec,
     index, the swept value, the ``SWEEP_METRICS``, ``objective``, ``status``
     and ``reason``. The status is ``ok`` or ``invalid`` (the design violates
     an invariant; the reason lists the violated fields). Only ``ok`` rows
-    carry the metrics. Nothing per point is kept but the best row. A check
-    that does not read the swept field, or a formula that reads no field of
-    its section, runs once per sweep; the design ``p`` itself is not refused.
+    carry the metrics, from the table of quantities at the default seeds up
+    to ``_METRICS``. Nothing per point is kept but the best row. An entry that
+    does not read the swept field runs once per sweep; the design ``p``
+    itself is not refused.
     """
     field = _field_path(spec.parameter_path)
     convert = field.value if field.is_count else float
@@ -247,31 +355,41 @@ def sweep(p: DesignParams, spec: SweepSpec,
             convert(spec.value(i))
     start, span, last = spec.start, spec.stop - spec.start, spec.steps - 1
     at = field.setter(p)
-    check = params._varying(field.path)
-    derived = operator.itemgetter("elongated", "reduced", "wheel_radius", "peak_load")
+    check = params._varying(field.path, (params._STRUCTURE, params._OVERFLOWS + _METRICS),
+                            _SEEDS)
+    metrics = operator.itemgetter(*SWEEP_METRICS)
     metric = SWEEP_METRICS.index(spec.metric)
     better = operator.gt if spec.maximise else operator.lt
     blank = ("",) * (len(SWEEP_METRICS) + 1)
-    platform = field.section == "platform"  # else one chassis diameter serves all
-    best = best_row = chassis = None
+    best = best_row = None
     for i in range(spec.steps):
         value = convert(start + span * i / last)  # ``spec.value(i)``
-        violations, got = check(q := at(value))
+        violations, got = check(at(value))
         if violations:
             fields = dict.fromkeys(v.field for v in violations)
             emit((i, value, *blank, "invalid", " ".join(fields)))
             continue
-        elongated, reduced, radius, peak = derived(got)
-        if chassis is None or platform:
-            theta = DEFAULT_TOTAL_BEND / q.platform.plate_count
-            chassis = bending.chassis_diameter(q, theta).chassis_diameter
-        values = (elongated, reduced, reduced / elongated, chassis, radius, peak[1])
+        values = metrics(got)
         objective = values[metric]
         row = (i, value, *values, objective, "ok", "")
         if best is None or better(objective, best):
             best, best_row = objective, row
         emit(row)
     return None if best_row is None else dict(zip(sweep_columns(spec), best_row))
+
+
+# The card's outputs in order. An infeasible rod prints ``rod_sizing`` in
+# place of its lengths; a flag, the ``passed`` of the verdict it names.
+_CARD = """elongated_length_mm reduced_length_mm reduction_ratio reduction_target reduction_ok
+    shaft_levels screw_diameters_mm total_bend_rad per_plate_bend_rad chassis_offset_mm
+    chassis_triangle_base_mm chassis_diameter_mm rod_half_expansion_mm rod_length_max_mm
+    rod_length_min_mm rod_outer_segment_mm rod_inner_segment_mm rod_sizing wheel_radius_mm
+    wheel_diameter_mm rim_arc_per_sector_mm curved_rod_levels curved_rod_curvature_mm
+    peak_axial_force_N peak_torque_Nmm motor_check_ok""".split()
+_CARD_FLAGS = (("reduction_ok", "reduction_ok"), ("motor_check_ok", "motor_check_ok"),
+               ("target_elongated_ok", "elongated_length_mismatch"),
+               ("target_reduced_ok", "reduced_length_mismatch"),
+               ("target_wheel_diameter_ok", "wheel_diameter_mismatch"))
 
 
 def design_card(p: DesignParams, *, target_ratio: float = 0.5,
@@ -283,63 +401,21 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
 
     A chassis rod that the bend demand outgrows is surfaced as a string flag
     in ``rod_sizing`` instead of aborting the card; invalid designs raise
-    ``InvalidDesignError``. The card's ``validation`` is ``p.validation``.
+    ``InvalidDesignError``, and a ``total_bend`` outside ``(0, pi/2]``
+    ``ValueError``. The card's ``validation`` is ``p.validation``.
     """
-    validation = require_valid(p)
-    lengths = telescopic.module_lengths(p)
-    theta = total_bend / p.platform.plate_count
-    chassis = bending.chassis_diameter(p, theta)
-    force, torque = _peak_load(p, table)
-    found = {v.code: v for v in _verdicts(p, lengths, target_ratio, theta,
-                                          chassis.chassis_diameter, torque)}
-    outputs: dict[str, object] = {}
-
-    outputs["elongated_length_mm"] = lengths.elongated
-    outputs["reduced_length_mm"] = lengths.reduced
-    outputs["reduction_ratio"] = lengths.reduction_ratio
-    outputs["reduction_target"] = target_ratio
-    outputs["reduction_ok"] = found["reduction_ok"].passed
-    outputs["shaft_levels"] = telescopic.shaft_levels(p)
-    outputs["screw_diameters_mm"] = telescopic.diameter_ladder(p)
-
-    outputs["total_bend_rad"] = total_bend
-    outputs["per_plate_bend_rad"] = theta
-    outputs["chassis_offset_mm"] = chassis.screw_offset_component
-    outputs["chassis_triangle_base_mm"] = chassis.triangle_base
-    outputs["chassis_diameter_mm"] = chassis.chassis_diameter
-    try:
-        rods = bending.rod_sizing(p, theta, chassis.chassis_diameter)
-        outputs["rod_half_expansion_mm"] = rods.half_expansion
-        outputs["rod_length_max_mm"] = rods.rod_max
-        outputs["rod_length_min_mm"] = rods.rod_min
-        outputs["rod_outer_segment_mm"] = rods.rod_min
-        outputs["rod_inner_segment_mm"] = rods.inner_segment
-    except InfeasibleError as exc:
-        outputs["rod_sizing"] = f"INFEASIBLE: {exc}"
-
-    radius = validation.derived.wheel_radius
-    outputs["wheel_radius_mm"] = radius
-    outputs["wheel_diameter_mm"] = 2.0 * radius
-    plan = wheelgeom.curved_rod_plan(radius, p)
-    outputs["rim_arc_per_sector_mm"] = plan.arc_per_sector
-    outputs["curved_rod_levels"] = plan.levels
-    outputs["curved_rod_curvature_mm"] = plan.matched_curvature
-
-    outputs["peak_axial_force_N"] = force
-    outputs["peak_torque_Nmm"] = torque
-    outputs["motor_check_ok"] = found["motor_check_ok"].passed
+    got = _quantities(p, _METRICS + _FLAGGED + _WARNED + _CARD_ONLY, target_ratio, total_bend,
+                      table)
+    outputs = {key: got[key] for key in _CARD if key in got}
+    if "rod_sizing" in got:
+        del outputs["rod_half_expansion_mm"]
     # The reference selection threshold beside the peak, for context only.
     outputs["motor_check_note"] = (
-        f"peak {torque:.3f} N*mm vs selection threshold "
+        f"peak {got['peak_torque_Nmm']:.3f} N*mm vs selection threshold "
         f"{quasistatics.SELECTION_THRESHOLD:.0f} N*mm (side-by-side reference, not an "
         f"equality target); stall {p.drive.motor_stall_torque:.0f} N*mm, margin 1")
-    for key, code in _TARGETS:
-        if code in found:
-            outputs[key] = found[code].passed
-
-    return RunReport(
-        digest=digest if digest is not None else config_digest(serialize(p)),
-        validation=validation,
-        outputs=outputs,
-        warnings=tuple(v for v in found.values() if not (v.passed or v.code in _FLAGS)),
-    )
+    for key, code in _CARD_FLAGS:
+        if code in got:
+            outputs[key] = got[code].passed
+    return RunReport(digest if digest is not None else config_digest(serialize(p)),
+                     p.validation, outputs, _warnings(got))

@@ -1002,8 +1002,8 @@ class TestCmdSweep:
         varying = params._varying
         calls = []
 
-        def interrupted(section):
-            check = varying(section)
+        def interrupted(*args):
+            check = varying(*args)
 
             def interrupting(p):
                 calls.append(p)

@@ -88,9 +88,17 @@ def count_reports(monkeypatch):
     return built
 
 
+# The table of quantities in order, as (module, name) of each of its parts:
+# the stages of ``validate``, then the sweep's metrics, the flag verdicts, the
+# warning verdicts and what only the card prints.
+TABLE_PARTS = ((params, "_STRUCTURE"), (params, "_OVERFLOWS"), (report_module, "_METRICS"),
+               (report_module, "_FLAGGED"), (report_module, "_WARNED"),
+               (report_module, "_CARD_ONLY"))
+
+
 def count_stages(monkeypatch):
-    """Per stage of ``validate``, by name, the designs of every later run of
-    it, through ``validate`` or a sweep's check."""
+    """Per entry of the table, by name, the designs of every later run of it,
+    through ``validate``, a sweep's check, the card or ``verdicts``."""
     calls = {}
 
     def counted(stage):
@@ -101,9 +109,9 @@ def count_stages(monkeypatch):
             return stage(p, v, got)
         return run
 
-    for name in ("_STRUCTURE", "_OVERFLOWS"):
-        monkeypatch.setattr(params, name, tuple(
-            (reads, counted(stage)) for reads, stage in getattr(params, name)))
+    for module, name in TABLE_PARTS:
+        monkeypatch.setattr(module, name, tuple(
+            (reads, counted(stage)) for reads, stage in getattr(module, name)))
     return calls
 
 
@@ -111,21 +119,32 @@ def stage_runs(calls):
     return {name: len(runs) for name, runs in calls.items()}
 
 
-# The stages of ``validate`` in order, and those whose reads include each
-# field that the benchmark sweeps: a point of a sweep of that field runs
-# these, and the others run once; ``validate`` runs each once.
+# The entries of the table in order, and those whose reads include each field
+# that the benchmark sweeps: a point of a sweep of that field runs these, and
+# the others up to the metrics run once; ``validate`` runs each stage once.
 STAGE_NAMES = ("_check_screw", "_check_layout", "_module_lengths", "_check_platform",
                "_check_rods", "_check_hub", "_check_wheel", "_check_wheel_stroke",
                "_check_drive", "_check_stroke", "_check_screw_diameter", "_check_radius",
                "_check_peak_load", "_check_tilt")
+METRIC_NAMES = ("_ratio", "_chassis")
+VERDICT_NAMES = ("_peak", "_reduction_ok", "_motor_check_ok", "_rod_half_expansion",
+                 "_wheel_diameter", "_reported_length_identity", "_elongated_length_mismatch",
+                 "_reduced_length_mismatch", "_chassis_diameter_mismatch",
+                 "_rod_half_expansion_mismatch", "_wheel_diameter_mismatch", "_wheel_stroke")
+CARD_NAMES = ("_rod_sizing", "_rim_and_ladder")
+ENTRY_NAMES = STAGE_NAMES + METRIC_NAMES + VERDICT_NAMES + CARD_NAMES
 WHEEL_STAGES = ("_check_hub", "_check_radius")  # ``wheel.hub_offset``
 SCREW_STAGES = ("_check_screw", "_module_lengths", "_check_wheel_stroke",
-                "_check_stroke")  # ``screw.screw_level_length``
+                "_check_stroke", "_ratio")  # ``screw.screw_level_length``
 
 
 def sweep_runs(points, validations, varying=WHEEL_STAGES):
-    return {name: validations + (points if name in varying else 1)
-            for name in STAGE_NAMES}
+    """The runs of each entry in a sweep of ``points`` points, after
+    ``validations`` runs of ``validate``: no verdict, nothing of the card."""
+    runs = dict.fromkeys(ENTRY_NAMES, 0)
+    for name in STAGE_NAMES + METRIC_NAMES:
+        runs[name] = (name in STAGE_NAMES) * validations + (points if name in varying else 1)
+    return runs
 
 
 @pytest.fixture
@@ -193,6 +212,21 @@ class TestClosedForms:
                                "chassis_diameter_mm", "wheel_radius_mm", "peak_torque_Nmm"]
         for key, value in point.items():
             assert card[key] == value
+
+
+    def test_an_infeasible_rod_prints_its_flag_in_place_of_the_rod_lengths(self, reference):
+        # A short screw stroke on a wide screw circle: the bend demand
+        # outgrows the rod, whose half expansion the rod verdict still reads.
+        p = reference._replace(platform=reference.platform._replace(
+            max_screw_extension=10.0, screw_circle_spacing=40.0))
+        card = design_card(p)
+        keys = list(card.outputs)
+        assert keys[keys.index("chassis_diameter_mm") + 1:][:2] == ["rod_sizing", "wheel_radius_mm"]
+        assert card.outputs["rod_sizing"] == (
+            "INFEASIBLE: infeasible rod: bend demand exceeds the telescopic rod length")
+        assert not any(key.startswith("rod_") and key.endswith("_mm") for key in keys)
+        rod = {v.code: v for v in verdicts(p)}["rod_half_expansion_mismatch"]
+        assert rod.computed == bending.rod_half_expansion(p, math.pi / 16)
 
 
 class TestOverrun:
@@ -315,13 +349,14 @@ class TestValidateOnce:
 
     def test_card_computes_each_quantity_once(self, reference, monkeypatch):
         # Validation checks the chassis at the largest tilt for overflow; the
-        # card itself computes it once, at its own tilt.
+        # card itself computes it once, at its own tilt, and takes the module
+        # lengths from validation.
         assert reference.validation.valid
         lengths = count_calls(monkeypatch, telescopic, "module_lengths")
         chassis = count_calls(monkeypatch, bending, "chassis_diameter")
         card = design_card(reference)
-        assert len(lengths) == 1
-        assert len(chassis) == 1
+        assert lengths == []
+        assert [args[1] for args in chassis] == [report_module.DEFAULT_TOTAL_BEND / 4]
         assert card.warnings == consistency_warnings(reference)
 
     @pytest.mark.parametrize("verb", ["validate", "report"])
@@ -376,16 +411,24 @@ class TestValidateOnce:
         assert len(count_reports) == 1
 
     def test_sweep_checks_no_reported_value(self, count_validate, monkeypatch, reference):
-        # A sweep row carries no verdict, so a point builds none; the card
-        # builds its verdicts once.
-        built = count_calls(monkeypatch, report_module, "_verdicts")
+        # A sweep row carries no verdict, so a point runs no verdict entry
+        # and nothing that only the card prints. One card of the design,
+        # which the sweep did not validate, runs each entry of the table
+        # once; ``verdicts`` then runs no stage and no entry of the card's.
         stages = count_stages(monkeypatch)
         spec = SweepSpec("wheel.hub_offset", 10.0, 200.0, 50, Objective.MAX_WHEEL_RADIUS)
         assert sweep(reference, spec, lambda row: None)["status"] == "ok"
-        assert (len(count_validate), len(built)) == (0, 0)
+        assert len(count_validate) == 0
         assert stage_runs(stages) == sweep_runs(50, 0)
+        for runs in stages.values():
+            runs.clear()
         design_card(reference)
-        assert len(built) == 1
+        assert stage_runs(stages) == dict.fromkeys(ENTRY_NAMES, 1)
+        for runs in stages.values():
+            runs.clear()
+        verdicts(reference)
+        assert stage_runs(stages) \
+            == {name: name in METRIC_NAMES + VERDICT_NAMES for name in ENTRY_NAMES}
 
 
 # The card's flag on each reported target, and the verdict it reads.
@@ -471,6 +514,22 @@ class TestVerdicts:
         # Each verdict passes exactly when its values meet its tolerance.
         for v in found.values():
             assert v.passed == passes(v.code, v.computed, v.reported), v
+
+
+    @pytest.mark.parametrize("total_bend", [3.0, 0.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("run", [design_card, verdicts])
+    def test_a_bend_outside_the_envelope_is_refused(self, reference, run, total_bend):
+        # ``bending.bend_state`` and the CLI's ``--total-bend`` refuse these
+        # bends too: the envelope is (0, pi/2].
+        with pytest.raises(ValueError, match="total_bend"):
+            run(reference, total_bend=total_bend)
+
+    def test_the_largest_bend_over_one_plate_names_the_plate_tilt(self, reference):
+        # A bend inside the envelope that tilts one plate past pi/4.
+        p = reference._replace(platform=reference.platform._replace(plate_count=1))
+        for run in (verdicts, design_card):
+            with pytest.raises(ValueError, match=re.escape("theta_plate must be in [0, pi/4]")):
+                run(p, total_bend=math.pi / 2)
 
 
 PACKAGE = (params, telescopic, bending, wheelgeom, quasistatics, report_module, cli)
@@ -638,6 +697,23 @@ class TestSweep:
                 statuses.update(row[-2] for row in got)
         assert statuses == {"ok", "invalid"}
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(NUMERIC_PATHS))
+    @settings(max_examples=200, deadline=None)
+    def test_every_ok_row_is_the_card_of_its_design(self, seed, path_kind):
+        # Every numeric path, counts and the platform's among them: a row's
+        # metrics are the card's of the design that the swept field makes,
+        # at each point, not only before a plan is reused.
+        path, is_count = path_kind
+        rng = random.Random(seed)
+        p = random_valid_params(rng)
+        spec = random_spec(rng, p, path, is_count)
+        at = params._field_path(path).setter(p)
+        for row in swept(p, spec)[0]:
+            if row[-2] == "ok":
+                card = design_card(at(row[1])).outputs
+                assert bits(row[2:2 + len(SWEEP_METRICS)]) \
+                    == bits(card[m] for m in SWEEP_METRICS), row
+
     def test_first_of_equal_objectives_is_best(self, reference):
         # The hub offset leaves the reduced length alone: every row ties.
         spec = SweepSpec("wheel.hub_offset", 10.0, 90.0, 5, Objective.MIN_REDUCED_LENGTH)
@@ -655,7 +731,7 @@ class TestSweep:
             sweep(reference, SweepSpec("screw.n_levels", 1.0, 2.0, 3,
                                        Objective.MIN_PEAK_TORQUE), emitted.append)
         assert emitted == [] and count_validate == []
-        assert stage_runs(stages) == dict.fromkeys(STAGE_NAMES, 0)
+        assert stage_runs(stages) == dict.fromkeys(ENTRY_NAMES, 0)
         rows, _ = swept(reference, SweepSpec("wheel.hub_offset", 1.0, 2.0, 3,
                                              Objective.MIN_PEAK_TORQUE))
         assert len(rows) == 3
@@ -879,17 +955,24 @@ class TestHugeFields:
         assert_no_crash(codes, err)
 
 
-STAGES = params._STRUCTURE + params._OVERFLOWS
+# The whole table of quantities: the stages of ``validate``, which end at
+# ``VALIDATED``, then the entries after them, of which a sweep runs those
+# before ``SWEPT``.
+STAGES = sum((getattr(module, name) for module, name in TABLE_PARTS), ())
+VALIDATED = len(params._STRUCTURE + params._OVERFLOWS)
+SWEPT = VALIDATED + len(report_module._METRICS)
 PATHS = [path for path, _ in NUMERIC_PATHS]
 
 
 def stage_results(p, index):
-    """``repr`` of the violations and the quantities of stage ``index`` on
-    ``p``, fed by the stages before it, or None for an overflow stage on a
-    design that ``validate`` does not run it on."""
-    got, violations = {}, []
+    """``repr`` of the violations and the quantities of entry ``index`` on
+    ``p``, fed by the seeds at their defaults and the entries before it, or
+    None for an entry that does not run on the design: an overflow stage on
+    a structurally unsound design, an entry after validation on an invalid
+    one."""
+    got, violations = dict(report_module._SEEDS), []
     for i, (_, stage) in enumerate(STAGES[:index + 1]):
-        if i == len(params._STRUCTURE) and violations:
+        if i in (len(params._STRUCTURE), VALIDATED) and violations:
             return None
         found = []
         gave = stage(p, found, got)
@@ -904,7 +987,8 @@ def checked_report(violations, got):
     if violations:
         return params.ValidationReport(tuple(violations))
     return params.ValidationReport((), params._Derived(
-        got["elongated"], got["reduced"], got["wheel_radius"], got["peak_load"]))
+        got["elongated_length_mm"], got["reduced_length_mm"], got["wheel_radius_mm"],
+        (got["peak_axial_force_N"], got["peak_torque_Nmm"])))
 
 
 # Values at which a check of one field may fail: out of range, or at or
@@ -966,7 +1050,9 @@ class TestStages:
     def test_a_point_runs_the_stages_that_read_its_field(self, monkeypatch, reference, path,
                                                          varying, start, stop):
         assert set().union(*(reads for reads, _ in STAGES)) <= set(PATHS)
-        assert tuple(stage.__name__ for reads, stage in STAGES if path in reads) == varying
+        assert [stage.__name__ for _, stage in STAGES] == list(ENTRY_NAMES)
+        assert tuple(stage.__name__ for reads, stage in STAGES[:SWEPT] if path in reads) \
+            == varying
         stages = count_stages(monkeypatch)
         spec = SweepSpec(path, start, stop, 50, Objective.MIN_PEAK_TORQUE)
         rows, _ = swept(reference, spec)
@@ -978,7 +1064,7 @@ class TestStages:
     @given(stage_designs(), stage_designs(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_undeclared_sections_leave_the_stage_alone(self, index, p, donor, data):
-        # The fields that the stage does not declare, any of its sections'
+        # The fields that the entry does not declare, any of its sections'
         # among them, take the donor's values.
         undeclared = [path for path in PATHS if path not in STAGES[index][0]]
         q = p
@@ -998,8 +1084,11 @@ class TestStages:
         # unset, takes a drawn value or none. The first few may break the
         # field, so that a check resolves its overflow plan only at a later
         # design; ``p`` itself often violates other fields, whose violations
-        # the check replays among the varying field's.
-        check = params._varying(path)
+        # the check replays among the varying field's. A sweep's check also
+        # gives the metrics of a valid design, as the card's entries do.
+        check = params._varying(
+            path, (params._STRUCTURE, params._OVERFLOWS + report_module._METRICS),
+            report_module._SEEDS)
         field = params._field_path(path)
         lead = data.draw(st.integers(0, 3)) if path in CHECKED_FLOAT_PATHS else 0
         for i, donor in enumerate(donors):
@@ -1009,4 +1098,8 @@ class TestStages:
             elif value is None:
                 value = data.draw(st.one_of(st.none(), BREAKING_FLOATS))
             q = field.setter(p)(value)
-            assert repr(checked_report(*check(q))) == repr(validate(q))
+            violations, got = check(q)
+            assert repr(checked_report(violations, got)) == repr(validate(q))
+            if not violations:
+                card = report_module._quantities(q, report_module._METRICS)
+                assert bits(got[m] for m in SWEEP_METRICS) == bits(card[m] for m in SWEEP_METRICS)
