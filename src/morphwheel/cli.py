@@ -90,21 +90,22 @@ def _load_or_exit(config: str) -> tuple[DesignParams, str]:
     return p, text
 
 
-def _force_table_or_exit(args, p: DesignParams) -> quasistatics.SiliconeForceTable | None:
+def _force_table_or_exit(args) -> quasistatics.SiliconeForceTable | None:
     if getattr(args, "force_table", None) is None:
         return None
     try:
-        table = quasistatics.load_force_table_path(args.force_table)
+        return quasistatics.load_force_table_path(args.force_table)
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"error: cannot load force table: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    # Validation checks the peak torque on the default table; the card and
-    # the profile print it on this one. No torque of the profile exceeds it.
-    if not math.isfinite(quasistatics.peak_load(p, table)[1]):
+
+
+def _finite_peak_or_exit(args, torque: float) -> None:
+    # Validation checks the peak torque on the default table, not on this one.
+    if not math.isfinite(torque):
         print(f"error: force table {args.force_table}: the design's peak torque "
               "on it is not finite", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    return table
 
 
 def _refused(p: DesignParams, action: str) -> bool:
@@ -149,13 +150,7 @@ def cmd_validate(args) -> int:
     p, text = _load_or_exit(args.config)
     report = p.validation
     warnings = consistency_warnings(p) if report.valid else ()
-    rr = RunReport(
-        digest=config_digest(text),
-        validation=report,
-        outputs={},
-        warnings=warnings,
-    )
-    _print_report(rr)
+    _print_report(RunReport(config_digest(text), report, {}, warnings))
     return EXIT_OK if report.valid else EXIT_VALIDATION
 
 
@@ -163,19 +158,14 @@ def cmd_report(args) -> int:
     p, text = _load_or_exit(args.config)
     if _refused(p, "report on"):
         return EXIT_VALIDATION
-    table = _force_table_or_exit(args, p)
     try:
-        rr = design_card(
-            p,
-            target_ratio=args.target_ratio,
-            total_bend=args.total_bend,
-            table=table,
-            digest=config_digest(text),
-        )
+        rr = design_card(p, target_ratio=args.target_ratio, total_bend=args.total_bend,
+                         table=_force_table_or_exit(args), digest=config_digest(text))
     except ValueError as exc:  # a bend that tilts each of few plates past pi/4
         print(f"error: --total-bend: {args.total_bend!r} rad over "
               f"{p.platform.plate_count} plate(s): {exc}", file=sys.stderr)
         return EXIT_IO
+    _finite_peak_or_exit(args, rr.outputs["peak_torque_Nmm"])
     _print_report(rr)
     return EXIT_OK
 
@@ -184,13 +174,14 @@ def cmd_profile(args) -> int:
     p, _ = _load_or_exit(args.config)
     if _refused(p, "profile"):
         return EXIT_VALIDATION
-    table = _force_table_or_exit(args, p)
+    table = _force_table_or_exit(args)
     try:
         *floats, modes = wheelgeom.transform_columns(p, args.steps)
     except ValueError as exc:  # more steps than the design resolves
         print(f"error: --steps: {exc}", file=sys.stderr)
         return EXIT_IO
     forces, torques = quasistatics.torque_columns(p, floats[0], table)
+    _finite_peak_or_exit(args, torques[0])  # the elongated crawler's: the peak
     # Four text columns, a ``repr`` per float and a trigger mode ``_value_``
     # per state, make both the CSV rows (as ``csv.writer`` writes them) and the
     # keyframes. A run of rows that share one force object (and so its torque

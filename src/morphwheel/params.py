@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import types
 import typing
 
 from .errors import ConfigError, InvalidDesignError
@@ -172,20 +173,13 @@ class Verdict(typing.NamedTuple):
     detail: str
 
 
-class _Derived(typing.NamedTuple):
-    # The quantities ``validate`` derives for a valid design, kept on its
-    # report: ``telescopic.module_lengths`` reads them, and the card and
-    # ``report.verdicts`` seed their table of quantities with them, instead
-    # of deriving them again.
-    elongated: float     # mm, ``elongated_length``
-    reduced: float       # mm, ``reduced_length``
-    wheel_radius: float  # mm, ``wheelgeom.transform_endpoint_radius``
-    peak_load: tuple[float, float]  # ``quasistatics.peak_load`` on the default table
-
-
 class ValidationReport(typing.NamedTuple):
     violations: tuple[Violation, ...] = ()
-    derived: _Derived | None = None  # None for an invalid design
+    # ``got`` of validation's stages, read-only; None for an invalid design.
+    derived: typing.Mapping[str, float] | None = None
+
+    def __reduce__(self):  # a mapping proxy does not pickle; its dict does
+        return _report, (self.violations, self.derived and dict(self.derived))
 
     @property
     def valid(self) -> bool:
@@ -337,7 +331,8 @@ def validate(p: DesignParams) -> ValidationReport:
     here: ``report.verdicts`` compares them with the design. A
     design that passes every other check, as their formulas assume, is
     last checked for derived quantities past the float range and for a wheel
-    stroke lost to rounding.
+    stroke lost to rounding. Its report keeps, as ``derived``, what the
+    stages gave.
     """
     v, got = [], {}  # the stage tables as they are at the call
     for stages in (_STRUCTURE, _OVERFLOWS):
@@ -346,9 +341,11 @@ def validate(p: DesignParams) -> ValidationReport:
                 got.update(gave)
         if v:
             return ValidationReport(tuple(v))
-    return ValidationReport._make(((), _Derived._make((
-        got["elongated_length_mm"], got["reduced_length_mm"], got["wheel_radius_mm"],
-        (got["peak_axial_force_N"], got["peak_torque_Nmm"])))))
+    return _report((), got)
+
+
+def _report(violations: tuple[Violation, ...], got: dict | None) -> ValidationReport:
+    return ValidationReport(violations, got and types.MappingProxyType(got))
 
 
 def _check_screw(p, v, got):
@@ -443,6 +440,8 @@ def _check_stroke(p, v, got):
     if not travel > _MIN_STROKE_SHARE * p.wheel.rod_half_length:
         v.append(Violation("wheel.min_half_separation", "rod_half_length - "
                            "min_half_separation > 2**-30 * rod_half_length"))
+    # A structurally sound design's elongated length is positive.
+    return {"reduction_ratio": got["reduced_length_mm"] / elongated}
 
 
 def _check_screw_diameter(p, v, got):

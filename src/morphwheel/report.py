@@ -74,15 +74,12 @@ class RunReport(typing.NamedTuple):
 #
 # One ordered table of entries ``(reads, entry)``, each run as a stage of
 # ``params.validate`` is: validation's stages, then ``_METRICS``, the sweep's
-# metrics beyond them, the verdicts (``_FLAGGED``, ``_WARNED``), each after
+# metric beyond them, the verdicts (``_FLAGGED``, ``_WARNED``), each after
 # the quantities it takes, and ``_CARD_ONLY``. An entry gives a quantity
 # under the key the card prints it by, a verdict under its code, and nothing
-# else computes it. Three seeds head ``got``: ``reduction_target``,
+# else computes it. A valid design's ``got`` starts from what validation
+# gave (its report's ``derived``) and three seeds: ``reduction_target``,
 # ``total_bend_rad`` and the force ``table``.
-
-def _ratio(p, v, got):
-    return {"reduction_ratio": got["reduced_length_mm"] / got["elongated_length_mm"]}
-
 
 def _chassis(p, v, got):
     # The one plate tilt: the total bend, inside the envelope, over the plates.
@@ -158,8 +155,7 @@ def _wheel_stroke(p, v, got):
     # ``wheelgeom.transform_columns``; the telescopic stack collapses no lower
     # than its reduced length.
     reduced = got["reduced_length_mm"]
-    stroke_end = got["elongated_length_mm"] - 2.0 * (p.wheel.rod_half_length
-                                                     - params.min_half_separation(p))
+    stroke_end = got["elongated_length_mm"] - 2.0 * got["travel"]
     return {"wheel_stroke_exceeds_telescopic_stroke": Verdict(
         "wheel_stroke_exceeds_telescopic_stroke", stroke_end >= reduced, stroke_end, reduced,
         "the wheel stroke ends at a module length (computed) below the "
@@ -192,7 +188,7 @@ _TILT = "platform.plate_count"
 _CHASSIS = f"{_TILT} platform.max_screw_extension platform.screw_circle_spacing"
 _HALF_EXPANSION = f"{_TILT} platform.max_screw_extension platform.joint_mount_width " \
     "platform.universal_joint_diameter"
-_METRICS = _table((params._LENGTHS, _ratio), (_CHASSIS, _chassis))
+_METRICS = _table((_CHASSIS, _chassis))
 _FLAGGED = _table((params._PEAK, _peak), (params._LENGTHS, _reduction_ok),
                   (f"{params._PEAK} drive.motor_stall_torque", _motor_check_ok))
 _WARNED = _table(
@@ -209,21 +205,16 @@ _CARD_ONLY = _table(
     (f"{_CHASSIS} {_HALF_EXPANSION}", _rod_sizing),
     (f"{params._RADIUS} wheel {params._LADDER}", _rim_and_ladder))
 
-# The seeds at their defaults, which a sweep takes.
+# The seeds at their defaults, which a sweep and ``consistency_warnings`` take.
 _SEEDS = {"reduction_target": 0.5, "total_bend_rad": DEFAULT_TOTAL_BEND, "table": None}
 
 
-def _quantities(p: DesignParams, entries: tuple, target_ratio: float = 0.5,
-                total_bend: float = DEFAULT_TOTAL_BEND,
-                table: quasistatics.SiliconeForceTable | None = None) -> dict[str, object]:
-    # ``got`` of a valid design: validation's quantities and the seeds, then
-    # those that ``entries`` give in order. No entry after validation's finds
-    # a violation.
-    derived = require_valid(p).derived
-    got = {"elongated_length_mm": derived.elongated, "reduced_length_mm": derived.reduced,
-           "wheel_radius_mm": derived.wheel_radius, "reduction_target": target_ratio,
-           "total_bend_rad": total_bend, "table": table}
-    got["peak_axial_force_N"], got["peak_torque_Nmm"] = derived.peak_load
+def _quantities(p: DesignParams, entries: tuple, **seeds) -> dict[str, object]:
+    # ``got`` of a valid design: validation's quantities (the proxy's ``copy``
+    # copies its dict; ``{**proxy}`` reads key by key) and the seeds, then
+    # those that ``entries`` give in order. No later entry finds a violation.
+    got = require_valid(p).derived.copy()
+    got.update(_SEEDS, **seeds)
     v: list = []
     for _, entry in entries:
         if gave := entry(p, v, got):
@@ -250,7 +241,8 @@ def verdicts(p: DesignParams, *, target_ratio: float = 0.5,
     and the wheel stroke against the telescopic one. Nothing is patched to
     make a verdict pass; invalid designs raise ``InvalidDesignError``, and a
     ``total_bend`` outside ``(0, pi/2]`` ``ValueError``."""
-    got = _quantities(p, _METRICS + _FLAGGED + _WARNED, target_ratio, total_bend, table)
+    got = _quantities(p, _METRICS + _FLAGGED + _WARNED, reduction_target=target_ratio,
+                      total_bend_rad=total_bend, table=table)
     return tuple([value for value in got.values() if type(value) is Verdict])
 
 
@@ -404,8 +396,8 @@ def design_card(p: DesignParams, *, target_ratio: float = 0.5,
     ``InvalidDesignError``, and a ``total_bend`` outside ``(0, pi/2]``
     ``ValueError``. The card's ``validation`` is ``p.validation``.
     """
-    got = _quantities(p, _METRICS + _FLAGGED + _WARNED + _CARD_ONLY, target_ratio, total_bend,
-                      table)
+    got = _quantities(p, _METRICS + _FLAGGED + _WARNED + _CARD_ONLY,
+                      reduction_target=target_ratio, total_bend_rad=total_bend, table=table)
     outputs = {key: got[key] for key in _CARD if key in got}
     if "rod_sizing" in got:
         del outputs["rod_half_expansion_mm"]

@@ -49,7 +49,7 @@ def module_lengths(p: DesignParams) -> ModuleLengths:
     (``p.validation``, computed once per design), which holds both lengths.
     """
     derived = require_valid(p).derived
-    return ModuleLengths(derived.elongated, derived.reduced)
+    return ModuleLengths(derived["elongated_length_mm"], derived["reduced_length_mm"])
 
 
 def reduction_ok(reduced: float, elongated: float, target_ratio: float = 0.5) -> bool:

@@ -8,6 +8,7 @@ each point."""
 
 import json
 import math
+import types
 import typing
 
 from morphwheel import InfeasibleError, bending, params, quasistatics, telescopic, wheelgeom
@@ -305,7 +306,7 @@ def _check_screw(p, v, got):
         v.append(Violation("screw.thread_clearance", "thread_clearance >= 0"))
     _positive(v, "layout", lay, ("joint_arm_height", "drive_assembly_length",
                                  "tensioner_length", "plate_clearance"))
-    return {"elongated": elongated_length(p), "reduced": reduced_length(p)}
+    return {"elongated_length_mm": elongated_length(p), "reduced_length_mm": reduced_length(p)}
 
 
 def _check_platform(p, v, got):
@@ -335,7 +336,7 @@ def _check_wheel(p, v, got):
                            "min_half_separation < rod_half_length"))
     # Each unit of half-separation lost shortens the module by two, so a
     # longer wheel stroke would compress the module to nothing.
-    if 2.0 * (w.rod_half_length - h_min) >= got["elongated"]:
+    if 2.0 * (w.rod_half_length - h_min) >= got["elongated_length_mm"]:
         v.append(Violation("wheel.rod_half_length",
                            "2 * (rod_half_length - min_half_separation) < elongated length"))
     return {"travel": w.rod_half_length - h_min}
@@ -361,7 +362,7 @@ def _check_drive(p, v, got):
 # length to a level count and checks it in floats, which count exactly only
 # below 2**53.
 def _check_stroke(p, v, got):
-    w, elongated, travel = p.wheel, got["elongated"], got["travel"]
+    w, elongated, travel = p.wheel, got["elongated_length_mm"], got["travel"]
     if not math.isfinite(elongated):
         v.append(Violation("screw.screw_level_length", "elongated length is finite"))
     elif not 2.0 * travel > _MIN_STROKE_SHARE * elongated:
@@ -384,14 +385,14 @@ def _check_stroke(p, v, got):
     elif not radius - w.hub_offset > _MIN_STROKE_SHARE * radius:
         v.append(Violation("wheel.hub_offset",
                            "wheel radius - hub_offset > 2**-30 * wheel radius"))
-    return {"wheel_radius": radius}
+    return {"reduction_ratio": got["reduced_length_mm"] / elongated, "wheel_radius_mm": radius}
 
 
 def _check_peak_load(p, v, got):
-    peak = quasistatics.peak_load(p)
-    if not math.isfinite(peak[1]):
+    force, torque = quasistatics.peak_load(p)
+    if not math.isfinite(torque):
         v.append(Violation("drive.screw_mean_diameter", "peak torque is finite"))
-    return {"peak_load": peak}
+    return {"peak_axial_force_N": force, "peak_torque_Nmm": torque}
 
 
 def _check_tilt(p, v, got):
@@ -407,8 +408,8 @@ def _check_tilt(p, v, got):
 
 def validate_by_sections(p) -> params.ValidationReport:
     """``params.validate(p)`` from the seven stages above, run in order: every
-    violation in their order and, for a valid design, the quantities it
-    derives."""
+    violation in their order and, for a valid design, the read-only mapping of
+    the quantities they give, in their order, under the card's keys."""
     v, got = [], {}
     for stages in ((_check_screw, _check_platform, _check_wheel, _check_drive),
                    (_check_stroke, _check_peak_load, _check_tilt)):
@@ -418,5 +419,4 @@ def validate_by_sections(p) -> params.ValidationReport:
             got.update(stage(p, v, got) or {})
     if v:
         return params.ValidationReport(tuple(v))
-    return params.ValidationReport((), params._Derived(
-        got["elongated"], got["reduced"], got["wheel_radius"], got["peak_load"]))
+    return params.ValidationReport((), types.MappingProxyType(got))

@@ -838,6 +838,29 @@ class TestRefusedInput:
         assert err == (f"error: force table {table}: "
                        "the design's peak torque on it is not finite\n")
 
+    @pytest.mark.parametrize("verb, flag, message", [
+        ("report", "--total-bend=1.0",
+         "--total-bend: 1.0 rad over 1 plate(s): theta_plate must be in [0, pi/4]"),
+        ("profile", f"--steps={_MAX_STEPS + 1}", f"--steps: steps must be <= {_MAX_STEPS}")],
+        ids=["report", "profile"])
+    def test_a_refused_flag_is_named_before_the_peak_torque(self, tmp_path, capsys, verb, flag,
+                                                            message):
+        # The card, or the profile's states, come before their peak torque
+        # on the force table, which is past the float range here too.
+        config = tmp_path / "design.yaml"
+        config.write_text(Path(REFERENCE_CONFIG).read_text().replace(
+            "screw_mean_diameter: 8.0", "screw_mean_diameter: 1.0e+10").replace(
+            "plate_count: 4", "plate_count: 1"))
+        table = tmp_path / "table.yaml"
+        table.write_text("- [1.0, 1.0e+300]\n- [2.0, 1.0]\n")
+        out = ["--out", str(tmp_path / "p.csv")] if verb == "profile" else []
+        assert main([verb, "--config", str(config), "--force-table", str(table), flag,
+                     *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["design.yaml", "table.yaml"]
+
 
 class TestCmdSweep:
     @pytest.mark.parametrize("param, grid, objective, digest", [

@@ -4,10 +4,12 @@ import io
 import json
 import math
 import operator
+import pickle
 import random
 import re
 import sys
 import tracemalloc
+import types
 import typing
 from pathlib import Path
 
@@ -126,7 +128,7 @@ STAGE_NAMES = ("_check_screw", "_check_layout", "_module_lengths", "_check_platf
                "_check_rods", "_check_hub", "_check_wheel", "_check_wheel_stroke",
                "_check_drive", "_check_stroke", "_check_screw_diameter", "_check_radius",
                "_check_peak_load", "_check_tilt")
-METRIC_NAMES = ("_ratio", "_chassis")
+METRIC_NAMES = ("_chassis",)
 VERDICT_NAMES = ("_peak", "_reduction_ok", "_motor_check_ok", "_rod_half_expansion",
                  "_wheel_diameter", "_reported_length_identity", "_elongated_length_mismatch",
                  "_reduced_length_mismatch", "_chassis_diameter_mismatch",
@@ -135,7 +137,7 @@ CARD_NAMES = ("_rod_sizing", "_rim_and_ladder")
 ENTRY_NAMES = STAGE_NAMES + METRIC_NAMES + VERDICT_NAMES + CARD_NAMES
 WHEEL_STAGES = ("_check_hub", "_check_radius")  # ``wheel.hub_offset``
 SCREW_STAGES = ("_check_screw", "_module_lengths", "_check_wheel_stroke",
-                "_check_stroke", "_ratio")  # ``screw.screw_level_length``
+                "_check_stroke")  # ``screw.screw_level_length``
 
 
 def sweep_runs(points, validations, varying=WHEEL_STAGES):
@@ -579,6 +581,51 @@ class TestDeriveOnce:
         # Validation's, on the default table, then the card's.
         assert [args[1:] for args in calls["peak_load"]] == [(), (table,)]
 
+    @pytest.mark.parametrize("verb, peaks", [("report", [(), (TABLES["force_table.yaml"],)]),
+                                             ("profile", [()])])
+    def test_a_force_table_run_computes_each_peak_once(self, monkeypatch, design_file,
+                                                       tmp_path, verb, peaks):
+        # Validation's peak, on the default table, and the card's, on the
+        # table given; the profile checks its first torque, which is that peak.
+        calls = count_calls(monkeypatch, quasistatics, "peak_load")
+        out = ["--out", str(tmp_path / "p.csv")] if verb == "profile" else []
+        assert main([verb, "--config", design_file, "--force-table", str(FORCE_TABLE),
+                     *out]) == 0
+        assert [args[1:] for args in calls] == peaks
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0, exclude_min=True),
+           st.floats(1e-9, math.pi / 2), st.sampled_from(sorted(TABLES)))
+    @settings(max_examples=200, deadline=None)
+    def test_the_report_keeps_what_validation_gave(self, seed, target_ratio, total_bend, table):
+        p = random_valid_params(random.Random(seed))
+        derived = p.validation.derived
+        with pytest.raises(TypeError):
+            derived["reduction_ratio"] = 0.0
+        with pytest.raises(TypeError):
+            del derived["peak_torque_Nmm"]
+        before = list(derived.items())
+        kwargs = {"target_ratio": target_ratio, "total_bend": total_bend, "table": TABLES[table]}
+        for run in (design_card, verdicts):
+            with contextlib.suppress(ValueError):  # a bend that tilts a plate past pi/4
+                run(p, **kwargs)
+        consistency_warnings(p)
+        assert p.validation.derived is derived
+        assert bits(derived.items()) == bits(before)
+        # The card prints validation's values, its peak on the default table.
+        card = design_card(p).outputs
+        keys = ("elongated_length_mm", "reduced_length_mm", "reduction_ratio", "wheel_radius_mm",
+                "peak_axial_force_N", "peak_torque_Nmm")
+        assert bits(derived[key] for key in keys) == bits(card[key] for key in keys)
+
+    def test_a_report_pickles(self, reference):
+        # Through its dict: a mapping proxy does not pickle itself.
+        for report in (reference.validation, validate(overrunning(reference))):
+            copy = pickle.loads(pickle.dumps(report))
+            assert copy == report and type(copy.derived) is type(report.derived)
+        # A validated design takes its report along.
+        design = pickle.loads(pickle.dumps(reference))
+        assert design.__dict__["validation"] == reference.validation
+
     def test_cli_sweep_derives_each_quantity_once_per_point(self, monkeypatch, design_file,
                                                            tmp_path):
         # The loaded design's validation, then each point's quantities that
@@ -981,14 +1028,18 @@ def stage_results(p, index):
     return repr(found), repr(gave)
 
 
+# The quantities that validation's stages give, in their order.
+DERIVED = ("elongated_length_mm", "reduced_length_mm", "travel", "reduction_ratio",
+           "wheel_radius_mm", "peak_axial_force_N", "peak_torque_Nmm")
+
+
 def checked_report(violations, got):
     """The ``validate`` report of a design whose varying check gave
-    ``violations`` and the quantities ``got``."""
+    ``violations`` and the quantities ``got``: those of validation's stages
+    as its read-only ``derived``."""
     if violations:
         return params.ValidationReport(tuple(violations))
-    return params.ValidationReport((), params._Derived(
-        got["elongated_length_mm"], got["reduced_length_mm"], got["wheel_radius_mm"],
-        (got["peak_axial_force_N"], got["peak_torque_Nmm"])))
+    return params.ValidationReport((), types.MappingProxyType({key: got[key] for key in DERIVED}))
 
 
 # Values at which a check of one field may fail: out of range, or at or
