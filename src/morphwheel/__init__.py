@@ -18,7 +18,6 @@ from .params import (
     Violation,
     WheelSpec,
     load,
-    reference_design,
     serialize,
     validate,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "Violation",
     "WheelSpec",
     "load",
-    "reference_design",
     "serialize",
     "validate",
     "__version__",

@@ -317,7 +317,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p_report = sub.add_parser("report", help="print the complete design card")
     p_report.add_argument("--config", required=True)
-    # The range ``telescopic.reduction_ok`` accepts, as the inverse sizing does.
+    # The range the card's ``reduction_ok`` verdict accepts, as the inverse sizing does.
     p_report.add_argument("--target-ratio", default=0.5, type=_bounded(
                               float, lambda r: 0 < r <= 1, "target ratio must be in (0, 1]"),
                           help="reduction ratio target (default 0.5)")

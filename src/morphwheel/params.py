@@ -46,7 +46,6 @@ __all__ = [
     "require_valid",
     "load",
     "serialize",
-    "reference_design",
 ]
 
 
@@ -744,62 +743,6 @@ def serialize(p: DesignParams) -> str:
         if values:
             out += [f"{name}:\n", *values]
     return "".join(out) or "{}\n"
-
-
-def reference_design() -> DesignParams:
-    """Builtin module-scale design used by the test fixtures and docs.
-
-    The axial length budget (10 mm joints of two 5 mm arms, plate_clearance 10,
-    drive_assembly_length 90, tensioner_length 60) is a documented fill-in
-    chosen so the elongated length lands on the published 340 mm; the
-    published values themselves live in ``reported`` and are cross-checked,
-    not assumed. ``min_half_separation`` is pinned to 0 so the fully
-    compressed wheel closes the published 400 mm diameter exactly.
-    """
-    return DesignParams(
-        screw=TelescopicScrewSpec(
-            n_levels=4,
-            screw_level_length=20.0,
-            stopper_width=1.0,
-            thread_width=0.5,
-            thread_clearance=0.5,
-            base_screw_diameter=2.3,
-        ),
-        layout=ModuleLayout(
-            joint_arm_height=5.0,
-            drive_assembly_length=90.0,
-            tensioner_length=60.0,
-            plate_clearance=10.0,
-        ),
-        platform=PlatformSpec(
-            screw_circle_spacing=24.0,
-            max_screw_extension=80.0,
-            joint_mount_width=5.0,
-            universal_joint_diameter=2.5,
-            plate_count=4,
-        ),
-        wheel=WheelSpec(
-            rod_half_length=140.0,
-            hub_offset=60.0,
-            curved_rod_length=120.0,
-            hinge_allowance=15.0,
-            spoke_pairs=6,
-            min_half_separation=0.0,
-        ),
-        drive=DriveSpec(
-            motor_stall_torque=1470.0,
-            screw_lead=2.0,
-            screw_friction=0.2,
-            screw_mean_diameter=8.0,
-        ),
-        reported=ReportedTargets(
-            elongated_length=340.0,
-            reduced_length=165.0,
-            chassis_diameter=94.0,
-            wheel_diameter=400.0,
-            rod_half_expansion=80.0,
-        ),
-    )
 
 
 # The formulas ``validate`` checks for overflow; these modules import this

@@ -90,32 +90,30 @@ def _chassis(p, v, got):
     chassis = bending.chassis_diameter(p, theta)
     return {"per_plate_bend_rad": theta, "chassis_offset_mm": chassis.screw_offset_component,
             "chassis_triangle_base_mm": chassis.triangle_base,
-            "chassis_diameter_mm": chassis.chassis_diameter}
-
-
-def _peak(p, v, got):  # validation gave the peak load on the default table
-    table = got["table"]
-    if table is not None and table is not quasistatics.default_force_table():
-        force, torque = quasistatics.peak_load(p, table)
-        return {"peak_axial_force_N": force, "peak_torque_Nmm": torque}
+            "chassis_diameter_mm": chassis.chassis_diameter,
+            "rod_half_expansion_mm": bending.rod_half_expansion(p, theta)}
 
 
 def _reduction_ok(p, v, got):
-    target = got["reduction_target"]
-    passed = telescopic.reduction_ok(got["reduced_length_mm"], got["elongated_length_mm"],
-                                     target)
-    return {"reduction_ok": Verdict("reduction_ok", passed, got["reduction_ratio"], target,
+    ratio, target = got["reduction_ratio"], got["reduction_target"]
+    if not 0 < target <= 1:  # NaN fails too
+        raise ValueError("target_ratio must be in (0, 1]")
+    return {"reduction_ok": Verdict("reduction_ok", ratio <= target, ratio, target,
                                     "reduced / elongated module length exceeds the target ratio")}
 
 
 def _motor_check_ok(p, v, got):
-    torque, stall = got["peak_torque_Nmm"], p.drive.motor_stall_torque
-    return {"motor_check_ok": Verdict("motor_check_ok", torque <= stall, torque, stall,
-                                      "peak torque exceeds the motor stall torque, margin 1")}
-
-
-def _rod_half_expansion(p, v, got):
-    return {"rod_half_expansion_mm": bending.rod_half_expansion(p, got["per_plate_bend_rad"])}
+    # The peak on the card's table (validation gave it on the builtin one),
+    # then the verdict that reads it.
+    table, stall = got["table"], p.drive.motor_stall_torque
+    if table is None or table is quasistatics.default_force_table():
+        gave, torque = {}, got["peak_torque_Nmm"]
+    else:
+        force, torque = quasistatics.peak_load(p, table)
+        gave = {"peak_axial_force_N": force, "peak_torque_Nmm": torque}
+    gave["motor_check_ok"] = Verdict("motor_check_ok", torque <= stall, torque, stall,
+                                     "peak torque exceeds the motor stall torque, margin 1")
+    return gave
 
 
 def _wheel_diameter(p, v, got):
@@ -183,26 +181,21 @@ def _table(*rows) -> tuple:
     return tuple((params._reads(names), entry) for names, entry in rows)
 
 
-# The reads of the plate tilt, and of the quantities that take it.
-_TILT = "platform.plate_count"
-_CHASSIS = f"{_TILT} platform.max_screw_extension platform.screw_circle_spacing"
-_HALF_EXPANSION = f"{_TILT} platform.max_screw_extension platform.joint_mount_width " \
-    "platform.universal_joint_diameter"
-_METRICS = _table((_CHASSIS, _chassis))
-_FLAGGED = _table((params._PEAK, _peak), (params._LENGTHS, _reduction_ok),
+_METRICS = _table(("platform", _chassis))
+_FLAGGED = _table((params._LENGTHS, _reduction_ok),
                   (f"{params._PEAK} drive.motor_stall_torque", _motor_check_ok))
 _WARNED = _table(
-    (_HALF_EXPANSION, _rod_half_expansion), (params._RADIUS, _wheel_diameter),
+    (params._RADIUS, _wheel_diameter),
     ("reported.elongated_length reported.reduced_length screw.screw_level_length "
      "screw.n_levels", _reported_length_identity),
     _mismatch("elongated_length", params._LENGTHS, "elongated module length"),
     _mismatch("reduced_length", params._LENGTHS, "reduced module length"),
-    _mismatch("chassis_diameter", _CHASSIS, "chassis diameter"),
-    _mismatch("rod_half_expansion", _HALF_EXPANSION, "rod half expansion"),
+    _mismatch("chassis_diameter", "platform", "chassis diameter"),
+    _mismatch("rod_half_expansion", "platform", "rod half expansion"),
     _mismatch("wheel_diameter", params._RADIUS, "full-compression wheel diameter"),
     (f"{params._TRAVEL} {params._LENGTHS}", _wheel_stroke))
 _CARD_ONLY = _table(
-    (f"{_CHASSIS} {_HALF_EXPANSION}", _rod_sizing),
+    ("platform", _rod_sizing),
     (f"{params._RADIUS} wheel {params._LADDER}", _rim_and_ladder))
 
 # The seeds at their defaults, which a sweep and ``consistency_warnings`` take.

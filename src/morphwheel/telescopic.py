@@ -1,5 +1,7 @@
-"""Telescopic screw stack model: module lengths, reduction ratio, inverse
-sizing of screw length and level count, and the nested diameter ladder.
+"""Telescopic screw stack model: module lengths, inverse sizing of screw
+length and level count against a reduction-ratio target, and the nested
+diameter ladder. The reduction ratio itself, and the verdict on it, are
+quantities of the design card (``report``).
 
 All functions are pure. The inverse solvers are closed forms; the
 brute-force scans that check them live with the tests.
@@ -18,7 +20,6 @@ __all__ = [
     "ScrewLengthSolution",
     "residual_length",
     "module_lengths",
-    "reduction_ok",
     "min_screw_length",
     "min_levels",
     "diameter_ladder",
@@ -29,10 +30,6 @@ __all__ = [
 class ModuleLengths(typing.NamedTuple):
     elongated: float  # mm, all screw levels extended
     reduced: float    # mm, stack collapsed to one level
-
-    @property
-    def reduction_ratio(self) -> float:
-        return self.reduced / self.elongated
 
 
 class ScrewLengthSolution(typing.NamedTuple):
@@ -52,13 +49,10 @@ def module_lengths(p: DesignParams) -> ModuleLengths:
     return ModuleLengths(derived["elongated_length_mm"], derived["reduced_length_mm"])
 
 
-def reduction_ok(reduced: float, elongated: float, target_ratio: float = 0.5) -> bool:
-    """True when reduced/elongated meets the target (boundary included)."""
-    if not 0 < target_ratio <= 1:
-        raise ValueError("target_ratio must be in (0, 1]")
-    if elongated <= 0:
-        raise ValueError("elongated length must be positive")
-    return reduced / elongated <= target_ratio
+def _finite_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not 0 < value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _ratio(screw_length: float, n_levels: int, residual: float) -> float:
@@ -78,10 +72,9 @@ def min_screw_length(n_levels: int, residual: float,
     """
     if not 0 < target_ratio <= 1:
         raise ValueError("target_ratio must be in (0, 1]")
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
-    if residual <= 0:
-        raise ValueError("residual length must be positive")
+    if not 1 <= n_levels < math.inf:  # NaN fails too
+        raise ValueError(f"n_levels must be finite and >= 1, got {n_levels!r}")
+    _finite_positive(residual=residual)
     if target_ratio == 1.0:
         # Any positive length already satisfies ratio <= 1.
         return ScrewLengthSolution(length=0.0, degenerate=True)
@@ -97,16 +90,19 @@ def min_levels(screw_length: float, residual: float, target_ratio: float) -> int
 
     A finite answer always exists because the ratio tends to 0 as levels are
     added. Starts from the ceiling of the closed form and nudges by scanning
-    so float rounding can never return a non-minimal or failing count.
+    so float rounding can never return a non-minimal or failing count. A
+    closed form at or past 2**53, where adding a level no longer changes the
+    float ratio, raises ``ValueError``.
     """
     if not 0 < target_ratio <= 1:
         raise ValueError("target_ratio must be in (0, 1]")
-    if screw_length <= 0 or residual <= 0:
-        raise ValueError("screw_length and residual must be positive")
+    _finite_positive(screw_length=screw_length, residual=residual)
     if target_ratio == 1.0:
         return 1
     raw = (2.0 * screw_length + residual * (1.0 - target_ratio)) \
         / (2.0 * screw_length * target_ratio)
+    if not raw < 2.0 ** 53:
+        raise ValueError(f"the target needs about {raw:.3g} levels, not below 2**53")
     n = max(1, math.ceil(raw - 1e-12))
     while _ratio(screw_length, n, residual) > target_ratio:
         n += 1

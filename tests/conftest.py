@@ -11,12 +11,17 @@ from morphwheel import (
     PlatformSpec,
     TelescopicScrewSpec,
     WheelSpec,
-    reference_design,
+    load,
     validate,
 )
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# The reference design, read from its config file as the README's library
+# example reads it.
+_REFERENCE = load((ROOT / "configs" / "reference.yaml").read_text(encoding="utf-8"))
 
 # The two ways a process enters the CLI: ``python -m`` and the function the
 # console script calls.
@@ -32,6 +37,12 @@ def child_env(**extra: str) -> dict[str, str]:
     env = {**os.environ, **extra}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def reference_design() -> DesignParams:
+    """The design of ``configs/reference.yaml``: a new design on each call,
+    which validates on its own first use."""
+    return DesignParams(*_REFERENCE)
 
 
 @pytest.fixture

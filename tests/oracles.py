@@ -11,7 +11,7 @@ import math
 import types
 import typing
 
-from morphwheel import InfeasibleError, bending, params, quasistatics, telescopic, wheelgeom
+from morphwheel import InfeasibleError, bending, params, quasistatics, wheelgeom
 from morphwheel.cli import _fmt
 from morphwheel.params import (
     _MAX_LEVELS,
@@ -251,8 +251,7 @@ def card_flags(p, target_ratio: float = 0.5, total_bend: float = DEFAULT_TOTAL_B
     against the stall torque, and a ``target_*_ok`` per reported length or
     wheel diameter given, which passes when its ``*_mismatch`` warning is
     absent."""
-    flags = {"reduction_ok": telescopic.reduction_ok(
-                 params.reduced_length(p), params.elongated_length(p), target_ratio),
+    flags = {"reduction_ok": params.reduced_length(p) / params.elongated_length(p) <= target_ratio,
              "motor_check_ok": quasistatics.peak_load(p, table)[1] <= p.drive.motor_stall_torque}
     codes = {w.code for w in warnings(p, total_bend)}
     for key, target in (("target_elongated_ok", "elongated_length"),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphwheel import InfeasibleError, reference_design
+from morphwheel import InfeasibleError
 from morphwheel.bending import (
     bend_from_extensions,
     bend_state,
@@ -14,6 +14,8 @@ from morphwheel.bending import (
     screw_circle_radius,
     screw_extensions,
 )
+
+from conftest import reference_design
 
 angles = st.floats(min_value=1e-6, max_value=math.pi / 4)
 directions = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
@@ -194,7 +196,6 @@ class TestChassisDiameter:
            st.floats(min_value=0.0, max_value=math.pi / 4))
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_tilt(self, t1, t2):
-        from morphwheel import reference_design
         p = reference_design()
         lo, hi = sorted((t1, t2))
         assert chassis_diameter(p, lo).chassis_diameter \

@@ -28,12 +28,12 @@ from morphwheel import (
     wheelgeom,
 )
 from morphwheel.cli import main
-from morphwheel.params import _MAX_STEPS, _SECTIONS, reference_design, residual_length
+from morphwheel.params import _MAX_STEPS, _SECTIONS, residual_length
 from morphwheel.report import Objective, SweepSpec, consistency_warnings, design_card
 from morphwheel.telescopic import shaft_levels
 
 import oracles
-from conftest import ENTRIES, child_env, random_params, random_valid_params
+from conftest import ENTRIES, child_env, random_params, random_valid_params, reference_design
 from oracles import keyframes_json, set_field
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from morphwheel import ConfigError, quasistatics, reference_design, report
+from morphwheel import ConfigError, quasistatics, report
 from morphwheel.quasistatics import (
     SELECTION_THRESHOLD,
     SiliconeForceTable,
@@ -21,7 +21,7 @@ from morphwheel.quasistatics import (
 from morphwheel.wheelgeom import transform_columns
 
 import oracles
-from conftest import count_calls, random_valid_params
+from conftest import count_calls, random_valid_params, reference_design
 from oracles import peak_index
 
 FORCE_TABLE = Path(__file__).resolve().parent.parent / "configs" / "force_table.yaml"

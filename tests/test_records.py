@@ -12,6 +12,8 @@ from morphwheel.params import ModuleLayout, TelescopicScrewSpec
 from morphwheel.quasistatics import SiliconeForceTable
 from morphwheel.report import Objective, SweepSpec
 
+from conftest import reference_design
+
 RECORDS = [
     (params.Violation, ("field", "constraint")),
     (params.Verdict, ("code", "passed", "computed", "reported", "detail")),
@@ -67,18 +69,17 @@ def test_defaults_fill_the_trailing_fields():
 def test_validation_report_is_valid_without_violations():
     assert params.ValidationReport().valid
     assert params.ValidationReport() == ((), None)
-    report = params.validate(params.reference_design())
+    report = params.validate(reference_design())
     assert report.valid and report.derived is not None
     # ``derived`` is a function of the design: equal designs, equal reports.
-    assert report == params.validate(params.reference_design())
+    assert report == params.validate(reference_design())
     assert not params.ValidationReport((params.Violation("f", "c"),)).valid
 
 
 def test_records_compare_as_tuples():
     lengths = telescopic.ModuleLengths(340.0, 220.0)
     assert lengths == (340.0, 220.0)
-    assert lengths.reduction_ratio == 220.0 / 340.0
-    assert lengths._replace(reduced=170.0).reduction_ratio == 0.5
+    assert lengths._replace(reduced=170.0) == (340.0, 170.0)
     assert lengths._asdict() == {"elongated": 340.0, "reduced": 220.0}
     with pytest.raises(AttributeError):
         lengths.reduced = 1.0  # type: ignore[misc]
@@ -97,7 +98,7 @@ class TestDerivedDefaults:
     @staticmethod
     def derived(screw, layout):
         # The shaft levels and the height of one of the two joints.
-        p = params.reference_design()._replace(screw=screw, layout=layout)
+        p = reference_design()._replace(screw=screw, layout=layout)
         return telescopic.shaft_levels(p), (params.residual_length(p) - sum(layout[1:])) / 2
 
     def test_positionally(self):
@@ -133,27 +134,27 @@ class TestDerivedDefaults:
         with pytest.raises(ValueError, match="shaft_levels"):
             screw._replace(shaft_levels=None)
         # A section changed by plain ``_replace`` is a sound design.
-        p = params.reference_design()
+        p = reference_design()
         assert params.validate(p._replace(screw=p.screw._replace(n_levels=6))).valid
 
 
 class TestDesignParams:
     def test_drive_and_reported_default_to_one_shared_instance(self):
-        p = params.reference_design()
+        p = reference_design()
         a = params.DesignParams(p.screw, p.layout, p.platform, p.wheel)
         b = params.DesignParams(p.screw, p.layout, p.platform, p.wheel)
         assert a.drive == params.DriveSpec() and a.reported == params.ReportedTargets()
         assert a.drive is b.drive and a.reported is b.reported
 
     def test_validation_is_kept_per_design(self):
-        p = params.reference_design()
+        p = reference_design()
         assert p.validation is p.validation
         copy = p._replace()
         assert copy == p
         assert copy.validation == p.validation and copy.validation is not p.validation
 
     def test_fields_are_read_only(self):
-        p = params.reference_design()
+        p = reference_design()
         with pytest.raises(AttributeError):
             p.screw = p.screw  # type: ignore[misc]
         with pytest.raises(AttributeError):

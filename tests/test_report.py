@@ -49,7 +49,7 @@ from morphwheel.report import (
 from morphwheel.wheelgeom import transform_columns
 
 import oracles
-from conftest import count_calls, random_params, random_valid_params
+from conftest import count_calls, random_params, random_valid_params, reference_design
 from oracles import keyframes_json, peak_index, set_field, sweep_row
 
 FORCE_TABLE = Path(__file__).resolve().parent.parent / "configs" / "force_table.yaml"
@@ -129,8 +129,8 @@ STAGE_NAMES = ("_check_screw", "_check_layout", "_module_lengths", "_check_platf
                "_check_drive", "_check_stroke", "_check_screw_diameter", "_check_radius",
                "_check_peak_load", "_check_tilt")
 METRIC_NAMES = ("_chassis",)
-VERDICT_NAMES = ("_peak", "_reduction_ok", "_motor_check_ok", "_rod_half_expansion",
-                 "_wheel_diameter", "_reported_length_identity", "_elongated_length_mismatch",
+VERDICT_NAMES = ("_reduction_ok", "_motor_check_ok", "_wheel_diameter",
+                 "_reported_length_identity", "_elongated_length_mismatch",
                  "_reduced_length_mismatch", "_chassis_diameter_mismatch",
                  "_rod_half_expansion_mismatch", "_wheel_diameter_mismatch", "_wheel_stroke")
 CARD_NAMES = ("_rod_sizing", "_rim_and_ladder")
@@ -159,7 +159,7 @@ def count_parses(monkeypatch):
 @pytest.fixture
 def design_file(tmp_path):
     path = tmp_path / "design.yaml"
-    path.write_text(params.serialize(params.reference_design()), encoding="utf-8")
+    path.write_text(params.serialize(reference_design()), encoding="utf-8")
     return str(path)
 
 
@@ -290,7 +290,7 @@ class TestValidateOnce:
         assert len(count_validate) == 1
 
     def test_the_report_leaves_the_design_unchanged(self, reference):
-        fresh = params.reference_design()
+        fresh = reference_design()
         assert reference.validation.valid
         assert reference == fresh
         assert hash(reference) == hash(fresh)
@@ -380,7 +380,7 @@ class TestValidateOnce:
     def test_cli_parses_a_yaml_config_once(self, count_parses, tmp_path, capsys, verb):
         # Four-space indentation is YAML but not plain: one scan refuses it
         # at its first key line.
-        text = params.serialize(params.reference_design()).replace("\n  ", "\n    ")
+        text = params.serialize(reference_design()).replace("\n  ", "\n    ")
         path = tmp_path / "design.yaml"
         path.write_text(text, encoding="utf-8")
         assert main([verb, "--config", str(path)]) == 2
@@ -465,7 +465,7 @@ def verdict_designs(draw):
     p = p._replace(drive=p.drive._replace(motor_stall_torque=stall))
     kind = draw(st.sampled_from(["none", "reference", "drawn", "own"]))
     if kind == "reference":
-        return p._replace(reported=params.reference_design().reported)
+        return p._replace(reported=reference_design().reported)
     if kind == "drawn":
         return p._replace(reported=params.ReportedTargets(
             *[rng.choice([None, rng.uniform(1.0, 1000.0)]) for _ in range(5)]))
@@ -518,13 +518,18 @@ class TestVerdicts:
             assert v.passed == passes(v.code, v.computed, v.reported), v
 
 
-    @pytest.mark.parametrize("total_bend", [3.0, 0.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("keyword, value", [
+        *(pytest.param("total_bend", bend, id=str(bend))
+          for bend in (3.0, 0.0, -0.5, math.nan, math.inf)),
+        *(pytest.param("target_ratio", target, id=f"target_ratio={target}")
+          for target in (2.0, 0.0, -0.5, math.nan, math.inf))])
     @pytest.mark.parametrize("run", [design_card, verdicts])
-    def test_a_bend_outside_the_envelope_is_refused(self, reference, run, total_bend):
+    def test_a_bend_outside_the_envelope_is_refused(self, reference, run, keyword, value):
         # ``bending.bend_state`` and the CLI's ``--total-bend`` refuse these
-        # bends too: the envelope is (0, pi/2].
-        with pytest.raises(ValueError, match="total_bend"):
-            run(reference, total_bend=total_bend)
+        # bends too: the envelope is (0, pi/2]. The target ratio's range,
+        # which ``--target-ratio`` and the inverse sizing take, is (0, 1].
+        with pytest.raises(ValueError, match=keyword):
+            run(reference, **{keyword: value})
 
     def test_the_largest_bend_over_one_plate_names_the_plate_tilt(self, reference):
         # A bend inside the envelope that tilts one plate past pi/4.
@@ -563,21 +568,21 @@ class TestDeriveOnce:
         # The first point of a sweep of the hub offset derives each quantity
         # once, the second only the wheel radius.
         calls = count_formulas(monkeypatch)
-        point = own_point(params.reference_design())
+        point = own_point(reference_design())
         assert {name: len(c) for name, c in calls.items()} \
             == {name: 1 + (name == "transform_endpoint_radius") for name in FORMULAS}
-        assert bits(point.values()) == bits(sweep_row(params.reference_design()))
+        assert bits(point.values()) == bits(sweep_row(reference_design()))
 
     @pytest.mark.parametrize("table", [None, default_force_table()], ids=["none", "default"])
     def test_default_table_card_derives_each_quantity_once(self, monkeypatch, table):
         calls = count_formulas(monkeypatch)
-        design_card(params.reference_design(), table=table)
+        design_card(reference_design(), table=table)
         assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(FORMULAS, 1)
 
     def test_another_table_gets_its_own_peak(self, monkeypatch):
         table = TABLES["force_table.yaml"]
         calls = count_formulas(monkeypatch)
-        design_card(params.reference_design(), table=table)
+        design_card(reference_design(), table=table)
         # Validation's, on the default table, then the card's.
         assert [args[1:] for args in calls["peak_load"]] == [(), (table,)]
 
@@ -617,6 +622,22 @@ class TestDeriveOnce:
                 "peak_axial_force_N", "peak_torque_Nmm")
         assert bits(derived[key] for key in keys) == bits(card[key] for key in keys)
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([None, *sorted(TABLES)]))
+    @settings(max_examples=200, deadline=None)
+    def test_one_entry_gives_each_quantity(self, seed, table):
+        # No entry after validation gives a key that validation, a seed or
+        # another entry gave, but ``_motor_check_ok`` the peak on a table
+        # other than the default.
+        p = random_valid_params(random.Random(seed))
+        peak = ["peak_axial_force_N", "peak_torque_Nmm"] if table == "force_table.yaml" else []
+        got = {**p.validation.derived, **report_module._SEEDS, "table": table and TABLES[table]}
+        for _, entry in report_module._METRICS + report_module._FLAGGED \
+                + report_module._WARNED + report_module._CARD_ONLY:
+            gave = entry(p, [], got) or {}
+            again = peak if entry.__name__ == "_motor_check_ok" else []
+            assert [key for key in gave if key in got] == again
+            got.update(gave)
+
     def test_a_report_pickles(self, reference):
         # Through its dict: a mapping proxy does not pickle itself.
         for report in (reference.validation, validate(overrunning(reference))):
@@ -647,7 +668,7 @@ class TestDeriveOnce:
         table = default_force_table()
         row = sweep_row(p)
         lengths = telescopic.module_lengths(p._replace())
-        assert bits([*lengths, lengths.reduction_ratio]) == bits(row[:3])
+        assert bits([*lengths, lengths.reduced / lengths.elongated]) == bits(row[:3])
         assert bits(own_point(p._replace()).values()) == bits(row)
         force = quasistatics.peak_load(p, table)[0]
         keys = ("elongated_length_mm", "reduced_length_mm", "reduction_ratio",
@@ -903,7 +924,7 @@ def huge_designs(draw, max_floats=4):
     base = draw(st.one_of(st.none(), st.tuples(st.integers(0, 2**32 - 1),
                                                st.floats(0.0, 600.0))))
     if base is None:
-        p = params.reference_design()
+        p = reference_design()
     else:
         seed, h_min = base
         p = set_field(random_params(random.Random(seed)), "wheel.min_half_separation", h_min)

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphwheel import InfeasibleError, InvalidDesignError, validate
+from morphwheel.report import verdicts
 from morphwheel.telescopic import (
     diameter_ladder,
     min_levels,
     min_screw_length,
     module_lengths,
-    reduction_ok,
     residual_length,
     shaft_levels,
 )
 
-from conftest import random_valid_params
+from conftest import random_valid_params, reference_design
 from oracles import scan_min_levels, scan_min_screw_length
 
 
@@ -39,12 +39,14 @@ class TestModuleLengths:
         lengths = module_lengths(reference)
         assert lengths.elongated == pytest.approx(340.0, abs=1e-12)
         assert lengths.reduced == pytest.approx(220.0, abs=1e-12)
-        assert lengths.reduction_ratio == pytest.approx(220.0 / 340.0, abs=1e-12)
+        assert reference.validation.derived["reduction_ratio"] \
+            == pytest.approx(220.0 / 340.0, abs=1e-12)
 
     def test_single_level_cannot_telescope(self, reference):
-        lengths = module_lengths(with_levels(with_short_rods(reference), 1))
+        p = with_levels(with_short_rods(reference), 1)
+        lengths = module_lengths(p)
         assert lengths.elongated == lengths.reduced
-        assert lengths.reduction_ratio == 1.0
+        assert p.validation.derived["reduction_ratio"] == 1.0
 
     def test_invalid_design_refused_with_report(self, reference):
         bad = reference._replace(
@@ -64,28 +66,41 @@ class TestModuleLengths:
 
 
 class TestReductionCheck:
-    def test_published_lengths_pass(self):
-        assert reduction_ok(165.0, 340.0)
+    """The card's ``reduction_ok`` verdict: the reduced over the elongated
+    module length against the target ratio, boundary included."""
 
     @staticmethod
-    def meets_half(p):
-        lengths = module_lengths(p)
-        return reduction_ok(lengths.reduced, lengths.elongated)
+    def meets(p, target_ratio=0.5):
+        return next(v for v in verdicts(p, target_ratio=target_ratio)
+                    if v.code == "reduction_ok").passed
+
+    def test_published_lengths_pass(self, reference):
+        # Levels of 175/6 mm and a drive 220/3 mm shorter give the published
+        # 340 mm and 165 mm (ratio 0.4853).
+        p = with_levels(reference, 4, 175.0 / 6.0)
+        p = p._replace(layout=p.layout._replace(drive_assembly_length=90.0 - 220.0 / 3.0))
+        assert module_lengths(p) == pytest.approx((340.0, 165.0), abs=1e-12)
+        assert self.meets(p)
 
     def test_reference_design_fails(self, reference):
-        assert not self.meets_half(reference)
+        assert not self.meets(reference)
 
     def test_many_levels_pass(self, reference):
-        assert self.meets_half(with_levels(reference, 100))
+        assert self.meets(with_levels(reference, 100))
 
-    def test_boundary_inclusive(self):
-        assert reduction_ok(170.0, 340.0)
-        assert not reduction_ok(170.1, 340.0)
+    def test_boundary_inclusive(self, reference):
+        ratio = reference.validation.derived["reduction_ratio"]
+        assert self.meets(reference, ratio)
+        assert not self.meets(reference, math.nextafter(ratio, 0.0))
 
     @pytest.mark.parametrize("target", [math.nan, math.inf, -1.0, 0.0, 1.5])
     def test_target_outside_the_unit_interval_raises(self, target):
-        with pytest.raises(ValueError, match=r"target_ratio must be in \(0, 1\]"):
-            reduction_ok(165.0, 340.0, target)
+        # The inverse sizing refuses the targets that the verdict refuses
+        # (``test_report.TestVerdicts``).
+        for size in (lambda: min_screw_length(4, 180.0, target),
+                     lambda: min_levels(20.0, 180.0, target)):
+            with pytest.raises(ValueError, match=r"target_ratio must be in \(0, 1\]"):
+                size()
 
 
 class TestMinScrewLength:
@@ -100,7 +115,7 @@ class TestMinScrewLength:
         sol = min_screw_length(reference.screw.n_levels, residual_length(reference), 0.5)
         p2 = reference._replace(
             screw=reference.screw._replace(screw_level_length=sol.length))
-        assert module_lengths(p2).reduction_ratio == pytest.approx(0.5, abs=1e-9)
+        assert p2.validation.derived["reduction_ratio"] == pytest.approx(0.5, abs=1e-9)
 
     def test_two_levels_at_half_is_infeasible(self, reference):
         p = with_levels(with_short_rods(reference), 2)
@@ -133,6 +148,14 @@ class TestMinScrewLength:
             with pytest.raises(ValueError):
                 min_screw_length(4, 180.0, t)
 
+    @pytest.mark.parametrize("n_levels, residual, name", [
+        (4, math.nan, "residual"), (4, math.inf, "residual"), (4, 0.0, "residual"),
+        (4, -1.0, "residual"), (math.nan, 180.0, "n_levels"), (math.inf, 180.0, "n_levels"),
+        (0, 180.0, "n_levels")])
+    def test_inputs_must_be_positive_and_finite(self, n_levels, residual, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            min_screw_length(n_levels, residual, 0.5)
+
 
 class TestMinLevels:
     def test_reference_screw_needs_seven(self):
@@ -164,6 +187,22 @@ class TestMinLevels:
             if n > 1:
                 assert ratio(s, n - 1, k) > t
 
+    @pytest.mark.parametrize("screw_length, residual, name", [
+        (math.nan, 180.0, "screw_length"), (math.inf, 180.0, "screw_length"),
+        (0.0, 180.0, "screw_length"), (20.0, math.nan, "residual"),
+        (20.0, math.inf, "residual"), (20.0, -1.0, "residual")])
+    def test_lengths_must_be_positive_and_finite(self, screw_length, residual, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            min_levels(screw_length, residual, 0.5)
+
+    @pytest.mark.parametrize("screw_length, residual, target",
+                             [(1e-300, 180.0, 0.5), (20.0, 180.0, 1e-300), (20.0, 1e300, 0.5)])
+    def test_a_count_past_2_53_is_refused(self, screw_length, residual, target):
+        # Past 2**53 one more level no longer changes the float ratio, so a
+        # scan from the closed form would never end.
+        with pytest.raises(ValueError, match=r"not below 2\*\*53"):
+            min_levels(screw_length, residual, target)
+
     def test_solver_wrapper_uses_design_fields(self, reference):
         assert residual_length(reference) == pytest.approx(180.0)
         assert min_levels(reference.screw.screw_level_length,
@@ -193,7 +232,6 @@ class TestDiameterLadder:
            st.integers(min_value=2, max_value=12))
     @settings(max_examples=100, deadline=None)
     def test_strictly_increasing_for_positive_increment(self, tw, tc, sw, n):
-        from morphwheel import reference_design
         base = reference_design()
         p = base._replace(
             screw=base.screw._replace(thread_width=tw,
