@@ -68,10 +68,9 @@ class ChassisGeometry(typing.NamedTuple):
 class RodSizing(typing.NamedTuple):
     """Telescopic chassis rod lengths required by the bend envelope."""
 
-    half_expansion: float  # mm
-    rod_max: float         # mm, fully extended rod
-    rod_min: float         # mm, fully collapsed rod, also its outer segment
-    inner_segment: float   # mm
+    rod_max: float        # mm, fully extended rod
+    rod_min: float        # mm, fully collapsed rod, also its outer segment
+    inner_segment: float  # mm
 
 
 def screw_circle_radius(spacing: float) -> float:
@@ -183,28 +182,25 @@ def rod_half_expansion(p: DesignParams, theta_plate: float) -> float:
     return reach * math.sin(theta_plate)
 
 
-def rod_sizing(p: DesignParams, theta_plate: float, chassis_d: float) -> RodSizing:
-    """Telescopic chassis rod sizing for the design's joint and screw geometry.
+def rod_sizing(half_expansion: float, theta_plate: float, chassis_d: float) -> RodSizing:
+    """Telescopic chassis rod sizing for a rod half expansion (``rod_half_expansion``
+    of the design at ``theta_plate``) and chassis diameter.
 
     The rod must extend to twice the half expansion and still overlap when
     the bend shortens its chord by the chassis-diameter projection; a
     non-positive collapsed length means the bend demand exceeds what any
     two-segment rod can serve.
     """
+    if not 0 < half_expansion < math.inf:  # NaN too
+        raise ValueError("rod half expansion must be positive and finite")
     if not chassis_d > 0:  # NaN too
         raise ValueError("chassis diameter must be positive")
     if not 0 < theta_plate <= MAX_PLATE_TILT:
         raise ValueError("theta_plate must be in (0, pi/4]")
-    half_expansion = rod_half_expansion(p, theta_plate)
     rod_max = 2.0 * half_expansion
     rod_min = rod_max - chassis_d * math.sin(theta_plate)
     if rod_min <= 0:
         raise InfeasibleError(
             "infeasible rod: bend demand exceeds the telescopic rod length"
         )
-    return RodSizing(
-        half_expansion=half_expansion,
-        rod_max=rod_max,
-        rod_min=rod_min,
-        inner_segment=rod_max - rod_min,
-    )
+    return RodSizing(rod_max, rod_min, rod_max - rod_min)

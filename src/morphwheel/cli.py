@@ -183,9 +183,9 @@ def cmd_profile(args) -> int:
     forces, torques = quasistatics.torque_columns(p, floats[0], table)
     _finite_peak_or_exit(args, torques[0])  # the elongated crawler's: the peak
     # Four text columns, a ``repr`` per float and a trigger mode ``_value_``
-    # per state, make both the CSV rows (as ``csv.writer`` writes them) and the
-    # keyframes. A run of rows that share one force object (and so its torque
-    # object) formats the two once.
+    # per state, make the CSV rows (as ``csv.writer`` writes them) and the
+    # keyframes, which hold the modes as runs. A run of rows that share one
+    # force object (and so its torque object) formats the two once.
     columns = [*(list(map(repr, column)) for column in floats), [m._value_ for m in modes]]
     tails, force = [], None
     for f, t in zip(forces, torques):

@@ -162,7 +162,8 @@ def _wheel_stroke(p, v, got):
 
 def _rod_sizing(p, v, got):
     try:  # a chassis rod that the bend demand outgrows is a string flag
-        rods = bending.rod_sizing(p, got["per_plate_bend_rad"], got["chassis_diameter_mm"])
+        rods = bending.rod_sizing(got["rod_half_expansion_mm"], got["per_plate_bend_rad"],
+                                  got["chassis_diameter_mm"])
     except InfeasibleError as exc:
         return {"rod_sizing": f"INFEASIBLE: {exc}"}
     return {"rod_length_max_mm": rods.rod_max, "rod_length_min_mm": rods.rod_min,

@@ -11,6 +11,7 @@ the moment the module compresses.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 import typing
@@ -32,7 +33,7 @@ __all__ = [
     "keyframes_text",
 ]
 
-KEYFRAME_SCHEMA_VERSION = 2
+KEYFRAME_SCHEMA_VERSION = 3
 # Rim polyline points per spoke sector, written to the keyframe header.
 ARC_POINTS_PER_SECTOR = 8
 
@@ -159,9 +160,9 @@ def curved_rod_plan(radius: float, p: DesignParams) -> CurvedRodPlan:
 # ---------------------------------------------------------------------------
 # keyframe export
 #
-# Schema 2 stores the wheel topology once in the header (spoke pairs, hub
-# offset, rim sampling) and only scalars per frame; ``expand_frame``
-# rebuilds the plottable spoke, rim and plate geometry of one frame.
+# Schema 3 stores the wheel topology and the trigger modes (as runs of
+# frames) once in the header, and only three scalars per frame;
+# ``expand_frame`` rebuilds one frame's step, mode and plottable geometry.
 
 def expand_frame(doc: dict, i: int) -> dict:
     """Plottable geometry of frame ``i`` of a keyframe document.
@@ -169,9 +170,20 @@ def expand_frame(doc: dict, i: int) -> dict:
     Coordinates are mm, z along the module axis centred between the end
     plates. Each spoke entry gives the rod pair as a three-point polyline
     (top plate attachment, bulged hinge, bottom plate attachment); the rim
-    is one closed polyline at the hinge radius.
+    is one closed polyline at the hinge radius. Refuses with ``ValueError`` a
+    document of another schema and an ``i`` outside ``range(len(frames))``.
     """
-    frame = doc["frames"][i]
+    if (version := doc["schema_version"]) != KEYFRAME_SCHEMA_VERSION:
+        raise ValueError(f"schema_version must be {KEYFRAME_SCHEMA_VERSION}, got {version!r}")
+    if i not in range(n_frames := len(doc["frames"])):
+        raise ValueError(f"frame index must be in range({n_frames}), got {i!r}")
+    left = i
+    for mode, count in doc["trigger_mode_runs"]:  # the run that holds frame i
+        if (left := left - count) < 0:
+            break
+    else:
+        raise ValueError(f"trigger_mode_runs cover fewer than {i + 1} frames")
+    frame = {**doc["frames"][i], "step": i, "trigger_mode": mode}
     n_spokes = doc["spoke_pairs"]
     hub = doc["hub_offset"]
     h = frame["axial_half_separation"]
@@ -199,12 +211,11 @@ def keyframes_text(p: DesignParams, lengths: list[str], halves: list[str],
     """The keyframe file of design ``p``: one line of compact, sorted-key JSON.
     Its four text columns hold, per state in order, the ``repr`` of the module
     length, half-separation and wheel radius (a valid design's are finite, and
-    a finite float's JSON text is its ``repr``) and the trigger mode's value."""
-    body = ",".join([
-        f'{{"axial_half_separation":{h},"module_length":{length},'
-        f'"step":{i},"trigger_mode":"{mode}","wheel_radius":{radius}}}'
-        for i, length, h, radius, mode in zip(range(len(lengths)), lengths, halves, radii, modes)])
+    a finite float's JSON text is its ``repr``) and the trigger mode's value (written as runs)."""
+    body = ",".join([f'{{"axial_half_separation":{h},"module_length":{length},"wheel_radius":{r}}}'
+                     for length, h, r in zip(lengths, halves, radii)])
+    runs = ",".join(f'["{mode}",{len(list(run))}]' for mode, run in itertools.groupby(modes))
     w = p.wheel
     return (f'{{"arc_points_per_sector":{ARC_POINTS_PER_SECTOR},"frames":[{body}],'
             f'"hub_offset":{w.hub_offset!r},"schema_version":{KEYFRAME_SCHEMA_VERSION},'
-            f'"spoke_pairs":{w.spoke_pairs}}}\n')
+            f'"spoke_pairs":{w.spoke_pairs},"trigger_mode_runs":[{runs}]}}\n')

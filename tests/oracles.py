@@ -1,6 +1,7 @@
 """Brute-force oracles: the closed-form inverse sizing in ``telescopic``, the
 transformation and torque profiles state by state, the keyframe file as
-``json.dumps`` writes it, the peak of a torque profile, the metrics of a
+``json.dumps`` writes it and the schema-2 and schema-1 frames that its
+frames expand to, the peak of a torque profile, the metrics of a
 sweep row, a card's warnings and PASS/FAIL flags check by check, and a run
 report printed line by line, ``validate`` stage by stage as it was when each
 stage read whole sections; and ``set_field``, the setter a sweep applies at
@@ -134,21 +135,59 @@ def torque_profile(p, states, table=None) -> list[Entry]:
     return entries
 
 
+def schema2_frames(states) -> list[dict]:
+    """The frames of ``states`` as keyframe schema 2 wrote them: each state's
+    step, its three scalars and its trigger mode."""
+    return [{
+        "step": i,
+        "module_length": s.module_length,
+        "axial_half_separation": s.axial_half_separation,
+        "wheel_radius": s.wheel_radius,
+        "trigger_mode": s.trigger_mode.value,
+    } for i, s in enumerate(states)]
+
+
+def plottable_frame(frame: dict, p) -> dict:
+    """A schema-2 ``frame`` of design ``p`` with the plate, spoke and rim
+    geometry that schema 1 stored beside it: the end plates at -h, 0 and h;
+    per spoke pair, at its azimuth, the top and bottom plate attachments at
+    the hub offset and the hinge at the wheel radius; the rim as a closed
+    polyline of ``ARC_POINTS_PER_SECTOR`` points per spoke sector."""
+    h, r, hub = frame["axial_half_separation"], frame["wheel_radius"], p.wheel.hub_offset
+    spokes = []
+    for k in range(p.wheel.spoke_pairs):
+        psi = 2.0 * math.pi * k / p.wheel.spoke_pairs
+        x, y = math.cos(psi), math.sin(psi)
+        spokes.append({"azimuth": psi, "hinge": [r * x, r * y, 0.0],
+                       "attachment_top": [hub * x, hub * y, h],
+                       "attachment_bottom": [hub * x, hub * y, -h]})
+    n_rim = p.wheel.spoke_pairs * ARC_POINTS_PER_SECTOR
+    rim = [[r * math.cos(2.0 * math.pi * k / n_rim), r * math.sin(2.0 * math.pi * k / n_rim), 0.0]
+           for k in range(n_rim)]
+    return {**frame, "plate_positions": [-h, 0.0, h], "spokes": spokes, "rim": [*rim, rim[0]]}
+
+
 def keyframes_document(states, p) -> dict:
-    """The schema-2 keyframe document of ``states`` of design ``p``: the wheel
-    topology once, then the scalars of each state."""
+    """The schema-3 keyframe document of ``states`` of design ``p``: the wheel
+    topology and the trigger modes, as ``[mode, count]`` runs in state order,
+    once, then the three scalars of each state."""
+    runs = []
+    for s in states:
+        if runs and runs[-1][0] == s.trigger_mode.value:
+            runs[-1][1] += 1
+        else:
+            runs.append([s.trigger_mode.value, 1])
     return {
         "schema_version": KEYFRAME_SCHEMA_VERSION,
         "spoke_pairs": p.wheel.spoke_pairs,
         "hub_offset": p.wheel.hub_offset,
         "arc_points_per_sector": ARC_POINTS_PER_SECTOR,
+        "trigger_mode_runs": runs,
         "frames": [{
-            "step": i,
             "module_length": s.module_length,
             "axial_half_separation": s.axial_half_separation,
             "wheel_radius": s.wheel_radius,
-            "trigger_mode": s.trigger_mode.value,
-        } for i, s in enumerate(states)],
+        } for s in states],
     }
 
 

@@ -10,6 +10,7 @@ from morphwheel.bending import (
     bend_state,
     chassis_diameter,
     distribute_bend,
+    rod_half_expansion,
     rod_sizing,
     screw_circle_radius,
     screw_extensions,
@@ -20,17 +21,6 @@ from conftest import reference_design
 angles = st.floats(min_value=1e-6, max_value=math.pi / 4)
 directions = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
 radii = st.floats(min_value=0.5, max_value=500.0)
-
-
-def rods_for(half_expansion, chassis_d, theta):
-    """``rod_sizing`` of the reference with all of its rod reach (joint
-    mount, half joint and full screw) in a screw extension that gives
-    ``half_expansion`` at the tilt ``theta``, to within rounding."""
-    p = reference_design()
-    p = p._replace(platform=p.platform._replace(
-        joint_mount_width=0.0, universal_joint_diameter=0.0,
-        max_screw_extension=half_expansion / math.sin(theta)))
-    return rod_sizing(p, theta, chassis_d)
 
 
 class TestDistributeBend:
@@ -207,35 +197,52 @@ class TestRodSizing:
         # Oracle: (5 + 2.5/2 + 80) * sin(pi/16), doubled for the full rod.
         theta = math.pi / 16
         expected_half = (5.0 + 1.25 + 80.0) * math.sin(theta)
-        geo = chassis_diameter(reference, theta)
-        rods = rod_sizing(reference, theta, geo.chassis_diameter)
-        assert rods.half_expansion == pytest.approx(expected_half, abs=1e-12)
-        assert rods.half_expansion == pytest.approx(16.827, abs=5e-4)
+        half = rod_half_expansion(reference, theta)
+        assert half == pytest.approx(expected_half, abs=1e-12)
+        assert half == pytest.approx(16.827, abs=5e-4)
+        rods = rod_sizing(half, theta, chassis_diameter(reference, theta).chassis_diameter)
         assert rods.rod_max == pytest.approx(2 * expected_half, abs=1e-12)
 
     def test_published_table_values(self):
         # Half expansion and chassis diameter taken from the table.
         theta = math.pi / 16
-        rods = rods_for(80.0, 80.0, theta)
+        rods = rod_sizing(80.0, theta, 80.0)
         assert rods.rod_max == pytest.approx(160.0, abs=1e-12)
         assert rods.rod_min == pytest.approx(160.0 - 80.0 * math.sin(theta), abs=1e-12)
         assert rods.rod_min == pytest.approx(144.393, abs=5e-4)
         assert rods.inner_segment == pytest.approx(15.607, abs=5e-4)
 
     def test_vanishing_tilt_needs_no_telescoping(self):
-        rods = rods_for(80.0, 80.0, 1e-12)
+        rods = rod_sizing(80.0, 1e-12, 80.0)
         assert rods.rod_min == pytest.approx(rods.rod_max, abs=1e-6)
         assert rods.inner_segment == pytest.approx(0.0, abs=1e-6)
 
     def test_excessive_bend_demand_is_infeasible(self):
         with pytest.raises(InfeasibleError, match="rod"):
-            rods_for(10.0, 200.0, math.pi / 4)
+            rod_sizing(10.0, math.pi / 4, 200.0)
+
+    def test_rod_that_collapses_to_exactly_zero_is_infeasible(self):
+        # Doubling the half of the chord projection gives it back exactly, so
+        # the collapsed rod length is exactly 0; one ulp more half expansion
+        # leaves a rod.
+        theta, chassis_d = math.pi / 16, 80.0
+        half = chassis_d * math.sin(theta) / 2.0
+        assert 2.0 * half - chassis_d * math.sin(theta) == 0.0
+        with pytest.raises(InfeasibleError, match="rod"):
+            rod_sizing(half, theta, chassis_d)
+        assert rod_sizing(math.nextafter(half, math.inf), theta, chassis_d).rod_min > 0
 
     @pytest.mark.parametrize("chassis_d", [math.nan, -math.inf, 0.0, -1.0], ids=repr)
-    def test_chassis_diameter_must_be_positive(self, reference, chassis_d):
+    def test_chassis_diameter_must_be_positive(self, chassis_d):
         # A NaN diameter would give NaN rod lengths.
         with pytest.raises(ValueError, match="chassis diameter must be positive"):
-            rod_sizing(reference, math.pi / 16, chassis_d)
+            rod_sizing(80.0, math.pi / 16, chassis_d)
+
+    @pytest.mark.parametrize("half", [math.nan, math.inf, -math.inf, 0.0, -1.0], ids=repr)
+    def test_half_expansion_must_be_positive_and_finite(self, half):
+        # A NaN or infinite half expansion would give NaN or infinite rods.
+        with pytest.raises(ValueError, match="rod half expansion must be positive and finite"):
+            rod_sizing(half, math.pi / 16, 80.0)
 
     @given(st.floats(min_value=1.0, max_value=200.0),
            st.floats(min_value=1.0, max_value=100.0),
@@ -243,7 +250,7 @@ class TestRodSizing:
     @settings(max_examples=200, deadline=None)
     def test_segments_partition_the_rod(self, half, d, theta):
         try:
-            rods = rods_for(half, d, theta)
+            rods = rod_sizing(half, theta, d)
         except InfeasibleError:
             return
         # The collapsed rod is the outer segment.

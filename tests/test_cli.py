@@ -654,7 +654,7 @@ class TestProfileFiles:
         assert hashlib.sha256(out.read_bytes()).hexdigest() \
             == "5708a62af965845d0847c8c91fb70ec6b8fdc3dcb9d58c6f37f480c331c6b073"
         assert hashlib.sha256((tmp_path / "p_keyframes.json").read_bytes()).hexdigest() \
-            == "2a33ee13399f76845aa89e26b0f07a268ffdbd36d8798c4e7dbb18df8a870890"
+            == "e0fd6a1bbbdefcf86eda7108861a59f0b52b5b0bb8f01f08bd68dd5b73650c0e"
 
     @pytest.mark.parametrize("table_path", [None, FORCE_TABLE, NEGATIVE_ZERO_END_TABLE],
                              ids=["default", "file", "negative-zero-end"])

@@ -21,7 +21,7 @@ from morphwheel import (
     serialize,
     validate,
 )
-from morphwheel import params
+from morphwheel import params, wheelgeom
 from morphwheel.cli import main
 from morphwheel.params import residual_length
 from morphwheel.quasistatics import SiliconeForceTable, load_force_table, screw_torque
@@ -257,6 +257,24 @@ class TestOverflow:
         assert f"VIOLATION {field}: {constraint}\n" in captured.out
         assert captured.err.count(f"VIOLATION {field}: {constraint}\n") == 2
         assert not out.exists()
+
+    def test_rim_level_count_at_2_to_the_53_is_a_violation(self, reference):
+        # With no hinge allowance, a rod of the rim arc over 2**53 (a power of
+        # two, so the quotient is exact) needs exactly 2**53 levels: refused.
+        # One ulp more rod needs just fewer: accepted.
+        p = with_fields(reference, {"wheel.hinge_allowance": 0.0})
+        arc = wheelgeom.rim_arc(wheelgeom.transform_endpoint_radius(p), p.wheel.spoke_pairs)
+        tie = arc / 2.0 ** 53
+        for rod, levels, violations in (
+                (tie, 2.0 ** 53, [("wheel.curved_rod_length",
+                                   "rim arc / (curved_rod_length - hinge_allowance) < 2**53")]),
+                (math.nextafter(tie, math.inf), 2.0 ** 53 - 1, [])):
+            assert arc / rod == levels
+            q = with_fields(p, {"wheel.curved_rod_length": rod})
+            v = []
+            params._check_radius(q, v, {})
+            assert [(x.field, x.constraint) for x in v] == violations
+            assert [(x.field, x.constraint) for x in validate(q).violations] == violations
 
     def test_huge_but_finite_quantities_are_accepted(self, reference, tmp_path, capsys):
         # A 1e17 mm hub needs 2 * pi * 1e17 / 6 / 105, about 1e15, rim rod

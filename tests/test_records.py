@@ -20,7 +20,7 @@ RECORDS = [
     (params.ValidationReport, ("violations", "derived")),
     (bending.BendState, ("total_bend", "direction", "per_plate_angle", "plate_angles",
                          "screw_extensions")),
-    (bending.RodSizing, ("half_expansion", "rod_max", "rod_min", "inner_segment")),
+    (bending.RodSizing, ("rod_max", "rod_min", "inner_segment")),
     (telescopic.ModuleLengths, ("elongated", "reduced")),
     (telescopic.ScrewLengthSolution, ("length", "degenerate")),
     (wheelgeom.CurvedRodPlan, ("arc_per_sector", "levels", "matched_curvature")),

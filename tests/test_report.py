@@ -531,6 +531,15 @@ class TestVerdicts:
         with pytest.raises(ValueError, match=keyword):
             run(reference, **{keyword: value})
 
+    def test_a_wheel_stroke_that_ends_at_the_reduced_length_passes(self, reference):
+        # At a minimum half-separation of 80 mm the 140 mm rods travel 60 mm,
+        # so the stroke ends at 340 - 2 * 60 = 220 mm, the reduced length,
+        # exactly. One ulp less separation ends it one ulp below: it fails.
+        for h_min, end in ((80.0, 220.0), (math.nextafter(80.0, 0.0), math.nextafter(220.0, 0.0))):
+            p = set_field(reference, "wheel.min_half_separation", h_min)
+            found = {v.code: v for v in verdicts(p)}["wheel_stroke_exceeds_telescopic_stroke"]
+            assert (found.computed, found.reported, found.passed) == (end, 220.0, end == 220.0)
+
     def test_the_largest_bend_over_one_plate_names_the_plate_tilt(self, reference):
         # A bend inside the envelope that tilts one plate past pi/4.
         p = reference._replace(platform=reference.platform._replace(plate_count=1))

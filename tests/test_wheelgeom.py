@@ -211,9 +211,16 @@ class TestTriggerState:
         with pytest.raises(ValueError, match="over-extension"):
             trigger_state(341.0, 340.0)
 
+    def test_zero_length_is_refused(self):
+        # No verb reaches this guard: validation keeps every profile length
+        # positive. At the boundary itself, a length of 0.0 is refused.
+        with pytest.raises(ValueError, match="lengths must be positive"):
+            trigger_state(0.0, 340.0)
+        assert trigger_state(5e-324, 340.0) is TriggerMode.RIGID
+
 
 V1_EXAMPLE = Path(__file__).resolve().parent / "data" / "profile_keyframes_v1.json"
-V2_EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "examples" \
+V3_EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "examples" \
     / "profile_keyframes.json"
 
 
@@ -225,12 +232,18 @@ def text_columns(p, steps):
     return [*(list(map(repr, column)) for column in floats), [m.value for m in modes]]
 
 
+def document(p, steps):
+    """The keyframe document that ``profile --steps steps`` writes for ``p``."""
+    return json.loads(keyframes_text(p, *text_columns(p, steps)))
+
+
 class TestKeyframes:
     def test_record_geometry(self, reference):
-        rec = expand_frame(json.loads(keyframes_text(reference, *text_columns(reference, 3))), 1)
+        rec = expand_frame(document(reference, 3), 1)
         _, hs, radii, _ = transform_columns(reference, 3)
         h, r = hs[1], radii[1]
         assert rec["step"] == 1
+        assert rec["trigger_mode"] == "rigid"
         assert rec["plate_positions"] == [-h, 0.0, h]
         assert len(rec["spokes"]) == reference.wheel.spoke_pairs
         for spoke in rec["spokes"]:
@@ -249,18 +262,18 @@ class TestKeyframes:
 
     def test_frames_hold_only_scalars(self, reference):
         states = oracles.transform_profile(reference, 4)
-        doc = json.loads(keyframes_text(reference, *text_columns(reference, 4)))
+        doc = document(reference, 4)
         assert doc["spoke_pairs"] == reference.wheel.spoke_pairs
         assert doc["hub_offset"] == reference.wheel.hub_offset
+        assert doc["trigger_mode_runs"] == [["telescopic", 1], ["rigid", 3]]
         assert doc["frames"][2] == keyframes_document(states, reference)["frames"][2]
         for frame in doc["frames"]:
-            assert set(frame) == {"step", "module_length", "axial_half_separation",
-                                  "wheel_radius", "trigger_mode"}
+            assert set(frame) == {"module_length", "axial_half_separation", "wheel_radius"}
 
     def test_document_and_file_round_trip(self, reference):
         states = oracles.transform_profile(reference, 4)
-        doc = json.loads(keyframes_text(reference, *text_columns(reference, 4)))
-        assert doc["schema_version"] == KEYFRAME_SCHEMA_VERSION == 2
+        doc = document(reference, 4)
+        assert doc["schema_version"] == KEYFRAME_SCHEMA_VERSION == 3
         assert len(doc["frames"]) == 4
         assert doc == keyframes_document(states, reference)
 
@@ -273,12 +286,46 @@ class TestKeyframes:
         assert text.endswith("}\n") and text.count("\n") == 1
         assert ", " not in text and ": " not in text
 
-    def test_expand_frame_reproduces_schema_1(self):
-        """The committed 5-step schema-1 example is the oracle for schema 2."""
+    def test_expand_frame_reproduces_schema_1(self, reference):
+        """The committed 5-step schema-1 example is the oracle for schema 3,
+        and for the schema-1 frames the oracles build from schema 2."""
         v1 = json.loads(V1_EXAMPLE.read_text())
-        v2 = json.loads(V2_EXAMPLE.read_text())
-        assert v1["schema_version"] == 1 and v2["schema_version"] == 2
-        assert v2["spoke_pairs"] == v1["spoke_pairs"]
-        assert len(v2["frames"]) == len(v1["frames"]) == 5
+        v3 = json.loads(V3_EXAMPLE.read_text())
+        assert v1["schema_version"] == 1 and v3["schema_version"] == 3
+        assert v3["spoke_pairs"] == v1["spoke_pairs"]
+        assert v3["trigger_mode_runs"] == [["telescopic", 1], ["rigid", 4]]
+        assert len(v3["frames"]) == len(v1["frames"]) == 5
+        frames = oracles.schema2_frames(oracles.transform_profile(reference, 5))
         for i, frame in enumerate(v1["frames"]):
-            assert expand_frame(v2, i) == frame
+            assert expand_frame(v3, i) == frame
+            assert oracles.plottable_frame(frames[i], reference) == frame
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           steps=st.one_of(st.sampled_from([2, 3, 2000]), st.integers(2, 2000)))
+    @settings(max_examples=30, deadline=None)
+    def test_expand_frame_gives_the_schema_2_frame_and_its_geometry(self, seed, steps):
+        # Every frame of every step count: the step and trigger mode come
+        # back from the frame's index and the header's runs.
+        p = random_valid_params(random.Random(seed))
+        doc = document(p, steps)
+        frames = oracles.schema2_frames(oracles.transform_profile(p, steps))
+        assert len(doc["frames"]) == len(frames) == steps
+        for i, frame in enumerate(frames):
+            assert expand_frame(doc, i) == oracles.plottable_frame(frame, p)
+
+    @pytest.mark.parametrize("i", [-1, 4, 5], ids=["minus-one", "len", "past-len"])
+    def test_expand_frame_refuses_an_index_outside_the_frames(self, reference, i):
+        with pytest.raises(ValueError, match=fr"frame index must be in range\(4\), got {i}$"):
+            expand_frame(document(reference, 4), i)
+
+    @pytest.mark.parametrize("version", [1, 2, 4, "3", None])
+    def test_expand_frame_refuses_another_schema(self, reference, version):
+        doc = document(reference, 4)
+        with pytest.raises(ValueError, match=f"schema_version must be 3, got {version!r}$"):
+            expand_frame({**doc, "schema_version": version}, 0)
+
+    def test_expand_frame_refuses_runs_that_miss_the_frame(self, reference):
+        doc = {**document(reference, 4), "trigger_mode_runs": [["telescopic", 1], ["rigid", 2]]}
+        assert expand_frame(doc, 2)["trigger_mode"] == "rigid"
+        with pytest.raises(ValueError, match="trigger_mode_runs cover fewer than 4 frames"):
+            expand_frame(doc, 3)
